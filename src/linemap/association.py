@@ -22,6 +22,7 @@ from .geometry import (
     point_to_infinite_line_2d,
     point_to_segment_distance_2d,
 )
+from .tracks import UnionFind
 
 
 def associate_points_to_segments(
@@ -166,30 +167,6 @@ class VPTrack:
     direction: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-class _ImageExclusiveUnion:
-    def __init__(self, nodes: list[VPNode]):
-        self.parent = {v: v for v in nodes}
-        self.images = {v: {v[0]} for v in nodes}
-
-    def find(self, v):
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.images[ra] & self.images[rb]:
-            return False  # would place two VPs of one image in a track
-        if len(self.images[ra]) < len(self.images[rb]):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.images[ra] |= self.images[rb]
-        return True
-
-
 def principal_direction(dirs: np.ndarray) -> np.ndarray:
     """Sign-free mean direction: top eigenvector of the summed outer products."""
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -232,9 +209,14 @@ def build_vp_tracks(
         edges.append((cnt, key[0], key[1]))
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
 
-    uf = _ImageExclusiveUnion(nodes)
+    uf = UnionFind(nodes)
+    images = {v: {v[0]} for v in nodes}  # image ids per root
     for _, a, b in edges:
-        uf.union(a, b)
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb or images[ra] & images[rb]:
+            continue  # already joined, or would put two VPs of one image in a track
+        root = uf.union(ra, rb)
+        images[root] = images[ra] | images[rb]
 
     groups: dict[VPNode, list[VPNode]] = {}
     for v in nodes:

@@ -1,5 +1,9 @@
 """Pipeline configuration: one flat dataclass, file and CLI overrides.
 
+:class:`PipelineConfig` is the only pipeline configuration; scoring and
+track building read it directly, and :meth:`PipelineConfig.optimize_config`
+maps the ``opt_*`` keys onto the standalone solver's ``OptimizeConfig``.
+
 Config files are plain ``key = value`` lines; ``#`` starts a comment.
 Values are coerced to the declared field type; unknown keys are rejected
 with the list of valid ones so typos fail loudly.
@@ -12,8 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .optimize import OptimizeConfig
-from .scoring import ScoringConfig
-from .tracks import TrackConfig
 
 __all__ = ["PipelineConfig", "parse_overrides"]
 
@@ -32,7 +34,7 @@ class PipelineConfig:
     tau_perp_2d: float = 5.0
     tau_overlap: float = 0.05
     tau_perspective: float = 0.015
-    tau_innerseg: float = 5.0
+    tau_innerseg: float = 5.0  # pixel-equivalent after the depth/focal rescale
     score_gate: float = 0.5
     accept_threshold: float = 1.0
     # track building
@@ -54,9 +56,9 @@ class PipelineConfig:
     # joint refinement
     optimize: bool = True
     opt_max_iterations: int = 30
-    opt_line_loss_scale: float = 0.25
-    opt_assoc_loss_scale: float = 0.25
-    opt_angle_weight: float = 10.0
+    opt_line_loss_scale: float = OptimizeConfig.line_loss_scale
+    opt_assoc_loss_scale: float = OptimizeConfig.assoc_loss_scale
+    opt_angle_weight: float = OptimizeConfig.angle_weight_alpha
     ortho_angle_deg: float = 87.0
     # 3D association extraction
     assoc3d_max_ratio: float = 2.0
@@ -65,43 +67,13 @@ class PipelineConfig:
     threads: int = 1
     seed: int = 0
 
-    def scoring_config(self) -> ScoringConfig:
-        return ScoringConfig(
-            tau_angle_3d=self.tau_angle_3d,
-            tau_angle_2d=self.tau_angle_2d,
-            tau_perp_2d=self.tau_perp_2d,
-            tau_overlap=self.tau_overlap,
-            tau_perspective=self.tau_perspective,
-            tau_innerseg=self.tau_innerseg,
-            gate=self.score_gate,
-            accept_threshold=self.accept_threshold,
-        )
-
-    def track_config(self) -> TrackConfig:
-        return TrackConfig(
-            edge_score_min=self.edge_score_min,
-            min_supports=self.min_supports,
-            min_images=self.min_images,
-            remerge=self.remerge,
-            remerge_score_min=self.remerge_score_min,
-        )
-
     def optimize_config(self) -> OptimizeConfig:
         return OptimizeConfig(
             max_iterations=self.opt_max_iterations,
             line_loss_scale=self.opt_line_loss_scale,
             assoc_loss_scale=self.opt_assoc_loss_scale,
             angle_weight_alpha=self.opt_angle_weight,
-            ortho_angle_deg=self.ortho_angle_deg,
         )
-
-    @classmethod
-    def field_types(cls) -> dict[str, type]:
-        return {f.name: f.type for f in dataclasses.fields(cls)}
-
-    @classmethod
-    def from_items(cls, items: dict[str, str]) -> "PipelineConfig":
-        return cls().updated(items)
 
     def updated(self, items: dict[str, str]) -> "PipelineConfig":
         """A copy with string values coerced into the declared field types."""

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraView, Segment2D, Segment3D, normalized
+from .geometry import CameraView, Segment2D, Segment3D, principal_line
 
 __all__ = [
     "DepthMap",
@@ -132,13 +132,10 @@ def _line_distances(points: np.ndarray, anchor: np.ndarray, direction: np.ndarra
 
 
 def _pca_line(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    center = points.mean(axis=0)
-    rel = points - center
-    cov = rel.T @ rel
-    w, v = np.linalg.eigh(cov)
-    if w[-1] < 1e-18:
+    center, direction, spread = principal_line(points)
+    if spread < 1e-18:
         return None
-    return center, v[:, -1]
+    return center, direction
 
 
 def fit_segment_to_depth(

@@ -159,9 +159,6 @@ class CameraView:
             cached = self.__dict__["_center"] = -self.R.T @ self.t
         return cached
 
-    def projection_matrix(self) -> FloatArray:
-        return self.K @ np.hstack([self.R, self.t[:, None]])
-
     def _kr_kt(self):
         cached = self.__dict__.get("_krkt")
         if cached is None:
@@ -418,6 +415,42 @@ def project_line(line: PluckerLine, view: CameraView) -> FloatArray:
 
 
 # ---------------------------------------------------------------------------
+# line fitting
+# ---------------------------------------------------------------------------
+
+
+def principal_line(points: FloatArray) -> tuple[FloatArray, FloatArray, float]:
+    """Least-squares line through a point set: ``(mean, direction, spread)``.
+
+    ``direction`` is the dominant eigenvector of the centred scatter matrix
+    and ``spread`` its eigenvalue; callers judge degeneracy by comparing
+    ``spread`` against their own scale-aware threshold.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    evals, evecs = np.linalg.eigh(centered.T @ centered)
+    return mean, evecs[:, -1], float(evals[-1])
+
+
+def trimmed_extent(ts) -> tuple[float, float] | None:
+    """Robust extent of line parameters: the third-outermost value per side.
+
+    With six or more values the two outermost on each side are discarded
+    (robust against spurious long members), otherwise the full span is
+    kept.  Returns None for fewer than two values or a collapsed extent.
+    """
+    ts = np.sort(np.asarray(ts, dtype=np.float64))
+    if ts.size < 2:
+        return None
+    k = 2 if ts.size >= 6 else 0
+    lo, hi = float(ts[k]), float(ts[-1 - k])
+    if hi - lo <= 1e-12:
+        return None
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # minimal orthonormal parameterization
 # ---------------------------------------------------------------------------
 
@@ -501,8 +534,3 @@ def point_to_segment_distance_2d(p: FloatArray, seg: Segment2D) -> float:
         return float(np.linalg.norm(p - seg.start))
     s = float(np.clip((p - seg.start) @ v / ln2, 0.0, 1.0))
     return float(np.linalg.norm(p - (seg.start + s * v)))
-
-
-def intersect_lines_2d(l1: FloatArray, l2: FloatArray) -> FloatArray:
-    """Homogeneous intersection point of two 2D lines (may be at infinity)."""
-    return np.cross(l1, l2)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraView, Segment2D, Segment3D
+from .geometry import EPS, CameraView, Segment2D, Segment3D
 
 __all__ = [
     "InputError",
@@ -70,6 +70,17 @@ def _image_key(path: Path, key) -> int:
         raise InputError(path, f"image id {key!r} is not an integer") from None
 
 
+def _coords(path: Path, values, where: str) -> list[float]:
+    """Finite floats from a JSON row, or an InputError naming ``path``."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise InputError(path, f"{where}: coordinates must be numbers") from None
+    if not all(math.isfinite(v) for v in out):
+        raise InputError(path, f"{where}: non-finite coordinate")
+    return out
+
+
 def load_cameras(path: str | Path) -> dict[int, CameraView]:
     path = Path(path)
     raw = _load_json(path)
@@ -84,17 +95,20 @@ def load_cameras(path: str | Path) -> dict[int, CameraView]:
             K = np.array(cam["K"], dtype=np.float64)
             R = np.array(cam["R"], dtype=np.float64)
             t = np.array(cam["t"], dtype=np.float64)
-        except (KeyError, ValueError) as e:
+            width, height = int(cam.get("width", 0)), int(cam.get("height", 0))
+        except (KeyError, TypeError, ValueError) as e:
             raise InputError(path, f"camera {key}: {e}") from e
         if K.shape != (3, 3) or R.shape != (3, 3) or t.shape != (3,):
             raise InputError(path, f"camera {key}: K/R must be 3x3 and t length 3")
+        if not (np.isfinite(K).all() and np.isfinite(R).all() and np.isfinite(t).all()):
+            raise InputError(path, f"camera {key}: non-finite value in K, R or t")
+        if np.linalg.matrix_rank(K) < 3:
+            raise InputError(path, f"camera {key}: K is singular")
         if np.abs(K[2] - (0.0, 0.0, 1.0)).max() > 1e-9:
             raise InputError(path, f"camera {key}: last row of K must be (0, 0, 1)")
         if abs(np.linalg.det(R) - 1.0) > 1e-6 or np.abs(R @ R.T - np.eye(3)).max() > 1e-6:
             raise InputError(path, f"camera {key}: R is not a rotation matrix")
-        views[img] = CameraView(
-            K=K, R=R, t=t, width=int(cam.get("width", 0)), height=int(cam.get("height", 0))
-        )
+        views[img] = CameraView(K=K, R=R, t=t, width=width, height=height)
     return views
 
 
@@ -112,8 +126,11 @@ def load_segments(path: str | Path) -> dict[int, list[Segment2D]]:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 4:
                 raise InputError(path, f"image {key} segment {i}: expected [x1, y1, x2, y2]")
-            x1, y1, x2, y2 = (float(v) for v in row)
-            segs.append(Segment2D(np.array([x1, y1]), np.array([x2, y2])))
+            x1, y1, x2, y2 = _coords(path, row, f"image {key} segment {i}")
+            seg = Segment2D(np.array([x1, y1]), np.array([x2, y2]))
+            if seg.length < EPS:
+                raise InputError(path, f"image {key} segment {i}: zero-length segment")
+            segs.append(seg)
         out[img] = segs
     return out
 
@@ -151,8 +168,10 @@ def load_points(path: str | Path):
         raise InputError(path, 'expected an object with "points" and "observations"')
     try:
         pts = np.array(raw["points"], dtype=np.float64).reshape(-1, 3)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise InputError(path, f"points: {e}") from e
+    if not np.isfinite(pts).all():
+        raise InputError(path, "points: non-finite coordinate")
     obs: dict[int, list[tuple[int, np.ndarray]]] = {}
     for key, rows in raw.get("observations", {}).items():
         img = _image_key(path, key)
@@ -160,10 +179,13 @@ def load_points(path: str | Path):
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 3:
                 raise InputError(path, f"image {key} observation {i}: expected [idx, u, v]")
-            pi = int(row[0])
+            where = f"image {key} observation {i}"
+            pi = row[0]
+            if not isinstance(pi, int) or isinstance(pi, bool):
+                raise InputError(path, f"{where}: point index {pi!r} is not an integer")
             if not 0 <= pi < len(pts):
-                raise InputError(path, f"image {key} observation {i}: point index {pi} out of range")
-            entries.append((pi, np.array([float(row[1]), float(row[2])])))
+                raise InputError(path, f"{where}: point index {pi} out of range")
+            entries.append((pi, np.array(_coords(path, row[1:], where))))
         obs[img] = entries
     return pts, obs
 

@@ -41,6 +41,7 @@ from .geometry import (
     quat_mul,
     quat_to_rotmat,
     skew,
+    trimmed_extent,
 )
 
 _E1 = np.array([1.0, 0.0, 0.0])
@@ -89,7 +90,6 @@ class OptimizeConfig:
     angle_weight_alpha: float = 10.0
     line_loss_scale: float = 0.25  # Cauchy, pixels
     assoc_loss_scale: float = 0.25  # Huber, scene units / radians-ish
-    ortho_angle_deg: float = 87.0
 
 
 @dataclass
@@ -443,8 +443,8 @@ def segment_on_line_from_supports(
     """Clip an infinite line to an extent explained by its 2D supports.
 
     Every observed endpoint ray is intersected (closest-point) with the
-    line; the extent keeps the third-outermost parameter on each side when
-    six or more are available, mirroring the track refit rule.
+    line; the extent follows :func:`~linemap.geometry.trimmed_extent`, the
+    same rule as the track refit.
     """
     origin = line.closest_point_to_origin()
     ts = []
@@ -457,15 +457,10 @@ def segment_on_line_from_supports(
             except ValueError:
                 continue
             ts.append(float((foot - origin) @ line.d))
-    if len(ts) < 2:
+    extent = trimmed_extent(ts)
+    if extent is None:
         return None
-    ts.sort()
-    if len(ts) >= 6:
-        lo, hi = ts[2], ts[-3]
-    else:
-        lo, hi = ts[0], ts[-1]
-    if hi - lo <= 1e-12:
-        return None
+    lo, hi = extent
     return Segment3D(origin + lo * line.d, origin + hi * line.d)
 
 

@@ -163,7 +163,6 @@ def _select_best(
     ref_view: CameraView,
     views: dict[int, CameraView],
     config: PipelineConfig,
-    scoring,
 ) -> TrackCandidate | None:
     """Keep the proposal best supported by proposals from other images."""
     if not proposals:
@@ -186,7 +185,7 @@ def _select_best(
                     ref_view,
                     views[gen],
                     views[j],
-                    scoring,
+                    config,
                 )
                 if s > m:
                     m = s
@@ -204,7 +203,6 @@ def _select_best(
 def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     views = data.views
     images = sorted(views)
-    scoring = config.scoring_config()
     neighbors = data.neighbors or compute_neighbors(images, data.point_obs, config.n_neighbors)
     neighbor_sets = {img: set(neighbors.get(img, ())) for img in images}
 
@@ -260,7 +258,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
                 img, di, kept, data, config, pts_by_det.get(di, []), vp_cam
             )
             n_proposals += len(proposals)
-            best = _select_best(proposals, view, views, config, scoring)
+            best = _select_best(proposals, view, views, config)
             if best is not None:
                 node = (img, di)
                 accepted[node] = best
@@ -281,7 +279,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         all_edges.extend(edges)
         n_proposals += count
 
-    tracks = build_tracks(candidates, all_edges, views, config.track_config(), scoring)
+    tracks = build_tracks(candidates, all_edges, views, config)
 
     # cross-image VP tracks, linked by co-support of line tracks
     vp_tracks: list[VPTrack] = []
@@ -327,10 +325,10 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         )
 
     refined_points = None if data.points3d is None else np.array(data.points3d, copy=True)
+    pid_list = sorted({pt for pt, _, _ in pl_weights})
+    pid_map = {pt: i for i, pt in enumerate(pid_list)}
     opt_stats = {}
     if config.optimize and tracks:
-        pid_list = sorted({pt for pt, _, _ in pl_weights})
-        pid_map = {pt: i for i, pt in enumerate(pid_list)}
         problem = JointProblem(
             views=views,
             points=(
@@ -371,23 +369,19 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     # 3D association graphs on the refined geometry
     point_line_edges: list[tuple[int, int]] = []
     if pl_weights:
-        pid_list = sorted({pt for pt, _, _ in pl_weights})
-        pid_map = {pt: i for i, pt in enumerate(pid_list)}
-        pts = refined_points[pid_list]
-        point_scales = np.zeros(len(pid_list))
-        for i, pt in enumerate(pid_list):
-            scales = []
-            for img in images:
-                for pj, _ in data.point_obs.get(img, []):
-                    if pj == pt:
-                        depth = views[img].depth(refined_points[pt])
-                        if depth > 0:
-                            scales.append(depth / views[img].focal)
-            point_scales[i] = min(scales) if scales else 0.0
+        point_images: dict[int, list[int]] = {}
+        for img in images:
+            for pt, _ in data.point_obs.get(img, []):
+                point_images.setdefault(pt, []).append(img)
+        point_scales = np.array(
+            [_min_depth_scale(refined_points[pt], point_images[pt], views) for pt in pid_list]
+        )
         lines = [plucker_from_segment(t.segment) for t in tracks]
-        line_scales = np.array([_line_scale(t, views) for t in tracks])
+        line_scales = np.array(
+            [_min_depth_scale(t.segment.midpoint, t.image_ids, views) for t in tracks]
+        )
         kept = extract_point_line_edges(
-            pts,
+            refined_points[pid_list],
             point_scales,
             lines,
             line_scales,
@@ -427,11 +421,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     )
 
 
-def _line_scale(track: LineTrack, views: dict[int, CameraView]) -> float:
-    scales = []
-    mid = track.segment.midpoint
-    for img, _ in track.supports:
-        depth = views[img].depth(mid)
-        if depth > 0:
-            scales.append(depth / views[img].focal)
-    return min(scales) if scales else 0.0
+def _min_depth_scale(x: np.ndarray, images, views: dict[int, CameraView]) -> float:
+    """Min depth/focal of ``x`` over images seeing it in front; 0 if none do."""
+    depths = [(views[img].depth(x), views[img].focal) for img in images]
+    return min((d / f for d, f in depths if d > 0), default=0.0)

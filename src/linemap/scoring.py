@@ -1,10 +1,11 @@
 """Pairwise consistency scoring between 3D line segment hypotheses.
 
 Scores combine several scale-invariant distances.  Each raw distance ``r``
-is mapped through ``exp(-(r/tau)^2)`` and gated to zero below 0.5; a pair
-score is the minimum over its components, so it is either 0 (some check
-failed clearly) or lies in [0.5, 1].  This keeps a sum of pair scores
-interpretable as a support count.
+is mapped through ``exp(-(r/tau)^2)`` and gated to zero below
+``score_gate`` (0.5); a pair score is the minimum over its components, so
+it is either 0 (some check failed clearly) or lies in [0.5, 1].  This keeps
+a sum of pair scores interpretable as a support count.  The ``tau_*``
+thresholds and the gate are read from :class:`~linemap.config.PipelineConfig`.
 
 Two phases use different component sets.  During proposal selection both
 hypotheses explain the same 2D detection, so endpoint-wise comparisons are
@@ -17,10 +18,10 @@ the endpoint comparison, with 2D distances measured in the owning views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .geometry import (
     CameraView,
     PluckerLine,
@@ -31,20 +32,6 @@ from .geometry import (
     project_point_to_line3d,
     project_segment,
 )
-
-
-@dataclass(frozen=True)
-class ScoringConfig:
-    """Thresholds for distance normalization (angles in degrees, 2D in px)."""
-
-    tau_angle_3d: float = 10.0
-    tau_angle_2d: float = 8.0
-    tau_perp_2d: float = 5.0
-    tau_overlap: float = 0.05
-    tau_perspective: float = 0.015
-    tau_innerseg: float = 5.0  # pixel-equivalent after the depth/focal rescale
-    gate: float = 0.5
-    accept_threshold: float = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -100,33 +87,16 @@ def perspective_distance(a: Segment3D, b: Segment3D, view: CameraView) -> float:
     )
 
 
-def _segment_interval(points, origin, direction):
-    ts = [float((p - origin) @ direction) for p in points]
-    return min(ts), max(ts)
-
-
-def overlap_ratio_3d(a: Segment3D, b: Segment3D) -> float:
-    """Fraction of ``b`` covered by the orthogonal projection of ``a``."""
+def overlap_ratio(a: Segment2D | Segment3D, b: Segment2D | Segment3D) -> float:
+    """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
     d = b.direction
-    lo, hi = _segment_interval([a.start, a.end], b.start, d)
-    inter = min(hi, b.length) - max(lo, 0.0)
+    ta, tb = float((a.start - b.start) @ d), float((a.end - b.start) @ d)
+    inter = min(max(ta, tb), b.length) - max(min(ta, tb), 0.0)
     return max(0.0, inter) / b.length
 
 
-def overlap_ratio_2d(a: Segment2D, b: Segment2D) -> float:
-    """2D analogue of :func:`overlap_ratio_3d`."""
-    d = b.direction
-    lo, hi = _segment_interval([a.start, a.end], b.start, d)
-    inter = min(hi, b.length) - max(lo, 0.0)
-    return max(0.0, inter) / b.length
-
-
-def mutual_overlap_3d(a: Segment3D, b: Segment3D) -> float:
-    return min(overlap_ratio_3d(a, b), overlap_ratio_3d(b, a))
-
-
-def mutual_overlap_2d(a: Segment2D, b: Segment2D) -> float:
-    return min(overlap_ratio_2d(a, b), overlap_ratio_2d(b, a))
+def mutual_overlap(a: Segment2D | Segment3D, b: Segment2D | Segment3D) -> float:
+    return min(overlap_ratio(a, b), overlap_ratio(b, a))
 
 
 def innerseg_distance(a: Segment3D, b: Segment3D) -> float:
@@ -199,7 +169,7 @@ def selection_pair_score(
     ref_view: CameraView,
     view_a: CameraView,
     view_b: CameraView,
-    config: ScoringConfig = ScoringConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> float:
     """Consistency of two proposals for the same reference detection.
 
@@ -208,7 +178,7 @@ def selection_pair_score(
     ``ref_view``.  Returns 0 when a projection is invalid (a hypothesis
     behind a scoring camera cannot support the other).
     """
-    g = config.gate
+    g = config.score_gate
     comps = [
         normalize_distance(angular_distance_3d(a, b), config.tau_angle_3d, g),
         normalize_distance(
@@ -240,7 +210,7 @@ def track_pair_score(
     view_a: CameraView,
     b: Segment3D,
     view_b: CameraView,
-    config: ScoringConfig = ScoringConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> float:
     """Consistency of the best hypotheses of two different detections.
 
@@ -248,13 +218,13 @@ def track_pair_score(
     correspondence across detections is meaningless here, so overlap and
     inner-segment distances substitute for the perspective distance.
     """
-    g = config.gate
+    g = config.score_gate
     scale = innerseg_scale(a, view_a, b, view_b)
     if scale <= 0:
         return 0.0
     comps = [
         normalize_distance(angular_distance_3d(a, b), config.tau_angle_3d, g),
-        _binary_overlap(mutual_overlap_3d(a, b), config.tau_overlap),
+        _binary_overlap(mutual_overlap(a, b), config.tau_overlap),
         normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg, g),
     ]
     ang2d = []
@@ -267,7 +237,7 @@ def track_pair_score(
         pa, pb = pair
         ang2d.append(angular_distance_2d(pa, pb))
         perp2d.append(perpendicular_distance_2d(pa, pb))
-        ov2d.append(mutual_overlap_2d(pa, pb))
+        ov2d.append(mutual_overlap(pa, pb))
     comps.append(normalize_distance(0.5 * (ang2d[0] + ang2d[1]), config.tau_angle_2d, g))
     comps.append(normalize_distance(0.5 * (perp2d[0] + perp2d[1]), config.tau_perp_2d, g))
     comps.append(_binary_overlap(min(ov2d), config.tau_overlap))

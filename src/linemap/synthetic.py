@@ -132,7 +132,6 @@ def build_scene(config: SceneConfig = SceneConfig()) -> SyntheticScene:
 
     # 12 box edges
     for axis in range(3):
-        others = [i for i in range(3) if i != axis]
         for s1 in (-1.0, 1.0):
             for s2 in (-1.0, 1.0):
                 segments.append(_axis_segment(axis, -1.0, 1.0, (s1, s2)))
@@ -145,27 +144,25 @@ def build_scene(config: SceneConfig = SceneConfig()) -> SyntheticScene:
         axes.extend(axs)
 
     # floating struts away from everything else, up to the requested count
+    placed = np.array([p for s in segments for p in (s.start, s.end)])
     attempts = 0
     while len(segments) < config.n_segments and attempts < 1000:
         attempts += 1
         axis = attempts % 3
-        others = [i for i in range(3) if i != axis]
         coords = rng.uniform(-0.7, 0.7, size=2)
         lo = rng.uniform(-0.8, -0.2)
         hi = rng.uniform(0.2, 0.8)
         cand = _axis_segment(axis, lo, hi, (coords[0], coords[1]))
         line = plucker_from_segment(cand)
-        clearance = min(
-            min(
-                point_line_distance_3d(s.start, line),
-                point_line_distance_3d(s.end, line),
-            )
-            for s in segments
-        )
-        if clearance < 0.15:
+        # distance of every placed endpoint to the candidate's line
+        feet = placed + np.cross(line.d, line.m + np.cross(line.d, placed))
+        if np.linalg.norm(placed - feet, axis=1).min() < 0.15:
             continue
         segments.append(cand)
         axes.append(axis)
+        placed = np.concatenate([placed, [cand.start, cand.end]])
+    if len(segments) < config.n_segments:
+        raise ValueError(f"build_scene: placed {len(segments)} of {config.n_segments} requested")
     segments = segments[: config.n_segments]
     axes = axes[: config.n_segments]
 

@@ -2,11 +2,11 @@
 
 Detections are graph nodes keyed by ``(image id, segment index)``; 2D match
 edges are kept only where the two endpoints' best 3D hypotheses score as
-consistent.  Connected components become tracks, each refit by a principal
-line through all member endpoints.  The track extent discards the two
-outermost projections on each side (robust against spurious long members),
-and a stricter second merging pass joins duplicate tracks that the match
-graph failed to connect.
+consistent.  Connected components become tracks, each refit by
+:func:`~linemap.geometry.principal_line` through all member endpoints and
+trimmed by :func:`~linemap.geometry.trimmed_extent`.  A stricter second
+merging pass joins duplicate tracks that the match graph failed to connect.
+Thresholds are read from :class:`~linemap.config.PipelineConfig`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CameraView, PluckerLine, Segment3D
-from .scoring import ScoringConfig, track_pair_score
+from .config import PipelineConfig
+from .geometry import CameraView, Segment3D, principal_line, trimmed_extent
+from .scoring import track_pair_score
 
 Node = tuple[int, int]  # (image id, segment index)
 
@@ -41,18 +42,12 @@ class LineTrack:
         return {img for img, _ in self.supports}
 
 
-@dataclass(frozen=True)
-class TrackConfig:
-    edge_score_min: float = 0.5
-    min_supports: int = 3
-    min_images: int = 4
-    remerge: bool = True
-    remerge_score_min: float = 0.75
+class UnionFind:
+    """Disjoint sets: union by set size, ties to the first root, path halving."""
 
-
-class _Union:
     def __init__(self, items):
         self.parent = {x: x for x in items}
+        self.size = dict.fromkeys(self.parent, 1)
 
     def find(self, x):
         while self.parent[x] != x:
@@ -61,47 +56,37 @@ class _Union:
         return x
 
     def union(self, a, b):
+        """Merge the sets of ``a`` and ``b``; returns the surviving root."""
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            if rb < ra:
+            if self.size[ra] < self.size[rb]:
                 ra, rb = rb, ra
             self.parent[rb] = ra
+            self.size[ra] += self.size[rb]
+        return ra
 
 
 def fit_segment_to_endpoints(endpoints: np.ndarray) -> Segment3D | None:
     """Principal line through a set of endpoints, trimmed robustly.
 
-    The line is the mean plus the dominant eigenvector of the endpoint
-    scatter.  The extent keeps the third-outermost projection on each side
-    when six or more endpoints are available, otherwise the full span.
     Returns None when the points do not define a direction or the trimmed
     extent collapses.
     """
     pts = np.asarray(endpoints, dtype=np.float64)
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = centered.T @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[-1] <= 1e-12 * max(1.0, float(np.abs(pts).max()) ** 2):
+    mean, d, spread = principal_line(pts)
+    if spread <= 1e-12 * max(1.0, float(np.abs(pts).max()) ** 2):
         return None
-    d = evecs[:, -1]
-    ts = np.sort(centered @ d)
-    if ts.size >= 6:
-        lo, hi = ts[2], ts[-3]
-    else:
-        lo, hi = ts[0], ts[-1]
-    if hi - lo <= 1e-12:
+    extent = trimmed_extent((pts - mean) @ d)
+    if extent is None:
         return None
+    lo, hi = extent
     return Segment3D(mean + lo * d, mean + hi * d)
 
 
-def _refit(nodes: list[Node], candidates: dict[Node, TrackCandidate]) -> Segment3D | None:
-    endpoints = np.concatenate([candidates[n].segment.endpoints() for n in nodes])
-    return fit_segment_to_endpoints(endpoints)
-
-
 def _make_track(nodes: list[Node], candidates: dict[Node, TrackCandidate]) -> LineTrack | None:
-    seg = _refit(nodes, candidates)
+    seg = fit_segment_to_endpoints(
+        np.concatenate([candidates[n].segment.endpoints() for n in nodes])
+    )
     if seg is None:
         return None
     counts = Counter(candidates[n].source for n in nodes)
@@ -112,8 +97,7 @@ def build_tracks(
     candidates: dict[Node, TrackCandidate],
     edges: list[tuple[Node, Node]],
     views: dict[int, CameraView],
-    config: TrackConfig = TrackConfig(),
-    scoring: ScoringConfig = ScoringConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> list[LineTrack]:
     """Cluster per-detection hypotheses into 3D line tracks.
 
@@ -121,11 +105,11 @@ def build_tracks(
         candidates: accepted best hypothesis per detection node.
         edges: 2D match edges between detection nodes (any direction).
         views: camera of each image id.
-        config: clustering thresholds.
-        scoring: pairwise score parameters used for edge verification.
+        config: edge and remerge score thresholds, support filters and
+            the pairwise score parameters used for edge verification.
     """
     nodes = sorted(candidates.keys())
-    uf = _Union(nodes)
+    uf = UnionFind(nodes)
     seen = set()
     for a, b in edges:
         if a not in candidates or b not in candidates or a == b:
@@ -139,7 +123,7 @@ def build_tracks(
             views[a[0]],
             candidates[b].segment,
             views[b[0]],
-            scoring,
+            config,
         )
         if s >= config.edge_score_min:
             uf.union(a, b)
@@ -149,8 +133,7 @@ def build_tracks(
         components.setdefault(uf.find(n), []).append(n)
 
     tracks: list[LineTrack] = []
-    for root in sorted(components):
-        comp = sorted(components[root])
+    for comp in sorted(components.values()):  # each sorted; ordered by first node
         if len(comp) < config.min_supports:
             continue
         track = _make_track(comp, candidates)
@@ -158,7 +141,7 @@ def build_tracks(
             tracks.append(track)
 
     if config.remerge and len(tracks) > 1:
-        tracks = remerge_tracks(tracks, candidates, views, config, scoring)
+        tracks = remerge_tracks(tracks, candidates, views, config)
 
     tracks = [t for t in tracks if len(t.image_ids) >= config.min_images]
     tracks.sort(key=lambda t: t.supports[0])
@@ -169,8 +152,7 @@ def remerge_tracks(
     tracks: list[LineTrack],
     candidates: dict[Node, TrackCandidate],
     views: dict[int, CameraView],
-    config: TrackConfig,
-    scoring: ScoringConfig,
+    config: PipelineConfig,
 ) -> list[LineTrack]:
     """Second-pass merging of duplicate tracks under a stricter threshold.
 
@@ -182,13 +164,13 @@ def remerge_tracks(
     pairs = []
     for i in range(len(tracks)):
         for j in range(i + 1, len(tracks)):
-            s = track_pair_score(tracks[i].segment, rep[i], tracks[j].segment, rep[j], scoring)
+            s = track_pair_score(tracks[i].segment, rep[i], tracks[j].segment, rep[j], config)
             if s >= config.remerge_score_min:
                 pairs.append((s, i, j))
     if not pairs:
         return tracks
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    uf = _Union(range(len(tracks)))
+    uf = UnionFind(range(len(tracks)))
     for _, i, j in pairs:
         uf.union(i, j)
 
@@ -197,8 +179,7 @@ def remerge_tracks(
         groups.setdefault(uf.find(i), []).append(i)
 
     merged: list[LineTrack] = []
-    for root in sorted(groups):
-        idxs = groups[root]
+    for idxs in sorted(groups.values()):  # ordered by lowest track index
         if len(idxs) == 1:
             merged.append(tracks[idxs[0]])
             continue

@@ -24,6 +24,7 @@ from .geometry import (
     Segment3D,
     closest_point_line_to_line,
     normalized,
+    principal_line,
     relative_pose,
 )
 
@@ -143,13 +144,10 @@ def triangulate_multipoint(
     pts = np.asarray(points3d, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
         raise TriangulationError("need at least two 3D points to fit a line")
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = centered.T @ centered
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[-1] < EPS:
+    mean, direction, spread = principal_line(pts)
+    if spread < EPS:
         raise DegenerateTriangulationError("3D points are coincident; no line direction")
-    fitted = PluckerLine.from_point_direction(mean, evecs[:, -1])
+    fitted = PluckerLine.from_point_direction(mean, direction)
 
     center = ref_view.camera_center()
     endpoints = []

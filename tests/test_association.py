@@ -190,3 +190,24 @@ def test_vp_tracks_respect_min_shared():
     dirs = {(0, 0): x, (1, 0): x}
     tracks = build_vp_tracks(dirs, {((0, 0), (1, 0)): 2}, min_shared=3)
     assert tracks == []
+
+
+def test_vp_track_order_follows_union_by_size_roots():
+    # A three-member x group absorbs (0, 0), which sorts before all of its
+    # members; the merged group keeps the larger group's root (2, 0), so the
+    # y group rooted at (1, 1) comes first.  Tracks are listed by root, so a
+    # change to the root rule reorders the VP tracks in tracks.json.
+    x = np.array([1.0, 0.0, 0.0])
+    y = np.array([0.0, 1.0, 0.0])
+    dirs = {(0, 0): x, (2, 0): x, (3, 0): x, (4, 0): x, (1, 1): y, (2, 1): y}
+    counts = {
+        ((2, 0), (3, 0)): 10,
+        ((2, 0), (4, 0)): 10,
+        ((0, 0), (2, 0)): 5,
+        ((1, 1), (2, 1)): 5,
+    }
+    tracks = build_vp_tracks(dirs, counts)
+    assert [t.members for t in tracks] == [
+        [(1, 1), (2, 1)],
+        [(0, 0), (2, 0), (3, 0), (4, 0)],
+    ]

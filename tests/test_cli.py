@@ -158,6 +158,33 @@ def test_malformed_segments_exit_2_and_name_the_file(box_dataset, tmp_path, caps
     assert str(broken / "segments.json") in err
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ([100.0, 120.0, 100.0, 120.0], "zero-length"),
+        ([100.0, float("nan"), 300.0, 140.0], "non-finite"),
+        ([100.0, 120.0, float("inf"), 140.0], "non-finite"),
+        ([100.0, "abc", 300.0, 140.0], "must be numbers"),
+    ],
+    ids=["zero_length", "nan", "inf", "non_numeric"],
+)
+def test_bad_segment_coordinates_exit_2_and_name_the_file(
+    box_dataset, tmp_path, capsys, row, reason
+):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("cameras.json", "matches.json", "points.json"):
+        (broken / name).write_bytes((box_dataset / name).read_bytes())
+    segments = json.loads((box_dataset / "segments.json").read_text())
+    segments["0"][0] = row
+    (broken / "segments.json").write_text(json.dumps(segments))
+    code = main(["map", "--input", str(broken), "--output", str(tmp_path / "y")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(broken / "segments.json") in err
+    assert "image 0 segment 0" in err and reason in err
+
+
 def test_missing_dataset_exits_2(tmp_path, capsys):
     code = main(["map", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "z")])
     assert code == 2

@@ -9,13 +9,6 @@ from linemap.config import PipelineConfig, parse_overrides, read_config_file
 
 def test_defaults_are_consistent_with_subconfigs():
     cfg = PipelineConfig()
-    sc = cfg.scoring_config()
-    assert sc.tau_angle_3d == cfg.tau_angle_3d
-    assert sc.tau_innerseg == cfg.tau_innerseg
-    assert sc.accept_threshold == cfg.accept_threshold
-    tc = cfg.track_config()
-    assert tc.min_supports == cfg.min_supports
-    assert tc.min_images == cfg.min_images
     oc = cfg.optimize_config()
     assert oc.max_iterations == cfg.opt_max_iterations
     assert oc.line_loss_scale == cfg.opt_line_loss_scale

@@ -1,5 +1,7 @@
 """Tests for dataset loading, canonical JSON, and result serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from linemap.io import (
     canonical_dumps,
     load_cameras,
     load_dataset,
+    load_points,
     read_tracks_json,
     segments_from_payload,
     tracks_payload,
@@ -134,6 +137,51 @@ def test_camera_must_have_projective_last_row(tmp_path):
     with pytest.raises(InputError) as err:
         load_cameras(tmp_path / "cameras.json")
     assert "last row" in err.value.message
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ((0, 0, float("nan")), "non-finite"),
+        ((0, 0, float("inf")), "non-finite"),
+        ((0, 0, 0.0), "singular"),
+        ((1, 1, 0.0), "singular"),
+    ],
+    ids=["nan", "inf", "zero_focal", "rank_deficient"],
+)
+def test_camera_K_must_be_finite_and_invertible(tmp_path, entry, message):
+    views = write_minimal_dataset(tmp_path)
+    cam = {k: np.asarray(v).tolist() for k, v in camera_entry(views[0]).items()}
+    row, col, value = entry
+    cam["K"][row][col] = value
+    path = tmp_path / "cameras.json"
+    path.write_text(json.dumps({"0": cam}))  # json, not canonical: it rejects NaN
+    with pytest.raises(InputError) as err:
+        load_cameras(path)
+    assert err.value.path == str(path)
+    assert message in err.value.message
+
+
+@pytest.mark.parametrize("index", [0.5, "0", None, True], ids=["float", "string", "null", "bool"])
+def test_point_index_must_be_an_integer(tmp_path, index):
+    path = tmp_path / "points.json"
+    path.write_text(
+        json.dumps({"points": [[0.1, 0.2, 0.3]], "observations": {"0": [[index, 200.0, 210.0]]}})
+    )
+    with pytest.raises(InputError) as err:
+        load_points(path)
+    assert err.value.path == str(path)
+    assert "not an integer" in err.value.message
+
+
+def test_point_observation_pixels_must_be_finite(tmp_path):
+    path = tmp_path / "points.json"
+    path.write_text(
+        json.dumps({"points": [[0.1, 0.2, 0.3]], "observations": {"0": [[0, float("nan"), 1.0]]}})
+    )
+    with pytest.raises(InputError) as err:
+        load_points(path)
+    assert "non-finite" in err.value.message
 
 
 def test_segments_for_unknown_camera_rejected(tmp_path):

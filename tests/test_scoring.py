@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from linemap.config import PipelineConfig
 from linemap.geometry import CameraView, Segment2D, Segment3D
 from linemap.scoring import (
-    ScoringConfig,
     angular_distance_2d,
     angular_distance_3d,
     innerseg_distance,
     innerseg_scale,
-    mutual_overlap_3d,
+    mutual_overlap,
     normalize_distance,
-    overlap_ratio_2d,
-    overlap_ratio_3d,
+    overlap_ratio,
     perpendicular_distance_2d,
     perspective_distance,
     selection_pair_score,
@@ -80,15 +79,15 @@ def test_perspective_distance_scales_by_ray_depth():
 def test_overlap_ratio_hand_case():
     a = seg3([0, 0, 0], [1, 0, 0])
     b = seg3([0.5, 0, 0], [2.0, 0, 0])
-    assert overlap_ratio_3d(a, b) == pytest.approx(0.5 / 1.5)
-    assert overlap_ratio_3d(b, a) == pytest.approx(0.5)
-    assert mutual_overlap_3d(a, b) == pytest.approx(1.0 / 3.0)
+    assert overlap_ratio(a, b) == pytest.approx(0.5 / 1.5)
+    assert overlap_ratio(b, a) == pytest.approx(0.5)
+    assert mutual_overlap(a, b) == pytest.approx(1.0 / 3.0)
 
 
-def test_overlap_ratio_2d_disjoint_is_zero():
+def test_overlap_ratio_disjoint_2d_is_zero():
     a = seg2([0, 0], [1, 0])
     b = seg2([2, 0], [3, 0])
-    assert overlap_ratio_2d(a, b) == 0.0
+    assert overlap_ratio(a, b) == 0.0
 
 
 def test_innerseg_identical_is_zero():
@@ -197,7 +196,7 @@ def test_wildly_different_proposals_score_zero():
 
 def test_scores_are_scale_invariant():
     rng = np.random.default_rng(43)
-    cfg = ScoringConfig()
+    cfg = PipelineConfig()
     for s in (1e-3, 1e3):
         for _ in range(20):
             ref0 = make_view([0.0, 0.0, -4.0])

@@ -51,6 +51,19 @@ class TestScene:
         for sa, sb in zip(a.segments3d, b.segments3d):
             assert np.array_equal(sa.endpoints(), sb.endpoints())
 
+    def test_unplaceable_segment_count_raises(self):
+        with pytest.raises(ValueError, match=r"placed \d+ of 160 requested"):
+            build_scene(SceneConfig(n_segments=160))
+
+    def test_struts_keep_their_clearance(self):
+        scene = build_scene(SceneConfig(n_segments=76))
+        assert len(scene.segments3d) == 76
+        for k in range(30, 76):  # struts follow the 12 edges and 18 grid lines
+            line = plucker_from_segment(scene.segments3d[k])
+            for s in scene.segments3d[:k]:
+                assert point_line_distance_3d(s.start, line) >= 0.15
+                assert point_line_distance_3d(s.end, line) >= 0.15
+
     def test_every_segment_widely_visible(self, scene):
         obs = observe_scene(scene, ObservationConfig(seed=0))
         cover = np.zeros(len(scene.segments3d), dtype=int)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from linemap.geometry import Segment3D
+from linemap.config import PipelineConfig
+from linemap.geometry import Segment3D, trimmed_extent
 from linemap.tracks import (
     LineTrack,
     TrackCandidate,
-    TrackConfig,
     build_tracks,
     fit_segment_to_endpoints,
 )
@@ -40,6 +40,23 @@ def test_extent_falls_back_to_full_span_when_few():
     assert ts == pytest.approx([0.0, 4.0])
 
 
+@pytest.mark.parametrize(
+    "ts, expected",
+    [
+        ([], None),
+        ([3.0], None),
+        ([4.0, 0.0, 3.0, 1.0, 2.5], (0.0, 4.0)),  # fewer than six: full span
+        ([float(i) for i in (7, 0, 11, 3, 9, 1, 5, 10, 2, 8, 4, 6)], (2.0, 9.0)),
+        ([0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0], None),  # third-outermost values coincide
+        ([1.0, 1.0], None),
+    ],
+    ids=["empty", "one", "five", "twelve", "collapsed_trim", "collapsed_span"],
+)
+def test_trimmed_extent(ts, expected):
+    assert trimmed_extent(ts) == expected
+    assert trimmed_extent(np.array(ts)) == expected
+
+
 def test_degenerate_endpoints_return_none():
     pts = np.tile(np.array([1.0, 2.0, 3.0]), (8, 1))
     assert fit_segment_to_endpoints(pts) is None
@@ -58,7 +75,7 @@ def test_consistent_component_forms_single_track():
     portions = {(i, 0): (-0.6 + 0.05 * i, 0.6 + 0.05 * i) for i in range(6)}
     cands = make_candidates(views, portions)
     edges = [((i, 0), ((i + 1) % 6, 0)) for i in range(6)]
-    tracks = build_tracks(cands, edges, views, TrackConfig(min_images=4))
+    tracks = build_tracks(cands, edges, views, PipelineConfig(min_images=4))
     assert len(tracks) == 1
     assert tracks[0].supports == sorted(portions.keys())
     assert tracks[0].source_counts == {"algebraic": 6}
@@ -76,7 +93,7 @@ def test_inconsistent_edge_splits_components():
         cands[(i, 0)] = TrackCandidate(on_x_axis(-0.5, 0.5, y=0.9))  # different line
     edges = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((3, 0), (4, 0)), ((4, 0), (5, 0))]
     edges.append(((2, 0), (3, 0)))  # bogus cross-line match
-    tracks = build_tracks(cands, edges, views, TrackConfig(min_images=3, remerge=False))
+    tracks = build_tracks(cands, edges, views, PipelineConfig(min_images=3, remerge=False))
     assert len(tracks) == 2
     assert {tuple(t.supports) for t in tracks} == {
         (((0, 0)), ((1, 0)), ((2, 0))),
@@ -87,7 +104,7 @@ def test_inconsistent_edge_splits_components():
 def test_small_components_are_dropped():
     views = ring_views()
     cands = {(0, 0): TrackCandidate(on_x_axis(-0.5, 0.5)), (1, 0): TrackCandidate(on_x_axis(-0.5, 0.5))}
-    tracks = build_tracks(cands, [((0, 0), (1, 0))], views, TrackConfig(min_images=2))
+    tracks = build_tracks(cands, [((0, 0), (1, 0))], views, PipelineConfig(min_images=2))
     assert tracks == []
 
 
@@ -96,8 +113,8 @@ def test_min_image_support_filter():
     portions = {(0, 0): (-0.5, 0.5), (0, 1): (-0.4, 0.6), (1, 0): (-0.5, 0.5)}
     cands = make_candidates(views, portions)
     edges = [((0, 0), (1, 0)), ((0, 1), (1, 0)), ((0, 0), (0, 1))]
-    assert build_tracks(cands, edges, views, TrackConfig(min_images=3)) == []
-    kept = build_tracks(cands, edges, views, TrackConfig(min_images=2))
+    assert build_tracks(cands, edges, views, PipelineConfig(min_images=3)) == []
+    kept = build_tracks(cands, edges, views, PipelineConfig(min_images=2))
     assert len(kept) == 1
     assert len(kept[0].supports) == 3
 
@@ -108,9 +125,9 @@ def test_remerge_joins_duplicate_tracks():
     right = {(i, 1): (-0.1 + 0.02 * i, 1.0 + 0.02 * i) for i in range(3, 6)}
     cands = make_candidates(views, {**left, **right})
     edges = [((0, 0), (1, 0)), ((1, 0), (2, 0)), ((3, 1), (4, 1)), ((4, 1), (5, 1))]
-    split = build_tracks(cands, edges, views, TrackConfig(min_images=3, remerge=False))
+    split = build_tracks(cands, edges, views, PipelineConfig(min_images=3, remerge=False))
     assert len(split) == 2
-    merged = build_tracks(cands, edges, views, TrackConfig(min_images=3, remerge=True))
+    merged = build_tracks(cands, edges, views, PipelineConfig(min_images=3, remerge=True))
     assert len(merged) == 1
     assert merged[0].supports == sorted(list(left) + list(right))
 
