@@ -15,7 +15,6 @@ message names the offending file), 1 for any other failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,11 +23,11 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig, parse_overrides, read_config_file
 from .depthfit import DepthMap, fit_segment_to_depth
-from .geometry import Segment3D
 from .io import (
     InputError,
     canonical_dumps,
     load_dataset,
+    load_gt_segments,
     read_tracks_json,
     segments_from_payload,
     tracks_payload,
@@ -183,23 +182,6 @@ def cmd_synth(args) -> int:
         _write_depth_dataset(out, args)
     print(f"wrote {args.kind} dataset to {out}")
     return 0
-
-
-def load_gt_segments(path: str | Path) -> list[Segment3D]:
-    """Read ``{"segments": [[x1, y1, z1, x2, y2, z2], ...]}``."""
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(path, "file not found")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise InputError(path, f"invalid JSON: {e}") from e
-    if not isinstance(raw, dict) or "segments" not in raw:
-        raise InputError(path, 'expected an object with a "segments" list')
-    return [
-        Segment3D(np.array(row[:3], dtype=float), np.array(row[3:], dtype=float))
-        for row in raw["segments"]
-    ]
 
 
 def cmd_eval(args) -> int:

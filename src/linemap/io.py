@@ -37,6 +37,7 @@ __all__ = [
     "load_matches",
     "load_points",
     "load_neighbors",
+    "load_gt_segments",
     "canonical_dumps",
     "write_tracks_json",
     "read_tracks_json",
@@ -68,6 +69,13 @@ def _image_key(path: Path, key) -> int:
         return int(key)
     except (TypeError, ValueError):
         raise InputError(path, f"image id {key!r} is not an integer") from None
+
+
+def _index(path: Path, value, where: str) -> int:
+    """A JSON integer (not a bool), or an InputError naming ``path``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(path, f"{where}: index {value!r} is not an integer")
+    return value
 
 
 def _coords(path: Path, values, where: str) -> list[float]:
@@ -147,15 +155,14 @@ def load_matches(path: str | Path) -> dict[int, list[list[tuple[int, int]]]]:
             raise InputError(path, f"image {key}: expected a list per detection")
         table = []
         for i, row in enumerate(rows):
+            where = f"image {key} detection {i}"
             if not isinstance(row, list):
-                raise InputError(path, f"image {key} detection {i}: expected a list of pairs")
+                raise InputError(path, f"{where}: expected a list of pairs")
             pairs = []
             for pair in row:
                 if not isinstance(pair, list) or len(pair) != 2:
-                    raise InputError(
-                        path, f"image {key} detection {i}: match must be [image, detection]"
-                    )
-                pairs.append((int(pair[0]), int(pair[1])))
+                    raise InputError(path, f"{where}: match must be [image, detection]")
+                pairs.append((_index(path, pair[0], where), _index(path, pair[1], where)))
             table.append(pairs)
         out[img] = table
     return out
@@ -172,17 +179,20 @@ def load_points(path: str | Path):
         raise InputError(path, f"points: {e}") from e
     if not np.isfinite(pts).all():
         raise InputError(path, "points: non-finite coordinate")
+    raw_obs = raw.get("observations", {})
+    if not isinstance(raw_obs, dict):
+        raise InputError(path, "observations: expected an object mapping image ids to lists")
     obs: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for key, rows in raw.get("observations", {}).items():
+    for key, rows in raw_obs.items():
         img = _image_key(path, key)
+        if not isinstance(rows, list):
+            raise InputError(path, f"image {key}: expected a list of observations")
         entries = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 3:
                 raise InputError(path, f"image {key} observation {i}: expected [idx, u, v]")
             where = f"image {key} observation {i}"
-            pi = row[0]
-            if not isinstance(pi, int) or isinstance(pi, bool):
-                raise InputError(path, f"{where}: point index {pi!r} is not an integer")
+            pi = _index(path, row[0], where)
             if not 0 <= pi < len(pts):
                 raise InputError(path, f"{where}: point index {pi} out of range")
             entries.append((pi, np.array(_coords(path, row[1:], where))))
@@ -200,7 +210,22 @@ def load_neighbors(path: str | Path) -> dict[int, list[int]]:
         img = _image_key(path, key)
         if not isinstance(row, list):
             raise InputError(path, f"image {key}: expected a list of image ids")
-        out[img] = [int(v) for v in row]
+        out[img] = [_index(path, v, f"image {key} neighbor {i}") for i, v in enumerate(row)]
+    return out
+
+
+def load_gt_segments(path: str | Path) -> list[Segment3D]:
+    """Read ``{"segments": [[x1, y1, z1, x2, y2, z2], ...]}``."""
+    path = Path(path)
+    raw = _load_json(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("segments"), list):
+        raise InputError(path, 'expected an object with a "segments" list')
+    out = []
+    for i, row in enumerate(raw["segments"]):
+        if not isinstance(row, list) or len(row) != 6:
+            raise InputError(path, f"segment {i}: expected [x1, y1, z1, x2, y2, z2]")
+        c = _coords(path, row, f"segment {i}")
+        out.append(Segment3D(np.array(c[:3]), np.array(c[3:])))
     return out
 
 
@@ -346,8 +371,25 @@ def write_tracks_json(path: str | Path, payload: dict) -> None:
 def read_tracks_json(path: str | Path) -> dict:
     path = Path(path)
     raw = _load_json(path)
-    if not isinstance(raw, dict) or "tracks" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("tracks"), list):
         raise InputError(path, 'expected an object with a "tracks" list')
+    for i, track in enumerate(raw["tracks"]):
+        where = f"track {i}"
+        if not isinstance(track, dict):
+            raise InputError(path, f"{where}: expected an object")
+        for key in ("start", "end"):
+            xyz = track.get(key)
+            if not isinstance(xyz, list) or len(xyz) != 3:
+                raise InputError(path, f'{where}: "{key}" must be [x, y, z]')
+            _coords(path, xyz, f"{where} {key}")
+        supports = track.get("supports", [])
+        if not isinstance(supports, list):
+            raise InputError(path, f'{where}: "supports" must be a list')
+        for pair in supports:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InputError(path, f"{where}: support must be [image, detection]")
+            for v in pair:
+                _index(path, v, f"{where} support")
     return raw
 
 

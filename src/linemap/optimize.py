@@ -16,13 +16,15 @@ The cost couples feature reprojection terms with structural terms:
   within a few degrees of perpendicular.
 
 The solver is a dense Levenberg-Marquardt with multiplicative diagonal
-damping and iterative reweighting for the robust losses.
+damping and iterative reweighting for the robust losses.  Each state is
+evaluated once: a trial step builds its normal equations, and when the step
+is accepted they carry over to the next iteration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,9 +153,6 @@ class _State:
         for i in range(len(self.vps)):
             self.vps[i] = normalized(self.vps[i])
 
-    def copy(self) -> "_State":
-        return _State(self.points.copy(), list(self.lines), self.vps.copy())
-
     def vp_basis(self, i: int) -> np.ndarray:
         v = self.vps[i]
         seed = _E1 if abs(v[0]) < 0.9 else _E2
@@ -162,20 +161,20 @@ class _State:
         return np.column_stack([b1, b2])
 
     def retract(self, delta: np.ndarray, offsets) -> "_State":
-        np_, nl, nv = offsets
-        out = self.copy()
-        for i in range(len(self.points)):
-            out.points[i] = self.points[i] + delta[3 * i : 3 * i + 3]
+        np_, nl, _ = offsets
+        lines = []
         for j, par in enumerate(self.lines):
             d = delta[np_ + 4 * j : np_ + 4 * j + 4]
             q = quat_mul(par.q, quat_exp(d[:3]))
             c, s = math.cos(d[3]), math.sin(d[3])
             w = np.array([par.w[0] * c - par.w[1] * s, par.w[0] * s + par.w[1] * c])
-            out.lines[j] = MinimalLineParam(q, w)
-        for k in range(len(self.vps)):
-            d = delta[nl + 2 * k : nl + 2 * k + 2]
-            out.vps[k] = normalized(self.vps[k] + self.vp_basis(k) @ d)
-        return out
+            lines.append(MinimalLineParam(q, w))
+        # moved VPs go in unnormalised: __init__ normalises each one once
+        vps = [
+            v + self.vp_basis(k) @ delta[nl + 2 * k : nl + 2 * k + 2]
+            for k, v in enumerate(self.vps)
+        ]
+        return _State(self.points + delta[:np_].reshape(-1, 3), lines, vps)
 
 
 def _line_geometry(par: MinimalLineParam):
@@ -221,8 +220,8 @@ def _point_block(state, view, pi, pixel):
     return pix - pixel, Jx @ view.R
 
 
-def _line_block(state, view, li, seg: Segment2D, alpha: float, view_pre):
-    d, m, dd, dm = _line_geometry(state.lines[li])
+def _line_block(geom, seg: Segment2D, alpha: float, view_pre):
+    d, m, dd, dm = geom
     A_m, A_d = view_pre
     l = A_m @ m + A_d @ d
     Jl = A_m @ dm + A_d @ dd  # 3x4
@@ -252,9 +251,8 @@ def _line_block(state, view, li, seg: Segment2D, alpha: float, view_pre):
     return res, J
 
 
-def _point_line_block(state, pi, li, weight):
-    d, m, dd, dm = _line_geometry(state.lines[li])
-    p = state.points[pi]
+def _point_line_block(geom, p, weight):
+    d, m, dd, dm = geom
     e = -np.cross(d, m) - np.cross(d, np.cross(d, p))
     dist = np.linalg.norm(e)
     if dist < 1e-12:
@@ -268,9 +266,8 @@ def _point_line_block(state, pi, li, weight):
     return np.array([weight * dist]), Jp, Jl
 
 
-def _line_vp_block(state, li, vi, weight, basis):
-    d, _, dd, _ = _line_geometry(state.lines[li])
-    v = state.vps[vi]
+def _line_vp_block(geom, v, weight, basis):
+    d, _, dd, _ = geom
     e = np.cross(d, v)
     nrm = np.linalg.norm(e)
     if nrm < 1e-12:
@@ -309,22 +306,23 @@ class _Linearizer:
             self.view_pre[img] = (KinvT @ view.R, KinvT @ skew(view.t) @ view.R)
         self.offsets = (self.np_, self.nl, self.nv)
 
-    def blocks(self, state: _State, with_jac: bool):
+    def blocks(self, state: _State):
         """Yield (residual, loss kind, scale, [(col offset, J block), ...])."""
         p = self.problem
         cfg = self.config
         for pi, img, pixel in p.point_obs:
             r, J = _point_block(state, p.views[img], pi, pixel)
             yield r, "squared", 1.0, [(3 * pi, J)]
+        geoms = [_line_geometry(par) for par in state.lines]
         for li, img, seg in p.line_obs:
-            r, J = _line_block(state, p.views[img], li, seg, cfg.angle_weight_alpha, self.view_pre[img])
+            r, J = _line_block(geoms[li], seg, cfg.angle_weight_alpha, self.view_pre[img])
             yield r, "cauchy", cfg.line_loss_scale, [(self.np_ + 4 * li, J)]
         for pi, li, w in p.point_line:
-            r, Jp, Jl = _point_line_block(state, pi, li, w)
+            r, Jp, Jl = _point_line_block(geoms[li], state.points[pi], w)
             yield r, "huber", cfg.assoc_loss_scale, [(3 * pi, Jp), (self.np_ + 4 * li, Jl)]
         bases = [state.vp_basis(k) for k in range(len(state.vps))]
         for li, vi, w in p.line_vp:
-            r, Jl, Jv = _line_vp_block(state, li, vi, w, bases[vi])
+            r, Jl, Jv = _line_vp_block(geoms[li], state.vps[vi], w, bases[vi])
             yield r, "huber", cfg.assoc_loss_scale, [
                 (self.np_ + 4 * li, Jl),
                 (self.nl + 2 * vi, Jv),
@@ -333,20 +331,12 @@ class _Linearizer:
             r, Ja, Jb = _vp_ortho_block(state, a, b, bases[a], bases[b])
             yield r, "squared", 1.0, [(self.nl + 2 * a, Ja), (self.nl + 2 * b, Jb)]
 
-    def cost(self, state: _State) -> float:
-        total = 0.0
-        for r, kind, scale, _ in self.blocks(state, with_jac=False):
-            s = float(r @ r)
-            val, _ = _loss_value_and_weight(kind, s, scale)
-            total += val
-        return total
-
     def normal_equations(self, state: _State):
         n = self.nv
         H = np.zeros((n, n))
         g = np.zeros(n)
         cost = 0.0
-        for r, kind, scale, blocks in self.blocks(state, with_jac=True):
+        for r, kind, scale, blocks in self.blocks(state):
             s = float(r @ r)
             val, w = _loss_value_and_weight(kind, s, scale)
             cost += val
@@ -365,7 +355,7 @@ class _Linearizer:
         """Unweighted stacked residual vector and dense Jacobian (for checks)."""
         rows = []
         jrows = []
-        for r, _, _, blocks in self.blocks(state, with_jac=True):
+        for r, _, _, blocks in self.blocks(state):
             rows.append(r)
             Jrow = np.zeros((len(r), self.nv))
             for off, J in blocks:
@@ -380,13 +370,11 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
     """Run Levenberg-Marquardt on a joint problem.  Cameras are fixed."""
     lin = _Linearizer(problem, config)
     state = _State(problem.points, problem.lines, problem.vps)
-    n = lin.nv
-    if n == 0:
-        c = lin.cost(state)
-        return OptimizeResult(state.points, state.lines, state.vps, c, c, 0, True, "empty")
+    H, g, cost = lin.normal_equations(state)
+    if lin.nv == 0:
+        return OptimizeResult(state.points, state.lines, state.vps, cost, cost, 0, True, "empty")
 
     damping = config.damping_init
-    H, g, cost = lin.normal_equations(state)
     initial_cost = cost
     termination = "max_iterations"
     converged = False
@@ -396,31 +384,28 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
         if np.max(np.abs(g)) < config.gtol:
             termination, converged = "gradient", True
             break
-        accepted = False
+        D = np.diag(H)
+        floor = 1e-12 * max(1.0, D.max())
         while damping <= config.damping_max:
-            D = np.diag(H).copy()
-            floor = 1e-12 * max(1.0, D.max() if D.size else 1.0)
-            Hd = H + np.diag(damping * np.maximum(D, floor))
             try:
-                delta = np.linalg.solve(Hd, -g)
+                delta = np.linalg.solve(H + np.diag(damping * np.maximum(D, floor)), -g)
             except np.linalg.LinAlgError:
                 damping *= config.damping_up
                 continue
             candidate = state.retract(delta, lin.offsets)
             try:
-                new_cost = lin.cost(candidate)
+                trial = lin.normal_equations(candidate)
             except FloatingPointError:
-                new_cost = math.inf
-            if new_cost < cost:
-                accepted = True
+                trial = None
+            if trial is not None and trial[2] < cost:
                 break
             damping *= config.damping_up
-        if not accepted:
+        else:
             termination = "damping_exhausted"
             break
+        H, g, new_cost = trial
         rel_drop = (cost - new_cost) / max(cost, 1e-30)
-        state = candidate
-        H, g, cost = lin.normal_equations(state)
+        state, cost = candidate, new_cost
         damping = max(1e-12, damping * config.damping_down)
         if rel_drop < config.ftol:
             termination, converged = "cost", True

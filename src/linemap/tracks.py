@@ -157,22 +157,17 @@ def remerge_tracks(
     """Second-pass merging of duplicate tracks under a stricter threshold.
 
     Tracks are compared through their refit segments, each represented by
-    the view of its first support; qualifying pairs are united greedily by
-    descending score and the merged groups refit from scratch.
+    the view of its first support; qualifying pairs are united and the
+    merged groups refit from scratch.  Components do not depend on the
+    order of the unions.
     """
     rep = [views[t.supports[0][0]] for t in tracks]
-    pairs = []
+    uf = UnionFind(range(len(tracks)))
     for i in range(len(tracks)):
         for j in range(i + 1, len(tracks)):
             s = track_pair_score(tracks[i].segment, rep[i], tracks[j].segment, rep[j], config)
             if s >= config.remerge_score_min:
-                pairs.append((s, i, j))
-    if not pairs:
-        return tracks
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    uf = UnionFind(range(len(tracks)))
-    for _, i, j in pairs:
-        uf.union(i, j)
+                uf.union(i, j)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(tracks)):

@@ -185,6 +185,69 @@ def test_bad_segment_coordinates_exit_2_and_name_the_file(
     assert "image 0 segment 0" in err and reason in err
 
 
+def _write_edited(src, dest, key, value):
+    """Copy the JSON object at ``src`` to ``dest`` with ``key`` set to ``value``."""
+    doc = json.loads(src.read_text()) if src.is_file() else {}
+    doc[key] = value
+    dest.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, key, value, reason",
+    [
+        ("matches.json", "0", [[["x", 0]]], "'x' is not an integer"),
+        ("matches.json", "0", [[[1.5, 0]]], "1.5 is not an integer"),
+        ("neighbors.json", "0", ["x"], "'x' is not an integer"),
+        ("neighbors.json", "0", [1.7], "1.7 is not an integer"),
+        ("points.json", "observations", {"0": 5}, "expected a list of observations"),
+        ("points.json", "observations", [1, 2], "observations: expected an object"),
+    ],
+    ids=[
+        "match_string",
+        "match_float",
+        "neighbor_string",
+        "neighbor_float",
+        "observations_not_lists",
+        "observations_not_object",
+    ],
+)
+def test_bad_indices_and_observations_exit_2_and_name_the_file(
+    box_dataset, tmp_path, capsys, name, key, value, reason
+):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for src in box_dataset.glob("*.json"):
+        (broken / src.name).write_bytes(src.read_bytes())
+    _write_edited(box_dataset / name, broken / name, key, value)
+    code = main(["map", "--input", str(broken), "--output", str(tmp_path / "y")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(broken / name) in err and reason in err
+
+
+@pytest.mark.parametrize(
+    "name, key, value, reason",
+    [
+        ("gt_lines.json", "segments", [[0, 0, 0, 1, 1]], "segment 0: expected [x1, y1, z1, x2"),
+        ("gt_lines.json", "segments", [[0, 0, float("nan"), 1, 1, 1]], "segment 0: non-finite"),
+        ("tracks.json", "tracks", [{"start": [0, 0, 0]}], 'track 0: "end" must be [x, y, z]'),
+    ],
+    ids=["gt_five_numbers", "gt_nan", "track_without_end"],
+)
+def test_eval_bad_input_exits_2_and_names_the_file(
+    box_dataset, mapped, tmp_path, capsys, name, key, value, reason
+):
+    files = {"gt_lines.json": box_dataset / "gt_lines.json", "tracks.json": mapped / "tracks.json"}
+    _write_edited(files[name], tmp_path / name, key, value)
+    files[name] = tmp_path / name
+    code = main(
+        ["eval", "--tracks", str(files["tracks.json"]), "--gt", str(files["gt_lines.json"])]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(files[name]) in err and reason in err
+
+
 def test_missing_dataset_exits_2(tmp_path, capsys):
     code = main(["map", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "z")])
     assert code == 2

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import linemap.optimize as opt_module
 from linemap.geometry import (
     MinimalLineParam,
     PluckerLine,
@@ -76,6 +77,20 @@ def make_mixed_problem(rng):
     problem.point_line = [(0, 0, 3.0), (1, 1, 4.0)]
     problem.line_vp = [(0, 0, 3.0), (1, 1, 5.0)]
     problem.vp_ortho = [(0, 1)]
+    return problem
+
+
+def noisy_line_problem():
+    """One line seen in four views with jittered endpoints."""
+    rng = np.random.default_rng(31)
+    views = ring_views(4)
+    seg = Segment3D(np.array([-0.6, 0.1, 0.0]), np.array([0.6, -0.2, 0.3]))
+    par = perturb_line(plucker_to_minimal(plucker_from_segment(seg)), rng, 0.03, 0.03)
+    problem = JointProblem(views=views, lines=[par])
+    for img in views:
+        obs = project_segment(seg, views[img])
+        jitter = rng.normal(0.0, 0.5, size=(2, 2))
+        problem.line_obs.append((0, img, Segment2D(obs.start + jitter[0], obs.end + jitter[1])))
     return problem
 
 
@@ -207,20 +222,79 @@ class TestConvergence:
         assert acute_angle(result.vps[0], np.array([1.0, 0.0, 0.0])) < math.radians(0.1)
 
     def test_noisy_observations_cost_decreases(self):
-        rng = np.random.default_rng(31)
-        views = ring_views(4)
-        seg = Segment3D(np.array([-0.6, 0.1, 0.0]), np.array([0.6, -0.2, 0.3]))
-        par = perturb_line(plucker_to_minimal(plucker_from_segment(seg)), rng, 0.03, 0.03)
-        problem = JointProblem(views=views, lines=[par])
-        for img in views:
-            obs = project_segment(seg, views[img])
-            jitter = rng.normal(0.0, 0.5, size=(2, 2))
-            problem.line_obs.append(
-                (0, img, Segment2D(obs.start + jitter[0], obs.end + jitter[1]))
-            )
-        result = optimize(problem)
+        result = optimize(noisy_line_problem())
         assert result.final_cost < result.initial_cost
         assert result.iterations <= 100
+
+
+def fail_line_geometry_on(monkeypatch, bad_state):
+    """Make ``_line_geometry`` raise FloatingPointError on chosen states.
+
+    States are numbered 1, 2, ... in the order their line parameter first
+    reaches ``_line_geometry``; state 1 is the start.  Returns the list of
+    parameters seen, one per state.
+    """
+    real = opt_module._line_geometry
+    seen = []
+
+    def flaky(par):
+        if not any(par is p for p in seen):
+            seen.append(par)
+        k = next(i for i, p in enumerate(seen, 1) if p is par)
+        if bad_state(k):
+            raise FloatingPointError("injected")
+        return real(par)
+
+    monkeypatch.setattr(opt_module, "_line_geometry", flaky)
+    return seen
+
+
+class TestSolverLoop:
+    def test_empty_problem(self):
+        result = optimize(JointProblem(views={}))
+        assert result.termination == "empty"
+        assert result.iterations == 0
+        assert result.converged
+        assert result.initial_cost == result.final_cost == 0.0
+
+    def test_failed_trial_is_rejected(self, monkeypatch):
+        problem = noisy_line_problem()
+        states = fail_line_geometry_on(monkeypatch, lambda k: k == 2)  # the first trial
+        result = optimize(problem, OptimizeConfig(max_iterations=5))
+        assert len(states) > 2
+        assert result.iterations >= 1
+        assert result.final_cost < result.initial_cost
+
+    def test_every_trial_failing_exhausts_damping(self, monkeypatch):
+        problem = noisy_line_problem()
+        states = fail_line_geometry_on(monkeypatch, lambda k: k > 1)  # all but the start
+        result = optimize(problem)
+        assert result.termination == "damping_exhausted"
+        assert result.iterations == 1
+        assert result.final_cost == result.initial_cost
+        assert result.lines[0] is problem.lines[0]
+        # one trial per damping value 1e-4, 1e-3, ..., 1e10
+        assert len(states) - 1 == 15
+
+    def test_each_state_is_evaluated_once(self, monkeypatch):
+        problem = make_mixed_problem(np.random.default_rng(7))
+        counts = {"blocks": 0, "retract": 0}
+        real_blocks, real_retract = _Linearizer.blocks, _State.retract
+
+        def blocks(self, *args, **kwargs):
+            counts["blocks"] += 1
+            return real_blocks(self, *args, **kwargs)
+
+        def retract(self, delta, offsets):
+            counts["retract"] += 1
+            return real_retract(self, delta, offsets)
+
+        monkeypatch.setattr(_Linearizer, "blocks", blocks)
+        monkeypatch.setattr(_State, "retract", retract)
+        result = optimize(problem, OptimizeConfig(max_iterations=20))
+        assert result.iterations >= 2
+        assert counts["retract"] >= result.iterations
+        assert counts["blocks"] == 1 + counts["retract"]
 
 
 class TestHelpers:
