@@ -19,7 +19,6 @@ from .geometry import (
     CameraView,
     Segment2D,
     normalized,
-    point_to_infinite_line_2d,
     point_to_segment_distance_2d,
 )
 from .tracks import UnionFind
@@ -49,18 +48,11 @@ def vp_line_residual(segment: Segment2D, vp: np.ndarray) -> float:
     """Alignment error (px) between a segment and a vanishing point.
 
     Distance of the segment endpoints to the line joining the segment
-    midpoint with the VP; zero iff the VP lies on the segment's own line.
+    midpoint with the VP; zero iff the VP lies on the segment's own line,
+    infinite if the VP coincides with the midpoint.
     """
-    mid = np.append(segment.midpoint, 1.0)
-    line = np.cross(mid, np.asarray(vp, dtype=np.float64))
-    n = np.linalg.norm(line[:2])
-    if n < EPS:
-        return float("inf")  # VP coincides with the midpoint
-    line = line / n
-    return max(
-        point_to_infinite_line_2d(segment.start, line),
-        point_to_infinite_line_2d(segment.end, line),
-    )
+    rows = [np.append(p, 1.0)[None] for p in (segment.midpoint, segment.start, segment.end)]
+    return float(_vp_residuals(*rows, vp)[0])
 
 
 def _refine_vp(segments: list[Segment2D], idx) -> np.ndarray:
@@ -94,8 +86,10 @@ def estimate_vps(
     segment ``i`` or -1.  Each round samples two-segment models, keeps the
     one with the largest support among the not-yet-assigned segments, and
     refines it on its inliers (null vector of the stacked line equations).
+    A model needs two segments, so ``min_support`` below 2 counts as 2.
     Deterministic for a fixed seed.
     """
+    min_support = max(min_support, 2)
     rng = np.random.default_rng(seed)
     n = len(segments)
     assignment = np.full(n, -1, dtype=np.int64)

@@ -58,8 +58,6 @@ def _build_config(args) -> PipelineConfig:
             raise InputError(path, str(e)) from e
     if getattr(args, "set", None):
         config = config.updated(parse_overrides(args.set))
-    if getattr(args, "threads", None) is not None:
-        config = config.updated({"threads": str(args.threads)})
     return config
 
 
@@ -244,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output directory")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
-    p.add_argument("--threads", type=int, help="worker threads for per-image stages")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")

@@ -63,8 +63,7 @@ class PipelineConfig:
     # 3D association extraction
     assoc3d_max_ratio: float = 2.0
     assoc3d_max_angle_deg: float = 5.0
-    # execution
-    threads: int = 1
+    # vanishing point RANSAC
     seed: int = 0
 
     def optimize_config(self) -> OptimizeConfig:

@@ -4,13 +4,12 @@ Stages: neighbor selection, per-image vanishing point estimation and
 point-segment association, per-detection proposal triangulation with
 degeneracy rescue, consistency-scored selection, track clustering,
 cross-image VP tracks, joint refinement, and 3D association graph
-extraction.  Per-image work can run on a thread pool; results are merged
-in image order so the output is identical regardless of thread count.
+extraction.  Everything runs in one thread, in image order, so the output
+is identical across runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,34 +163,35 @@ def _select_best(
     views: dict[int, CameraView],
     config: PipelineConfig,
 ) -> TrackCandidate | None:
-    """Keep the proposal best supported by proposals from other images."""
+    """Keep the proposal best supported by proposals from other images.
+
+    A proposal's support is the sum, over the other generating images, of
+    its best pair score against that image's proposals; ties keep the first
+    proposal.  The pair score is symmetric bit for bit, so each cross-image
+    pair is scored once.
+    """
     if not proposals:
         return None
+    n = len(proposals)
+    scores = [[0.0] * n for _ in range(n)]
+    for a, (cand_a, gen_a) in enumerate(proposals):
+        for b in range(a + 1, n):
+            cand_b, gen_b = proposals[b]
+            if gen_a != gen_b:
+                scores[a][b] = scores[b][a] = selection_pair_score(
+                    cand_a.segment, cand_b.segment, ref_view, views[gen_a], views[gen_b], config
+                )
     by_img: dict[int, list[int]] = {}
     for idx, (_, gen) in enumerate(proposals):
         by_img.setdefault(gen, []).append(idx)
     best_idx = -1
     best_score = -1.0
-    for idx, (cand, gen) in enumerate(proposals):
+    for idx, (_, gen) in enumerate(proposals):
+        row = scores[idx]
         total = 0.0
         for j, others in by_img.items():
-            if j == gen:
-                continue
-            m = 0.0
-            for oi in others:
-                s = selection_pair_score(
-                    cand.segment,
-                    proposals[oi][0].segment,
-                    ref_view,
-                    views[gen],
-                    views[j],
-                    config,
-                )
-                if s > m:
-                    m = s
-                    if m >= 1.0:
-                        break
-            total += m
+            if j != gen:
+                total += max(row[oi] for oi in others)
         if total > best_score:
             best_score = total
             best_idx = idx
@@ -229,7 +229,10 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             )
             assoc2d[img] = [(entries[li][0], si) for li, si in local]
 
-    def process(img: int):
+    candidates: dict[Node, TrackCandidate] = {}
+    all_edges: list[tuple[Node, Node]] = []
+    n_proposals = 0
+    for img in images:
         view = views[img]
         dets = data.detections[img]
         rows = data.matches.get(img, []) if data.matches else []
@@ -237,9 +240,6 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         pts_by_det: dict[int, list[np.ndarray]] = {}
         for pi, si in assoc2d[img]:
             pts_by_det.setdefault(si, []).append(data.points3d[pi])
-        accepted: dict[Node, TrackCandidate] = {}
-        edges: list[tuple[Node, Node]] = []
-        n_proposals = 0
         for di, det in enumerate(dets):
             row = rows[di] if di < len(rows) else []
             kept: list[Node] = []
@@ -261,23 +261,8 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             best = _select_best(proposals, view, views, config)
             if best is not None:
                 node = (img, di)
-                accepted[node] = best
-                edges.extend((node, mn) for mn in kept)
-        return accepted, edges, n_proposals
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_image = list(pool.map(process, images))
-    else:
-        per_image = [process(img) for img in images]
-
-    candidates: dict[Node, TrackCandidate] = {}
-    all_edges: list[tuple[Node, Node]] = []
-    n_proposals = 0
-    for accepted, edges, count in per_image:
-        candidates.update(accepted)
-        all_edges.extend(edges)
-        n_proposals += count
+                candidates[node] = best
+                all_edges.extend((node, mn) for mn in kept)
 
     tracks = build_tracks(candidates, all_edges, views, config)
 

@@ -107,24 +107,14 @@ def triangulate_algebraic(
         FullyDegenerateError: both endpoint rays degenerate.
         CheiralityError: intersection behind either camera.
     """
-    R, t = relative_pose(ref_view, match_view)
-    x1, x2 = _ref_rays(ref_seg, ref_view)
-    y1, y2 = _ref_rays(match_seg, match_view)
-    n = np.cross(y1, y2)
-    nn = np.linalg.norm(n)
-    if nn < EPS:
-        raise TriangulationError("matched segment endpoints coincide")
-    n = n / nn
-
+    R, t, x1, x2, n, a, c = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
     bad1 = check_degeneracy(R @ x1, n, min_angle_deg)
     bad2 = check_degeneracy(R @ x2, n, min_angle_deg)
     if bad1 and bad2:
         raise FullyDegenerateError("both endpoint rays parallel to the match plane")
     if bad1 or bad2:
         raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
-
-    lam = np.array([-(n @ t) / (n @ (R @ x1)), -(n @ t) / (n @ (R @ x2))])
-    return _finish_segment(ref_view, x1, x2, lam, R, t)
+    return _finish_segment(ref_view, x1, x2, -c / a, R, t)
 
 
 def triangulate_multipoint(
@@ -267,7 +257,12 @@ def _ray_plane_forms(
     match_seg: Segment2D,
     match_view: CameraView,
 ):
-    """Shared setup: reference rays plus the quadratic cost of the match plane."""
+    """Shared two-view setup: relative pose, reference rays and match plane.
+
+    Returns ``(R, t, x1, x2, n, a, c)``: the match plane has unit normal
+    ``n`` in the matched camera's frame, and the reference endpoint at depth
+    ``lam[i]`` lies ``a[i] * lam[i] + c`` off it.
+    """
     R, t = relative_pose(ref_view, match_view)
     x1, x2 = _ref_rays(ref_seg, ref_view)
     y1, y2 = _ref_rays(match_seg, match_view)
@@ -278,9 +273,12 @@ def _ray_plane_forms(
     n = n / nn
     a = np.array([n @ (R @ x1), n @ (R @ x2)])
     c = float(n @ t)
-    A = np.diag(a * a)
-    b = 2.0 * c * a
-    return R, t, x1, x2, A, b
+    return R, t, x1, x2, n, a, c
+
+
+def _plane_cost(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` with ``lam^T A lam + b^T lam`` the summed squared plane offsets, less 2 c^2."""
+    return np.diag(a * a), 2.0 * c * a
 
 
 def _pick_solution(
@@ -317,7 +315,7 @@ def triangulate_line_point(
     Among the resulting candidates the cheapest one passing the cheirality
     test in both views is returned.
     """
-    R, t, x1, x2, A, b = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
+    R, t, x1, x2, _, a, c = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
 
     n_p = np.cross(x1, x2)
     npn = np.linalg.norm(n_p)
@@ -344,7 +342,7 @@ def triangulate_line_point(
     if not np.any(Q) and not np.any(q):
         raise DegenerateTriangulationError("collinearity constraint is vacuous")
 
-    sols = solve_constrained_quadratic(A, b, Q, q)
+    sols = solve_constrained_quadratic(*_plane_cost(a, c), Q, q)
     if not sols:
         raise TriangulationError("constrained solve produced no real candidate")
     return _pick_solution(sols, ref_view, x1, x2, R, t)
@@ -364,7 +362,7 @@ def triangulate_line_vp(
     the reference rays, expressed as a linear constraint on the two endpoint
     depths; the match-plane residuals are minimized subject to it.
     """
-    R, t, x1, x2, A, b = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
+    R, t, x1, x2, _, a, c = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
 
     w = np.cross(np.asarray(vp_dir, dtype=np.float64), np.cross(x1, x2))
     if np.linalg.norm(w) < EPS:
@@ -375,7 +373,7 @@ def triangulate_line_vp(
     if np.max(np.abs(q)) < EPS:
         raise DegenerateTriangulationError("vanishing direction constrains neither ray")
 
-    sols = solve_constrained_quadratic(A, b, np.zeros((2, 2)), q)
+    sols = solve_constrained_quadratic(*_plane_cost(a, c), np.zeros((2, 2)), q)
     if not sols:
         raise TriangulationError("constrained solve produced no real candidate")
     return _pick_solution(sols, ref_view, x1, x2, R, t)

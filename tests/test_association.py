@@ -123,6 +123,23 @@ def test_estimation_is_deterministic():
     np.testing.assert_array_equal(r1[1], r2[1])
 
 
+@pytest.mark.parametrize("min_support", [0, 1])
+@pytest.mark.parametrize(
+    "segs, n_vps",
+    [
+        ([], 0),
+        ([seg([0, 0], [10, 0])], 0),
+        ([seg([0, 0], [10, 0]), seg([0, 5], [10, 7])], 1),
+        ([seg([0, 0], [10, 0]), seg([20, 0], [30, 0])], 0),  # one supporting line
+    ],
+    ids=["none", "one", "two", "collinear"],
+)
+def test_few_segments_do_not_raise(segs, n_vps, min_support):
+    vps, assignment = estimate_vps(segs, min_support=min_support, seed=0)
+    assert len(vps) == n_vps
+    assert assignment.shape == (len(segs),)
+
+
 # ---------------------------------------------------------------------------
 # world directions
 # ---------------------------------------------------------------------------

@@ -21,14 +21,14 @@ def test_updated_coerces_strings_by_field_type():
             "tau_perp_2d": "2.5",
             "remerge": "false",
             "optimize": "true",
-            "threads": "4",
+            "min_images": "3",
         }
     )
     assert cfg.n_neighbors == 5
     assert cfg.tau_perp_2d == 2.5
     assert cfg.remerge is False
     assert cfg.optimize is True
-    assert cfg.threads == 4
+    assert cfg.min_images == 3
 
 
 def test_updated_accepts_bool_spellings():
@@ -42,8 +42,8 @@ def test_updated_rejects_unknown_key():
 
 
 def test_updated_rejects_bad_value():
-    with pytest.raises(ValueError, match="threads"):
-        PipelineConfig().updated({"threads": "many"})
+    with pytest.raises(ValueError, match="min_images"):
+        PipelineConfig().updated({"min_images": "many"})
     with pytest.raises(ValueError, match="remerge"):
         PipelineConfig().updated({"remerge": "maybe"})
 

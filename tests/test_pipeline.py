@@ -5,11 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from linemap import pipeline
 from linemap.config import PipelineConfig
-from linemap.geometry import acute_angle
-from linemap.io import canonical_dumps, tracks_payload
+from linemap.geometry import Segment3D, acute_angle
 from linemap.metrics import length_recall
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
+from linemap.scoring import selection_pair_score
 from linemap.synthetic import (
     ObservationConfig,
     SceneConfig,
@@ -17,6 +18,9 @@ from linemap.synthetic import (
     observe_scene,
     scene_diameter,
 )
+from linemap.tracks import TrackCandidate
+
+from support import identity_view
 
 
 @pytest.fixture(scope="module")
@@ -92,38 +96,72 @@ def test_stats_describe_the_run(clean_result):
     assert all("time" not in k and "seconds" not in k for k in stats)
 
 
-def test_thread_count_does_not_change_output(clean_scene, clean_result):
-    _, _, inp = clean_scene
-    threaded = run_pipeline(inp, PipelineConfig(threads=4))
-    a = canonical_dumps(
-        tracks_payload(
-            clean_result.tracks,
-            vp_tracks=clean_result.vp_tracks,
-            point_line_edges=clean_result.point_line_edges,
-            line_vp_edges=clean_result.line_vp_edges,
-            points3d=clean_result.points3d,
-            stats=clean_result.stats,
-        )
-    )
-    b = canonical_dumps(
-        tracks_payload(
-            threaded.tracks,
-            vp_tracks=threaded.vp_tracks,
-            point_line_edges=threaded.point_line_edges,
-            line_vp_edges=threaded.line_vp_edges,
-            points3d=threaded.points3d,
-            stats=threaded.stats,
-        )
-    )
-    assert a == b
-
-
 def test_refinement_preserves_track_membership(clean_scene, clean_result):
     _, _, inp = clean_scene
     unrefined = run_pipeline(inp, PipelineConfig(optimize=False))
     assert [t.supports for t in unrefined.tracks] == [
         t.supports for t in clean_result.tracks
     ]
+
+
+def test_select_best_scores_each_cross_image_pair_once(monkeypatch):
+    gens = [1, 2, 2, 3, 1]
+    proposals = [
+        (TrackCandidate(Segment3D(np.array([i, 0.0, 5.0]), np.array([i, 1.0, 5.0]))), gen)
+        for i, gen in enumerate(gens)
+    ]
+    index = {id(cand.segment): i for i, (cand, _) in enumerate(proposals)}
+    pairs = []
+
+    def score(a, b, ref_view, view_a, view_b, config):
+        pairs.append(frozenset((index[id(a)], index[id(b)])))
+        return 0.75
+
+    monkeypatch.setattr(pipeline, "selection_pair_score", score)
+    view = identity_view()
+    best = pipeline._select_best(proposals, view, {g: view for g in gens}, PipelineConfig())
+    cross = {
+        frozenset((a, b))
+        for a in range(len(gens))
+        for b in range(a + 1, len(gens))
+        if gens[a] != gens[b]
+    }
+    assert len(pairs) == len(cross) == 8
+    assert set(pairs) == cross
+    # every proposal sums 0.75 from each of two other images: the first one wins the tie
+    assert best is proposals[0][0]
+
+
+def _select_best_reference(proposals, ref_view, views, config):
+    """The selection rule as a plain loop that scores each pair in both directions."""
+    best, best_score = None, -1.0
+    for cand, gen in proposals:
+        per_image = {}
+        for other, j in proposals:
+            if j != gen:
+                s = selection_pair_score(
+                    cand.segment, other.segment, ref_view, views[gen], views[j], config
+                )
+                per_image[j] = max(per_image.get(j, 0.0), s)
+        total = sum(per_image.values())
+        if total > best_score:
+            best, best_score = cand, total
+    return best if best_score >= config.accept_threshold else None
+
+
+def test_select_best_matches_the_two_direction_loop(clean_scene, monkeypatch):
+    select = pipeline._select_best
+    accepted = []
+
+    def checked(proposals, ref_view, views, config):
+        best = select(proposals, ref_view, views, config)
+        assert best is _select_best_reference(proposals, ref_view, views, config)
+        accepted.append(best is not None)
+        return best
+
+    monkeypatch.setattr(pipeline, "_select_best", checked)
+    run_pipeline(clean_scene[2], PipelineConfig(use_vps=False, optimize=False))
+    assert sum(accepted) > 100
 
 
 def test_compute_neighbors_ranks_by_point_overlap():
