@@ -8,8 +8,9 @@ Subcommands:
 * ``degeneracy``: run the two-view uncertainty sweep and write a CSV.
 * ``fit-depth``: fit 3D segments to per-image depth maps.
 
-Exit codes: 0 on success, 2 for missing or malformed input files (the
-message names the offending file), 1 for any other failure.
+Exit codes: 0 on success, 2 for missing or malformed input files or flag
+values (the message names the offending file or flag), 1 for any other
+failure.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .io import (
     write_tracks_json,
 )
 from .metrics import evaluate_segments
-from .pipeline import PipelineInput, run_pipeline
+from .pipeline import run_pipeline
 from .synthetic import (
     ObservationConfig,
     SceneConfig,
@@ -57,7 +58,10 @@ def _build_config(args) -> PipelineConfig:
         except ValueError as e:
             raise InputError(path, str(e)) from e
     if getattr(args, "set", None):
-        config = config.updated(parse_overrides(args.set))
+        try:
+            config = config.updated(parse_overrides(args.set))
+        except ValueError as e:
+            raise InputError("--set", str(e)) from e
     return config
 
 
@@ -66,17 +70,7 @@ def cmd_map(args) -> int:
     data = load_dataset(args.input)
     if data.matches is None:
         raise InputError(Path(args.input) / "matches.json", "mapping requires a matches file")
-    result = run_pipeline(
-        PipelineInput(
-            views=data.views,
-            detections=data.detections,
-            matches=data.matches,
-            points3d=data.points3d,
-            point_obs=data.point_obs,
-            neighbors=data.neighbors,
-        ),
-        config,
-    )
+    result = run_pipeline(data, config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     payload = tracks_payload(
@@ -190,7 +184,10 @@ def cmd_eval(args) -> int:
         for t in payload["tracks"]
     ]
     gt = load_gt_segments(args.gt)
-    taus = tuple(float(v) for v in args.taus.split(","))
+    try:
+        taus = tuple(float(v) for v in args.taus.split(","))
+    except ValueError as e:
+        raise InputError("--taus", f"expected comma-separated numbers, got {args.taus!r}") from e
     report = evaluate_segments(gt, pred, taus=taus, aggregate=args.aggregate, supports=supports)
     print(report.format())
     return 0
@@ -210,7 +207,10 @@ def cmd_fit_depth(args) -> int:
         depth_path = data.depth_path(img)
         if not depth_path.is_file():
             continue
-        dm = DepthMap.load(depth_path)
+        try:
+            dm = DepthMap.load(depth_path)
+        except ValueError as e:
+            raise InputError(depth_path, str(e)) from e
         for di, det in enumerate(data.detections[img]):
             fit = fit_segment_to_depth(
                 det, data.views[img], dm, seed=args.seed + di
@@ -287,10 +287,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e.path}: {e.message}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import EPS, CameraView, Segment2D, Segment3D
+from .pipeline import PipelineInput
 
 __all__ = [
     "InputError",
-    "Dataset",
     "load_dataset",
     "load_cameras",
     "load_segments",
@@ -46,7 +45,7 @@ __all__ = [
 
 
 class InputError(Exception):
-    """A dataset file is missing, unreadable, or malformed."""
+    """A dataset file or a command-line value is missing, unreadable, or malformed."""
 
     def __init__(self, path, message: str):
         self.path = str(path)
@@ -229,25 +228,7 @@ def load_gt_segments(path: str | Path) -> list[Segment3D]:
     return out
 
 
-@dataclass
-class Dataset:
-    root: Path
-    views: dict[int, CameraView]
-    detections: dict[int, list[Segment2D]]
-    matches: dict[int, list[list[tuple[int, int]]]] | None = None
-    points3d: np.ndarray | None = None
-    point_obs: dict[int, list[tuple[int, np.ndarray]]] = field(default_factory=dict)
-    neighbors: dict[int, list[int]] | None = None
-
-    @property
-    def depth_dir(self) -> Path:
-        return self.root / "depth"
-
-    def depth_path(self, image_id: int) -> Path:
-        return self.depth_dir / f"{image_id}.bin"
-
-
-def load_dataset(root: str | Path) -> Dataset:
+def load_dataset(root: str | Path) -> PipelineInput:
     """Load and cross-validate a dataset directory."""
     root = Path(root)
     if not root.is_dir():
@@ -301,7 +282,7 @@ def load_dataset(root: str | Path) -> Dataset:
                 if other not in views:
                     raise InputError(root / "neighbors.json", f"unknown neighbor image {other}")
 
-    return Dataset(
+    return PipelineInput(
         root=root,
         views=views,
         detections=detections,

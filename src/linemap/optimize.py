@@ -80,15 +80,18 @@ class JointProblem:
         return 3 * len(self.points) + 4 * len(self.lines) + 2 * len(self.vps)
 
 
+# Levenberg-Marquardt schedule and stopping tolerances
+_DAMPING_INIT = 1e-4
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 0.5
+_DAMPING_MAX = 1e10
+_FTOL = 1e-8  # relative cost drop
+_GTOL = 1e-10  # max |gradient| entry
+
+
 @dataclass(frozen=True)
 class OptimizeConfig:
     max_iterations: int = 100
-    damping_init: float = 1e-4
-    damping_up: float = 10.0
-    damping_down: float = 0.5
-    damping_max: float = 1e10
-    ftol: float = 1e-8
-    gtol: float = 1e-10
     angle_weight_alpha: float = 10.0
     line_loss_scale: float = 0.25  # Cauchy, pixels
     assoc_loss_scale: float = 0.25  # Huber, scene units / radians-ish
@@ -374,23 +377,23 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
     if lin.nv == 0:
         return OptimizeResult(state.points, state.lines, state.vps, cost, cost, 0, True, "empty")
 
-    damping = config.damping_init
+    damping = _DAMPING_INIT
     initial_cost = cost
     termination = "max_iterations"
     converged = False
     iters = 0
 
     for iters in range(1, config.max_iterations + 1):
-        if np.max(np.abs(g)) < config.gtol:
+        if np.max(np.abs(g)) < _GTOL:
             termination, converged = "gradient", True
             break
         D = np.diag(H)
         floor = 1e-12 * max(1.0, D.max())
-        while damping <= config.damping_max:
+        while damping <= _DAMPING_MAX:
             try:
                 delta = np.linalg.solve(H + np.diag(damping * np.maximum(D, floor)), -g)
             except np.linalg.LinAlgError:
-                damping *= config.damping_up
+                damping *= _DAMPING_UP
                 continue
             candidate = state.retract(delta, lin.offsets)
             try:
@@ -399,15 +402,15 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
                 trial = None
             if trial is not None and trial[2] < cost:
                 break
-            damping *= config.damping_up
+            damping *= _DAMPING_UP
         else:
             termination = "damping_exhausted"
             break
         H, g, new_cost = trial
         rel_drop = (cost - new_cost) / max(cost, 1e-30)
         state, cost = candidate, new_cost
-        damping = max(1e-12, damping * config.damping_down)
-        if rel_drop < config.ftol:
+        damping = max(1e-12, damping * _DAMPING_DOWN)
+        if rel_drop < _FTOL:
             termination, converged = "cost", True
             break
 
@@ -451,45 +454,45 @@ def segment_on_line_from_supports(
 
 def soft_point_line_weights(
     line_supports: list[list[tuple[int, int]]],
-    edges_by_image: dict[int, set[tuple[int, int]]],
+    det_points: dict[tuple[int, int], list[int]],
     min_weight: int = 3,
 ) -> list[tuple[int, int, float]]:
     """Count 2D point-segment co-occurrences between tracks.
 
     ``line_supports[li]`` lists ``(image, segment)`` supports of line track
-    ``li``; ``edges_by_image[img]`` holds ``(point_track, segment)`` pairs.
-    Returns ``(point_track, line_track, weight)`` with weight >= min_weight.
+    ``li``; ``det_points[(image, segment)]`` lists the point tracks on that
+    segment, each counted once.  Returns ``(point_track, line_track,
+    weight)`` with weight >= min_weight.
     """
     counts: dict[tuple[int, int], int] = {}
     for li, supports in enumerate(line_supports):
-        for img, seg_idx in supports:
-            for pt, s in edges_by_image.get(img, ()):  # modest sizes; linear scan is fine
-                if s == seg_idx:
-                    counts[(pt, li)] = counts.get((pt, li), 0) + 1
+        for node in supports:
+            for pt in set(det_points.get(node, ())):
+                counts[(pt, li)] = counts.get((pt, li), 0) + 1
     return sorted((pt, li, float(c)) for (pt, li), c in counts.items() if c >= min_weight)
 
 
 def soft_line_vp_weights(
     line_supports: list[list[tuple[int, int]]],
     vp_members: list[list[tuple[int, int]]],
-    assignment_by_image: dict[int, np.ndarray],
+    det_vp: dict[tuple[int, int], tuple[int, int]],
     min_weight: int = 3,
 ) -> list[tuple[int, int, float]]:
-    """Count how many supports of each line track carry each VP track."""
-    member_sets = [set(m) for m in vp_members]
+    """Count how many supports of each line track carry each VP track.
+
+    ``det_vp[(image, segment)]`` is the segment's VP node ``(image, k)``;
+    ``vp_members[vi]`` lists the nodes of VP track ``vi``, and no node is in
+    two tracks.
+    """
+    track_of = {node: vi for vi, members in enumerate(vp_members) for node in members}
     out = []
     for li, supports in enumerate(line_supports):
-        for vi, members in enumerate(member_sets):
-            c = 0
-            for img, seg_idx in supports:
-                assign = assignment_by_image.get(img)
-                if assign is None or seg_idx >= len(assign):
-                    continue
-                vp_id = int(assign[seg_idx])
-                if vp_id >= 0 and (img, vp_id) in members:
-                    c += 1
-            if c >= min_weight:
-                out.append((li, vi, float(c)))
+        counts: dict[int, int] = {}
+        for node in supports:
+            vi = track_of.get(det_vp.get(node))
+            if vi is not None:
+                counts[vi] = counts.get(vi, 0) + 1
+        out.extend((li, vi, float(c)) for vi, c in sorted(counts.items()) if c >= min_weight)
     return out
 
 

@@ -11,6 +11,7 @@ is identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -59,12 +60,18 @@ Node = tuple[int, int]
 
 @dataclass
 class PipelineInput:
+    """Cameras, detections and optional cues; ``root`` is the dataset directory, if loaded."""
+
     views: dict[int, CameraView]
     detections: dict[int, list[Segment2D]]
     matches: dict[int, list[list[Node]]] | None = None
     points3d: np.ndarray | None = None
     point_obs: dict[int, list[tuple[int, np.ndarray]]] = field(default_factory=dict)
     neighbors: dict[int, list[int]] | None = None
+    root: Path | None = None
+
+    def depth_path(self, image_id: int) -> Path:
+        return self.root / "depth" / f"{image_id}.bin"
 
 
 @dataclass
@@ -101,11 +108,6 @@ def compute_neighbors(
         scored.sort()
         out[img] = [other for _, other in scored[:n_neighbors]]
     return out
-
-
-def _vp_cam_direction(view: CameraView, vp: np.ndarray) -> np.ndarray:
-    """Camera-frame 3D direction whose image vanishing point is ``vp``."""
-    return normalized(np.linalg.solve(view.K, vp))
 
 
 def _detection_proposals(
@@ -206,28 +208,32 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     neighbors = data.neighbors or compute_neighbors(images, data.point_obs, config.n_neighbors)
     neighbor_sets = {img: set(neighbors.get(img, ())) for img in images}
 
-    vp_models: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
-    if config.use_vps:
-        for img in images:
-            vp_models[img] = estimate_vps(
-                data.detections[img],
+    # association table: each detection's points and VP node, looked up once
+    det_points: dict[Node, list[int]] = {}  # global point ids, in association order
+    det_vp: dict[Node, Node] = {}  # detection -> VP node (img, k)
+    vp_cam: dict[Node, np.ndarray] = {}  # VP node -> camera-frame direction
+    vp_world: dict[Node, np.ndarray] = {}  # VP node -> world direction
+    for img in images:
+        dets = data.detections[img]
+        if config.use_vps:
+            vps, assign = estimate_vps(
+                dets,
                 inlier_px=config.vp_inlier_px,
                 min_support=config.vp_min_support,
                 max_models=config.vp_max_models,
                 seed=config.seed,
             )
-
-    assoc2d: dict[int, list[Node]] = {img: [] for img in images}
-    if config.use_points and data.points3d is not None:
-        for img in images:
-            entries = data.point_obs.get(img, [])
-            if not entries:
-                continue
+            for k, vp in enumerate(vps):
+                vp_cam[(img, k)] = normalized(np.linalg.solve(views[img].K, vp))
+                vp_world[(img, k)] = vp_direction_world(views[img], vp)
+            for di, k in enumerate(assign):
+                if k >= 0:
+                    det_vp[(img, di)] = (img, int(k))
+        entries = data.point_obs.get(img, [])
+        if config.use_points and data.points3d is not None and entries:
             xy = np.array([p for _, p in entries]).reshape(-1, 2)
-            local = associate_points_to_segments(
-                xy, data.detections[img], config.point_assoc_px
-            )
-            assoc2d[img] = [(entries[li][0], si) for li, si in local]
+            for li, si in associate_points_to_segments(xy, dets, config.point_assoc_px):
+                det_points.setdefault((img, si), []).append(entries[li][0])
 
     candidates: dict[Node, TrackCandidate] = {}
     all_edges: list[tuple[Node, Node]] = []
@@ -236,11 +242,8 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         view = views[img]
         dets = data.detections[img]
         rows = data.matches.get(img, []) if data.matches else []
-        vps, assign = vp_models.get(img, ([], np.full(len(dets), -1, dtype=int)))
-        pts_by_det: dict[int, list[np.ndarray]] = {}
-        for pi, si in assoc2d[img]:
-            pts_by_det.setdefault(si, []).append(data.points3d[pi])
         for di, det in enumerate(dets):
+            node = (img, di)
             row = rows[di] if di < len(rows) else []
             kept: list[Node] = []
             for j, dj in row:
@@ -251,16 +254,18 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
                 iou = weak_epipolar_iou(det, view, data.detections[j][dj], views[j])
                 if iou >= config.iou_min:
                     kept.append((j, dj))
-            vp_cam = None
-            if len(vps) and assign[di] >= 0:
-                vp_cam = _vp_cam_direction(view, vps[assign[di]])
             proposals = _detection_proposals(
-                img, di, kept, data, config, pts_by_det.get(di, []), vp_cam
+                img,
+                di,
+                kept,
+                data,
+                config,
+                [data.points3d[pi] for pi in det_points.get(node, ())],
+                vp_cam.get(det_vp.get(node)),
             )
             n_proposals += len(proposals)
             best = _select_best(proposals, view, views, config)
             if best is not None:
-                node = (img, di)
                 candidates[node] = best
                 all_edges.extend((node, mn) for mn in kept)
 
@@ -269,24 +274,15 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     # cross-image VP tracks, linked by co-support of line tracks
     vp_tracks: list[VPTrack] = []
     if config.use_vps and tracks:
-        directions = {}
-        for img in images:
-            vps, _ = vp_models[img]
-            for k, vp in enumerate(vps):
-                directions[(img, k)] = vp_direction_world(views[img], vp)
         shared: dict[tuple[Node, Node], int] = {}
         for t in tracks:
-            nodes = set()
-            for img, det in t.supports:
-                _, assign = vp_models[img]
-                if det < len(assign) and assign[det] >= 0:
-                    nodes.add((img, int(assign[det])))
+            nodes = {det_vp[s] for s in t.supports if s in det_vp}
             for a in nodes:
                 for b in nodes:
                     if a < b and a[0] != b[0]:
                         shared[(a, b)] = shared.get((a, b), 0) + 1
         vp_tracks = build_vp_tracks(
-            directions,
+            vp_world,
             shared,
             min_shared=config.vp_track_min_shared,
             max_angle_deg=config.vp_track_max_angle_deg,
@@ -296,16 +292,14 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     pl_weights: list[tuple[int, int, float]] = []
     if config.use_points and data.points3d is not None and tracks:
         pl_weights = soft_point_line_weights(
-            line_supports,
-            {img: set(assoc2d[img]) for img in images},
-            min_weight=config.soft_min_weight,
+            line_supports, det_points, min_weight=config.soft_min_weight
         )
     lv_weights: list[tuple[int, int, float]] = []
     if vp_tracks:
         lv_weights = soft_line_vp_weights(
             line_supports,
             [vt.members for vt in vp_tracks],
-            {img: vp_models[img][1] for img in images},
+            det_vp,
             min_weight=config.soft_min_weight,
         )
 
@@ -352,6 +346,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             refined_points[pt] = result.points[i]
 
     # 3D association graphs on the refined geometry
+    lines = [plucker_from_segment(t.segment) for t in tracks] if pl_weights or lv_weights else []
     point_line_edges: list[tuple[int, int]] = []
     if pl_weights:
         point_images: dict[int, list[int]] = {}
@@ -361,7 +356,6 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         point_scales = np.array(
             [_min_depth_scale(refined_points[pt], point_images[pt], views) for pt in pid_list]
         )
-        lines = [plucker_from_segment(t.segment) for t in tracks]
         line_scales = np.array(
             [_min_depth_scale(t.segment.midpoint, t.image_ids, views) for t in tracks]
         )
@@ -376,7 +370,6 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         point_line_edges = sorted((pid_list[i], li) for i, li in kept)
     line_vp_edges: list[tuple[int, int]] = []
     if lv_weights:
-        lines = [plucker_from_segment(t.segment) for t in tracks]
         vdirs = np.array([vt.direction for vt in vp_tracks]).reshape(-1, 3)
         line_vp_edges = extract_line_vp_edges(
             lines,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from linemap import cli
 from linemap.cli import main
 from linemap.io import read_tracks_json
 
@@ -233,6 +234,58 @@ def test_eval_bad_input_exits_2_and_names_the_file(
     assert code == 2
     err = capsys.readouterr().err
     assert str(files[name]) in err and reason in err
+
+
+def test_bad_override_value_exits_2_and_names_the_flag(box_dataset, tmp_path, capsys):
+    code = main(
+        [
+            "map",
+            "--input",
+            str(box_dataset),
+            "--output",
+            str(tmp_path / "x"),
+            "--set",
+            "min_images=two",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--set" in err and "min_images" in err
+
+
+def test_bad_taus_exit_2_and_name_the_flag(box_dataset, mapped, capsys):
+    code = main(
+        [
+            "eval",
+            "--tracks",
+            str(mapped / "tracks.json"),
+            "--gt",
+            str(box_dataset / "gt_lines.json"),
+            "--taus",
+            "x",
+        ]
+    )
+    assert code == 2
+    assert "--taus" in capsys.readouterr().err
+
+
+def test_value_error_inside_the_pipeline_exits_1(box_dataset, tmp_path, monkeypatch, capsys):
+    def failing(data, config):
+        raise ValueError("numerics failed")
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    code = main(["map", "--input", str(box_dataset), "--output", str(tmp_path / "x")])
+    assert code == 1
+    assert "numerics failed" in capsys.readouterr().err
+
+
+def test_truncated_depth_file_exits_2_and_names_the_file(tmp_path, capsys):
+    data = tmp_path / "depthset"
+    assert main(["synth", "--output", str(data), "--kind", "depth", "--views", "2"]) == 0
+    (data / "depth" / "1.bin").write_bytes(b"\x00" * 4)
+    code = main(["fit-depth", "--input", str(data), "--output", str(tmp_path / "fits.json")])
+    assert code == 2
+    assert "1.bin" in capsys.readouterr().err
 
 
 def test_missing_dataset_exits_2(tmp_path, capsys):

@@ -312,26 +312,33 @@ class TestHelpers:
 
     def test_soft_point_line_weights_counts_shared_images(self):
         line_supports = [[(0, 2), (1, 5), (2, 1)], [(0, 3)]]
-        edges = {
-            0: {(7, 2), (8, 3)},
-            1: {(7, 5)},
-            2: {(7, 1)},
-        }
-        weights = soft_point_line_weights(line_supports, edges, min_weight=3)
+        det_points = {(0, 2): [7], (0, 3): [8], (1, 5): [7], (2, 1): [7]}
+        weights = soft_point_line_weights(line_supports, det_points, min_weight=3)
         assert weights == [(7, 0, 3.0)]
+
+    def test_soft_point_line_weights_counts_a_repeated_point_once(self):
+        line_supports = [[(0, 2), (1, 5), (2, 1)]]
+        det_points = {(0, 2): [7, 7], (1, 5): [7], (2, 1): [9, 7]}
+        weights = soft_point_line_weights(line_supports, det_points, min_weight=3)
+        assert weights == [(7, 0, 3.0)]
+        assert soft_point_line_weights(line_supports, det_points, min_weight=4) == []
 
     def test_soft_line_vp_weights(self):
         line_supports = [[(0, 0), (1, 0), (2, 0)]]
         vp_members = [[(0, 0), (1, 0), (2, 1)]]
-        assignment = {
-            0: np.array([0]),
-            1: np.array([0]),
-            2: np.array([1]),
-        }
-        weights = soft_line_vp_weights(line_supports, vp_members, assignment, min_weight=3)
+        det_vp = {(0, 0): (0, 0), (1, 0): (1, 0), (2, 0): (2, 1)}
+        weights = soft_line_vp_weights(line_supports, vp_members, det_vp, min_weight=3)
         assert weights == [(0, 0, 3.0)]
-        weights = soft_line_vp_weights(line_supports, vp_members, assignment, min_weight=4)
+        weights = soft_line_vp_weights(line_supports, vp_members, det_vp, min_weight=4)
         assert weights == []
+
+    def test_soft_line_vp_weights_counts_each_support_of_a_shared_node(self):
+        # two detections of image 0 carry the same VP node: both count
+        line_supports = [[(0, 0), (0, 1), (1, 0), (2, 0)], [(2, 0)]]
+        vp_members = [[(1, 0), (2, 0)], [(0, 0), (1, 1)]]
+        det_vp = {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (1, 1)}
+        weights = soft_line_vp_weights(line_supports, vp_members, det_vp, min_weight=3)
+        assert weights == [(0, 1, 3.0)]
 
     def test_extract_point_line_edges_ratio(self):
         line = plucker_from_segment(

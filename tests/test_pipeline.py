@@ -7,7 +7,7 @@ import pytest
 
 from linemap import pipeline
 from linemap.config import PipelineConfig
-from linemap.geometry import Segment3D, acute_angle
+from linemap.geometry import Segment2D, Segment3D, acute_angle
 from linemap.metrics import length_recall
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
 from linemap.scoring import selection_pair_score
@@ -19,6 +19,7 @@ from linemap.synthetic import (
     scene_diameter,
 )
 from linemap.tracks import TrackCandidate
+from linemap.triangulation import TriangulationError
 
 from support import identity_view
 
@@ -182,3 +183,30 @@ def test_compute_neighbors_limits_list_length():
     nb = compute_neighbors(list(range(6)), {}, n_neighbors=2)
     assert all(len(v) == 2 for v in nb.values())
     assert nb[5] == [0, 1]
+
+
+def test_rescue_receives_a_detections_points_in_association_order(monkeypatch):
+    # points 5 and 2 lie on detection 0, in that observation order; 9 lies off it
+    points3d = np.arange(30.0).reshape(10, 3)
+    inp = PipelineInput(
+        views={0: identity_view()},
+        detections={0: [Segment2D(np.array([100.0, 240.0]), np.array([500.0, 240.0]))]},
+        points3d=points3d,
+        point_obs={
+            0: [
+                (5, np.array([200.0, 240.5])),
+                (2, np.array([300.0, 239.0])),
+                (9, np.array([300.0, 300.0])),
+            ]
+        },
+    )
+    received = []
+
+    def multipoint(det, view, pts):
+        received.append(np.array(pts))
+        raise TriangulationError("recorded")
+
+    monkeypatch.setattr(pipeline, "triangulate_multipoint", multipoint)
+    run_pipeline(inp, PipelineConfig(use_vps=False, optimize=False))
+    assert len(received) == 1
+    np.testing.assert_array_equal(received[0], points3d[[5, 2]])
