@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    EPS,
-    CameraView,
-    Segment2D,
-    normalized,
-    point_to_segment_distance_2d,
-)
+from .geometry import EPS, CameraView, Segment2D, normalized, point_segment_distances
 from .tracks import UnionFind
 
 
@@ -35,13 +29,13 @@ def associate_points_to_segments(
     endpoint counts), so junction points slightly past a segment tip still
     associate.
     """
+    if not segments:
+        return []
     pts = np.asarray(points2d, dtype=np.float64).reshape(-1, 2)
-    edges = []
-    for si, seg in enumerate(segments):
-        for pi in range(len(pts)):
-            if point_to_segment_distance_2d(pts[pi], seg) <= threshold_px:
-                edges.append((pi, si))
-    return sorted(edges)
+    starts = np.stack([seg.start for seg in segments])
+    ends = np.stack([seg.end for seg in segments])
+    D = point_segment_distances(pts, starts, ends)
+    return [(int(pi), int(si)) for pi, si in np.argwhere(D <= threshold_px)]
 
 
 def vp_line_residual(segment: Segment2D, vp: np.ndarray) -> float:

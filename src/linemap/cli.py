@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig, parse_overrides, read_config_file
 from .depthfit import DepthMap, fit_segment_to_depth
+from .geometry import CameraView
 from .io import (
     InputError,
     canonical_dumps,
@@ -88,6 +89,10 @@ def cmd_map(args) -> int:
     return 0
 
 
+def _camera_json(view: CameraView) -> dict:
+    return {"K": view.K, "R": view.R, "t": view.t, "width": view.width, "height": view.height}
+
+
 def _write_box_dataset(out: Path, args) -> None:
     scene = build_scene(
         SceneConfig(n_views=args.views, seed=args.seed)
@@ -102,16 +107,7 @@ def _write_box_dataset(out: Path, args) -> None:
             seed=args.seed,
         ),
     )
-    cameras = {
-        str(img): {
-            "K": view.K,
-            "R": view.R,
-            "t": view.t,
-            "width": view.width,
-            "height": view.height,
-        }
-        for img, view in scene.views.items()
-    }
+    cameras = {str(img): _camera_json(view) for img, view in scene.views.items()}
     segments = {
         str(img): [[*det.start, *det.end] for det in dets]
         for img, dets in obs.detections.items()
@@ -150,13 +146,7 @@ def _write_depth_dataset(out: Path, args) -> None:
     gt_rows = []
     for i in range(args.views):
         view, dm, seg2d, gt3d = make_depth_scene(rng, occluded_fraction=args.occlusion)
-        cameras[str(i)] = {
-            "K": view.K,
-            "R": view.R,
-            "t": view.t,
-            "width": view.width,
-            "height": view.height,
-        }
+        cameras[str(i)] = _camera_json(view)
         segments[str(i)] = [[*seg2d.start, *seg2d.end]]
         dm.save(out / "depth" / f"{i}.bin")
         gt_rows.append([*gt3d.start, *gt3d.end])

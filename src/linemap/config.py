@@ -85,10 +85,6 @@ class PipelineConfig:
             changes[key] = _coerce(raw, valid[key].type, key)
         return dataclasses.replace(self, **changes)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls().updated(read_config_file(path))
-
 
 def _coerce(raw: str, typ, key: str):
     name = typ if isinstance(typ, str) else getattr(typ, "__name__", str(typ))

@@ -517,7 +517,7 @@ def minimal_to_plucker(param: MinimalLineParam) -> PluckerLine:
 
 
 # ---------------------------------------------------------------------------
-# 2D helpers
+# point distances to 2D lines and to finite segments
 # ---------------------------------------------------------------------------
 
 
@@ -526,11 +526,15 @@ def point_to_infinite_line_2d(p: FloatArray, line: FloatArray) -> float:
     return abs(float(line[0] * p[0] + line[1] * p[1] + line[2])) / np.linalg.norm(line[:2])
 
 
-def point_to_segment_distance_2d(p: FloatArray, seg: Segment2D) -> float:
-    """Distance from a 2D point to a finite segment."""
-    v = seg.end - seg.start
-    ln2 = float(v @ v)
-    if ln2 < EPS:
-        return float(np.linalg.norm(p - seg.start))
-    s = float(np.clip((p - seg.start) @ v / ln2, 0.0, 1.0))
-    return float(np.linalg.norm(p - (seg.start + s * v)))
+def point_segment_distances(points: FloatArray, starts: FloatArray, ends: FloatArray) -> FloatArray:
+    """``(N, M)`` distances from each of N points to each of M finite segments.
+
+    Works in any dimension; beyond a segment's ends the nearer endpoint
+    counts.  ``starts`` and ``ends`` are ``(M, D)`` endpoint arrays.
+    """
+    ab = ends - starts
+    denom = np.maximum(np.einsum("md,md->m", ab, ab), 1e-30)
+    rel = points[:, None, :] - starts[None, :, :]  # (N, M, D)
+    t = np.clip(np.einsum("nmd,md->nm", rel, ab) / denom[None, :], 0.0, 1.0)
+    foot = starts[None, :, :] + t[..., None] * ab[None, :, :]
+    return np.linalg.norm(points[:, None, :] - foot, axis=2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Segment3D
+from .geometry import Segment3D, point_segment_distances
 
 __all__ = [
     "sample_segments",
@@ -46,15 +46,9 @@ def min_distance_to_segments(points: np.ndarray, segments: list[Segment3D]) -> n
     """Exact distance from each point to the nearest of the segments."""
     if len(segments) == 0:
         return np.full(len(points), np.inf)
-    a = np.stack([s.start for s in segments])  # (M, 3)
-    b = np.stack([s.end for s in segments])
-    ab = b - a
-    denom = np.maximum(np.einsum("md,md->m", ab, ab), 1e-30)
-    rel = points[:, None, :] - a[None, :, :]  # (N, M, 3)
-    t = np.clip(np.einsum("nmd,md->nm", rel, ab) / denom[None, :], 0.0, 1.0)
-    foot = a[None, :, :] + t[..., None] * ab[None, :, :]
-    d = np.linalg.norm(points[:, None, :] - foot, axis=2)
-    return d.min(axis=1)
+    starts = np.stack([s.start for s in segments])
+    ends = np.stack([s.end for s in segments])
+    return point_segment_distances(points, starts, ends).min(axis=1)
 
 
 def _covered_fraction(source, target, tau, spacing):

@@ -7,31 +7,29 @@ it is either 0 (some check failed clearly) or lies in [0.5, 1].  This keeps
 a sum of pair scores interpretable as a support count.  The ``tau_*``
 thresholds and the gate are read from :class:`~linemap.config.PipelineConfig`.
 
+Each distance has one home here and serves 2D and 3D segments alike where
+it makes sense: one acute angle (:func:`angular_distance`), and one
+projection of a segment's endpoints along another (``_along``), which
+both the overlap ratio and the inner-segment distance read.
+
 Two phases use different component sets.  During proposal selection both
 hypotheses explain the same 2D detection, so endpoint-wise comparisons are
 meaningful (perspective distance); 2D distances are measured in the views
 whose matches generated the hypotheses.  During track building hypotheses
 belong to different detections and overlap/inner-segment distances replace
 the endpoint comparison, with 2D distances measured in the owning views.
+Both phases project the pair into their two views with one helper, and a
+pair with a segment behind either view scores 0.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .config import PipelineConfig
-from .geometry import (
-    CameraView,
-    PluckerLine,
-    Segment2D,
-    Segment3D,
-    acute_angle,
-    plucker_from_segment,
-    project_point_to_line3d,
-    project_segment,
-)
+from .geometry import CameraView, Segment2D, Segment3D, project_segment
+
+Segment = Segment2D | Segment3D
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +37,8 @@ from .geometry import (
 # ---------------------------------------------------------------------------
 
 
-def angular_distance_3d(a: Segment3D, b: Segment3D) -> float:
-    """Acute angle between segment directions, in degrees."""
-    return math.degrees(acute_angle(a.direction, b.direction))
-
-
-def angular_distance_2d(a: Segment2D, b: Segment2D) -> float:
-    """Acute angle between 2D segment directions, in degrees."""
+def angular_distance(a: Segment, b: Segment) -> float:
+    """Acute angle between segment directions (2D or 3D), in degrees."""
     c = abs(float(a.direction @ b.direction))
     return math.degrees(math.acos(min(1.0, c)))
 
@@ -57,16 +50,16 @@ def _endpoints_to_unit_line(seg: Segment2D, line) -> float:
     return float(max(d1, d2))
 
 
-def perpendicular_distance_2d(a: Segment2D, b: Segment2D, symmetric: bool = True) -> float:
-    """Max orthogonal distance of ``a``'s endpoints to the line of ``b``.
+def perpendicular_distance_2d(a: Segment2D, b: Segment2D) -> float:
+    """Orthogonal endpoint distance, averaged over both directions.
 
-    With ``symmetric=True`` (the default) both directions are averaged.
+    Each direction takes the larger distance of one segment's endpoints to
+    the other's supporting line.
     """
-    d_ab = _endpoints_to_unit_line(a, b.infinite_line())
-    if not symmetric:
-        return d_ab
-    d_ba = _endpoints_to_unit_line(b, a.infinite_line())
-    return 0.5 * (d_ab + d_ba)
+    return 0.5 * (
+        _endpoints_to_unit_line(a, b.infinite_line())
+        + _endpoints_to_unit_line(b, a.infinite_line())
+    )
 
 
 def _dist3(p, q) -> float:
@@ -87,16 +80,26 @@ def perspective_distance(a: Segment3D, b: Segment3D, view: CameraView) -> float:
     )
 
 
-def overlap_ratio(a: Segment2D | Segment3D, b: Segment2D | Segment3D) -> float:
-    """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
+def _along(a: Segment, b: Segment) -> tuple[float, float]:
+    """Where ``a``'s start and end fall along ``b``, as distances from ``b.start``."""
     d = b.direction
-    ta, tb = float((a.start - b.start) @ d), float((a.end - b.start) @ d)
+    return float((a.start - b.start) @ d), float((a.end - b.start) @ d)
+
+
+def overlap_ratio(a: Segment, b: Segment) -> float:
+    """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
+    ta, tb = _along(a, b)
     inter = min(max(ta, tb), b.length) - max(min(ta, tb), 0.0)
     return max(0.0, inter) / b.length
 
 
-def mutual_overlap(a: Segment2D | Segment3D, b: Segment2D | Segment3D) -> float:
+def mutual_overlap(a: Segment, b: Segment) -> float:
     return min(overlap_ratio(a, b), overlap_ratio(b, a))
+
+
+def _clipped_feet(a: Segment3D, b: Segment3D) -> list:
+    """Feet of ``a``'s endpoints on ``b``'s line, clipped to ``b``'s extent."""
+    return [b.start + min(max(t, 0.0), b.length) * b.direction for t in _along(a, b)]
 
 
 def innerseg_distance(a: Segment3D, b: Segment3D) -> float:
@@ -108,27 +111,11 @@ def innerseg_distance(a: Segment3D, b: Segment3D) -> float:
     endpoint distances.  For collinear disjoint segments both inner segments
     collapse and the value equals the gap.
     """
-    da, db = a.direction, b.direction
-    b_pts = (b.start, b.end) if float(da @ db) >= 0 else (b.end, b.start)
-
-    line_a = plucker_from_segment(a)
-    line_b = plucker_from_segment(b)
-
-    def clip_onto(points, seg: Segment3D, line: PluckerLine):
-        d = seg.direction
-        out = []
-        for p in points:
-            foot = project_point_to_line3d(p, line)
-            t = float(np.clip((foot - seg.start) @ d, 0.0, seg.length))
-            out.append(seg.start + t * d)
-        return out
-
-    inner_on_b = clip_onto([a.start, a.end], b, line_b)
-    inner_on_a = clip_onto(b_pts, a, line_a)
-    return max(
-        float(np.linalg.norm(inner_on_a[0] - inner_on_b[0])),
-        float(np.linalg.norm(inner_on_a[1] - inner_on_b[1])),
-    )
+    on_b = _clipped_feet(a, b)
+    on_a = _clipped_feet(b, a)
+    if float(a.direction @ b.direction) < 0:
+        on_a.reverse()
+    return max(_dist3(on_a[0], on_b[0]), _dist3(on_a[1], on_b[1]))
 
 
 def innerseg_scale(a: Segment3D, view_a: CameraView, b: Segment3D, view_b: CameraView) -> float:
@@ -156,11 +143,32 @@ def _binary_overlap(ratio: float, tau: float) -> float:
     return 1.0 if ratio >= tau else 0.0
 
 
-def _project_pair(a: Segment3D, b: Segment3D, view: CameraView):
+def _projections(a: Segment3D, b: Segment3D, view_a: CameraView, view_b: CameraView):
+    """``(a, b)`` projected into ``view_a`` and into ``view_b``.
+
+    None when either segment is behind either view: a hypothesis behind a
+    scoring camera cannot support the other.
+    """
     try:
-        return project_segment(a, view), project_segment(b, view)
+        return [(project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b)]
     except ValueError:
         return None
+
+
+def _image_components(pairs, config: PipelineConfig) -> list[float]:
+    """2D angle and perpendicular components, each averaged over both views."""
+    (pa, pb), (qa, qb) = pairs
+    g = config.score_gate
+    return [
+        normalize_distance(
+            0.5 * (angular_distance(pa, pb) + angular_distance(qa, qb)), config.tau_angle_2d, g
+        ),
+        normalize_distance(
+            0.5 * (perpendicular_distance_2d(pa, pb) + perpendicular_distance_2d(qa, qb)),
+            config.tau_perp_2d,
+            g,
+        ),
+    ]
 
 
 def selection_pair_score(
@@ -175,34 +183,20 @@ def selection_pair_score(
 
     ``view_a`` and ``view_b`` are the matched views the proposals were
     triangulated from; both proposals lie on the endpoint rays of
-    ``ref_view``.  Returns 0 when a projection is invalid (a hypothesis
-    behind a scoring camera cannot support the other).
+    ``ref_view``.  Returns 0 when a projection is invalid.
     """
+    pairs = _projections(a, b, view_a, view_b)
+    if pairs is None:
+        return 0.0
     g = config.score_gate
-    comps = [
-        normalize_distance(angular_distance_3d(a, b), config.tau_angle_3d, g),
-        normalize_distance(
-            0.5
-            * (
-                perspective_distance(a, b, ref_view)
-                + perspective_distance(b, a, ref_view)
-            ),
-            config.tau_perspective,
-            g,
-        ),
-    ]
-    ang2d = []
-    perp2d = []
-    for view in (view_a, view_b):
-        pair = _project_pair(a, b, view)
-        if pair is None:
-            return 0.0
-        pa, pb = pair
-        ang2d.append(angular_distance_2d(pa, pb))
-        perp2d.append(perpendicular_distance_2d(pa, pb))
-    comps.append(normalize_distance(0.5 * (ang2d[0] + ang2d[1]), config.tau_angle_2d, g))
-    comps.append(normalize_distance(0.5 * (perp2d[0] + perp2d[1]), config.tau_perp_2d, g))
-    return min(comps)
+    perspective = 0.5 * (
+        perspective_distance(a, b, ref_view) + perspective_distance(b, a, ref_view)
+    )
+    return min(
+        normalize_distance(angular_distance(a, b), config.tau_angle_3d, g),
+        normalize_distance(perspective, config.tau_perspective, g),
+        *_image_components(pairs, config),
+    )
 
 
 def track_pair_score(
@@ -218,27 +212,17 @@ def track_pair_score(
     correspondence across detections is meaningless here, so overlap and
     inner-segment distances substitute for the perspective distance.
     """
-    g = config.score_gate
     scale = innerseg_scale(a, view_a, b, view_b)
     if scale <= 0:
         return 0.0
-    comps = [
-        normalize_distance(angular_distance_3d(a, b), config.tau_angle_3d, g),
+    pairs = _projections(a, b, view_a, view_b)
+    if pairs is None:
+        return 0.0
+    g = config.score_gate
+    return min(
+        normalize_distance(angular_distance(a, b), config.tau_angle_3d, g),
         _binary_overlap(mutual_overlap(a, b), config.tau_overlap),
         normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg, g),
-    ]
-    ang2d = []
-    perp2d = []
-    ov2d = []
-    for view in (view_a, view_b):
-        pair = _project_pair(a, b, view)
-        if pair is None:
-            return 0.0
-        pa, pb = pair
-        ang2d.append(angular_distance_2d(pa, pb))
-        perp2d.append(perpendicular_distance_2d(pa, pb))
-        ov2d.append(mutual_overlap(pa, pb))
-    comps.append(normalize_distance(0.5 * (ang2d[0] + ang2d[1]), config.tau_angle_2d, g))
-    comps.append(normalize_distance(0.5 * (perp2d[0] + perp2d[1]), config.tau_perp_2d, g))
-    comps.append(_binary_overlap(min(ov2d), config.tau_overlap))
-    return min(comps)
+        *_image_components(pairs, config),
+        _binary_overlap(min(mutual_overlap(pa, pb) for pa, pb in pairs), config.tau_overlap),
+    )

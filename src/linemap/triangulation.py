@@ -290,12 +290,10 @@ def _pick_solution(
     t: np.ndarray,
 ) -> Segment3D:
     for s in sols:
-        lam = s.lam
-        if lam[0] <= 0 or lam[1] <= 0:
+        try:
+            return _finish_segment(ref_view, x1, x2, s.lam, R, t)
+        except CheiralityError:
             continue
-        if (R[2] @ (lam[0] * x1) + t[2]) <= 0 or (R[2] @ (lam[1] * x2) + t[2]) <= 0:
-            continue
-        return _finish_segment(ref_view, x1, x2, lam, R, t)
     raise CheiralityError("no candidate places the segment in front of both cameras")
 
 

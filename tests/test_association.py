@@ -29,6 +29,7 @@ def test_associate_by_perpendicular_distance():
     pts = np.array([[5.0, 0.0], [5.0, 1.5], [5.0, 3.0], [5.0, 9.0]])
     edges = associate_points_to_segments(pts, segs, threshold_px=2.0)
     assert edges == [(0, 0), (1, 0), (3, 1)]
+    assert all(type(i) is int for pair in edges for i in pair)
 
 
 def test_associate_measures_to_finite_segment():
@@ -42,6 +43,12 @@ def test_junction_point_joins_both_segments():
     segs = [seg([0, 0], [10, 0]), seg([5, -5], [5, 5])]
     pts = np.array([[5.0, 0.0]])
     assert associate_points_to_segments(pts, segs) == [(0, 0), (0, 1)]
+
+
+def test_associate_without_segments_or_points_is_empty():
+    pts = np.array([[5.0, 0.0], [1.0, 1.0]])
+    assert associate_points_to_segments(pts, []) == []
+    assert associate_points_to_segments(np.zeros((0, 2)), [seg([0, 0], [10, 0])]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,6 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.optimize is False
 
 
-def test_from_file_matches_updated(tmp_path):
-    path = tmp_path / "pipeline.cfg"
-    path.write_text("seed = 3\nvp_max_models = 2\n")
-    assert PipelineConfig.from_file(path) == PipelineConfig().updated(
-        {"seed": "3", "vp_max_models": "2"}
-    )
-
-
 def test_every_field_can_roundtrip_through_strings():
     cfg = PipelineConfig()
     items = {f.name: str(getattr(cfg, f.name)) for f in dataclasses.fields(PipelineConfig)}

@@ -13,8 +13,8 @@ from linemap.geometry import (
     plucker_from_segment,
     plucker_to_minimal,
     point_line_distance_3d,
+    point_segment_distances,
     point_to_infinite_line_2d,
-    point_to_segment_distance_2d,
     project_line,
     project_point_to_line3d,
     project_segment,
@@ -225,10 +225,21 @@ def test_acute_angle_ignores_orientation():
 
 
 def test_point_to_segment_distance_clamps_to_endpoints():
-    seg = Segment2D(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
-    assert point_to_segment_distance_2d(np.array([1.0, 1.0]), seg) == pytest.approx(1.0)
-    assert point_to_segment_distance_2d(np.array([-3.0, 4.0]), seg) == pytest.approx(5.0)
-    assert point_to_segment_distance_2d(np.array([4.0, 0.0]), seg) == pytest.approx(2.0)
+    pts = np.array([[1.0, 1.0], [-3.0, 4.0], [4.0, 0.0]])
+    d = point_segment_distances(pts, np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]]))
+    np.testing.assert_allclose(d[:, 0], [1.0, 5.0, 2.0], rtol=1e-15)
+
+
+def test_point_segment_distances_in_3d_and_shape():
+    starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
+    ends = np.array([[0.0, 0.0, 2.0], [3.0, 0.0, 5.0]])
+    pts = np.array([[0.0, 3.0, 1.0], [0.0, 0.0, 4.0], [6.0, 4.0, 5.0]])
+    d = point_segment_distances(pts, starts, ends)
+    assert d.shape == (3, 2)
+    # interior foot, past an end, and a clamped diagonal (3-4-5 triangle)
+    np.testing.assert_allclose(d[0], [3.0, 5.0], rtol=1e-15)
+    np.testing.assert_allclose(d[1], [2.0, 1.0], rtol=1e-15)
+    np.testing.assert_allclose(d[2, 1], 5.0, rtol=1e-15)
 
 
 def test_minimal_param_normalizes_inputs():

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from linemap.config import PipelineConfig
-from linemap.geometry import CameraView, Segment2D, Segment3D
+from linemap.geometry import (
+    CameraView,
+    Segment2D,
+    Segment3D,
+    plucker_from_segment,
+    project_point_to_line3d,
+)
 from linemap.scoring import (
-    angular_distance_2d,
-    angular_distance_3d,
+    angular_distance,
     innerseg_distance,
     innerseg_scale,
     mutual_overlap,
@@ -38,30 +43,30 @@ def seg2(a, b):
 def test_angular_distance_3d_is_acute():
     a = seg3([0, 0, 0], [1, 0, 0])
     b = seg3([0, 0, 0], [np.cos(np.radians(30)), np.sin(np.radians(30)), 0])
-    assert angular_distance_3d(a, b) == pytest.approx(30.0, abs=1e-9)
+    assert angular_distance(a, b) == pytest.approx(30.0, abs=1e-9)
     flipped = seg3(b.end, b.start)
-    assert angular_distance_3d(a, flipped) == pytest.approx(30.0, abs=1e-9)
+    assert angular_distance(a, flipped) == pytest.approx(30.0, abs=1e-9)
 
 
 def test_angular_distance_2d_hand_value():
     a = seg2([0, 0], [1, 0])
     b = seg2([0, 0], [1, 1])
-    assert angular_distance_2d(a, b) == pytest.approx(45.0, abs=1e-9)
+    assert angular_distance(a, b) == pytest.approx(45.0, abs=1e-9)
 
 
 def test_perpendicular_distance_parallel_offset():
     a = seg2([0, 0], [10, 0])
     b = seg2([0, 3], [10, 3])
     assert perpendicular_distance_2d(a, b) == pytest.approx(3.0)
-    assert perpendicular_distance_2d(a, b, symmetric=False) == pytest.approx(3.0)
 
 
 def test_perpendicular_distance_symmetrizes():
     a = seg2([0, 0], [10, 0])
     b = seg2([0, 0], [10, 4])  # tilted: one-sided distances differ
-    one = perpendicular_distance_2d(a, b, symmetric=False)
-    other = perpendicular_distance_2d(b, a, symmetric=False)
-    assert perpendicular_distance_2d(a, b) == pytest.approx(0.5 * (one + other))
+    # a's far endpoint lies 40/sqrt(116) from b's line; b's lies 4 from a's
+    expect = 0.5 * (40.0 / math.sqrt(116.0) + 4.0)
+    assert perpendicular_distance_2d(a, b) == pytest.approx(expect, rel=1e-12)
+    assert perpendicular_distance_2d(b, a) == pytest.approx(expect, rel=1e-12)
 
 
 def test_perspective_distance_scales_by_ray_depth():
@@ -113,6 +118,41 @@ def test_innerseg_orientation_invariant():
             innerseg_distance(b, a), abs=1e-9
         )
         assert innerseg_distance(b, a) == pytest.approx(d, abs=1e-9)
+
+
+def innerseg_oracle(a, b):
+    """Inner-segment distance from Plücker feet, clipped to each extent."""
+
+    def clip_onto(points, seg):
+        line = plucker_from_segment(seg)
+        out = []
+        for p in points:
+            t = float((project_point_to_line3d(p, line) - seg.start) @ seg.direction)
+            out.append(seg.start + min(max(t, 0.0), seg.length) * seg.direction)
+        return out
+
+    b_pts = (b.start, b.end) if a.direction @ b.direction >= 0 else (b.end, b.start)
+    on_b = clip_onto([a.start, a.end], b)
+    on_a = clip_onto(b_pts, a)
+    return max(np.linalg.norm(on_a[i] - on_b[i]) for i in range(2))
+
+
+def test_innerseg_matches_plucker_oracle():
+    # 200 pairs: 100 random, 50 anti-parallel overlapping, 50 collinear disjoint
+    rng = np.random.default_rng(44)
+    for k in range(200):
+        a = seg3(rng.normal(size=3), rng.normal(size=3))
+        if k % 4 == 1:  # b runs back along a
+            b = seg3(a.end + rng.normal(scale=0.05, size=3), a.start + rng.normal(scale=0.05, size=3))
+        elif k % 4 == 2:  # b lies on a's line past a's end, in either orientation
+            d = a.end - a.start
+            b = seg3(a.end + rng.uniform(0.2, 1.0) * d, a.end + rng.uniform(1.5, 2.5) * d)
+            if k % 8 == 2:
+                b = seg3(b.end, b.start)
+        else:
+            b = seg3(rng.normal(size=3), rng.normal(size=3))
+        assert innerseg_distance(a, b) == pytest.approx(innerseg_oracle(a, b), abs=1e-12)
+        assert innerseg_distance(b, a) == pytest.approx(innerseg_oracle(b, a), abs=1e-12)
 
 
 def test_innerseg_scale_uses_min_depth_over_focal():
@@ -172,7 +212,7 @@ def test_pair_score_is_symmetric():
         assert s_ab == s_ba  # exact: proposal selection scores each pair once
         t_ab = track_pair_score(a, va, b, vb)
         t_ba = track_pair_score(b, vb, a, va)
-        assert t_ab == pytest.approx(t_ba, abs=1e-12)
+        assert t_ab == t_ba  # exact: the inner-segment feet pair up in either order
 
 
 def test_pair_score_range():
