@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -64,6 +65,12 @@ def _build_config(args) -> PipelineConfig:
         except ValueError as e:
             raise InputError("--set", str(e)) from e
     return config
+
+
+def _require(ok: bool, flag: str, domain: str, value) -> None:
+    """Reject a flag value outside its domain (exit 2, naming the flag)."""
+    if not ok:
+        raise InputError(flag, f"expected {domain}, got {value!r}")
 
 
 def cmd_map(args) -> int:
@@ -156,6 +163,11 @@ def _write_depth_dataset(out: Path, args) -> None:
 
 
 def cmd_synth(args) -> int:
+    _require(args.views >= 1, "--views", "at least 1", args.views)
+    for flag, value in (("--noise", args.noise), ("--point-noise", args.point_noise)):
+        _require(0.0 <= value < math.inf, flag, "a finite number >= 0", value)
+    for flag, value in (("--drop", args.drop), ("--outliers", args.outliers)):
+        _require(0.0 <= value <= 1.0, flag, "a number in [0, 1]", value)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "box":
@@ -167,6 +179,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:
+        taus = tuple(float(v) for v in args.taus.split(","))
+    except ValueError as e:
+        raise InputError("--taus", f"expected comma-separated numbers, got {args.taus!r}") from e
+    _require(all(0.0 < tau < math.inf for tau in taus), "--taus", "finite values > 0", args.taus)
     payload = read_tracks_json(args.tracks)
     pred = segments_from_payload(payload)
     supports = [
@@ -174,16 +191,13 @@ def cmd_eval(args) -> int:
         for t in payload["tracks"]
     ]
     gt = load_gt_segments(args.gt)
-    try:
-        taus = tuple(float(v) for v in args.taus.split(","))
-    except ValueError as e:
-        raise InputError("--taus", f"expected comma-separated numbers, got {args.taus!r}") from e
     report = evaluate_segments(gt, pred, taus=taus, aggregate=args.aggregate, supports=supports)
     print(report.format())
     return 0
 
 
 def cmd_degeneracy(args) -> int:
+    _require(args.lines >= 1, "--lines", "at least 1", args.lines)
     rows = run_degeneracy_experiment(n_lines=args.lines, seed=args.seed, out_csv=args.output)
     print(f"wrote {len(rows)} angles to {args.output}")
     return 0

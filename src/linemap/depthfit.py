@@ -15,12 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraView, Segment2D, Segment3D, principal_line
+from .geometry import CameraView, Segment2D, Segment3D, principal_line, sample_segment
 
 __all__ = [
     "DepthMap",
     "DepthFit",
-    "sample_segment_pixels",
     "backproject_samples",
     "fit_segment_to_depth",
 ]
@@ -109,13 +108,6 @@ class DepthFit:
     threshold: float
 
 
-def sample_segment_pixels(seg: Segment2D, spacing: float = 1.0) -> np.ndarray:
-    """Evenly spaced pixel samples along a segment, endpoints included."""
-    n = max(2, int(math.ceil(seg.length / spacing)) + 1)
-    ts = np.linspace(0.0, 1.0, n)
-    return seg.start[None, :] + ts[:, None] * (seg.end - seg.start)[None, :]
-
-
 def backproject_samples(view: CameraView, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
     """World points for pixels at given z-depths."""
     px = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -157,7 +149,7 @@ def fit_segment_to_depth(
     at the median depth).  Returns None when fewer than half of the valid
     samples agree on a line, or when too few samples are valid.
     """
-    pixels = sample_segment_pixels(seg)
+    pixels = sample_segment(seg, 1.0)
     depths = depth.sample_bilinear(pixels)
     valid = np.isfinite(depths) & (depths > 0)
     if valid.sum() < max(min_samples, 2):

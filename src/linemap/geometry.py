@@ -186,14 +186,6 @@ class CameraView:
         """Homogeneous normalized image coordinates ``K^-1 (u, v, 1)``."""
         return np.linalg.solve(self.K, np.array([pixel[0], pixel[1], 1.0]))
 
-    def ray_direction(self, pixel: FloatArray) -> FloatArray:
-        """Unit viewing-ray direction of a pixel, in the camera frame."""
-        return normalized(self.pixel_to_normalized(pixel))
-
-    def ray_direction_world(self, pixel: FloatArray) -> FloatArray:
-        """Unit viewing-ray direction of a pixel, in the world frame."""
-        return self.R.T @ self.ray_direction(pixel)
-
 
 def relative_pose(ref: CameraView, match: CameraView) -> tuple[FloatArray, FloatArray]:
     """Pose mapping reference-camera coordinates into match-camera coordinates.
@@ -296,6 +288,17 @@ class Segment3D:
 def project_segment(seg: Segment3D, view: CameraView) -> Segment2D:
     """Project both endpoints of a 3D segment into a view."""
     return Segment2D(view.project_point(seg.start), view.project_point(seg.end))
+
+
+def sample_segment(seg: Segment2D | Segment3D, spacing: float) -> FloatArray:
+    """Evenly spaced points along a 2D or 3D segment, endpoints included.
+
+    Gaps are at most ``spacing``; a segment shorter than that keeps its two
+    endpoints.
+    """
+    n = max(2, int(math.ceil(seg.length / spacing)) + 1)
+    ts = np.linspace(0.0, 1.0, n)
+    return seg.start[None, :] + ts[:, None] * (seg.end - seg.start)[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ portion of predicted length within threshold of any ground-truth segment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Segment3D, point_segment_distances
+from .geometry import Segment3D, point_segment_distances, sample_segment
 
 __all__ = [
     "sample_segments",
@@ -33,10 +32,9 @@ def sample_segments(segments: list[Segment3D], spacing: float):
     pts = []
     weights = []
     for seg in segments:
-        n = max(2, int(math.ceil(seg.length / spacing)) + 1)
-        ts = np.linspace(0.0, 1.0, n)
-        pts.append(seg.start[None, :] + ts[:, None] * (seg.end - seg.start)[None, :])
-        weights.append(np.full(n, seg.length / n))
+        samples = sample_segment(seg, spacing)
+        pts.append(samples)
+        weights.append(np.full(len(samples), seg.length / len(samples)))
     if not pts:
         return np.zeros((0, 3)), np.zeros(0)
     return np.concatenate(pts), np.concatenate(weights)

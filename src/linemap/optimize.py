@@ -426,20 +426,22 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
 
 def segment_on_line_from_supports(
     line: PluckerLine,
-    supports: list[tuple[Segment2D, CameraView]],
+    supports: list[tuple[tuple[np.ndarray, np.ndarray], CameraView]],
 ) -> Segment3D | None:
     """Clip an infinite line to an extent explained by its 2D supports.
 
-    Every observed endpoint ray is intersected (closest-point) with the
-    line; the extent follows :func:`~linemap.geometry.trimmed_extent`, the
-    same rule as the track refit.
+    Each support is a detection's two endpoint rays, in normalized
+    coordinates, with its view.  Every ray is intersected (closest-point)
+    with the line; the extent follows
+    :func:`~linemap.geometry.trimmed_extent`, the same rule as the track
+    refit.
     """
     origin = line.closest_point_to_origin()
     ts = []
-    for seg, view in supports:
+    for rays, view in supports:
         center = view.camera_center()
-        for px in (seg.start, seg.end):
-            ray = PluckerLine.from_point_direction(center, view.ray_direction_world(px))
+        for x in rays:
+            ray = PluckerLine.from_point_direction(center, view.R.T @ normalized(x))
             try:
                 foot = closest_point_line_to_line(line, ray)
             except ValueError:

@@ -45,7 +45,9 @@ from .scoring import selection_pair_score
 from .tracks import LineTrack, TrackCandidate, build_tracks
 from .triangulation import (
     DegenerateTriangulationError,
+    RayPlaneForm,
     TriangulationError,
+    ray_plane_form,
     triangulate_algebraic,
     triangulate_line_point,
     triangulate_line_vp,
@@ -112,22 +114,18 @@ def compute_neighbors(
 
 def _detection_proposals(
     img: int,
-    di: int,
-    kept: list[Node],
-    data: PipelineInput,
+    view: CameraView,
+    rays: tuple[np.ndarray, np.ndarray],
+    kept: list[tuple[Node, RayPlaneForm]],
     config: PipelineConfig,
     assoc_pts: list[np.ndarray],
     vp_cam: np.ndarray | None,
 ) -> list[tuple[TrackCandidate, int]]:
     """Triangulated hypotheses for one detection, tagged by generating image."""
-    view = data.views[img]
-    det = data.detections[img][di]
     proposals: list[tuple[TrackCandidate, int]] = []
-    for j, dj in kept:
-        mseg = data.detections[j][dj]
-        mview = data.views[j]
+    for (j, _), form in kept:
         try:
-            seg = triangulate_algebraic(det, view, mseg, mview, config.min_tri_angle_deg)
+            seg = triangulate_algebraic(form, config.min_tri_angle_deg)
             proposals.append((TrackCandidate(seg, "algebraic"), j))
             continue
         except DegenerateTriangulationError:
@@ -138,7 +136,7 @@ def _detection_proposals(
         rescued = False
         for p in assoc_pts[:2]:
             try:
-                seg = triangulate_line_point(det, view, mseg, mview, p)
+                seg = triangulate_line_point(form, p)
             except TriangulationError:
                 continue
             proposals.append((TrackCandidate(seg, "point"), j))
@@ -146,13 +144,13 @@ def _detection_proposals(
             break
         if not rescued and vp_cam is not None:
             try:
-                seg = triangulate_line_vp(det, view, mseg, mview, vp_cam)
+                seg = triangulate_line_vp(form, vp_cam)
                 proposals.append((TrackCandidate(seg, "vp"), j))
             except TriangulationError:
                 pass
     if len(assoc_pts) >= 2:
         try:
-            seg = triangulate_multipoint(det, view, np.array(assoc_pts))
+            seg = triangulate_multipoint(rays, view, np.array(assoc_pts))
             proposals.append((TrackCandidate(seg, "point"), img))
         except TriangulationError:
             pass
@@ -213,8 +211,16 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     det_vp: dict[Node, Node] = {}  # detection -> VP node (img, k)
     vp_cam: dict[Node, np.ndarray] = {}  # VP node -> camera-frame direction
     vp_world: dict[Node, np.ndarray] = {}  # VP node -> world direction
+    # ray table: each detection's endpoint rays in normalized coordinates, solved once
+    det_rays: dict[Node, tuple[np.ndarray, np.ndarray]] = {}
     for img in images:
         dets = data.detections[img]
+        view = views[img]
+        for di, det in enumerate(dets):
+            det_rays[(img, di)] = (
+                view.pixel_to_normalized(det.start),
+                view.pixel_to_normalized(det.end),
+            )
         if config.use_vps:
             vps, assign = estimate_vps(
                 dets,
@@ -240,25 +246,26 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     n_proposals = 0
     for img in images:
         view = views[img]
-        dets = data.detections[img]
         rows = data.matches.get(img, []) if data.matches else []
-        for di, det in enumerate(dets):
+        for di in range(len(data.detections[img])):
             node = (img, di)
+            rays = det_rays[node]
             row = rows[di] if di < len(rows) else []
-            kept: list[Node] = []
+            kept: list[tuple[Node, RayPlaneForm]] = []
             for j, dj in row:
                 if j == img or j not in neighbor_sets[img]:
                     continue
                 if len(kept) >= config.top_k_matches:
                     break
-                iou = weak_epipolar_iou(det, view, data.detections[j][dj], views[j])
-                if iou >= config.iou_min:
-                    kept.append((j, dj))
+                # a match without a match plane scores IoU 0
+                form = ray_plane_form(view, rays, views[j], det_rays[(j, dj)])
+                if form is not None and weak_epipolar_iou(form) >= config.iou_min:
+                    kept.append(((j, dj), form))
             proposals = _detection_proposals(
                 img,
-                di,
+                view,
+                rays,
                 kept,
-                data,
                 config,
                 [data.points3d[pi] for pi in det_points.get(node, ())],
                 vp_cam.get(det_vp.get(node)),
@@ -267,7 +274,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             best = _select_best(proposals, view, views, config)
             if best is not None:
                 candidates[node] = best
-                all_edges.extend((node, mn) for mn in kept)
+                all_edges.extend((node, mn) for mn, _ in kept)
 
     tracks = build_tracks(candidates, all_edges, views, config)
 
@@ -336,7 +343,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         for ti, t in enumerate(tracks):
             line = minimal_to_plucker(result.lines[ti])
             seg = segment_on_line_from_supports(
-                line, [(data.detections[i][d], views[i]) for i, d in t.supports]
+                line, [(det_rays[s], views[s[0]]) for s in t.supports]
             )
             if seg is not None:
                 t.segment = seg

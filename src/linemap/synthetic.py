@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depthfit import DepthMap, backproject_samples, sample_segment_pixels
+from .depthfit import DepthMap, backproject_samples
 from .geometry import (
     CameraView,
     Segment2D,
@@ -29,6 +29,7 @@ from .geometry import (
     normalized,
     point_line_distance_3d,
     plucker_from_segment,
+    sample_segment,
 )
 
 __all__ = [
@@ -364,7 +365,7 @@ def make_depth_scene(
 
     # fronto-parallel occluder patches straddling the segment; stop near the
     # target fraction and never exceed what a majority fit can survive
-    samples = sample_segment_pixels(seg2d)
+    samples = sample_segment(seg2d, 1.0)
     sy = np.clip(samples[:, 1].astype(int), 0, height - 1)
     sx = np.clip(samples[:, 0].astype(int), 0, width - 1)
     occluded = np.zeros(data.shape, dtype=bool)

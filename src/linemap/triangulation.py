@@ -7,6 +7,12 @@ there are three fallbacks that stay well-posed when a viewing ray lies close
 to the plane back-projected from the matched segment: fitting through shared
 3D points, constraining with a known 3D point, and constraining with a
 vanishing-point direction.
+
+Every two-view routine, and the weak epipolar IoU gate in front of them,
+reads one :class:`RayPlaneForm` per match: the relative pose, the reference
+and matched endpoint rays and the plane back-projected from the matched
+segment.  The pipeline solves each detection's endpoint rays once per run
+and builds the form from them, so no call repeats that setup.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .geometry import (
     EPS,
     CameraView,
     PluckerLine,
-    Segment2D,
     Segment3D,
     closest_point_line_to_line,
     normalized,
@@ -61,41 +66,66 @@ def check_degeneracy(ray_dir, plane_normal, min_angle_deg: float) -> bool:
     return float(np.degrees(np.arcsin(min(1.0, s)))) < min_angle_deg
 
 
-def _ref_rays(seg: Segment2D, view: CameraView) -> tuple[np.ndarray, np.ndarray]:
-    # homogeneous normalized coordinates with z = 1, so depth = lambda
-    return view.pixel_to_normalized(seg.start), view.pixel_to_normalized(seg.end)
+@dataclass(frozen=True)
+class RayPlaneForm:
+    """Two-view setup of one match: the reference rays against the match plane.
+
+    ``R, t`` map reference-camera coordinates into the matched camera's.
+    ``x1, x2`` are the reference endpoint rays in normalized coordinates
+    (z = 1, so a depth ``lam`` puts the endpoint at ``lam * x``) and ``Rx1,
+    Rx2`` the same rays turned into the matched frame; ``y1, y2`` are the
+    matched endpoint rays.  The match plane has unit normal ``n`` in the
+    matched frame, and the reference endpoint at depth ``lam[i]`` lies
+    ``a[i] * lam[i] + c`` off it.
+    """
+
+    ref_view: CameraView
+    R: np.ndarray
+    t: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    Rx1: np.ndarray
+    Rx2: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
+    n: np.ndarray
+    a: np.ndarray
+    c: float
 
 
-def _to_world(view: CameraView, p_cam: np.ndarray) -> np.ndarray:
-    return view.R.T @ (p_cam - view.t)
-
-
-def _finish_segment(
+def ray_plane_form(
     ref_view: CameraView,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    lam: np.ndarray,
-    R: np.ndarray,
-    t: np.ndarray,
-) -> Segment3D:
-    """Cheirality check in both views, then lift to world coordinates."""
+    ref_rays: tuple[np.ndarray, np.ndarray],
+    match_view: CameraView,
+    match_rays: tuple[np.ndarray, np.ndarray],
+) -> RayPlaneForm | None:
+    """The form of one match from its endpoint rays; ``None`` if the matched rays coincide."""
+    R, t = relative_pose(ref_view, match_view)
+    x1, x2 = ref_rays
+    y1, y2 = match_rays
+    n = np.cross(y1, y2)
+    nn = np.linalg.norm(n)
+    if nn < EPS:
+        return None
+    n = n / nn
+    Rx1, Rx2 = R @ x1, R @ x2
+    a = np.array([n @ Rx1, n @ Rx2])
+    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, float(n @ t))
+
+
+def _finish_segment(form: RayPlaneForm, lam: np.ndarray) -> Segment3D:
+    """Cheirality check in both views, then the endpoints in world coordinates."""
     if lam[0] <= 0 or lam[1] <= 0:
         raise CheiralityError("endpoint depth is not positive in the reference view")
-    for li, xi in ((lam[0], x1), (lam[1], x2)):
+    R, t = form.R, form.t
+    for li, xi in ((lam[0], form.x1), (lam[1], form.x2)):
         if (R[2] @ (li * xi) + t[2]) <= 0:
             raise CheiralityError("endpoint lies behind the matched view")
-    p1 = _to_world(ref_view, lam[0] * x1)
-    p2 = _to_world(ref_view, lam[1] * x2)
-    return Segment3D(p1, p2)
+    view = form.ref_view
+    return Segment3D(view.R.T @ (lam[0] * form.x1 - view.t), view.R.T @ (lam[1] * form.x2 - view.t))
 
 
-def triangulate_algebraic(
-    ref_seg: Segment2D,
-    ref_view: CameraView,
-    match_seg: Segment2D,
-    match_view: CameraView,
-    min_angle_deg: float = 1.0,
-) -> Segment3D:
+def triangulate_algebraic(form: RayPlaneForm, min_angle_deg: float = 1.0) -> Segment3D:
     """Two-view triangulation intersecting reference rays with the match plane.
 
     The matched segment back-projects to a plane through the matched camera
@@ -107,18 +137,17 @@ def triangulate_algebraic(
         FullyDegenerateError: both endpoint rays degenerate.
         CheiralityError: intersection behind either camera.
     """
-    R, t, x1, x2, n, a, c = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
-    bad1 = check_degeneracy(R @ x1, n, min_angle_deg)
-    bad2 = check_degeneracy(R @ x2, n, min_angle_deg)
+    bad1 = check_degeneracy(form.Rx1, form.n, min_angle_deg)
+    bad2 = check_degeneracy(form.Rx2, form.n, min_angle_deg)
     if bad1 and bad2:
         raise FullyDegenerateError("both endpoint rays parallel to the match plane")
     if bad1 or bad2:
         raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
-    return _finish_segment(ref_view, x1, x2, -c / a, R, t)
+    return _finish_segment(form, -form.c / form.a)
 
 
 def triangulate_multipoint(
-    ref_seg: Segment2D,
+    ref_rays: tuple[np.ndarray, np.ndarray],
     ref_view: CameraView,
     points3d: np.ndarray,
 ) -> Segment3D:
@@ -129,6 +158,7 @@ def triangulate_multipoint(
     rays closest to that line.
 
     Args:
+        ref_rays: the detection's endpoint rays in normalized coordinates.
         points3d: array of shape (n, 3) with n >= 2 world points.
     """
     pts = np.asarray(points3d, dtype=np.float64)
@@ -141,8 +171,8 @@ def triangulate_multipoint(
 
     center = ref_view.camera_center()
     endpoints = []
-    for px in (ref_seg.start, ref_seg.end):
-        ray = PluckerLine.from_point_direction(center, ref_view.ray_direction_world(px))
+    for x in ref_rays:
+        ray = PluckerLine.from_point_direction(center, ref_view.R.T @ normalized(x))
         try:
             endpoints.append(closest_point_line_to_line(ray, fitted))
         except ValueError as exc:
@@ -251,59 +281,21 @@ def _solve_linear_equality(A, b, q) -> list[ConstrainedSolution]:
     return [ConstrainedSolution(lam, float(lam @ A @ lam + b @ lam), float(sol[2]))]
 
 
-def _ray_plane_forms(
-    ref_seg: Segment2D,
-    ref_view: CameraView,
-    match_seg: Segment2D,
-    match_view: CameraView,
-):
-    """Shared two-view setup: relative pose, reference rays and match plane.
-
-    Returns ``(R, t, x1, x2, n, a, c)``: the match plane has unit normal
-    ``n`` in the matched camera's frame, and the reference endpoint at depth
-    ``lam[i]`` lies ``a[i] * lam[i] + c`` off it.
-    """
-    R, t = relative_pose(ref_view, match_view)
-    x1, x2 = _ref_rays(ref_seg, ref_view)
-    y1, y2 = _ref_rays(match_seg, match_view)
-    n = np.cross(y1, y2)
-    nn = np.linalg.norm(n)
-    if nn < EPS:
-        raise TriangulationError("matched segment endpoints coincide")
-    n = n / nn
-    a = np.array([n @ (R @ x1), n @ (R @ x2)])
-    c = float(n @ t)
-    return R, t, x1, x2, n, a, c
-
-
 def _plane_cost(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """``(A, b)`` with ``lam^T A lam + b^T lam`` the summed squared plane offsets, less 2 c^2."""
     return np.diag(a * a), 2.0 * c * a
 
 
-def _pick_solution(
-    sols: list[ConstrainedSolution],
-    ref_view: CameraView,
-    x1: np.ndarray,
-    x2: np.ndarray,
-    R: np.ndarray,
-    t: np.ndarray,
-) -> Segment3D:
+def _pick_solution(sols: list[ConstrainedSolution], form: RayPlaneForm) -> Segment3D:
     for s in sols:
         try:
-            return _finish_segment(ref_view, x1, x2, s.lam, R, t)
+            return _finish_segment(form, s.lam)
         except CheiralityError:
             continue
     raise CheiralityError("no candidate places the segment in front of both cameras")
 
 
-def triangulate_line_point(
-    ref_seg: Segment2D,
-    ref_view: CameraView,
-    match_seg: Segment2D,
-    match_view: CameraView,
-    point3d: np.ndarray,
-) -> Segment3D:
+def triangulate_line_point(form: RayPlaneForm, point3d: np.ndarray) -> Segment3D:
     """Triangulation constrained by one 3D point known to lie on the line.
 
     The point is orthogonally projected onto the plane spanned by the two
@@ -313,15 +305,14 @@ def triangulate_line_point(
     Among the resulting candidates the cheapest one passing the cheirality
     test in both views is returned.
     """
-    R, t, x1, x2, _, a, c = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
-
+    x1, x2 = form.x1, form.x2
     n_p = np.cross(x1, x2)
     npn = np.linalg.norm(n_p)
     if npn < EPS:
         raise TriangulationError("reference segment endpoints coincide")
     n_p = n_p / npn
 
-    p_ref = ref_view.R @ np.asarray(point3d, dtype=np.float64) + ref_view.t
+    p_ref = form.ref_view.R @ np.asarray(point3d, dtype=np.float64) + form.ref_view.t
     p_in_plane = p_ref - (n_p @ p_ref) * n_p
     if np.linalg.norm(p_in_plane) < EPS:
         raise DegenerateTriangulationError("3D point projects to the camera center")
@@ -340,19 +331,13 @@ def triangulate_line_point(
     if not np.any(Q) and not np.any(q):
         raise DegenerateTriangulationError("collinearity constraint is vacuous")
 
-    sols = solve_constrained_quadratic(*_plane_cost(a, c), Q, q)
+    sols = solve_constrained_quadratic(*_plane_cost(form.a, form.c), Q, q)
     if not sols:
         raise TriangulationError("constrained solve produced no real candidate")
-    return _pick_solution(sols, ref_view, x1, x2, R, t)
+    return _pick_solution(sols, form)
 
 
-def triangulate_line_vp(
-    ref_seg: Segment2D,
-    ref_view: CameraView,
-    match_seg: Segment2D,
-    match_view: CameraView,
-    vp_dir: np.ndarray,
-) -> Segment3D:
+def triangulate_line_vp(form: RayPlaneForm, vp_dir: np.ndarray) -> Segment3D:
     """Triangulation constrained by a vanishing-point direction.
 
     ``vp_dir`` is the 3D direction (reference-camera frame) associated with
@@ -360,8 +345,7 @@ def triangulate_line_vp(
     the reference rays, expressed as a linear constraint on the two endpoint
     depths; the match-plane residuals are minimized subject to it.
     """
-    R, t, x1, x2, _, a, c = _ray_plane_forms(ref_seg, ref_view, match_seg, match_view)
-
+    x1, x2 = form.x1, form.x2
     w = np.cross(np.asarray(vp_dir, dtype=np.float64), np.cross(x1, x2))
     if np.linalg.norm(w) < EPS:
         raise DegenerateTriangulationError(
@@ -371,10 +355,10 @@ def triangulate_line_vp(
     if np.max(np.abs(q)) < EPS:
         raise DegenerateTriangulationError("vanishing direction constrains neither ray")
 
-    sols = solve_constrained_quadratic(*_plane_cost(a, c), np.zeros((2, 2)), q)
+    sols = solve_constrained_quadratic(*_plane_cost(form.a, form.c), np.zeros((2, 2)), q)
     if not sols:
         raise TriangulationError("constrained solve produced no real candidate")
-    return _pick_solution(sols, ref_view, x1, x2, R, t)
+    return _pick_solution(sols, form)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +366,7 @@ def triangulate_line_vp(
 # ---------------------------------------------------------------------------
 
 
-def weak_epipolar_iou(
-    ref_seg: Segment2D,
-    ref_view: CameraView,
-    match_seg: Segment2D,
-    match_view: CameraView,
-) -> float:
+def weak_epipolar_iou(form: RayPlaneForm) -> float:
     """Interval overlap between a matched segment and its epipolar band.
 
     The epipolar lines of the two reference endpoints cut an interval on the
@@ -395,43 +374,32 @@ def weak_epipolar_iou(
     intersection-over-union between that interval and the matched segment
     itself.  Degenerate configurations (no baseline, epipolar lines parallel
     to the matched line) score 0.
+
+    The epipolar line of ``x`` meets the matched line at the image of the
+    point where ``x``'s ray meets the match plane: with ``E = [t]x R``,
+    ``(E x) x (y1 x y2)`` is ``c R x - (n . R x) t`` up to a positive scale,
+    so each cut is read off the form as ``c * Rx_i - a_i * t``.
     """
-    R, t = relative_pose(ref_view, match_view)
+    t = form.t
     if np.linalg.norm(t) < EPS:
         return 0.0
-    E = _essential(R, t)
-    x1, x2 = _ref_rays(ref_seg, ref_view)
-    y1, y2 = _ref_rays(match_seg, match_view)
-
-    a = y1[:2]
-    direction = y2[:2] - a
+    origin = form.y1[:2]
+    direction = form.y2[:2] - origin
     seg_len = np.linalg.norm(direction)
     if seg_len < EPS:
         return 0.0
     u = direction / seg_len
-    match_line = np.cross(y1, y2)
 
     params = []
-    for x in (x1, x2):
-        l = E @ x
-        h = np.cross(l, match_line)
+    for Rx, a in ((form.Rx1, form.a[0]), (form.Rx2, form.a[1])):
+        h = form.c * Rx - a * t
         if abs(h[2]) < EPS * (np.linalg.norm(h[:2]) + EPS):
             return 0.0  # epipolar line parallel to the matched line
         pt = h[:2] / h[2]
-        params.append(float((pt - a) @ u))
+        params.append(float((pt - origin) @ u))
     lo, hi = min(params), max(params)
     inter = max(0.0, min(hi, seg_len) - max(lo, 0.0))
     union = max(hi, seg_len) - min(lo, 0.0)
     if union < EPS:
         return 0.0
     return inter / union
-
-
-def _essential(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -t[2], t[1]],
-            [t[2], 0.0, -t[0]],
-            [-t[1], t[0], 0.0],
-        ]
-    ) @ R

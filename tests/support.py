@@ -3,6 +3,7 @@
 import numpy as np
 
 from linemap.geometry import CameraView, Segment2D, Segment3D, normalized, project_segment
+from linemap.triangulation import ray_plane_form
 
 
 def intrinsics(f=600.0, cx=320.0, cy=240.0):
@@ -29,6 +30,18 @@ def make_view(center, target=(0.0, 0.0, 0.0), f=600.0, width=640, height=480):
 
 def identity_view(f=600.0, width=640, height=480):
     return CameraView(intrinsics(f, width / 2.0, height / 2.0), np.eye(3), np.zeros(3), width, height)
+
+
+def endpoint_rays(seg, view):
+    """A detection's endpoint rays in normalized coordinates, as in the pipeline's ray table."""
+    return view.pixel_to_normalized(seg.start), view.pixel_to_normalized(seg.end)
+
+
+def two_view(ref_seg, ref_view, match_seg, match_view):
+    """The ray-plane form of one match, built as the pipeline builds it."""
+    return ray_plane_form(
+        ref_view, endpoint_rays(ref_seg, ref_view), match_view, endpoint_rays(match_seg, match_view)
+    )
 
 
 def visible(view, p, margin=0.0):

@@ -55,7 +55,7 @@ from linemap.uncertainty import (
     run_degeneracy_experiment,
 )
 
-from support import make_view, random_two_view_segment, weak_degenerate_pair
+from support import make_view, random_two_view_segment, two_view, weak_degenerate_pair
 
 
 VERDICTS = []
@@ -213,7 +213,7 @@ def test_02_triangulation_exact_fit():
     worst_rel = worst_reproj = 0.0
     for _ in range(1000):
         ref, match, gt, ref2d, match2d = random_two_view_segment(rng)
-        rec = triangulate_algebraic(ref2d, ref, match2d, match)
+        rec = triangulate_algebraic(two_view(ref2d, ref, match2d, match))
         for hat, true in ((rec.start, gt.start), (rec.end, gt.end)):
             worst_rel = max(
                 worst_rel,
@@ -301,7 +301,7 @@ def test_04_degeneracy_rescue():
     for _ in range(n):
         ref, match, gt, ref2d, match2d = weak_degenerate_pair(rng)
         try:
-            rec = triangulate_algebraic(ref2d, ref, match2d, match)
+            rec = triangulate_algebraic(two_view(ref2d, ref, match2d, match))
             alg_err = max(
                 np.linalg.norm(rec.start - gt.start), np.linalg.norm(rec.end - gt.end)
             )
@@ -310,7 +310,7 @@ def test_04_degeneracy_rescue():
             alg_err, raised = np.inf, True
         try:
             m2 = triangulate_line_point(
-                ref2d, ref, match2d, match, 0.5 * (gt.start + gt.end)
+                two_view(ref2d, ref, match2d, match), 0.5 * (gt.start + gt.end)
             )
             e2 = max(
                 np.linalg.norm(m2.start - gt.start), np.linalg.norm(m2.end - gt.end)
@@ -318,7 +318,7 @@ def test_04_degeneracy_rescue():
         except TriangulationError:
             e2 = np.inf
         try:
-            m3 = triangulate_line_vp(ref2d, ref, match2d, match, gt.end - gt.start)
+            m3 = triangulate_line_vp(two_view(ref2d, ref, match2d, match), gt.end - gt.start)
             e3 = max(
                 np.linalg.norm(m3.start - gt.start), np.linalg.norm(m3.end - gt.end)
             )

@@ -269,6 +269,34 @@ def test_bad_taus_exit_2_and_name_the_flag(box_dataset, mapped, capsys):
     assert "--taus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--tracks", "{tmp}/t.json", "--gt", "{tmp}/g.json", "--taus", "0"],
+        ["eval", "--tracks", "{tmp}/t.json", "--gt", "{tmp}/g.json", "--taus", "nan"],
+        ["eval", "--tracks", "{tmp}/t.json", "--gt", "{tmp}/g.json", "--taus", "-1"],
+        ["eval", "--tracks", "{tmp}/t.json", "--gt", "{tmp}/g.json", "--taus", "0.01,inf"],
+        ["degeneracy", "--output", "{tmp}/s.csv", "--lines", "0"],
+        ["degeneracy", "--output", "{tmp}/s.csv", "--lines", "-5"],
+        ["synth", "--output", "{tmp}/d", "--views", "0"],
+        ["synth", "--output", "{tmp}/d", "--noise", "-1"],
+        ["synth", "--output", "{tmp}/d", "--noise", "nan"],
+        ["synth", "--output", "{tmp}/d", "--point-noise", "-0.5"],
+        ["synth", "--output", "{tmp}/d", "--drop", "1.5"],
+        ["synth", "--output", "{tmp}/d", "--drop", "-0.1"],
+        ["synth", "--output", "{tmp}/d", "--outliers", "2"],
+        ["synth", "--output", "{tmp}/d", "--kind", "depth", "--outliers", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_numeric_flag_outside_its_domain_exits_2_and_names_it(tmp_path, capsys, argv):
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())  # rejected before anything is written
+
+
 def test_value_error_inside_the_pipeline_exits_1(box_dataset, tmp_path, monkeypatch, capsys):
     def failing(data, config):
         raise ValueError("numerics failed")

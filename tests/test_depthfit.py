@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from linemap.depthfit import (
-    DepthMap,
-    backproject_samples,
-    fit_segment_to_depth,
-    sample_segment_pixels,
-)
-from linemap.geometry import CameraView, Segment2D, intrinsics_matrix
+from linemap.depthfit import DepthMap, backproject_samples, fit_segment_to_depth
+from linemap.geometry import CameraView, Segment2D, intrinsics_matrix, sample_segment
 
 from support import intrinsics
 
@@ -62,14 +57,14 @@ class TestDepthMap:
 class TestSampling:
     def test_spacing_at_most_one_pixel(self):
         seg = Segment2D([10.0, 20.0], [110.0, 95.0])
-        pts = sample_segment_pixels(seg)
+        pts = sample_segment(seg, 1.0)
         gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert gaps.max() <= 1.0 + 1e-9
         assert np.allclose(pts[0], seg.start) and np.allclose(pts[-1], seg.end)
 
     def test_short_segment_still_two_samples(self):
         seg = Segment2D([5.0, 5.0], [5.3, 5.0])
-        assert len(sample_segment_pixels(seg)) == 2
+        assert len(sample_segment(seg, 1.0)) == 2
 
     def test_backprojection_depth_consistency(self):
         view = frontal_view()

@@ -34,7 +34,7 @@ from linemap.optimize import (
     vp_orthogonal_pairs,
 )
 
-from support import make_view
+from support import endpoint_rays, make_view
 
 
 def ring_views(n=4, radius=3.0, height=0.6):
@@ -361,7 +361,9 @@ class TestHelpers:
         views = ring_views(3)
         seg = Segment3D(np.array([-0.5, 0.2, 0.1]), np.array([0.7, -0.1, 0.3]))
         line = plucker_from_segment(seg)
-        supports = [(project_segment(seg, views[i]), views[i]) for i in views]
+        supports = [
+            (endpoint_rays(project_segment(seg, views[i]), views[i]), views[i]) for i in views
+        ]
         out = segment_on_line_from_supports(line, supports)
         assert out is not None
         ends = sorted([out.start, out.end], key=lambda p: p[0])

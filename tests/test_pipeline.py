@@ -7,7 +7,7 @@ import pytest
 
 from linemap import pipeline
 from linemap.config import PipelineConfig
-from linemap.geometry import Segment2D, Segment3D, acute_angle
+from linemap.geometry import CameraView, Segment2D, Segment3D, acute_angle
 from linemap.metrics import length_recall
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
 from linemap.scoring import selection_pair_score
@@ -202,7 +202,7 @@ def test_rescue_receives_a_detections_points_in_association_order(monkeypatch):
     )
     received = []
 
-    def multipoint(det, view, pts):
+    def multipoint(rays, view, pts):
         received.append(np.array(pts))
         raise TriangulationError("recorded")
 
@@ -210,3 +210,28 @@ def test_rescue_receives_a_detections_points_in_association_order(monkeypatch):
     run_pipeline(inp, PipelineConfig(use_vps=False, optimize=False))
     assert len(received) == 1
     np.testing.assert_array_equal(received[0], points3d[[5, 2]])
+
+
+def test_each_endpoint_ray_is_solved_once_per_run(monkeypatch):
+    # the noisy 16-view scene: every IoU gate and triangulation reads the ray table
+    scene = build_scene(SceneConfig(n_views=16))
+    obs = observe_scene(scene, ObservationConfig(noise_px=1.0, outlier_fraction=0.2, seed=7))
+    inp = PipelineInput(
+        views=scene.views,
+        detections=obs.detections,
+        matches=obs.matches,
+        points3d=scene.junctions,
+        point_obs=obs.points2d,
+    )
+    solves = Counter()
+    solve = CameraView.pixel_to_normalized
+
+    def counted(view, pixel):
+        solves["pixel_to_normalized"] += 1
+        return solve(view, pixel)
+
+    monkeypatch.setattr(CameraView, "pixel_to_normalized", counted)
+    run_pipeline(inp, PipelineConfig())
+    n_detections = sum(len(dets) for dets in obs.detections.values())
+    assert n_detections == 931
+    assert solves["pixel_to_normalized"] == 2 * n_detections

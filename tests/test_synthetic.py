@@ -159,11 +159,11 @@ class TestObservations:
 class TestDepthScene:
     def test_occlusion_fraction_in_band(self):
         rng = np.random.default_rng(8)
-        from linemap.depthfit import sample_segment_pixels
+        from linemap.geometry import sample_segment
 
         for _ in range(5):
             view, dm, seg2d, gt3d = make_depth_scene(rng, occluded_fraction=0.3)
-            samples = sample_segment_pixels(seg2d)
+            samples = sample_segment(seg2d, 1.0)
             depths = dm.sample_bilinear(samples)
             # reconstruct which samples are occluded: much nearer than the ends
             end_depth = 0.5 * (depths[0] + depths[-1])

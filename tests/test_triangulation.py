@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from linemap.geometry import (
     Segment3D,
     point_to_infinite_line_2d,
     project_line,
+    normalized,
     project_segment,
+    relative_pose,
+    skew,
 )
 from linemap.triangulation import (
     CheiralityError,
@@ -24,7 +29,14 @@ from linemap.triangulation import (
     weak_epipolar_iou,
 )
 
-from support import identity_view, intrinsics, random_two_view_segment, weak_degenerate_pair
+from support import (
+    endpoint_rays,
+    identity_view,
+    intrinsics,
+    random_two_view_segment,
+    two_view,
+    weak_degenerate_pair,
+)
 
 
 def side_by_side_views():
@@ -64,7 +76,7 @@ def test_axis_aligned_segment_recovers_exact_depths():
     ref, match = side_by_side_views()
     gt = Segment3D(np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.0, 2.0]))
     seg = triangulate_algebraic(
-        project_segment(gt, ref), ref, project_segment(gt, match), match
+        two_view(project_segment(gt, ref), ref, project_segment(gt, match), match)
     )
     np.testing.assert_allclose(seg.start, gt.start, atol=1e-12)
     np.testing.assert_allclose(seg.end, gt.end, atol=1e-12)
@@ -74,14 +86,16 @@ def test_segment_parallel_to_baseline_is_fully_degenerate():
     ref, match = side_by_side_views()
     gt = Segment3D(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 2.0]))
     with pytest.raises(FullyDegenerateError):
-        triangulate_algebraic(project_segment(gt, ref), ref, project_segment(gt, match), match)
+        triangulate_algebraic(
+            two_view(project_segment(gt, ref), ref, project_segment(gt, match), match)
+        )
 
 
 def test_exact_fit_on_random_pairs():
     rng = np.random.default_rng(21)
     for _ in range(100):
         ref, match, gt, s_r, s_m = random_two_view_segment(rng)
-        seg = triangulate_algebraic(s_r, ref, s_m, match)
+        seg = triangulate_algebraic(two_view(s_r, ref, s_m, match))
         scale = max(np.linalg.norm(gt.start), np.linalg.norm(gt.end))
         assert np.linalg.norm(seg.start - gt.start) < 1e-7 * scale
         assert np.linalg.norm(seg.end - gt.end) < 1e-7 * scale
@@ -103,7 +117,7 @@ def test_behind_camera_raises_cheirality():
     y2 = intrinsics() @ (np.eye(3) @ gt_back.end + match.t)
     s_m = Segment2D(y1[:2] / y1[2], y2[:2] / y2[2])
     with pytest.raises(CheiralityError):
-        triangulate_algebraic(s_r, ref, s_m, match)
+        triangulate_algebraic(two_view(s_r, ref, s_m, match))
 
 
 def test_check_degeneracy_threshold():
@@ -129,7 +143,7 @@ def test_multipoint_recovers_segment_through_exact_points():
         pts = np.stack([gt.midpoint + t * line.d for t in ts])
         if np.ptp(ts) < 0.2:
             continue
-        seg = triangulate_multipoint(s_r, ref, pts)
+        seg = triangulate_multipoint(endpoint_rays(s_r, ref), ref, pts)
         np.testing.assert_allclose(seg.start, gt.start, atol=1e-8)
         np.testing.assert_allclose(seg.end, gt.end, atol=1e-8)
 
@@ -139,14 +153,14 @@ def test_multipoint_rejects_coincident_points():
     seg2d = Segment2D(np.array([300.0, 200.0]), np.array([340.0, 260.0]))
     pts = np.tile(np.array([0.1, 0.2, 3.0]), (4, 1))
     with pytest.raises(DegenerateTriangulationError):
-        triangulate_multipoint(seg2d, ref, pts)
+        triangulate_multipoint(endpoint_rays(seg2d, ref), ref, pts)
 
 
 def test_multipoint_needs_two_points():
     ref, _ = side_by_side_views()
     seg2d = Segment2D(np.array([300.0, 200.0]), np.array([340.0, 260.0]))
     with pytest.raises(Exception):
-        triangulate_multipoint(seg2d, ref, np.array([[0.1, 0.2, 3.0]]))
+        triangulate_multipoint(endpoint_rays(seg2d, ref), ref, np.array([[0.1, 0.2, 3.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +201,7 @@ def test_line_point_recovers_exact_geometry():
         ref, match, gt, s_r, s_m = random_two_view_segment(rng)
         w = rng.uniform(0.2, 0.8)
         on_line = (1 - w) * gt.start + w * gt.end
-        seg = triangulate_line_point(s_r, ref, s_m, match, on_line)
+        seg = triangulate_line_point(two_view(s_r, ref, s_m, match), on_line)
         scale = max(1.0, np.linalg.norm(gt.start))
         assert np.linalg.norm(seg.start - gt.start) < 1e-7 * scale
         assert np.linalg.norm(seg.end - gt.end) < 1e-7 * scale
@@ -198,7 +212,7 @@ def test_line_vp_recovers_exact_geometry():
     for _ in range(50):
         ref, match, gt, s_r, s_m = random_two_view_segment(rng)
         vp_ref = ref.R @ gt.direction  # direction expressed in the reference camera
-        seg = triangulate_line_vp(s_r, ref, s_m, match, vp_ref)
+        seg = triangulate_line_vp(two_view(s_r, ref, s_m, match), vp_ref)
         scale = max(1.0, np.linalg.norm(gt.start))
         assert np.linalg.norm(seg.start - gt.start) < 1e-7 * scale
         assert np.linalg.norm(seg.end - gt.end) < 1e-7 * scale
@@ -211,7 +225,7 @@ def test_line_vp_rejects_direction_out_of_ray_plane():
     x2 = ref.pixel_to_normalized(s_r.end)
     vp = np.cross(x1, x2)  # perpendicular to the plane of the reference rays
     with pytest.raises(DegenerateTriangulationError):
-        triangulate_line_vp(s_r, ref, s_m, match, vp / np.linalg.norm(vp))
+        triangulate_line_vp(two_view(s_r, ref, s_m, match), vp / np.linalg.norm(vp))
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +238,11 @@ def test_weak_degeneracy_detected_and_rescued():
     for _ in range(25):
         ref, match, gt, s_r, s_m = weak_degenerate_pair(rng)
         with pytest.raises(WeaklyDegenerateError):
-            triangulate_algebraic(s_r, ref, s_m, match)
+            triangulate_algebraic(two_view(s_r, ref, s_m, match))
         w = rng.uniform(0.3, 0.7)
         on_line = (1 - w) * gt.start + w * gt.end
-        by_point = triangulate_line_point(s_r, ref, s_m, match, on_line)
-        by_vp = triangulate_line_vp(s_r, ref, s_m, match, ref.R @ gt.direction)
+        by_point = triangulate_line_point(two_view(s_r, ref, s_m, match), on_line)
+        by_vp = triangulate_line_vp(two_view(s_r, ref, s_m, match), ref.R @ gt.direction)
         for seg in (by_point, by_vp):
             assert np.linalg.norm(seg.start - gt.start) < 1e-3
             assert np.linalg.norm(seg.end - gt.end) < 1e-3
@@ -243,14 +257,14 @@ def test_consistent_match_has_full_overlap():
     rng = np.random.default_rng(28)
     for _ in range(20):
         ref, match, gt, s_r, s_m = random_two_view_segment(rng)
-        assert weak_epipolar_iou(s_r, ref, s_m, match) > 1 - 1e-6
+        assert weak_epipolar_iou(two_view(s_r, ref, s_m, match)) > 1 - 1e-6
 
 
 def test_half_segment_overlap_is_half():
     rng = np.random.default_rng(29)
     ref, match, gt, s_r, s_m = random_two_view_segment(rng)
     half = Segment2D(s_m.midpoint, s_m.end)
-    assert weak_epipolar_iou(s_r, ref, half, match) == pytest.approx(0.5, abs=1e-9)
+    assert weak_epipolar_iou(two_view(s_r, ref, half, match)) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_displaced_match_overlap_drops():
@@ -258,11 +272,93 @@ def test_displaced_match_overlap_drops():
     ref, match, gt, s_r, s_m = random_two_view_segment(rng)
     d = s_m.end - s_m.start
     shifted = Segment2D(s_m.start + 2.5 * d, s_m.end + 2.5 * d)
-    assert weak_epipolar_iou(s_r, ref, shifted, match) < 0.1
+    assert weak_epipolar_iou(two_view(s_r, ref, shifted, match)) < 0.1
 
 
 def test_no_baseline_overlap_is_zero():
     ref = identity_view()
     twin = CameraView(intrinsics(), np.eye(3), np.zeros(3), 640, 480)
     seg = Segment2D(np.array([100.0, 100.0]), np.array([300.0, 200.0]))
-    assert weak_epipolar_iou(seg, ref, seg, twin) == 0.0
+    assert weak_epipolar_iou(two_view(seg, ref, seg, twin)) == 0.0
+
+
+def epipolar_iou_oracle(ref_seg, ref_view, match_seg, match_view):
+    """The IoU cut by explicit epipolar lines: ``E = [t]x R``, ``h = (E x_i) x (y1 x y2)``."""
+    R, t = relative_pose(ref_view, match_view)
+    if np.linalg.norm(t) < 1e-12:
+        return 0.0
+    E = skew(t) @ R
+    x1, x2 = endpoint_rays(ref_seg, ref_view)
+    y1, y2 = endpoint_rays(match_seg, match_view)
+    direction = y2[:2] - y1[:2]
+    seg_len = np.linalg.norm(direction)
+    u = direction / seg_len
+    match_line = np.cross(y1, y2)
+    params = []
+    for x in (x1, x2):
+        h = np.cross(E @ x, match_line)
+        if abs(h[2]) < 1e-12 * (np.linalg.norm(h[:2]) + 1e-12):
+            return 0.0
+        params.append(float((h[:2] / h[2] - y1[:2]) @ u))
+    lo, hi = min(params), max(params)
+    inter = max(0.0, min(hi, seg_len) - max(lo, 0.0))
+    union = max(hi, seg_len) - min(lo, 0.0)
+    return inter / union
+
+
+def shifted(seg, offset):
+    return Segment2D(seg.start + offset, seg.end + offset)
+
+
+def iou_cases(rng):
+    """``(kind, ref_seg, ref_view, match_seg, match_view)`` over one random two-view pair.
+
+    Besides the true match: a partly overlapping and a disjoint match, and a
+    3D segment within a few degrees of the baseline, so its images lie
+    close to epipolar lines, matched with up to a pixel of offset.
+    """
+    ref, match, gt, s_r, s_m = random_two_view_segment(rng)
+    d = s_m.end - s_m.start
+    yield "true", s_r, ref, s_m, match
+    lo, hi = rng.uniform(-0.6, 0.4), rng.uniform(0.6, 1.6)
+    yield "partial", s_r, ref, Segment2D(s_m.start + lo * d, s_m.start + hi * d), match
+    yield "disjoint", s_r, ref, shifted(s_m, rng.uniform(1.2, 3.0) * rng.choice([-1, 1]) * d), match
+    base = normalized(match.camera_center() - ref.camera_center())
+    tilt = normalized(np.cross(base, rng.normal(size=3)))
+    angle = np.radians(rng.uniform(0.05, 3.0))
+    half = 0.5 * gt.length * (np.cos(angle) * base + np.sin(angle) * tilt)
+    near = Segment3D(gt.midpoint - half, gt.midpoint + half)
+    try:
+        n_r, n_m = project_segment(near, ref), project_segment(near, match)
+    except ValueError:
+        return
+    yield "near-parallel", n_r, ref, shifted(n_m, rng.uniform(-1.0, 1.0, size=2)), match
+
+
+def test_iou_agrees_with_the_epipolar_line_oracle():
+    rng = np.random.default_rng(31)
+    worst, flipped, kinds, between = 0.0, 0, Counter(), Counter()
+    for _ in range(60):
+        for kind, s_r, ref, s_m, match in iou_cases(rng):
+            new = weak_epipolar_iou(two_view(s_r, ref, s_m, match))
+            old = epipolar_iou_oracle(s_r, ref, s_m, match)
+            worst = max(worst, abs(new - old))
+            flipped += (new >= 0.1) != (old >= 0.1)
+            kinds[kind] += 1
+            between[kind] += 1e-9 < old < 1.0 - 1e-9
+    assert worst <= 1e-12
+    assert flipped == 0
+    assert sum(kinds.values()) >= 200 and kinds["near-parallel"] >= 50
+    # the cases are what their names say
+    assert between["true"] == 0
+    assert between["partial"] == kinds["partial"]
+    assert between["near-parallel"] >= 0.5 * kinds["near-parallel"]
+
+
+def test_parallel_epipolar_lines_score_zero():
+    # the baseline runs along x, so every epipolar line is horizontal
+    ref, match = side_by_side_views()
+    s_r = Segment2D(np.array([300.0, 200.0]), np.array([340.0, 260.0]))
+    s_m = Segment2D(np.array([100.0, 220.0]), np.array([400.0, 220.0]))
+    assert epipolar_iou_oracle(s_r, ref, s_m, match) == 0.0
+    assert weak_epipolar_iou(two_view(s_r, ref, s_m, match)) == 0.0

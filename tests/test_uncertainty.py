@@ -17,7 +17,7 @@ from linemap.uncertainty import (
     triangulate_line_endpoints,
 )
 
-from support import make_view
+from support import make_view, two_view
 
 
 def random_pairs(rng, ref, match, n=6):
@@ -76,7 +76,7 @@ class TestTriangulationConstructions:
         pts = triangulate_line_endpoints(ref, match, ref_px, match_px)
         for i, s in enumerate(segs):
             recon = triangulate_algebraic(
-                project_segment(s, ref), ref, project_segment(s, match), match
+                two_view(project_segment(s, ref), ref, project_segment(s, match), match)
             )
             assert np.linalg.norm(recon.start - pts[i, 0]) < 1e-9
             assert np.linalg.norm(recon.end - pts[i, 1]) < 1e-9
