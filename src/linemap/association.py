@@ -56,12 +56,24 @@ def _refine_vp(segments: list[Segment2D], idx) -> np.ndarray:
 
 
 def _vp_residuals(mids_h: np.ndarray, starts_h: np.ndarray, ends_h: np.ndarray, vp) -> np.ndarray:
-    """`vp_line_residual` for many segments at once (px array)."""
-    lines = np.cross(mids_h, np.asarray(vp, dtype=np.float64))
-    norms = np.hypot(lines[:, 0], lines[:, 1])
+    """`vp_line_residual` for many segments at once (px array).
+
+    ``vp`` is one VP ``(3,)``, giving one residual per segment, or a stack
+    ``(k, 3)``, giving a ``(k, n)`` matrix.  The cross and dot products are
+    written out term by term, so each row of the matrix equals the
+    single-VP result bit for bit.  The dot products add the x and w terms
+    first, the order numpy's ``einsum`` sums three terms in.
+    """
+    v = np.asarray(vp, dtype=np.float64)
+    v0, v1, v2 = (v[..., i, None] for i in range(3))  # (1,) or (k, 1): broadcast over segments
+    m0, m1, m2 = mids_h.T
+    l0 = m1 * v2 - m2 * v1
+    l1 = m2 * v0 - m0 * v2
+    l2 = m0 * v1 - m1 * v0
+    norms = np.hypot(l0, l1)
     num = np.maximum(
-        np.abs(np.einsum("ij,ij->i", lines, starts_h)),
-        np.abs(np.einsum("ij,ij->i", lines, ends_h)),
+        np.abs(l0 * starts_h[:, 0] + l2 * starts_h[:, 2] + l1 * starts_h[:, 1]),
+        np.abs(l0 * ends_h[:, 0] + l2 * ends_h[:, 2] + l1 * ends_h[:, 1]),
     )
     return np.where(norms < EPS, np.inf, num / np.maximum(norms, EPS))
 
@@ -78,17 +90,19 @@ def estimate_vps(
 
     Returns ``(vps, assignment)`` where ``assignment[i]`` is the VP index of
     segment ``i`` or -1.  Each round samples two-segment models, keeps the
-    one with the largest support among the not-yet-assigned segments, and
-    refines it on its inliers (null vector of the stacked line equations).
-    A model needs two segments, so ``min_support`` below 2 counts as 2.
-    Deterministic for a fixed seed.
+    one with the largest support among the not-yet-assigned segments (the
+    first one on ties), and refines it on its inliers (null vector of the
+    stacked line equations).  A round's hypotheses are scored together as
+    one residual matrix; a pair with identical supporting lines counts no
+    support.  A model needs two segments, so ``min_support`` below 2 counts
+    as 2.  Deterministic for a fixed seed.
     """
     min_support = max(min_support, 2)
     rng = np.random.default_rng(seed)
     n = len(segments)
     assignment = np.full(n, -1, dtype=np.int64)
-    lines = [s.infinite_line() for s in segments]
     if n:
+        lines = np.stack([s.infinite_line() for s in segments])
         mids_h = np.stack([np.append(s.midpoint, 1.0) for s in segments])
         starts_h = np.stack([np.append(s.start, 1.0) for s in segments])
         ends_h = np.stack([np.append(s.end, 1.0) for s in segments])
@@ -97,22 +111,15 @@ def estimate_vps(
 
     while len(remaining) >= min_support and len(vps) < max_models:
         rm, rs, re = mids_h[remaining], starts_h[remaining], ends_h[remaining]
-        best_count = 0
-        best_inliers = remaining[:0]
-        for _ in range(iterations):
-            i, j = rng.choice(len(remaining), size=2, replace=False)
-            a, b = remaining[int(i)], remaining[int(j)]
-            vp = np.cross(lines[a], lines[b])
-            if np.linalg.norm(vp) < EPS:
-                continue  # identical supporting lines
-            mask = _vp_residuals(rm, rs, re, vp) <= inlier_px
-            count = int(mask.sum())
-            if count > best_count:
-                best_count = count
-                best_inliers = remaining[mask]
-        if best_count < min_support:
+        draws = [rng.choice(len(remaining), size=2, replace=False) for _ in range(iterations)]
+        pairs = remaining[np.array(draws, dtype=np.int64).reshape(-1, 2)]
+        cand = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
+        inliers = _vp_residuals(rm, rs, re, cand) <= inlier_px
+        counts = inliers.sum(axis=1)
+        counts[np.sqrt(np.einsum("ij,ij->i", cand, cand)) < EPS] = 0  # identical supporting lines
+        if counts.size == 0 or counts.max() < min_support:
             break
-        vp = _refine_vp(segments, best_inliers)
+        vp = _refine_vp(segments, remaining[inliers[np.argmax(counts)]])
         inl = remaining[_vp_residuals(rm, rs, re, vp) <= inlier_px]
         if len(inl) < min_support:
             break

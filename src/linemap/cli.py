@@ -164,9 +164,14 @@ def _write_depth_dataset(out: Path, args) -> None:
 
 def cmd_synth(args) -> int:
     _require(args.views >= 1, "--views", "at least 1", args.views)
+    _require(args.seed >= 0, "--seed", "an integer >= 0", args.seed)
     for flag, value in (("--noise", args.noise), ("--point-noise", args.point_noise)):
         _require(0.0 <= value < math.inf, flag, "a finite number >= 0", value)
-    for flag, value in (("--drop", args.drop), ("--outliers", args.outliers)):
+    for flag, value in (
+        ("--drop", args.drop),
+        ("--outliers", args.outliers),
+        ("--occlusion", args.occlusion),
+    ):
         _require(0.0 <= value <= 1.0, flag, "a number in [0, 1]", value)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -198,12 +203,14 @@ def cmd_eval(args) -> int:
 
 def cmd_degeneracy(args) -> int:
     _require(args.lines >= 1, "--lines", "at least 1", args.lines)
+    _require(args.seed >= 0, "--seed", "an integer >= 0", args.seed)
     rows = run_degeneracy_experiment(n_lines=args.lines, seed=args.seed, out_csv=args.output)
     print(f"wrote {len(rows)} angles to {args.output}")
     return 0
 
 
 def cmd_fit_depth(args) -> int:
+    _require(args.seed >= 0, "--seed", "an integer >= 0", args.seed)
     data = load_dataset(args.input)
     fits = []
     failures = []

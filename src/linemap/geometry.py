@@ -35,6 +35,18 @@ def normalized(v: FloatArray) -> FloatArray:
     return v / n
 
 
+def cross3(a: FloatArray, b: FloatArray) -> FloatArray:
+    """Cross product of two 3-vectors.
+
+    The same formula as ``np.cross`` (``a1*b2 - a2*b1``, ...) on Python
+    floats, so the result is equal bit for bit, without ``np.cross``'s axis
+    handling; batched crosses stay ``np.cross``.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=np.float64).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=np.float64).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def skew(v: FloatArray) -> FloatArray:
     """Cross-product matrix: ``skew(a) @ b == cross(a, b)``."""
     return np.array(
@@ -346,15 +358,15 @@ class PluckerLine:
     def from_two_points(cls, p: FloatArray, q: FloatArray) -> "PluckerLine":
         p = _as_vec(p, 3)
         d = normalized(_as_vec(q, 3) - p)
-        return cls(d, np.cross(p, d))
+        return cls(d, cross3(p, d))
 
     @classmethod
     def from_point_direction(cls, p: FloatArray, d: FloatArray) -> "PluckerLine":
         d = normalized(_as_vec(d, 3))
-        return cls(d, np.cross(_as_vec(p, 3), d))
+        return cls(d, cross3(_as_vec(p, 3), d))
 
     def closest_point_to_origin(self) -> FloatArray:
-        return np.cross(self.d, self.m)
+        return cross3(self.d, self.m)
 
     def point_at(self, s: float) -> FloatArray:
         return self.closest_point_to_origin() + s * self.d
@@ -371,8 +383,8 @@ def project_point_to_line3d(p: FloatArray, line: PluckerLine) -> FloatArray:
     Uses the moment shift ``m_p = m + d x p`` of the line as seen from ``p``;
     the foot point is then ``p + d x m_p``.
     """
-    m_p = line.m + np.cross(line.d, p)
-    return p + np.cross(line.d, m_p)
+    m_p = line.m + cross3(line.d, p)
+    return p + cross3(line.d, m_p)
 
 
 def point_line_distance_3d(p: FloatArray, line: PluckerLine) -> float:
@@ -388,11 +400,11 @@ def closest_point_line_to_line(line1: PluckerLine, line2: PluckerLine) -> FloatA
     """
     d1, m1 = line1.d, line1.m
     d2, m2 = line2.d, line2.m
-    c = np.cross(d1, d2)
+    c = cross3(d1, d2)
     denom = float(c @ c)
     if denom < EPS:
         raise ValueError("lines are parallel; closest point is not unique")
-    return (-np.cross(m1, np.cross(d2, c)) + (m2 @ c) * d1) / denom
+    return (-cross3(m1, cross3(d2, c)) + (m2 @ c) * d1) / denom
 
 
 def project_line(line: PluckerLine, view: CameraView) -> FloatArray:
@@ -409,7 +421,7 @@ def project_line(line: PluckerLine, view: CameraView) -> FloatArray:
             center, where the projection degenerates to a point.
     """
     d_c = view.R @ line.d
-    m_c = view.R @ line.m + np.cross(view.t, d_c)
+    m_c = view.R @ line.m + cross3(view.t, d_c)
     l = np.linalg.solve(view.K.T, m_c)
     n = np.linalg.norm(l[:2])
     if n < EPS:
@@ -499,7 +511,7 @@ def plucker_to_minimal(line: PluckerLine) -> MinimalLineParam:
     else:
         u2 = m / mn
         w = np.array([1.0, mn]) / np.sqrt(1.0 + mn * mn)
-    u3 = np.cross(d, u2)
+    u3 = cross3(d, u2)
     U = np.column_stack([d, u2, u3])
     return MinimalLineParam(rotmat_to_quat(U), w)
 

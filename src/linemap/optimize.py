@@ -36,6 +36,7 @@ from .geometry import (
     Segment2D,
     Segment3D,
     closest_point_line_to_line,
+    cross3,
     minimal_to_plucker,
     normalized,
     point_line_distance_3d,
@@ -159,8 +160,8 @@ class _State:
     def vp_basis(self, i: int) -> np.ndarray:
         v = self.vps[i]
         seed = _E1 if abs(v[0]) < 0.9 else _E2
-        b1 = normalized(np.cross(v, seed))
-        b2 = np.cross(v, b1)
+        b1 = normalized(cross3(v, seed))
+        b2 = cross3(v, b1)
         return np.column_stack([b1, b2])
 
     def retract(self, delta: np.ndarray, offsets) -> "_State":
@@ -256,13 +257,13 @@ def _line_block(geom, seg: Segment2D, alpha: float, view_pre):
 
 def _point_line_block(geom, p, weight):
     d, m, dd, dm = geom
-    e = -np.cross(d, m) - np.cross(d, np.cross(d, p))
+    e = -cross3(d, m) - cross3(d, cross3(d, p))
     dist = np.linalg.norm(e)
     if dist < 1e-12:
         return np.zeros(1), np.zeros((1, 3)), np.zeros((1, 4))
     ehat = e / dist
     de_dp = np.eye(3) - np.outer(d, d)
-    de_dd = skew(m) + skew(np.cross(d, p)) + skew(d) @ skew(p)
+    de_dd = skew(m) + skew(cross3(d, p)) + skew(d) @ skew(p)
     de_dm = -skew(d)
     Jp = weight * (ehat @ de_dp)[None, :]
     Jl = weight * (ehat @ (de_dd @ dd + de_dm @ dm))[None, :]
@@ -271,7 +272,7 @@ def _point_line_block(geom, p, weight):
 
 def _line_vp_block(geom, v, weight, basis):
     d, _, dd, _ = geom
-    e = np.cross(d, v)
+    e = cross3(d, v)
     nrm = np.linalg.norm(e)
     if nrm < 1e-12:
         return np.zeros(1), np.zeros((1, 4)), np.zeros((1, 2))

@@ -26,10 +26,12 @@ from .config import PipelineConfig
 from .geometry import (
     CameraView,
     Segment2D,
+    Segment3D,
     minimal_to_plucker,
     normalized,
     plucker_from_segment,
     plucker_to_minimal,
+    project_segment,
 )
 from .optimize import (
     JointProblem,
@@ -157,6 +159,14 @@ def _detection_proposals(
     return proposals
 
 
+def _projection(seg: Segment3D, view: CameraView) -> Segment2D | None:
+    """``seg`` projected into ``view``; None when it is behind the view."""
+    try:
+        return project_segment(seg, view)
+    except ValueError:
+        return None
+
+
 def _select_best(
     proposals: list[tuple[TrackCandidate, int]],
     ref_view: CameraView,
@@ -168,22 +178,32 @@ def _select_best(
     A proposal's support is the sum, over the other generating images, of
     its best pair score against that image's proposals; ties keep the first
     proposal.  The pair score is symmetric bit for bit, so each cross-image
-    pair is scored once.
+    pair is scored once.  Each proposal is projected once into each
+    generating image, and every pair reads those projections.
     """
     if not proposals:
         return None
     n = len(proposals)
-    scores = [[0.0] * n for _ in range(n)]
-    for a, (cand_a, gen_a) in enumerate(proposals):
-        for b in range(a + 1, n):
-            cand_b, gen_b = proposals[b]
-            if gen_a != gen_b:
-                scores[a][b] = scores[b][a] = selection_pair_score(
-                    cand_a.segment, cand_b.segment, ref_view, views[gen_a], views[gen_b], config
-                )
     by_img: dict[int, list[int]] = {}
     for idx, (_, gen) in enumerate(proposals):
         by_img.setdefault(gen, []).append(idx)
+    # with one generating image no pair is scored, so nothing is projected
+    gens = list(by_img) if len(by_img) > 1 else []
+    proj = [{j: _projection(cand.segment, views[j]) for j in gens} for cand, _ in proposals]
+    scores = [[0.0] * n for _ in range(n)]
+    for a, (cand_a, gen_a) in enumerate(proposals):
+        pa = proj[a]
+        for b in range(a + 1, n):
+            cand_b, gen_b = proposals[b]
+            if gen_a != gen_b:
+                pb = proj[b]
+                scores[a][b] = scores[b][a] = selection_pair_score(
+                    cand_a.segment,
+                    cand_b.segment,
+                    ref_view,
+                    ((pa[gen_a], pb[gen_a]), (pa[gen_b], pb[gen_b])),
+                    config,
+                )
     best_idx = -1
     best_score = -1.0
     for idx, (_, gen) in enumerate(proposals):

@@ -18,8 +18,10 @@ meaningful (perspective distance); 2D distances are measured in the views
 whose matches generated the hypotheses.  During track building hypotheses
 belong to different detections and overlap/inner-segment distances replace
 the endpoint comparison, with 2D distances measured in the owning views.
-Both phases project the pair into their two views with one helper, and a
-pair with a segment behind either view scores 0.
+Both phases score the pair's projections into their two views, and a pair
+with a segment behind either view scores 0.  Track building projects the
+pair as it scores it; proposal selection projects each proposal once per
+generating view and hands the projections in.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .config import PipelineConfig
 from .geometry import CameraView, Segment2D, Segment3D, project_segment
 
 Segment = Segment2D | Segment3D
+Projected = tuple[Segment2D | None, Segment2D | None]  # a pair in one view; None behind it
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +178,18 @@ def selection_pair_score(
     a: Segment3D,
     b: Segment3D,
     ref_view: CameraView,
-    view_a: CameraView,
-    view_b: CameraView,
+    pairs: tuple[Projected, Projected],
     config: PipelineConfig = PipelineConfig(),
 ) -> float:
     """Consistency of two proposals for the same reference detection.
 
-    ``view_a`` and ``view_b`` are the matched views the proposals were
-    triangulated from; both proposals lie on the endpoint rays of
-    ``ref_view``.  Returns 0 when a projection is invalid.
+    ``pairs`` is ``((pa, pb), (qa, qb))``: ``a`` and ``b`` projected into
+    the two matched views the proposals were triangulated from, with None
+    for a segment behind a view.  Both proposals lie on the endpoint rays
+    of ``ref_view``.  Returns 0 when a projection is None.
     """
-    pairs = _projections(a, b, view_a, view_b)
-    if pairs is None:
+    (pa, pb), (qa, qb) = pairs
+    if pa is None or pb is None or qa is None or qb is None:
         return 0.0
     g = config.score_gate
     perspective = 0.5 * (

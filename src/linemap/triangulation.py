@@ -28,6 +28,7 @@ from .geometry import (
     PluckerLine,
     Segment3D,
     closest_point_line_to_line,
+    cross3,
     normalized,
     principal_line,
     relative_pose,
@@ -103,7 +104,7 @@ def ray_plane_form(
     R, t = relative_pose(ref_view, match_view)
     x1, x2 = ref_rays
     y1, y2 = match_rays
-    n = np.cross(y1, y2)
+    n = cross3(y1, y2)
     nn = np.linalg.norm(n)
     if nn < EPS:
         return None
@@ -306,7 +307,7 @@ def triangulate_line_point(form: RayPlaneForm, point3d: np.ndarray) -> Segment3D
     test in both views is returned.
     """
     x1, x2 = form.x1, form.x2
-    n_p = np.cross(x1, x2)
+    n_p = cross3(x1, x2)
     npn = np.linalg.norm(n_p)
     if npn < EPS:
         raise TriangulationError("reference segment endpoints coincide")
@@ -319,7 +320,7 @@ def triangulate_line_point(form: RayPlaneForm, point3d: np.ndarray) -> Segment3D
 
     # in-plane frame: rays and the projected point with a zero third coordinate
     u = normalized(x1)
-    v = np.cross(n_p, u)
+    v = cross3(n_p, u)
     p1 = np.array([u @ x1, v @ x1])
     p2 = np.array([u @ x2, v @ x2])
     p0 = np.array([u @ p_in_plane, v @ p_in_plane])
@@ -346,7 +347,7 @@ def triangulate_line_vp(form: RayPlaneForm, vp_dir: np.ndarray) -> Segment3D:
     depths; the match-plane residuals are minimized subject to it.
     """
     x1, x2 = form.x1, form.x2
-    w = np.cross(np.asarray(vp_dir, dtype=np.float64), np.cross(x1, x2))
+    w = cross3(vp_dir, cross3(x1, x2))
     if np.linalg.norm(w) < EPS:
         raise DegenerateTriangulationError(
             "vanishing direction is perpendicular to the ray plane"

@@ -2,7 +2,10 @@
 
 import numpy as np
 
+from linemap.config import PipelineConfig
 from linemap.geometry import CameraView, Segment2D, Segment3D, normalized, project_segment
+from linemap.pipeline import _projection
+from linemap.scoring import selection_pair_score
 from linemap.triangulation import ray_plane_form
 
 
@@ -35,6 +38,16 @@ def identity_view(f=600.0, width=640, height=480):
 def endpoint_rays(seg, view):
     """A detection's endpoint rays in normalized coordinates, as in the pipeline's ray table."""
     return view.pixel_to_normalized(seg.start), view.pixel_to_normalized(seg.end)
+
+
+def selection_score(a, b, ref_view, view_a, view_b, config=PipelineConfig()):
+    """`selection_pair_score` of proposals triangulated from ``view_a`` and ``view_b``.
+
+    Projects both proposals into both views as proposal selection does (None
+    behind a view) and hands the two pairs to the score.
+    """
+    pairs = tuple((_projection(a, v), _projection(b, v)) for v in (view_a, view_b))
+    return selection_pair_score(a, b, ref_view, pairs, config)
 
 
 def two_view(ref_seg, ref_view, match_seg, match_view):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from linemap.association import (
+    _vp_residuals,
     associate_points_to_segments,
     build_vp_tracks,
     estimate_vps,
@@ -10,7 +11,8 @@ from linemap.association import (
     vp_from_direction,
     vp_line_residual,
 )
-from linemap.geometry import Segment2D
+from linemap.geometry import EPS, Segment2D
+from linemap.synthetic import ObservationConfig, SceneConfig, build_scene, observe_scene
 
 from support import make_view
 
@@ -145,6 +147,130 @@ def test_few_segments_do_not_raise(segs, n_vps, min_support):
     vps, assignment = estimate_vps(segs, min_support=min_support, seed=0)
     assert len(vps) == n_vps
     assert assignment.shape == (len(segs),)
+
+
+def _loop_residuals(mids_h, starts_h, ends_h, vp):
+    lines = np.cross(mids_h, np.asarray(vp, dtype=np.float64))
+    norms = np.hypot(lines[:, 0], lines[:, 1])
+    num = np.maximum(
+        np.abs(np.einsum("ij,ij->i", lines, starts_h)),
+        np.abs(np.einsum("ij,ij->i", lines, ends_h)),
+    )
+    return np.where(norms < EPS, np.inf, num / np.maximum(norms, EPS))
+
+
+def estimate_vps_loop(segments, inlier_px=1.0, min_support=5, max_models=8, iterations=500, seed=0):
+    """Sequential RANSAC scoring one hypothesis per Python iteration: the oracle."""
+    min_support = max(min_support, 2)
+    rng = np.random.default_rng(seed)
+    n = len(segments)
+    assignment = np.full(n, -1, dtype=np.int64)
+    lines = [s.infinite_line() for s in segments]
+    if n:
+        mids_h = np.stack([np.append(s.midpoint, 1.0) for s in segments])
+        starts_h = np.stack([np.append(s.start, 1.0) for s in segments])
+        ends_h = np.stack([np.append(s.end, 1.0) for s in segments])
+    remaining = np.arange(n)
+    vps = []
+    while len(remaining) >= min_support and len(vps) < max_models:
+        rm, rs, re = mids_h[remaining], starts_h[remaining], ends_h[remaining]
+        best_count = 0
+        best_inliers = remaining[:0]
+        for _ in range(iterations):
+            i, j = rng.choice(len(remaining), size=2, replace=False)
+            a, b = remaining[int(i)], remaining[int(j)]
+            vp = np.cross(lines[a], lines[b])
+            if np.linalg.norm(vp) < EPS:
+                continue  # identical supporting lines
+            mask = _loop_residuals(rm, rs, re, vp) <= inlier_px
+            count = int(mask.sum())
+            if count > best_count:
+                best_count = count
+                best_inliers = remaining[mask]
+        if best_count < min_support:
+            break
+        rows = np.stack([segments[i].infinite_line() for i in best_inliers])
+        vp = np.linalg.svd(rows)[2][-1]
+        inl = remaining[_loop_residuals(rm, rs, re, vp) <= inlier_px]
+        if len(inl) < min_support:
+            break
+        vps.append(vp)
+        assignment[inl] = len(vps) - 1
+        remaining = remaining[assignment[remaining] == -1]
+    return vps, assignment
+
+
+def assert_same_vps(got, want):
+    assert len(got[0]) == len(want[0])
+    for a, b in zip(got[0], want[0]):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_batched_rounds_match_the_loop_on_the_noisy_scene():
+    scene = build_scene(SceneConfig(n_views=16))
+    obs = observe_scene(scene, ObservationConfig(noise_px=1.0, outlier_fraction=0.2, seed=7))
+    n_vps = 0
+    for img in sorted(obs.detections):
+        want = estimate_vps_loop(obs.detections[img])
+        assert_same_vps(estimate_vps(obs.detections[img]), want)
+        n_vps += len(want[0])
+    assert n_vps == 50
+
+
+def random_segment_set(rng, kind):
+    if kind == "parallel":  # one direction only: every VP lies at infinity
+        d = np.array([1.0, 0.0])
+        return [seg(p, p + rng.uniform(20, 80) * d) for p in rng.uniform(0, 600, size=(12, 2))]
+    segs = concurrent_segments(rng, rng.uniform(-2000, 2000, 2), int(rng.integers(5, 12)))
+    segs += concurrent_segments(rng, rng.uniform(-2000, 2000, 2), int(rng.integers(3, 9)))
+    segs += [seg(rng.uniform(0, 600, 2), rng.uniform(0, 600, 2)) for _ in range(6)]
+    if kind == "duplicates":  # repeated and collinear segments: near-zero candidates
+        for i in rng.integers(0, len(segs), size=len(segs)):
+            s, (t0, t1) = segs[int(i)], np.sort(rng.uniform(-0.5, 1.5, 2))
+            if t1 - t0 >= 0.5:
+                s = seg(s.start + t0 * (s.end - s.start), s.start + t1 * (s.end - s.start))
+            segs.append(s)
+    if kind == "few":
+        segs = segs[: int(rng.integers(0, 5))]
+    return segs
+
+
+@pytest.mark.parametrize("kind", ["mixed", "duplicates", "few", "parallel"])
+def test_batched_rounds_match_the_loop_on_random_sets(kind):
+    rng = np.random.default_rng(["mixed", "duplicates", "few", "parallel"].index(kind))
+    zero_norm = 0
+    for trial in range(8):
+        segs = random_segment_set(rng, kind)
+        for min_support, iterations in ((5, 500), (2, 60)):
+            kw = dict(min_support=min_support, iterations=iterations, seed=trial)
+            assert_same_vps(estimate_vps(segs, **kw), estimate_vps_loop(segs, **kw))
+        lines = [s.infinite_line() for s in segs]
+        zero_norm += sum(
+            np.linalg.norm(np.cross(lines[i], lines[j])) < EPS
+            for i in range(len(lines))
+            for j in range(i)
+        )
+    assert (zero_norm > 0) == (kind == "duplicates")
+
+
+def test_single_residual_equals_the_batched_row():
+    rng = np.random.default_rng(55)
+    segs = [seg(rng.uniform(0, 600, 2), rng.uniform(0, 600, 2)) for _ in range(20)]
+    vps = rng.normal(size=(30, 3)) * 10.0 ** rng.uniform(-3, 3, size=(30, 1))
+    vps[0, 2] = 0.0  # at infinity
+    vps[1] = np.append(segs[3].midpoint, 1.0)  # on a midpoint: infinite residual
+    rows = [
+        np.stack([np.append(getattr(s, end), 1.0) for s in segs])
+        for end in ("midpoint", "start", "end")
+    ]
+    batched = _vp_residuals(*rows, vps)
+    assert batched.shape == (30, 20)
+    assert np.isinf(batched[1, 3])
+    for k, vp in enumerate(vps):
+        single = np.array([vp_line_residual(s, vp) for s in segs])
+        assert single.tobytes() == batched[k].tobytes()
+        assert _vp_residuals(*rows, vp).tobytes() == batched[k].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,11 @@ def test_bad_taus_exit_2_and_name_the_flag(box_dataset, mapped, capsys):
         ["synth", "--output", "{tmp}/d", "--drop", "-0.1"],
         ["synth", "--output", "{tmp}/d", "--outliers", "2"],
         ["synth", "--output", "{tmp}/d", "--kind", "depth", "--outliers", "nan"],
+        ["synth", "--output", "{tmp}/d", "--views", "2", "--seed", "-1"],
+        ["synth", "--output", "{tmp}/d", "--kind", "depth", "--views", "1", "--occlusion", "5"],
+        ["synth", "--output", "{tmp}/d", "--kind", "depth", "--views", "1", "--occlusion", "-1"],
+        ["degeneracy", "--output", "{tmp}/s.csv", "--lines", "2", "--seed", "-3"],
+        ["fit-depth", "--input", "{tmp}/in", "--output", "{tmp}/f.json", "--seed", "-1"],
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )

@@ -9,6 +9,7 @@ from linemap.geometry import (
     Segment3D,
     acute_angle,
     closest_point_line_to_line,
+    cross3,
     minimal_to_plucker,
     plucker_from_segment,
     plucker_to_minimal,
@@ -246,3 +247,18 @@ def test_minimal_param_normalizes_inputs():
     par = MinimalLineParam(np.array([2.0, 0.0, 0.0, 0.0]), np.array([3.0, 4.0]))
     assert np.linalg.norm(par.q) == pytest.approx(1.0)
     assert np.linalg.norm(par.w) == pytest.approx(1.0)
+
+
+def test_cross3_equals_np_cross_bit_for_bit():
+    rng = np.random.default_rng(60)
+    n = 12000
+    # magnitudes from 1e-8 to 1e8, per vector and per component, both signs
+    a = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    b = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 3))
+    b[::7] = a[::7] * rng.uniform(-2, 2, size=(len(a[::7]), 1))  # (anti)parallel pairs
+    a[::11, 1] = 0.0
+    for x, y in zip(a, b):
+        got = cross3(x, y)
+        ref = np.cross(x, y)
+        assert got.dtype == ref.dtype and got.shape == ref.shape == (3,)
+        assert got.tobytes() == ref.tobytes()  # equal bits, signed zeros included

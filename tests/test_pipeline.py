@@ -10,7 +10,6 @@ from linemap.config import PipelineConfig
 from linemap.geometry import CameraView, Segment2D, Segment3D, acute_angle
 from linemap.metrics import length_recall
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
-from linemap.scoring import selection_pair_score
 from linemap.synthetic import (
     ObservationConfig,
     SceneConfig,
@@ -21,7 +20,7 @@ from linemap.synthetic import (
 from linemap.tracks import TrackCandidate
 from linemap.triangulation import TriangulationError
 
-from support import identity_view
+from support import identity_view, selection_score
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +113,7 @@ def test_select_best_scores_each_cross_image_pair_once(monkeypatch):
     index = {id(cand.segment): i for i, (cand, _) in enumerate(proposals)}
     pairs = []
 
-    def score(a, b, ref_view, view_a, view_b, config):
+    def score(a, b, ref_view, projections, config):
         pairs.append(frozenset((index[id(a)], index[id(b)])))
         return 0.75
 
@@ -140,7 +139,7 @@ def _select_best_reference(proposals, ref_view, views, config):
         per_image = {}
         for other, j in proposals:
             if j != gen:
-                s = selection_pair_score(
+                s = selection_score(
                     cand.segment, other.segment, ref_view, views[gen], views[j], config
                 )
                 per_image[j] = max(per_image.get(j, 0.0), s)
@@ -212,8 +211,8 @@ def test_rescue_receives_a_detections_points_in_association_order(monkeypatch):
     np.testing.assert_array_equal(received[0], points3d[[5, 2]])
 
 
-def test_each_endpoint_ray_is_solved_once_per_run(monkeypatch):
-    # the noisy 16-view scene: every IoU gate and triangulation reads the ray table
+@pytest.fixture(scope="module")
+def noisy_scene():
     scene = build_scene(SceneConfig(n_views=16))
     obs = observe_scene(scene, ObservationConfig(noise_px=1.0, outlier_fraction=0.2, seed=7))
     inp = PipelineInput(
@@ -223,6 +222,12 @@ def test_each_endpoint_ray_is_solved_once_per_run(monkeypatch):
         points3d=scene.junctions,
         point_obs=obs.points2d,
     )
+    return obs, inp
+
+
+def test_each_endpoint_ray_is_solved_once_per_run(noisy_scene, monkeypatch):
+    # the noisy 16-view scene: every IoU gate and triangulation reads the ray table
+    obs, inp = noisy_scene
     solves = Counter()
     solve = CameraView.pixel_to_normalized
 
@@ -235,3 +240,46 @@ def test_each_endpoint_ray_is_solved_once_per_run(monkeypatch):
     n_detections = sum(len(dets) for dets in obs.detections.values())
     assert n_detections == 931
     assert solves["pixel_to_normalized"] == 2 * n_detections
+
+
+def test_select_best_projects_each_proposal_once_per_generating_image(noisy_scene, monkeypatch):
+    _, inp = noisy_scene
+    counts = Counter()
+    inside = []
+    project_point = CameraView.project_point
+    projection = pipeline._projection
+    select = pipeline._select_best
+
+    def counted_point(view, p):
+        if inside:
+            counts["project_point"] += 1
+            try:
+                return project_point(view, p)
+            except ValueError:
+                counts["behind"] += 1
+                raise
+        return project_point(view, p)
+
+    def counted_projection(seg, view):
+        counts["projection"] += 1
+        return projection(seg, view)
+
+    def checked(proposals, ref_view, views, config):
+        gens = {j for _, j in proposals}
+        if len(gens) > 1:  # with one generating image no pair is scored
+            counts["expected"] += len(proposals) * len(gens)
+        inside.append(True)
+        try:
+            return select(proposals, ref_view, views, config)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(CameraView, "project_point", counted_point)
+    monkeypatch.setattr(pipeline, "_projection", counted_projection)
+    monkeypatch.setattr(pipeline, "_select_best", checked)
+    run_pipeline(inp, PipelineConfig(optimize=False))
+    assert counts["expected"] > 50_000
+    assert counts["projection"] == counts["expected"]
+    # two points per projection, less the end point skipped after a start behind a view
+    assert 2 * counts["expected"] - counts["behind"] <= counts["project_point"]
+    assert counts["project_point"] <= 2 * counts["expected"]

@@ -10,6 +10,7 @@ from linemap.geometry import (
     Segment3D,
     plucker_from_segment,
     project_point_to_line3d,
+    project_segment,
 )
 from linemap.scoring import (
     angular_distance,
@@ -24,7 +25,7 @@ from linemap.scoring import (
     track_pair_score,
 )
 
-from support import identity_view, intrinsics, make_view
+from support import identity_view, intrinsics, make_view, selection_score
 
 
 def seg3(a, b):
@@ -196,7 +197,7 @@ def test_identical_proposals_score_one():
     ref = make_view([0.0, 0.0, -4.0])
     va, vb = two_views()
     a = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])
-    assert selection_pair_score(a, a, ref, va, vb) == pytest.approx(1.0)
+    assert selection_score(a, a, ref, va, vb) == pytest.approx(1.0)
     assert track_pair_score(a, va, a, vb) == pytest.approx(1.0)
 
 
@@ -207,8 +208,8 @@ def test_pair_score_is_symmetric():
     for _ in range(30):
         a = seg3(rng.uniform(-0.6, 0.6, 3), rng.uniform(-0.6, 0.6, 3))
         b = seg3(a.start + rng.normal(scale=0.01, size=3), a.end + rng.normal(scale=0.01, size=3))
-        s_ab = selection_pair_score(a, b, ref, va, vb)
-        s_ba = selection_pair_score(b, a, ref, vb, va)
+        s_ab = selection_score(a, b, ref, va, vb)
+        s_ba = selection_score(b, a, ref, vb, va)
         assert s_ab == s_ba  # exact: proposal selection scores each pair once
         t_ab = track_pair_score(a, va, b, vb)
         t_ba = track_pair_score(b, vb, a, va)
@@ -222,7 +223,7 @@ def test_pair_score_range():
     for _ in range(100):
         a = seg3(rng.uniform(-0.7, 0.7, 3), rng.uniform(-0.7, 0.7, 3))
         b = seg3(rng.uniform(-0.7, 0.7, 3), rng.uniform(-0.7, 0.7, 3))
-        for s in (selection_pair_score(a, b, ref, va, vb), track_pair_score(a, va, b, vb)):
+        for s in (selection_score(a, b, ref, va, vb), track_pair_score(a, va, b, vb)):
             assert s == 0.0 or 0.5 <= s <= 1.0
 
 
@@ -249,8 +250,8 @@ def test_scores_are_scale_invariant():
 
             a1 = seg3(a0.start * s, a0.end * s)
             b1 = seg3(b0.start * s, b0.end * s)
-            s0 = selection_pair_score(a0, b0, ref0, va0, vb0, cfg)
-            s1 = selection_pair_score(a1, b1, scale_view(ref0), scale_view(va0), scale_view(vb0), cfg)
+            s0 = selection_score(a0, b0, ref0, va0, vb0, cfg)
+            s1 = selection_score(a1, b1, scale_view(ref0), scale_view(va0), scale_view(vb0), cfg)
             assert s1 == pytest.approx(s0, abs=1e-9)
             t0 = track_pair_score(a0, va0, b0, vb0, cfg)
             t1 = track_pair_score(a1, scale_view(va0), b1, scale_view(vb0), cfg)
@@ -264,3 +265,16 @@ def test_behind_camera_scores_zero():
     b = seg3([0.0, 0.1, -8.0], [0.5, 0.1, -8.0])
     # place the pair behind the reference view instead
     assert track_pair_score(a, ref, b, ref) == 0.0
+
+
+def test_selection_score_is_zero_when_a_projection_is_none():
+    ref = make_view([0.0, 0.0, -4.0])
+    va, vb = two_views()
+    a = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])
+    pairs = [[project_segment(a, v), project_segment(a, v)] for v in (va, vb)]
+    assert selection_pair_score(a, a, ref, pairs) == pytest.approx(1.0)
+    for i in range(2):
+        for j in range(2):
+            missing = [list(p) for p in pairs]
+            missing[i][j] = None
+            assert selection_pair_score(a, a, ref, missing) == 0.0
