@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS, CameraView, Segment2D, normalized, point_segment_distances
+from .geometry import EPS, CameraView, Segment2D, leading_sign, normalized, point_segment_distances
 from .tracks import UnionFind
 
 
@@ -50,7 +50,7 @@ def vp_line_residual(segment: Segment2D, vp: np.ndarray) -> float:
 
 
 def _refine_vp(segments: list[Segment2D], idx) -> np.ndarray:
-    rows = np.stack([segments[i].infinite_line() for i in idx])
+    rows = np.stack([segments[i].infinite_line for i in idx])
     _, _, vt = np.linalg.svd(rows)
     return vt[-1]
 
@@ -102,7 +102,7 @@ def estimate_vps(
     n = len(segments)
     assignment = np.full(n, -1, dtype=np.int64)
     if n:
-        lines = np.stack([s.infinite_line() for s in segments])
+        lines = np.stack([s.infinite_line for s in segments])
         mids_h = np.stack([np.append(s.midpoint, 1.0) for s in segments])
         starts_h = np.stack([np.append(s.start, 1.0) for s in segments])
         ends_h = np.stack([np.append(s.end, 1.0) for s in segments])
@@ -168,10 +168,7 @@ def principal_direction(dirs: np.ndarray) -> np.ndarray:
     M = dirs.T @ dirs
     _, vecs = np.linalg.eigh(M)
     d = vecs[:, -1]
-    for c in d:
-        if abs(c) > EPS:
-            return d if c > 0 else -d
-    return d
+    return d if leading_sign(d) > 0 else -d
 
 
 def build_vp_tracks(
@@ -179,7 +176,6 @@ def build_vp_tracks(
     shared_counts: dict[tuple[VPNode, VPNode], int],
     min_shared: int = 3,
     max_angle_deg: float = 10.0,
-    min_members: int = 2,
 ) -> list[VPTrack]:
     """Merge per-image VP detections into cross-image tracks.
 
@@ -220,7 +216,7 @@ def build_vp_tracks(
     tracks = []
     for root in sorted(groups):
         members = sorted(groups[root])
-        if len(members) < min_members:
+        if len(members) < 2:  # one image's detection is no cross-image track
             continue
         dirs = np.stack([directions[m] for m in members])
         tracks.append(VPTrack(members, principal_direction(dirs)))

@@ -130,41 +130,42 @@ def _pca_line(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return center, direction
 
 
+_MIN_SAMPLES = 4  # valid samples needed; a hypothesis draws two
+_ITERATIONS = 1000  # RANSAC hypotheses
+_REFINE_ROUNDS = 10  # least-squares refits per new best consensus set
+_MIN_INLIER_RATIO = 0.5  # share of valid samples the fit must explain
+
+
 def fit_segment_to_depth(
     seg: Segment2D,
     view: CameraView,
     depth: DepthMap,
     *,
-    threshold_scale: float = 1.0,
-    min_inlier_ratio: float = 0.5,
-    min_samples: int = 4,
-    iterations: int = 1000,
-    refine_rounds: int = 10,
     seed: int = 0,
 ) -> DepthFit | None:
     """Robustly fit a 3D segment to depth samples along a 2D segment.
 
-    The inlier threshold adapts to scene scale as
-    ``threshold_scale * median_depth / focal`` (one pixel of displacement
-    at the median depth).  Returns None when fewer than half of the valid
-    samples agree on a line, or when too few samples are valid.
+    The inlier threshold adapts to scene scale as ``median_depth / focal``
+    (one pixel of displacement at the median depth).  Returns None when
+    fewer than half of the valid samples agree on a line, or when too few
+    samples are valid.
     """
     pixels = sample_segment(seg, 1.0)
     depths = depth.sample_bilinear(pixels)
     valid = np.isfinite(depths) & (depths > 0)
-    if valid.sum() < max(min_samples, 2):
+    if valid.sum() < _MIN_SAMPLES:
         return None
     pixels = pixels[valid]
     depths = depths[valid]
     points = backproject_samples(view, pixels, depths)
     n = len(points)
-    threshold = threshold_scale * float(np.median(depths)) / view.focal
+    threshold = float(np.median(depths)) / view.focal
 
     rng = np.random.default_rng(seed)
     best_count = -1
     best_mask = None
     best_line = None
-    for _ in range(iterations):
+    for _ in range(_ITERATIONS):
         i, j = rng.choice(n, size=2, replace=False)
         d = points[j] - points[i]
         nd = np.linalg.norm(d)
@@ -176,7 +177,7 @@ def fit_segment_to_depth(
         if count > best_count:
             # local optimization: least-squares refit on the consensus set
             anchor = points[i]
-            for _ in range(refine_rounds):
+            for _ in range(_REFINE_ROUNDS):
                 fit = _pca_line(points[mask])
                 if fit is None:
                     break
@@ -188,7 +189,7 @@ def fit_segment_to_depth(
                 mask, count = new_mask, new_count
             if count > best_count:
                 best_count, best_mask, best_line = count, mask, (anchor, direction)
-    if best_mask is None or best_count < math.ceil(min_inlier_ratio * n):
+    if best_mask is None or best_count < math.ceil(_MIN_INLIER_RATIO * n):
         return None
     anchor, direction = best_line
     fit = _pca_line(points[best_mask])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -141,6 +142,11 @@ def intrinsics_matrix(focal: float, cx: float, cy: float) -> FloatArray:
 class CameraView:
     """A calibrated, posed pinhole camera.
 
+    The one home of the pinhole model: it projects points (and, through
+    :func:`project_segment`, segments), casts viewing rays (:meth:`world_ray`)
+    and holds the line map (:attr:`line_map`).  Derived values are cached on
+    first access; instances are immutable, so a cache can never go stale.
+
     Attributes:
         K: 3x3 intrinsic matrix.
         R: 3x3 rotation mapping world coordinates into the camera frame.
@@ -160,22 +166,25 @@ class CameraView:
         object.__setattr__(self, "R", np.asarray(self.R, dtype=np.float64))
         object.__setattr__(self, "t", _as_vec(self.t, 3))
 
-    @property
+    @cached_property
     def focal(self) -> float:
         """Mean of the two focal lengths."""
         return 0.5 * float(self.K[0, 0] + self.K[1, 1])
 
+    @cached_property
     def camera_center(self) -> FloatArray:
-        cached = self.__dict__.get("_center")
-        if cached is None:
-            cached = self.__dict__["_center"] = -self.R.T @ self.t
-        return cached
+        return -self.R.T @ self.t
 
-    def _kr_kt(self):
-        cached = self.__dict__.get("_krkt")
-        if cached is None:
-            cached = self.__dict__["_krkt"] = (self.K @ self.R, self.K @ self.t)
-        return cached
+    @cached_property
+    def _kr_kt(self) -> tuple[FloatArray, FloatArray]:
+        return self.K @ self.R, self.K @ self.t
+
+    @cached_property
+    def line_map(self) -> tuple[FloatArray, FloatArray]:
+        """``(K^-T R, K^-T [t]x R)``, the line projection matrix (Hartley & Zisserman)
+        split so that a Plucker line ``(d, m)`` images to ``A_m @ m + A_d @ d``."""
+        KinvT = np.linalg.inv(self.K).T
+        return KinvT @ self.R, KinvT @ skew(self.t) @ self.R
 
     def depth(self, p_world: FloatArray) -> float:
         """Z coordinate of a world point in the camera frame."""
@@ -187,7 +196,7 @@ class CameraView:
         Raises:
             ValueError: if the point is at or behind the camera plane.
         """
-        KR, Kt = self._kr_kt()
+        KR, Kt = self._kr_kt
         uvw = KR @ p_world + Kt
         # the last K row is (0, 0, 1), so uvw[2] is the camera-frame depth
         if uvw[2] <= EPS:
@@ -197,6 +206,10 @@ class CameraView:
     def pixel_to_normalized(self, pixel: FloatArray) -> FloatArray:
         """Homogeneous normalized image coordinates ``K^-1 (u, v, 1)``."""
         return np.linalg.solve(self.K, np.array([pixel[0], pixel[1], 1.0]))
+
+    def world_ray(self, x: FloatArray) -> PluckerLine:
+        """The world line through the camera center along normalized coordinates ``x``."""
+        return PluckerLine.from_point_direction(self.camera_center, self.R.T @ normalized(x))
 
 
 def relative_pose(ref: CameraView, match: CameraView) -> tuple[FloatArray, FloatArray]:
@@ -229,35 +242,27 @@ class Segment2D:
         object.__setattr__(self, "start", _as_vec(self.start, 2))
         object.__setattr__(self, "end", _as_vec(self.end, 2))
 
-    @property
+    @cached_property
     def length(self) -> float:
-        cached = self.__dict__.get("_length")
-        if cached is None:
-            d = self.end - self.start
-            cached = self.__dict__["_length"] = math.hypot(d[0], d[1])
-        return cached
+        d = self.end - self.start
+        return math.hypot(d[0], d[1])
 
     @property
     def midpoint(self) -> FloatArray:
         return 0.5 * (self.start + self.end)
 
-    @property
+    @cached_property
     def direction(self) -> FloatArray:
-        cached = self.__dict__.get("_direction")
-        if cached is None:
-            cached = self.__dict__["_direction"] = normalized(self.end - self.start)
-        return cached
+        return normalized(self.end - self.start)
 
+    @cached_property
     def infinite_line(self) -> FloatArray:
         """Homogeneous coefficients of the supporting line, ``|(a, b)| = 1``."""
-        cached = self.__dict__.get("_line")
-        if cached is None:
-            x1, y1 = float(self.start[0]), float(self.start[1])
-            x2, y2 = float(self.end[0]), float(self.end[1])
-            a, b, c = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
-            n = math.hypot(a, b)
-            cached = self.__dict__["_line"] = np.array([a / n, b / n, c / n])
-        return cached
+        x1, y1 = float(self.start[0]), float(self.start[1])
+        x2, y2 = float(self.end[0]), float(self.end[1])
+        a, b, c = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
+        n = math.hypot(a, b)
+        return np.array([a / n, b / n, c / n])
 
     def endpoints(self) -> FloatArray:
         return np.stack([self.start, self.end])
@@ -274,32 +279,30 @@ class Segment3D:
         object.__setattr__(self, "start", _as_vec(self.start, 3))
         object.__setattr__(self, "end", _as_vec(self.end, 3))
 
-    @property
+    @cached_property
     def length(self) -> float:
-        cached = self.__dict__.get("_length")
-        if cached is None:
-            d = self.end - self.start
-            cached = self.__dict__["_length"] = math.sqrt(float(d @ d))
-        return cached
+        d = self.end - self.start
+        return math.sqrt(float(d @ d))
 
     @property
     def midpoint(self) -> FloatArray:
         return 0.5 * (self.start + self.end)
 
-    @property
+    @cached_property
     def direction(self) -> FloatArray:
-        cached = self.__dict__.get("_direction")
-        if cached is None:
-            cached = self.__dict__["_direction"] = normalized(self.end - self.start)
-        return cached
+        return normalized(self.end - self.start)
 
     def endpoints(self) -> FloatArray:
         return np.stack([self.start, self.end])
 
 
-def project_segment(seg: Segment3D, view: CameraView) -> Segment2D:
-    """Project both endpoints of a 3D segment into a view."""
-    return Segment2D(view.project_point(seg.start), view.project_point(seg.end))
+def project_segment(seg: Segment3D, view: CameraView) -> Segment2D | None:
+    """Both endpoints projected into ``view``; None if either is at or behind its camera plane."""
+    try:
+        start, end = view.project_point(seg.start), view.project_point(seg.end)
+    except ValueError:
+        return None
+    return Segment2D(start, end)
 
 
 def sample_segment(seg: Segment2D | Segment3D, spacing: float) -> FloatArray:
@@ -318,15 +321,13 @@ def sample_segment(seg: Segment2D | Segment3D, spacing: float) -> FloatArray:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_sign(d: FloatArray, m: FloatArray) -> tuple[FloatArray, FloatArray]:
-    # (d, m) and (-d, -m) denote the same line; fix the sign so that the
-    # first non-negligible component of d is positive.
-    for c in d:
+def leading_sign(v: FloatArray) -> float:
+    """Sign of the first component of ``v`` beyond ``EPS`` (1.0 if none); sign-free
+    directions (a line's, a vanishing point's) are stored with it positive."""
+    for c in v:
         if abs(c) > EPS:
-            if c < 0:
-                return -d, -m
-            break
-    return d, m
+            return 1.0 if c > 0 else -1.0
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -350,7 +351,8 @@ class PluckerLine:
                 raise ValueError("line direction must be nonzero")
             d = d / n
             m = m / n
-        d, m = _canonical_sign(d, m)
+        if leading_sign(d) < 0:
+            d, m = -d, -m
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
 
@@ -408,21 +410,16 @@ def closest_point_line_to_line(line1: PluckerLine, line2: PluckerLine) -> FloatA
 
 
 def project_line(line: PluckerLine, view: CameraView) -> FloatArray:
-    """Project an infinite 3D line into a view.
+    """Project an infinite 3D line into a view through :attr:`CameraView.line_map`.
 
-    Transforms the Plucker pair into the camera frame (``d_c = R d``,
-    ``m_c = R m + t x d_c``) and maps the camera-frame moment through the
-    inverse-transpose intrinsics; this equals conjugating the 4x4 Plucker
-    matrix with the projection matrix.  Returns homogeneous coefficients
-    scaled so ``|(a, b)| = 1``.
+    Returns homogeneous coefficients scaled so ``|(a, b)| = 1``.
 
     Raises:
         ValueError: if the line passes (numerically) through the camera
             center, where the projection degenerates to a point.
     """
-    d_c = view.R @ line.d
-    m_c = view.R @ line.m + cross3(view.t, d_c)
-    l = np.linalg.solve(view.K.T, m_c)
+    A_m, A_d = view.line_map
+    l = A_m @ line.m + A_d @ line.d
     n = np.linalg.norm(l[:2])
     if n < EPS:
         raise ValueError("line projects to a point (passes through camera center)")

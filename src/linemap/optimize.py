@@ -224,9 +224,9 @@ def _point_block(state, view, pi, pixel):
     return pix - pixel, Jx @ view.R
 
 
-def _line_block(geom, seg: Segment2D, alpha: float, view_pre):
+def _line_block(geom, seg: Segment2D, alpha: float, line_map):
     d, m, dd, dm = geom
-    A_m, A_d = view_pre
+    A_m, A_d = line_map
     l = A_m @ m + A_d @ d
     Jl = A_m @ dm + A_d @ dd  # 3x4
     n = math.hypot(l[0], l[1])
@@ -304,10 +304,6 @@ class _Linearizer:
         self.np_ = 3 * len(problem.points)
         self.nl = self.np_ + 4 * len(problem.lines)
         self.nv = self.nl + 2 * len(problem.vps)
-        self.view_pre = {}
-        for img, view in problem.views.items():
-            KinvT = np.linalg.inv(view.K).T
-            self.view_pre[img] = (KinvT @ view.R, KinvT @ skew(view.t) @ view.R)
         self.offsets = (self.np_, self.nl, self.nv)
 
     def blocks(self, state: _State):
@@ -319,7 +315,7 @@ class _Linearizer:
             yield r, "squared", 1.0, [(3 * pi, J)]
         geoms = [_line_geometry(par) for par in state.lines]
         for li, img, seg in p.line_obs:
-            r, J = _line_block(geoms[li], seg, cfg.angle_weight_alpha, self.view_pre[img])
+            r, J = _line_block(geoms[li], seg, cfg.angle_weight_alpha, p.views[img].line_map)
             yield r, "cauchy", cfg.line_loss_scale, [(self.np_ + 4 * li, J)]
         for pi, li, w in p.point_line:
             r, Jp, Jl = _point_line_block(geoms[li], state.points[pi], w)
@@ -440,11 +436,9 @@ def segment_on_line_from_supports(
     origin = line.closest_point_to_origin()
     ts = []
     for rays, view in supports:
-        center = view.camera_center()
         for x in rays:
-            ray = PluckerLine.from_point_direction(center, view.R.T @ normalized(x))
             try:
-                foot = closest_point_line_to_line(line, ray)
+                foot = closest_point_line_to_line(line, view.world_ray(x))
             except ValueError:
                 continue
             ts.append(float((foot - origin) @ line.d))

@@ -26,7 +26,6 @@ from .config import PipelineConfig
 from .geometry import (
     CameraView,
     Segment2D,
-    Segment3D,
     minimal_to_plucker,
     normalized,
     plucker_from_segment,
@@ -159,14 +158,6 @@ def _detection_proposals(
     return proposals
 
 
-def _projection(seg: Segment3D, view: CameraView) -> Segment2D | None:
-    """``seg`` projected into ``view``; None when it is behind the view."""
-    try:
-        return project_segment(seg, view)
-    except ValueError:
-        return None
-
-
 def _select_best(
     proposals: list[tuple[TrackCandidate, int]],
     ref_view: CameraView,
@@ -189,7 +180,7 @@ def _select_best(
         by_img.setdefault(gen, []).append(idx)
     # with one generating image no pair is scored, so nothing is projected
     gens = list(by_img) if len(by_img) > 1 else []
-    proj = [{j: _projection(cand.segment, views[j]) for j in gens} for cand, _ in proposals]
+    proj = [{j: project_segment(cand.segment, views[j]) for j in gens} for cand, _ in proposals]
     scores = [[0.0] * n for _ in range(n)]
     for a, (cand_a, gen_a) in enumerate(proposals):
         pa = proj[a]

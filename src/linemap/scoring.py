@@ -47,7 +47,7 @@ def angular_distance(a: Segment, b: Segment) -> float:
 
 
 def _endpoints_to_unit_line(seg: Segment2D, line) -> float:
-    # `line` comes from infinite_line(), whose normal is unit length
+    # `line` comes from infinite_line, whose normal is unit length
     d1 = abs(line[0] * seg.start[0] + line[1] * seg.start[1] + line[2])
     d2 = abs(line[0] * seg.end[0] + line[1] * seg.end[1] + line[2])
     return float(max(d1, d2))
@@ -60,8 +60,8 @@ def perpendicular_distance_2d(a: Segment2D, b: Segment2D) -> float:
     the other's supporting line.
     """
     return 0.5 * (
-        _endpoints_to_unit_line(a, b.infinite_line())
-        + _endpoints_to_unit_line(b, a.infinite_line())
+        _endpoints_to_unit_line(a, b.infinite_line)
+        + _endpoints_to_unit_line(b, a.infinite_line)
     )
 
 
@@ -76,7 +76,7 @@ def perspective_distance(a: Segment3D, b: Segment3D, view: CameraView) -> float:
     Assumes the two segments lie on the same endpoint rays of ``view`` (the
     proposal-selection setting), so corresponding endpoints are comparable.
     """
-    c = view.camera_center()
+    c = view.camera_center
     return max(
         _dist3(a.start, b.start) / _dist3(a.start, c),
         _dist3(a.end, b.end) / _dist3(a.end, c),
@@ -152,10 +152,10 @@ def _projections(a: Segment3D, b: Segment3D, view_a: CameraView, view_b: CameraV
     None when either segment is behind either view: a hypothesis behind a
     scoring camera cannot support the other.
     """
-    try:
-        return [(project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b)]
-    except ValueError:
+    pairs = [(project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b)]
+    if any(p is None for pair in pairs for p in pair):
         return None
+    return pairs
 
 
 def _image_components(pairs, config: PipelineConfig) -> list[float]:

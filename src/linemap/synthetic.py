@@ -29,6 +29,7 @@ from .geometry import (
     normalized,
     point_line_distance_3d,
     plucker_from_segment,
+    project_segment,
     sample_segment,
 )
 
@@ -235,16 +236,14 @@ class SyntheticObservations:
 
 def _visible_subsegment(seg: Segment3D, view: CameraView) -> Segment2D | None:
     """Projection of a 3D segment if both endpoints land inside the image."""
-    try:
-        a = view.project_point(seg.start)
-        b = view.project_point(seg.end)
-    except ValueError:
+    proj = project_segment(seg, view)
+    if proj is None:
         return None
     m = 2.0
-    for p in (a, b):
+    for p in (proj.start, proj.end):
         if not (m <= p[0] <= view.width - m and m <= p[1] <= view.height - m):
             return None
-    return Segment2D(a, b)
+    return proj
 
 
 def _fragment_intervals(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:

@@ -170,12 +170,10 @@ def triangulate_multipoint(
         raise DegenerateTriangulationError("3D points are coincident; no line direction")
     fitted = PluckerLine.from_point_direction(mean, direction)
 
-    center = ref_view.camera_center()
     endpoints = []
     for x in ref_rays:
-        ray = PluckerLine.from_point_direction(center, ref_view.R.T @ normalized(x))
         try:
-            endpoints.append(closest_point_line_to_line(ray, fitted))
+            endpoints.append(closest_point_line_to_line(ref_view.world_ray(x), fitted))
         except ValueError as exc:
             raise DegenerateTriangulationError(
                 "fitted line is parallel to an endpoint ray"
@@ -195,7 +193,6 @@ def triangulate_multipoint(
 class ConstrainedSolution:
     lam: np.ndarray
     cost: float
-    multiplier: float
 
 
 def solve_constrained_quadratic(A, b, Q, q) -> list[ConstrainedSolution]:
@@ -254,7 +251,7 @@ def solve_constrained_quadratic(A, b, Q, q) -> list[ConstrainedSolution]:
         if abs(np.linalg.det(Mm)) < 1e-14 * max(1.0, det_scale**2):
             continue
         lam = -0.5 * np.linalg.solve(Mm, b + mu * q)
-        sols.append(ConstrainedSolution(lam, float(lam @ A @ lam + b @ lam), mu))
+        sols.append(ConstrainedSolution(lam, float(lam @ A @ lam + b @ lam)))
     sols.sort(key=lambda s: s.cost)
     # among cost ties, prefer the solution with larger smallest depth
     i = 0
@@ -279,7 +276,7 @@ def _solve_linear_equality(A, b, q) -> list[ConstrainedSolution]:
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     lam = sol[:2]
-    return [ConstrainedSolution(lam, float(lam @ A @ lam + b @ lam), float(sol[2]))]
+    return [ConstrainedSolution(lam, float(lam @ A @ lam + b @ lam))]
 
 
 def _plane_cost(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:

@@ -70,8 +70,8 @@ def _stack_pixels(ref_px, match_px):
 def _endpoint_system(ref_view, match_view, ref_px, match_px):
     ref_px, match_px = _stack_pixels(ref_px, match_px)
     n = ref_px.shape[0]
-    Cr = ref_view.camera_center()
-    Cm = match_view.camera_center()
+    Cr = ref_view.camera_center
+    Cm = match_view.camera_center
     delta = Cm - Cr
     points = np.zeros((n, 2, 3))
     J = np.zeros((n, 6, 8))
@@ -115,8 +115,8 @@ def _endpoint_system(ref_view, match_view, ref_px, match_px):
 def _line_system(ref_view, match_view, ref_px, match_px):
     ref_px, match_px = _stack_pixels(ref_px, match_px)
     n = ref_px.shape[0]
-    Cr = ref_view.camera_center()
-    Cm = match_view.camera_center()
+    Cr = ref_view.camera_center
+    Cm = match_view.camera_center
     delta = np.broadcast_to(Cm - Cr, (n, 3))
     dm1, Jm1 = ray_directions_and_jacobians(match_view, match_px[:, 0])
     dm2, Jm2 = ray_directions_and_jacobians(match_view, match_px[:, 1])
@@ -175,8 +175,14 @@ class DegeneracyRow:
     median_line: float
 
 
-def _experiment_view(center: np.ndarray, focal: float) -> CameraView:
-    K = intrinsics_matrix(focal, 0.0, 0.0)
+_BASELINE_HALF = 2.0
+_PLANE_Z = 10.0
+_FOCAL = 700.0
+_HALF_LENGTH = 1.0
+
+
+def _experiment_view(center: np.ndarray) -> CameraView:
+    K = intrinsics_matrix(_FOCAL, 0.0, 0.0)
     R = np.eye(3)
     return CameraView(K=K, R=R, t=-R @ center, width=0, height=0)
 
@@ -184,17 +190,13 @@ def _experiment_view(center: np.ndarray, focal: float) -> CameraView:
 def run_degeneracy_experiment(
     angles_deg=None,
     n_lines: int = 10000,
-    baseline_half: float = 2.0,
-    plane_z: float = 10.0,
-    focal: float = 700.0,
-    half_length: float = 1.0,
     seed: int = 0,
     out_csv: str | None = None,
 ) -> list[DegeneracyRow]:
     """Sweep line-vs-baseline angle on a fronto-parallel plane.
 
-    Lines live on the plane ``z = plane_z`` with direction
-    ``(cos a, sin a, 0)``; the two cameras sit at ``(+-baseline_half, 0, 0)``
+    Lines live on the plane ``z = _PLANE_Z`` with direction
+    ``(cos a, sin a, 0)``; the two cameras sit at ``(+-_BASELINE_HALF, 0, 0)``
     looking down +z.  At small ``a`` the line nearly contains the epipolar
     direction, which degrades line triangulation but not per-endpoint
     point triangulation.  Medians of the largest covariance eigenvalue
@@ -203,11 +205,11 @@ def run_degeneracy_experiment(
     if angles_deg is None:
         angles_deg = list(range(1, 91))
     rng = np.random.default_rng(seed)
-    ref = _experiment_view(np.array([-baseline_half, 0.0, 0.0]), focal)
-    match = _experiment_view(np.array([baseline_half, 0.0, 0.0]), focal)
+    ref = _experiment_view(np.array([-_BASELINE_HALF, 0.0, 0.0]))
+    match = _experiment_view(np.array([_BASELINE_HALF, 0.0, 0.0]))
 
     def project(view, pts):
-        Xc = pts - view.camera_center()  # R = I
+        Xc = pts - view.camera_center  # R = I
         hom = Xc @ view.K.T
         return hom[:, :2] / hom[:, 2:3]
 
@@ -217,9 +219,9 @@ def run_degeneracy_experiment(
         direction = np.array([math.cos(rad), math.sin(rad), 0.0])
         mid = np.zeros((n_lines, 3))
         mid[:, :2] = rng.uniform(-1.0, 1.0, size=(n_lines, 2))
-        mid[:, 2] = plane_z
-        p1 = mid - half_length * direction
-        p2 = mid + half_length * direction
+        mid[:, 2] = _PLANE_Z
+        p1 = mid - _HALF_LENGTH * direction
+        p2 = mid + _HALF_LENGTH * direction
         ref_px = np.stack([project(ref, p1), project(ref, p2)], axis=1)
         match_px = np.stack([project(match, p1), project(match, p2)], axis=1)
         cov_e = endpoint_triangulation_covariance(ref, match, ref_px, match_px)

@@ -4,7 +4,6 @@ import numpy as np
 
 from linemap.config import PipelineConfig
 from linemap.geometry import CameraView, Segment2D, Segment3D, normalized, project_segment
-from linemap.pipeline import _projection
 from linemap.scoring import selection_pair_score
 from linemap.triangulation import ray_plane_form
 
@@ -46,7 +45,7 @@ def selection_score(a, b, ref_view, view_a, view_b, config=PipelineConfig()):
     Projects both proposals into both views as proposal selection does (None
     behind a view) and hands the two pairs to the score.
     """
-    pairs = tuple((_projection(a, v), _projection(b, v)) for v in (view_a, view_b))
+    pairs = tuple((project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b))
     return selection_pair_score(a, b, ref_view, pairs, config)
 
 

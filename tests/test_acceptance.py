@@ -219,7 +219,7 @@ def test_02_triangulation_exact_fit():
                 worst_rel,
                 np.linalg.norm(hat - true) / max(1.0, np.linalg.norm(true)),
             )
-        line2d = match2d.infinite_line()
+        line2d = match2d.infinite_line
         for p in (rec.start, rec.end):
             worst_reproj = max(
                 worst_reproj,

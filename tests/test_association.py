@@ -165,7 +165,7 @@ def estimate_vps_loop(segments, inlier_px=1.0, min_support=5, max_models=8, iter
     rng = np.random.default_rng(seed)
     n = len(segments)
     assignment = np.full(n, -1, dtype=np.int64)
-    lines = [s.infinite_line() for s in segments]
+    lines = [s.infinite_line for s in segments]
     if n:
         mids_h = np.stack([np.append(s.midpoint, 1.0) for s in segments])
         starts_h = np.stack([np.append(s.start, 1.0) for s in segments])
@@ -189,7 +189,7 @@ def estimate_vps_loop(segments, inlier_px=1.0, min_support=5, max_models=8, iter
                 best_inliers = remaining[mask]
         if best_count < min_support:
             break
-        rows = np.stack([segments[i].infinite_line() for i in best_inliers])
+        rows = np.stack([segments[i].infinite_line for i in best_inliers])
         vp = np.linalg.svd(rows)[2][-1]
         inl = remaining[_loop_residuals(rm, rs, re, vp) <= inlier_px]
         if len(inl) < min_support:
@@ -245,7 +245,7 @@ def test_batched_rounds_match_the_loop_on_random_sets(kind):
         for min_support, iterations in ((5, 500), (2, 60)):
             kw = dict(min_support=min_support, iterations=iterations, seed=trial)
             assert_same_vps(estimate_vps(segs, **kw), estimate_vps_loop(segs, **kw))
-        lines = [s.infinite_line() for s in segs]
+        lines = [s.infinite_line for s in segs]
         zero_norm += sum(
             np.linalg.norm(np.cross(lines[i], lines[j])) < EPS
             for i in range(len(lines))

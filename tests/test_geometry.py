@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linemap.association import principal_direction
 from linemap.geometry import (
     CameraView,
     MinimalLineParam,
@@ -11,6 +12,7 @@ from linemap.geometry import (
     closest_point_line_to_line,
     cross3,
     minimal_to_plucker,
+    normalized,
     plucker_from_segment,
     plucker_to_minimal,
     point_line_distance_3d,
@@ -108,6 +110,18 @@ def test_plucker_sign_is_canonical():
         np.testing.assert_allclose(a.m, b.m, atol=1e-12)
 
 
+def test_sign_free_directions_skip_a_leading_component_within_eps():
+    d = np.array([1e-13, -1.0, 0.0])
+    m = cross3(np.array([1.0, 0.0, 0.0]), d)
+    for line in (PluckerLine(d, m), PluckerLine(-d, -m)):
+        assert line.d.tolist() == [-1e-13, 1.0, 0.0]
+        assert line.m.tolist() == [0.0, 0.0, 1.0]
+    for dirs in ([d], [-d], [d, -d]):
+        got = principal_direction(np.array(dirs))
+        assert got[1] > 0
+        np.testing.assert_allclose(got, [0.0, 1.0, 0.0], atol=1e-12)
+
+
 def test_moment_is_point_independent():
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -181,7 +195,7 @@ def test_projected_line_contains_projected_points():
 def test_project_line_through_center_raises():
     rng = np.random.default_rng(13)
     view = random_view(rng)
-    c = view.camera_center()
+    c = view.camera_center
     line = PluckerLine.from_two_points(c, c + np.array([0.1, 0.2, 1.0]))
     with pytest.raises(ValueError):
         project_line(line, view)
@@ -194,6 +208,76 @@ def test_project_segment_consistent_with_project_point():
     s2 = project_segment(seg, view)
     np.testing.assert_allclose(s2.start, view.project_point(seg.start))
     np.testing.assert_allclose(s2.end, view.project_point(seg.end))
+    for _ in range(200):
+        view = random_view(rng)
+        seg = Segment3D(rng.normal(size=3) * 3, rng.normal(size=3) * 3)
+        if view.depth(seg.start) <= 1e-3 or view.depth(seg.end) <= 1e-3:
+            continue
+        s2 = project_segment(seg, view)
+        ref = Segment2D(view.project_point(seg.start), view.project_point(seg.end))
+        assert s2.start.tobytes() == ref.start.tobytes()
+        assert s2.end.tobytes() == ref.end.tobytes()
+
+
+def test_project_segment_is_none_at_or_behind_the_camera_plane():
+    K = np.array([[500.0, 0, 320], [0, 500.0, 240], [0, 0, 1]])
+    view = CameraView(K, np.eye(3), np.zeros(3), 640, 480)
+    front = np.array([0.2, -0.1, 3.0])
+    behind = np.array([0.1, 0.4, -2.0])
+    on_plane = np.array([0.3, 0.2, 0.0])
+    for a, b in ((behind, front), (front, behind), (on_plane, front), (front, on_plane)):
+        assert project_segment(Segment3D(a, b), view) is None
+    with pytest.raises(ValueError):
+        view.project_point(behind)
+
+
+def test_world_ray_equals_the_inline_construction_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        view = random_view(rng)
+        x = view.pixel_to_normalized(rng.uniform(0, 640, size=2))
+        ray = view.world_ray(x)
+        ref = PluckerLine.from_point_direction(-view.R.T @ view.t, view.R.T @ normalized(x))
+        assert ray.d.tobytes() == ref.d.tobytes()
+        assert ray.m.tobytes() == ref.m.tobytes()
+
+
+def project_line_camera_frame(line, view):
+    """Line image from the camera-frame Plucker pair: ``K^-T (R m + t x R d)``."""
+    d_c = view.R @ line.d
+    l = np.linalg.solve(view.K.T, view.R @ line.m + cross3(view.t, d_c))
+    return l / np.linalg.norm(l[:2])
+
+
+def test_project_line_matches_the_camera_frame_formula():
+    rng = np.random.default_rng(18)
+    for _ in range(1000):
+        f = rng.uniform(200.0, 2000.0)
+        fy, cx, cy = f * rng.uniform(0.9, 1.1), rng.uniform(0, 640), rng.uniform(0, 480)
+        K = np.array([[f, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+        view = CameraView(K, random_rotation(rng), rng.normal(size=3) * 5, 640, 480)
+        line = PluckerLine.from_two_points(rng.normal(size=3) * 5, rng.normal(size=3) * 5)
+        got, ref = project_line(line, view), project_line_camera_frame(line, view)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_cached_attributes_are_computed_once():
+    rng = np.random.default_rng(19)
+    view = random_view(rng)
+    seg2 = Segment2D([1.0, 2.0], [30.0, -4.0])
+    seg3 = Segment3D([1.0, 2.0, 3.0], [-2.0, 0.5, 1.0])
+    for obj, names in (
+        (view, ("focal", "camera_center", "_kr_kt", "line_map")),
+        (seg2, ("length", "direction", "infinite_line")),
+        (seg3, ("length", "direction")),
+    ):
+        for name in names:
+            assert getattr(obj, name) is getattr(obj, name)
+    np.testing.assert_array_equal(view.camera_center, -view.R.T @ view.t)
+    with pytest.raises(ValueError):
+        Segment2D([1.0, 2.0, 3.0], [4.0, 5.0])
+    with pytest.raises(ValueError):
+        Segment2D([1.0, 2.0], [[4.0, 5.0]])
 
 
 def test_relative_pose_roundtrip():

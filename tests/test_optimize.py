@@ -7,6 +7,7 @@ import pytest
 
 import linemap.optimize as opt_module
 from linemap.geometry import (
+    CameraView,
     MinimalLineParam,
     PluckerLine,
     Segment2D,
@@ -15,6 +16,7 @@ from linemap.geometry import (
     minimal_to_plucker,
     normalized,
     plucker_from_segment,
+    point_line_distance_3d,
     plucker_to_minimal,
     project_segment,
     quat_exp,
@@ -33,6 +35,7 @@ from linemap.optimize import (
     soft_point_line_weights,
     vp_orthogonal_pairs,
 )
+from linemap.synthetic import ObservationConfig, SceneConfig, build_scene, observe_scene
 
 from support import endpoint_rays, make_view
 
@@ -382,3 +385,45 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(pytest.main([__file__, "-q"]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the (q, w) update rotates each line about its closest point to the world origin; "
+    "anchoring lines near their observations is ROADMAP direction 3",
+)
+def test_refined_lines_do_not_depend_on_the_world_origin():
+    scene = build_scene(SceneConfig(n_views=8))
+    obs = observe_scene(scene, ObservationConfig(noise_px=1.0, seed=3))
+    rng = np.random.default_rng(0)
+    initial = [
+        Segment3D(s.start + rng.normal(0.0, 0.01, 3), s.end + rng.normal(0.0, 0.01, 3))
+        for s in scene.segments3d
+    ]
+
+    def gt_offsets(T):
+        """Each ground-truth endpoint's distance to its line refined in a world shifted by T."""
+        views = {
+            img: CameraView(v.K, v.R, v.t - v.R @ T, v.width, v.height)
+            for img, v in scene.views.items()
+        }
+        lines = [
+            plucker_to_minimal(plucker_from_segment(Segment3D(s.start + T, s.end + T)))
+            for s in initial
+        ]
+        problem = JointProblem(views=views, lines=lines)
+        for img, dets in obs.detections.items():
+            for seg, gid in zip(dets, obs.det_gt[img]):
+                problem.line_obs.append((gid, img, seg))
+        result = optimize(problem, OptimizeConfig(max_iterations=10))
+        return np.array(
+            [
+                [point_line_distance_3d(p + T, minimal_to_plucker(par)) for p in (gt.start, gt.end)]
+                for gt, par in zip(scene.segments3d, result.lines)
+            ]
+        )
+
+    base = gt_offsets(np.zeros(3))
+    for T in ((30.0, 0.0, 0.0), (0.0, 0.0, 30.0)):
+        assert np.abs(gt_offsets(np.array(T)) - base).max() <= 1e-6

@@ -247,7 +247,7 @@ def test_select_best_projects_each_proposal_once_per_generating_image(noisy_scen
     counts = Counter()
     inside = []
     project_point = CameraView.project_point
-    projection = pipeline._projection
+    projection = pipeline.project_segment
     select = pipeline._select_best
 
     def counted_point(view, p):
@@ -275,7 +275,7 @@ def test_select_best_projects_each_proposal_once_per_generating_image(noisy_scen
             inside.pop()
 
     monkeypatch.setattr(CameraView, "project_point", counted_point)
-    monkeypatch.setattr(pipeline, "_projection", counted_projection)
+    monkeypatch.setattr(pipeline, "project_segment", counted_projection)
     monkeypatch.setattr(pipeline, "_select_best", checked)
     run_pipeline(inp, PipelineConfig(optimize=False))
     assert counts["expected"] > 50_000

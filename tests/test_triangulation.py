@@ -323,7 +323,7 @@ def iou_cases(rng):
     lo, hi = rng.uniform(-0.6, 0.4), rng.uniform(0.6, 1.6)
     yield "partial", s_r, ref, Segment2D(s_m.start + lo * d, s_m.start + hi * d), match
     yield "disjoint", s_r, ref, shifted(s_m, rng.uniform(1.2, 3.0) * rng.choice([-1, 1]) * d), match
-    base = normalized(match.camera_center() - ref.camera_center())
+    base = normalized(match.camera_center - ref.camera_center)
     tilt = normalized(np.cross(base, rng.normal(size=3)))
     angle = np.radians(rng.uniform(0.05, 3.0))
     half = 0.5 * gt.length * (np.cos(angle) * base + np.sin(angle) * tilt)
