@@ -24,21 +24,23 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, parse_overrides, read_config_file
-from .depthfit import DepthMap, fit_segment_to_depth
-from .geometry import CameraView
+from .depthfit import fit_segment_to_depth
 from .io import (
+    MATCHES,
     InputError,
     canonical_dumps,
     load_dataset,
+    load_depth,
     load_gt_segments,
     read_tracks_json,
     segments_from_payload,
     tracks_payload,
+    write_dataset,
     write_ply,
     write_tracks_json,
 )
 from .metrics import evaluate_segments
-from .pipeline import run_pipeline
+from .pipeline import PipelineInput, run_pipeline
 from .synthetic import (
     ObservationConfig,
     SceneConfig,
@@ -77,7 +79,7 @@ def cmd_map(args) -> int:
     config = _build_config(args)
     data = load_dataset(args.input)
     if data.matches is None:
-        raise InputError(Path(args.input) / "matches.json", "mapping requires a matches file")
+        raise InputError(Path(args.input) / MATCHES, "mapping requires a matches file")
     result = run_pipeline(data, config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -96,14 +98,8 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _camera_json(view: CameraView) -> dict:
-    return {"K": view.K, "R": view.R, "t": view.t, "width": view.width, "height": view.height}
-
-
 def _write_box_dataset(out: Path, args) -> None:
-    scene = build_scene(
-        SceneConfig(n_views=args.views, seed=args.seed)
-    )
+    scene = build_scene(SceneConfig(n_views=args.views, seed=args.seed))
     obs = observe_scene(
         scene,
         ObservationConfig(
@@ -114,22 +110,6 @@ def _write_box_dataset(out: Path, args) -> None:
             seed=args.seed,
         ),
     )
-    cameras = {str(img): _camera_json(view) for img, view in scene.views.items()}
-    segments = {
-        str(img): [[*det.start, *det.end] for det in dets]
-        for img, dets in obs.detections.items()
-    }
-    matches = {
-        str(img): [[[j, dj] for j, dj in row] for row in rows]
-        for img, rows in obs.matches.items()
-    }
-    points = {
-        "points": scene.junctions,
-        "observations": {
-            str(img): [[pi, *xy] for pi, xy in entries]
-            for img, entries in obs.points2d.items()
-        },
-    }
     gt = {
         "segments": [[*s.start, *s.end] for s in scene.segments3d],
         "axis": scene.segment_axis,
@@ -138,28 +118,18 @@ def _write_box_dataset(out: Path, args) -> None:
         "junction_edges": [[j, s] for j, s in scene.junction_edges],
         "det_gt": {str(img): ids for img, ids in obs.det_gt.items()},
     }
-    (out / "cameras.json").write_text(canonical_dumps(cameras))
-    (out / "segments.json").write_text(canonical_dumps(segments))
-    (out / "matches.json").write_text(canonical_dumps(matches))
-    (out / "points.json").write_text(canonical_dumps(points))
-    (out / "gt_lines.json").write_text(canonical_dumps(gt))
+    data = PipelineInput(scene.views, obs.detections, obs.matches, scene.junctions, obs.points2d)
+    write_dataset(out, data, gt=gt)
 
 
 def _write_depth_dataset(out: Path, args) -> None:
     rng = np.random.default_rng(args.seed)
-    (out / "depth").mkdir(exist_ok=True)
-    cameras = {}
-    segments = {}
-    gt_rows = []
+    views, depth, detections, gt_rows = {}, {}, {}, []
     for i in range(args.views):
-        view, dm, seg2d, gt3d = make_depth_scene(rng, occluded_fraction=args.occlusion)
-        cameras[str(i)] = _camera_json(view)
-        segments[str(i)] = [[*seg2d.start, *seg2d.end]]
-        dm.save(out / "depth" / f"{i}.bin")
+        views[i], depth[i], seg2d, gt3d = make_depth_scene(rng, occluded_fraction=args.occlusion)
+        detections[i] = [seg2d]
         gt_rows.append([*gt3d.start, *gt3d.end])
-    (out / "cameras.json").write_text(canonical_dumps(cameras))
-    (out / "segments.json").write_text(canonical_dumps(segments))
-    (out / "gt_lines.json").write_text(canonical_dumps({"segments": gt_rows}))
+    write_dataset(out, PipelineInput(views, detections), depth=depth, gt={"segments": gt_rows})
 
 
 def cmd_synth(args) -> int:
@@ -174,11 +144,7 @@ def cmd_synth(args) -> int:
     ):
         _require(0.0 <= value <= 1.0, flag, "a number in [0, 1]", value)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "box":
-        _write_box_dataset(out, args)
-    else:
-        _write_depth_dataset(out, args)
+    (_write_box_dataset if args.kind == "box" else _write_depth_dataset)(out, args)
     print(f"wrote {args.kind} dataset to {out}")
     return 0
 
@@ -215,13 +181,9 @@ def cmd_fit_depth(args) -> int:
     fits = []
     failures = []
     for img in sorted(data.views):
-        depth_path = data.depth_path(img)
-        if not depth_path.is_file():
+        dm = load_depth(args.input, img)
+        if dm is None:
             continue
-        try:
-            dm = DepthMap.load(depth_path)
-        except ValueError as e:
-            raise InputError(depth_path, str(e)) from e
         for di, det in enumerate(data.detections[img]):
             fit = fit_segment_to_depth(
                 det, data.views[img], dm, seed=args.seed + di

@@ -1,6 +1,6 @@
-"""Dataset loading and result serialization.
+"""Dataset reading and writing, and result serialization.
 
-A dataset directory holds:
+This module is the one home of the dataset layout.  A dataset directory holds:
 
 * ``cameras.json``: ``{"<image>": {"K": 3x3, "R": 3x3, "t": [3], "width", "height"}}``
 * ``segments.json``: ``{"<image>": [[x1, y1, x2, y2], ...]}``
@@ -10,27 +10,36 @@ A dataset directory holds:
 * ``neighbors.json`` (optional): ``{"<image>": [image ids]}``
 * ``depth/<image>.bin`` (optional): two little-endian uint32 (height,
   width) then float32 row-major z-depth, NaN meaning invalid.
+* ``gt_lines.json`` (synthetic scenes): ``{"segments": [[x1, y1, z1, x2, y2, z2], ...]}``
 
+:func:`load_dataset` reads the layout and :func:`write_dataset` writes it.
 Outputs are written as canonical JSON: object keys sorted, no spaces,
 floats rendered with ``%.9g`` so that a write/read/write cycle is
-byte-stable.  Malformed inputs raise :class:`InputError`, which carries
-the offending file path for CLI diagnostics.
+byte-stable, except that ``-0`` reads back as ``0``.  Malformed inputs
+raise :class:`InputError`, which carries the offending file path for CLI
+diagnostics.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from .depthfit import DepthMap
 from .geometry import EPS, CameraView, Segment2D, Segment3D
 from .pipeline import PipelineInput
 
 __all__ = [
     "InputError",
+    "MATCHES",
     "load_dataset",
+    "write_dataset",
+    "depth_path",
+    "load_depth",
     "load_cameras",
     "load_segments",
     "load_matches",
@@ -42,6 +51,13 @@ __all__ = [
     "read_tracks_json",
     "write_ply",
 ]
+
+CAMERAS = "cameras.json"
+SEGMENTS = "segments.json"
+MATCHES = "matches.json"
+POINTS = "points.json"
+NEIGHBORS = "neighbors.json"
+GT_LINES = "gt_lines.json"
 
 
 class InputError(Exception):
@@ -57,10 +73,12 @@ def _load_json(path: Path):
     if not path.is_file():
         raise InputError(path, "file not found")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise InputError(path, f"invalid JSON: {e}") from e
+    except RecursionError:
+        raise InputError(path, "invalid JSON: nested too deeply") from None
+    except ValueError as e:  # bad syntax, bytes that are not UTF-8, over-long integers
+        raise InputError(path, f"invalid JSON: {e}") from None
 
 
 def _image_key(path: Path, key) -> int:
@@ -72,20 +90,36 @@ def _image_key(path: Path, key) -> int:
 
 def _index(path: Path, value, where: str) -> int:
     """A JSON integer (not a bool), or an InputError naming ``path``."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(path, f"{where}: index {value!r} is not an integer")
+    if type(value) is not int:
+        raise InputError(path, f"{where}: {value!r} is not an integer")
     return value
 
 
-def _coords(path: Path, values, where: str) -> list[float]:
-    """Finite floats from a JSON row, or an InputError naming ``path``."""
+def _coords(path: Path, row, where: str, layout: str) -> list[float]:
+    """The finite floats of a JSON row of numbers (not bools) shaped like ``layout``,
+    e.g. ``"[x, y, z]"``, or an InputError naming ``path``."""
+    if not isinstance(row, list) or len(row) != layout.count(",") + 1:
+        raise InputError(path, f"{where}: expected {layout}")
+    if not all(type(v) in (int, float) for v in row):
+        raise InputError(path, f"{where}: coordinates must be numbers")
     try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise InputError(path, f"{where}: coordinates must be numbers") from None
-    if not all(math.isfinite(v) for v in out):
+        out = [float(v) for v in row]
+    except OverflowError:  # an integer beyond float range
+        out = [math.inf]
+    if not all(map(math.isfinite, out)):
         raise InputError(path, f"{where}: non-finite coordinate")
     return out
+
+
+def _per_image(path: Path, raw, rows: str):
+    """Yield ``(image id, list)`` from an object mapping image ids to lists of ``rows``."""
+    if not isinstance(raw, dict):
+        raise InputError(path, f"{rows}: expected an object mapping image ids to lists")
+    for key, value in raw.items():
+        img = _image_key(path, key)
+        if not isinstance(value, list):
+            raise InputError(path, f"image {img}: expected a list of {rows}")
+        yield img, value
 
 
 def load_cameras(path: str | Path) -> dict[int, CameraView]:
@@ -99,12 +133,12 @@ def load_cameras(path: str | Path) -> dict[int, CameraView]:
         if not isinstance(cam, dict):
             raise InputError(path, f"camera {key}: expected an object")
         try:
-            K = np.array(cam["K"], dtype=np.float64)
-            R = np.array(cam["R"], dtype=np.float64)
-            t = np.array(cam["t"], dtype=np.float64)
-            width, height = int(cam.get("width", 0)), int(cam.get("height", 0))
-        except (KeyError, TypeError, ValueError) as e:
+            K, R, t = (np.array(cam[k], dtype=np.float64) for k in "KRt")
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise InputError(path, f"camera {key}: {e}") from e
+        width, height = (
+            _index(path, cam.get(k, 0), f"camera {key} {k}") for k in ("width", "height")
+        )
         if K.shape != (3, 3) or R.shape != (3, 3) or t.shape != (3,):
             raise InputError(path, f"camera {key}: K/R must be 3x3 and t length 3")
         if not (np.isfinite(K).all() and np.isfinite(R).all() and np.isfinite(t).all()):
@@ -121,40 +155,26 @@ def load_cameras(path: str | Path) -> dict[int, CameraView]:
 
 def load_segments(path: str | Path) -> dict[int, list[Segment2D]]:
     path = Path(path)
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise InputError(path, "expected an object mapping image ids to segment lists")
     out = {}
-    for key, rows in raw.items():
-        img = _image_key(path, key)
-        segs = []
-        if not isinstance(rows, list):
-            raise InputError(path, f"image {key}: expected a list of segments")
+    for img, rows in _per_image(path, _load_json(path), "segments"):
+        segs = out[img] = []
         for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 4:
-                raise InputError(path, f"image {key} segment {i}: expected [x1, y1, x2, y2]")
-            x1, y1, x2, y2 = _coords(path, row, f"image {key} segment {i}")
+            where = f"image {img} segment {i}"
+            x1, y1, x2, y2 = _coords(path, row, where, "[x1, y1, x2, y2]")
             seg = Segment2D(np.array([x1, y1]), np.array([x2, y2]))
             if seg.length < EPS:
-                raise InputError(path, f"image {key} segment {i}: zero-length segment")
+                raise InputError(path, f"{where}: zero-length segment")
             segs.append(seg)
-        out[img] = segs
     return out
 
 
 def load_matches(path: str | Path) -> dict[int, list[list[tuple[int, int]]]]:
     path = Path(path)
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise InputError(path, "expected an object mapping image ids to match lists")
     out = {}
-    for key, rows in raw.items():
-        img = _image_key(path, key)
-        if not isinstance(rows, list):
-            raise InputError(path, f"image {key}: expected a list per detection")
-        table = []
+    for img, rows in _per_image(path, _load_json(path), "match rows"):
+        table = out[img] = []
         for i, row in enumerate(rows):
-            where = f"image {key} detection {i}"
+            where = f"image {img} detection {i}"
             if not isinstance(row, list):
                 raise InputError(path, f"{where}: expected a list of pairs")
             pairs = []
@@ -163,54 +183,36 @@ def load_matches(path: str | Path) -> dict[int, list[list[tuple[int, int]]]]:
                     raise InputError(path, f"{where}: match must be [image, detection]")
                 pairs.append((_index(path, pair[0], where), _index(path, pair[1], where)))
             table.append(pairs)
-        out[img] = table
     return out
 
 
 def load_points(path: str | Path):
     path = Path(path)
     raw = _load_json(path)
-    if not isinstance(raw, dict) or "points" not in raw:
-        raise InputError(path, 'expected an object with "points" and "observations"')
-    try:
-        pts = np.array(raw["points"], dtype=np.float64).reshape(-1, 3)
-    except (TypeError, ValueError) as e:
-        raise InputError(path, f"points: {e}") from e
-    if not np.isfinite(pts).all():
-        raise InputError(path, "points: non-finite coordinate")
-    raw_obs = raw.get("observations", {})
-    if not isinstance(raw_obs, dict):
-        raise InputError(path, "observations: expected an object mapping image ids to lists")
+    if not isinstance(raw, dict) or not isinstance(raw.get("points"), list):
+        raise InputError(path, 'expected an object with a "points" list and "observations"')
+    rows = [_coords(path, row, f"point {i}", "[x, y, z]") for i, row in enumerate(raw["points"])]
+    pts = np.array(rows, dtype=np.float64).reshape(-1, 3)
     obs: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for key, rows in raw_obs.items():
-        img = _image_key(path, key)
-        if not isinstance(rows, list):
-            raise InputError(path, f"image {key}: expected a list of observations")
-        entries = []
+    for img, rows in _per_image(path, raw.get("observations", {}), "observations"):
+        entries = obs[img] = []
         for i, row in enumerate(rows):
+            where = f"image {img} observation {i}"
             if not isinstance(row, list) or len(row) != 3:
-                raise InputError(path, f"image {key} observation {i}: expected [idx, u, v]")
-            where = f"image {key} observation {i}"
+                raise InputError(path, f"{where}: expected [idx, u, v]")
             pi = _index(path, row[0], where)
             if not 0 <= pi < len(pts):
                 raise InputError(path, f"{where}: point index {pi} out of range")
-            entries.append((pi, np.array(_coords(path, row[1:], where))))
-        obs[img] = entries
+            entries.append((pi, np.array(_coords(path, row[1:], where, "[u, v]"))))
     return pts, obs
 
 
 def load_neighbors(path: str | Path) -> dict[int, list[int]]:
     path = Path(path)
-    raw = _load_json(path)
-    if not isinstance(raw, dict):
-        raise InputError(path, "expected an object mapping image ids to neighbor lists")
-    out = {}
-    for key, row in raw.items():
-        img = _image_key(path, key)
-        if not isinstance(row, list):
-            raise InputError(path, f"image {key}: expected a list of image ids")
-        out[img] = [_index(path, v, f"image {key} neighbor {i}") for i, v in enumerate(row)]
-    return out
+    return {
+        img: [_index(path, v, f"image {img} neighbor {i}") for i, v in enumerate(row)]
+        for img, row in _per_image(path, _load_json(path), "neighbors")
+    }
 
 
 def load_gt_segments(path: str | Path) -> list[Segment3D]:
@@ -221,9 +223,7 @@ def load_gt_segments(path: str | Path) -> list[Segment3D]:
         raise InputError(path, 'expected an object with a "segments" list')
     out = []
     for i, row in enumerate(raw["segments"]):
-        if not isinstance(row, list) or len(row) != 6:
-            raise InputError(path, f"segment {i}: expected [x1, y1, z1, x2, y2, z2]")
-        c = _coords(path, row, f"segment {i}")
+        c = _coords(path, row, f"segment {i}", "[x1, y1, z1, x2, y2, z2]")
         out.append(Segment3D(np.array(c[:3]), np.array(c[3:])))
     return out
 
@@ -233,64 +233,105 @@ def load_dataset(root: str | Path) -> PipelineInput:
     root = Path(root)
     if not root.is_dir():
         raise InputError(root, "dataset directory not found")
-    views = load_cameras(root / "cameras.json")
-    detections = load_segments(root / "segments.json")
-    for img in detections:
-        if img not in views:
-            raise InputError(root / "segments.json", f"image {img} has no camera")
+    views = load_cameras(root / CAMERAS)
+    detections = load_segments(root / SEGMENTS)
+
+    def optional(name, load):
+        return load(root / name) if (root / name).is_file() else None
+
+    matches = optional(MATCHES, load_matches)
+    points3d, point_obs = optional(POINTS, load_points) or (None, {})
+    neighbors = optional(NEIGHBORS, load_neighbors)
+    per_image = {SEGMENTS: detections, MATCHES: matches, POINTS: point_obs, NEIGHBORS: neighbors}
+    for name, table in per_image.items():
+        for img in table or ():
+            if img not in views:
+                raise InputError(root / name, f"image {img} has no camera")
+    match_rows, neighbor_rows = (matches or {}).items(), (neighbors or {}).items()
+    referenced = itertools.chain(
+        ((MATCHES, img, j) for img, rows in match_rows for row in rows for j, _ in row),
+        ((NEIGHBORS, img, j) for img, row in neighbor_rows for j in row),
+    )
+    for name, img, other in referenced:
+        if other not in views:
+            raise InputError(root / name, f"image {img}: unknown image {other}")
     for img in views:
         detections.setdefault(img, [])
+    for img, rows in match_rows:
+        if len(rows) != len(detections[img]):
+            raise InputError(
+                root / MATCHES, f"image {img}: {len(rows)} rows for {len(detections[img])} detections"
+            )
+        for i, row in enumerate(rows):
+            for other, dj in row:
+                if not 0 <= dj < len(detections[other]):
+                    raise InputError(
+                        root / MATCHES,
+                        f"image {img} detection {i}: detection {dj} out of range for image {other}",
+                    )
+    return PipelineInput(views, detections, matches, points3d, point_obs, neighbors)
 
-    matches = None
-    if (root / "matches.json").is_file():
-        matches = load_matches(root / "matches.json")
-        for img, rows in matches.items():
-            if img not in views:
-                raise InputError(root / "matches.json", f"image {img} has no camera")
-            if len(rows) != len(detections[img]):
-                raise InputError(
-                    root / "matches.json",
-                    f"image {img}: {len(rows)} rows for {len(detections[img])} detections",
-                )
-            for i, row in enumerate(rows):
-                for other, dj in row:
-                    if other not in views:
-                        raise InputError(
-                            root / "matches.json", f"image {img} detection {i}: unknown image {other}"
-                        )
-                    if not 0 <= dj < len(detections[other]):
-                        raise InputError(
-                            root / "matches.json",
-                            f"image {img} detection {i}: detection {dj} out of range for image {other}",
-                        )
 
-    points3d = None
-    point_obs: dict[int, list[tuple[int, np.ndarray]]] = {}
-    if (root / "points.json").is_file():
-        points3d, point_obs = load_points(root / "points.json")
-        for img in point_obs:
-            if img not in views:
-                raise InputError(root / "points.json", f"image {img} has no camera")
+def depth_path(root: str | Path, image_id: int) -> Path:
+    return Path(root) / "depth" / f"{image_id}.bin"
 
-    neighbors = None
-    if (root / "neighbors.json").is_file():
-        neighbors = load_neighbors(root / "neighbors.json")
-        for img, row in neighbors.items():
-            if img not in views:
-                raise InputError(root / "neighbors.json", f"image {img} has no camera")
-            for other in row:
-                if other not in views:
-                    raise InputError(root / "neighbors.json", f"unknown neighbor image {other}")
 
-    return PipelineInput(
-        root=root,
-        views=views,
-        detections=detections,
-        matches=matches,
-        points3d=points3d,
-        point_obs=point_obs,
-        neighbors=neighbors,
-    )
+def load_depth(root: str | Path, image_id: int) -> DepthMap | None:
+    """Image ``image_id``'s depth map, or None when the dataset has none for it."""
+    path = depth_path(root, image_id)
+    if not path.is_file():
+        return None
+    try:
+        return DepthMap.load(path)
+    except ValueError as e:
+        raise InputError(path, str(e)) from e
+
+
+def write_dataset(
+    root: str | Path,
+    data: PipelineInput,
+    depth: dict[int, DepthMap] | None = None,
+    gt: dict | None = None,
+) -> Path:
+    """Write ``data`` as a dataset directory that :func:`load_dataset` reads back.
+
+    ``depth`` maps image ids to depth maps; ``gt`` is written as is to
+    ``gt_lines.json``.  Optional files are written only for the parts
+    that are present.  Returns ``root``.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    docs = {
+        CAMERAS: {
+            str(img): {"K": v.K, "R": v.R, "t": v.t, "width": v.width, "height": v.height}
+            for img, v in data.views.items()
+        },
+        SEGMENTS: {
+            str(img): [[*det.start, *det.end] for det in dets]
+            for img, dets in data.detections.items()
+        },
+    }
+    if data.matches is not None:
+        docs[MATCHES] = {str(img): rows for img, rows in data.matches.items()}
+    if data.points3d is not None:
+        docs[POINTS] = {
+            "points": data.points3d,
+            "observations": {
+                str(img): [[pi, *xy] for pi, xy in entries]
+                for img, entries in data.point_obs.items()
+            },
+        }
+    if data.neighbors is not None:
+        docs[NEIGHBORS] = {str(img): row for img, row in data.neighbors.items()}
+    if gt is not None:
+        docs[GT_LINES] = gt
+    for name, doc in docs.items():
+        (root / name).write_text(canonical_dumps(doc))
+    for img, dm in (depth or {}).items():
+        path = depth_path(root, img)
+        path.parent.mkdir(exist_ok=True)
+        dm.save(path)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +403,7 @@ def read_tracks_json(path: str | Path) -> dict:
             xyz = track.get(key)
             if not isinstance(xyz, list) or len(xyz) != 3:
                 raise InputError(path, f'{where}: "{key}" must be [x, y, z]')
-            _coords(path, xyz, f"{where} {key}")
+            _coords(path, xyz, f"{where} {key}", "[x, y, z]")
         supports = track.get("supports", [])
         if not isinstance(supports, list):
             raise InputError(path, f'{where}: "supports" must be a list')

@@ -37,7 +37,6 @@ from .geometry import (
     Segment3D,
     closest_point_line_to_line,
     cross3,
-    minimal_to_plucker,
     normalized,
     point_line_distance_3d,
     quat_exp,

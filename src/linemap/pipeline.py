@@ -11,7 +11,6 @@ is identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +62,7 @@ Node = tuple[int, int]
 
 @dataclass
 class PipelineInput:
-    """Cameras, detections and optional cues; ``root`` is the dataset directory, if loaded."""
+    """Cameras, detections and optional cues."""
 
     views: dict[int, CameraView]
     detections: dict[int, list[Segment2D]]
@@ -71,10 +70,6 @@ class PipelineInput:
     points3d: np.ndarray | None = None
     point_obs: dict[int, list[tuple[int, np.ndarray]]] = field(default_factory=dict)
     neighbors: dict[int, list[int]] | None = None
-    root: Path | None = None
-
-    def depth_path(self, image_id: int) -> Path:
-        return self.root / "depth" / f"{image_id}.bin"
 
 
 @dataclass

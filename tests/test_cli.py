@@ -153,8 +153,9 @@ def test_malformed_segments_exit_2_and_name_the_file(box_dataset, tmp_path, caps
         ([100.0, float("nan"), 300.0, 140.0], "non-finite"),
         ([100.0, 120.0, float("inf"), 140.0], "non-finite"),
         ([100.0, "abc", 300.0, 140.0], "must be numbers"),
+        ([True, 120.0, 300.0, 140.0], "must be numbers"),
     ],
-    ids=["zero_length", "nan", "inf", "non_numeric"],
+    ids=["zero_length", "nan", "inf", "non_numeric", "bool"],
 )
 def test_bad_segment_coordinates_exit_2_and_name_the_file(
     box_dataset, tmp_path, capsys, row, reason
@@ -189,6 +190,8 @@ def _write_edited(src, dest, key, value):
         ("neighbors.json", "0", [1.7], "1.7 is not an integer"),
         ("points.json", "observations", {"0": 5}, "expected a list of observations"),
         ("points.json", "observations", [1, 2], "observations: expected an object"),
+        ("points.json", "observations", {"0": [[0, "12", 210.0]]}, "coordinates must be numbers"),
+        ("points.json", "points", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], "point 0: expected [x, y, z]"),
     ],
     ids=[
         "match_string",
@@ -197,6 +200,8 @@ def _write_edited(src, dest, key, value):
         "neighbor_float",
         "observations_not_lists",
         "observations_not_object",
+        "observation_pixel_string",
+        "points_flat",
     ],
 )
 def test_bad_indices_and_observations_exit_2_and_name_the_file(
@@ -211,6 +216,57 @@ def test_bad_indices_and_observations_exit_2_and_name_the_file(
     assert code == 2
     err = capsys.readouterr().err
     assert str(broken / name) in err and reason in err
+
+
+def _run_with_file(box_dataset, mapped, tmp_path, capsys, name, content: bytes):
+    """Run ``map`` (dataset files) or ``eval`` (gt_lines.json, tracks.json) with
+    file ``name`` replaced by ``content``; return the exit code, stderr and path."""
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for src in [*box_dataset.glob("*.json"), mapped / "tracks.json"]:
+        (broken / src.name).write_bytes(src.read_bytes())
+    (broken / name).write_bytes(content)
+    if name in ("gt_lines.json", "tracks.json"):
+        argv = ["eval", "--tracks", str(broken / "tracks.json"), "--gt", str(broken / "gt_lines.json")]
+    else:
+        argv = ["map", "--input", str(broken), "--output", str(tmp_path / "y")]
+    code = main(argv)
+    return code, capsys.readouterr().err, broken / name
+
+
+ALL_JSON = ["cameras.json", "segments.json", "matches.json", "points.json", "gt_lines.json", "tracks.json"]
+
+
+@pytest.mark.parametrize("name", ALL_JSON)
+def test_non_utf8_json_exits_2_and_names_the_file(box_dataset, mapped, tmp_path, capsys, name):
+    raw = (box_dataset / name if name != "tracks.json" else mapped / name).read_bytes()
+    code, err, path = _run_with_file(
+        box_dataset, mapped, tmp_path, capsys, name, raw[:1] + b'"\xff\xfe":1,' + raw[1:]
+    )
+    assert code == 2
+    assert str(path) in err and "utf-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ALL_JSON)
+def test_over_deep_json_exits_2_and_names_the_file(box_dataset, mapped, tmp_path, capsys, name):
+    deep = b"[" * 100_000 + b"]" * 100_000
+    code, err, path = _run_with_file(box_dataset, mapped, tmp_path, capsys, name, deep)
+    assert code == 2
+    assert str(path) in err and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("value", ["1e999", "640.5", '"640"', "true"])
+def test_bad_image_size_exits_2_and_names_the_file(
+    box_dataset, mapped, tmp_path, capsys, field, value
+):
+    text = (box_dataset / "cameras.json").read_text()
+    old = f'"{field}":{480 if field == "height" else 640}'
+    assert old in text
+    edited = text.replace(old, f'"{field}":{value}', 1).encode()
+    code, err, path = _run_with_file(box_dataset, mapped, tmp_path, capsys, "cameras.json", edited)
+    assert code == 2
+    assert str(path) in err and f"camera 0 {field}" in err and "is not an integer" in err
 
 
 @pytest.mark.parametrize(

@@ -5,32 +5,33 @@ import json
 import numpy as np
 import pytest
 
-from linemap.geometry import Segment3D
+from linemap.geometry import Segment2D, Segment3D
 from linemap.io import (
     InputError,
     canonical_dumps,
+    depth_path,
     load_cameras,
     load_dataset,
+    load_depth,
     load_points,
     read_tracks_json,
     segments_from_payload,
     tracks_payload,
+    write_dataset,
     write_ply,
     write_tracks_json,
+)
+from linemap.pipeline import PipelineInput
+from linemap.synthetic import (
+    ObservationConfig,
+    SceneConfig,
+    build_scene,
+    make_depth_scene,
+    observe_scene,
 )
 from linemap.tracks import LineTrack
 
 from support import make_view
-
-
-def camera_entry(view):
-    return {
-        "K": view.K,
-        "R": view.R,
-        "t": view.t,
-        "width": view.width,
-        "height": view.height,
-    }
 
 
 def write_minimal_dataset(root, with_matches=True, with_points=True):
@@ -38,23 +39,25 @@ def write_minimal_dataset(root, with_matches=True, with_points=True):
         0: make_view(np.array([-1.5, 0.2, -3.0])),
         1: make_view(np.array([1.4, -0.3, -3.1])),
     }
-    cameras = {str(i): camera_entry(v) for i, v in views.items()}
-    segments = {
-        "0": [[100.0, 120.0, 300.0, 140.0], [50.0, 60.0, 52.0, 200.0]],
-        "1": [[110.0, 118.0, 290.0, 150.0]],
+    detections = {
+        0: [Segment2D([100.0, 120.0], [300.0, 140.0]), Segment2D([50.0, 60.0], [52.0, 200.0])],
+        1: [Segment2D([110.0, 118.0], [290.0, 150.0])],
     }
-    (root / "cameras.json").write_text(canonical_dumps(cameras))
-    (root / "segments.json").write_text(canonical_dumps(segments))
+    data = PipelineInput(views, detections)
     if with_matches:
-        matches = {"0": [[[1, 0]], []], "1": [[[0, 0]]]}
-        (root / "matches.json").write_text(canonical_dumps(matches))
+        data.matches = {0: [[(1, 0)], []], 1: [[(0, 0)]]}
     if with_points:
-        points = {
-            "points": [[0.1, 0.2, 0.3]],
-            "observations": {"0": [[0, 200.0, 210.0]], "1": [[0, 190.0, 200.0]]},
-        }
-        (root / "points.json").write_text(canonical_dumps(points))
+        data.points3d = np.array([[0.1, 0.2, 0.3]])
+        data.point_obs = {0: [(0, np.array([200.0, 210.0]))], 1: [(0, np.array([190.0, 200.0]))]}
+    write_dataset(root, data)
     return views
+
+
+def edit_cameras(root, edit):
+    """Rewrite ``cameras.json`` under ``root`` with ``edit`` applied to its parsed JSON."""
+    cams = json.loads((root / "cameras.json").read_text())
+    edit(cams)
+    (root / "cameras.json").write_text(json.dumps(cams))  # json, not canonical: it rejects NaN
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +102,7 @@ def test_load_dataset_roundtrip(tmp_path):
     assert data.points3d.shape == (1, 3)
     assert data.point_obs[1][0][0] == 0
     assert data.neighbors is None
-    assert data.depth_path(0) == tmp_path / "depth" / "0.bin"
+    assert depth_path(tmp_path, 0) == tmp_path / "depth" / "0.bin"
 
 
 def test_load_dataset_without_optional_files(tmp_path):
@@ -127,13 +130,8 @@ def test_invalid_json_names_file(tmp_path):
 
 
 def test_camera_must_have_projective_last_row(tmp_path):
-    views = write_minimal_dataset(tmp_path)
-    bad = camera_entry(views[0])
-    bad["K"] = np.array(bad["K"], dtype=float)
-    bad["K"][2, 0] = 0.5
-    (tmp_path / "cameras.json").write_text(
-        canonical_dumps({"0": bad, "1": camera_entry(views[1])})
-    )
+    write_minimal_dataset(tmp_path)
+    edit_cameras(tmp_path, lambda cams: cams["0"]["K"][2].__setitem__(0, 0.5))
     with pytest.raises(InputError) as err:
         load_cameras(tmp_path / "cameras.json")
     assert "last row" in err.value.message
@@ -150,12 +148,10 @@ def test_camera_must_have_projective_last_row(tmp_path):
     ids=["nan", "inf", "zero_focal", "rank_deficient"],
 )
 def test_camera_K_must_be_finite_and_invertible(tmp_path, entry, message):
-    views = write_minimal_dataset(tmp_path)
-    cam = {k: np.asarray(v).tolist() for k, v in camera_entry(views[0]).items()}
+    write_minimal_dataset(tmp_path)
     row, col, value = entry
-    cam["K"][row][col] = value
+    edit_cameras(tmp_path, lambda cams: cams["0"]["K"][row].__setitem__(col, value))
     path = tmp_path / "cameras.json"
-    path.write_text(json.dumps({"0": cam}))  # json, not canonical: it rejects NaN
     with pytest.raises(InputError) as err:
         load_cameras(path)
     assert err.value.path == str(path)
@@ -212,6 +208,77 @@ def test_matches_may_not_reference_out_of_range_detection(tmp_path):
     with pytest.raises(InputError) as err:
         load_dataset(tmp_path)
     assert "out of range" in err.value.message
+
+
+# ---------------------------------------------------------------------------
+# write_dataset is the inverse of load_dataset
+# ---------------------------------------------------------------------------
+
+
+def assert_same_input(got, want):
+    """Equal up to the %.9g rounding of canonical JSON; indices exactly equal."""
+    close = dict(rtol=1e-8, atol=1e-12)
+    assert sorted(got.views) == sorted(want.views)
+    for img, view in want.views.items():
+        for name in ("K", "R", "t"):
+            np.testing.assert_allclose(getattr(got.views[img], name), getattr(view, name), **close)
+        assert (got.views[img].width, got.views[img].height) == (view.width, view.height)
+    assert sorted(got.detections) == sorted(want.detections)
+    for img, dets in want.detections.items():
+        assert len(got.detections[img]) == len(dets)
+        for a, b in zip(got.detections[img], dets):
+            np.testing.assert_allclose([a.start, a.end], [b.start, b.end], **close)
+    assert got.matches == want.matches
+    assert got.neighbors == want.neighbors
+    if want.points3d is None:
+        assert got.points3d is None
+    else:
+        np.testing.assert_allclose(got.points3d, want.points3d, **close)
+    assert sorted(got.point_obs) == sorted(want.point_obs)
+    for img, entries in want.point_obs.items():
+        assert [pi for pi, _ in got.point_obs[img]] == [pi for pi, _ in entries]
+        np.testing.assert_allclose(
+            [xy for _, xy in got.point_obs[img]], [xy for _, xy in entries], **close
+        )
+
+
+def assert_round_trip(tmp_path, data, depth=None):
+    root = write_dataset(tmp_path / "data", data, depth=depth)
+    assert_same_input(load_dataset(root), data)
+    for img in data.views:
+        got, want = load_depth(root, img), (depth or {}).get(img)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.data, want.data, equal_nan=True)
+
+
+def test_write_dataset_round_trips_a_box_scene(tmp_path):
+    scene = build_scene(SceneConfig(n_views=4, seed=0))
+    obs = observe_scene(scene, ObservationConfig(noise_px=1.0, outlier_fraction=0.2, seed=0))
+    data = PipelineInput(
+        scene.views,
+        obs.detections,
+        obs.matches,
+        scene.junctions,
+        obs.points2d,
+        neighbors={img: [j for j in scene.views if j != img] for img in scene.views},
+    )
+    assert_round_trip(tmp_path, data)
+    assert {p.name for p in (tmp_path / "data").iterdir()} == {
+        "cameras.json", "segments.json", "matches.json", "points.json", "neighbors.json"
+    }
+
+
+def test_write_dataset_round_trips_a_depth_scene(tmp_path):
+    rng = np.random.default_rng(0)
+    views, depth, detections = {}, {}, {}
+    for i in range(2):
+        views[i], depth[i], seg2d, _ = make_depth_scene(rng, occluded_fraction=0.3)
+        detections[i] = [seg2d]
+    del depth[1]  # an image without a depth map reads back as None
+    assert_round_trip(tmp_path, PipelineInput(views, detections), depth=depth)
+    assert load_depth(tmp_path / "data", 1) is None
+    assert not (tmp_path / "data" / "matches.json").exists()
 
 
 # ---------------------------------------------------------------------------
