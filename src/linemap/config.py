@@ -1,8 +1,10 @@
 """Pipeline configuration: one flat dataclass, file and CLI overrides.
 
-:class:`PipelineConfig` is the only pipeline configuration; scoring and
-track building read it directly, and :meth:`PipelineConfig.optimize_config`
-maps the ``opt_*`` keys onto the standalone solver's ``OptimizeConfig``.
+:class:`PipelineConfig` is the public tuning surface: the ``tau_*``
+scoring thresholds, the selection and track-size gates, the cue and
+refinement switches, and refinement's iteration cap.  Every other
+threshold lives once, where it is read: as a module constant or as the
+default of the function that reads it.
 
 Config files are plain ``key = value`` lines; ``#`` starts a comment.
 Values are coerced to the declared field type; unknown keys are rejected
@@ -15,19 +17,11 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .optimize import OptimizeConfig
-
 __all__ = ["PipelineConfig", "parse_overrides"]
 
 
 @dataclass
 class PipelineConfig:
-    # neighbor selection and match filtering
-    n_neighbors: int = 20
-    top_k_matches: int = 10
-    iou_min: float = 0.1
-    # triangulation
-    min_tri_angle_deg: float = 1.0
     # proposal scoring
     tau_angle_3d: float = 10.0
     tau_angle_2d: float = 8.0
@@ -35,44 +29,16 @@ class PipelineConfig:
     tau_overlap: float = 0.05
     tau_perspective: float = 0.015
     tau_innerseg: float = 5.0  # pixel-equivalent after the depth/focal rescale
-    score_gate: float = 0.5
     accept_threshold: float = 1.0
     # track building
-    edge_score_min: float = 0.5
-    min_supports: int = 3
     min_images: int = 4
     remerge: bool = True
-    remerge_score_min: float = 0.75
     # structural cues
     use_points: bool = True
     use_vps: bool = True
-    point_assoc_px: float = 2.0
-    soft_min_weight: int = 3
-    vp_inlier_px: float = 1.0
-    vp_min_support: int = 5
-    vp_max_models: int = 8
-    vp_track_min_shared: int = 3
-    vp_track_max_angle_deg: float = 10.0
     # joint refinement
     optimize: bool = True
     opt_max_iterations: int = 30
-    opt_line_loss_scale: float = OptimizeConfig.line_loss_scale
-    opt_assoc_loss_scale: float = OptimizeConfig.assoc_loss_scale
-    opt_angle_weight: float = OptimizeConfig.angle_weight_alpha
-    ortho_angle_deg: float = 87.0
-    # 3D association extraction
-    assoc3d_max_ratio: float = 2.0
-    assoc3d_max_angle_deg: float = 5.0
-    # vanishing point RANSAC
-    seed: int = 0
-
-    def optimize_config(self) -> OptimizeConfig:
-        return OptimizeConfig(
-            max_iterations=self.opt_max_iterations,
-            line_loss_scale=self.opt_line_loss_scale,
-            assoc_loss_scale=self.opt_assoc_loss_scale,
-            angle_weight_alpha=self.opt_angle_weight,
-        )
 
     def updated(self, items: dict[str, str]) -> "PipelineConfig":
         """A copy with string values coerced into the declared field types."""

@@ -81,11 +81,21 @@ def _load_json(path: Path):
         raise InputError(path, f"invalid JSON: {e}") from None
 
 
-def _image_key(path: Path, key) -> int:
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise InputError(path, f"image id {key!r} is not an integer") from None
+def _image_keys(path: Path, raw: dict):
+    """Yield ``(image id, key, value)`` from an object keyed by image ids.
+
+    Two keys that name one image (``"0"`` and ``"00"``) are an InputError.
+    """
+    seen: dict[int, str] = {}
+    for key, value in raw.items():
+        try:
+            img = int(key)
+        except (TypeError, ValueError):
+            raise InputError(path, f"image id {key!r} is not an integer") from None
+        if img in seen:
+            raise InputError(path, f"keys {seen[img]!r} and {key!r} both name image {img}")
+        seen[img] = key
+        yield img, key, value
 
 
 def _index(path: Path, value, where: str) -> int:
@@ -115,8 +125,7 @@ def _per_image(path: Path, raw, rows: str):
     """Yield ``(image id, list)`` from an object mapping image ids to lists of ``rows``."""
     if not isinstance(raw, dict):
         raise InputError(path, f"{rows}: expected an object mapping image ids to lists")
-    for key, value in raw.items():
-        img = _image_key(path, key)
+    for img, _, value in _image_keys(path, raw):
         if not isinstance(value, list):
             raise InputError(path, f"image {img}: expected a list of {rows}")
         yield img, value
@@ -128,8 +137,7 @@ def load_cameras(path: str | Path) -> dict[int, CameraView]:
     if not isinstance(raw, dict) or not raw:
         raise InputError(path, "expected a non-empty object of cameras")
     views = {}
-    for key, cam in raw.items():
-        img = _image_key(path, key)
+    for img, key, cam in _image_keys(path, raw):
         if not isinstance(cam, dict):
             raise InputError(path, f"camera {key}: expected an object")
         try:
@@ -143,8 +151,11 @@ def load_cameras(path: str | Path) -> dict[int, CameraView]:
             raise InputError(path, f"camera {key}: K/R must be 3x3 and t length 3")
         if not (np.isfinite(K).all() and np.isfinite(R).all() and np.isfinite(t).all()):
             raise InputError(path, f"camera {key}: non-finite value in K, R or t")
-        if np.linalg.matrix_rank(K) < 3:
-            raise InputError(path, f"camera {key}: K is singular")
+        cond = np.linalg.cond(K)  # inf for a singular K; the limit is matrix_rank's tolerance
+        if cond >= 1.0 / (3.0 * np.finfo(np.float64).eps):
+            raise InputError(
+                path, f"camera {key}: K is singular or badly scaled (condition number {cond:.3g})"
+            )
         if np.abs(K[2] - (0.0, 0.0, 1.0)).max() > 1e-9:
             raise InputError(path, f"camera {key}: last row of K must be (0, 0, 1)")
         if abs(np.linalg.det(R) - 1.0) > 1e-6 or np.abs(R @ R.T - np.eye(3)).max() > 1e-6:

@@ -33,6 +33,7 @@ from .geometry import (
 )
 from .optimize import (
     JointProblem,
+    OptimizeConfig,
     extract_line_vp_edges,
     extract_point_line_edges,
     optimize,
@@ -58,6 +59,9 @@ from .triangulation import (
 __all__ = ["PipelineInput", "PipelineResult", "compute_neighbors", "run_pipeline"]
 
 Node = tuple[int, int]
+
+TOP_K_MATCHES = 10  # matches tried per detection, in match-list order
+IOU_MIN = 0.1  # weak epipolar IoU a match needs to be triangulated
 
 
 @dataclass
@@ -85,7 +89,7 @@ class PipelineResult:
 def compute_neighbors(
     images: list[int],
     point_obs: dict[int, list[tuple[int, np.ndarray]]],
-    n_neighbors: int,
+    n_neighbors: int = 20,
 ) -> dict[int, list[int]]:
     """Rank other images by Dice overlap of observed point ids.
 
@@ -113,7 +117,6 @@ def _detection_proposals(
     view: CameraView,
     rays: tuple[np.ndarray, np.ndarray],
     kept: list[tuple[Node, RayPlaneForm]],
-    config: PipelineConfig,
     assoc_pts: list[np.ndarray],
     vp_cam: np.ndarray | None,
 ) -> list[tuple[TrackCandidate, int]]:
@@ -121,7 +124,7 @@ def _detection_proposals(
     proposals: list[tuple[TrackCandidate, int]] = []
     for (j, _), form in kept:
         try:
-            seg = triangulate_algebraic(form, config.min_tri_angle_deg)
+            seg = triangulate_algebraic(form)
             proposals.append((TrackCandidate(seg, "algebraic"), j))
             continue
         except DegenerateTriangulationError:
@@ -209,7 +212,7 @@ def _select_best(
 def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     views = data.views
     images = sorted(views)
-    neighbors = data.neighbors or compute_neighbors(images, data.point_obs, config.n_neighbors)
+    neighbors = data.neighbors or compute_neighbors(images, data.point_obs)
     neighbor_sets = {img: set(neighbors.get(img, ())) for img in images}
 
     # association table: each detection's points and VP node, looked up once
@@ -228,13 +231,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
                 view.pixel_to_normalized(det.end),
             )
         if config.use_vps:
-            vps, assign = estimate_vps(
-                dets,
-                inlier_px=config.vp_inlier_px,
-                min_support=config.vp_min_support,
-                max_models=config.vp_max_models,
-                seed=config.seed,
-            )
+            vps, assign = estimate_vps(dets)
             for k, vp in enumerate(vps):
                 vp_cam[(img, k)] = normalized(np.linalg.solve(views[img].K, vp))
                 vp_world[(img, k)] = vp_direction_world(views[img], vp)
@@ -244,7 +241,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         entries = data.point_obs.get(img, [])
         if config.use_points and data.points3d is not None and entries:
             xy = np.array([p for _, p in entries]).reshape(-1, 2)
-            for li, si in associate_points_to_segments(xy, dets, config.point_assoc_px):
+            for li, si in associate_points_to_segments(xy, dets):
                 det_points.setdefault((img, si), []).append(entries[li][0])
 
     candidates: dict[Node, TrackCandidate] = {}
@@ -261,18 +258,17 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             for j, dj in row:
                 if j == img or j not in neighbor_sets[img]:
                     continue
-                if len(kept) >= config.top_k_matches:
+                if len(kept) >= TOP_K_MATCHES:
                     break
                 # a match without a match plane scores IoU 0
                 form = ray_plane_form(view, rays, views[j], det_rays[(j, dj)])
-                if form is not None and weak_epipolar_iou(form) >= config.iou_min:
+                if form is not None and weak_epipolar_iou(form) >= IOU_MIN:
                     kept.append(((j, dj), form))
             proposals = _detection_proposals(
                 img,
                 view,
                 rays,
                 kept,
-                config,
                 [data.points3d[pi] for pi in det_points.get(node, ())],
                 vp_cam.get(det_vp.get(node)),
             )
@@ -294,27 +290,15 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
                 for b in nodes:
                     if a < b and a[0] != b[0]:
                         shared[(a, b)] = shared.get((a, b), 0) + 1
-        vp_tracks = build_vp_tracks(
-            vp_world,
-            shared,
-            min_shared=config.vp_track_min_shared,
-            max_angle_deg=config.vp_track_max_angle_deg,
-        )
+        vp_tracks = build_vp_tracks(vp_world, shared)
 
     line_supports = [t.supports for t in tracks]
     pl_weights: list[tuple[int, int, float]] = []
     if config.use_points and data.points3d is not None and tracks:
-        pl_weights = soft_point_line_weights(
-            line_supports, det_points, min_weight=config.soft_min_weight
-        )
+        pl_weights = soft_point_line_weights(line_supports, det_points)
     lv_weights: list[tuple[int, int, float]] = []
     if vp_tracks:
-        lv_weights = soft_line_vp_weights(
-            line_supports,
-            [vt.members for vt in vp_tracks],
-            det_vp,
-            min_weight=config.soft_min_weight,
-        )
+        lv_weights = soft_line_vp_weights(line_supports, [vt.members for vt in vp_tracks], det_vp)
 
     refined_points = None if data.points3d is None else np.array(data.points3d, copy=True)
     pid_list = sorted({pt for pt, _, _ in pl_weights})
@@ -338,8 +322,8 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
                 problem.line_obs.append((ti, img, data.detections[img][det]))
         problem.point_line = [(pid_map[pt], li, w) for pt, li, w in pl_weights]
         problem.line_vp = [(li, vi, w) for li, vi, w in lv_weights]
-        problem.vp_ortho = vp_orthogonal_pairs(problem.vps, config.ortho_angle_deg)
-        result = optimize(problem, config.optimize_config())
+        problem.vp_ortho = vp_orthogonal_pairs(problem.vps)
+        result = optimize(problem, OptimizeConfig(max_iterations=config.opt_max_iterations))
         opt_stats = {
             "opt_initial_cost": result.initial_cost,
             "opt_final_cost": result.final_cost,
@@ -378,18 +362,12 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             lines,
             line_scales,
             [(pid_map[pt], li) for pt, li, _ in pl_weights],
-            max_ratio=config.assoc3d_max_ratio,
         )
         point_line_edges = sorted((pid_list[i], li) for i, li in kept)
     line_vp_edges: list[tuple[int, int]] = []
     if lv_weights:
         vdirs = np.array([vt.direction for vt in vp_tracks]).reshape(-1, 3)
-        line_vp_edges = extract_line_vp_edges(
-            lines,
-            vdirs,
-            [(li, vi) for li, vi, _ in lv_weights],
-            max_angle_deg=config.assoc3d_max_angle_deg,
-        )
+        line_vp_edges = extract_line_vp_edges(lines, vdirs, [(li, vi) for li, vi, _ in lv_weights])
 
     stats = {
         "images": len(images),

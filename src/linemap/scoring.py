@@ -2,10 +2,11 @@
 
 Scores combine several scale-invariant distances.  Each raw distance ``r``
 is mapped through ``exp(-(r/tau)^2)`` and gated to zero below
-``score_gate`` (0.5); a pair score is the minimum over its components, so
-it is either 0 (some check failed clearly) or lies in [0.5, 1].  This keeps
-a sum of pair scores interpretable as a support count.  The ``tau_*``
-thresholds and the gate are read from :class:`~linemap.config.PipelineConfig`.
+:data:`SCORE_GATE` (0.5); a pair score is the minimum over its components,
+so it is either 0 (some check failed clearly) or lies in [0.5, 1].  This
+keeps a sum of pair scores interpretable as a support count.  The ``tau_*``
+thresholds are read from :class:`~linemap.config.PipelineConfig`; the gate
+is a constant of this module.
 
 Each distance has one home here and serves 2D and 3D segments alike where
 it makes sense: one acute angle (:func:`angular_distance`), and one
@@ -33,6 +34,8 @@ from .geometry import CameraView, Segment2D, Segment3D, project_segment
 
 Segment = Segment2D | Segment3D
 Projected = tuple[Segment2D | None, Segment2D | None]  # a pair in one view; None behind it
+
+SCORE_GATE = 0.5  # lowest nonzero similarity of one component
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +139,10 @@ def innerseg_scale(a: Segment3D, view_a: CameraView, b: Segment3D, view_b: Camer
 # ---------------------------------------------------------------------------
 
 
-def normalize_distance(r: float, tau: float, gate: float = 0.5) -> float:
-    """Map a raw distance to a gated similarity in {0} or [gate, 1]."""
+def normalize_distance(r: float, tau: float) -> float:
+    """Map a raw distance to a gated similarity in {0} or [SCORE_GATE, 1]."""
     s = math.exp(-((r / tau) ** 2))
-    return s if s >= gate else 0.0
+    return s if s >= SCORE_GATE else 0.0
 
 
 def _binary_overlap(ratio: float, tau: float) -> float:
@@ -161,15 +164,13 @@ def _projections(a: Segment3D, b: Segment3D, view_a: CameraView, view_b: CameraV
 def _image_components(pairs, config: PipelineConfig) -> list[float]:
     """2D angle and perpendicular components, each averaged over both views."""
     (pa, pb), (qa, qb) = pairs
-    g = config.score_gate
     return [
         normalize_distance(
-            0.5 * (angular_distance(pa, pb) + angular_distance(qa, qb)), config.tau_angle_2d, g
+            0.5 * (angular_distance(pa, pb) + angular_distance(qa, qb)), config.tau_angle_2d
         ),
         normalize_distance(
             0.5 * (perpendicular_distance_2d(pa, pb) + perpendicular_distance_2d(qa, qb)),
             config.tau_perp_2d,
-            g,
         ),
     ]
 
@@ -191,13 +192,12 @@ def selection_pair_score(
     (pa, pb), (qa, qb) = pairs
     if pa is None or pb is None or qa is None or qb is None:
         return 0.0
-    g = config.score_gate
     perspective = 0.5 * (
         perspective_distance(a, b, ref_view) + perspective_distance(b, a, ref_view)
     )
     return min(
-        normalize_distance(angular_distance(a, b), config.tau_angle_3d, g),
-        normalize_distance(perspective, config.tau_perspective, g),
+        normalize_distance(angular_distance(a, b), config.tau_angle_3d),
+        normalize_distance(perspective, config.tau_perspective),
         *_image_components(pairs, config),
     )
 
@@ -221,11 +221,10 @@ def track_pair_score(
     pairs = _projections(a, b, view_a, view_b)
     if pairs is None:
         return 0.0
-    g = config.score_gate
     return min(
-        normalize_distance(angular_distance(a, b), config.tau_angle_3d, g),
+        normalize_distance(angular_distance(a, b), config.tau_angle_3d),
         _binary_overlap(mutual_overlap(a, b), config.tau_overlap),
-        normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg, g),
+        normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg),
         *_image_components(pairs, config),
         _binary_overlap(min(mutual_overlap(pa, pb) for pa, pb in pairs), config.tau_overlap),
     )

@@ -6,7 +6,9 @@ consistent.  Connected components become tracks, each refit by
 :func:`~linemap.geometry.principal_line` through all member endpoints and
 trimmed by :func:`~linemap.geometry.trimmed_extent`.  A stricter second
 merging pass joins duplicate tracks that the match graph failed to connect.
-Thresholds are read from :class:`~linemap.config.PipelineConfig`.
+The pair scores' ``tau_*`` thresholds, ``min_images`` and ``remerge`` are
+read from :class:`~linemap.config.PipelineConfig`; the edge and remerge
+score thresholds and the support floor are constants of this module.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from .geometry import CameraView, Segment3D, principal_line, trimmed_extent
 from .scoring import track_pair_score
 
 Node = tuple[int, int]  # (image id, segment index)
+
+EDGE_SCORE_MIN = 0.5  # a match edge joins two detections at this pair score
+MIN_SUPPORTS = 3  # smallest component that becomes a track
+REMERGE_SCORE_MIN = 0.75  # stricter pair score that merges two tracks
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,8 @@ def build_tracks(
         candidates: accepted best hypothesis per detection node.
         edges: 2D match edges between detection nodes (any direction).
         views: camera of each image id.
-        config: edge and remerge score thresholds, support filters and
-            the pairwise score parameters used for edge verification.
+        config: ``min_images``, ``remerge`` and the pair score thresholds
+            used for edge verification.
     """
     nodes = sorted(candidates.keys())
     uf = UnionFind(nodes)
@@ -125,7 +131,7 @@ def build_tracks(
             views[b[0]],
             config,
         )
-        if s >= config.edge_score_min:
+        if s >= EDGE_SCORE_MIN:
             uf.union(a, b)
 
     components: dict[Node, list[Node]] = {}
@@ -134,7 +140,7 @@ def build_tracks(
 
     tracks: list[LineTrack] = []
     for comp in sorted(components.values()):  # each sorted; ordered by first node
-        if len(comp) < config.min_supports:
+        if len(comp) < MIN_SUPPORTS:
             continue
         track = _make_track(comp, candidates)
         if track is not None:
@@ -166,7 +172,7 @@ def remerge_tracks(
     for i in range(len(tracks)):
         for j in range(i + 1, len(tracks)):
             s = track_pair_score(tracks[i].segment, rep[i], tracks[j].segment, rep[j], config)
-            if s >= config.remerge_score_min:
+            if s >= REMERGE_SCORE_MIN:
                 uf.union(i, j)
 
     groups: dict[int, list[int]] = {}

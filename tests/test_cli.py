@@ -255,6 +255,16 @@ def test_over_deep_json_exits_2_and_names_the_file(box_dataset, mapped, tmp_path
     assert str(path) in err and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("name", ["cameras.json", "segments.json"])
+def test_two_keys_for_one_image_exit_2_and_name_both(box_dataset, mapped, tmp_path, capsys, name):
+    doc = json.loads((box_dataset / name).read_text())
+    first = doc["0"] if name == "cameras.json" else [[1.0, 2.0, 3.0, 4.0]]
+    content = json.dumps({"00": first, **doc}).encode()
+    code, err, path = _run_with_file(box_dataset, mapped, tmp_path, capsys, name, content)
+    assert code == 2
+    assert str(path) in err and "keys '00' and '0' both name image 0" in err
+
+
 @pytest.mark.parametrize("field", ["width", "height"])
 @pytest.mark.parametrize("value", ["1e999", "640.5", '"640"', "true"])
 def test_bad_image_size_exits_2_and_names_the_file(
@@ -290,6 +300,19 @@ def test_eval_bad_input_exits_2_and_names_the_file(
     assert code == 2
     err = capsys.readouterr().err
     assert str(files[name]) in err and reason in err
+
+
+def test_removed_config_key_exits_2_and_lists_the_valid_keys(box_dataset, tmp_path, capsys):
+    # thresholds outside PipelineConfig are code constants, not config keys
+    argv = ["map", "--input", str(box_dataset), "--output", str(tmp_path / "x")]
+    assert main([*argv, "--set", "iou_min=0.2"]) == 2
+    err = capsys.readouterr().err
+    assert "--set" in err and "unknown config key 'iou_min'" in err
+    assert (
+        "valid keys: accept_threshold, min_images, opt_max_iterations, optimize, remerge,"
+        " tau_angle_2d, tau_angle_3d, tau_innerseg, tau_overlap, tau_perp_2d, tau_perspective,"
+        " use_points, use_vps"
+    ) in err
 
 
 def test_bad_override_value_exits_2_and_names_the_flag(box_dataset, tmp_path, capsys):

@@ -7,24 +7,17 @@ import pytest
 from linemap.config import PipelineConfig, parse_overrides, read_config_file
 
 
-def test_defaults_are_consistent_with_subconfigs():
-    cfg = PipelineConfig()
-    oc = cfg.optimize_config()
-    assert oc.max_iterations == cfg.opt_max_iterations
-    assert oc.line_loss_scale == cfg.opt_line_loss_scale
-
-
 def test_updated_coerces_strings_by_field_type():
     cfg = PipelineConfig().updated(
         {
-            "n_neighbors": "5",
+            "opt_max_iterations": "5",
             "tau_perp_2d": "2.5",
             "remerge": "false",
             "optimize": "true",
             "min_images": "3",
         }
     )
-    assert cfg.n_neighbors == 5
+    assert cfg.opt_max_iterations == 5
     assert cfg.tau_perp_2d == 2.5
     assert cfg.remerge is False
     assert cfg.optimize is True

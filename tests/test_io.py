@@ -142,10 +142,12 @@ def test_camera_must_have_projective_last_row(tmp_path):
     [
         ((0, 0, float("nan")), "non-finite"),
         ((0, 0, float("inf")), "non-finite"),
-        ((0, 0, 0.0), "singular"),
-        ((1, 1, 0.0), "singular"),
+        ((0, 0, 0.0), "K is singular or badly scaled (condition number inf)"),
+        ((1, 1, 0.0), "K is singular or badly scaled (condition number inf)"),
+        # invertible (det 6e22) but as good as singular in float64
+        ((0, 0, 1e20), "K is singular or badly scaled (condition number 1.08e+20)"),
     ],
-    ids=["nan", "inf", "zero_focal", "rank_deficient"],
+    ids=["nan", "inf", "zero_focal", "rank_deficient", "badly_scaled"],
 )
 def test_camera_K_must_be_finite_and_invertible(tmp_path, entry, message):
     write_minimal_dataset(tmp_path)

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests on the synthetic box scene."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from linemap import pipeline
 from linemap.config import PipelineConfig
 from linemap.geometry import CameraView, Segment2D, Segment3D, acute_angle
 from linemap.metrics import length_recall
+from linemap.optimize import OptimizeConfig
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
 from linemap.synthetic import (
     ObservationConfig,
@@ -102,6 +104,22 @@ def test_refinement_preserves_track_membership(clean_scene, clean_result):
     assert [t.supports for t in unrefined.tracks] == [
         t.supports for t in clean_result.tracks
     ]
+
+
+def test_opt_max_iterations_caps_joint_refinement(clean_scene, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    def optimize(problem, config):
+        passed.append(config)
+        raise Stop
+
+    passed = []
+    monkeypatch.setattr(pipeline, "optimize", optimize)
+    with pytest.raises(Stop):
+        run_pipeline(clean_scene[2], PipelineConfig(use_points=False, opt_max_iterations=7))
+    # the cap is the one key refinement reads; the losses keep OptimizeConfig's defaults
+    assert passed == [OptimizeConfig(max_iterations=7)]
 
 
 def test_select_best_scores_each_cross_image_pair_once(monkeypatch):
@@ -283,3 +301,13 @@ def test_select_best_projects_each_proposal_once_per_generating_image(noisy_scen
     # two points per projection, less the end point skipped after a start behind a view
     assert 2 * counts["expected"] - counts["behind"] <= counts["project_point"]
     assert counts["project_point"] <= 2 * counts["expected"]
+
+
+def test_noisy_scene_maps_without_a_floating_point_event(noisy_scene):
+    # no overflow, invalid operation, division by zero or warning anywhere in a default run
+    _, inp = noisy_scene
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        result = run_pipeline(inp, PipelineConfig())
+    assert len(result.tracks) > 30
+    assert np.isfinite(result.stats["opt_final_cost"])
