@@ -71,15 +71,19 @@ def acute_angle(u: FloatArray, v: FloatArray) -> float:
 
 
 def quat_to_rotmat(q: FloatArray) -> FloatArray:
-    """Rotation matrix of a unit quaternion ``(w, x, y, z)``."""
-    w, x, y, z = q
-    return np.array(
+    """Rotation matrix of a unit quaternion ``(w, x, y, z)``.
+
+    An ``(L, 4)`` stack of quaternions gives an ``(L, 3, 3)`` stack.
+    """
+    w, x, y, z = np.asarray(q).T
+    R = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return np.moveaxis(R, (0, 1), (-2, -1))
 
 
 def rotmat_to_quat(R: FloatArray) -> FloatArray:
@@ -105,9 +109,9 @@ def rotmat_to_quat(R: FloatArray) -> FloatArray:
 
 
 def quat_mul(a: FloatArray, b: FloatArray) -> FloatArray:
-    """Hamilton product of two quaternions (scalar-first)."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    """Hamilton product of two quaternions (scalar-first), or row-wise of two ``(L, 4)`` stacks."""
+    aw, ax, ay, az = np.asarray(a).T
+    bw, bx, by, bz = np.asarray(b).T
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -115,17 +119,25 @@ def quat_mul(a: FloatArray, b: FloatArray) -> FloatArray:
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
         ]
-    )
+    ).T
 
 
 def quat_exp(delta: FloatArray) -> FloatArray:
-    """Unit quaternion for a rotation-vector increment ``delta`` (3-vector)."""
-    theta = np.linalg.norm(delta)
-    if theta < EPS:
-        q = np.array([1.0, 0.5 * delta[0], 0.5 * delta[1], 0.5 * delta[2]])
-        return q / np.linalg.norm(q)
-    axis = delta / theta
-    return np.concatenate([[np.cos(0.5 * theta)], np.sin(0.5 * theta) * axis])
+    """Unit quaternion for a rotation-vector increment ``delta`` (3-vector).
+
+    An ``(L, 3)`` stack of increments gives an ``(L, 4)`` stack.
+    """
+    delta = np.asarray(delta, dtype=np.float64)
+    theta = np.linalg.norm(delta, axis=-1, keepdims=True)
+    small = theta < EPS
+    half = 0.5 * theta
+    axis = delta / np.where(small, 1.0, theta)
+    near = np.concatenate([np.ones_like(theta), 0.5 * delta], axis=-1)
+    return np.where(
+        small,
+        near / np.linalg.norm(near, axis=-1, keepdims=True),
+        np.concatenate([np.cos(half), np.sin(half) * axis], axis=-1),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,17 @@ The cost couples feature reprojection terms with structural terms:
 * an orthogonality residual (cosine of the angle) for VP pairs that start
   within a few degrees of perpendicular.
 
-The solver is a dense Levenberg-Marquardt with multiplicative diagonal
-damping and iterative reweighting for the robust losses.  Each state is
-evaluated once: a trial step builds its normal equations, and when the step
-is accepted they carry over to the next iteration.
+The solver is Levenberg-Marquardt with multiplicative diagonal damping and
+iterative reweighting for the robust losses.  Each residual type is evaluated
+as stacked arrays over all of its rows, and the normal equations are kept in
+three parts: the block-diagonal line part (one 4x4 block per line), the
+line-(point, VP) coupling and the dense (point, VP) part.  Lines couple only
+with points and VPs, so a step eliminates the line blocks with one batched
+4x4 solve, solves the reduced (Schur complement) system on the 3P + 2V point
+and VP unknowns, and back-substitutes the line steps (Triggs et al., "Bundle
+Adjustment - A Modern Synthesis", 2000).  Each state is evaluated once: a
+trial step builds its normal equations, and when the step is accepted they
+carry over to the next iteration.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .geometry import (
     Segment2D,
     Segment3D,
     closest_point_line_to_line,
-    cross3,
     normalized,
     point_line_distance_3d,
     quat_exp,
@@ -50,6 +56,7 @@ _E1 = np.array([1.0, 0.0, 0.0])
 _E2 = np.array([0.0, 1.0, 0.0])
 _SKEW_E1 = skew(_E1)
 _SKEW_E2 = skew(_E2)
+_DIAG4 = np.arange(4)
 
 
 # ---------------------------------------------------------------------------
@@ -125,251 +132,434 @@ def vp_orthogonal_pairs(vps: np.ndarray, angle_deg: float = 87.0) -> list[tuple[
 
 
 # ---------------------------------------------------------------------------
-# robust losses (act on the squared norm of a residual block)
+# robust losses (act on the squared norms of a stack of residual blocks)
 # ---------------------------------------------------------------------------
 
 
-def _loss_value_and_weight(kind: str, s: float, scale: float) -> tuple[float, float]:
+def _loss_value_and_weight(kind: str, s: np.ndarray, scale: float):
     c2 = scale * scale
     if kind == "squared":
-        return s, 1.0
+        return s, np.ones_like(s)
     if kind == "cauchy":
-        return c2 * math.log1p(s / c2), 1.0 / (1.0 + s / c2)
+        return c2 * np.log1p(s / c2), 1.0 / (1.0 + s / c2)
     if kind == "huber":
-        if s <= c2:
-            return s, 1.0
-        r = math.sqrt(s)
-        return 2.0 * scale * r - c2, scale / r
+        inner = s <= c2
+        r = np.sqrt(np.where(inner, 1.0, s))  # read on the outer branch only
+        return np.where(inner, s, 2.0 * scale * r - c2), np.where(inner, 1.0, scale / r)
     raise ValueError(f"unknown loss {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# state and retraction
+# state and retraction (every line, VP and point stacked in one array each)
 # ---------------------------------------------------------------------------
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _vp_bases(vps: np.ndarray) -> np.ndarray:
+    """``(V, 3, 2)`` orthonormal tangent bases of unit VP directions."""
+    seed = np.where((np.abs(vps[:, 0]) < 0.9)[:, None], _E1, _E2)
+    b1 = _unit_rows(np.cross(vps, seed))
+    return np.stack([b1, np.cross(vps, b1)], axis=2)
 
 
 class _State:
-    def __init__(self, points, lines, vps):
-        self.points = np.array(points, dtype=np.float64).reshape(-1, 3)
-        self.lines = list(lines)
-        self.vps = np.array(vps, dtype=np.float64).reshape(-1, 3)
-        for i in range(len(self.vps)):
-            self.vps[i] = normalized(self.vps[i])
+    """Points ``(P, 3)``, line parameters ``q`` ``(L, 4)`` and ``w`` ``(L, 2)``, VPs ``(V, 3)``."""
 
-    def vp_basis(self, i: int) -> np.ndarray:
-        v = self.vps[i]
-        seed = _E1 if abs(v[0]) < 0.9 else _E2
-        b1 = normalized(cross3(v, seed))
-        b2 = cross3(v, b1)
-        return np.column_stack([b1, b2])
+    def __init__(self, points, q, w, vps, lines=None):
+        self.points = np.array(points, dtype=np.float64).reshape(-1, 3)
+        self.q = q
+        self.w = w
+        self.vps = np.array([normalized(v) for v in np.reshape(vps, (-1, 3))]).reshape(-1, 3)
+        self.vp_bases = _vp_bases(self.vps)
+        self._lines = lines
+
+    @classmethod
+    def initial(cls, problem: JointProblem) -> "_State":
+        lines = list(problem.lines)
+        q = np.array([par.q for par in lines]).reshape(-1, 4)
+        w = np.array([par.w for par in lines]).reshape(-1, 2)
+        return cls(problem.points, q, w, problem.vps, lines)
+
+    @property
+    def lines(self) -> list[MinimalLineParam]:
+        if self._lines is None:
+            self._lines = [MinimalLineParam(q, w) for q, w in zip(self.q, self.w)]
+        return self._lines
 
     def retract(self, delta: np.ndarray, offsets) -> "_State":
         np_, nl, _ = offsets
-        lines = []
-        for j, par in enumerate(self.lines):
-            d = delta[np_ + 4 * j : np_ + 4 * j + 4]
-            q = quat_mul(par.q, quat_exp(d[:3]))
-            c, s = math.cos(d[3]), math.sin(d[3])
-            w = np.array([par.w[0] * c - par.w[1] * s, par.w[0] * s + par.w[1] * c])
-            lines.append(MinimalLineParam(q, w))
+        step = delta[np_:nl].reshape(-1, 4)
+        q = quat_mul(self.q, quat_exp(step[:, :3]))
+        c, s = np.cos(step[:, 3]), np.sin(step[:, 3])
+        w0, w1 = self.w[:, 0], self.w[:, 1]
+        w = np.column_stack([w0 * c - w1 * s, w0 * s + w1 * c])
         # moved VPs go in unnormalised: __init__ normalises each one once
-        vps = [
-            v + self.vp_basis(k) @ delta[nl + 2 * k : nl + 2 * k + 2]
-            for k, v in enumerate(self.vps)
-        ]
-        return _State(self.points + delta[:np_].reshape(-1, 3), lines, vps)
+        vps = self.vps + np.einsum("kij,kj->ki", self.vp_bases, delta[nl:].reshape(-1, 2))
+        return _State(self.points + delta[:np_].reshape(-1, 3), _unit_rows(q), _unit_rows(w), vps)
 
 
-def _line_geometry(par: MinimalLineParam):
-    """Plucker pair of a minimal parameterization plus local-coordinate partials."""
-    U = quat_to_rotmat(par.q)
-    w1, w2 = float(par.w[0]), float(par.w[1])
-    if abs(w1) < 1e-12:
+def _line_geometry(q: np.ndarray, w: np.ndarray):
+    """Plucker pairs of stacked minimal parameters plus local-coordinate partials.
+
+    Returns ``d`` and ``m`` as ``(L, 3)`` and their partials ``dd`` and ``dm``
+    as ``(L, 3, 4)``.
+    """
+    w1, w2 = w[:, 0], w[:, 1]
+    if np.any(np.abs(w1) < 1e-12):
         raise FloatingPointError("line drifted to infinity during optimization")
+    U = quat_to_rotmat(q)
     rho = w2 / w1
-    d = U[:, 0]
-    u2 = U[:, 1]
-    m = rho * u2
-    dd_dr = -U @ _SKEW_E1  # 3x3, columns = rotation tangent directions
-    du2_dr = -U @ _SKEW_E2
-    dm = np.zeros((3, 4))
-    dm[:, :3] = rho * du2_dr
-    dm[:, 3] = u2 / (w1 * w1)
-    dd = np.zeros((3, 4))
-    dd[:, :3] = dd_dr
-    return d, m, dd, dm
+    d = U[:, :, 0]
+    u2 = U[:, :, 1]
+    dd = np.zeros((len(q), 3, 4))
+    dd[:, :, :3] = -U @ _SKEW_E1  # columns = rotation tangent directions
+    dm = np.zeros((len(q), 3, 4))
+    dm[:, :, :3] = rho[:, None, None] * (-U @ _SKEW_E2)
+    dm[:, :, 3] = u2 / (w1 * w1)[:, None]
+    return d, rho[:, None] * u2, dd, dm
 
 
 # ---------------------------------------------------------------------------
-# residual blocks
+# residual blocks, each type stacked over its rows
 # ---------------------------------------------------------------------------
 
 
-def _project_jacobian(view: CameraView, X: np.ndarray):
-    """Pixel position and its 2x3 Jacobian w.r.t. the camera-frame point."""
-    hom = view.K @ X
-    z = hom[2]
-    pix = hom[:2] / z
-    J = (view.K[:2, :] * z - np.outer(hom[:2], view.K[2, :])) / (z * z)
-    return pix, J
+def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("nij,nj->ni", M, v)
 
 
-def _point_block(state, view, pi, pixel):
-    X = view.R @ state.points[pi] + view.t
-    if X[2] <= EPS:
-        # behind the camera: keep a large finite residual, zero slope
-        return np.array([1e6, 1e6]), np.zeros((2, 3))
-    pix, Jx = _project_jacobian(view, X)
-    return pix - pixel, Jx @ view.R
+def _point_rows(K, R, t, pixel, p):
+    """Pixel residuals ``(N, 2)`` and their Jacobians ``(N, 2, 3)`` w.r.t. the points.
+
+    A point at or behind its camera keeps a large finite residual and zero slope.
+    """
+    X = _matvec(R, p) + t
+    hom = _matvec(K, X)
+    behind = X[:, 2] <= EPS
+    z = np.where(behind, 1.0, hom[:, 2])[:, None]
+    pix = hom[:, :2] / z
+    Jx = (K[:, :2, :] * z[:, :, None] - hom[:, :2, None] * K[:, None, 2, :]) / (z * z)[:, :, None]
+    r = np.where(behind[:, None], 1e6, pix - pixel)
+    return r, np.where(behind[:, None, None], 0.0, Jx @ R)
 
 
-def _line_block(geom, seg: Segment2D, alpha: float, line_map):
-    d, m, dd, dm = geom
-    A_m, A_d = line_map
-    l = A_m @ m + A_d @ d
-    Jl = A_m @ dm + A_d @ dd  # 3x4
-    n = math.hypot(l[0], l[1])
-    if n < EPS:
-        return np.array([1e6, 1e6]), np.zeros((2, 4))
-    dn = np.array([l[0] / n, l[1] / n, 0.0])
+def _line_rows(A_m, A_d, ends, direction, d, m, dd, dm, alpha):
+    """Endpoint residuals ``(M, 2)`` of line observations and Jacobians ``(M, 2, 4)``.
 
-    o = seg.direction
-    g = l[0] * o[1] - l[1] * o[0]
-    c_raw = g / n
-    cosphi = abs(c_raw)
-    wa = math.exp(alpha * (1.0 - cosphi))
-    dg = np.array([o[1], -o[0], 0.0])
+    ``A_m, A_d`` are each observation's view line map, ``ends`` its homogeneous
+    endpoints ``(M, 2, 3)`` and ``direction`` its unit 2D direction; ``d, m, dd,
+    dm`` are the observed line's geometry.  A line through the camera centre
+    images to no line: a large finite residual and zero slope.
+    """
+    l = _matvec(A_m, m) + _matvec(A_d, d)
+    Jl = A_m @ dm + A_d @ dd  # (M, 3, 4)
+    n = np.hypot(l[:, 0], l[:, 1])
+    through = n < EPS
+    n = np.where(through, 1.0, n)[:, None]
+    zero = np.zeros(len(l))
+    dn = np.column_stack([l[:, 0], l[:, 1], zero]) / n
+
+    o = direction
+    c_raw = (l[:, 0] * o[:, 1] - l[:, 1] * o[:, 0])[:, None] / n
+    cosphi = np.abs(c_raw)
+    wa = np.exp(alpha * (1.0 - cosphi))
+    dg = np.column_stack([o[:, 1], -o[:, 0], zero])
     dcraw = dg / n - c_raw * dn / n
-    dcos = math.copysign(1.0, c_raw) * dcraw if cosphi > EPS else np.zeros(3)
+    dcos = np.where(cosphi > EPS, np.copysign(1.0, c_raw) * dcraw, 0.0)
     dwa = -alpha * wa * dcos
 
-    res = np.empty(2)
-    J = np.empty((2, 4))
-    for row, p in enumerate((seg.start, seg.end)):
-        x = np.array([p[0], p[1], 1.0])
-        e = float(l @ x) / n
-        de = x / n - e * dn / n
-        res[row] = wa * e
-        J[row] = (wa * de + e * dwa) @ Jl
-    return res, J
+    e = np.einsum("mi,mki->mk", l, ends) / n
+    de = ends / n[:, :, None] - e[:, :, None] * dn[:, None, :] / n[:, :, None]
+    r = wa * e
+    J = (wa[:, :, None] * de + e[:, :, None] * dwa[:, None, :]) @ Jl
+    return np.where(through[:, None], 1e6, r), np.where(through[:, None, None], 0.0, J)
 
 
-def _point_line_block(geom, p, weight):
-    d, m, dd, dm = geom
-    e = -cross3(d, m) - cross3(d, cross3(d, p))
-    dist = np.linalg.norm(e)
-    if dist < 1e-12:
-        return np.zeros(1), np.zeros((1, 3)), np.zeros((1, 4))
-    ehat = e / dist
-    de_dp = np.eye(3) - np.outer(d, d)
-    de_dd = skew(m) + skew(cross3(d, p)) + skew(d) @ skew(p)
-    de_dm = -skew(d)
-    Jp = weight * (ehat @ de_dp)[None, :]
-    Jl = weight * (ehat @ (de_dd @ dd + de_dm @ dm))[None, :]
-    return np.array([weight * dist]), Jp, Jl
+def _point_line_rows(p, d, m, dd, dm, weight):
+    """Weighted point-to-line distances ``(Q, 1)`` and their point and line Jacobians."""
+    dp = np.cross(d, p)
+    e = -np.cross(d, m) - np.cross(d, dp)
+    dist = np.linalg.norm(e, axis=1)
+    on = dist < 1e-12
+    ehat = e / np.where(on, 1.0, dist)[:, None]
+    weight = np.where(on, 0.0, weight)[:, None]
+    # ehat @ skew(a) == ehat x a
+    Jp = ehat - np.sum(ehat * d, axis=1, keepdims=True) * d  # ehat @ (I - d d^T)
+    e_dd = np.cross(ehat, m) + np.cross(ehat, dp) + np.cross(np.cross(ehat, d), p)
+    Jl = _matvec(dd.transpose(0, 2, 1), e_dd) + _matvec(dm.transpose(0, 2, 1), np.cross(d, ehat))
+    return weight * dist[:, None], (weight * Jp)[:, None, :], (weight * Jl)[:, None, :]
 
 
-def _line_vp_block(geom, v, weight, basis):
-    d, _, dd, _ = geom
-    e = cross3(d, v)
-    nrm = np.linalg.norm(e)
-    if nrm < 1e-12:
-        return np.zeros(1), np.zeros((1, 4)), np.zeros((1, 2))
-    ehat = e / nrm
-    de_dd = -skew(v)
-    de_dv = skew(d)
-    Jl = weight * (ehat @ (de_dd @ dd))[None, :]
-    Jv = weight * (ehat @ (de_dv @ basis))[None, :]
-    return np.array([weight * nrm]), Jl, Jv
+def _line_vp_rows(d, dd, v, basis, weight):
+    """Weighted line-VP direction residuals ``(R, 1)`` and their line and VP Jacobians."""
+    e = np.cross(d, v)
+    nrm = np.linalg.norm(e, axis=1)
+    parallel = nrm < 1e-12
+    ehat = e / np.where(parallel, 1.0, nrm)[:, None]
+    weight = np.where(parallel, 0.0, weight)[:, None]
+    Jl = _matvec(dd.transpose(0, 2, 1), np.cross(v, ehat))
+    Jv = _matvec(basis.transpose(0, 2, 1), np.cross(ehat, d))
+    return weight * nrm[:, None], (weight * Jl)[:, None, :], (weight * Jv)[:, None, :]
 
 
-def _vp_ortho_block(state, a, b, basis_a, basis_b):
-    va, vb = state.vps[a], state.vps[b]
-    r = float(va @ vb)
-    Ja = (vb @ basis_a)[None, :]
-    Jb = (va @ basis_b)[None, :]
-    return np.array([r]), Ja, Jb
+def _vp_ortho_rows(va, vb, basis_a, basis_b):
+    r = np.sum(va * vb, axis=1)[:, None]
+    Ja = _matvec(basis_a.transpose(0, 2, 1), vb)
+    Jb = _matvec(basis_b.transpose(0, 2, 1), va)
+    return r, Ja[:, None, :], Jb[:, None, :]
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# assembly and the Schur complement step
 # ---------------------------------------------------------------------------
+
+
+def _index(rows, col: int) -> np.ndarray:
+    return np.array([row[col] for row in rows], dtype=np.intp)
+
+
+def _floats(rows, col: int, shape=()) -> np.ndarray:
+    return np.array([row[col] for row in rows], dtype=np.float64).reshape((-1, *shape))
+
+
+@dataclass
+class _Term:
+    """Layout of one residual type: its loss and where its Jacobian blocks go.
+
+    ``lines`` indexes the line block of each row (None without one); ``cols``
+    holds each point or VP block's reduced columns ``(K, dim)``; ``slots``
+    numbers the reduced block's columns among its line's couplings.
+    """
+
+    loss: str
+    scale: float
+    lines: np.ndarray | None
+    cols: list[np.ndarray]
+    slots: np.ndarray | None = None
+
+
+def _coupling_slots(n_lines: int, n_reduced: int, couplings):
+    """Number the reduced columns that each line couples with.
+
+    ``couplings`` lists ``(lines (K,), cols (K, dim))`` pairs: row k couples
+    line ``lines[k]`` with reduced columns ``cols[k]``.  Returns the ``(L, S)``
+    reduced column of each line slot, with ``n_reduced`` (one past the last
+    column) on unused slots, and each pair's ``(K, dim)`` slots.
+    """
+    keys = [lines[:, None] * (n_reduced + 1) + cols for lines, cols in couplings]
+    flat = np.concatenate([k.ravel() for k in keys] + [np.zeros(0, np.intp)])
+    uniq, inverse = np.unique(flat, return_inverse=True)
+    line = uniq // (n_reduced + 1)
+    slot = np.arange(len(uniq)) - np.searchsorted(line, line)
+    slot_cols = np.full((n_lines, slot.max(initial=-1) + 1), n_reduced, dtype=np.intp)
+    slot_cols[line, slot] = uniq % (n_reduced + 1)
+    bounds = np.cumsum([0] + [k.size for k in keys])
+    slots = [slot[inverse[a:b]].reshape(k.shape) for a, b, k in zip(bounds, bounds[1:], keys)]
+    return slot_cols, slots
+
+
+@dataclass
+class _NormalEquations:
+    """``[[A, B], [B^T, C]] x = -[g_lines, g_reduced]`` with the line blocks first.
+
+    ``A`` is ``(L, 4, 4)``; ``B`` is stored per line as ``Bt`` ``(L, S, 4)``, the
+    transposed 4-column block of the line's ``S`` slots (reduced columns
+    ``slot_cols``); ``C`` is dense on the ``3P + 2V`` point and VP unknowns, the
+    points first.
+    """
+
+    A: np.ndarray
+    Bt: np.ndarray
+    C: np.ndarray
+    g_lines: np.ndarray
+    g_reduced: np.ndarray
+    cost: float
+    slot_cols: np.ndarray
+    n_point_cols: int
+
+    def gradient(self) -> np.ndarray:
+        """The gradient in unknown order: points, lines, VPs."""
+        p = self.n_point_cols
+        return np.concatenate([self.g_reduced[:p], self.g_lines.ravel(), self.g_reduced[p:]])
+
+    def step(self, damping: float) -> np.ndarray:
+        """The damped LM step in unknown order (points, lines, VPs).
+
+        Raises LinAlgError when a damped line block or the reduced system is
+        singular.
+        """
+        n = len(self.C)
+        diag_A = np.einsum("lii->li", self.A)
+        diag_C = np.diag(self.C)
+        floor = 1e-12 * max(1.0, np.concatenate([diag_C, diag_A.ravel()]).max(initial=0.0))
+        A = self.A.copy()
+        A[:, _DIAG4, _DIAG4] += damping * np.maximum(diag_A, floor)
+        S = np.zeros((n + 1, n + 1))  # row and column n take the unused slots
+        S[:n, :n] = self.C
+        S[np.arange(n), np.arange(n)] += damping * np.maximum(diag_C, floor)
+
+        # eliminate the lines: S = C - B^T A^-1 B and rhs = -g_reduced + B^T A^-1 g_lines
+        B = self.Bt.transpose(0, 2, 1)
+        Y = np.linalg.solve(A, np.concatenate([self.g_lines[:, :, None], B], axis=2))
+        BtY = np.einsum("lsi,lij->lsj", self.Bt, Y)  # (L, S, 1 + S)
+        cols = self.slot_cols
+        np.add.at(S, (cols[:, :, None], cols[:, None, :]), -BtY[:, :, 1:])
+        rhs = np.append(-self.g_reduced, 0.0)
+        np.add.at(rhs, cols, BtY[:, :, 0])
+        x = np.append(np.linalg.solve(S[:n, :n], rhs[:n]), 0.0)
+        # back-substitute: A x_lines = -g_lines - B x
+        rhs_lines = -self.g_lines - np.einsum("lsi,ls->li", self.Bt, x[cols])
+        x_lines = np.linalg.solve(A, rhs_lines[:, :, None])[:, :, 0]
+        p = self.n_point_cols
+        return np.concatenate([x[:p], x_lines.ravel(), x[p:n]])
 
 
 class _Linearizer:
     def __init__(self, problem: JointProblem, config: OptimizeConfig):
-        self.problem = problem
         self.config = config
+        n_lines = len(problem.lines)
         self.np_ = 3 * len(problem.points)
-        self.nl = self.np_ + 4 * len(problem.lines)
+        self.nl = self.np_ + 4 * n_lines
         self.nv = self.nl + 2 * len(problem.vps)
         self.offsets = (self.np_, self.nl, self.nv)
+        self.n_reduced = self.nv - 4 * n_lines
 
-    def blocks(self, state: _State):
-        """Yield (residual, loss kind, scale, [(col offset, J block), ...])."""
-        p = self.problem
+        view_index = {img: k for k, img in enumerate(problem.views)}
+        views = list(problem.views.values())
+        Ks = np.array([v.K for v in views]).reshape(-1, 3, 3)
+        Rs = np.array([v.R for v in views]).reshape(-1, 3, 3)
+        ts = np.array([v.t for v in views]).reshape(-1, 3)
+
+        def point_cols(idx):
+            return 3 * idx[:, None] + np.arange(3)
+
+        def vp_cols(idx):
+            return self.np_ + 2 * idx[:, None] + np.arange(2)
+
+        po = problem.point_obs
+        self.po_point = _index(po, 0)
+        po_view = np.array([view_index[img] for _, img, _ in po], dtype=np.intp)
+        self.po_K, self.po_R, self.po_t = Ks[po_view], Rs[po_view], ts[po_view]
+        self.po_pixel = _floats(po, 2, (2,))
+
+        lo = problem.line_obs
+        self.lo_line = _index(lo, 0)
+        lo_view = np.array([view_index[img] for _, img, _ in lo], dtype=np.intp)
+        line_maps = np.array([v.line_map for v in views]).reshape(-1, 2, 3, 3)[lo_view]
+        self.lo_Am, self.lo_Ad = line_maps[:, 0], line_maps[:, 1]
+        self.lo_ends = np.array(
+            [[[*seg.start, 1.0], [*seg.end, 1.0]] for _, _, seg in lo], dtype=np.float64
+        ).reshape(-1, 2, 3)
+        self.lo_direction = np.array([seg.direction for _, _, seg in lo]).reshape(-1, 2)
+
+        self.pl_point, self.pl_line = _index(problem.point_line, 0), _index(problem.point_line, 1)
+        self.pl_weight = _floats(problem.point_line, 2)
+        self.lv_line, self.lv_vp = _index(problem.line_vp, 0), _index(problem.line_vp, 1)
+        self.lv_weight = _floats(problem.line_vp, 2)
+        self.vo_a, self.vo_b = _index(problem.vp_ortho, 0), _index(problem.vp_ortho, 1)
+
+        huber = config.assoc_loss_scale
+        self.terms = [
+            _Term("squared", 1.0, None, [point_cols(self.po_point)]),
+            _Term("cauchy", config.line_loss_scale, self.lo_line, []),
+            _Term("huber", huber, self.pl_line, [point_cols(self.pl_point)]),
+            _Term("huber", huber, self.lv_line, [vp_cols(self.lv_vp)]),
+            _Term("squared", 1.0, None, [vp_cols(self.vo_a), vp_cols(self.vo_b)]),
+        ]
+        coupled = [t for t in self.terms if t.lines is not None and t.cols]
+        self.slot_cols, slots = _coupling_slots(
+            n_lines, self.n_reduced, [(t.lines, t.cols[0]) for t in coupled]
+        )
+        for t, t_slots in zip(coupled, slots):
+            t.slots = t_slots
+
+    def residuals(self, state: _State):
+        """Every term's residuals and Jacobian blocks on ``state``, in ``terms`` order.
+
+        Each is ``(r, J_line, J_reduced)``: ``r`` is ``(K, k)``, ``J_line`` the
+        ``(K, k, 4)`` line block or None, ``J_reduced`` the list of point and
+        VP blocks ``(K, k, dim)``, in the order of the term's ``cols``.
+        """
         cfg = self.config
-        for pi, img, pixel in p.point_obs:
-            r, J = _point_block(state, p.views[img], pi, pixel)
-            yield r, "squared", 1.0, [(3 * pi, J)]
-        geoms = [_line_geometry(par) for par in state.lines]
-        for li, img, seg in p.line_obs:
-            r, J = _line_block(geoms[li], seg, cfg.angle_weight_alpha, p.views[img].line_map)
-            yield r, "cauchy", cfg.line_loss_scale, [(self.np_ + 4 * li, J)]
-        for pi, li, w in p.point_line:
-            r, Jp, Jl = _point_line_block(geoms[li], state.points[pi], w)
-            yield r, "huber", cfg.assoc_loss_scale, [(3 * pi, Jp), (self.np_ + 4 * li, Jl)]
-        bases = [state.vp_basis(k) for k in range(len(state.vps))]
-        for li, vi, w in p.line_vp:
-            r, Jl, Jv = _line_vp_block(geoms[li], state.vps[vi], w, bases[vi])
-            yield r, "huber", cfg.assoc_loss_scale, [
-                (self.np_ + 4 * li, Jl),
-                (self.nl + 2 * vi, Jv),
-            ]
-        for a, b in p.vp_ortho:
-            r, Ja, Jb = _vp_ortho_block(state, a, b, bases[a], bases[b])
-            yield r, "squared", 1.0, [(self.nl + 2 * a, Ja), (self.nl + 2 * b, Jb)]
+        d, m, dd, dm = _line_geometry(state.q, state.w)
+        p, vps, bases = state.points, state.vps, state.vp_bases
 
-    def normal_equations(self, state: _State):
-        n = self.nv
-        H = np.zeros((n, n))
-        g = np.zeros(n)
+        r, J = _point_rows(self.po_K, self.po_R, self.po_t, self.po_pixel, p[self.po_point])
+        out = [(r, None, [J])]
+        li = self.lo_line
+        r, J = _line_rows(
+            self.lo_Am, self.lo_Ad, self.lo_ends, self.lo_direction,
+            d[li], m[li], dd[li], dm[li], cfg.angle_weight_alpha,
+        )
+        out.append((r, J, []))
+        li = self.pl_line
+        r, Jp, Jl = _point_line_rows(p[self.pl_point], d[li], m[li], dd[li], dm[li], self.pl_weight)
+        out.append((r, Jl, [Jp]))
+        li, vi = self.lv_line, self.lv_vp
+        r, Jl, Jv = _line_vp_rows(d[li], dd[li], vps[vi], bases[vi], self.lv_weight)
+        out.append((r, Jl, [Jv]))
+        a, b = self.vo_a, self.vo_b
+        r, Ja, Jb = _vp_ortho_rows(vps[a], vps[b], bases[a], bases[b])
+        out.append((r, None, [Ja, Jb]))
+        return out
+
+    def normal_equations(self, state: _State) -> _NormalEquations:
+        n_lines, n_slots = self.slot_cols.shape
+        A = np.zeros((n_lines, 4, 4))
+        Bt = np.zeros((n_lines, n_slots, 4))
+        C = np.zeros((self.n_reduced, self.n_reduced))
+        g_lines = np.zeros((n_lines, 4))
+        g_reduced = np.zeros(self.n_reduced)
         cost = 0.0
-        for r, kind, scale, blocks in self.blocks(state):
-            s = float(r @ r)
-            val, w = _loss_value_and_weight(kind, s, scale)
-            cost += val
-            sw = math.sqrt(w)
+        for term, (r, J_line, J_reduced) in zip(self.terms, self.residuals(state)):
+            val, w = _loss_value_and_weight(term.loss, np.einsum("ki,ki->k", r, r), term.scale)
+            cost += float(np.sum(val))
+            sw = np.sqrt(w)[:, None]
             rw = sw * r
-            jblocks = [(off, sw * J) for off, J in blocks]
-            for off_i, Ji in jblocks:
-                di = Ji.shape[1]
-                g[off_i : off_i + di] += Ji.T @ rw
-                for off_j, Jj in jblocks:
-                    dj = Jj.shape[1]
-                    H[off_i : off_i + di, off_j : off_j + dj] += Ji.T @ Jj
-        return H, g, cost
+            Jw = [sw[:, :, None] * J for J in J_reduced]
+            if J_line is not None:
+                Jl = sw[:, :, None] * J_line
+                np.add.at(A, term.lines, Jl.transpose(0, 2, 1) @ Jl)
+                np.add.at(g_lines, term.lines, np.einsum("kri,kr->ki", Jl, rw))
+                for Ji in Jw:
+                    np.add.at(Bt, (term.lines[:, None], term.slots), Ji.transpose(0, 2, 1) @ Jl)
+            for cols_i, Ji in zip(term.cols, Jw):
+                np.add.at(g_reduced, cols_i, np.einsum("kri,kr->ki", Ji, rw))
+                for cols_j, Jj in zip(term.cols, Jw):
+                    H_ij = Ji.transpose(0, 2, 1) @ Jj
+                    np.add.at(C, (cols_i[:, :, None], cols_j[:, None, :]), H_ij)
+        return _NormalEquations(A, Bt, C, g_lines, g_reduced, cost, self.slot_cols, self.np_)
 
     def raw_residuals_and_jacobian(self, state: _State):
         """Unweighted stacked residual vector and dense Jacobian (for checks)."""
         rows = []
         jrows = []
-        for r, _, _, blocks in self.blocks(state):
-            rows.append(r)
-            Jrow = np.zeros((len(r), self.nv))
-            for off, J in blocks:
-                Jrow[:, off : off + J.shape[1]] = J
-            jrows.append(Jrow)
-        if not rows:
-            return np.zeros(0), np.zeros((0, self.nv))
+        for term, (r, J_line, J_reduced) in zip(self.terms, self.residuals(state)):
+            K, k = r.shape
+            # reduced columns past the points move behind the line unknowns
+            blocks = [
+                (np.where(cols < self.np_, cols, cols + self.nl - self.np_), J)
+                for cols, J in zip(term.cols, J_reduced)
+            ]
+            if J_line is not None:
+                blocks.append((self.np_ + 4 * term.lines[:, None] + _DIAG4, J_line))
+            Jd = np.zeros((K, k, self.nv))
+            for cols, J in blocks:
+                Jd[np.arange(K)[:, None, None], np.arange(k)[None, :, None], cols[:, None, :]] = J
+            rows.append(r.ravel())
+            jrows.append(Jd.reshape(K * k, self.nv))
         return np.concatenate(rows), np.vstack(jrows)
 
 
 def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -> OptimizeResult:
     """Run Levenberg-Marquardt on a joint problem.  Cameras are fixed."""
     lin = _Linearizer(problem, config)
-    state = _State(problem.points, problem.lines, problem.vps)
-    H, g, cost = lin.normal_equations(state)
+    state = _State.initial(problem)
+    ne = lin.normal_equations(state)
+    cost = ne.cost
     if lin.nv == 0:
         return OptimizeResult(state.points, state.lines, state.vps, cost, cost, 0, True, "empty")
 
@@ -380,14 +570,12 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
     iters = 0
 
     for iters in range(1, config.max_iterations + 1):
-        if np.max(np.abs(g)) < _GTOL:
+        if np.max(np.abs(ne.gradient())) < _GTOL:
             termination, converged = "gradient", True
             break
-        D = np.diag(H)
-        floor = 1e-12 * max(1.0, D.max())
         while damping <= _DAMPING_MAX:
             try:
-                delta = np.linalg.solve(H + np.diag(damping * np.maximum(D, floor)), -g)
+                delta = ne.step(damping)
             except np.linalg.LinAlgError:
                 damping *= _DAMPING_UP
                 continue
@@ -396,15 +584,14 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
                 trial = lin.normal_equations(candidate)
             except FloatingPointError:
                 trial = None
-            if trial is not None and trial[2] < cost:
+            if trial is not None and trial.cost < cost:
                 break
             damping *= _DAMPING_UP
         else:
             termination = "damping_exhausted"
             break
-        H, g, new_cost = trial
-        rel_drop = (cost - new_cost) / max(cost, 1e-30)
-        state, cost = candidate, new_cost
+        rel_drop = (cost - trial.cost) / max(cost, 1e-30)
+        state, ne, cost = candidate, trial, trial.cost
         damping = max(1e-12, damping * _DAMPING_DOWN)
         if rel_drop < _FTOL:
             termination, converged = "cost", True

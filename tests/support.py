@@ -1,9 +1,20 @@
 """Shared synthetic two-view fixtures for the test suite."""
 
+import math
+
 import numpy as np
 
 from linemap.config import PipelineConfig
-from linemap.geometry import CameraView, Segment2D, Segment3D, normalized, project_segment
+from linemap.geometry import (
+    EPS,
+    CameraView,
+    Segment3D,
+    cross3,
+    normalized,
+    project_segment,
+    quat_to_rotmat,
+    skew,
+)
 from linemap.scoring import selection_pair_score
 from linemap.triangulation import ray_plane_form
 
@@ -172,3 +183,154 @@ def weak_degenerate_pair(rng, angle_lo_deg=0.3, angle_hi_deg=0.45, max_tries=100
         gt = Segment3D(A0, found)
         return ref, match, gt, project_segment(gt, ref), project_segment(gt, match)
     raise RuntimeError("failed to construct a weakly degenerate pair")
+
+
+# ---------------------------------------------------------------------------
+# reference joint-refinement normal equations: one residual block at a time
+# ---------------------------------------------------------------------------
+#
+# The per-block loop that ``linemap.optimize`` batches.  It scatters every
+# block into a dense ``H`` in unknown order (points, lines, VPs), so the
+# batched assembly can be checked against it entry by entry.
+
+_SKEW_E1 = skew(np.array([1.0, 0.0, 0.0]))
+_SKEW_E2 = skew(np.array([0.0, 1.0, 0.0]))
+
+
+def _reference_loss(kind, s, scale):
+    c2 = scale * scale
+    if kind == "squared":
+        return s, 1.0
+    if kind == "cauchy":
+        return c2 * math.log1p(s / c2), 1.0 / (1.0 + s / c2)
+    if kind == "huber":
+        if s <= c2:
+            return s, 1.0
+        r = math.sqrt(s)
+        return 2.0 * scale * r - c2, scale / r
+    raise ValueError(f"unknown loss {kind!r}")
+
+
+def _reference_vp_basis(v):
+    seed = np.array([1.0, 0.0, 0.0]) if abs(v[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    b1 = normalized(cross3(v, seed))
+    return np.column_stack([b1, cross3(v, b1)])
+
+
+def _reference_line_geometry(par):
+    U = quat_to_rotmat(par.q)
+    w1, w2 = float(par.w[0]), float(par.w[1])
+    rho = w2 / w1
+    dm = np.zeros((3, 4))
+    dm[:, :3] = rho * (-U @ _SKEW_E2)
+    dm[:, 3] = U[:, 1] / (w1 * w1)
+    dd = np.zeros((3, 4))
+    dd[:, :3] = -U @ _SKEW_E1
+    return U[:, 0], rho * U[:, 1], dd, dm
+
+
+def _reference_point_block(view, X_world, pixel):
+    X = view.R @ X_world + view.t
+    if X[2] <= EPS:
+        return np.array([1e6, 1e6]), np.zeros((2, 3))
+    hom = view.K @ X
+    z = hom[2]
+    J = (view.K[:2, :] * z - np.outer(hom[:2], view.K[2, :])) / (z * z)
+    return hom[:2] / z - pixel, J @ view.R
+
+
+def _reference_line_block(geom, seg, alpha, line_map):
+    d, m, dd, dm = geom
+    A_m, A_d = line_map
+    l = A_m @ m + A_d @ d
+    Jl = A_m @ dm + A_d @ dd
+    n = math.hypot(l[0], l[1])
+    if n < EPS:
+        return np.array([1e6, 1e6]), np.zeros((2, 4))
+    dn = np.array([l[0] / n, l[1] / n, 0.0])
+    o = seg.direction
+    c_raw = (l[0] * o[1] - l[1] * o[0]) / n
+    cosphi = abs(c_raw)
+    wa = math.exp(alpha * (1.0 - cosphi))
+    dcraw = np.array([o[1], -o[0], 0.0]) / n - c_raw * dn / n
+    dcos = math.copysign(1.0, c_raw) * dcraw if cosphi > EPS else np.zeros(3)
+    dwa = -alpha * wa * dcos
+    res = np.empty(2)
+    J = np.empty((2, 4))
+    for row, p in enumerate((seg.start, seg.end)):
+        x = np.array([p[0], p[1], 1.0])
+        e = float(l @ x) / n
+        res[row] = wa * e
+        J[row] = (wa * (x / n - e * dn / n) + e * dwa) @ Jl
+    return res, J
+
+
+def _reference_point_line_block(geom, p, weight):
+    d, m, dd, dm = geom
+    e = -cross3(d, m) - cross3(d, cross3(d, p))
+    dist = np.linalg.norm(e)
+    if dist < 1e-12:
+        return np.zeros(1), np.zeros((1, 3)), np.zeros((1, 4))
+    ehat = e / dist
+    de_dd = skew(m) + skew(cross3(d, p)) + skew(d) @ skew(p)
+    Jp = weight * (ehat @ (np.eye(3) - np.outer(d, d)))[None, :]
+    Jl = weight * (ehat @ (de_dd @ dd - skew(d) @ dm))[None, :]
+    return np.array([weight * dist]), Jp, Jl
+
+
+def _reference_line_vp_block(geom, v, weight, basis):
+    d, _, dd, _ = geom
+    e = cross3(d, v)
+    nrm = np.linalg.norm(e)
+    if nrm < 1e-12:
+        return np.zeros(1), np.zeros((1, 4)), np.zeros((1, 2))
+    ehat = e / nrm
+    Jl = weight * (ehat @ (-skew(v) @ dd))[None, :]
+    Jv = weight * (ehat @ (skew(d) @ basis))[None, :]
+    return np.array([weight * nrm]), Jl, Jv
+
+
+def reference_normal_equations(problem, config, points, lines, vps):
+    """Dense ``H``, ``g`` and cost of a joint problem at the given unknowns.
+
+    ``lines`` is a list of ``MinimalLineParam``; ``vps`` are unit directions.
+    """
+    np_ = 3 * len(points)
+    nl = np_ + 4 * len(lines)
+    n = nl + 2 * len(vps)
+    geoms = [_reference_line_geometry(par) for par in lines]
+    bases = [_reference_vp_basis(v) for v in vps]
+    huber = config.assoc_loss_scale
+
+    blocks = []  # (residual, loss kind, scale, [(column offset, J block), ...])
+    for pi, img, pixel in problem.point_obs:
+        r, J = _reference_point_block(problem.views[img], points[pi], pixel)
+        blocks.append((r, "squared", 1.0, [(3 * pi, J)]))
+    for li, img, seg in problem.line_obs:
+        line_map = problem.views[img].line_map
+        r, J = _reference_line_block(geoms[li], seg, config.angle_weight_alpha, line_map)
+        blocks.append((r, "cauchy", config.line_loss_scale, [(np_ + 4 * li, J)]))
+    for pi, li, w in problem.point_line:
+        r, Jp, Jl = _reference_point_line_block(geoms[li], points[pi], w)
+        blocks.append((r, "huber", huber, [(3 * pi, Jp), (np_ + 4 * li, Jl)]))
+    for li, vi, w in problem.line_vp:
+        r, Jl, Jv = _reference_line_vp_block(geoms[li], vps[vi], w, bases[vi])
+        blocks.append((r, "huber", huber, [(np_ + 4 * li, Jl), (nl + 2 * vi, Jv)]))
+    for a, b in problem.vp_ortho:
+        r = np.array([float(vps[a] @ vps[b])])
+        Ja, Jb = (vps[b] @ bases[a])[None, :], (vps[a] @ bases[b])[None, :]
+        blocks.append((r, "squared", 1.0, [(nl + 2 * a, Ja), (nl + 2 * b, Jb)]))
+
+    H = np.zeros((n, n))
+    g = np.zeros(n)
+    cost = 0.0
+    for r, kind, scale, parts in blocks:
+        val, w = _reference_loss(kind, float(r @ r), scale)
+        cost += val
+        sw = math.sqrt(w)
+        for off_i, Ji in parts:
+            di = Ji.shape[1]
+            g[off_i : off_i + di] += (sw * Ji).T @ (sw * r)
+            for off_j, Jj in parts:
+                H[off_i : off_i + di, off_j : off_j + Jj.shape[1]] += (sw * Ji).T @ (sw * Jj)
+    return H, g, cost

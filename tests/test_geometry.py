@@ -21,6 +21,8 @@ from linemap.geometry import (
     project_line,
     project_point_to_line3d,
     project_segment,
+    quat_exp,
+    quat_mul,
     quat_to_rotmat,
     relative_pose,
     rotmat_to_quat,
@@ -298,6 +300,21 @@ def test_quaternion_rotation_roundtrip():
         q = rotmat_to_quat(R)
         assert q[0] >= 0
         np.testing.assert_allclose(quat_to_rotmat(q), R, atol=1e-12)
+
+
+def test_stacked_quaternion_helpers_equal_the_single_ones_bit_for_bit():
+    rng = np.random.default_rng(18)
+    q = rng.normal(size=(20, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    r = np.roll(q, 1, axis=0)
+    delta = rng.normal(scale=0.3, size=(20, 3))
+    delta[:3] *= 1e-13  # the small-angle branch
+    Rs, qr, qe = quat_to_rotmat(q), quat_mul(q, r), quat_exp(delta)
+    assert Rs.shape == (20, 3, 3) and qr.shape == (20, 4) and qe.shape == (20, 4)
+    for k in range(20):
+        assert np.array_equal(Rs[k], quat_to_rotmat(q[k]))
+        assert np.array_equal(qr[k], quat_mul(q[k], r[k]))
+        assert np.array_equal(qe[k], quat_exp(delta[k]))
 
 
 def test_acute_angle_ignores_orientation():

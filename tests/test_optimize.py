@@ -37,7 +37,7 @@ from linemap.optimize import (
 )
 from linemap.synthetic import ObservationConfig, SceneConfig, build_scene, observe_scene
 
-from support import endpoint_rays, make_view
+from support import endpoint_rays, make_view, reference_normal_equations
 
 
 def ring_views(n=4, radius=3.0, height=0.6):
@@ -100,7 +100,7 @@ def noisy_line_problem():
 class TestJacobians:
     def check_problem(self, problem, tol=1e-4):
         lin = _Linearizer(problem, OptimizeConfig())
-        state = _State(problem.points, problem.lines, problem.vps)
+        state = _State.initial(problem)
         r0, J = lin.raw_residuals_and_jacobian(state)
         n = lin.nv
         h = 1e-6
@@ -144,6 +144,175 @@ class TestJacobians:
             for img in views:
                 problem.line_obs.append((0, img, project_segment(seg, views[img])))
             self.check_problem(problem)
+
+
+def tiled_problem(problems):
+    """One problem holding independent copies side by side, sharing the first one's views."""
+    out = JointProblem(
+        views=problems[0].views,
+        points=np.vstack([pr.points for pr in problems]),
+        lines=[par for pr in problems for par in pr.lines],
+        vps=np.vstack([pr.vps for pr in problems]),
+    )
+    n_pts = n_lines = n_vps = 0
+    for pr in problems:
+        out.point_obs += [(pi + n_pts, img, pix) for pi, img, pix in pr.point_obs]
+        out.line_obs += [(li + n_lines, img, seg) for li, img, seg in pr.line_obs]
+        out.point_line += [(pi + n_pts, li + n_lines, w) for pi, li, w in pr.point_line]
+        out.line_vp += [(li + n_lines, vi + n_vps, w) for li, vi, w in pr.line_vp]
+        out.vp_ortho += [(a + n_vps, b + n_vps) for a, b in pr.vp_ortho]
+        n_pts, n_lines, n_vps = (
+            n_pts + len(pr.points), n_lines + len(pr.lines), n_vps + len(pr.vps)
+        )
+    return out
+
+
+def degenerate_problem():
+    """The mixed problem plus every residual branch that would divide by zero.
+
+    View 0 sits at (3, 0, 0) looking down the x axis.  One point lies behind
+    it and one exactly on its camera plane (depth 0); the x axis, as a line,
+    runs through its centre and images to the zero line.  A point on that
+    line and a VP along it give zero point-line and line-VP distances.
+    """
+    problem = make_mixed_problem(np.random.default_rng(13))
+    views = problem.views
+    centre = views[0].camera_center
+    x_axis = Segment3D(np.array([-0.5, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+    n_pts, n_lines, n_vps = len(problem.points), len(problem.lines), len(problem.vps)
+    problem.points = np.vstack([problem.points, centre + 0.5, [3.0, 0.5, 0.2], [0.5, 0.0, 0.0]])
+    problem.lines = problem.lines + [plucker_to_minimal(plucker_from_segment(x_axis))]
+    problem.vps = np.vstack([problem.vps, [1.0, 0.0, 0.0]])
+    for pi in (n_pts, n_pts + 1):
+        problem.point_obs += [(pi, 0, np.array([300.0, 200.0])), (pi, 1, np.array([310.0, 250.0]))]
+    problem.line_obs += [
+        (n_lines, 0, Segment2D(np.array([100.0, 100.0]), np.array([220.0, 160.0]))),
+        (n_lines, 1, project_segment(x_axis, views[1])),
+    ]
+    problem.point_line += [(n_pts + 2, n_lines, 3.0)]
+    problem.line_vp += [(n_lines, n_vps, 4.0)]
+    return problem
+
+
+def dense_system(ne):
+    """``H`` and ``g`` of batched normal equations in unknown order (points, lines, VPs)."""
+    n_lines = len(ne.A)
+    n_reduced = len(ne.C)
+    p = ne.n_point_cols
+    n = n_reduced + 4 * n_lines
+    reduced = np.arange(n_reduced)
+    reduced[p:] += 4 * n_lines  # the VP columns follow the lines
+    H = np.zeros((n, n))
+    H[np.ix_(reduced, reduced)] = ne.C
+    for li in range(n_lines):
+        rows = p + 4 * li + np.arange(4)
+        H[np.ix_(rows, rows)] = ne.A[li]
+        for slot, col in enumerate(ne.slot_cols[li]):
+            if col < n_reduced:
+                H[rows, reduced[col]] = ne.Bt[li, slot]
+                H[reduced[col], rows] = ne.Bt[li, slot]
+    return H, ne.gradient()
+
+
+def relative_error(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300) if b.size else 0.0
+
+
+class TestBatchedAssembly:
+    def check_against_reference(self, problem, state=None):
+        lin = _Linearizer(problem, OptimizeConfig())
+        state = state or _State.initial(problem)
+        ne = lin.normal_equations(state)
+        H, g = dense_system(ne)
+        H_ref, g_ref, cost_ref = reference_normal_equations(
+            problem, lin.config, state.points, state.lines, state.vps
+        )
+        assert relative_error(H, H_ref) <= 1e-12
+        assert relative_error(g, g_ref) <= 1e-12
+        assert abs(ne.cost - cost_ref) <= 1e-12 * cost_ref
+
+    def test_mixed_problem_matches_the_block_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            problem = make_mixed_problem(rng)
+            self.check_against_reference(problem)
+            lin = _Linearizer(problem, OptimizeConfig())
+            moved = _State.initial(problem).retract(0.01 * rng.standard_normal(lin.nv), lin.offsets)
+            self.check_against_reference(problem, moved)
+
+    def test_degenerate_problem_matches_the_block_loop(self):
+        problem = degenerate_problem()
+        lin = _Linearizer(problem, OptimizeConfig())
+        rows = [r for r, _, _ in lin.residuals(_State.initial(problem))]
+        r_points, r_lines, r_point_line, r_line_vp, _ = rows
+        assert np.all(r_points[[-4, -2]] == 1e6)  # behind view 0 and on its camera plane
+        assert np.all(r_lines[-2] == 1e6)  # the x axis seen by view 0
+        assert r_point_line[-1, 0] == 0.0 and r_line_vp[-1, 0] == 0.0
+        self.check_against_reference(problem)
+
+    def test_tiled_problem_matches_the_block_loop(self):
+        rng = np.random.default_rng(17)
+        problem = tiled_problem([make_mixed_problem(rng) for _ in range(30)])
+        assert problem.dof() > 500
+        self.check_against_reference(problem)
+
+    def test_degenerate_problem_raises_no_floating_point_event(self):
+        problem = degenerate_problem()
+        with np.errstate(all="raise"):
+            lin = _Linearizer(problem, OptimizeConfig())
+            state = _State.initial(problem)
+            ne = lin.normal_equations(state)
+            lin.raw_residuals_and_jacobian(state)
+            ne.step(1e-4)
+            result = optimize(problem, OptimizeConfig(max_iterations=3))
+        assert result.final_cost < result.initial_cost
+
+    def test_line_at_infinity_raises(self):
+        par = MinimalLineParam(np.array([1.0, 0.0, 0.0, 0.0]), np.array([1e-13, 1.0]))
+        with pytest.raises(FloatingPointError, match="line drifted"):
+            opt_module._line_geometry(par.q[None, :], par.w[None, :])
+
+
+def vp_only_problem():
+    a = np.array([1.0, 0.0, 0.0])
+    b = normalized([math.cos(math.radians(88.0)), math.sin(math.radians(88.0)), 0.0])
+    return JointProblem(views={}, vps=np.array([a, b]), vp_ortho=[(0, 1)])
+
+
+def point_only_problem():
+    views = ring_views(3)
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(3, 3))
+    problem = JointProblem(views=views, points=pts + 0.05)
+    for pi in range(3):
+        for img in views:
+            problem.point_obs.append((pi, img, views[img].project_point(pts[pi]) + 0.7))
+    return problem
+
+
+class TestSchurStep:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            point_only_problem,
+            noisy_line_problem,
+            vp_only_problem,
+            lambda: make_mixed_problem(np.random.default_rng(7)),
+            lambda: JointProblem(views={}),
+        ],
+        ids=["points", "lines", "vps", "mixed", "empty"],
+    )
+    def test_step_matches_the_dense_solve(self, make):
+        problem = make()
+        lin = _Linearizer(problem, OptimizeConfig())
+        ne = lin.normal_equations(_State.initial(problem))
+        H, g = dense_system(ne)
+        D = np.diag(H)
+        floor = 1e-12 * max(1.0, D.max(initial=0.0))
+        for damping in (1e-4, 1e-1, 1e3):
+            dense = np.linalg.solve(H + np.diag(damping * np.maximum(D, floor)), -g)
+            step = ne.step(damping)
+            assert step.shape == (problem.dof(),)
+            assert relative_error(step, dense) <= 1e-8
 
 
 class TestConvergence:
@@ -233,20 +402,20 @@ class TestConvergence:
 def fail_line_geometry_on(monkeypatch, bad_state):
     """Make ``_line_geometry`` raise FloatingPointError on chosen states.
 
-    States are numbered 1, 2, ... in the order their line parameter first
-    reaches ``_line_geometry``; state 1 is the start.  Returns the list of
-    parameters seen, one per state.
+    States are numbered 1, 2, ... in the order their stacked line quaternions
+    first reach ``_line_geometry``; state 1 is the start.  Returns the list of
+    quaternion stacks seen, one per state.
     """
     real = opt_module._line_geometry
     seen = []
 
-    def flaky(par):
-        if not any(par is p for p in seen):
-            seen.append(par)
-        k = next(i for i, p in enumerate(seen, 1) if p is par)
+    def flaky(q, w):
+        if not any(q is p for p in seen):
+            seen.append(q)
+        k = next(i for i, p in enumerate(seen, 1) if p is q)
         if bad_state(k):
             raise FloatingPointError("injected")
-        return real(par)
+        return real(q, w)
 
     monkeypatch.setattr(opt_module, "_line_geometry", flaky)
     return seen
@@ -281,23 +450,23 @@ class TestSolverLoop:
 
     def test_each_state_is_evaluated_once(self, monkeypatch):
         problem = make_mixed_problem(np.random.default_rng(7))
-        counts = {"blocks": 0, "retract": 0}
-        real_blocks, real_retract = _Linearizer.blocks, _State.retract
+        counts = {"residuals": 0, "retract": 0}
+        real_residuals, real_retract = _Linearizer.residuals, _State.retract
 
-        def blocks(self, *args, **kwargs):
-            counts["blocks"] += 1
-            return real_blocks(self, *args, **kwargs)
+        def residuals(self, *args, **kwargs):
+            counts["residuals"] += 1
+            return real_residuals(self, *args, **kwargs)
 
         def retract(self, delta, offsets):
             counts["retract"] += 1
             return real_retract(self, delta, offsets)
 
-        monkeypatch.setattr(_Linearizer, "blocks", blocks)
+        monkeypatch.setattr(_Linearizer, "residuals", residuals)
         monkeypatch.setattr(_State, "retract", retract)
         result = optimize(problem, OptimizeConfig(max_iterations=20))
         assert result.iterations >= 2
         assert counts["retract"] >= result.iterations
-        assert counts["blocks"] == 1 + counts["retract"]
+        assert counts["residuals"] == 1 + counts["retract"]
 
 
 class TestHelpers:

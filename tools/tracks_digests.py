@@ -10,8 +10,10 @@ outlier matches (seed 7) under three configs, the same scene observed
 cleanly, and ``linemap synth --views 16 --noise 1.0 --outliers 0.2 --seed 1``
 followed by ``linemap map``.  A change meant to keep outputs the same must
 print the same five lines as its parent on the same host.  BLAS runs on one
-thread, because joint refinement's dense solves round differently with the
-thread count; across CPUs and numpy builds the last bit may still differ.
+thread, because joint refinement's reduced solve (the dense system left on
+the points and VPs once the line blocks are eliminated) can round differently
+with the thread count; across CPUs and numpy builds the last bit may still
+differ.
 """
 
 import os
