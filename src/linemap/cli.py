@@ -83,15 +83,7 @@ def cmd_map(args) -> int:
     result = run_pipeline(data, config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    payload = tracks_payload(
-        result.tracks,
-        vp_tracks=result.vp_tracks,
-        point_line_edges=result.point_line_edges,
-        line_vp_edges=result.line_vp_edges,
-        points3d=result.points3d,
-        stats=result.stats,
-    )
-    write_tracks_json(out / "tracks.json", payload)
+    write_tracks_json(out / "tracks.json", tracks_payload(result))
     write_ply(out / "lines.ply", [t.segment for t in result.tracks])
     for key in sorted(result.stats):
         print(f"{key}: {result.stats[key]}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,11 +26,7 @@ __all__ = [
 
 @dataclass
 class DepthMap:
-    """Dense per-pixel z-depth; NaN marks invalid pixels.
-
-    The serialized form is two little-endian uint32 (height, width)
-    followed by float32 row-major depth values.
-    """
+    """Dense per-pixel z-depth; NaN marks invalid pixels."""
 
     data: np.ndarray
 
@@ -47,26 +42,6 @@ class DepthMap:
     @property
     def width(self) -> int:
         return self.data.shape[1]
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DepthMap":
-        raw = Path(path).read_bytes()
-        if len(raw) < 8:
-            raise ValueError(f"depth file too short: {path}")
-        h, w = np.frombuffer(raw[:8], dtype="<u4")
-        expect = 8 + 4 * int(h) * int(w)
-        if len(raw) != expect:
-            raise ValueError(
-                f"depth file {path} has {len(raw)} bytes, expected {expect} for {h}x{w}"
-            )
-        data = np.frombuffer(raw[8:], dtype="<f4").reshape(int(h), int(w))
-        return cls(data.copy())
-
-    def save(self, path: str | Path) -> None:
-        header = np.array(self.data.shape, dtype="<u4")
-        with open(path, "wb") as fh:
-            fh.write(header.tobytes())
-            fh.write(self.data.astype("<f4").tobytes())
 
     def sample_bilinear(self, pixels: np.ndarray) -> np.ndarray:
         """Bilinear depth at pixel positions; NaN when any neighbor is bad.

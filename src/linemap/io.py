@@ -31,7 +31,7 @@ import numpy as np
 
 from .depthfit import DepthMap
 from .geometry import EPS, CameraView, Segment2D, Segment3D
-from .pipeline import PipelineInput
+from .pipeline import PipelineInput, PipelineResult
 
 __all__ = [
     "InputError",
@@ -58,6 +58,10 @@ MATCHES = "matches.json"
 POINTS = "points.json"
 NEIGHBORS = "neighbors.json"
 GT_LINES = "gt_lines.json"
+
+# largest magnitude of any number read from a dataset or a tracks file; beyond it
+# products of coordinates can overflow inside a run
+MAX_MAGNITUDE = 1e12
 
 
 class InputError(Exception):
@@ -106,8 +110,9 @@ def _index(path: Path, value, where: str) -> int:
 
 
 def _coords(path: Path, row, where: str, layout: str) -> list[float]:
-    """The finite floats of a JSON row of numbers (not bools) shaped like ``layout``,
-    e.g. ``"[x, y, z]"``, or an InputError naming ``path``."""
+    """The floats, finite and at most MAX_MAGNITUDE in magnitude, of a JSON row of
+    numbers (not bools) shaped like ``layout``, e.g. ``"[x, y, z]"``, or an
+    InputError naming ``path``."""
     if not isinstance(row, list) or len(row) != layout.count(",") + 1:
         raise InputError(path, f"{where}: expected {layout}")
     if not all(type(v) in (int, float) for v in row):
@@ -118,6 +123,8 @@ def _coords(path: Path, row, where: str, layout: str) -> list[float]:
         out = [math.inf]
     if not all(map(math.isfinite, out)):
         raise InputError(path, f"{where}: non-finite coordinate")
+    if max(map(abs, out)) > MAX_MAGNITUDE:
+        raise InputError(path, f"{where}: coordinate magnitude above {MAX_MAGNITUDE:g}")
     return out
 
 
@@ -160,6 +167,10 @@ def load_cameras(path: str | Path) -> dict[int, CameraView]:
             raise InputError(path, f"camera {key}: last row of K must be (0, 0, 1)")
         if abs(np.linalg.det(R) - 1.0) > 1e-6 or np.abs(R @ R.T - np.eye(3)).max() > 1e-6:
             raise InputError(path, f"camera {key}: R is not a rotation matrix")
+        if max(abs(v) for v in (*K.flat, *t, width, height)) > MAX_MAGNITUDE:
+            raise InputError(
+                path, f"camera {key}: magnitude above {MAX_MAGNITUDE:g} in K, t, width or height"
+            )
         views[img] = CameraView(K=K, R=R, t=t, width=width, height=height)
     return views
 
@@ -292,10 +303,14 @@ def load_depth(root: str | Path, image_id: int) -> DepthMap | None:
     path = depth_path(root, image_id)
     if not path.is_file():
         return None
-    try:
-        return DepthMap.load(path)
-    except ValueError as e:
-        raise InputError(path, str(e)) from e
+    raw = path.read_bytes()
+    if len(raw) < 8:
+        raise InputError(path, f"depth file has {len(raw)} bytes, shorter than its 8-byte header")
+    h, w = (int(v) for v in np.frombuffer(raw[:8], dtype="<u4"))
+    expect = 8 + 4 * h * w
+    if len(raw) != expect:
+        raise InputError(path, f"depth file has {len(raw)} bytes, expected {expect} for {h}x{w}")
+    return DepthMap(np.frombuffer(raw[8:], dtype="<f4").reshape(h, w).copy())
 
 
 def write_dataset(
@@ -341,7 +356,8 @@ def write_dataset(
     for img, dm in (depth or {}).items():
         path = depth_path(root, img)
         path.parent.mkdir(exist_ok=True)
-        dm.save(path)
+        header = np.array(dm.data.shape, dtype="<u4")
+        path.write_bytes(header.tobytes() + dm.data.astype("<f4").tobytes())
     return root
 
 
@@ -426,15 +442,11 @@ def read_tracks_json(path: str | Path) -> dict:
     return raw
 
 
-def tracks_payload(
-    tracks,
-    vp_tracks=None,
-    point_line_edges=None,
-    line_vp_edges=None,
-    points3d=None,
-    stats=None,
-) -> dict:
-    """Assemble the canonical result document for a set of line tracks."""
+def tracks_payload(result: PipelineResult) -> dict:
+    """Assemble the canonical result document of a pipeline run.
+
+    ``"points"`` is present only when the run had 3D points.
+    """
     payload = {
         "tracks": [
             {
@@ -443,25 +455,21 @@ def tracks_payload(
                 "supports": [[int(img), int(det)] for img, det in t.supports],
                 "source_counts": {k: int(v) for k, v in sorted(t.source_counts.items())},
             }
-            for t in tracks
-        ]
-    }
-    if vp_tracks is not None:
-        payload["vp_tracks"] = [
+            for t in result.tracks
+        ],
+        "vp_tracks": [
             {
                 "direction": [float(v) for v in vt.direction],
                 "members": [[int(img), int(k)] for img, k in vt.members],
             }
-            for vt in vp_tracks
-        ]
-    if point_line_edges is not None:
-        payload["point_line_edges"] = [[int(a), int(b)] for a, b in point_line_edges]
-    if line_vp_edges is not None:
-        payload["line_vp_edges"] = [[int(a), int(b)] for a, b in line_vp_edges]
-    if points3d is not None:
-        payload["points"] = [[float(v) for v in p] for p in points3d]
-    if stats is not None:
-        payload["stats"] = stats
+            for vt in result.vp_tracks
+        ],
+        "point_line_edges": [[int(a), int(b)] for a, b in result.point_line_edges],
+        "line_vp_edges": [[int(a), int(b)] for a, b in result.line_vp_edges],
+        "stats": result.stats,
+    }
+    if result.points3d is not None:
+        payload["points"] = [[float(v) for v in p] for p in result.points3d]
     return payload
 
 

@@ -1,10 +1,13 @@
 """Length-based evaluation of reconstructed 3D segments against ground truth.
 
-Segments are densely sampled (spacing of a quarter of the smallest
-threshold) and each sample queries its exact distance to the nearest
-segment on the other side.  Recall is the portion of ground-truth length
-within threshold of any prediction; precision (inlier ratio) is the
-portion of predicted length within threshold of any ground-truth segment.
+One pass per side: the ground truth and the predictions are each sampled
+once, at a quarter of the smallest threshold, and each sample's exact
+distance to the nearest segment on the other side is computed once.  Every
+threshold then reads off those two distance vectors.  Recall is the portion
+of ground-truth length within threshold of any prediction; precision
+(inlier ratio) is the portion of predicted length within threshold of any
+ground-truth segment; a track is an inlier when the mean (or max) distance
+of its own samples is within threshold.
 """
 
 from __future__ import annotations
@@ -18,26 +21,25 @@ from .geometry import Segment3D, point_segment_distances, sample_segment
 __all__ = [
     "sample_segments",
     "min_distance_to_segments",
-    "length_recall",
-    "length_precision",
-    "track_distances",
-    "inlier_percentage",
     "EvalReport",
     "evaluate_segments",
 ]
 
 
+def _samples(segments: list[Segment3D], spacing: float):
+    """Points, per-sample length weights, and the index one past each segment's samples."""
+    per_seg = [sample_segment(seg, spacing) for seg in segments]
+    if not per_seg:
+        return np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int)
+    weights = [np.full(len(p), seg.length / len(p)) for seg, p in zip(segments, per_seg)]
+    ends = np.cumsum([len(p) for p in per_seg])
+    return np.concatenate(per_seg), np.concatenate(weights), ends
+
+
 def sample_segments(segments: list[Segment3D], spacing: float):
     """Evenly spaced points along each segment plus per-sample length weights."""
-    pts = []
-    weights = []
-    for seg in segments:
-        samples = sample_segment(seg, spacing)
-        pts.append(samples)
-        weights.append(np.full(len(samples), seg.length / len(samples)))
-    if not pts:
-        return np.zeros((0, 3)), np.zeros(0)
-    return np.concatenate(pts), np.concatenate(weights)
+    pts, weights, _ = _samples(segments, spacing)
+    return pts, weights
 
 
 def min_distance_to_segments(points: np.ndarray, segments: list[Segment3D]) -> np.ndarray:
@@ -49,65 +51,9 @@ def min_distance_to_segments(points: np.ndarray, segments: list[Segment3D]) -> n
     return point_segment_distances(points, starts, ends).min(axis=1)
 
 
-def _covered_fraction(source, target, tau, spacing):
-    pts, w = sample_segments(source, spacing)
-    if len(pts) == 0:
-        return 0.0, 0.0
-    d = min_distance_to_segments(pts, target)
-    total = float(w.sum())
-    covered = float(w[d <= tau].sum())
-    return covered, total
-
-
-def length_recall(
-    gt: list[Segment3D], pred: list[Segment3D], tau: float, spacing: float | None = None
-) -> float:
-    """Portion of ground-truth length lying within ``tau`` of a prediction."""
-    spacing = tau / 4.0 if spacing is None else spacing
-    covered, total = _covered_fraction(gt, pred, tau, spacing)
-    return covered / total if total > 0 else 0.0
-
-
-def length_precision(
-    pred: list[Segment3D], gt: list[Segment3D], tau: float, spacing: float | None = None
-) -> float:
-    """Portion of predicted length lying within ``tau`` of the ground truth."""
-    spacing = tau / 4.0 if spacing is None else spacing
-    covered, total = _covered_fraction(pred, gt, tau, spacing)
-    return covered / total if total > 0 else 0.0
-
-
-def track_distances(
-    pred: list[Segment3D], gt: list[Segment3D], spacing: float, aggregate: str = "mean"
-) -> np.ndarray:
-    """Per-track aggregated sample distance to the ground truth.
-
-    ``aggregate`` selects how a track's samples are summarized: ``"mean"``
-    (default) or ``"max"``.
-    """
-    if aggregate not in ("mean", "max"):
-        raise ValueError(f"aggregate must be 'mean' or 'max', got {aggregate!r}")
-    out = np.empty(len(pred))
-    for i, seg in enumerate(pred):
-        pts, _ = sample_segments([seg], spacing)
-        d = min_distance_to_segments(pts, gt)
-        out[i] = d.mean() if aggregate == "mean" else d.max()
-    return out
-
-
-def inlier_percentage(
-    pred: list[Segment3D],
-    gt: list[Segment3D],
-    tau: float,
-    spacing: float | None = None,
-    aggregate: str = "mean",
-) -> float:
-    """Percent of tracks whose aggregated sample distance is at most ``tau``."""
-    if not pred:
-        return 0.0
-    spacing = tau / 4.0 if spacing is None else spacing
-    d = track_distances(pred, gt, spacing, aggregate)
-    return 100.0 * float((d <= tau).mean())
+def _length_share(weights: np.ndarray, within: np.ndarray) -> float:
+    total = float(weights.sum())
+    return float(weights[within].sum()) / total if total > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -151,13 +97,22 @@ def evaluate_segments(
 ) -> EvalReport:
     """Recall/precision/inlier percentage, sampled at min(tau)/4 spacing.
 
-    ``supports``, when given, is the per-track list of (image, detection)
-    observations and feeds the average-supports summary.
+    ``aggregate`` is how a track's sample distances decide its inlier test:
+    ``"mean"`` (default) or ``"max"``.  ``supports``, when given, is the
+    per-track list of (image, detection) observations and feeds the
+    average-supports summary.
     """
+    if aggregate not in ("mean", "max"):
+        raise ValueError(f"aggregate must be 'mean' or 'max', got {aggregate!r}")
     spacing = min(taus) / 4.0
-    recall = tuple(length_recall(gt, pred, t, spacing) for t in taus)
-    precision = tuple(length_precision(pred, gt, t, spacing) for t in taus)
-    track_d = track_distances(pred, gt, spacing, aggregate) if pred else np.zeros(0)
+    gt_pts, gt_w = sample_segments(gt, spacing)
+    pred_pts, pred_w, pred_ends = _samples(pred, spacing)
+    gt_d = min_distance_to_segments(gt_pts, pred)
+    pred_d = min_distance_to_segments(pred_pts, gt)
+    reduce = np.mean if aggregate == "mean" else np.max
+    track_d = np.array([reduce(d) for d in np.split(pred_d, pred_ends[:-1])] if pred else [])
+    recall = tuple(_length_share(gt_w, gt_d <= t) for t in taus)
+    precision = tuple(_length_share(pred_w, pred_d <= t) for t in taus)
     inlier_pct = tuple(
         100.0 * float((track_d <= t).mean()) if len(track_d) else 0.0 for t in taus
     )

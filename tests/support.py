@@ -15,6 +15,7 @@ from linemap.geometry import (
     quat_to_rotmat,
     skew,
 )
+from linemap.metrics import min_distance_to_segments, sample_segments
 from linemap.scoring import selection_pair_score
 from linemap.triangulation import ray_plane_form
 
@@ -334,3 +335,41 @@ def reference_normal_equations(problem, config, points, lines, vps):
             for off_j, Jj in parts:
                 H[off_i : off_i + di, off_j : off_j + Jj.shape[1]] += (sw * Ji).T @ (sw * Jj)
     return H, g, cost
+
+
+# ---------------------------------------------------------------------------
+# Reference length metrics
+# ---------------------------------------------------------------------------
+#
+# The per-threshold, per-track evaluation that ``linemap.metrics.evaluate_segments``
+# does in one pass: each threshold samples both sides again, and each track is
+# sampled and measured on its own.
+
+
+def _reference_covered_fraction(source, target, tau, spacing):
+    pts, w = sample_segments(source, spacing)
+    if len(pts) == 0:
+        return 0.0, 0.0
+    d = min_distance_to_segments(pts, target)
+    return float(w[d <= tau].sum()), float(w.sum())
+
+
+def reference_length_recall(gt, pred, tau, spacing):
+    covered, total = _reference_covered_fraction(gt, pred, tau, spacing)
+    return covered / total if total > 0 else 0.0
+
+
+def reference_length_precision(pred, gt, tau, spacing):
+    covered, total = _reference_covered_fraction(pred, gt, tau, spacing)
+    return covered / total if total > 0 else 0.0
+
+
+def reference_inlier_percentage(pred, gt, tau, spacing, aggregate="mean"):
+    if not pred:
+        return 0.0
+    d = np.empty(len(pred))
+    for i, seg in enumerate(pred):
+        pts, _ = sample_segments([seg], spacing)
+        dist = min_distance_to_segments(pts, gt)
+        d[i] = dist.mean() if aggregate == "mean" else dist.max()
+    return 100.0 * float((d <= tau).mean())

@@ -27,7 +27,7 @@ from linemap.geometry import (
     project_point_to_line3d,
 )
 from linemap.io import canonical_dumps, tracks_payload
-from linemap.metrics import inlier_percentage, length_recall
+from linemap.metrics import evaluate_segments
 from linemap.optimize import (
     JointProblem,
     OptimizeConfig,
@@ -133,16 +133,7 @@ def track_to_gt(track, obs):
 
 
 def payload_bytes(result):
-    return canonical_dumps(
-        tracks_payload(
-            result.tracks,
-            vp_tracks=result.vp_tracks,
-            point_line_edges=result.point_line_edges,
-            line_vp_edges=result.line_vp_edges,
-            points3d=result.points3d,
-            stats=result.stats,
-        )
-    ).encode()
+    return canonical_dumps(tracks_payload(result)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +387,7 @@ def test_06_scale_invariance(noisy_scene, noisy_unrefined):
     tau = 0.01 * scene_diameter(scene)
     base = noisy_unrefined
     base_segs = [t.segment for t in base.tracks]
-    base_recall = length_recall(scene.segments3d, base_segs, tau)
-    base_inlier = inlier_percentage(base_segs, scene.segments3d, tau)
+    base_rep = evaluate_segments(scene.segments3d, base_segs, taus=(tau,))
 
     def scaled_views(s):
         return {
@@ -428,10 +418,11 @@ def test_06_scale_invariance(noisy_scene, noisy_unrefined):
             )
         gt = [type(g)(s * g.start, s * g.end) for g in scene.segments3d]
         segs = [t.segment for t in res.tracks]
+        rep = evaluate_segments(gt, segs, taus=(s * tau,))
         worst_metric = max(
             worst_metric,
-            abs(length_recall(gt, segs, s * tau) - base_recall),
-            abs(inlier_percentage(segs, gt, s * tau) - base_inlier) / 100.0,
+            abs(rep.recall[0] - base_rep.recall[0]),
+            abs(rep.inlier_pct[0] - base_rep.inlier_pct[0]) / 100.0,
         )
     ok = members_equal and worst_geo < 1e-9 and worst_metric < 1e-9
     report(
@@ -453,12 +444,13 @@ def test_07_end_to_end_mapping(noisy_scene, noisy_refined, clean_scene, clean_re
     result, noisy_time = noisy_refined
     tau = 0.01 * scene_diameter(scene)
     segs = [t.segment for t in result.tracks]
-    recall = length_recall(scene.segments3d, segs, tau)
-    inliers = inlier_percentage(segs, scene.segments3d, tau)
+    rep = evaluate_segments(scene.segments3d, segs, taus=(tau,))
+    recall, inliers = rep.recall[0], rep.inlier_pct[0]
 
     clean, clean_time = clean_result
     cscene, cobs, _ = clean_scene
-    crecall = length_recall(cscene.segments3d, [t.segment for t in clean.tracks], tau)
+    csegs = [t.segment for t in clean.tracks]
+    crecall = evaluate_segments(cscene.segments3d, csegs, taus=(tau,)).recall[0]
     owners = Counter(track_to_gt(t, cobs) for t in clean.tracks)
     one_track_each = sorted(owners) == list(range(len(cscene.segments3d))) and set(
         owners.values()

@@ -1,13 +1,15 @@
 """Tests for the command line interface (run in-process via main)."""
 
 import json
+import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from linemap import cli
 from linemap.cli import main
-from linemap.io import read_tracks_json
+from linemap.io import MAX_MAGNITUDE, read_tracks_json
 
 
 @pytest.fixture(scope="module")
@@ -285,8 +287,15 @@ def test_bad_image_size_exits_2_and_names_the_file(
         ("gt_lines.json", "segments", [[0, 0, 0, 1, 1]], "segment 0: expected [x1, y1, z1, x2"),
         ("gt_lines.json", "segments", [[0, 0, float("nan"), 1, 1, 1]], "segment 0: non-finite"),
         ("tracks.json", "tracks", [{"start": [0, 0, 0]}], 'track 0: "end" must be [x, y, z]'),
+        ("gt_lines.json", "segments", [[0, 0, -1e308, 1, 1, 1]], "segment 0: coordinate magnitude"),
+        (
+            "tracks.json",
+            "tracks",
+            [{"start": [0, 0, 0], "end": [1e308, 0, 0]}],
+            "track 0 end: coordinate magnitude",
+        ),
     ],
-    ids=["gt_five_numbers", "gt_nan", "track_without_end"],
+    ids=["gt_five_numbers", "gt_nan", "track_without_end", "gt_extreme", "track_extreme"],
 )
 def test_eval_bad_input_exits_2_and_names_the_file(
     box_dataset, mapped, tmp_path, capsys, name, key, value, reason
@@ -300,6 +309,50 @@ def test_eval_bad_input_exits_2_and_names_the_file(
     assert code == 2
     err = capsys.readouterr().err
     assert str(files[name]) in err and reason in err
+
+
+@pytest.fixture(scope="module")
+def two_view_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("two_view")
+    assert main(["synth", "--output", str(root), "--views", "2"]) == 0
+    return root
+
+
+# file, where the entry is named in the error, and how to set its first number
+EXTREME_ENTRIES = {
+    "segment_coordinate": (
+        "segments.json", "image 0 segment 0", lambda doc, v: doc["0"][0].__setitem__(0, v)
+    ),
+    "camera_t": ("cameras.json", "camera 0", lambda doc, v: doc["0"]["t"].__setitem__(0, v)),
+    "point": ("points.json", "point 0", lambda doc, v: doc["points"][0].__setitem__(0, v)),
+    "observation_pixel": (
+        "points.json",
+        "image 0 observation 0",
+        lambda doc, v: doc["observations"]["0"][0].__setitem__(1, v),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, MAX_MAGNITUDE, -MAX_MAGNITUDE])
+@pytest.mark.parametrize("entry", sorted(EXTREME_ENTRIES))
+def test_extreme_value_exits_2_naming_the_file_or_maps_without_a_warning(
+    two_view_dataset, tmp_path, capsys, entry, value
+):
+    name, where, edit = EXTREME_ENTRIES[entry]
+    data = tmp_path / "data"
+    shutil.copytree(two_view_dataset, data)
+    doc = json.loads((data / name).read_text())
+    edit(doc, value)
+    (data / name).write_text(json.dumps(doc))
+    argv = ["map", "--input", str(data), "--output", str(tmp_path / "out"), "--set", "min_images=2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # an overflow inside the run exits 1
+        code = main(argv)
+    err = capsys.readouterr().err
+    if abs(value) > MAX_MAGNITUDE:
+        assert code == 2 and err.startswith(f"error: {data / name}: {where}: "), err
+    else:
+        assert code == 0, err
 
 
 def test_removed_config_key_exits_2_and_lists_the_valid_keys(box_dataset, tmp_path, capsys):

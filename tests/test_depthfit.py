@@ -17,23 +17,6 @@ def frontal_view(width=640, height=480, f=600.0):
 
 
 class TestDepthMap:
-    def test_save_load_roundtrip(self, tmp_path):
-        data = np.arange(12, dtype=np.float32).reshape(3, 4)
-        data[1, 2] = np.nan
-        path = tmp_path / "d.bin"
-        DepthMap(data).save(path)
-        loaded = DepthMap.load(path)
-        assert loaded.height == 3 and loaded.width == 4
-        assert np.isnan(loaded.data[1, 2])
-        mask = ~np.isnan(data)
-        assert np.array_equal(loaded.data[mask], data[mask])
-
-    def test_load_rejects_truncated_file(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00")
-        with pytest.raises(ValueError):
-            DepthMap.load(path)
-
     def test_bilinear_exact_on_ramp(self):
         h, w = 20, 30
         yy, xx = np.mgrid[0:h, 0:w]

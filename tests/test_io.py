@@ -1,10 +1,13 @@
 """Tests for dataset loading, canonical JSON, and result serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from linemap.association import VPTrack
+from linemap.depthfit import DepthMap
 from linemap.geometry import Segment2D, Segment3D
 from linemap.io import (
     InputError,
@@ -21,7 +24,7 @@ from linemap.io import (
     write_ply,
     write_tracks_json,
 )
-from linemap.pipeline import PipelineInput
+from linemap.pipeline import PipelineInput, PipelineResult
 from linemap.synthetic import (
     ObservationConfig,
     SceneConfig,
@@ -283,6 +286,38 @@ def test_write_dataset_round_trips_a_depth_scene(tmp_path):
     assert not (tmp_path / "data" / "matches.json").exists()
 
 
+def write_depth_only(root, depth):
+    views = {img: make_view(np.array([0.0, 0.0, -3.0])) for img in depth}
+    return write_dataset(root, PipelineInput(views, {img: [] for img in views}), depth=depth)
+
+
+def test_depth_map_round_trips_its_bytes(tmp_path):
+    data = np.arange(12, dtype=np.float32).reshape(3, 4)
+    data[1, 2] = np.nan
+    root = write_depth_only(tmp_path / "data", {0: DepthMap(data)})
+    assert depth_path(root, 0).read_bytes() == (
+        np.array([3, 4], dtype="<u4").tobytes() + data.astype("<f4").tobytes()
+    )
+    loaded = load_depth(root, 0)
+    assert loaded.height == 3 and loaded.width == 4
+    assert np.isnan(loaded.data[1, 2])
+    mask = ~np.isnan(data)
+    assert np.array_equal(loaded.data[mask], data[mask])
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"\x02\x00\x00", b"\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00"],
+    ids=["short_header", "short_data"],
+)
+def test_load_depth_rejects_a_truncated_file(tmp_path, blob):
+    root = write_depth_only(tmp_path / "data", {0: DepthMap(np.ones((2, 2)))})
+    depth_path(root, 0).write_bytes(blob)
+    with pytest.raises(InputError) as err:
+        load_depth(root, 0)
+    assert err.value.path == str(depth_path(root, 0))
+
+
 # ---------------------------------------------------------------------------
 # result documents
 # ---------------------------------------------------------------------------
@@ -304,13 +339,15 @@ def make_tracks():
 
 
 def test_tracks_payload_roundtrip(tmp_path):
-    payload = tracks_payload(
-        make_tracks(),
+    result = PipelineResult(
+        tracks=make_tracks(),
+        vp_tracks=[VPTrack(members=[(0, 1), (1, 0)], direction=np.array([0.0, 0.6, 0.8]))],
         point_line_edges=[(0, 1)],
         line_vp_edges=[(1, 0)],
         points3d=np.array([[0.5, 0.5, 0.5]]),
         stats={"tracks": 2},
     )
+    payload = tracks_payload(result)
     path = tmp_path / "tracks.json"
     write_tracks_json(path, payload)
     back = read_tracks_json(path)
@@ -329,6 +366,7 @@ def test_tracks_payload_roundtrip(tmp_path):
                 "source_counts": {},
             },
         ],
+        "vp_tracks": [{"direction": [0.0, 0.6, 0.8], "members": [[0, 1], [1, 0]]}],
         "point_line_edges": [[0, 1]],
         "line_vp_edges": [[1, 0]],
         "points": [[0.5, 0.5, 0.5]],
@@ -336,6 +374,8 @@ def test_tracks_payload_roundtrip(tmp_path):
     }
     segs = segments_from_payload(back)
     np.testing.assert_allclose(segs[0].end, [1.0, 1.1, 1.2])
+    # a run without 3D points writes no "points"
+    assert "points" not in tracks_payload(dataclasses.replace(result, points3d=None))
 
 
 def test_read_tracks_requires_tracks_key(tmp_path):

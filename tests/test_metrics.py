@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from linemap.geometry import Segment3D
-from linemap.metrics import (
-    evaluate_segments,
-    length_precision,
-    length_recall,
-    min_distance_to_segments,
-    sample_segments,
+import linemap.metrics
+from linemap.metrics import evaluate_segments, min_distance_to_segments, sample_segments
+
+from support import (
+    reference_inlier_percentage,
+    reference_length_precision,
+    reference_length_recall,
 )
 
 
@@ -60,35 +61,84 @@ class TestMinDistance:
         assert np.isinf(d).all()
 
 
+def recall(gt, pred, tau):
+    return evaluate_segments(gt, pred, taus=(tau,)).recall[0]
+
+
+def precision(pred, gt, tau):
+    return evaluate_segments(gt, pred, taus=(tau,)).precision[0]
+
+
 class TestRecallPrecision:
     def test_identical_sets(self):
         gt = [seg([0, 0, 0], [1, 0, 0]), seg([0, 1, 0], [0, 1, 2])]
-        assert length_recall(gt, gt, 0.01) == 1.0
-        assert length_precision(gt, gt, 0.01) == 1.0
+        assert recall(gt, gt, 0.01) == 1.0
+        assert precision(gt, gt, 0.01) == 1.0
 
     def test_offset_crosses_threshold(self):
         gt = [seg([0, 0, 0], [1, 0, 0])]
         pred = [seg([0, 0.02, 0], [1, 0.02, 0])]
-        assert length_recall(gt, pred, 0.05) == 1.0
-        assert length_recall(gt, pred, 0.01) == 0.0
+        assert recall(gt, pred, 0.05) == 1.0
+        assert recall(gt, pred, 0.01) == 0.0
 
     def test_partial_coverage(self):
         gt = [seg([0, 0, 0], [1, 0, 0])]
         pred = [seg([0, 0, 0], [0.5, 0, 0])]
-        r = length_recall(gt, pred, 0.01)
+        r = recall(gt, pred, 0.01)
         assert abs(r - 0.5) < 0.02
-        assert length_precision(pred, gt, 0.01) == 1.0
+        assert precision(pred, gt, 0.01) == 1.0
 
     def test_spurious_prediction_hits_precision_not_recall(self):
         gt = [seg([0, 0, 0], [1, 0, 0])]
         pred = [seg([0, 0, 0], [1, 0, 0]), seg([5, 5, 5], [6, 5, 5])]
-        assert length_recall(gt, pred, 0.01) == 1.0
-        assert abs(length_precision(pred, gt, 0.01) - 0.5) < 0.02
+        assert recall(gt, pred, 0.01) == 1.0
+        assert abs(precision(pred, gt, 0.01) - 0.5) < 0.02
 
     def test_empty_prediction(self):
         gt = [seg([0, 0, 0], [1, 0, 0])]
-        assert length_recall(gt, [], 0.1) == 0.0
-        assert length_precision([], gt, 0.1) == 0.0
+        assert recall(gt, [], 0.1) == 0.0
+        assert precision([], gt, 0.1) == 0.0
+
+
+def random_segments(rng, n):
+    return [seg(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(n)]
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("aggregate", ["mean", "max"])
+    def test_equals_per_metric_reference(self, seed, aggregate):
+        rng = np.random.default_rng(seed)
+        gt = random_segments(rng, 5)
+        # near-copies of some ground truth plus strays, so every threshold splits them
+        jitter = lambda: rng.normal(0, 0.03, 3)  # noqa: E731
+        pred = [seg(g.start + jitter(), g.end + jitter()) for g in gt[:3]]
+        pred += random_segments(rng, 3)
+        taus = (0.02, 0.05, 0.1)
+        spacing = min(taus) / 4.0
+        for g, p in ((gt, pred), ([], pred), (gt, []), (gt, pred[:1])):
+            rep = evaluate_segments(g, p, taus=taus, aggregate=aggregate)
+            assert rep.recall == tuple(reference_length_recall(g, p, t, spacing) for t in taus)
+            assert rep.precision == tuple(
+                reference_length_precision(p, g, t, spacing) for t in taus
+            )
+            assert rep.inlier_pct == tuple(
+                reference_inlier_percentage(p, g, t, spacing, aggregate) for t in taus
+            )
+
+    @pytest.mark.parametrize("taus", [(0.05,), (0.01, 0.025, 0.05), (0.02, 0.04, 0.08, 0.16)])
+    @pytest.mark.parametrize("n_pred", [1, 7])
+    def test_two_distance_tables_per_call(self, monkeypatch, taus, n_pred):
+        calls = []
+
+        def counted(points, segments):
+            calls.append(len(points))
+            return min_distance_to_segments(points, segments)
+
+        monkeypatch.setattr(linemap.metrics, "min_distance_to_segments", counted)
+        rng = np.random.default_rng(1)
+        evaluate_segments(random_segments(rng, 4), random_segments(rng, n_pred), taus=taus)
+        assert len(calls) == 2
 
 
 class TestReport:

@@ -9,7 +9,7 @@ import pytest
 from linemap import pipeline
 from linemap.config import PipelineConfig
 from linemap.geometry import CameraView, Segment2D, Segment3D, acute_angle
-from linemap.metrics import length_recall
+from linemap.metrics import evaluate_segments
 from linemap.optimize import OptimizeConfig
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
 from linemap.synthetic import (
@@ -61,7 +61,8 @@ def test_every_gt_line_becomes_exactly_one_track(clean_scene, clean_result):
 def test_recall_at_one_percent_diameter(clean_scene, clean_result):
     scene, _, _ = clean_scene
     tau = 0.01 * scene_diameter(scene)
-    recall = length_recall(scene.segments3d, [t.segment for t in clean_result.tracks], tau)
+    segs = [t.segment for t in clean_result.tracks]
+    recall = evaluate_segments(scene.segments3d, segs, taus=(tau,)).recall[0]
     assert recall >= 0.999
 
 

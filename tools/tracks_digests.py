@@ -1,4 +1,5 @@
-"""Print the reference sha256 prefixes of ``tracks.json`` on the fixed scenes.
+"""Print the reference sha256 prefixes of ``tracks.json`` and ``linemap eval``
+on the fixed scenes.
 
 Run from the repository root:
 
@@ -8,12 +9,14 @@ Each line is ``<name> <first 16 hex digits of sha256>``.  The scenes are the
 acceptance suite's: the 16-view box scene observed with 1 px noise and 20%
 outlier matches (seed 7) under three configs, the same scene observed
 cleanly, and ``linemap synth --views 16 --noise 1.0 --outliers 0.2 --seed 1``
-followed by ``linemap map``.  A change meant to keep outputs the same must
-print the same five lines as its parent on the same host.  BLAS runs on one
-thread, because joint refinement's reduced solve (the dense system left on
-the points and VPs once the line blocks are eliminated) can round differently
-with the thread count; across CPUs and numpy builds the last bit may still
-differ.
+followed by ``linemap map``.  A sixth line, ``cli_eval``, digests what
+``linemap eval`` prints for that map against the scene's ``gt_lines.json``,
+with the default taus and then with ``--aggregate max``.  A change meant to
+keep outputs the same must print the same six lines as its parent on the same
+host.  BLAS runs on one thread, because joint refinement's reduced solve (the
+dense system left on the points and VPs once the line blocks are eliminated)
+can round differently with the thread count; across CPUs and numpy builds the
+last bit may still differ.
 """
 
 import os
@@ -56,29 +59,30 @@ def _scene_input(observation: ObservationConfig) -> PipelineInput:
 
 
 def _digest(inp: PipelineInput, config: PipelineConfig) -> str:
-    result = run_pipeline(inp, config)
-    payload = tracks_payload(
-        result.tracks,
-        vp_tracks=result.vp_tracks,
-        point_line_edges=result.point_line_edges,
-        line_vp_edges=result.line_vp_edges,
-        points3d=result.points3d,
-        stats=result.stats,
-    )
-    return _prefix(canonical_dumps(payload).encode())
+    return _prefix(canonical_dumps(tracks_payload(run_pipeline(inp, config))).encode())
 
 
-def _cli_digest() -> str:
+def _cli(argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli_main(argv)
+    if status != 0:
+        raise SystemExit(f"linemap {argv[0]} failed")
+    return out.getvalue().encode()
+
+
+def _cli_digests():
+    """``tracks.json`` of ``linemap synth`` then ``linemap map``, and the stdout of
+    ``linemap eval`` on it with default taus followed by ``--aggregate max``."""
     with tempfile.TemporaryDirectory() as tmp:
         data, out = Path(tmp) / "data", Path(tmp) / "out"
-        synth = ["synth", "--output", str(data), "--views", "16", "--noise", "1.0",
-                 "--outliers", "0.2", "--seed", "1"]
-        for argv in (synth, ["map", "--input", str(data), "--output", str(out)]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli_main(argv)
-            if status != 0:
-                raise SystemExit(f"linemap {argv[0]} failed")
-        return _prefix((out / "tracks.json").read_bytes())
+        _cli(["synth", "--output", str(data), "--views", "16", "--noise", "1.0",
+              "--outliers", "0.2", "--seed", "1"])
+        _cli(["map", "--input", str(data), "--output", str(out)])
+        tracks, gt = out / "tracks.json", data / "gt_lines.json"
+        yield "cli_synth_map", _prefix(tracks.read_bytes())
+        evaluate = ["eval", "--tracks", str(tracks), "--gt", str(gt)]
+        yield "cli_eval", _prefix(_cli(evaluate) + _cli([*evaluate, "--aggregate", "max"]))
 
 
 def main() -> int:
@@ -89,10 +93,11 @@ def main() -> int:
         ("noisy_lines_only", lambda: _digest(
             noisy, PipelineConfig(use_points=False, use_vps=False, optimize=False))),
         ("clean_default", lambda: _digest(_scene_input(ObservationConfig()), PipelineConfig())),
-        ("cli_synth_map", _cli_digest),
     ]
     for name, digest in rows:
         print(name, digest(), flush=True)
+    for name, digest in _cli_digests():
+        print(name, digest, flush=True)
     return 0
 
 
