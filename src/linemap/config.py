@@ -8,16 +8,22 @@ default of the function that reads it.
 
 Config files are plain ``key = value`` lines; ``#`` starts a comment.
 Values are coerced to the declared field type; unknown keys are rejected
-with the list of valid ones so typos fail loudly.
+with the list of valid ones so typos fail loudly.  A value outside its
+key's domain (a scale that is not finite and positive, say) is rejected
+when the config is built, naming the key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["PipelineConfig", "parse_overrides"]
+
+# distance scales of the pair scores: each divides a raw distance
+SCALE_KEYS = ("tau_angle_3d", "tau_angle_2d", "tau_perp_2d", "tau_perspective", "tau_innerseg")
 
 
 @dataclass
@@ -39,6 +45,20 @@ class PipelineConfig:
     # joint refinement
     optimize: bool = True
     opt_max_iterations: int = 30
+
+    def __post_init__(self):
+        for key in SCALE_KEYS:
+            self._require(key, 0 < getattr(self, key) < math.inf, "a finite number > 0")
+        self._require("tau_overlap", 0 <= self.tau_overlap <= 1, "a number in [0, 1]")
+        self._require(
+            "accept_threshold", 0 <= self.accept_threshold < math.inf, "a finite number >= 0"
+        )
+        self._require("min_images", self.min_images >= 1, "an integer >= 1")
+        self._require("opt_max_iterations", self.opt_max_iterations >= 0, "an integer >= 0")
+
+    def _require(self, key: str, ok: bool, domain: str) -> None:
+        if not ok:
+            raise ValueError(f"config key {key!r}: expected {domain}, got {getattr(self, key)!r}")
 
     def updated(self, items: dict[str, str]) -> "PipelineConfig":
         """A copy with string values coerced into the declared field types."""

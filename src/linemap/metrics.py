@@ -25,6 +25,8 @@ __all__ = [
     "evaluate_segments",
 ]
 
+BLOCK_PAIRS = 65_536  # point-segment pairs measured at once by min_distance_to_segments
+
 
 def _samples(segments: list[Segment3D], spacing: float):
     """Points, per-sample length weights, and the index one past each segment's samples."""
@@ -43,12 +45,20 @@ def sample_segments(segments: list[Segment3D], spacing: float):
 
 
 def min_distance_to_segments(points: np.ndarray, segments: list[Segment3D]) -> np.ndarray:
-    """Exact distance from each point to the nearest of the segments."""
+    """Exact distance from each point to the nearest of the segments.
+
+    Points are measured in blocks of rows, so memory stays bounded by
+    :data:`BLOCK_PAIRS` point-segment pairs however many points there are.
+    """
     if len(segments) == 0:
         return np.full(len(points), np.inf)
     starts = np.stack([s.start for s in segments])
     ends = np.stack([s.end for s in segments])
-    return point_segment_distances(points, starts, ends).min(axis=1)
+    rows = max(1, BLOCK_PAIRS // len(segments))
+    out = np.empty(len(points))
+    for i in range(0, len(points), rows):
+        out[i : i + rows] = point_segment_distances(points[i : i + rows], starts, ends).min(axis=1)
+    return out
 
 
 def _length_share(weights: np.ndarray, within: np.ndarray) -> float:

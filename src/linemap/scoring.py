@@ -19,10 +19,11 @@ meaningful (perspective distance); 2D distances are measured in the views
 whose matches generated the hypotheses.  During track building hypotheses
 belong to different detections and overlap/inner-segment distances replace
 the endpoint comparison, with 2D distances measured in the owning views.
-Both phases score the pair's projections into their two views, and a pair
-with a segment behind either view scores 0.  Track building projects the
-pair as it scores it; proposal selection projects each proposal once per
-generating view and hands the projections in.
+Both scores have one shape.  The 3D components come first; when their
+minimum is 0 the pair scores 0 whatever the image components say, so the
+pair is never projected.  Otherwise both segments are projected into both
+views (a segment behind either view scores 0), and the score is the minimum
+of the 3D and the image components.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .config import PipelineConfig
 from .geometry import CameraView, Segment2D, Segment3D, project_segment
 
 Segment = Segment2D | Segment3D
-Projected = tuple[Segment2D | None, Segment2D | None]  # a pair in one view; None behind it
 
 SCORE_GATE = 0.5  # lowest nonzero similarity of one component
 
@@ -179,27 +179,27 @@ def selection_pair_score(
     a: Segment3D,
     b: Segment3D,
     ref_view: CameraView,
-    pairs: tuple[Projected, Projected],
+    view_a: CameraView,
+    view_b: CameraView,
     config: PipelineConfig = PipelineConfig(),
 ) -> float:
     """Consistency of two proposals for the same reference detection.
 
-    ``pairs`` is ``((pa, pb), (qa, qb))``: ``a`` and ``b`` projected into
-    the two matched views the proposals were triangulated from, with None
-    for a segment behind a view.  Both proposals lie on the endpoint rays
-    of ``ref_view``.  Returns 0 when a projection is None.
+    Both proposals lie on the endpoint rays of ``ref_view``; ``view_a`` and
+    ``view_b`` are the matched views they were triangulated from, where the
+    2D distances are measured.
     """
-    (pa, pb), (qa, qb) = pairs
-    if pa is None or pb is None or qa is None or qb is None:
-        return 0.0
     perspective = 0.5 * (
         perspective_distance(a, b, ref_view) + perspective_distance(b, a, ref_view)
     )
-    return min(
+    score = min(
         normalize_distance(angular_distance(a, b), config.tau_angle_3d),
         normalize_distance(perspective, config.tau_perspective),
-        *_image_components(pairs, config),
     )
+    pairs = _projections(a, b, view_a, view_b) if score > 0.0 else None
+    if pairs is None:
+        return 0.0
+    return min(score, *_image_components(pairs, config))
 
 
 def track_pair_score(
@@ -218,13 +218,16 @@ def track_pair_score(
     scale = innerseg_scale(a, view_a, b, view_b)
     if scale <= 0:
         return 0.0
-    pairs = _projections(a, b, view_a, view_b)
-    if pairs is None:
-        return 0.0
-    return min(
+    score = min(
         normalize_distance(angular_distance(a, b), config.tau_angle_3d),
         _binary_overlap(mutual_overlap(a, b), config.tau_overlap),
         normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg),
+    )
+    pairs = _projections(a, b, view_a, view_b) if score > 0.0 else None
+    if pairs is None:
+        return 0.0
+    return min(
+        score,
         *_image_components(pairs, config),
         _binary_overlap(min(mutual_overlap(pa, pb) for pa, pb in pairs), config.tau_overlap),
     )

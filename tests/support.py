@@ -16,7 +16,15 @@ from linemap.geometry import (
     skew,
 )
 from linemap.metrics import min_distance_to_segments, sample_segments
-from linemap.scoring import selection_pair_score
+from linemap.scoring import (
+    angular_distance,
+    innerseg_distance,
+    innerseg_scale,
+    mutual_overlap,
+    normalize_distance,
+    perpendicular_distance_2d,
+    perspective_distance,
+)
 from linemap.triangulation import ray_plane_form
 
 
@@ -49,16 +57,6 @@ def identity_view(f=600.0, width=640, height=480):
 def endpoint_rays(seg, view):
     """A detection's endpoint rays in normalized coordinates, as in the pipeline's ray table."""
     return view.pixel_to_normalized(seg.start), view.pixel_to_normalized(seg.end)
-
-
-def selection_score(a, b, ref_view, view_a, view_b, config=PipelineConfig()):
-    """`selection_pair_score` of proposals triangulated from ``view_a`` and ``view_b``.
-
-    Projects both proposals into both views as proposal selection does (None
-    behind a view) and hands the two pairs to the score.
-    """
-    pairs = tuple((project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b))
-    return selection_pair_score(a, b, ref_view, pairs, config)
 
 
 def two_view(ref_seg, ref_view, match_seg, match_view):
@@ -373,3 +371,66 @@ def reference_inlier_percentage(pred, gt, tau, spacing, aggregate="mean"):
         dist = min_distance_to_segments(pts, gt)
         d[i] = dist.mean() if aggregate == "mean" else dist.max()
     return 100.0 * float((d <= tau).mean())
+
+
+# ---------------------------------------------------------------------------
+# Reference pair scores
+# ---------------------------------------------------------------------------
+#
+# Both pair scores as the minimum over every component, with the pair
+# projected into both views before any component is read.  ``linemap.scoring``
+# returns 0 as soon as the 3D components give 0, which must not change a bit.
+
+
+def _reference_projections(a, b, view_a, view_b):
+    pairs = [(project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b)]
+    return None if any(p is None for pair in pairs for p in pair) else pairs
+
+
+def _reference_binary_overlap(ratio, tau):
+    return 1.0 if ratio >= tau else 0.0
+
+
+def _reference_image_components(pairs, config):
+    (pa, pb), (qa, qb) = pairs
+    return [
+        normalize_distance(
+            0.5 * (angular_distance(pa, pb) + angular_distance(qa, qb)), config.tau_angle_2d
+        ),
+        normalize_distance(
+            0.5 * (perpendicular_distance_2d(pa, pb) + perpendicular_distance_2d(qa, qb)),
+            config.tau_perp_2d,
+        ),
+    ]
+
+
+def reference_selection_pair_score(a, b, ref_view, view_a, view_b, config=PipelineConfig()):
+    pairs = _reference_projections(a, b, view_a, view_b)
+    if pairs is None:
+        return 0.0
+    perspective = 0.5 * (
+        perspective_distance(a, b, ref_view) + perspective_distance(b, a, ref_view)
+    )
+    return min(
+        normalize_distance(angular_distance(a, b), config.tau_angle_3d),
+        normalize_distance(perspective, config.tau_perspective),
+        *_reference_image_components(pairs, config),
+    )
+
+
+def reference_track_pair_score(a, view_a, b, view_b, config=PipelineConfig()):
+    scale = innerseg_scale(a, view_a, b, view_b)
+    if scale <= 0:
+        return 0.0
+    pairs = _reference_projections(a, b, view_a, view_b)
+    if pairs is None:
+        return 0.0
+    return min(
+        normalize_distance(angular_distance(a, b), config.tau_angle_3d),
+        _reference_binary_overlap(mutual_overlap(a, b), config.tau_overlap),
+        normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg),
+        *_reference_image_components(pairs, config),
+        _reference_binary_overlap(
+            min(mutual_overlap(pa, pb) for pa, pb in pairs), config.tau_overlap
+        ),
+    )

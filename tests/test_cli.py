@@ -383,6 +383,23 @@ def test_bad_override_value_exits_2_and_names_the_flag(box_dataset, tmp_path, ca
     assert code == 2
     err = capsys.readouterr().err
     assert "--set" in err and "min_images" in err
+    # values that parse but leave the key's domain: a zero scale used to divide
+    # by zero (exit 1), the others mapped or refined nothing with exit 0
+    argv = ["map", "--input", str(box_dataset), "--output", str(tmp_path / "x")]
+    for override in ("tau_angle_3d=0", "tau_angle_3d=nan", "accept_threshold=inf",
+                     "opt_max_iterations=-5", "tau_overlap=2", "min_images=0"):
+        assert main([*argv, "--set", override]) == 2, override
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --set: config key '{override.split('=')[0]}': expected ")
+    assert not (tmp_path / "x").exists()
+
+
+def test_out_of_domain_config_file_value_exits_2_and_names_the_file(box_dataset, tmp_path, capsys):
+    path = tmp_path / "pipeline.cfg"
+    path.write_text("tau_perp_2d = -5\n")
+    argv = ["map", "--input", str(box_dataset), "--output", str(tmp_path / "x"), "--config"]
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: config key 'tau_perp_2d': ")
 
 
 def test_bad_taus_exit_2_and_name_the_flag(box_dataset, mapped, capsys):

@@ -4,7 +4,20 @@ import dataclasses
 
 import pytest
 
-from linemap.config import PipelineConfig, parse_overrides, read_config_file
+from linemap.config import SCALE_KEYS, PipelineConfig, parse_overrides, read_config_file
+
+# one value per key and side of its domain; every scale must be finite and > 0
+OUT_OF_DOMAIN = [
+    *((key, raw) for key in SCALE_KEYS for raw in ("0", "-1", "nan", "inf")),
+    ("tau_overlap", "-0.1"),
+    ("tau_overlap", "1.5"),
+    ("tau_overlap", "nan"),
+    ("accept_threshold", "-1"),
+    ("accept_threshold", "inf"),
+    ("accept_threshold", "nan"),
+    ("min_images", "0"),
+    ("opt_max_iterations", "-5"),
+]
 
 
 def test_updated_coerces_strings_by_field_type():
@@ -39,6 +52,18 @@ def test_updated_rejects_bad_value():
         PipelineConfig().updated({"min_images": "many"})
     with pytest.raises(ValueError, match="remerge"):
         PipelineConfig().updated({"remerge": "maybe"})
+    # parsed, but outside the key's domain
+    for key, raw in OUT_OF_DOMAIN:
+        with pytest.raises(ValueError, match=f"config key '{key}': expected "):
+            PipelineConfig().updated({key: raw})
+
+
+def test_domain_edges_are_accepted():
+    cfg = PipelineConfig().updated(
+        {"tau_overlap": "0", "accept_threshold": "0", "min_images": "1", "opt_max_iterations": "0"}
+    )
+    assert PipelineConfig().updated({"tau_overlap": "1"}).tau_overlap == 1.0
+    assert (cfg.tau_overlap, cfg.accept_threshold, cfg.min_images) == (0.0, 0.0, 1)
 
 
 def test_updated_does_not_mutate_original():

@@ -1,9 +1,11 @@
 """Tests for length-based recall/precision metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from linemap.geometry import Segment3D
+from linemap.geometry import Segment3D, point_segment_distances
 import linemap.metrics
 from linemap.metrics import evaluate_segments, min_distance_to_segments, sample_segments
 
@@ -59,6 +61,24 @@ class TestMinDistance:
     def test_no_targets(self):
         d = min_distance_to_segments(np.zeros((3, 3)), [])
         assert np.isinf(d).all()
+
+    def test_memory_is_bounded_by_blocks_of_rows(self):
+        # one dense (points, segments, 3) array would take 24 MB here
+        rng = np.random.default_rng(2)
+        points = rng.uniform(-1, 1, size=(20_000, 3))
+        targets = random_segments(rng, 50)
+        dense_bytes = points.nbytes * len(targets)
+        tracemalloc.start()
+        try:
+            got = min_distance_to_segments(points, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 2
+        starts = np.stack([s.start for s in targets])
+        ends = np.stack([s.end for s in targets])
+        expect = point_segment_distances(points, starts, ends).min(axis=1)
+        np.testing.assert_array_equal(got, expect)
 
 
 def recall(gt, pred, tau):

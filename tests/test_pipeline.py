@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from linemap import pipeline
+from linemap import pipeline, scoring, tracks
 from linemap.config import PipelineConfig
 from linemap.geometry import CameraView, Segment2D, Segment3D, acute_angle
 from linemap.metrics import evaluate_segments
@@ -22,7 +22,7 @@ from linemap.synthetic import (
 from linemap.tracks import TrackCandidate
 from linemap.triangulation import TriangulationError
 
-from support import identity_view, selection_score
+from support import identity_view
 
 
 @pytest.fixture(scope="module")
@@ -130,15 +130,18 @@ def test_select_best_scores_each_cross_image_pair_once(monkeypatch):
         for i, gen in enumerate(gens)
     ]
     index = {id(cand.segment): i for i, (cand, _) in enumerate(proposals)}
+    views = {g: identity_view(f=600.0 + g) for g in gens}
     pairs = []
 
-    def score(a, b, ref_view, projections, config):
-        pairs.append(frozenset((index[id(a)], index[id(b)])))
+    def score(a, b, ref_view, view_a, view_b, config):
+        ia, ib = index[id(a)], index[id(b)]
+        # each proposal is measured in the image that generated it
+        assert (view_a, view_b) == (views[gens[ia]], views[gens[ib]])
+        pairs.append(frozenset((ia, ib)))
         return 0.75
 
     monkeypatch.setattr(pipeline, "selection_pair_score", score)
-    view = identity_view()
-    best = pipeline._select_best(proposals, view, {g: view for g in gens}, PipelineConfig())
+    best = pipeline._select_best(proposals, identity_view(), views, PipelineConfig())
     cross = {
         frozenset((a, b))
         for a in range(len(gens))
@@ -158,7 +161,7 @@ def _select_best_reference(proposals, ref_view, views, config):
         per_image = {}
         for other, j in proposals:
             if j != gen:
-                s = selection_score(
+                s = pipeline.selection_pair_score(
                     cand.segment, other.segment, ref_view, views[gen], views[j], config
                 )
                 per_image[j] = max(per_image.get(j, 0.0), s)
@@ -261,47 +264,40 @@ def test_each_endpoint_ray_is_solved_once_per_run(noisy_scene, monkeypatch):
     assert solves["pixel_to_normalized"] == 2 * n_detections
 
 
-def test_select_best_projects_each_proposal_once_per_generating_image(noisy_scene, monkeypatch):
+def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatch):
+    # a pair whose 3D components give 0 is never projected; any other pair
+    # projects both segments into both of its views
     _, inp = noisy_scene
     counts = Counter()
-    inside = []
-    project_point = CameraView.project_point
-    projection = pipeline.project_segment
-    select = pipeline._select_best
-
-    def counted_point(view, p):
-        if inside:
-            counts["project_point"] += 1
-            try:
-                return project_point(view, p)
-            except ValueError:
-                counts["behind"] += 1
-                raise
-        return project_point(view, p)
+    phase = []
+    projection = scoring.project_segment
 
     def counted_projection(seg, view):
-        counts["projection"] += 1
+        counts[phase[-1], "projections"] += 1
         return projection(seg, view)
 
-    def checked(proposals, ref_view, views, config):
-        gens = {j for _, j in proposals}
-        if len(gens) > 1:  # with one generating image no pair is scored
-            counts["expected"] += len(proposals) * len(gens)
-        inside.append(True)
-        try:
-            return select(proposals, ref_view, views, config)
-        finally:
-            inside.pop()
+    def counted(name, score):
+        def wrapper(*args):
+            counts[name, "pairs"] += 1
+            phase.append(name)
+            try:
+                return score(*args)
+            finally:
+                phase.pop()
 
-    monkeypatch.setattr(CameraView, "project_point", counted_point)
-    monkeypatch.setattr(pipeline, "project_segment", counted_projection)
-    monkeypatch.setattr(pipeline, "_select_best", checked)
+        return wrapper
+
+    monkeypatch.setattr(scoring, "project_segment", counted_projection)
+    selection = counted("selection", scoring.selection_pair_score)
+    monkeypatch.setattr(pipeline, "selection_pair_score", selection)
+    monkeypatch.setattr(tracks, "track_pair_score", counted("tracks", scoring.track_pair_score))
     run_pipeline(inp, PipelineConfig(optimize=False))
-    assert counts["expected"] > 50_000
-    assert counts["projection"] == counts["expected"]
-    # two points per projection, less the end point skipped after a start behind a view
-    assert 2 * counts["expected"] - counts["behind"] <= counts["project_point"]
-    assert counts["project_point"] <= 2 * counts["expected"]
+    assert counts == {
+        ("selection", "pairs"): 42_698,
+        ("selection", "projections"): 4 * 22_444,
+        ("tracks", "pairs"): 7_327,
+        ("tracks", "projections"): 4 * 5_359,
+    }
 
 
 def test_noisy_scene_maps_without_a_floating_point_event(noisy_scene):

@@ -1,13 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from linemap import scoring
 from linemap.config import PipelineConfig
 from linemap.geometry import (
     CameraView,
     Segment2D,
     Segment3D,
+    normalized,
     plucker_from_segment,
     project_point_to_line3d,
     project_segment,
@@ -25,7 +28,12 @@ from linemap.scoring import (
     track_pair_score,
 )
 
-from support import identity_view, intrinsics, make_view, selection_score
+from support import (
+    identity_view,
+    make_view,
+    reference_selection_pair_score,
+    reference_track_pair_score,
+)
 
 
 def seg3(a, b):
@@ -197,7 +205,7 @@ def test_identical_proposals_score_one():
     ref = make_view([0.0, 0.0, -4.0])
     va, vb = two_views()
     a = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])
-    assert selection_score(a, a, ref, va, vb) == pytest.approx(1.0)
+    assert selection_pair_score(a, a, ref, va, vb) == pytest.approx(1.0)
     assert track_pair_score(a, va, a, vb) == pytest.approx(1.0)
 
 
@@ -208,8 +216,8 @@ def test_pair_score_is_symmetric():
     for _ in range(30):
         a = seg3(rng.uniform(-0.6, 0.6, 3), rng.uniform(-0.6, 0.6, 3))
         b = seg3(a.start + rng.normal(scale=0.01, size=3), a.end + rng.normal(scale=0.01, size=3))
-        s_ab = selection_score(a, b, ref, va, vb)
-        s_ba = selection_score(b, a, ref, vb, va)
+        s_ab = selection_pair_score(a, b, ref, va, vb)
+        s_ba = selection_pair_score(b, a, ref, vb, va)
         assert s_ab == s_ba  # exact: proposal selection scores each pair once
         t_ab = track_pair_score(a, va, b, vb)
         t_ba = track_pair_score(b, vb, a, va)
@@ -223,7 +231,7 @@ def test_pair_score_range():
     for _ in range(100):
         a = seg3(rng.uniform(-0.7, 0.7, 3), rng.uniform(-0.7, 0.7, 3))
         b = seg3(rng.uniform(-0.7, 0.7, 3), rng.uniform(-0.7, 0.7, 3))
-        for s in (selection_score(a, b, ref, va, vb), track_pair_score(a, va, b, vb)):
+        for s in (selection_pair_score(a, b, ref, va, vb), track_pair_score(a, va, b, vb)):
             assert s == 0.0 or 0.5 <= s <= 1.0
 
 
@@ -250,31 +258,92 @@ def test_scores_are_scale_invariant():
 
             a1 = seg3(a0.start * s, a0.end * s)
             b1 = seg3(b0.start * s, b0.end * s)
-            s0 = selection_score(a0, b0, ref0, va0, vb0, cfg)
-            s1 = selection_score(a1, b1, scale_view(ref0), scale_view(va0), scale_view(vb0), cfg)
+            s0 = selection_pair_score(a0, b0, ref0, va0, vb0, cfg)
+            s1 = selection_pair_score(
+                a1, b1, scale_view(ref0), scale_view(va0), scale_view(vb0), cfg
+            )
             assert s1 == pytest.approx(s0, abs=1e-9)
             t0 = track_pair_score(a0, va0, b0, vb0, cfg)
             t1 = track_pair_score(a1, scale_view(va0), b1, scale_view(vb0), cfg)
             assert t1 == pytest.approx(t0, abs=1e-9)
 
 
+def cutting_view(x, looking):
+    """A view whose camera plane is ``x = x``, looking along ``looking`` * +x."""
+    center = np.array([x, 0.1, 0.0])
+    return make_view(center, target=center + [looking, 0.0, 0.0])
+
+
 def test_behind_camera_scores_zero():
-    ref = identity_view()
-    behind = CameraView(intrinsics(), np.eye(3), np.array([0.0, 0.0, 10.0]), 640, 480)
-    a = seg3([0.0, 0.0, -8.0], [0.5, 0.0, -8.0])  # in front of `behind`? no: z_cam = 2 > 0
-    b = seg3([0.0, 0.1, -8.0], [0.5, 0.1, -8.0])
-    # place the pair behind the reference view instead
-    assert track_pair_score(a, ref, b, ref) == 0.0
+    # the camera plane of `cut` crosses the pair: the start is behind it, the
+    # midpoint in front, so the inner-segment scale is positive and every 3D
+    # component is 1; only the projection rules the pair out
+    a = seg3([-0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
+    va, _ = two_views()
+    cut = cutting_view(-0.2, +1.0)
+    assert innerseg_scale(a, va, a, cut) > 0
+    assert project_segment(a, cut) is None
+    assert track_pair_score(a, va, a, va) == pytest.approx(1.0)
+    assert track_pair_score(a, va, a, cut) == 0.0
+    assert track_pair_score(a, cut, a, va) == 0.0
+    assert reference_track_pair_score(a, va, a, cut) == 0.0
 
 
 def test_selection_score_is_zero_when_a_projection_is_none():
     ref = make_view([0.0, 0.0, -4.0])
     va, vb = two_views()
-    a = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])
-    pairs = [[project_segment(a, v), project_segment(a, v)] for v in (va, vb)]
-    assert selection_pair_score(a, a, ref, pairs) == pytest.approx(1.0)
-    for i in range(2):
-        for j in range(2):
-            missing = [list(p) for p in pairs]
-            missing[i][j] = None
-            assert selection_pair_score(a, a, ref, missing) == 0.0
+    # collinear, shifted by 0.04: a cutting view between the two starts (or
+    # the two ends) has exactly one of them behind it
+    a = seg3([-0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
+    b = seg3([-0.46, 0.0, 0.0], [0.54, 0.0, 0.0])
+    assert selection_pair_score(a, b, ref, va, vb) > 0.0
+    for cut, behind in ((cutting_view(-0.48, +1.0), a), (cutting_view(0.52, -1.0), b)):
+        assert [project_segment(s, cut) is None for s in (a, b)] == [s is behind for s in (a, b)]
+        for views in ((cut, vb), (va, cut)):
+            assert selection_pair_score(a, b, ref, *views) == 0.0
+            assert selection_pair_score(b, a, ref, *views[::-1]) == 0.0
+            assert reference_selection_pair_score(a, b, ref, *views) == 0.0
+
+
+def test_pair_scores_equal_the_full_min_reference(monkeypatch):
+    # random pairs, near copies and strays, seen from cameras close enough to
+    # cut some segments: each score equals the minimum over all of its
+    # components, bit for bit, whichever way it ends
+    projections = scoring._projections
+    ends = []
+
+    def recorded(a, b, view_a, view_b):
+        pairs = projections(a, b, view_a, view_b)
+        ends.append("behind" if pairs is None else "projected")
+        return pairs
+
+    def outcome(score):
+        # gated on the 3D components, behind a view, or projected and scored in full
+        return ends.pop() if ends else "gated", score > 0
+
+    monkeypatch.setattr(scoring, "_projections", recorded)
+    rng = np.random.default_rng(44)
+    cfg = PipelineConfig()
+    outcomes = Counter()
+    for _ in range(600):
+        a = seg3(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+        spread = rng.choice([0.0005, 0.005, 0.03, 0.5])
+        jitter = rng.normal(scale=spread, size=(2, 3))
+        b = seg3(a.start + jitter[0], a.end + jitter[1])
+        ref, va, vb = (
+            make_view(normalized(rng.normal(size=3)) * rng.uniform(0.6, 4.0)) for _ in range(3)
+        )
+        if rng.uniform() < 0.5:
+            # a camera beside a, between its start and midpoint, looking along it
+            beside = a.start + rng.uniform(0.05, 0.45) * (a.end - a.start) + rng.normal(0, 0.05, 3)
+            va = make_view(beside, target=beside + a.direction)
+        s = selection_pair_score(a, b, ref, va, vb, cfg)
+        outcomes["selection", *outcome(s)] += 1
+        assert s == reference_selection_pair_score(a, b, ref, va, vb, cfg)
+        t = track_pair_score(a, va, b, vb, cfg)
+        outcomes["track", *outcome(t)] += 1
+        assert t == reference_track_pair_score(a, va, b, vb, cfg)
+    for kind in ("selection", "track"):
+        assert outcomes[kind, "gated", False] >= 20
+        assert outcomes[kind, "behind", False] >= 20
+        assert outcomes[kind, "projected", True] >= 20

@@ -1,0 +1,125 @@
+"""Paired A/B timing of ``linemap map``: the working tree against another commit.
+
+Run from the repository root:
+
+    python3 tools/ab.py REF [--pairs N] [--seed S]
+
+``src/linemap`` at ``REF`` is extracted with ``git archive`` and imported under
+the package name ``linemap_ref`` (every import inside the package is
+relative), next to the working tree's ``src/linemap``, in one process with
+BLAS pinned to one thread.  One dataset is written with ``linemap synth
+--views 16 --noise 1.0 --outliers 0.2 --seed S``.  After one untimed run of
+each copy, the two copies' ``cli.main(["map", ...])`` alternate for N pairs,
+the reference first in even pairs and the working tree first in odd ones.
+
+Prints each side's median and quartiles, the pairs the working tree won and
+the median of the paired ratios (working tree / reference).  Exits 1 as soon
+as a pair's ``tracks.json`` bytes differ or a run fails, and 2 when ``REF``
+cannot be read.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import importlib  # noqa: E402
+import io  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tarfile  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _extract(ref: str, dest: Path) -> bool:
+    """``src/linemap`` at ``ref``, written as the package ``dest/linemap_ref``."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src/linemap"],
+        capture_output=True,
+        check=False,
+    )
+    if archive.returncode != 0:
+        print(f"error: {ref}: {archive.stderr.decode().strip()}", file=sys.stderr)
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        for member in tar.getmembers():
+            if member.isfile():
+                path = dest / "linemap_ref" / Path(member.name).relative_to("src/linemap")
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(tar.extractfile(member).read())
+    return True
+
+
+def _run(cli, argv) -> float:
+    with contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        status = cli.main(argv)
+        elapsed = time.perf_counter() - start
+    if status != 0:
+        raise SystemExit(f"error: {cli.__name__} {argv[0]} exited {status}")
+    return elapsed
+
+
+def _summary(name: str, times: list[float]) -> str:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return f"{name}: median {median:.3f} s, quartiles {q1:.3f} / {q3:.3f} s"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("ref", help="commit to compare the working tree against")
+    parser.add_argument("--pairs", type=int, default=12)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if not _extract(args.ref, tmp):
+            return 2
+        sys.path[:0] = [str(ROOT / "src"), str(tmp)]
+        sides = {
+            "ref": importlib.import_module("linemap_ref.cli"),
+            "new": importlib.import_module("linemap.cli"),
+        }
+        data = tmp / "data"
+        synth = ["synth", "--output", str(data), "--views", "16", "--noise", "1.0",
+                 "--outliers", "0.2", "--seed", str(args.seed)]
+        _run(sides["new"], synth)
+        times = {name: [] for name in sides}
+        for pair in range(-1, args.pairs):  # pair -1 is the untimed warm-up
+            order = ["ref", "new"] if pair % 2 == 0 else ["new", "ref"]
+            for name in order:
+                out = tmp / f"out_{name}"
+                elapsed = _run(sides[name], ["map", "--input", str(data), "--output", str(out)])
+                if pair >= 0:
+                    times[name].append(elapsed)
+            tracks = {name: (tmp / f"out_{name}" / "tracks.json").read_bytes() for name in sides}
+            if tracks["ref"] != tracks["new"]:
+                where = f"pair {pair + 1}" if pair >= 0 else "the warm-up"
+                print(f"error: tracks.json differs in {where}", file=sys.stderr)
+                return 1
+            if pair >= 0:
+                ref, new = times["ref"][-1], times["new"][-1]
+                print(f"pair {pair + 1}: ref {ref:.3f} s, new {new:.3f} s", flush=True)
+
+    ratios = [new / ref for new, ref in zip(times["new"], times["ref"])]
+    wins = sum(r < 1.0 for r in ratios)
+    print(_summary(f"ref {args.ref}", times["ref"]))
+    print(_summary("new (working tree)", times["new"]))
+    print(f"tracks.json identical in all {args.pairs} pairs")
+    print(f"new faster in {wins} of {args.pairs} pairs; paired median ratio new/ref "
+          f"{statistics.median(ratios):.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
