@@ -24,6 +24,18 @@ minimum is 0 the pair scores 0 whatever the image components say, so the
 pair is never projected.  Otherwise both segments are projected into both
 views (a segment behind either view scores 0), and the score is the minimum
 of the 3D and the image components.
+
+A segment is scored against many others in one pass, so the work that
+depends on the segment and one view alone is kept on the segment: its
+projection into its own view (the generating view in selection, the
+detection's view in track building, the representative view in remerge)
+and its two endpoint ray lengths to the reference camera in selection.
+Each is a one-entry cache on the segment that holds the view object it
+was computed for: it is reused only with that same object (``is``, so a
+copy with an equal pose recomputes it), replaced when the segment is scored
+with another view, and freed with the segment.  Cross projections are
+computed fresh, and the arithmetic is unchanged, so every score is the same
+bit for bit.
 """
 
 from __future__ import annotations
@@ -73,17 +85,37 @@ def _dist3(p, q) -> float:
     return math.sqrt(float(d @ d))
 
 
+def _memo(seg: Segment3D, key: str, view: CameraView, compute):
+    """``compute(seg, view)``, kept on ``seg`` under ``key`` for ``view`` alone.
+
+    The entry holds the view object and is reused only for that object, so
+    a later view with an equal pose, or one at a freed view's address,
+    recomputes it.
+    """
+    entry = seg.__dict__.get(key)
+    if entry is None or entry[0] is not view:
+        entry = seg.__dict__[key] = (view, compute(seg, view))
+    return entry[1]
+
+
+def _ray_lengths(seg: Segment3D, view: CameraView) -> tuple[float, float]:
+    c = view.camera_center
+    return _dist3(seg.start, c), _dist3(seg.end, c)
+
+
 def perspective_distance(a: Segment3D, b: Segment3D, view: CameraView) -> float:
-    """Endpoint distance scaled by the endpoint ray depths of ``a``.
+    """Endpoint distance scaled by the endpoint ray depths, averaged over both segments.
 
     Assumes the two segments lie on the same endpoint rays of ``view`` (the
     proposal-selection setting), so corresponding endpoints are comparable.
+    Each segment divides the start and end distances by its own endpoints'
+    distances to the camera centre and keeps the larger ratio; the result is
+    the mean of the two, symmetric in ``a`` and ``b`` bit for bit.
     """
-    c = view.camera_center
-    return max(
-        _dist3(a.start, b.start) / _dist3(a.start, c),
-        _dist3(a.end, b.end) / _dist3(a.end, c),
-    )
+    ds, de = _dist3(a.start, b.start), _dist3(a.end, b.end)
+    sa, ea = _memo(a, "_ray_lengths", view, _ray_lengths)
+    sb, eb = _memo(b, "_ray_lengths", view, _ray_lengths)
+    return 0.5 * (max(ds / sa, de / ea) + max(ds / sb, de / eb))
 
 
 def _along(a: Segment, b: Segment) -> tuple[float, float]:
@@ -152,10 +184,15 @@ def _binary_overlap(ratio: float, tau: float) -> float:
 def _projections(a: Segment3D, b: Segment3D, view_a: CameraView, view_b: CameraView):
     """``(a, b)`` projected into ``view_a`` and into ``view_b``.
 
+    ``view_a`` is ``a``'s own view and ``view_b`` is ``b``'s, and each own
+    projection is kept on its segment; the two cross projections are fresh.
     None when either segment is behind either view: a hypothesis behind a
     scoring camera cannot support the other.
     """
-    pairs = [(project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b)]
+    pairs = [
+        (_memo(a, "_own_projection", view_a, project_segment), project_segment(b, view_a)),
+        (project_segment(a, view_b), _memo(b, "_own_projection", view_b, project_segment)),
+    ]
     if any(p is None for pair in pairs for p in pair):
         return None
     return pairs
@@ -189,12 +226,9 @@ def selection_pair_score(
     ``view_b`` are the matched views they were triangulated from, where the
     2D distances are measured.
     """
-    perspective = 0.5 * (
-        perspective_distance(a, b, ref_view) + perspective_distance(b, a, ref_view)
-    )
     score = min(
         normalize_distance(angular_distance(a, b), config.tau_angle_3d),
-        normalize_distance(perspective, config.tau_perspective),
+        normalize_distance(perspective_distance(a, b, ref_view), config.tau_perspective),
     )
     pairs = _projections(a, b, view_a, view_b) if score > 0.0 else None
     if pairs is None:

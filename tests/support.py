@@ -23,7 +23,6 @@ from linemap.scoring import (
     mutual_overlap,
     normalize_distance,
     perpendicular_distance_2d,
-    perspective_distance,
 )
 from linemap.triangulation import ray_plane_form
 
@@ -378,8 +377,10 @@ def reference_inlier_percentage(pred, gt, tau, spacing, aggregate="mean"):
 # ---------------------------------------------------------------------------
 #
 # Both pair scores as the minimum over every component, with the pair
-# projected into both views before any component is read.  ``linemap.scoring``
-# returns 0 as soon as the 3D components give 0, which must not change a bit.
+# projected into both views before any component is read, and every distance
+# computed fresh.  ``linemap.scoring`` returns 0 as soon as the 3D components
+# give 0 and reuses each segment's own-view projection and ray lengths, which
+# must not change a bit.
 
 
 def _reference_projections(a, b, view_a, view_b):
@@ -404,12 +405,26 @@ def _reference_image_components(pairs, config):
     ]
 
 
+def _reference_dist3(p, q):
+    d = p - q
+    return math.sqrt(float(d @ d))
+
+
+def _reference_perspective(a, b, view):
+    # one direction: the endpoint distances scaled by a's endpoint ray lengths
+    c = view.camera_center
+    return max(
+        _reference_dist3(a.start, b.start) / _reference_dist3(a.start, c),
+        _reference_dist3(a.end, b.end) / _reference_dist3(a.end, c),
+    )
+
+
 def reference_selection_pair_score(a, b, ref_view, view_a, view_b, config=PipelineConfig()):
     pairs = _reference_projections(a, b, view_a, view_b)
     if pairs is None:
         return 0.0
     perspective = 0.5 * (
-        perspective_distance(a, b, ref_view) + perspective_distance(b, a, ref_view)
+        _reference_perspective(a, b, ref_view) + _reference_perspective(b, a, ref_view)
     )
     return min(
         normalize_distance(angular_distance(a, b), config.tau_angle_3d),

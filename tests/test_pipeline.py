@@ -265,38 +265,68 @@ def test_each_endpoint_ray_is_solved_once_per_run(noisy_scene, monkeypatch):
 
 
 def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatch):
-    # a pair whose 3D components give 0 is never projected; any other pair
-    # projects both segments into both of its views
+    # a pair whose 3D components give 0 projects nothing; any other pair
+    # projects each segment into the other's view, and each segment into its
+    # own view unless that segment's last own-view projection was into the
+    # same view object (a one-entry cache per segment, kept across phases)
     _, inp = noisy_scene
     counts = Counter()
-    phase = []
+    made = []
+    last_own = {}  # id(segment) -> (segment, view) of its last own-view projection
     projection = scoring.project_segment
 
     def counted_projection(seg, view):
-        counts[phase[-1], "projections"] += 1
+        made[-1].append((seg, view))
         return projection(seg, view)
 
-    def counted(name, score):
+    def own_misses(seg, view):
+        entry = last_own.get(id(seg))
+        if entry is not None and entry[1] is view:
+            return []
+        last_own[id(seg)] = seg, view
+        return [(seg, view)]
+
+    def counted(name, score, own_views):
         def wrapper(*args):
-            counts[name, "pairs"] += 1
-            phase.append(name)
+            made.append([])
             try:
                 return score(*args)
             finally:
-                phase.pop()
+                pair = made.pop()
+                counts[name, "pairs"] += 1
+                if pair:
+                    (a, view_a), (b, view_b) = own_views(*args)
+                    expected = [*own_misses(a, view_a), (b, view_a), (a, view_b)]
+                    expected += own_misses(b, view_b)
+                    assert [tuple(map(id, p)) for p in pair] == [
+                        tuple(map(id, p)) for p in expected
+                    ]
+                    counts[name, "past the gate"] += 1
+                    counts[name, "projections"] += len(pair)
 
         return wrapper
 
     monkeypatch.setattr(scoring, "project_segment", counted_projection)
-    selection = counted("selection", scoring.selection_pair_score)
+    selection = counted(
+        "selection",
+        scoring.selection_pair_score,
+        lambda a, b, ref, view_a, view_b, config: ((a, view_a), (b, view_b)),
+    )
     monkeypatch.setattr(pipeline, "selection_pair_score", selection)
-    monkeypatch.setattr(tracks, "track_pair_score", counted("tracks", scoring.track_pair_score))
+    track = counted(
+        "tracks",
+        scoring.track_pair_score,
+        lambda a, view_a, b, view_b, config: ((a, view_a), (b, view_b)),
+    )
+    monkeypatch.setattr(tracks, "track_pair_score", track)
     run_pipeline(inp, PipelineConfig(optimize=False))
     assert counts == {
         ("selection", "pairs"): 42_698,
-        ("selection", "projections"): 4 * 22_444,
+        ("selection", "past the gate"): 22_444,
+        ("selection", "projections"): 2 * 22_444 + 7_814,
         ("tracks", "pairs"): 7_327,
-        ("tracks", "projections"): 4 * 5_359,
+        ("tracks", "past the gate"): 5_359,
+        ("tracks", "projections"): 2 * 5_359 + 666,
     }
 
 

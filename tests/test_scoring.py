@@ -84,10 +84,13 @@ def test_perspective_distance_scales_by_ray_depth():
     # same rays, pushed along them by 1%
     b = seg3([0, 0, 2.02], [0, 1.01, 2.02])
     d = perspective_distance(a, b, view)
-    d_s = np.linalg.norm(a.start)
-    d_e = np.linalg.norm(a.end)
-    expect = max(0.02 / d_s, np.linalg.norm(b.end - a.end) / d_e)
-    assert d == pytest.approx(expect, rel=1e-12)
+    # each segment scales the endpoint distances by its own ray depths
+    d_start, d_end = 0.02, np.linalg.norm(b.end - a.end)
+    by_a = max(d_start / np.linalg.norm(a.start), d_end / np.linalg.norm(a.end))
+    by_b = max(d_start / np.linalg.norm(b.start), d_end / np.linalg.norm(b.end))
+    assert d == pytest.approx(0.5 * (by_a + by_b), rel=1e-12)
+    assert by_b < by_a  # b lies farther along the rays
+    assert perspective_distance(b, a, view) == d  # symmetric bit for bit
 
 
 def test_overlap_ratio_hand_case():
@@ -347,3 +350,56 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
         assert outcomes[kind, "gated", False] >= 20
         assert outcomes[kind, "behind", False] >= 20
         assert outcomes[kind, "projected", True] >= 20
+
+
+def test_pair_scores_equal_the_reference_when_segments_meet_views_again(monkeypatch):
+    # a small pool of segments scored in shuffled pairs: each segment meets
+    # again the views it was last projected into (cache hits) and switches
+    # between distinct view objects, two of them with one pose, and a camera
+    # beside the pool that has some segments behind it
+    project = scoring.project_segment
+    calls = Counter()
+
+    def counted(seg, view):
+        calls["projections"] += 1
+        projected = project(seg, view)
+        calls["behind"] += projected is None
+        return projected
+
+    monkeypatch.setattr(scoring, "project_segment", counted)
+    rng = np.random.default_rng(45)
+    cfg = PipelineConfig()
+    base = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])
+    pool = [base] + [
+        seg3(base.start + rng.normal(scale=s, size=3), base.end + rng.normal(scale=s, size=3))
+        for s in (0.0005, 0.002, 0.005, 0.01, 0.02, 0.05, 0.3)
+    ]
+    views = [make_view(normalized(rng.normal(size=3)) * rng.uniform(1.5, 4.0)) for _ in range(4)]
+    twin = views[0]
+    views.append(CameraView(twin.K, twin.R, twin.t, twin.width, twin.height))
+    beside = base.start + 0.3 * (base.end - base.start)
+    views.append(make_view(beside, target=beside + base.direction))
+    outcomes = Counter()
+
+    def scored(kind, score, *args):
+        before = calls["projections"]
+        s = score(*args)
+        made = calls["projections"] - before
+        # gated pairs project nothing; the rest project 2 cross and 0 to 2 own
+        assert made == 0 or 2 <= made <= 4
+        outcomes[kind, s > 0] += 1
+        outcomes[kind, "own reused"] += 4 - made if made else 0
+        outcomes[kind, "own projected"] += made - 2 if made else 0
+        return s
+
+    for _ in range(1500):
+        a, b = (pool[i] for i in rng.choice(len(pool), size=2, replace=False))
+        ref, va, vb = (views[i] for i in rng.integers(len(views), size=3))
+        s = scored("selection", selection_pair_score, a, b, ref, va, vb, cfg)
+        assert s == reference_selection_pair_score(a, b, ref, va, vb, cfg)
+        t = scored("track", track_pair_score, a, va, b, vb, cfg)
+        assert t == reference_track_pair_score(a, va, b, vb, cfg)
+    for kind in ("selection", "track"):
+        for key in (True, False, "own reused", "own projected"):
+            assert outcomes[kind, key] >= 100
+    assert calls["behind"] >= 50

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/ab.py REF [--pairs N] [--seed S]
+    python3 tools/ab.py REF [--pairs N] [--seed S] [--set KEY=VALUE ...]
 
 ``src/linemap`` at ``REF`` is extracted with ``git archive`` and imported under
 the package name ``linemap_ref`` (every import inside the package is
@@ -11,6 +11,8 @@ BLAS pinned to one thread.  One dataset is written with ``linemap synth
 --views 16 --noise 1.0 --outliers 0.2 --seed S``.  After one untimed run of
 each copy, the two copies' ``cli.main(["map", ...])`` alternate for N pairs,
 the reference first in even pairs and the working tree first in odd ones.
+Each ``--set KEY=VALUE`` (repeatable) is passed to both copies' ``map``, so
+``--set optimize=false`` times the stages before joint refinement alone.
 
 Prints each side's median and quartiles, the pairs the working tree won and
 the median of the paired ratios (working tree / reference).  Exits 1 as soon
@@ -68,6 +70,8 @@ def _run(cli, argv) -> float:
 
 
 def _summary(name: str, times: list[float]) -> str:
+    if len(times) < 2:
+        return f"{name}: {times[0]:.3f} s"
     q1, median, q3 = statistics.quantiles(times, n=4)
     return f"{name}: median {median:.3f} s, quartiles {q1:.3f} / {q3:.3f} s"
 
@@ -77,9 +81,12 @@ def main(argv=None) -> int:
     parser.add_argument("ref", help="commit to compare the working tree against")
     parser.add_argument("--pairs", type=int, default=12)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="config override passed to both copies' map (repeatable)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    overrides = [arg for kv in args.set for arg in ("--set", kv)]
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -99,7 +106,8 @@ def main(argv=None) -> int:
             order = ["ref", "new"] if pair % 2 == 0 else ["new", "ref"]
             for name in order:
                 out = tmp / f"out_{name}"
-                elapsed = _run(sides[name], ["map", "--input", str(data), "--output", str(out)])
+                command = ["map", "--input", str(data), "--output", str(out), *overrides]
+                elapsed = _run(sides[name], command)
                 if pair >= 0:
                     times[name].append(elapsed)
             tracks = {name: (tmp / f"out_{name}" / "tracks.json").read_bytes() for name in sides}
