@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,6 +47,15 @@ def cross3(a: FloatArray, b: FloatArray) -> FloatArray:
     a0, a1, a2 = np.asarray(a, dtype=np.float64).tolist()
     b0, b1, b2 = np.asarray(b, dtype=np.float64).tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def dot3(a, b) -> float:
+    """Dot product of two 3-sequences of Python floats, ``(a0*b0 + a1*b1) + a2*b2``.
+
+    The terms are summed in this order on Python floats, so the value does
+    not depend on the BLAS kernel that numpy's ``@`` would call.
+    """
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def skew(v: FloatArray) -> FloatArray:
@@ -150,6 +160,17 @@ def intrinsics_matrix(focal: float, cx: float, cy: float) -> FloatArray:
     return np.array([[focal, 0.0, cx], [0.0, focal, cy], [0.0, 0.0, 1.0]])
 
 
+class ViewFloats(NamedTuple):
+    """A :class:`CameraView` as Python floats, for per-pair scalar work."""
+
+    kr: list[list[float]]  # rows of K R
+    kt: list[float]  # K t
+    center: list[float]
+    depth_row: list[float]  # R[2]: the camera-frame depth is depth_row . p + depth_offset
+    depth_offset: float  # t[2]
+    focal: float
+
+
 @dataclass(frozen=True)
 class CameraView:
     """A calibrated, posed pinhole camera.
@@ -190,6 +211,20 @@ class CameraView:
     @cached_property
     def _kr_kt(self) -> tuple[FloatArray, FloatArray]:
         return self.K @ self.R, self.K @ self.t
+
+    @cached_property
+    def floats(self) -> ViewFloats:
+        """The projection, centre, depth row and focal length as Python floats,
+        taken from the arrays above (``.tolist()`` keeps every bit)."""
+        KR, Kt = self._kr_kt
+        return ViewFloats(
+            KR.tolist(),
+            Kt.tolist(),
+            self.camera_center.tolist(),
+            self.R[2].tolist(),
+            float(self.t[2]),
+            self.focal,
+        )
 
     @cached_property
     def line_map(self) -> tuple[FloatArray, FloatArray]:
@@ -280,6 +315,15 @@ class Segment2D:
         return np.stack([self.start, self.end])
 
 
+class SegmentFloats(NamedTuple):
+    """A :class:`Segment3D` as Python floats, for per-pair scalar work."""
+
+    start: list[float]
+    end: list[float]
+    direction: list[float]
+    length: float
+
+
 @dataclass(frozen=True)
 class Segment3D:
     """A finite 3D line segment."""
@@ -302,7 +346,21 @@ class Segment3D:
 
     @cached_property
     def direction(self) -> FloatArray:
-        return normalized(self.end - self.start)
+        return np.array(self.floats.direction)
+
+    @cached_property
+    def floats(self) -> SegmentFloats:
+        """Start, end, unit direction and length as Python floats.
+
+        The direction is ``(end - start) / length``, elementwise as numpy
+        would divide, so it equals :func:`normalized` bit for bit: the norm
+        numpy takes of a vector is ``sqrt(v @ v)``, which is ``length``.
+        """
+        n = self.length
+        if n < EPS:
+            raise ValueError("cannot normalize near-zero vector")
+        start, end = self.start.tolist(), self.end.tolist()
+        return SegmentFloats(start, end, [(e - s) / n for s, e in zip(start, end)], n)
 
     def endpoints(self) -> FloatArray:
         return np.stack([self.start, self.end])

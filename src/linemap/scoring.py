@@ -22,8 +22,23 @@ the endpoint comparison, with 2D distances measured in the owning views.
 Both scores have one shape.  The 3D components come first; when their
 minimum is 0 the pair scores 0 whatever the image components say, so the
 pair is never projected.  Otherwise both segments are projected into both
-views (a segment behind either view scores 0), and the score is the minimum
-of the 3D and the image components.
+views, and the score is the minimum of the 3D and the image components.  A
+segment behind either view, or one that projects to less than
+:data:`~linemap.geometry.EPS` px (it lies along a viewing ray), scores 0.
+
+A pair score is a few dozen flops, so it runs on Python floats, not on
+numpy arrays.  Every distance reads float records, each cached on its
+object and bit-equal to the object's numpy attributes:
+:attr:`Segment3D.floats <linemap.geometry.Segment3D.floats>` (start, end,
+direction and length) and :attr:`CameraView.floats
+<linemap.geometry.CameraView.floats>` (the rows of ``K R`` and ``K t``,
+the centre, the depth row and the focal length).  A projection is a
+``_Planar`` record: the two endpoints and the unit direction in
+homogeneous form, ``(x, y, 1)`` and ``(dx, dy, 0)``, the length, and the
+supporting line with a unit normal.  With that form one dot product,
+:func:`~linemap.geometry.dot3`, serves 2D and 3D records, a point's
+distance to a line included, and it sums its terms in a fixed order with
+no BLAS call.
 
 A segment is scored against many others in one pass, so the work that
 depends on the segment and one view alone is kept on the segment: its
@@ -34,16 +49,16 @@ Each is a one-entry cache on the segment that holds the view object it
 was computed for: it is reused only with that same object (``is``, so a
 copy with an equal pose recomputes it), replaced when the segment is scored
 with another view, and freed with the segment.  Cross projections are
-computed fresh, and the arithmetic is unchanged, so every score is the same
-bit for bit.
+computed fresh.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .config import PipelineConfig
-from .geometry import CameraView, Segment2D, Segment3D, project_segment
+from .geometry import EPS, CameraView, Segment2D, Segment3D, SegmentFloats, dot3
 
 Segment = Segment2D | Segment3D
 
@@ -51,21 +66,82 @@ SCORE_GATE = 0.5  # lowest nonzero similarity of one component
 
 
 # ---------------------------------------------------------------------------
+# float records
+# ---------------------------------------------------------------------------
+
+
+class _Planar(NamedTuple):
+    """A 2D segment in homogeneous form; its first four fields mirror SegmentFloats."""
+
+    start: tuple[float, float, float]  # (x, y, 1)
+    end: tuple[float, float, float]
+    direction: tuple[float, float, float]  # (dx, dy, 0), unit length
+    length: float
+    line: tuple[float, float, float]  # a*x + b*y + c = 0 with |(a, b)| = 1
+
+
+def _planar(x1: float, y1: float, x2: float, y2: float) -> _Planar | None:
+    """The record of the 2D segment ``(x1, y1)``–``(x2, y2)``; None when shorter than EPS."""
+    dx, dy = x2 - x1, y2 - y1
+    n = math.hypot(dx, dy)
+    if n < EPS:
+        return None
+    line = (-dy / n, dx / n, (x1 * y2 - x2 * y1) / n)
+    return _Planar((x1, y1, 1.0), (x2, y2, 1.0), (dx / n, dy / n, 0.0), n, line)
+
+
+def _floats(seg: Segment) -> SegmentFloats | _Planar:
+    """A 3D segment's float record, or a 2D segment's planar record."""
+    if isinstance(seg, Segment3D):
+        return seg.floats
+    planar = _planar(*seg.start.tolist(), *seg.end.tolist())
+    if planar is None:
+        raise ValueError("cannot normalize near-zero vector")
+    return planar
+
+
+def _project(seg: Segment3D, view: CameraView) -> _Planar | None:
+    """``seg`` projected into ``view``; None if an endpoint is at or behind its
+    camera plane, or if the projection is shorter than EPS px."""
+    s, e = seg.floats.start, seg.floats.end
+    (r0, r1, r2), (k0, k1, k2) = view.floats.kr, view.floats.kt
+    # the last K row is (0, 0, 1), so the third coordinate is the camera-frame depth
+    ws, we = dot3(r2, s) + k2, dot3(r2, e) + k2
+    if ws <= EPS or we <= EPS:
+        return None
+    return _planar(
+        (dot3(r0, s) + k0) / ws,
+        (dot3(r1, s) + k1) / ws,
+        (dot3(r0, e) + k0) / we,
+        (dot3(r1, e) + k1) / we,
+    )
+
+
+def _dist3(p, q) -> float:
+    d = (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+    return math.sqrt(dot3(d, d))
+
+
+# ---------------------------------------------------------------------------
 # raw distances
 # ---------------------------------------------------------------------------
 
 
+def _angle(a, b) -> float:
+    return math.degrees(math.acos(min(1.0, abs(dot3(a.direction, b.direction)))))
+
+
 def angular_distance(a: Segment, b: Segment) -> float:
     """Acute angle between segment directions (2D or 3D), in degrees."""
-    c = abs(float(a.direction @ b.direction))
-    return math.degrees(math.acos(min(1.0, c)))
+    return _angle(_floats(a), _floats(b))
 
 
-def _endpoints_to_unit_line(seg: Segment2D, line) -> float:
-    # `line` comes from infinite_line, whose normal is unit length
-    d1 = abs(line[0] * seg.start[0] + line[1] * seg.start[1] + line[2])
-    d2 = abs(line[0] * seg.end[0] + line[1] * seg.end[1] + line[2])
-    return float(max(d1, d2))
+def _perpendicular(a: _Planar, b: _Planar) -> float:
+    la, lb = a.line, b.line
+    return 0.5 * (
+        max(abs(dot3(lb, a.start)), abs(dot3(lb, a.end)))
+        + max(abs(dot3(la, b.start)), abs(dot3(la, b.end)))
+    )
 
 
 def perpendicular_distance_2d(a: Segment2D, b: Segment2D) -> float:
@@ -74,15 +150,7 @@ def perpendicular_distance_2d(a: Segment2D, b: Segment2D) -> float:
     Each direction takes the larger distance of one segment's endpoints to
     the other's supporting line.
     """
-    return 0.5 * (
-        _endpoints_to_unit_line(a, b.infinite_line)
-        + _endpoints_to_unit_line(b, a.infinite_line)
-    )
-
-
-def _dist3(p, q) -> float:
-    d = p - q
-    return math.sqrt(float(d @ d))
+    return _perpendicular(_floats(a), _floats(b))
 
 
 def _memo(seg: Segment3D, key: str, view: CameraView, compute):
@@ -99,8 +167,8 @@ def _memo(seg: Segment3D, key: str, view: CameraView, compute):
 
 
 def _ray_lengths(seg: Segment3D, view: CameraView) -> tuple[float, float]:
-    c = view.camera_center
-    return _dist3(seg.start, c), _dist3(seg.end, c)
+    c = view.floats.center
+    return _dist3(seg.floats.start, c), _dist3(seg.floats.end, c)
 
 
 def perspective_distance(a: Segment3D, b: Segment3D, view: CameraView) -> float:
@@ -112,32 +180,47 @@ def perspective_distance(a: Segment3D, b: Segment3D, view: CameraView) -> float:
     distances to the camera centre and keeps the larger ratio; the result is
     the mean of the two, symmetric in ``a`` and ``b`` bit for bit.
     """
-    ds, de = _dist3(a.start, b.start), _dist3(a.end, b.end)
+    fa, fb = a.floats, b.floats
+    ds, de = _dist3(fa.start, fb.start), _dist3(fa.end, fb.end)
     sa, ea = _memo(a, "_ray_lengths", view, _ray_lengths)
     sb, eb = _memo(b, "_ray_lengths", view, _ray_lengths)
     return 0.5 * (max(ds / sa, de / ea) + max(ds / sb, de / eb))
 
 
-def _along(a: Segment, b: Segment) -> tuple[float, float]:
+def _along(a, b) -> tuple[float, float]:
     """Where ``a``'s start and end fall along ``b``, as distances from ``b.start``."""
-    d = b.direction
-    return float((a.start - b.start) @ d), float((a.end - b.start) @ d)
+    (o0, o1, o2), d = b.start, b.direction
+    (s0, s1, s2), (e0, e1, e2) = a.start, a.end
+    return dot3((s0 - o0, s1 - o1, s2 - o2), d), dot3((e0 - o0, e1 - o1, e2 - o2), d)
 
 
-def overlap_ratio(a: Segment, b: Segment) -> float:
-    """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
+def _overlap(a, b) -> float:
     ta, tb = _along(a, b)
     inter = min(max(ta, tb), b.length) - max(min(ta, tb), 0.0)
     return max(0.0, inter) / b.length
 
 
+def _mutual_overlap(a, b) -> float:
+    return min(_overlap(a, b), _overlap(b, a))
+
+
+def overlap_ratio(a: Segment, b: Segment) -> float:
+    """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
+    return _overlap(_floats(a), _floats(b))
+
+
 def mutual_overlap(a: Segment, b: Segment) -> float:
-    return min(overlap_ratio(a, b), overlap_ratio(b, a))
+    return _mutual_overlap(_floats(a), _floats(b))
 
 
-def _clipped_feet(a: Segment3D, b: Segment3D) -> list:
+def _clipped_feet(a: SegmentFloats, b: SegmentFloats) -> list:
     """Feet of ``a``'s endpoints on ``b``'s line, clipped to ``b``'s extent."""
-    return [b.start + min(max(t, 0.0), b.length) * b.direction for t in _along(a, b)]
+    (o0, o1, o2), (d0, d1, d2) = b.start, b.direction
+    feet = []
+    for t in _along(a, b):
+        s = min(max(t, 0.0), b.length)
+        feet.append((o0 + s * d0, o1 + s * d1, o2 + s * d2))
+    return feet
 
 
 def innerseg_distance(a: Segment3D, b: Segment3D) -> float:
@@ -149,11 +232,19 @@ def innerseg_distance(a: Segment3D, b: Segment3D) -> float:
     endpoint distances.  For collinear disjoint segments both inner segments
     collapse and the value equals the gap.
     """
-    on_b = _clipped_feet(a, b)
-    on_a = _clipped_feet(b, a)
-    if float(a.direction @ b.direction) < 0:
+    fa, fb = a.floats, b.floats
+    on_b = _clipped_feet(fa, fb)
+    on_a = _clipped_feet(fb, fa)
+    if dot3(fa.direction, fb.direction) < 0:
         on_a.reverse()
     return max(_dist3(on_a[0], on_b[0]), _dist3(on_a[1], on_b[1]))
+
+
+def _depth_over_focal(seg: SegmentFloats, view: CameraView) -> float:
+    (s0, s1, s2), (e0, e1, e2) = seg.start, seg.end
+    v = view.floats
+    mid = (0.5 * (s0 + e0), 0.5 * (s1 + e1), 0.5 * (s2 + e2))
+    return (dot3(v.depth_row, mid) + v.depth_offset) / v.focal
 
 
 def innerseg_scale(a: Segment3D, view_a: CameraView, b: Segment3D, view_b: CameraView) -> float:
@@ -163,7 +254,7 @@ def innerseg_scale(a: Segment3D, view_a: CameraView, b: Segment3D, view_b: Camer
     length; one pixel of image noise displaces a 3D point by roughly this
     amount, which makes the scaled distance unit-free.
     """
-    return min(view_a.depth(a.midpoint) / view_a.focal, view_b.depth(b.midpoint) / view_b.focal)
+    return min(_depth_over_focal(a.floats, view_a), _depth_over_focal(b.floats, view_b))
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +277,23 @@ def _projections(a: Segment3D, b: Segment3D, view_a: CameraView, view_b: CameraV
 
     ``view_a`` is ``a``'s own view and ``view_b`` is ``b``'s, and each own
     projection is kept on its segment; the two cross projections are fresh.
-    None when either segment is behind either view: a hypothesis behind a
-    scoring camera cannot support the other.
+    None when either segment is behind either view or projects to a point
+    in it: such a hypothesis cannot support the other.
     """
-    pairs = [
-        (_memo(a, "_own_projection", view_a, project_segment), project_segment(b, view_a)),
-        (project_segment(a, view_b), _memo(b, "_own_projection", view_b, project_segment)),
-    ]
-    if any(p is None for pair in pairs for p in pair):
+    pa, pb = _memo(a, "_own_projection", view_a, _project), _project(b, view_a)
+    qa, qb = _project(a, view_b), _memo(b, "_own_projection", view_b, _project)
+    if pa is None or pb is None or qa is None or qb is None:
         return None
-    return pairs
+    return (pa, pb), (qa, qb)
 
 
 def _image_components(pairs, config: PipelineConfig) -> list[float]:
     """2D angle and perpendicular components, each averaged over both views."""
     (pa, pb), (qa, qb) = pairs
     return [
+        normalize_distance(0.5 * (_angle(pa, pb) + _angle(qa, qb)), config.tau_angle_2d),
         normalize_distance(
-            0.5 * (angular_distance(pa, pb) + angular_distance(qa, qb)), config.tau_angle_2d
-        ),
-        normalize_distance(
-            0.5 * (perpendicular_distance_2d(pa, pb) + perpendicular_distance_2d(qa, qb)),
-            config.tau_perp_2d,
+            0.5 * (_perpendicular(pa, pb) + _perpendicular(qa, qb)), config.tau_perp_2d
         ),
     ]
 
@@ -227,7 +313,7 @@ def selection_pair_score(
     2D distances are measured.
     """
     score = min(
-        normalize_distance(angular_distance(a, b), config.tau_angle_3d),
+        normalize_distance(_angle(a.floats, b.floats), config.tau_angle_3d),
         normalize_distance(perspective_distance(a, b, ref_view), config.tau_perspective),
     )
     pairs = _projections(a, b, view_a, view_b) if score > 0.0 else None
@@ -252,16 +338,18 @@ def track_pair_score(
     scale = innerseg_scale(a, view_a, b, view_b)
     if scale <= 0:
         return 0.0
+    fa, fb = a.floats, b.floats
     score = min(
-        normalize_distance(angular_distance(a, b), config.tau_angle_3d),
-        _binary_overlap(mutual_overlap(a, b), config.tau_overlap),
+        normalize_distance(_angle(fa, fb), config.tau_angle_3d),
+        _binary_overlap(_mutual_overlap(fa, fb), config.tau_overlap),
         normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg),
     )
     pairs = _projections(a, b, view_a, view_b) if score > 0.0 else None
     if pairs is None:
         return 0.0
+    (pa, pb), (qa, qb) = pairs
     return min(
         score,
         *_image_components(pairs, config),
-        _binary_overlap(min(mutual_overlap(pa, pb) for pa, pb in pairs), config.tau_overlap),
+        _binary_overlap(min(_mutual_overlap(pa, pb), _mutual_overlap(qa, qb)), config.tau_overlap),
     )

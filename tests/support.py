@@ -8,6 +8,7 @@ from linemap.config import PipelineConfig
 from linemap.geometry import (
     EPS,
     CameraView,
+    Segment2D,
     Segment3D,
     cross3,
     normalized,
@@ -380,11 +381,33 @@ def reference_inlier_percentage(pred, gt, tau, spacing, aggregate="mean"):
 # projected into both views before any component is read, and every distance
 # computed fresh.  ``linemap.scoring`` returns 0 as soon as the 3D components
 # give 0 and reuses each segment's own-view projection and ray lengths, which
-# must not change a bit.
+# must not change a bit.  Projections and 3D distances are computed here on
+# Python floats, each dot product summed as ``(a0*b0 + a1*b1) + a2*b2``.
+
+
+def _reference_dot3(a, b):
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _reference_project(seg, view):
+    """``seg`` in pixels from ``view.K``, ``view.R`` and ``view.t``; None behind
+    the camera plane or shorter than EPS px."""
+    rows = (view.K @ view.R).tolist()
+    kt = (view.K @ view.t).tolist()
+    ends = []
+    for p in (seg.start.tolist(), seg.end.tolist()):
+        u, v, w = (_reference_dot3(r, p) + k for r, k in zip(rows, kt))
+        if w <= EPS:
+            return None
+        ends.append([u / w, v / w])
+    (x1, y1), (x2, y2) = ends
+    if math.hypot(x2 - x1, y2 - y1) < EPS:
+        return None
+    return Segment2D(ends[0], ends[1])
 
 
 def _reference_projections(a, b, view_a, view_b):
-    pairs = [(project_segment(a, v), project_segment(b, v)) for v in (view_a, view_b)]
+    pairs = [(_reference_project(a, v), _reference_project(b, v)) for v in (view_a, view_b)]
     return None if any(p is None for pair in pairs for p in pair) else pairs
 
 
@@ -406,8 +429,8 @@ def _reference_image_components(pairs, config):
 
 
 def _reference_dist3(p, q):
-    d = p - q
-    return math.sqrt(float(d @ d))
+    d = (p - q).tolist()
+    return math.sqrt(_reference_dot3(d, d))
 
 
 def _reference_perspective(a, b, view):

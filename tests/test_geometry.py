@@ -269,9 +269,9 @@ def test_cached_attributes_are_computed_once():
     seg2 = Segment2D([1.0, 2.0], [30.0, -4.0])
     seg3 = Segment3D([1.0, 2.0, 3.0], [-2.0, 0.5, 1.0])
     for obj, names in (
-        (view, ("focal", "camera_center", "_kr_kt", "line_map")),
+        (view, ("focal", "camera_center", "_kr_kt", "line_map", "floats")),
         (seg2, ("length", "direction", "infinite_line")),
-        (seg3, ("length", "direction")),
+        (seg3, ("length", "direction", "floats")),
     ):
         for name in names:
             assert getattr(obj, name) is getattr(obj, name)
@@ -280,6 +280,21 @@ def test_cached_attributes_are_computed_once():
         Segment2D([1.0, 2.0, 3.0], [4.0, 5.0])
     with pytest.raises(ValueError):
         Segment2D([1.0, 2.0], [[4.0, 5.0]])
+
+
+def test_segment_float_record_keeps_the_bits_of_normalized():
+    # Segment3D.direction divides by `length` where normalized() divides by
+    # np.linalg.norm; both are sqrt(v @ v), so the bits must agree
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-4, 4)
+        seg = Segment3D(rng.normal(size=3) * scale, rng.normal(size=3) * scale)
+        assert seg.direction.tobytes() == normalized(seg.end - seg.start).tobytes()
+        rec = seg.floats
+        assert (rec.start, rec.end) == (seg.start.tolist(), seg.end.tolist())
+        assert (rec.direction, rec.length) == (seg.direction.tolist(), seg.length)
+    with pytest.raises(ValueError):
+        Segment3D([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).direction
 
 
 def test_relative_pose_roundtrip():

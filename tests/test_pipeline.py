@@ -273,7 +273,7 @@ def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatc
     counts = Counter()
     made = []
     last_own = {}  # id(segment) -> (segment, view) of its last own-view projection
-    projection = scoring.project_segment
+    projection = scoring._project
 
     def counted_projection(seg, view):
         made[-1].append((seg, view))
@@ -306,7 +306,7 @@ def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatc
 
         return wrapper
 
-    monkeypatch.setattr(scoring, "project_segment", counted_projection)
+    monkeypatch.setattr(scoring, "_project", counted_projection)
     selection = counted(
         "selection",
         scoring.selection_pair_score,

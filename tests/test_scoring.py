@@ -14,6 +14,7 @@ from linemap.geometry import (
     plucker_from_segment,
     project_point_to_line3d,
     project_segment,
+    quat_to_rotmat,
 )
 from linemap.scoring import (
     angular_distance,
@@ -173,6 +174,54 @@ def test_innerseg_scale_uses_min_depth_over_focal():
     a = seg3([0, 0, 6], [1, 0, 6])
     b = seg3([0, 0, 9], [1, 0, 9])
     assert innerseg_scale(a, va, b, vb) == pytest.approx(min(6 / 600, 9 / 300))
+
+
+def test_float_projection_matches_project_segment():
+    # random intrinsics, poses and segments, about two thirds of them cut by
+    # the camera plane: the float record is None exactly where project_segment
+    # is, and otherwise agrees with it to 1e-12 relative
+    rng = np.random.default_rng(46)
+    outcomes = Counter()
+    for _ in range(1000):
+        f = rng.uniform(200.0, 2000.0)
+        fy, cx, cy = f * rng.uniform(0.9, 1.1), rng.uniform(0, 640), rng.uniform(0, 480)
+        K = np.array([[f, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
+        q = rng.normal(size=4)
+        view = CameraView(K, quat_to_rotmat(q / np.linalg.norm(q)), rng.normal(size=3) * 5, 640, 480)
+        seg = seg3(rng.normal(size=3) * 5, rng.normal(size=3) * 5)
+        got, ref = scoring._project(seg, view), project_segment(seg, view)
+        outcomes[ref is None] += 1
+        assert (got is None) == (ref is None)
+        if ref is None:
+            continue
+        for g, r in ((got.start, ref.start), (got.end, ref.end)):
+            assert g[2] == 1.0
+            assert np.linalg.norm(np.array(g[:2]) - r) <= 1e-12 * np.linalg.norm(r)
+        assert got.length == pytest.approx(ref.length, rel=1e-12)
+        assert np.abs(np.array(got.direction) - [*ref.direction, 0.0]).max() <= 1e-12
+        assert np.abs(np.array(got.line[:2]) - ref.infinite_line[:2]).max() <= 1e-12
+    assert outcomes[True] >= 200 and outcomes[False] >= 200
+
+
+def test_a_segment_along_a_viewing_ray_scores_zero():
+    # a and b lie on the optical axis of `axis`, so each projects there to a
+    # single pixel with no direction: the pair scores 0, as a segment behind
+    # a view does, where another view scores it as a match
+    axis = identity_view()
+    side = make_view([3.0, 0.5, 3.0], target=(0.0, 0.0, 3.0))
+    other = make_view([-3.0, 0.5, 3.0], target=(0.0, 0.0, 3.0))
+    a = seg3([0, 0, 2], [0, 0, 4])
+    b = seg3([0, 0, 2.05], [0, 0, 4.1])
+    assert scoring._project(a, axis) is None
+    assert track_pair_score(a, other, b, side) > 0.0
+    for args in ((a, axis, b, side), (b, side, a, axis)):
+        assert track_pair_score(*args) == 0.0
+        assert reference_track_pair_score(*args) == 0.0
+    near = seg3([0, 0, 2.001], [0, 0, 4.002])
+    assert selection_pair_score(a, near, side, other, side) > 0.0
+    for views in ((axis, side), (side, axis)):
+        assert selection_pair_score(a, near, side, *views) == 0.0
+        assert reference_selection_pair_score(a, near, side, *views) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +406,7 @@ def test_pair_scores_equal_the_reference_when_segments_meet_views_again(monkeypa
     # again the views it was last projected into (cache hits) and switches
     # between distinct view objects, two of them with one pose, and a camera
     # beside the pool that has some segments behind it
-    project = scoring.project_segment
+    project = scoring._project
     calls = Counter()
 
     def counted(seg, view):
@@ -366,7 +415,7 @@ def test_pair_scores_equal_the_reference_when_segments_meet_views_again(monkeypa
         calls["behind"] += projected is None
         return projected
 
-    monkeypatch.setattr(scoring, "project_segment", counted)
+    monkeypatch.setattr(scoring, "_project", counted)
     rng = np.random.default_rng(45)
     cfg = PipelineConfig()
     base = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])

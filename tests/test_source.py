@@ -1,7 +1,7 @@
 """Source hygiene of src/linemap, checked on its syntax trees.
 
-Every config key is read by the pipeline and documented in README, and
-every imported name is used.
+Every config key is read by the pipeline and documented in README, every
+imported name is used, and the pair scores make no BLAS call.
 """
 
 import ast
@@ -60,3 +60,14 @@ def test_no_imported_name_goes_unread():
                 used.update(ast.literal_eval(node.value))
         unread += [f"{name}: {n}" for n in _bound_by_imports(tree) if n not in used]
     assert unread == []
+
+
+def test_scoring_has_no_matrix_product():
+    # the pair scores sum each dot product in a fixed order (geometry.dot3);
+    # numpy's `@` would hand it to the CPU's BLAS kernel
+    products = [
+        node.lineno
+        for node in ast.walk(TREES["scoring.py"])
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+    assert products == []

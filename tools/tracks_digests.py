@@ -8,15 +8,15 @@ Run from the repository root:
 Each line is ``<name> <first 16 hex digits of sha256>``.  The scenes are the
 acceptance suite's: the 16-view box scene observed with 1 px noise and 20%
 outlier matches (seed 7) under three configs, the same scene observed
-cleanly, and ``linemap synth --views 16 --noise 1.0 --outliers 0.2 --seed 1``
-followed by ``linemap map``.  A sixth line, ``cli_eval``, digests what
-``linemap eval`` prints for that map against the scene's ``gt_lines.json``,
-with the default taus and then with ``--aggregate max``.  A change meant to
-keep outputs the same must print the same six lines as its parent on the same
-host.  BLAS runs on one thread, because joint refinement's reduced solve (the
-dense system left on the points and VPs once the line blocks are eliminated)
-can round differently with the thread count; across CPUs and numpy builds the
-last bit may still differ.
+cleanly under the same three configs, and ``linemap synth --views 16 --noise
+1.0 --outliers 0.2 --seed 1`` followed by ``linemap map``.  An eighth line,
+``cli_eval``, digests what ``linemap eval`` prints for that map against the
+scene's ``gt_lines.json``, with the default taus and then with ``--aggregate
+max``.  A change meant to keep outputs the same must print the same eight
+lines as its parent on the same host.  BLAS runs on one thread, because joint
+refinement's reduced solve (the dense system left on the points and VPs once
+the line blocks are eliminated) can round differently with the thread count;
+across CPUs and numpy builds the last bit may still differ.
 """
 
 import os
@@ -86,16 +86,19 @@ def _cli_digests():
 
 
 def main() -> int:
-    noisy = _scene_input(ObservationConfig(noise_px=1.0, outlier_fraction=0.2, seed=7))
-    rows = [
-        ("noisy_default", lambda: _digest(noisy, PipelineConfig())),
-        ("noisy_unrefined", lambda: _digest(noisy, PipelineConfig(optimize=False))),
-        ("noisy_lines_only", lambda: _digest(
-            noisy, PipelineConfig(use_points=False, use_vps=False, optimize=False))),
-        ("clean_default", lambda: _digest(_scene_input(ObservationConfig()), PipelineConfig())),
+    configs = [
+        ("default", PipelineConfig()),
+        ("unrefined", PipelineConfig(optimize=False)),
+        ("lines_only", PipelineConfig(use_points=False, use_vps=False, optimize=False)),
     ]
-    for name, digest in rows:
-        print(name, digest(), flush=True)
+    scenes = [
+        ("noisy", ObservationConfig(noise_px=1.0, outlier_fraction=0.2, seed=7)),
+        ("clean", ObservationConfig()),
+    ]
+    for scene, observation in scenes:
+        inp = _scene_input(observation)
+        for name, config in configs:
+            print(f"{scene}_{name}", _digest(inp, config), flush=True)
     for name, digest in _cli_digests():
         print(name, digest, flush=True)
     return 0
