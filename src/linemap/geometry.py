@@ -176,9 +176,13 @@ class CameraView:
     """A calibrated, posed pinhole camera.
 
     The one home of the pinhole model: it projects points (and, through
-    :func:`project_segment`, segments), casts viewing rays (:meth:`world_ray`)
-    and holds the line map (:attr:`line_map`).  Derived values are cached on
-    first access; instances are immutable, so a cache can never go stale.
+    :func:`project_segment`, segments), gives a point's depth
+    (:meth:`depth`), casts viewing rays (:meth:`world_ray`) and holds the
+    line map (:attr:`line_map`).  Its float record (:attr:`floats`) serves
+    the per-pair scalar work: :meth:`depth` and :func:`project_floats`
+    read it term by term through :func:`dot3`, with no BLAS call.  Derived
+    values are cached on first access; instances are immutable, so a cache
+    can never go stale.
 
     Attributes:
         K: 3x3 intrinsic matrix.
@@ -201,8 +205,9 @@ class CameraView:
 
     @cached_property
     def focal(self) -> float:
-        """Mean of the two focal lengths."""
-        return 0.5 * float(self.K[0, 0] + self.K[1, 1])
+        """Mean magnitude of the two focal lengths; a mirrored camera (negative
+        focal lengths, ``R`` and ``t`` turned by pi) projects as its twin does."""
+        return 0.5 * (abs(float(self.K[0, 0])) + abs(float(self.K[1, 1])))
 
     @cached_property
     def camera_center(self) -> FloatArray:
@@ -233,9 +238,10 @@ class CameraView:
         KinvT = np.linalg.inv(self.K).T
         return KinvT @ self.R, KinvT @ skew(self.t) @ self.R
 
-    def depth(self, p_world: FloatArray) -> float:
-        """Z coordinate of a world point in the camera frame."""
-        return float(self.R[2] @ p_world + self.t[2])
+    def depth(self, p_world) -> float:
+        """Z coordinate of a world point (any 3-sequence) in the camera frame."""
+        v = self.floats
+        return float(dot3(v.depth_row, p_world) + v.depth_offset)
 
     def project_point(self, p_world: FloatArray) -> FloatArray:
         """Project a world point to pixel coordinates.
@@ -274,6 +280,36 @@ def relative_pose(ref: CameraView, match: CameraView) -> tuple[FloatArray, Float
 # ---------------------------------------------------------------------------
 
 
+class PlanarFloats(NamedTuple):
+    """A 2D segment as Python floats in homogeneous form, for per-pair scalar work.
+
+    The first four fields mirror :class:`SegmentFloats`, so one dot product,
+    :func:`dot3`, serves 2D and 3D records alike, a point's distance to
+    ``line`` included.
+    """
+
+    start: tuple[float, float, float]  # (x, y, 1)
+    end: tuple[float, float, float]
+    direction: tuple[float, float, float]  # (dx, dy, 0), unit length
+    length: float
+    line: tuple[float, float, float]  # a*x + b*y + c = 0 with |(a, b)| = 1
+
+
+def planar_floats(x1: float, y1: float, x2: float, y2: float) -> PlanarFloats | None:
+    """The record of the 2D segment ``(x1, y1)``-``(x2, y2)``; None when shorter than EPS.
+
+    The line's normal is ``(y1 - y2, x2 - x1) / length``.  On a level
+    segment its first term is +0.0, where ``-(y2 - y1)`` would give -0.0;
+    VP estimation stacks these lines, and its result follows that sign.
+    """
+    dx, dy = x2 - x1, y2 - y1
+    n = math.hypot(dx, dy)
+    if n < EPS:
+        return None
+    line = ((y1 - y2) / n, dx / n, (x1 * y2 - x2 * y1) / n)
+    return PlanarFloats((x1, y1, 1.0), (x2, y2, 1.0), (dx / n, dy / n, 0.0), n, line)
+
+
 @dataclass(frozen=True)
 class Segment2D:
     """A finite 2D line segment in pixel coordinates.
@@ -298,18 +334,27 @@ class Segment2D:
     def midpoint(self) -> FloatArray:
         return 0.5 * (self.start + self.end)
 
+    @property
+    def floats(self) -> PlanarFloats:
+        """This segment's :func:`planar_floats` record, built on each access (the
+        cached :attr:`direction` and :attr:`infinite_line` read it once).
+
+        Raises:
+            ValueError: if the segment is shorter than EPS.
+        """
+        planar = planar_floats(*self.start.tolist(), *self.end.tolist())
+        if planar is None:
+            raise ValueError("cannot normalize near-zero vector")
+        return planar
+
     @cached_property
     def direction(self) -> FloatArray:
-        return normalized(self.end - self.start)
+        return np.array(self.floats.direction[:2])
 
     @cached_property
     def infinite_line(self) -> FloatArray:
         """Homogeneous coefficients of the supporting line, ``|(a, b)| = 1``."""
-        x1, y1 = float(self.start[0]), float(self.start[1])
-        x2, y2 = float(self.end[0]), float(self.end[1])
-        a, b, c = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
-        n = math.hypot(a, b)
-        return np.array([a / n, b / n, c / n])
+        return np.array(self.floats.line)
 
     def endpoints(self) -> FloatArray:
         return np.stack([self.start, self.end])
@@ -367,12 +412,38 @@ class Segment3D:
 
 
 def project_segment(seg: Segment3D, view: CameraView) -> Segment2D | None:
-    """Both endpoints projected into ``view``; None if either is at or behind its camera plane."""
+    """Both endpoints projected into ``view``; None if either is at or behind its camera plane.
+
+    Numpy arithmetic, whose bits the synthetic observations are built from;
+    the pair scores use :func:`project_floats`.
+    """
     try:
         start, end = view.project_point(seg.start), view.project_point(seg.end)
     except ValueError:
         return None
     return Segment2D(start, end)
+
+
+def project_floats(seg: Segment3D, view: CameraView) -> PlanarFloats | None:
+    """``seg`` projected into ``view`` as a :class:`PlanarFloats` record.
+
+    Reads :attr:`Segment3D.floats` and :attr:`CameraView.floats`, summing
+    each row product through :func:`dot3`, so it agrees with
+    :func:`project_segment` to rounding.  None if an endpoint is at or
+    behind its camera plane, or if the projection is shorter than EPS px.
+    """
+    s, e = seg.floats.start, seg.floats.end
+    (r0, r1, r2), (k0, k1, k2) = view.floats.kr, view.floats.kt
+    # the last K row is (0, 0, 1), so the third coordinate is the camera-frame depth
+    ws, we = dot3(r2, s) + k2, dot3(r2, e) + k2
+    if ws <= EPS or we <= EPS:
+        return None
+    return planar_floats(
+        (dot3(r0, s) + k0) / ws,
+        (dot3(r1, s) + k1) / ws,
+        (dot3(r0, e) + k0) / we,
+        (dot3(r1, e) + k1) / we,
+    )
 
 
 def sample_segment(seg: Segment2D | Segment3D, spacing: float) -> FloatArray:

@@ -95,13 +95,14 @@ _DAMPING_MAX = 1e10
 _FTOL = 1e-8  # relative cost drop
 _GTOL = 1e-10  # max |gradient| entry
 
+ASSOC_LOSS_SCALE = 0.25  # Huber, point-line and line-VP terms; scene units / radians-ish
+
 
 @dataclass(frozen=True)
 class OptimizeConfig:
     max_iterations: int = 100
     angle_weight_alpha: float = 10.0
     line_loss_scale: float = 0.25  # Cauchy, pixels
-    assoc_loss_scale: float = 0.25  # Huber, scene units / radians-ish
 
 
 @dataclass
@@ -461,12 +462,11 @@ class _Linearizer:
         self.lv_weight = _floats(problem.line_vp, 2)
         self.vo_a, self.vo_b = _index(problem.vp_ortho, 0), _index(problem.vp_ortho, 1)
 
-        huber = config.assoc_loss_scale
         self.terms = [
             _Term("squared", 1.0, None, [point_cols(self.po_point)]),
             _Term("cauchy", config.line_loss_scale, self.lo_line, []),
-            _Term("huber", huber, self.pl_line, [point_cols(self.pl_point)]),
-            _Term("huber", huber, self.lv_line, [vp_cols(self.lv_vp)]),
+            _Term("huber", ASSOC_LOSS_SCALE, self.pl_line, [point_cols(self.pl_point)]),
+            _Term("huber", ASSOC_LOSS_SCALE, self.lv_line, [vp_cols(self.lv_vp)]),
             _Term("squared", 1.0, None, [vp_cols(self.vo_a), vp_cols(self.vo_b)]),
         ]
         coupled = [t for t in self.terms if t.lines is not None and t.cols]

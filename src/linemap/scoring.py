@@ -27,18 +27,18 @@ segment behind either view, or one that projects to less than
 :data:`~linemap.geometry.EPS` px (it lies along a viewing ray), scores 0.
 
 A pair score is a few dozen flops, so it runs on Python floats, not on
-numpy arrays.  Every distance reads float records, each cached on its
-object and bit-equal to the object's numpy attributes:
+numpy arrays.  Every distance reads the float records that
+:mod:`~linemap.geometry` keeps for the pinhole model:
 :attr:`Segment3D.floats <linemap.geometry.Segment3D.floats>` (start, end,
-direction and length) and :attr:`CameraView.floats
-<linemap.geometry.CameraView.floats>` (the rows of ``K R`` and ``K t``,
-the centre, the depth row and the focal length).  A projection is a
-``_Planar`` record: the two endpoints and the unit direction in
-homogeneous form, ``(x, y, 1)`` and ``(dx, dy, 0)``, the length, and the
-supporting line with a unit normal.  With that form one dot product,
+direction and length, cached and bit-equal to the numpy attributes),
+:attr:`Segment2D.floats <linemap.geometry.Segment2D.floats>` and a
+projection by :func:`~linemap.geometry.project_floats`, both a
+:class:`~linemap.geometry.PlanarFloats` record in homogeneous form, and
+:meth:`CameraView.depth <linemap.geometry.CameraView.depth>` for the
+inner-segment scale.  With the homogeneous form one dot product,
 :func:`~linemap.geometry.dot3`, serves 2D and 3D records, a point's
 distance to a line included, and it sums its terms in a fixed order with
-no BLAS call.
+no BLAS call.  This module adds no projection, depth or record of its own.
 
 A segment is scored against many others in one pass, so the work that
 depends on the segment and one view alone is kept on the segment: its
@@ -55,10 +55,17 @@ computed fresh.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .config import PipelineConfig
-from .geometry import EPS, CameraView, Segment2D, Segment3D, SegmentFloats, dot3
+from .geometry import (
+    CameraView,
+    PlanarFloats,
+    Segment2D,
+    Segment3D,
+    SegmentFloats,
+    dot3,
+    project_floats,
+)
 
 Segment = Segment2D | Segment3D
 
@@ -66,65 +73,13 @@ SCORE_GATE = 0.5  # lowest nonzero similarity of one component
 
 
 # ---------------------------------------------------------------------------
-# float records
+# raw distances
 # ---------------------------------------------------------------------------
-
-
-class _Planar(NamedTuple):
-    """A 2D segment in homogeneous form; its first four fields mirror SegmentFloats."""
-
-    start: tuple[float, float, float]  # (x, y, 1)
-    end: tuple[float, float, float]
-    direction: tuple[float, float, float]  # (dx, dy, 0), unit length
-    length: float
-    line: tuple[float, float, float]  # a*x + b*y + c = 0 with |(a, b)| = 1
-
-
-def _planar(x1: float, y1: float, x2: float, y2: float) -> _Planar | None:
-    """The record of the 2D segment ``(x1, y1)``–``(x2, y2)``; None when shorter than EPS."""
-    dx, dy = x2 - x1, y2 - y1
-    n = math.hypot(dx, dy)
-    if n < EPS:
-        return None
-    line = (-dy / n, dx / n, (x1 * y2 - x2 * y1) / n)
-    return _Planar((x1, y1, 1.0), (x2, y2, 1.0), (dx / n, dy / n, 0.0), n, line)
-
-
-def _floats(seg: Segment) -> SegmentFloats | _Planar:
-    """A 3D segment's float record, or a 2D segment's planar record."""
-    if isinstance(seg, Segment3D):
-        return seg.floats
-    planar = _planar(*seg.start.tolist(), *seg.end.tolist())
-    if planar is None:
-        raise ValueError("cannot normalize near-zero vector")
-    return planar
-
-
-def _project(seg: Segment3D, view: CameraView) -> _Planar | None:
-    """``seg`` projected into ``view``; None if an endpoint is at or behind its
-    camera plane, or if the projection is shorter than EPS px."""
-    s, e = seg.floats.start, seg.floats.end
-    (r0, r1, r2), (k0, k1, k2) = view.floats.kr, view.floats.kt
-    # the last K row is (0, 0, 1), so the third coordinate is the camera-frame depth
-    ws, we = dot3(r2, s) + k2, dot3(r2, e) + k2
-    if ws <= EPS or we <= EPS:
-        return None
-    return _planar(
-        (dot3(r0, s) + k0) / ws,
-        (dot3(r1, s) + k1) / ws,
-        (dot3(r0, e) + k0) / we,
-        (dot3(r1, e) + k1) / we,
-    )
 
 
 def _dist3(p, q) -> float:
     d = (p[0] - q[0], p[1] - q[1], p[2] - q[2])
     return math.sqrt(dot3(d, d))
-
-
-# ---------------------------------------------------------------------------
-# raw distances
-# ---------------------------------------------------------------------------
 
 
 def _angle(a, b) -> float:
@@ -133,10 +88,10 @@ def _angle(a, b) -> float:
 
 def angular_distance(a: Segment, b: Segment) -> float:
     """Acute angle between segment directions (2D or 3D), in degrees."""
-    return _angle(_floats(a), _floats(b))
+    return _angle(a.floats, b.floats)
 
 
-def _perpendicular(a: _Planar, b: _Planar) -> float:
+def _perpendicular(a: PlanarFloats, b: PlanarFloats) -> float:
     la, lb = a.line, b.line
     return 0.5 * (
         max(abs(dot3(lb, a.start)), abs(dot3(lb, a.end)))
@@ -150,7 +105,7 @@ def perpendicular_distance_2d(a: Segment2D, b: Segment2D) -> float:
     Each direction takes the larger distance of one segment's endpoints to
     the other's supporting line.
     """
-    return _perpendicular(_floats(a), _floats(b))
+    return _perpendicular(a.floats, b.floats)
 
 
 def _memo(seg: Segment3D, key: str, view: CameraView, compute):
@@ -206,11 +161,11 @@ def _mutual_overlap(a, b) -> float:
 
 def overlap_ratio(a: Segment, b: Segment) -> float:
     """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
-    return _overlap(_floats(a), _floats(b))
+    return _overlap(a.floats, b.floats)
 
 
 def mutual_overlap(a: Segment, b: Segment) -> float:
-    return _mutual_overlap(_floats(a), _floats(b))
+    return _mutual_overlap(a.floats, b.floats)
 
 
 def _clipped_feet(a: SegmentFloats, b: SegmentFloats) -> list:
@@ -240,11 +195,9 @@ def innerseg_distance(a: Segment3D, b: Segment3D) -> float:
     return max(_dist3(on_a[0], on_b[0]), _dist3(on_a[1], on_b[1]))
 
 
-def _depth_over_focal(seg: SegmentFloats, view: CameraView) -> float:
+def _midpoint(seg: SegmentFloats) -> tuple[float, float, float]:
     (s0, s1, s2), (e0, e1, e2) = seg.start, seg.end
-    v = view.floats
-    mid = (0.5 * (s0 + e0), 0.5 * (s1 + e1), 0.5 * (s2 + e2))
-    return (dot3(v.depth_row, mid) + v.depth_offset) / v.focal
+    return 0.5 * (s0 + e0), 0.5 * (s1 + e1), 0.5 * (s2 + e2)
 
 
 def innerseg_scale(a: Segment3D, view_a: CameraView, b: Segment3D, view_b: CameraView) -> float:
@@ -254,7 +207,10 @@ def innerseg_scale(a: Segment3D, view_a: CameraView, b: Segment3D, view_b: Camer
     length; one pixel of image noise displaces a 3D point by roughly this
     amount, which makes the scaled distance unit-free.
     """
-    return min(_depth_over_focal(a.floats, view_a), _depth_over_focal(b.floats, view_b))
+    return min(
+        view_a.depth(_midpoint(a.floats)) / view_a.focal,
+        view_b.depth(_midpoint(b.floats)) / view_b.focal,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +236,8 @@ def _projections(a: Segment3D, b: Segment3D, view_a: CameraView, view_b: CameraV
     None when either segment is behind either view or projects to a point
     in it: such a hypothesis cannot support the other.
     """
-    pa, pb = _memo(a, "_own_projection", view_a, _project), _project(b, view_a)
-    qa, qb = _project(a, view_b), _memo(b, "_own_projection", view_b, _project)
+    pa, pb = _memo(a, "_own_projection", view_a, project_floats), project_floats(b, view_a)
+    qa, qb = project_floats(a, view_b), _memo(b, "_own_projection", view_b, project_floats)
     if pa is None or pb is None or qa is None or qb is None:
         return None
     return (pa, pb), (qa, qb)

@@ -45,21 +45,24 @@ __all__ = [
 ]
 
 
+# the camera ring: every view has this image size and focal length, and
+# sits at this radius and height amplitude around the box
+IMAGE_WIDTH = 640
+IMAGE_HEIGHT = 480
+FOCAL = 600.0
+RING_RADIUS = 5.0
+RING_HEIGHT = 0.8
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     n_views: int = 8
-    image_width: int = 640
-    image_height: int = 480
-    focal: float = 600.0
-    ring_radius: float = 5.0
-    ring_height: float = 0.8
     n_segments: int = 40
     seed: int = 0
 
 
 @dataclass
 class SyntheticScene:
-    config: SceneConfig
     views: dict[int, CameraView]
     segments3d: list[Segment3D]
     segment_axis: np.ndarray  # axis id (0, 1, 2) per segment
@@ -77,21 +80,19 @@ def _look_at_rotation(center: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def ring_views(config: SceneConfig) -> dict[int, CameraView]:
-    K = intrinsics_matrix(config.focal, config.image_width / 2.0, config.image_height / 2.0)
+    K = intrinsics_matrix(FOCAL, IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0)
     views = {}
     for i in range(config.n_views):
         a = 2.0 * math.pi * i / config.n_views
         center = np.array(
             [
-                config.ring_radius * math.cos(a),
-                config.ring_height * math.sin(2.0 * a + 0.7),
-                config.ring_radius * math.sin(a),
+                RING_RADIUS * math.cos(a),
+                RING_HEIGHT * math.sin(2.0 * a + 0.7),
+                RING_RADIUS * math.sin(a),
             ]
         )
         R = _look_at_rotation(center, np.zeros(3))
-        views[i] = CameraView(
-            K=K, R=R, t=-R @ center, width=config.image_width, height=config.image_height
-        )
+        views[i] = CameraView(K=K, R=R, t=-R @ center, width=IMAGE_WIDTH, height=IMAGE_HEIGHT)
     return views
 
 
@@ -194,7 +195,6 @@ def build_scene(config: SceneConfig = SceneConfig()) -> SyntheticScene:
                 edges.append((idx, i))
                 edges.append((idx, j))
     return SyntheticScene(
-        config=config,
         views=ring_views(config),
         segments3d=segments,
         segment_axis=np.array(axes, dtype=int),
@@ -215,13 +215,15 @@ def scene_diameter(scene: SyntheticScene) -> float:
 # ---------------------------------------------------------------------------
 
 
+MAX_FRAGMENTS = 2  # detections per visible segment, drawn from 1..MAX_FRAGMENTS
+MIN_FRAGMENT_PX = 20.0  # shorter fragments are not detected
+
+
 @dataclass(frozen=True)
 class ObservationConfig:
     noise_px: float = 0.0
-    max_fragments: int = 2
     drop_prob: float = 0.0
     outlier_fraction: float = 0.0
-    min_fragment_px: float = 20.0
     point_noise_px: float = 0.0
     seed: int = 0
 
@@ -269,12 +271,12 @@ def observe_scene(
                 continue
             if rng.random() < config.drop_prob:
                 continue
-            n_frag = int(rng.integers(1, config.max_fragments + 1))
+            n_frag = int(rng.integers(1, MAX_FRAGMENTS + 1))
             for lo, hi in _fragment_intervals(rng, n_frag):
                 p1 = seg.start + lo * (seg.end - seg.start)
                 p2 = seg.start + hi * (seg.end - seg.start)
                 frag = _visible_subsegment(Segment3D(p1, p2), view)
-                if frag is None or frag.length < config.min_fragment_px:
+                if frag is None or frag.length < MIN_FRAGMENT_PX:
                     continue
                 if config.noise_px > 0:
                     frag = Segment2D(

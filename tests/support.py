@@ -17,6 +17,7 @@ from linemap.geometry import (
     skew,
 )
 from linemap.metrics import min_distance_to_segments, sample_segments
+from linemap.optimize import ASSOC_LOSS_SCALE
 from linemap.scoring import (
     angular_distance,
     innerseg_distance,
@@ -299,7 +300,7 @@ def reference_normal_equations(problem, config, points, lines, vps):
     n = nl + 2 * len(vps)
     geoms = [_reference_line_geometry(par) for par in lines]
     bases = [_reference_vp_basis(v) for v in vps]
-    huber = config.assoc_loss_scale
+    huber = ASSOC_LOSS_SCALE
 
     blocks = []  # (residual, loss kind, scale, [(column offset, J block), ...])
     for pi, img, pixel in problem.point_obs:

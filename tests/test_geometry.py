@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,29 @@ def test_segment_float_record_keeps_the_bits_of_normalized():
         assert (rec.direction, rec.length) == (seg.direction.tolist(), seg.length)
     with pytest.raises(ValueError):
         Segment3D([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).direction
+
+
+def test_segment2d_line_keeps_the_bits_and_the_sign_of_zero():
+    # the supporting line is (y1 - y2, x2 - x1, x1*y2 - x2*y1) / length term
+    # by term: a level or plumb segment has a zero coefficient, and its sign
+    # (+0.0 from y1 - y2, where -(y2 - y1) gives -0.0) moves VP estimation
+    def reference(x1, y1, x2, y2):
+        a, b, c = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
+        n = math.hypot(a, b)
+        return [a / n, b / n, c / n]
+
+    rng = np.random.default_rng(21)
+    cases = [(0.0, 0.0, 5.0, 0.0), (5.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0, 5.0), (-0.0, 5.0, -0.0, 0.0)]
+    for _ in range(500):
+        x1, y1, x2, y2 = rng.uniform(-700.0, 700.0, 4).tolist()
+        cases += [(x1, y1, x2, y2), (x1, y1, x2, y1), (x1, y1, x1, y2)]  # random, level, plumb
+    zeros = 0
+    for x1, y1, x2, y2 in cases:
+        got = Segment2D([x1, y1], [x2, y2]).infinite_line.tolist()
+        for g, r in zip(got, reference(x1, y1, x2, y2)):
+            assert g == r and math.copysign(1.0, g) == math.copysign(1.0, r), (x1, y1, x2, y2)
+            zeros += g == 0.0
+    assert zeros >= 1000
 
 
 def test_relative_pose_roundtrip():

@@ -273,7 +273,7 @@ def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatc
     counts = Counter()
     made = []
     last_own = {}  # id(segment) -> (segment, view) of its last own-view projection
-    projection = scoring._project
+    projection = scoring.project_floats
 
     def counted_projection(seg, view):
         made[-1].append((seg, view))
@@ -306,7 +306,7 @@ def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatc
 
         return wrapper
 
-    monkeypatch.setattr(scoring, "_project", counted_projection)
+    monkeypatch.setattr(scoring, "project_floats", counted_projection)
     selection = counted(
         "selection",
         scoring.selection_pair_score,
@@ -338,3 +338,37 @@ def test_noisy_scene_maps_without_a_floating_point_event(noisy_scene):
         result = run_pipeline(inp, PipelineConfig())
     assert len(result.tracks) > 30
     assert np.isfinite(result.stats["opt_final_cost"])
+
+
+def test_mirrored_cameras_map_as_the_unmirrored_ones():
+    # negating both focal lengths in K and turning R and t by pi about the
+    # optical axis leaves every pixel where it was; the depth/focal scales of
+    # track scoring read the focal magnitude, so the tracks stay the same
+    scene = build_scene(SceneConfig())
+    obs = observe_scene(scene, ObservationConfig(noise_px=1.0))
+    turn = np.diag([-1.0, -1.0, 1.0])
+    mirrored = {}
+    for img, view in scene.views.items():
+        K = view.K.copy()
+        K[0, 0], K[1, 1] = -K[0, 0], -K[1, 1]
+        mirrored[img] = CameraView(K, turn @ view.R, turn @ view.t, view.width, view.height)
+        for p in scene.junctions:
+            np.testing.assert_array_equal(mirrored[img].project_point(p), view.project_point(p))
+        assert mirrored[img].focal == view.focal
+    plain, flipped = (
+        run_pipeline(
+            PipelineInput(
+                views=views,
+                detections=obs.detections,
+                matches=obs.matches,
+                points3d=scene.junctions,
+                point_obs=obs.points2d,
+            ),
+            PipelineConfig(optimize=False),
+        )
+        for views in (scene.views, mirrored)
+    )
+    assert len(plain.tracks) == 38
+    assert [t.supports for t in flipped.tracks] == [t.supports for t in plain.tracks]
+    for a, b in zip(flipped.tracks, plain.tracks):
+        np.testing.assert_allclose(a.segment.endpoints(), b.segment.endpoints(), rtol=0, atol=1e-9)

@@ -12,6 +12,7 @@ from linemap.geometry import (
     Segment3D,
     normalized,
     plucker_from_segment,
+    project_floats,
     project_point_to_line3d,
     project_segment,
     quat_to_rotmat,
@@ -189,7 +190,7 @@ def test_float_projection_matches_project_segment():
         q = rng.normal(size=4)
         view = CameraView(K, quat_to_rotmat(q / np.linalg.norm(q)), rng.normal(size=3) * 5, 640, 480)
         seg = seg3(rng.normal(size=3) * 5, rng.normal(size=3) * 5)
-        got, ref = scoring._project(seg, view), project_segment(seg, view)
+        got, ref = project_floats(seg, view), project_segment(seg, view)
         outcomes[ref is None] += 1
         assert (got is None) == (ref is None)
         if ref is None:
@@ -212,7 +213,7 @@ def test_a_segment_along_a_viewing_ray_scores_zero():
     other = make_view([-3.0, 0.5, 3.0], target=(0.0, 0.0, 3.0))
     a = seg3([0, 0, 2], [0, 0, 4])
     b = seg3([0, 0, 2.05], [0, 0, 4.1])
-    assert scoring._project(a, axis) is None
+    assert project_floats(a, axis) is None
     assert track_pair_score(a, other, b, side) > 0.0
     for args in ((a, axis, b, side), (b, side, a, axis)):
         assert track_pair_score(*args) == 0.0
@@ -406,7 +407,7 @@ def test_pair_scores_equal_the_reference_when_segments_meet_views_again(monkeypa
     # again the views it was last projected into (cache hits) and switches
     # between distinct view objects, two of them with one pose, and a camera
     # beside the pool that has some segments behind it
-    project = scoring._project
+    project = scoring.project_floats
     calls = Counter()
 
     def counted(seg, view):
@@ -415,7 +416,7 @@ def test_pair_scores_equal_the_reference_when_segments_meet_views_again(monkeypa
         calls["behind"] += projected is None
         return projected
 
-    monkeypatch.setattr(scoring, "_project", counted)
+    monkeypatch.setattr(scoring, "project_floats", counted)
     rng = np.random.default_rng(45)
     cfg = PipelineConfig()
     base = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])

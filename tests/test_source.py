@@ -1,6 +1,7 @@
 """Source hygiene of src/linemap, checked on its syntax trees.
 
 Every config key is read by the pipeline and documented in README, every
+field of the synthetic and refinement configs is set by some call, every
 imported name is used, and the pair scores make no BLAS call.
 """
 
@@ -10,6 +11,8 @@ import re
 from pathlib import Path
 
 from linemap.config import PipelineConfig
+from linemap.optimize import OptimizeConfig
+from linemap.synthetic import ObservationConfig, SceneConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "linemap").glob("*.py"))}
@@ -62,12 +65,52 @@ def test_no_imported_name_goes_unread():
     assert unread == []
 
 
+def test_every_config_field_of_the_synthetic_scenes_and_refinement_is_set_by_some_call():
+    # a field that no call in the repository passes by name is a knob nobody
+    # turns: its value belongs in a module constant
+    configs = (SceneConfig, ObservationConfig, OptimizeConfig)
+    passed = {cls.__name__: set() for cls in configs}
+    for folder in ("src", "tests", "bench", "tools"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if callee in passed:
+                        passed[callee].update(k.arg for k in node.keywords)
+    unset = [
+        f"{cls.__name__}.{f.name}"
+        for cls in configs
+        for f in dataclasses.fields(cls)
+        if f.name not in passed[cls.__name__]
+    ]
+    assert unset == []
+
+
+def _definitions(tree):
+    """Top-level functions and the methods of top-level classes, by qualified name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+# the per-pair float code that scoring.py reads from geometry.py
+GEOMETRY_FLOAT_CODE = ("CameraView.depth", "planar_floats", "project_floats", "Segment2D.floats")
+
+
 def test_scoring_has_no_matrix_product():
     # the pair scores sum each dot product in a fixed order (geometry.dot3);
     # numpy's `@` would hand it to the CPU's BLAS kernel
+    geometry = dict(_definitions(TREES["geometry.py"]))
+    code = [("scoring.py", TREES["scoring.py"])]
+    code += [(f"geometry.py {name}", geometry[name]) for name in GEOMETRY_FLOAT_CODE]
     products = [
-        node.lineno
-        for node in ast.walk(TREES["scoring.py"])
+        f"{where}:{node.lineno}"
+        for where, tree in code
+        for node in ast.walk(tree)
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     ]
     assert products == []
