@@ -18,6 +18,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 FloatArray = NDArray[np.float64]
+Vec3 = tuple[float, float, float]  # a 3-vector as Python floats
+Mat3 = tuple[Vec3, Vec3, Vec3]  # a 3x3 matrix as Python floats, by rows
 
 EPS = 1e-12
 
@@ -37,16 +39,22 @@ def normalized(v: FloatArray) -> FloatArray:
     return v / n
 
 
-def cross3(a: FloatArray, b: FloatArray) -> FloatArray:
-    """Cross product of two 3-vectors.
+def cross3_floats(a, b) -> Vec3:
+    """Cross product of two 3-sequences of Python floats.
 
-    The same formula as ``np.cross`` (``a1*b2 - a2*b1``, ...) on Python
-    floats, so the result is equal bit for bit, without ``np.cross``'s axis
-    handling; batched crosses stay ``np.cross``.
+    The same formula as ``np.cross`` (``a1*b2 - a2*b1``, ...), so the
+    result is equal bit for bit.
     """
-    a0, a1, a2 = np.asarray(a, dtype=np.float64).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=np.float64).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def cross3(a: FloatArray, b: FloatArray) -> FloatArray:
+    """:func:`cross3_floats` of two 3-vectors as an array, without
+    ``np.cross``'s axis handling; batched crosses stay ``np.cross``."""
+    a = np.asarray(a, dtype=np.float64).tolist()
+    return np.array(cross3_floats(a, np.asarray(b, dtype=np.float64).tolist()))
 
 
 def dot3(a, b) -> float:
@@ -56,6 +64,16 @@ def dot3(a, b) -> float:
     not depend on the BLAS kernel that numpy's ``@`` would call.
     """
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def norm3(v) -> float:
+    """Euclidean norm of a 3-sequence of Python floats, ``sqrt(dot3(v, v))``."""
+    return math.sqrt(dot3(v, v))
+
+
+def matvec3(M, x) -> Vec3:
+    """``M @ x`` for three rows ``M`` and a 3-sequence ``x``, each row through :func:`dot3`."""
+    return dot3(M[0], x), dot3(M[1], x), dot3(M[2], x)
 
 
 def skew(v: FloatArray) -> FloatArray:
@@ -166,8 +184,9 @@ class ViewFloats(NamedTuple):
     kr: list[list[float]]  # rows of K R
     kt: list[float]  # K t
     center: list[float]
-    depth_row: list[float]  # R[2]: the camera-frame depth is depth_row . p + depth_offset
-    depth_offset: float  # t[2]
+    R: list[list[float]]  # rows of R; the camera-frame depth is R[2] . p + t[2]
+    Rt: list[list[float]]  # rows of R^T: a camera-frame point X lies at R^T (X - t)
+    t: list[float]
     focal: float
 
 
@@ -219,15 +238,16 @@ class CameraView:
 
     @cached_property
     def floats(self) -> ViewFloats:
-        """The projection, centre, depth row and focal length as Python floats,
-        taken from the arrays above (``.tolist()`` keeps every bit)."""
+        """The projection, centre, pose and focal length as Python floats, taken
+        from the arrays above (``.tolist()`` keeps every bit)."""
         KR, Kt = self._kr_kt
         return ViewFloats(
             KR.tolist(),
             Kt.tolist(),
             self.camera_center.tolist(),
-            self.R[2].tolist(),
-            float(self.t[2]),
+            self.R.tolist(),
+            self.R.T.tolist(),
+            self.t.tolist(),
             self.focal,
         )
 
@@ -241,7 +261,7 @@ class CameraView:
     def depth(self, p_world) -> float:
         """Z coordinate of a world point (any 3-sequence) in the camera frame."""
         v = self.floats
-        return float(dot3(v.depth_row, p_world) + v.depth_offset)
+        return float(dot3(v.R[2], p_world) + v.t[2])
 
     def project_point(self, p_world: FloatArray) -> FloatArray:
         """Project a world point to pixel coordinates.
@@ -265,14 +285,16 @@ class CameraView:
         return PluckerLine.from_point_direction(self.camera_center, self.R.T @ normalized(x))
 
 
-def relative_pose(ref: CameraView, match: CameraView) -> tuple[FloatArray, FloatArray]:
+def relative_pose(ref: CameraView, match: CameraView) -> tuple[Mat3, Vec3]:
     """Pose mapping reference-camera coordinates into match-camera coordinates.
 
-    Returns ``(R, t)`` with ``X_match = R @ X_ref + t``.
+    Returns ``(R, t)`` as Python floats, ``R`` by rows, with ``X_match = R
+    X_ref + t``: ``R = R_match R_ref^T`` and ``t = t_match - R t_ref``, each
+    entry summed through :func:`dot3`.
     """
-    R = match.R @ ref.R.T
-    t = match.t - R @ ref.t
-    return R, t
+    m, r = match.floats, ref.floats
+    R = tuple(matvec3(r.R, row) for row in m.R)
+    return R, tuple(ti - si for ti, si in zip(m.t, matvec3(R, r.t)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +383,7 @@ class Segment2D:
 
 
 class SegmentFloats(NamedTuple):
-    """A :class:`Segment3D` as Python floats, for per-pair scalar work."""
+    """A :class:`Segment3D` as Python floats, for per-pair and per-match scalar work."""
 
     start: list[float]
     end: list[float]
@@ -382,8 +404,8 @@ class Segment3D:
 
     @cached_property
     def length(self) -> float:
-        d = self.end - self.start
-        return math.sqrt(float(d @ d))
+        """:func:`norm3` of ``end - start``."""
+        return norm3((self.end - self.start).tolist())
 
     @property
     def midpoint(self) -> FloatArray:
@@ -397,15 +419,15 @@ class Segment3D:
     def floats(self) -> SegmentFloats:
         """Start, end, unit direction and length as Python floats.
 
-        The direction is ``(end - start) / length``, elementwise as numpy
-        would divide, so it equals :func:`normalized` bit for bit: the norm
-        numpy takes of a vector is ``sqrt(v @ v)``, which is ``length``.
+        The direction is ``(end - start) / length`` elementwise; the length
+        is :attr:`length`'s :func:`norm3`, taken here from the same floats.
         """
-        n = self.length
+        start, end = self.start.tolist(), self.end.tolist()
+        d = [e - s for s, e in zip(start, end)]
+        n = norm3(d)
         if n < EPS:
             raise ValueError("cannot normalize near-zero vector")
-        start, end = self.start.tolist(), self.end.tolist()
-        return SegmentFloats(start, end, [(e - s) / n for s, e in zip(start, end)], n)
+        return SegmentFloats(start, end, [x / n for x in d], n)
 
     def endpoints(self) -> FloatArray:
         return np.stack([self.start, self.end])

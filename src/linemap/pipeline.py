@@ -24,11 +24,14 @@ from .association import (
 from .config import PipelineConfig
 from .geometry import (
     CameraView,
+    Mat3,
     Segment2D,
+    Vec3,
     minimal_to_plucker,
     normalized,
     plucker_from_segment,
     plucker_to_minimal,
+    relative_pose,
 )
 from .optimize import (
     JointProblem,
@@ -209,16 +212,17 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     det_vp: dict[Node, Node] = {}  # detection -> VP node (img, k)
     vp_cam: dict[Node, np.ndarray] = {}  # VP node -> camera-frame direction
     vp_world: dict[Node, np.ndarray] = {}  # VP node -> world direction
-    # ray table: each detection's endpoint rays in normalized coordinates, solved once
+    # ray table: each detection's endpoint rays in normalized coordinates, solved
+    # once, and the same rays as Python floats for the per-match two-view code
     det_rays: dict[Node, tuple[np.ndarray, np.ndarray]] = {}
+    ray_floats: dict[Node, tuple[Vec3, Vec3]] = {}
     for img in images:
         dets = data.detections[img]
         view = views[img]
         for di, det in enumerate(dets):
-            det_rays[(img, di)] = (
-                view.pixel_to_normalized(det.start),
-                view.pixel_to_normalized(det.end),
-            )
+            rays = view.pixel_to_normalized(det.start), view.pixel_to_normalized(det.end)
+            det_rays[(img, di)] = rays
+            ray_floats[(img, di)] = (tuple(rays[0].tolist()), tuple(rays[1].tolist()))
         if config.use_vps:
             vps, assign = estimate_vps(dets)
             for k, vp in enumerate(vps):
@@ -236,12 +240,14 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     candidates: dict[Node, TrackCandidate] = {}
     all_edges: list[tuple[Node, Node]] = []
     n_proposals = 0
+    # pose table: each ordered image pair's relative pose, computed on its first match
+    poses: dict[tuple[int, int], tuple[Mat3, Vec3]] = {}
     for img in images:
         view = views[img]
         rows = data.matches.get(img, []) if data.matches else []
         for di in range(len(data.detections[img])):
             node = (img, di)
-            rays = det_rays[node]
+            rays = ray_floats[node]
             row = rows[di] if di < len(rows) else []
             kept: list[tuple[Node, RayPlaneForm]] = []
             for j, dj in row:
@@ -249,14 +255,17 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
                     continue
                 if len(kept) >= TOP_K_MATCHES:
                     break
+                pose = poses.get((img, j))
+                if pose is None:
+                    pose = poses[(img, j)] = relative_pose(view, views[j])
                 # a match without a match plane scores IoU 0
-                form = ray_plane_form(view, rays, views[j], det_rays[(j, dj)])
+                form = ray_plane_form(view, rays, pose, ray_floats[(j, dj)])
                 if form is not None and weak_epipolar_iou(form) >= IOU_MIN:
                     kept.append(((j, dj), form))
             proposals = _detection_proposals(
                 img,
                 view,
-                rays,
+                det_rays[node],
                 kept,
                 [data.points3d[pi] for pi in det_points.get(node, ())],
                 vp_cam.get(det_vp.get(node)),

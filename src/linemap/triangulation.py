@@ -11,12 +11,22 @@ vanishing-point direction.
 Every two-view routine, and the weak epipolar IoU gate in front of them,
 reads one :class:`RayPlaneForm` per match: the relative pose, the reference
 and matched endpoint rays and the plane back-projected from the matched
-segment.  The pipeline solves each detection's endpoint rays once per run
-and builds the form from them, so no call repeats that setup.
+segment.  The pipeline solves each detection's endpoint rays once per run,
+computes each image pair's relative pose once, and builds the form from
+them, so no call repeats that setup.
+
+A match costs a few dozen flops, so the form, the IoU gate, the degeneracy
+check and the algebraic triangulation run on Python floats: every 3-vector
+product is summed term by term through :func:`~linemap.geometry.dot3`,
+with no BLAS call, and a degenerate configuration scores IoU 0 or raises a
+:class:`TriangulationError`, never a division error.  The rescue solvers
+(point, VP and multi-point) run a few hundred times a run and keep numpy;
+they convert the form's fields where they read them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +35,18 @@ from numpy.polynomial import polynomial as npoly
 from .geometry import (
     EPS,
     CameraView,
+    Mat3,
     PluckerLine,
     Segment3D,
+    Vec3,
     closest_point_line_to_line,
     cross3,
+    cross3_floats,
+    dot3,
+    matvec3,
+    norm3,
     normalized,
     principal_line,
-    relative_pose,
 )
 
 
@@ -56,22 +71,25 @@ class CheiralityError(TriangulationError):
 
 
 def check_degeneracy(ray_dir, plane_normal, min_angle_deg: float) -> bool:
-    """Whether a ray lies within ``min_angle_deg`` of a plane.
+    """Whether a ray (any 3-sequence) lies within ``min_angle_deg`` of a plane.
 
     The angle measured is between the ray and the plane itself (zero when
-    the ray is contained in the plane), not the angle to the normal.
+    the ray is contained in the plane), not the angle to the normal.  A
+    zero-length ray or normal has no angle and counts as degenerate.
     """
-    r = np.asarray(ray_dir, dtype=np.float64)
-    n = np.asarray(plane_normal, dtype=np.float64)
-    s = abs(float(r @ n)) / (np.linalg.norm(r) * np.linalg.norm(n))
-    return float(np.degrees(np.arcsin(min(1.0, s)))) < min_angle_deg
+    scale = norm3(ray_dir) * norm3(plane_normal)
+    if scale == 0.0:
+        return True
+    s = abs(dot3(ray_dir, plane_normal)) / scale
+    return math.degrees(math.asin(min(1.0, s))) < min_angle_deg
 
 
 @dataclass(frozen=True)
 class RayPlaneForm:
     """Two-view setup of one match: the reference rays against the match plane.
 
-    ``R, t`` map reference-camera coordinates into the matched camera's.
+    Every field but ``ref_view`` is Python floats.  ``R`` (by rows) and
+    ``t`` map reference-camera coordinates into the matched camera's.
     ``x1, x2`` are the reference endpoint rays in normalized coordinates
     (z = 1, so a depth ``lam`` puts the endpoint at ``lam * x``) and ``Rx1,
     Rx2`` the same rays turned into the matched frame; ``y1, y2`` are the
@@ -81,56 +99,66 @@ class RayPlaneForm:
     """
 
     ref_view: CameraView
-    R: np.ndarray
-    t: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    Rx1: np.ndarray
-    Rx2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    n: np.ndarray
-    a: np.ndarray
+    R: Mat3
+    t: Vec3
+    x1: Vec3
+    x2: Vec3
+    Rx1: Vec3
+    Rx2: Vec3
+    y1: Vec3
+    y2: Vec3
+    n: Vec3
+    a: tuple[float, float]
     c: float
 
 
 def ray_plane_form(
     ref_view: CameraView,
-    ref_rays: tuple[np.ndarray, np.ndarray],
-    match_view: CameraView,
-    match_rays: tuple[np.ndarray, np.ndarray],
+    ref_rays: tuple[Vec3, Vec3],
+    pose: tuple[Mat3, Vec3],
+    match_rays: tuple[Vec3, Vec3],
 ) -> RayPlaneForm | None:
-    """The form of one match from its endpoint rays; ``None`` if the matched rays coincide."""
-    R, t = relative_pose(ref_view, match_view)
+    """The form of one match; ``None`` if the matched rays coincide.
+
+    ``pose`` is :func:`~linemap.geometry.relative_pose` of the reference
+    and matched views; the rays are 3-sequences of Python floats.
+    """
+    R, t = pose
     x1, x2 = ref_rays
     y1, y2 = match_rays
-    n = cross3(y1, y2)
-    nn = np.linalg.norm(n)
+    n = cross3_floats(y1, y2)
+    nn = norm3(n)
     if nn < EPS:
         return None
-    n = n / nn
-    Rx1, Rx2 = R @ x1, R @ x2
-    a = np.array([n @ Rx1, n @ Rx2])
-    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, float(n @ t))
+    n = (n[0] / nn, n[1] / nn, n[2] / nn)
+    Rx1, Rx2 = matvec3(R, x1), matvec3(R, x2)
+    a = (dot3(n, Rx1), dot3(n, Rx2))
+    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot3(n, t))
 
 
-def _finish_segment(form: RayPlaneForm, lam: np.ndarray) -> Segment3D:
+def _finish_segment(form: RayPlaneForm, lam1: float, lam2: float) -> Segment3D:
     """Cheirality check in both views, then the endpoints in world coordinates."""
-    if lam[0] <= 0 or lam[1] <= 0:
+    if lam1 <= 0 or lam2 <= 0:
         raise CheiralityError("endpoint depth is not positive in the reference view")
-    R, t = form.R, form.t
-    for li, xi in ((lam[0], form.x1), (lam[1], form.x2)):
-        if (R[2] @ (li * xi) + t[2]) <= 0:
+    depth_row, tz = form.R[2], form.t[2]
+    v = form.ref_view.floats
+    t0, t1, t2 = v.t
+    ends = []
+    for li, (x0, x1, x2) in ((lam1, form.x1), (lam2, form.x2)):
+        p0, p1, p2 = li * x0, li * x1, li * x2
+        if dot3(depth_row, (p0, p1, p2)) + tz <= 0:
             raise CheiralityError("endpoint lies behind the matched view")
-    view = form.ref_view
-    return Segment3D(view.R.T @ (lam[0] * form.x1 - view.t), view.R.T @ (lam[1] * form.x2 - view.t))
+        ends.append(matvec3(v.Rt, (p0 - t0, p1 - t1, p2 - t2)))
+    return Segment3D(*ends)
 
 
 def triangulate_algebraic(form: RayPlaneForm, min_angle_deg: float = 1.0) -> Segment3D:
     """Two-view triangulation intersecting reference rays with the match plane.
 
     The matched segment back-projects to a plane through the matched camera
-    center; each reference endpoint ray is intersected with that plane.
+    center; each reference endpoint ray is intersected with that plane.  A
+    ray exactly parallel to the plane (``a[i] == 0``) is degenerate at any
+    threshold.
 
     Raises:
         WeaklyDegenerateError: one endpoint ray within ``min_angle_deg`` of
@@ -138,13 +166,14 @@ def triangulate_algebraic(form: RayPlaneForm, min_angle_deg: float = 1.0) -> Seg
         FullyDegenerateError: both endpoint rays degenerate.
         CheiralityError: intersection behind either camera.
     """
-    bad1 = check_degeneracy(form.Rx1, form.n, min_angle_deg)
-    bad2 = check_degeneracy(form.Rx2, form.n, min_angle_deg)
+    a1, a2 = form.a
+    bad1 = a1 == 0.0 or check_degeneracy(form.Rx1, form.n, min_angle_deg)
+    bad2 = a2 == 0.0 or check_degeneracy(form.Rx2, form.n, min_angle_deg)
     if bad1 and bad2:
         raise FullyDegenerateError("both endpoint rays parallel to the match plane")
     if bad1 or bad2:
         raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
-    return _finish_segment(form, -form.c / form.a)
+    return _finish_segment(form, -form.c / a1, -form.c / a2)
 
 
 def triangulate_multipoint(
@@ -279,15 +308,16 @@ def _solve_linear_equality(A, b, q) -> list[ConstrainedSolution]:
     return [ConstrainedSolution(lam, float(lam @ A @ lam + b @ lam))]
 
 
-def _plane_cost(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+def _plane_cost(form: RayPlaneForm) -> tuple[np.ndarray, np.ndarray]:
     """``(A, b)`` with ``lam^T A lam + b^T lam`` the summed squared plane offsets, less 2 c^2."""
-    return np.diag(a * a), 2.0 * c * a
+    a = np.array(form.a)
+    return np.diag(a * a), 2.0 * form.c * a
 
 
 def _pick_solution(sols: list[ConstrainedSolution], form: RayPlaneForm) -> Segment3D:
     for s in sols:
         try:
-            return _finish_segment(form, s.lam)
+            return _finish_segment(form, float(s.lam[0]), float(s.lam[1]))
         except CheiralityError:
             continue
     raise CheiralityError("no candidate places the segment in front of both cameras")
@@ -303,7 +333,7 @@ def triangulate_line_point(form: RayPlaneForm, point3d: np.ndarray) -> Segment3D
     Among the resulting candidates the cheapest one passing the cheirality
     test in both views is returned.
     """
-    x1, x2 = form.x1, form.x2
+    x1, x2 = np.array(form.x1), np.array(form.x2)
     n_p = cross3(x1, x2)
     npn = np.linalg.norm(n_p)
     if npn < EPS:
@@ -329,7 +359,7 @@ def triangulate_line_point(form: RayPlaneForm, point3d: np.ndarray) -> Segment3D
     if not np.any(Q) and not np.any(q):
         raise DegenerateTriangulationError("collinearity constraint is vacuous")
 
-    sols = solve_constrained_quadratic(*_plane_cost(form.a, form.c), Q, q)
+    sols = solve_constrained_quadratic(*_plane_cost(form), Q, q)
     if not sols:
         raise TriangulationError("constrained solve produced no real candidate")
     return _pick_solution(sols, form)
@@ -343,7 +373,7 @@ def triangulate_line_vp(form: RayPlaneForm, vp_dir: np.ndarray) -> Segment3D:
     the reference rays, expressed as a linear constraint on the two endpoint
     depths; the match-plane residuals are minimized subject to it.
     """
-    x1, x2 = form.x1, form.x2
+    x1, x2 = np.array(form.x1), np.array(form.x2)
     w = cross3(vp_dir, cross3(x1, x2))
     if np.linalg.norm(w) < EPS:
         raise DegenerateTriangulationError(
@@ -353,7 +383,7 @@ def triangulate_line_vp(form: RayPlaneForm, vp_dir: np.ndarray) -> Segment3D:
     if np.max(np.abs(q)) < EPS:
         raise DegenerateTriangulationError("vanishing direction constrains neither ray")
 
-    sols = solve_constrained_quadratic(*_plane_cost(form.a, form.c), np.zeros((2, 2)), q)
+    sols = solve_constrained_quadratic(*_plane_cost(form), np.zeros((2, 2)), q)
     if not sols:
         raise TriangulationError("constrained solve produced no real candidate")
     return _pick_solution(sols, form)
@@ -379,22 +409,22 @@ def weak_epipolar_iou(form: RayPlaneForm) -> float:
     so each cut is read off the form as ``c * Rx_i - a_i * t``.
     """
     t = form.t
-    if np.linalg.norm(t) < EPS:
+    if norm3(t) < EPS:
         return 0.0
-    origin = form.y1[:2]
-    direction = form.y2[:2] - origin
-    seg_len = np.linalg.norm(direction)
+    ox, oy, _ = form.y1
+    dx, dy = form.y2[0] - ox, form.y2[1] - oy
+    seg_len = math.sqrt(dx * dx + dy * dy)
     if seg_len < EPS:
         return 0.0
-    u = direction / seg_len
+    ux, uy = dx / seg_len, dy / seg_len
 
+    c = form.c
     params = []
     for Rx, a in ((form.Rx1, form.a[0]), (form.Rx2, form.a[1])):
-        h = form.c * Rx - a * t
-        if abs(h[2]) < EPS * (np.linalg.norm(h[:2]) + EPS):
+        h0, h1, h2 = c * Rx[0] - a * t[0], c * Rx[1] - a * t[1], c * Rx[2] - a * t[2]
+        if abs(h2) < EPS * (math.sqrt(h0 * h0 + h1 * h1) + EPS):
             return 0.0  # epipolar line parallel to the matched line
-        pt = h[:2] / h[2]
-        params.append(float((pt - origin) @ u))
+        params.append((h0 / h2 - ox) * ux + (h1 / h2 - oy) * uy)
     lo, hi = min(params), max(params)
     inter = max(0.0, min(hi, seg_len) - max(lo, 0.0))
     union = max(hi, seg_len) - min(lo, 0.0)

@@ -14,6 +14,7 @@ from linemap.geometry import (
     normalized,
     project_segment,
     quat_to_rotmat,
+    relative_pose,
     skew,
 )
 from linemap.metrics import min_distance_to_segments, sample_segments
@@ -26,7 +27,13 @@ from linemap.scoring import (
     normalize_distance,
     perpendicular_distance_2d,
 )
-from linemap.triangulation import ray_plane_form
+from linemap.triangulation import (
+    CheiralityError,
+    FullyDegenerateError,
+    RayPlaneForm,
+    WeaklyDegenerateError,
+    ray_plane_form,
+)
 
 
 def intrinsics(f=600.0, cx=320.0, cy=240.0):
@@ -60,10 +67,18 @@ def endpoint_rays(seg, view):
     return view.pixel_to_normalized(seg.start), view.pixel_to_normalized(seg.end)
 
 
+def float_rays(seg, view):
+    """:func:`endpoint_rays` as Python floats, as in the pipeline's float ray table."""
+    return tuple(tuple(x.tolist()) for x in endpoint_rays(seg, view))
+
+
 def two_view(ref_seg, ref_view, match_seg, match_view):
     """The ray-plane form of one match, built as the pipeline builds it."""
     return ray_plane_form(
-        ref_view, endpoint_rays(ref_seg, ref_view), match_view, endpoint_rays(match_seg, match_view)
+        ref_view,
+        float_rays(ref_seg, ref_view),
+        relative_pose(ref_view, match_view),
+        float_rays(match_seg, match_view),
     )
 
 
@@ -473,3 +488,81 @@ def reference_track_pair_score(a, view_a, b, view_b, config=PipelineConfig()):
             min(mutual_overlap(pa, pb) for pa, pb in pairs), config.tau_overlap
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference two-view triangulation
+# ---------------------------------------------------------------------------
+#
+# The ray-plane form, the weak epipolar IoU and the algebraic triangulation on
+# numpy arrays, each 3-vector product handed to numpy's ``@``.
+# ``linemap.triangulation`` computes the same formulas on Python floats, so
+# the two agree to rounding.
+
+
+def reference_ray_plane_form(ref_view, ref_rays, match_view, match_rays):
+    """The form with numpy fields, the relative pose taken from the views' matrices."""
+    R = match_view.R @ ref_view.R.T
+    t = match_view.t - R @ ref_view.t
+    x1, x2 = (np.asarray(x, dtype=np.float64) for x in ref_rays)
+    y1, y2 = (np.asarray(y, dtype=np.float64) for y in match_rays)
+    n = np.cross(y1, y2)
+    nn = np.linalg.norm(n)
+    if nn < EPS:
+        return None
+    n = n / nn
+    Rx1, Rx2 = R @ x1, R @ x2
+    a = np.array([n @ Rx1, n @ Rx2])
+    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, float(n @ t))
+
+
+def reference_plane_angle_deg(ray_dir, plane_normal):
+    """Angle in degrees between a ray and a plane (0 when the ray lies in it)."""
+    r, n = np.asarray(ray_dir, dtype=np.float64), np.asarray(plane_normal, dtype=np.float64)
+    s = abs(float(r @ n)) / (np.linalg.norm(r) * np.linalg.norm(n))
+    return float(np.degrees(np.arcsin(min(1.0, s))))
+
+
+def reference_triangulate_algebraic(form, min_angle_deg=1.0):
+    """Endpoints ``(start, end)`` in world coordinates, raising as
+    ``triangulate_algebraic`` does."""
+    bad1 = reference_plane_angle_deg(form.Rx1, form.n) < min_angle_deg
+    bad2 = reference_plane_angle_deg(form.Rx2, form.n) < min_angle_deg
+    if bad1 and bad2:
+        raise FullyDegenerateError("both endpoint rays parallel to the match plane")
+    if bad1 or bad2:
+        raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
+    lam = -form.c / form.a
+    if lam[0] <= 0 or lam[1] <= 0:
+        raise CheiralityError("endpoint depth is not positive in the reference view")
+    R, t = form.R, form.t
+    for li, xi in ((lam[0], form.x1), (lam[1], form.x2)):
+        if (R[2] @ (li * xi) + t[2]) <= 0:
+            raise CheiralityError("endpoint lies behind the matched view")
+    view = form.ref_view
+    return view.R.T @ (lam[0] * form.x1 - view.t), view.R.T @ (lam[1] * form.x2 - view.t)
+
+
+def reference_weak_epipolar_iou(form):
+    t = form.t
+    if np.linalg.norm(t) < EPS:
+        return 0.0
+    origin = form.y1[:2]
+    direction = form.y2[:2] - origin
+    seg_len = np.linalg.norm(direction)
+    if seg_len < EPS:
+        return 0.0
+    u = direction / seg_len
+    params = []
+    for Rx, a in ((form.Rx1, form.a[0]), (form.Rx2, form.a[1])):
+        h = form.c * Rx - a * t
+        if abs(h[2]) < EPS * (np.linalg.norm(h[:2]) + EPS):
+            return 0.0
+        pt = h[:2] / h[2]
+        params.append(float((pt - origin) @ u))
+    lo, hi = min(params), max(params)
+    inter = max(0.0, min(hi, seg_len) - max(lo, 0.0))
+    union = max(hi, seg_len) - min(lo, 0.0)
+    if union < EPS:
+        return 0.0
+    return inter / union

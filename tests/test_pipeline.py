@@ -264,6 +264,39 @@ def test_each_endpoint_ray_is_solved_once_per_run(noisy_scene, monkeypatch):
     assert solves["pixel_to_normalized"] == 2 * n_detections
 
 
+def test_each_relative_pose_is_computed_once_per_run(noisy_scene, monkeypatch):
+    # the pose table: one relative pose per ordered image pair that reaches a
+    # ray-plane form, however many of that pair's matches do
+    _, inp = noisy_scene
+    image_of = {id(view): img for img, view in inp.views.items()}
+    computed = Counter()  # (reference image, matched image) -> relative_pose calls
+    pair_of = {}  # id(pose) -> (reference image, matched image)
+    forms = Counter()  # pairs whose pose reached ray_plane_form -> forms built
+    pose_fn, form_fn = pipeline.relative_pose, pipeline.ray_plane_form
+
+    def counted_pose(ref, match):
+        pose = pose_fn(ref, match)
+        pair = image_of[id(ref)], image_of[id(match)]
+        computed[pair] += 1
+        pair_of[id(pose)] = pair
+        return pose
+
+    def recorded_form(ref_view, ref_rays, pose, match_rays):
+        pair = pair_of[id(pose)]
+        assert pair[0] == image_of[id(ref_view)]
+        forms[pair] += 1
+        return form_fn(ref_view, ref_rays, pose, match_rays)
+
+    monkeypatch.setattr(pipeline, "relative_pose", counted_pose)
+    monkeypatch.setattr(pipeline, "ray_plane_form", recorded_form)
+    run_pipeline(inp, PipelineConfig())
+    matched = {(img, j) for img, rows in inp.matches.items() for row in rows for j, _ in row}
+    assert set(forms) <= matched
+    assert sum(computed.values()) == len(forms) == 179
+    assert set(computed) == set(forms)
+    assert sum(forms.values()) == 10_501
+
+
 def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatch):
     # a pair whose 3D components give 0 projects nothing; any other pair
     # projects each segment into the other's view, and each segment into its

@@ -2,7 +2,8 @@
 
 Every config key is read by the pipeline and documented in README, every
 field of the synthetic and refinement configs is set by some call, every
-imported name is used, and the pair scores make no BLAS call.
+imported name is used, and neither the pair scores nor the two-view
+triangulation of a match makes a BLAS call.
 """
 
 import ast
@@ -101,16 +102,57 @@ def _definitions(tree):
 GEOMETRY_FLOAT_CODE = ("CameraView.depth", "planar_floats", "project_floats", "Segment2D.floats")
 
 
+def _matrix_products(code):
+    """``where:line`` of every ``@`` in the given ``(where, tree)`` pairs."""
+    return [
+        f"{where}:{node.lineno}"
+        for where, tree in code
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
+
+
 def test_scoring_has_no_matrix_product():
     # the pair scores sum each dot product in a fixed order (geometry.dot3);
     # numpy's `@` would hand it to the CPU's BLAS kernel
     geometry = dict(_definitions(TREES["geometry.py"]))
     code = [("scoring.py", TREES["scoring.py"])]
     code += [(f"geometry.py {name}", geometry[name]) for name in GEOMETRY_FLOAT_CODE]
-    products = [
+    assert _matrix_products(code) == []
+
+
+# the per-match two-view code, and the geometry it reads
+TWO_VIEW_FLOAT_CODE = {
+    "geometry.py": (
+        "dot3",
+        "norm3",
+        "matvec3",
+        "cross3_floats",
+        "relative_pose",
+        "Segment3D.length",
+        "Segment3D.floats",
+    ),
+    "triangulation.py": (
+        "ray_plane_form",
+        "check_degeneracy",
+        "triangulate_algebraic",
+        "_finish_segment",
+        "weak_epipolar_iou",
+    ),
+}
+
+
+def test_two_view_triangulation_has_no_matrix_product_or_numpy_call():
+    # every 3-vector product of a match goes through geometry.dot3 on Python
+    # floats; `@` or a numpy function would hand it to the CPU's BLAS kernel
+    code = []
+    for module, names in TWO_VIEW_FLOAT_CODE.items():
+        defined = dict(_definitions(TREES[module]))
+        code += [(f"{module} {name}", defined[name]) for name in names]
+    numpy_calls = [
         f"{where}:{node.lineno}"
         for where, tree in code
         for node in ast.walk(tree)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        if isinstance(node, ast.Name) and node.id == "np"
     ]
-    assert products == []
+    assert _matrix_products(code) + numpy_calls == []

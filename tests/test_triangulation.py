@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -19,12 +20,14 @@ from linemap.triangulation import (
     CheiralityError,
     DegenerateTriangulationError,
     FullyDegenerateError,
+    TriangulationError,
     WeaklyDegenerateError,
     check_degeneracy,
     solve_constrained_quadratic,
     triangulate_algebraic,
     triangulate_line_point,
     triangulate_line_vp,
+    ray_plane_form,
     triangulate_multipoint,
     weak_epipolar_iou,
 )
@@ -34,6 +37,10 @@ from support import (
     identity_view,
     intrinsics,
     random_two_view_segment,
+    reference_plane_angle_deg,
+    reference_ray_plane_form,
+    reference_triangulate_algebraic,
+    reference_weak_epipolar_iou,
     two_view,
     weak_degenerate_pair,
 )
@@ -284,7 +291,7 @@ def test_no_baseline_overlap_is_zero():
 
 def epipolar_iou_oracle(ref_seg, ref_view, match_seg, match_view):
     """The IoU cut by explicit epipolar lines: ``E = [t]x R``, ``h = (E x_i) x (y1 x y2)``."""
-    R, t = relative_pose(ref_view, match_view)
+    R, t = (np.array(v) for v in relative_pose(ref_view, match_view))
     if np.linalg.norm(t) < 1e-12:
         return 0.0
     E = skew(t) @ R
@@ -362,3 +369,137 @@ def test_parallel_epipolar_lines_score_zero():
     s_m = Segment2D(np.array([100.0, 220.0]), np.array([400.0, 220.0]))
     assert epipolar_iou_oracle(s_r, ref, s_m, match) == 0.0
     assert weak_epipolar_iou(two_view(s_r, ref, s_m, match)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the float two-view path against its numpy reference
+# ---------------------------------------------------------------------------
+
+
+def two_view_cases(rng, n_pairs):
+    """``(ref_seg, ref_view, match_seg, match_view)``: random two-view pairs, any
+    angle between the rays and the match plane, each matched with its true
+    image, a stretched or cut one and one moved by up to its length."""
+    for _ in range(n_pairs):
+        ref, match, _, s_r, s_m = random_two_view_segment(rng, min_plane_angle_deg=0.0)
+        d = s_m.end - s_m.start
+        lo, hi = rng.uniform(-0.6, 0.4), rng.uniform(0.6, 1.6)
+        yield s_r, ref, s_m, match
+        yield s_r, ref, Segment2D(s_m.start + lo * d, s_m.start + hi * d), match
+        yield s_r, ref, shifted(s_m, rng.uniform(-1.0, 1.0) * d + rng.normal(size=2) * 20.0), match
+
+
+def test_float_two_view_path_agrees_with_the_numpy_reference():
+    rng = np.random.default_rng(32)
+    outcomes, verdicts = Counter(), 0
+    for s_r, ref, s_m, match in two_view_cases(rng, 300):
+        form = two_view(s_r, ref, s_m, match)
+        old_form = reference_ray_plane_form(
+            ref, endpoint_rays(s_r, ref), match, endpoint_rays(s_m, match)
+        )
+        angles = []
+        for Rx, old_Rx in ((form.Rx1, old_form.Rx1), (form.Rx2, old_form.Rx2)):
+            angles.append(reference_plane_angle_deg(old_Rx, old_form.n))
+            if abs(angles[-1] - 1.0) > 1e-9:
+                assert check_degeneracy(Rx, form.n, 1.0) == (angles[-1] < 1.0)
+                verdicts += 1
+        # a ray turning into the match plane moves its epipolar cut as 1 / angle
+        rel = 1e-12 * max(1.0, 0.1 / min(angles))
+        new, old = weak_epipolar_iou(form), reference_weak_epipolar_iou(old_form)
+        assert new == pytest.approx(old, rel=rel, abs=1e-300)
+        try:
+            old_ends = reference_triangulate_algebraic(old_form)
+        except TriangulationError as exc:
+            with pytest.raises(type(exc)):
+                triangulate_algebraic(form)
+            outcomes[type(exc).__name__] += 1
+            continue
+        seg = triangulate_algebraic(form)
+        for got, want in zip((seg.start, seg.end), old_ends):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        outcomes["segment"] += 1
+    assert sum(outcomes.values()) == 900 and verdicts == 1800
+    # every outcome is exercised: segments, degenerate rays and cheirality failures
+    assert outcomes["segment"] >= 800, outcomes
+    assert outcomes["WeaklyDegenerateError"] + outcomes["FullyDegenerateError"] >= 10, outcomes
+    assert outcomes["CheiralityError"] >= 1, outcomes
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs give IoU 0 or a TriangulationError, never a division error
+# ---------------------------------------------------------------------------
+
+
+def float_form(ref_view, ref_rays, match_view, match_rays):
+    return ray_plane_form(ref_view, ref_rays, relative_pose(ref_view, match_view), match_rays)
+
+
+def assert_every_solver_fails_cleanly(form):
+    # the rescue solvers see the same form when the algebraic one is degenerate
+    point = form.ref_view.camera_center + np.array([0.1, 0.2, 3.0])
+    solvers = (
+        triangulate_algebraic,
+        lambda f: triangulate_line_point(f, point),
+        lambda f: triangulate_line_vp(f, np.array([0.0, 0.6, 0.8])),
+    )
+    for solve in solvers:
+        try:
+            seg = solve(form)
+        except TriangulationError:
+            continue
+        assert np.isfinite(seg.endpoints()).all()
+
+
+def test_a_zero_length_reference_ray_scores_zero_and_does_not_triangulate():
+    ref, match = side_by_side_views()
+    rays = ((0.0, 0.0, 0.0), (0.1, 0.2, 1.0))
+    form = float_form(ref, rays, match, ((0.0, 0.0, 1.0), (0.2, 0.3, 1.0)))
+    assert form.a[0] == 0.0 and check_degeneracy(form.x1, form.n, 1.0)
+    assert weak_epipolar_iou(form) == 0.0
+    with pytest.raises(DegenerateTriangulationError):
+        triangulate_algebraic(form, min_angle_deg=0.0)
+    with pytest.raises(TriangulationError):
+        triangulate_line_point(form, np.array([0.1, 0.2, 3.0]))
+    with pytest.raises(TriangulationError):
+        triangulate_line_vp(form, np.array([0.0, 0.6, 0.8]))
+
+
+def test_coincident_matched_endpoints_score_zero():
+    ref, match = side_by_side_views()
+    ref_rays = ((0.1, 0.2, 1.0), (0.3, 0.1, 1.0))
+    # no match plane: the pipeline scores such a match IoU 0
+    assert float_form(ref, ref_rays, match, ((0.2, 0.3, 1.0), (0.2, 0.3, 1.0))) is None
+    form = float_form(ref, ref_rays, match, ((0.2, 0.3, 1.0), (0.2, 0.5, 1.0)))
+    assert weak_epipolar_iou(dataclasses.replace(form, y2=form.y1)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "match_t, match_rays",
+    [
+        # side by side: the plane through the image row of the epipole holds the baseline
+        ((-1.0, 0.0, 0.0), ((-0.3, 0.0, 1.0), (0.4, 0.0, 1.0))),
+        # forward motion: a matched segment on a line through the epipole
+        ((0.0, 0.0, -1.0), ((0.1, 0.1, 1.0), (0.3, 0.3, 1.0))),
+    ],
+)
+def test_a_match_plane_through_the_reference_centre_scores_zero(match_t, match_rays):
+    ref = identity_view()
+    match = CameraView(intrinsics(), np.eye(3), np.array(match_t), 640, 480)
+    form = float_form(ref, ((0.1, 0.2, 1.0), (0.3, -0.1, 1.0)), match, match_rays)
+    assert form.c == 0.0
+    assert weak_epipolar_iou(form) == 0.0
+    with pytest.raises(CheiralityError):
+        triangulate_algebraic(form, min_angle_deg=0.0)
+    assert_every_solver_fails_cleanly(form)
+
+
+def test_a_reference_ray_parallel_to_the_match_plane_is_degenerate_at_any_threshold():
+    ref, match = side_by_side_views()
+    # the match plane has normal (-2, 2, -1) / 3, and (0, 0.5, 1) lies in its direction
+    rays = ((0.0, 0.5, 1.0), (0.4, 0.1, 1.0))
+    form = float_form(ref, rays, match, ((0.0, 0.5, 1.0), (0.5, 1.0, 1.0)))
+    assert form.a[0] == 0.0 and form.a[1] != 0.0 and form.c != 0.0
+    assert 0.0 <= weak_epipolar_iou(form) <= 1.0
+    with pytest.raises(WeaklyDegenerateError):
+        triangulate_algebraic(form, min_angle_deg=0.0)
+    assert_every_solver_fails_cleanly(form)
