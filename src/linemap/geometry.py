@@ -280,9 +280,10 @@ class CameraView:
         """Homogeneous normalized image coordinates ``K^-1 (u, v, 1)``."""
         return np.linalg.solve(self.K, np.array([pixel[0], pixel[1], 1.0]))
 
-    def world_ray(self, x: FloatArray) -> PluckerLine:
-        """The world line through the camera center along normalized coordinates ``x``."""
-        return PluckerLine.from_point_direction(self.camera_center, self.R.T @ normalized(x))
+    def world_ray(self, x) -> PluckerLine:
+        """The world line from the camera center along normalized coordinates ``x`` (3 floats)."""
+        d = normalized(np.asarray(x, dtype=np.float64))
+        return PluckerLine.from_point_direction(self.camera_center, self.R.T @ d)
 
 
 def relative_pose(ref: CameraView, match: CameraView) -> tuple[Mat3, Vec3]:
@@ -451,8 +452,9 @@ def project_floats(seg: Segment3D, view: CameraView) -> PlanarFloats | None:
 
     Reads :attr:`Segment3D.floats` and :attr:`CameraView.floats`, summing
     each row product through :func:`dot3`, so it agrees with
-    :func:`project_segment` to rounding.  None if an endpoint is at or
-    behind its camera plane, or if the projection is shorter than EPS px.
+    :func:`project_segment` to rounding (a scoring record, which holds the
+    same floats, projects as its segment does).  None if an endpoint is at
+    or behind its camera plane, or if the projection is shorter than EPS px.
     """
     s, e = seg.floats.start, seg.floats.end
     (r0, r1, r2), (k0, k1, k2) = view.floats.kr, view.floats.kt

@@ -42,6 +42,7 @@ from .geometry import (
     PluckerLine,
     Segment2D,
     Segment3D,
+    Vec3,
     closest_point_line_to_line,
     normalized,
     point_line_distance_3d,
@@ -609,7 +610,7 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
 
 def segment_on_line_from_supports(
     line: PluckerLine,
-    supports: list[tuple[tuple[np.ndarray, np.ndarray], CameraView]],
+    supports: list[tuple[tuple[Vec3, Vec3], CameraView]],
 ) -> Segment3D | None:
     """Clip an infinite line to an extent explained by its 2D supports.
 

@@ -44,7 +44,7 @@ from .optimize import (
     soft_point_line_weights,
     vp_orthogonal_pairs,
 )
-from .scoring import selection_pair_score
+from .scoring import proposal, selection_pair_score
 from .tracks import LineTrack, TrackCandidate, build_tracks
 from .triangulation import (
     DegenerateTriangulationError,
@@ -117,7 +117,7 @@ def compute_neighbors(
 def _detection_proposals(
     img: int,
     view: CameraView,
-    rays: tuple[np.ndarray, np.ndarray],
+    rays: tuple[Vec3, Vec3],
     kept: list[tuple[Node, RayPlaneForm]],
     assoc_pts: list[np.ndarray],
     vp_cam: np.ndarray | None,
@@ -168,8 +168,9 @@ def _select_best(
 
     A proposal's support is the sum, over the other generating images, of
     its best pair score against that image's proposals; ties keep the first
-    proposal.  The pair score is symmetric bit for bit, so each cross-image
-    pair is scored once, in the two images that generated it.
+    proposal.  Each proposal is scored through one record, measured in the
+    image that generated it.  The pair score is symmetric bit for bit, so
+    each cross-image pair is scored once.
     """
     if not proposals:
         return None
@@ -177,14 +178,12 @@ def _select_best(
     by_img: dict[int, list[int]] = {}
     for idx, (_, gen) in enumerate(proposals):
         by_img.setdefault(gen, []).append(idx)
+    records = [proposal(cand.segment, views[gen], ref_view) for cand, gen in proposals]
     scores = [[0.0] * n for _ in range(n)]
-    for a, (cand_a, gen_a) in enumerate(proposals):
+    for a, (_, gen_a) in enumerate(proposals):
         for b in range(a + 1, n):
-            cand_b, gen_b = proposals[b]
-            if gen_a != gen_b:
-                scores[a][b] = scores[b][a] = selection_pair_score(
-                    cand_a.segment, cand_b.segment, ref_view, views[gen_a], views[gen_b], config
-                )
+            if gen_a != proposals[b][1]:
+                scores[a][b] = scores[b][a] = selection_pair_score(records[a], records[b], config)
     best_idx = -1
     best_score = -1.0
     for idx, (_, gen) in enumerate(proposals):
@@ -213,15 +212,13 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     vp_cam: dict[Node, np.ndarray] = {}  # VP node -> camera-frame direction
     vp_world: dict[Node, np.ndarray] = {}  # VP node -> world direction
     # ray table: each detection's endpoint rays in normalized coordinates, solved
-    # once, and the same rays as Python floats for the per-match two-view code
-    det_rays: dict[Node, tuple[np.ndarray, np.ndarray]] = {}
+    # once and kept as Python floats (``.tolist()`` keeps every bit)
     ray_floats: dict[Node, tuple[Vec3, Vec3]] = {}
     for img in images:
         dets = data.detections[img]
         view = views[img]
         for di, det in enumerate(dets):
             rays = view.pixel_to_normalized(det.start), view.pixel_to_normalized(det.end)
-            det_rays[(img, di)] = rays
             ray_floats[(img, di)] = (tuple(rays[0].tolist()), tuple(rays[1].tolist()))
         if config.use_vps:
             vps, assign = estimate_vps(dets)
@@ -265,7 +262,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             proposals = _detection_proposals(
                 img,
                 view,
-                det_rays[node],
+                rays,
                 kept,
                 [data.points3d[pi] for pi in det_points.get(node, ())],
                 vp_cam.get(det_vp.get(node)),
@@ -331,7 +328,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         for ti, t in enumerate(tracks):
             line = minimal_to_plucker(result.lines[ti])
             seg = segment_on_line_from_supports(
-                line, [(det_rays[s], views[s[0]]) for s in t.supports]
+                line, [(ray_floats[s], views[s[0]]) for s in t.supports]
             )
             if seg is not None:
                 t.segment = seg

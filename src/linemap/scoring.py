@@ -38,23 +38,22 @@ projection by :func:`~linemap.geometry.project_floats`, both a
 inner-segment scale.  With the homogeneous form one dot product,
 :func:`~linemap.geometry.dot3`, serves 2D and 3D records, a point's
 distance to a line included, and it sums its terms in a fixed order with
-no BLAS call.  This module adds no projection, depth or record of its own.
+no BLAS call.  This module adds no projection or depth of its own.
 
-A segment is scored against many others in one pass, so the work that
-depends on the segment and one view alone is kept on the segment: its
-projection into its own view (the generating view in selection, the
-detection's view in track building, the representative view in remerge)
-and its two endpoint ray lengths to the reference camera in selection.
-Each is a one-entry cache on the segment that holds the view object it
-was computed for: it is reused only with that same object (``is``, so a
-copy with an equal pose recomputes it), replaced when the segment is scored
-with another view, and freed with the segment.  Cross projections are
-computed fresh.
+A pair score reads two :class:`ScoredSegment` records, and the caller
+builds one per segment for each scoring pass: :func:`proposal` in
+selection, :func:`hypothesis` in track building and remerge.  A record
+holds what depends on the segment and one view alone: its floats, its own
+view (the generating view, the detection's view or the track's
+representative view), its projection there and the scale its 3D
+distances are divided by.  A pair score makes only the two cross
+projections, and the records go when the pass ends.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .config import PipelineConfig
 from .geometry import (
@@ -108,37 +107,19 @@ def perpendicular_distance_2d(a: Segment2D, b: Segment2D) -> float:
     return _perpendicular(a.floats, b.floats)
 
 
-def _memo(seg: Segment3D, key: str, view: CameraView, compute):
-    """``compute(seg, view)``, kept on ``seg`` under ``key`` for ``view`` alone.
+def perspective_distance(a: ScoredSegment, b: ScoredSegment) -> float:
+    """Endpoint distance scaled by the endpoint ray lengths, averaged over both proposals.
 
-    The entry holds the view object and is reused only for that object, so
-    a later view with an equal pose, or one at a freed view's address,
-    recomputes it.
-    """
-    entry = seg.__dict__.get(key)
-    if entry is None or entry[0] is not view:
-        entry = seg.__dict__[key] = (view, compute(seg, view))
-    return entry[1]
-
-
-def _ray_lengths(seg: Segment3D, view: CameraView) -> tuple[float, float]:
-    c = view.floats.center
-    return _dist3(seg.floats.start, c), _dist3(seg.floats.end, c)
-
-
-def perspective_distance(a: Segment3D, b: Segment3D, view: CameraView) -> float:
-    """Endpoint distance scaled by the endpoint ray depths, averaged over both segments.
-
-    Assumes the two segments lie on the same endpoint rays of ``view`` (the
-    proposal-selection setting), so corresponding endpoints are comparable.
-    Each segment divides the start and end distances by its own endpoints'
-    distances to the camera centre and keeps the larger ratio; the result is
-    the mean of the two, symmetric in ``a`` and ``b`` bit for bit.
+    Assumes the two proposals lie on the same endpoint rays of the reference
+    view (the proposal-selection setting), so corresponding endpoints are
+    comparable.  Each proposal divides the start and end distances by its
+    own endpoints' distances to the reference camera centre (its
+    :func:`proposal` scale) and keeps the larger ratio; the result is the
+    mean of the two, symmetric in ``a`` and ``b`` bit for bit.
     """
     fa, fb = a.floats, b.floats
     ds, de = _dist3(fa.start, fb.start), _dist3(fa.end, fb.end)
-    sa, ea = _memo(a, "_ray_lengths", view, _ray_lengths)
-    sb, eb = _memo(b, "_ray_lengths", view, _ray_lengths)
+    (sa, ea), (sb, eb) = a.scale, b.scale
     return 0.5 * (max(ds / sa, de / ea) + max(ds / sb, de / eb))
 
 
@@ -178,7 +159,7 @@ def _clipped_feet(a: SegmentFloats, b: SegmentFloats) -> list:
     return feet
 
 
-def innerseg_distance(a: Segment3D, b: Segment3D) -> float:
+def innerseg_distance(a: Segment3D | ScoredSegment, b: Segment3D | ScoredSegment) -> float:
     """Distance between the mutually clipped inner segments.
 
     Each segment's endpoints are orthogonally projected onto the other's
@@ -200,21 +181,8 @@ def _midpoint(seg: SegmentFloats) -> tuple[float, float, float]:
     return 0.5 * (s0 + e0), 0.5 * (s1 + e1), 0.5 * (s2 + e2)
 
 
-def innerseg_scale(a: Segment3D, view_a: CameraView, b: Segment3D, view_b: CameraView) -> float:
-    """Uncertainty scale for the inner-segment distance.
-
-    The minimum over both segments of midpoint depth divided by focal
-    length; one pixel of image noise displaces a 3D point by roughly this
-    amount, which makes the scaled distance unit-free.
-    """
-    return min(
-        view_a.depth(_midpoint(a.floats)) / view_a.focal,
-        view_b.depth(_midpoint(b.floats)) / view_b.focal,
-    )
-
-
 # ---------------------------------------------------------------------------
-# normalization and pair scores
+# normalization, per-pass records and pair scores
 # ---------------------------------------------------------------------------
 
 
@@ -228,19 +196,55 @@ def _binary_overlap(ratio: float, tau: float) -> float:
     return 1.0 if ratio >= tau else 0.0
 
 
-def _projections(a: Segment3D, b: Segment3D, view_a: CameraView, view_b: CameraView):
-    """``(a, b)`` projected into ``view_a`` and into ``view_b``.
+class ScoredSegment(NamedTuple):
+    """A segment as one scoring pass reads it.
 
-    ``view_a`` is ``a``'s own view and ``view_b`` is ``b``'s, and each own
-    projection is kept on its segment; the two cross projections are fresh.
-    None when either segment is behind either view or projects to a point
-    in it: such a hypothesis cannot support the other.
+    ``own`` is the segment projected into ``view`` by
+    :func:`~linemap.geometry.project_floats`, None when it is behind that
+    view or projects to a point there.  ``scale`` is what its 3D distances
+    are divided by: the endpoint ray lengths of a :func:`proposal`, the
+    single length of a :func:`hypothesis`.
     """
-    pa, pb = _memo(a, "_own_projection", view_a, project_floats), project_floats(b, view_a)
-    qa, qb = project_floats(a, view_b), _memo(b, "_own_projection", view_b, project_floats)
-    if pa is None or pb is None or qa is None or qb is None:
+
+    floats: SegmentFloats
+    view: CameraView
+    own: PlanarFloats | None
+    scale: tuple[float, float] | float
+
+
+def proposal(seg: Segment3D, view: CameraView, ref_view: CameraView) -> ScoredSegment:
+    """``seg`` generated in ``view`` for a detection of ``ref_view``.
+
+    Its scale is its two endpoint distances to ``ref_view``'s camera centre.
+    """
+    f, c = seg.floats, ref_view.floats.center
+    lengths = _dist3(f.start, c), _dist3(f.end, c)
+    return ScoredSegment(f, view, project_floats(seg, view), lengths)
+
+
+def hypothesis(seg: Segment3D, view: CameraView) -> ScoredSegment:
+    """``seg`` owned by ``view``: a detection's best hypothesis, or a track's refit.
+
+    Its scale is its midpoint depth divided by the focal length; one pixel
+    of image noise displaces a 3D point by roughly this amount, which makes
+    the inner-segment distance unit-free.
+    """
+    f = seg.floats
+    scale = view.depth(_midpoint(f)) / view.focal
+    return ScoredSegment(f, view, project_floats(seg, view), scale)
+
+
+def _projections(a: ScoredSegment, b: ScoredSegment):
+    """``(a, b)`` projected into ``a``'s view and into ``b``'s view.
+
+    The own projections come with the records; the two cross projections
+    are made here.  None when either segment is behind either view or
+    projects to a point in it: such a hypothesis cannot support the other.
+    """
+    pb, qa = project_floats(b, a.view), project_floats(a, b.view)
+    if a.own is None or pb is None or qa is None or b.own is None:
         return None
-    return (pa, pb), (qa, qb)
+    return (a.own, pb), (qa, b.own)
 
 
 def _image_components(pairs, config: PipelineConfig) -> list[float]:
@@ -255,43 +259,35 @@ def _image_components(pairs, config: PipelineConfig) -> list[float]:
 
 
 def selection_pair_score(
-    a: Segment3D,
-    b: Segment3D,
-    ref_view: CameraView,
-    view_a: CameraView,
-    view_b: CameraView,
-    config: PipelineConfig = PipelineConfig(),
+    a: ScoredSegment, b: ScoredSegment, config: PipelineConfig = PipelineConfig()
 ) -> float:
-    """Consistency of two proposals for the same reference detection.
+    """Consistency of two :func:`proposal` records for the same reference detection.
 
-    Both proposals lie on the endpoint rays of ``ref_view``; ``view_a`` and
-    ``view_b`` are the matched views they were triangulated from, where the
-    2D distances are measured.
+    Both proposals lie on the endpoint rays of the reference view; the 2D
+    distances are measured in the matched views they were triangulated
+    from.
     """
     score = min(
         normalize_distance(_angle(a.floats, b.floats), config.tau_angle_3d),
-        normalize_distance(perspective_distance(a, b, ref_view), config.tau_perspective),
+        normalize_distance(perspective_distance(a, b), config.tau_perspective),
     )
-    pairs = _projections(a, b, view_a, view_b) if score > 0.0 else None
+    pairs = _projections(a, b) if score > 0.0 else None
     if pairs is None:
         return 0.0
     return min(score, *_image_components(pairs, config))
 
 
 def track_pair_score(
-    a: Segment3D,
-    view_a: CameraView,
-    b: Segment3D,
-    view_b: CameraView,
-    config: PipelineConfig = PipelineConfig(),
+    a: ScoredSegment, b: ScoredSegment, config: PipelineConfig = PipelineConfig()
 ) -> float:
-    """Consistency of the best hypotheses of two different detections.
+    """Consistency of two :func:`hypothesis` records of different detections.
 
-    ``view_a``/``view_b`` are the views owning the detections.  Endpoint
-    correspondence across detections is meaningless here, so overlap and
-    inner-segment distances substitute for the perspective distance.
+    The 2D distances are measured in the views owning the detections.
+    Endpoint correspondence across detections is meaningless here, so
+    overlap and inner-segment distances substitute for the perspective
+    distance; the inner-segment distance is divided by the smaller scale.
     """
-    scale = innerseg_scale(a, view_a, b, view_b)
+    scale = min(a.scale, b.scale)
     if scale <= 0:
         return 0.0
     fa, fb = a.floats, b.floats
@@ -300,7 +296,7 @@ def track_pair_score(
         _binary_overlap(_mutual_overlap(fa, fb), config.tau_overlap),
         normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg),
     )
-    pairs = _projections(a, b, view_a, view_b) if score > 0.0 else None
+    pairs = _projections(a, b) if score > 0.0 else None
     if pairs is None:
         return 0.0
     (pa, pb), (qa, qb) = pairs

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .geometry import CameraView, Segment3D, principal_line, trimmed_extent
-from .scoring import track_pair_score
+from .scoring import hypothesis, track_pair_score
 
 Node = tuple[int, int]  # (image id, segment index)
 
@@ -115,6 +115,7 @@ def build_tracks(
             used for edge verification.
     """
     nodes = sorted(candidates.keys())
+    records = {n: hypothesis(candidates[n].segment, views[n[0]]) for n in nodes}
     uf = UnionFind(nodes)
     seen = set()
     for a, b in edges:
@@ -124,14 +125,7 @@ def build_tracks(
         if key in seen:
             continue
         seen.add(key)
-        s = track_pair_score(
-            candidates[a].segment,
-            views[a[0]],
-            candidates[b].segment,
-            views[b[0]],
-            config,
-        )
-        if s >= EDGE_SCORE_MIN:
+        if track_pair_score(records[a], records[b], config) >= EDGE_SCORE_MIN:
             uf.union(a, b)
 
     components: dict[Node, list[Node]] = {}
@@ -167,12 +161,11 @@ def remerge_tracks(
     merged groups refit from scratch.  Components do not depend on the
     order of the unions.
     """
-    rep = [views[t.supports[0][0]] for t in tracks]
+    records = [hypothesis(t.segment, views[t.supports[0][0]]) for t in tracks]
     uf = UnionFind(range(len(tracks)))
     for i in range(len(tracks)):
         for j in range(i + 1, len(tracks)):
-            s = track_pair_score(tracks[i].segment, rep[i], tracks[j].segment, rep[j], config)
-            if s >= REMERGE_SCORE_MIN:
+            if track_pair_score(records[i], records[j], config) >= REMERGE_SCORE_MIN:
                 uf.union(i, j)
 
     groups: dict[int, list[int]] = {}

@@ -177,7 +177,7 @@ def triangulate_algebraic(form: RayPlaneForm, min_angle_deg: float = 1.0) -> Seg
 
 
 def triangulate_multipoint(
-    ref_rays: tuple[np.ndarray, np.ndarray],
+    ref_rays: tuple[Vec3, Vec3],
     ref_view: CameraView,
     points3d: np.ndarray,
 ) -> Segment3D:

@@ -22,7 +22,6 @@ from linemap.optimize import ASSOC_LOSS_SCALE
 from linemap.scoring import (
     angular_distance,
     innerseg_distance,
-    innerseg_scale,
     mutual_overlap,
     normalize_distance,
     perpendicular_distance_2d,
@@ -395,10 +394,12 @@ def reference_inlier_percentage(pred, gt, tau, spacing, aggregate="mean"):
 #
 # Both pair scores as the minimum over every component, with the pair
 # projected into both views before any component is read, and every distance
-# computed fresh.  ``linemap.scoring`` returns 0 as soon as the 3D components
-# give 0 and reuses each segment's own-view projection and ray lengths, which
-# must not change a bit.  Projections and 3D distances are computed here on
-# Python floats, each dot product summed as ``(a0*b0 + a1*b1) + a2*b2``.
+# and scale computed fresh from the segments and ``view.K``, ``view.R`` and
+# ``view.t``.  ``linemap.scoring`` returns 0 as soon as the 3D components give
+# 0 and reads each segment's own-view projection and scale from a record built
+# once per pass, which must not change a bit.  Projections, depths and 3D
+# distances are computed here on Python floats, each dot product summed as
+# ``(a0*b0 + a1*b1) + a2*b2``.
 
 
 def _reference_dot3(a, b):
@@ -458,6 +459,13 @@ def _reference_perspective(a, b, view):
     )
 
 
+def _reference_innerseg_scale(seg, view):
+    # midpoint depth over the mean focal magnitude
+    depth = _reference_dot3(view.R[2].tolist(), (0.5 * (seg.start + seg.end)).tolist())
+    focal = 0.5 * (abs(float(view.K[0, 0])) + abs(float(view.K[1, 1])))
+    return (depth + float(view.t[2])) / focal
+
+
 def reference_selection_pair_score(a, b, ref_view, view_a, view_b, config=PipelineConfig()):
     pairs = _reference_projections(a, b, view_a, view_b)
     if pairs is None:
@@ -473,7 +481,7 @@ def reference_selection_pair_score(a, b, ref_view, view_a, view_b, config=Pipeli
 
 
 def reference_track_pair_score(a, view_a, b, view_b, config=PipelineConfig()):
-    scale = innerseg_scale(a, view_a, b, view_b)
+    scale = min(_reference_innerseg_scale(a, view_a), _reference_innerseg_scale(b, view_b))
     if scale <= 0:
         return 0.0
     pairs = _reference_projections(a, b, view_a, view_b)

@@ -1,7 +1,9 @@
 """End-to-end pipeline tests on the synthetic box scene."""
 
+import dataclasses
 import warnings
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from linemap.geometry import CameraView, Segment2D, Segment3D, acute_angle
 from linemap.metrics import evaluate_segments
 from linemap.optimize import OptimizeConfig
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
+from linemap.scoring import proposal
 from linemap.synthetic import (
     ObservationConfig,
     SceneConfig,
@@ -129,14 +132,14 @@ def test_select_best_scores_each_cross_image_pair_once(monkeypatch):
         (TrackCandidate(Segment3D(np.array([i, 0.0, 5.0]), np.array([i, 1.0, 5.0]))), gen)
         for i, gen in enumerate(gens)
     ]
-    index = {id(cand.segment): i for i, (cand, _) in enumerate(proposals)}
+    index = {id(cand.segment.floats): i for i, (cand, _) in enumerate(proposals)}
     views = {g: identity_view(f=600.0 + g) for g in gens}
     pairs = []
 
-    def score(a, b, ref_view, view_a, view_b, config):
-        ia, ib = index[id(a)], index[id(b)]
+    def score(a, b, config):
+        ia, ib = index[id(a.floats)], index[id(b.floats)]
         # each proposal is measured in the image that generated it
-        assert (view_a, view_b) == (views[gens[ia]], views[gens[ib]])
+        assert (a.view, b.view) == (views[gens[ia]], views[gens[ib]])
         pairs.append(frozenset((ia, ib)))
         return 0.75
 
@@ -162,7 +165,9 @@ def _select_best_reference(proposals, ref_view, views, config):
         for other, j in proposals:
             if j != gen:
                 s = pipeline.selection_pair_score(
-                    cand.segment, other.segment, ref_view, views[gen], views[j], config
+                    proposal(cand.segment, views[gen], ref_view),
+                    proposal(other.segment, views[j], ref_view),
+                    config,
                 )
                 per_image[j] = max(per_image.get(j, 0.0), s)
         total = sum(per_image.values())
@@ -298,69 +303,95 @@ def test_each_relative_pose_is_computed_once_per_run(noisy_scene, monkeypatch):
 
 
 def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatch):
-    # a pair whose 3D components give 0 projects nothing; any other pair
-    # projects each segment into the other's view, and each segment into its
-    # own view unless that segment's last own-view projection was into the
-    # same view object (a one-entry cache per segment, kept across phases)
+    # each record projects its segment into its own view once, when it is
+    # built; a pair whose 3D components give 0 projects nothing, and any other
+    # pair projects each segment into the other's view
     _, inp = noisy_scene
     counts = Counter()
-    made = []
-    last_own = {}  # id(segment) -> (segment, view) of its last own-view projection
+    made = []  # projections made by each open builder or pair score
     projection = scoring.project_floats
 
     def counted_projection(seg, view):
-        made[-1].append((seg, view))
+        made[-1].append((id(seg), id(view)))
         return projection(seg, view)
 
-    def own_misses(seg, view):
-        entry = last_own.get(id(seg))
-        if entry is not None and entry[1] is view:
-            return []
-        last_own[id(seg)] = seg, view
-        return [(seg, view)]
-
-    def counted(name, score, own_views):
-        def wrapper(*args):
+    def built(phase, build):
+        def wrapper(seg, view, *ref_view):
             made.append([])
-            try:
-                return score(*args)
-            finally:
-                pair = made.pop()
-                counts[name, "pairs"] += 1
-                if pair:
-                    (a, view_a), (b, view_b) = own_views(*args)
-                    expected = [*own_misses(a, view_a), (b, view_a), (a, view_b)]
-                    expected += own_misses(b, view_b)
-                    assert [tuple(map(id, p)) for p in pair] == [
-                        tuple(map(id, p)) for p in expected
-                    ]
-                    counts[name, "past the gate"] += 1
-                    counts[name, "projections"] += len(pair)
+            record = build(seg, view, *ref_view)
+            assert made.pop() == [(id(seg), id(view))]
+            counts[phase, "records"] += 1
+            counts[phase, "projections"] += 1
+            return record
+
+        return wrapper
+
+    def scored(phase, score):
+        def wrapper(a, b, config):
+            made.append([])
+            s = score(a, b, config)
+            pair = made.pop()
+            counts[phase, "pairs"] += 1
+            if pair:
+                assert pair == [(id(b), id(a.view)), (id(a), id(b.view))]
+                counts[phase, "past the gate"] += 1
+                counts[phase, "projections"] += len(pair)
+            return s
 
         return wrapper
 
     monkeypatch.setattr(scoring, "project_floats", counted_projection)
-    selection = counted(
-        "selection",
-        scoring.selection_pair_score,
-        lambda a, b, ref, view_a, view_b, config: ((a, view_a), (b, view_b)),
-    )
+    monkeypatch.setattr(pipeline, "proposal", built("selection", scoring.proposal))
+    selection = scored("selection", scoring.selection_pair_score)
     monkeypatch.setattr(pipeline, "selection_pair_score", selection)
-    track = counted(
-        "tracks",
-        scoring.track_pair_score,
-        lambda a, view_a, b, view_b, config: ((a, view_a), (b, view_b)),
-    )
-    monkeypatch.setattr(tracks, "track_pair_score", track)
-    run_pipeline(inp, PipelineConfig(optimize=False))
+    monkeypatch.setattr(tracks, "hypothesis", built("tracks", scoring.hypothesis))
+    monkeypatch.setattr(tracks, "track_pair_score", scored("tracks", scoring.track_pair_score))
+    result = run_pipeline(inp, PipelineConfig(optimize=False))
+    # one selection record per proposal; one track record per accepted
+    # candidate and one per track entering remerge
+    assert result.stats["proposals"] == 9_695
+    assert result.stats["accepted"] == 895
     assert counts == {
+        ("selection", "records"): 9_695,
         ("selection", "pairs"): 42_698,
         ("selection", "past the gate"): 22_444,
-        ("selection", "projections"): 2 * 22_444 + 7_814,
+        ("selection", "projections"): 2 * 22_444 + 9_695,
+        ("tracks", "records"): 935,
         ("tracks", "pairs"): 7_327,
         ("tracks", "past the gate"): 5_359,
-        ("tracks", "projections"): 2 * 5_359 + 666,
+        ("tracks", "projections"): 2 * 5_359 + 935,
     }
+
+
+def test_scored_segments_keep_only_their_fields_and_cached_properties(noisy_scene, monkeypatch):
+    # per-segment scoring work lives in the records of one pass, so every
+    # proposal, every track entering remerge and every track built holds
+    # nothing beyond its dataclass fields and cached properties afterwards
+    _, inp = noisy_scene
+    segments = []
+    select, remerge, build = pipeline._select_best, tracks.remerge_tracks, pipeline.build_tracks
+
+    def selected(proposals, *args):
+        segments.extend(cand.segment for cand, _ in proposals)
+        return select(proposals, *args)
+
+    def remerged(found, *args):
+        segments.extend(t.segment for t in found)
+        return remerge(found, *args)
+
+    def built(*args):
+        found = build(*args)
+        segments.extend(t.segment for t in found)
+        return found
+
+    monkeypatch.setattr(pipeline, "_select_best", selected)
+    monkeypatch.setattr(tracks, "remerge_tracks", remerged)
+    monkeypatch.setattr(pipeline, "build_tracks", built)
+    run_pipeline(inp, PipelineConfig(optimize=False))
+    allowed = {f.name for f in dataclasses.fields(Segment3D)}
+    allowed |= {k for k, v in vars(Segment3D).items() if isinstance(v, cached_property)}
+    assert len(segments) > 9_695
+    assert sorted({k for seg in segments for k in vars(seg)} - allowed) == []
 
 
 def test_noisy_scene_maps_without_a_floating_point_event(noisy_scene):

@@ -19,13 +19,14 @@ from linemap.geometry import (
 )
 from linemap.scoring import (
     angular_distance,
+    hypothesis,
     innerseg_distance,
-    innerseg_scale,
     mutual_overlap,
     normalize_distance,
     overlap_ratio,
     perpendicular_distance_2d,
     perspective_distance,
+    proposal,
     selection_pair_score,
     track_pair_score,
 )
@@ -44,6 +45,16 @@ def seg3(a, b):
 
 def seg2(a, b):
     return Segment2D(np.asarray(a, float), np.asarray(b, float))
+
+
+def selection(a, b, ref, view_a, view_b, config=PipelineConfig()):
+    """Selection score of ``a`` and ``b``, generated in their views for a detection of ``ref``."""
+    return selection_pair_score(proposal(a, view_a, ref), proposal(b, view_b, ref), config)
+
+
+def track(a, view_a, b, view_b, config=PipelineConfig()):
+    """Track score of ``a`` and ``b``, owned by their views."""
+    return track_pair_score(hypothesis(a, view_a), hypothesis(b, view_b), config)
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +96,15 @@ def test_perspective_distance_scales_by_ray_depth():
     a = seg3([0, 0, 2], [0, 1, 2])
     # same rays, pushed along them by 1%
     b = seg3([0, 0, 2.02], [0, 1.01, 2.02])
-    d = perspective_distance(a, b, view)
+    d = perspective_distance(proposal(a, view, view), proposal(b, view, view))
     # each segment scales the endpoint distances by its own ray depths
     d_start, d_end = 0.02, np.linalg.norm(b.end - a.end)
     by_a = max(d_start / np.linalg.norm(a.start), d_end / np.linalg.norm(a.end))
     by_b = max(d_start / np.linalg.norm(b.start), d_end / np.linalg.norm(b.end))
     assert d == pytest.approx(0.5 * (by_a + by_b), rel=1e-12)
     assert by_b < by_a  # b lies farther along the rays
-    assert perspective_distance(b, a, view) == d  # symmetric bit for bit
+    # symmetric bit for bit
+    assert perspective_distance(proposal(b, view, view), proposal(a, view, view)) == d
 
 
 def test_overlap_ratio_hand_case():
@@ -174,7 +186,10 @@ def test_innerseg_scale_uses_min_depth_over_focal():
     vb = identity_view(f=300.0)
     a = seg3([0, 0, 6], [1, 0, 6])
     b = seg3([0, 0, 9], [1, 0, 9])
-    assert innerseg_scale(a, va, b, vb) == pytest.approx(min(6 / 600, 9 / 300))
+    # each record holds its own midpoint depth over focal length; the track
+    # score divides by the smaller one, as the reference does
+    assert hypothesis(a, va).scale == pytest.approx(6 / 600)
+    assert hypothesis(b, vb).scale == pytest.approx(9 / 300)
 
 
 def test_float_projection_matches_project_segment():
@@ -214,14 +229,14 @@ def test_a_segment_along_a_viewing_ray_scores_zero():
     a = seg3([0, 0, 2], [0, 0, 4])
     b = seg3([0, 0, 2.05], [0, 0, 4.1])
     assert project_floats(a, axis) is None
-    assert track_pair_score(a, other, b, side) > 0.0
+    assert track(a, other, b, side) > 0.0
     for args in ((a, axis, b, side), (b, side, a, axis)):
-        assert track_pair_score(*args) == 0.0
+        assert track(*args) == 0.0
         assert reference_track_pair_score(*args) == 0.0
     near = seg3([0, 0, 2.001], [0, 0, 4.002])
-    assert selection_pair_score(a, near, side, other, side) > 0.0
+    assert selection(a, near, side, other, side) > 0.0
     for views in ((axis, side), (side, axis)):
-        assert selection_pair_score(a, near, side, *views) == 0.0
+        assert selection(a, near, side, *views) == 0.0
         assert reference_selection_pair_score(a, near, side, *views) == 0.0
 
 
@@ -258,8 +273,8 @@ def test_identical_proposals_score_one():
     ref = make_view([0.0, 0.0, -4.0])
     va, vb = two_views()
     a = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])
-    assert selection_pair_score(a, a, ref, va, vb) == pytest.approx(1.0)
-    assert track_pair_score(a, va, a, vb) == pytest.approx(1.0)
+    assert selection(a, a, ref, va, vb) == pytest.approx(1.0)
+    assert track(a, va, a, vb) == pytest.approx(1.0)
 
 
 def test_pair_score_is_symmetric():
@@ -269,11 +284,11 @@ def test_pair_score_is_symmetric():
     for _ in range(30):
         a = seg3(rng.uniform(-0.6, 0.6, 3), rng.uniform(-0.6, 0.6, 3))
         b = seg3(a.start + rng.normal(scale=0.01, size=3), a.end + rng.normal(scale=0.01, size=3))
-        s_ab = selection_pair_score(a, b, ref, va, vb)
-        s_ba = selection_pair_score(b, a, ref, vb, va)
+        s_ab = selection(a, b, ref, va, vb)
+        s_ba = selection(b, a, ref, vb, va)
         assert s_ab == s_ba  # exact: proposal selection scores each pair once
-        t_ab = track_pair_score(a, va, b, vb)
-        t_ba = track_pair_score(b, vb, a, va)
+        t_ab = track(a, va, b, vb)
+        t_ba = track(b, vb, a, va)
         assert t_ab == t_ba  # exact: the inner-segment feet pair up in either order
 
 
@@ -284,7 +299,7 @@ def test_pair_score_range():
     for _ in range(100):
         a = seg3(rng.uniform(-0.7, 0.7, 3), rng.uniform(-0.7, 0.7, 3))
         b = seg3(rng.uniform(-0.7, 0.7, 3), rng.uniform(-0.7, 0.7, 3))
-        for s in (selection_pair_score(a, b, ref, va, vb), track_pair_score(a, va, b, vb)):
+        for s in (selection(a, b, ref, va, vb), track(a, va, b, vb)):
             assert s == 0.0 or 0.5 <= s <= 1.0
 
 
@@ -293,7 +308,7 @@ def test_wildly_different_proposals_score_zero():
     va, vb = two_views()
     a = seg3([-0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
     b = seg3([0.0, -0.5, 0.4], [0.1, 0.5, 0.4])  # nearly perpendicular, displaced
-    assert track_pair_score(a, va, b, vb) == 0.0
+    assert track(a, va, b, vb) == 0.0
 
 
 def test_scores_are_scale_invariant():
@@ -311,13 +326,13 @@ def test_scores_are_scale_invariant():
 
             a1 = seg3(a0.start * s, a0.end * s)
             b1 = seg3(b0.start * s, b0.end * s)
-            s0 = selection_pair_score(a0, b0, ref0, va0, vb0, cfg)
-            s1 = selection_pair_score(
+            s0 = selection(a0, b0, ref0, va0, vb0, cfg)
+            s1 = selection(
                 a1, b1, scale_view(ref0), scale_view(va0), scale_view(vb0), cfg
             )
             assert s1 == pytest.approx(s0, abs=1e-9)
-            t0 = track_pair_score(a0, va0, b0, vb0, cfg)
-            t1 = track_pair_score(a1, scale_view(va0), b1, scale_view(vb0), cfg)
+            t0 = track(a0, va0, b0, vb0, cfg)
+            t1 = track(a1, scale_view(va0), b1, scale_view(vb0), cfg)
             assert t1 == pytest.approx(t0, abs=1e-9)
 
 
@@ -334,11 +349,11 @@ def test_behind_camera_scores_zero():
     a = seg3([-0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
     va, _ = two_views()
     cut = cutting_view(-0.2, +1.0)
-    assert innerseg_scale(a, va, a, cut) > 0
+    assert hypothesis(a, cut).scale > 0
     assert project_segment(a, cut) is None
-    assert track_pair_score(a, va, a, va) == pytest.approx(1.0)
-    assert track_pair_score(a, va, a, cut) == 0.0
-    assert track_pair_score(a, cut, a, va) == 0.0
+    assert track(a, va, a, va) == pytest.approx(1.0)
+    assert track(a, va, a, cut) == 0.0
+    assert track(a, cut, a, va) == 0.0
     assert reference_track_pair_score(a, va, a, cut) == 0.0
 
 
@@ -349,12 +364,12 @@ def test_selection_score_is_zero_when_a_projection_is_none():
     # the two ends) has exactly one of them behind it
     a = seg3([-0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
     b = seg3([-0.46, 0.0, 0.0], [0.54, 0.0, 0.0])
-    assert selection_pair_score(a, b, ref, va, vb) > 0.0
+    assert selection(a, b, ref, va, vb) > 0.0
     for cut, behind in ((cutting_view(-0.48, +1.0), a), (cutting_view(0.52, -1.0), b)):
         assert [project_segment(s, cut) is None for s in (a, b)] == [s is behind for s in (a, b)]
         for views in ((cut, vb), (va, cut)):
-            assert selection_pair_score(a, b, ref, *views) == 0.0
-            assert selection_pair_score(b, a, ref, *views[::-1]) == 0.0
+            assert selection(a, b, ref, *views) == 0.0
+            assert selection(b, a, ref, *views[::-1]) == 0.0
             assert reference_selection_pair_score(a, b, ref, *views) == 0.0
 
 
@@ -365,8 +380,8 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
     projections = scoring._projections
     ends = []
 
-    def recorded(a, b, view_a, view_b):
-        pairs = projections(a, b, view_a, view_b)
+    def recorded(a, b):
+        pairs = projections(a, b)
         ends.append("behind" if pairs is None else "projected")
         return pairs
 
@@ -390,10 +405,10 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
             # a camera beside a, between its start and midpoint, looking along it
             beside = a.start + rng.uniform(0.05, 0.45) * (a.end - a.start) + rng.normal(0, 0.05, 3)
             va = make_view(beside, target=beside + a.direction)
-        s = selection_pair_score(a, b, ref, va, vb, cfg)
+        s = selection(a, b, ref, va, vb, cfg)
         outcomes["selection", *outcome(s)] += 1
         assert s == reference_selection_pair_score(a, b, ref, va, vb, cfg)
-        t = track_pair_score(a, va, b, vb, cfg)
+        t = track(a, va, b, vb, cfg)
         outcomes["track", *outcome(t)] += 1
         assert t == reference_track_pair_score(a, va, b, vb, cfg)
     for kind in ("selection", "track"):
@@ -401,55 +416,3 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
         assert outcomes[kind, "behind", False] >= 20
         assert outcomes[kind, "projected", True] >= 20
 
-
-def test_pair_scores_equal_the_reference_when_segments_meet_views_again(monkeypatch):
-    # a small pool of segments scored in shuffled pairs: each segment meets
-    # again the views it was last projected into (cache hits) and switches
-    # between distinct view objects, two of them with one pose, and a camera
-    # beside the pool that has some segments behind it
-    project = scoring.project_floats
-    calls = Counter()
-
-    def counted(seg, view):
-        calls["projections"] += 1
-        projected = project(seg, view)
-        calls["behind"] += projected is None
-        return projected
-
-    monkeypatch.setattr(scoring, "project_floats", counted)
-    rng = np.random.default_rng(45)
-    cfg = PipelineConfig()
-    base = seg3([-0.5, 0.1, 0.3], [0.6, 0.2, -0.2])
-    pool = [base] + [
-        seg3(base.start + rng.normal(scale=s, size=3), base.end + rng.normal(scale=s, size=3))
-        for s in (0.0005, 0.002, 0.005, 0.01, 0.02, 0.05, 0.3)
-    ]
-    views = [make_view(normalized(rng.normal(size=3)) * rng.uniform(1.5, 4.0)) for _ in range(4)]
-    twin = views[0]
-    views.append(CameraView(twin.K, twin.R, twin.t, twin.width, twin.height))
-    beside = base.start + 0.3 * (base.end - base.start)
-    views.append(make_view(beside, target=beside + base.direction))
-    outcomes = Counter()
-
-    def scored(kind, score, *args):
-        before = calls["projections"]
-        s = score(*args)
-        made = calls["projections"] - before
-        # gated pairs project nothing; the rest project 2 cross and 0 to 2 own
-        assert made == 0 or 2 <= made <= 4
-        outcomes[kind, s > 0] += 1
-        outcomes[kind, "own reused"] += 4 - made if made else 0
-        outcomes[kind, "own projected"] += made - 2 if made else 0
-        return s
-
-    for _ in range(1500):
-        a, b = (pool[i] for i in rng.choice(len(pool), size=2, replace=False))
-        ref, va, vb = (views[i] for i in rng.integers(len(views), size=3))
-        s = scored("selection", selection_pair_score, a, b, ref, va, vb, cfg)
-        assert s == reference_selection_pair_score(a, b, ref, va, vb, cfg)
-        t = scored("track", track_pair_score, a, va, b, vb, cfg)
-        assert t == reference_track_pair_score(a, va, b, vb, cfg)
-    for kind in ("selection", "track"):
-        for key in (True, False, "own reused", "own projected"):
-            assert outcomes[kind, key] >= 100
-    assert calls["behind"] >= 50

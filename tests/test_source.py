@@ -2,8 +2,9 @@
 
 Every config key is read by the pipeline and documented in README, every
 field of the synthetic and refinement configs is set by some call, every
-imported name is used, and neither the pair scores nor the two-view
-triangulation of a match makes a BLAS call.
+imported name is used, no object's ``__dict__`` is written, and neither
+the pair scores nor the two-view triangulation of a match makes a BLAS
+call.
 """
 
 import ast
@@ -96,6 +97,47 @@ def _definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     yield f"{node.name}.{item.name}", item
+
+
+def _writes_object_dict(node):
+    """A store into ``x.__dict__`` or ``vars(x)``, by subscript or by a mutating call."""
+
+    def is_dict(value):
+        return (isinstance(value, ast.Attribute) and value.attr == "__dict__") or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) == "vars"
+        )
+
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return is_dict(node.value)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("__setitem__", "update", "setdefault", "pop", "popitem", "clear")
+        and is_dict(node.func.value)
+    )
+
+
+def _scoped_nodes(tree, where="<module>"):
+    """Every node below ``tree`` with the qualified name of the definition around it."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if where == "<module>" else f"{where}.{child.name}"
+            yield from _scoped_nodes(child, inner)
+        else:
+            yield where, child
+            yield from _scoped_nodes(child, where)
+
+
+def test_no_object_dict_is_written():
+    # work derived from an object is a cached property of its class or a
+    # value its caller holds, never an entry stored into its __dict__
+    writes = [
+        f"{name[:-3]}.{where}:{node.lineno}"
+        for name, tree in TREES.items()
+        for where, node in _scoped_nodes(tree)
+        if _writes_object_dict(node)
+    ]
+    assert writes == []
 
 
 # the per-pair float code that scoring.py reads from geometry.py
