@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS, CameraView, Segment2D, leading_sign, normalized, point_segment_distances
+from .geometry import (
+    EPS,
+    CameraView,
+    Segment2D,
+    distinct_index_pairs,
+    leading_sign,
+    normalized,
+    point_segment_distances,
+)
 from .tracks import UnionFind
 
 
@@ -49,9 +57,8 @@ def vp_line_residual(segment: Segment2D, vp: np.ndarray) -> float:
     return float(_vp_residuals(*rows, vp)[0])
 
 
-def _refine_vp(segments: list[Segment2D], idx) -> np.ndarray:
-    rows = np.stack([segments[i].infinite_line for i in idx])
-    _, _, vt = np.linalg.svd(rows)
+def _refine_vp(lines: np.ndarray) -> np.ndarray:
+    _, _, vt = np.linalg.svd(lines)
     return vt[-1]
 
 
@@ -94,32 +101,35 @@ def estimate_vps(
     first one on ties), and refines it on its inliers (null vector of the
     stacked line equations).  A round's hypotheses are scored together as
     one residual matrix; a pair with identical supporting lines counts no
-    support.  A model needs two segments, so ``min_support`` below 2 counts
-    as 2.  Deterministic for a fixed seed.
+    support.  A round draws its pairs in one generator call
+    (:func:`~linemap.geometry.distinct_index_pairs`).  A model needs two
+    segments, so ``min_support`` below 2 counts as 2.  Deterministic for a
+    fixed seed.
     """
     min_support = max(min_support, 2)
     rng = np.random.default_rng(seed)
     n = len(segments)
     assignment = np.full(n, -1, dtype=np.int64)
     if n:
-        lines = np.stack([s.infinite_line for s in segments])
-        mids_h = np.stack([np.append(s.midpoint, 1.0) for s in segments])
-        starts_h = np.stack([np.append(s.start, 1.0) for s in segments])
-        ends_h = np.stack([np.append(s.end, 1.0) for s in segments])
+        # homogeneous endpoints (x, y, 1) and lines from the float records
+        planar = [s.floats for s in segments]
+        lines = np.array([p.line for p in planar])
+        starts_h = np.array([p.start for p in planar])
+        ends_h = np.array([p.end for p in planar])
+        mids_h = 0.5 * (starts_h + ends_h)
     remaining = np.arange(n)
     vps: list[np.ndarray] = []
 
     while len(remaining) >= min_support and len(vps) < max_models:
         rm, rs, re = mids_h[remaining], starts_h[remaining], ends_h[remaining]
-        draws = [rng.choice(len(remaining), size=2, replace=False) for _ in range(iterations)]
-        pairs = remaining[np.array(draws, dtype=np.int64).reshape(-1, 2)]
+        pairs = remaining[distinct_index_pairs(rng, len(remaining), iterations)]
         cand = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
         inliers = _vp_residuals(rm, rs, re, cand) <= inlier_px
         counts = inliers.sum(axis=1)
         counts[np.sqrt(np.einsum("ij,ij->i", cand, cand)) < EPS] = 0  # identical supporting lines
         if counts.size == 0 or counts.max() < min_support:
             break
-        vp = _refine_vp(segments, remaining[inliers[np.argmax(counts)]])
+        vp = _refine_vp(lines[remaining[inliers[np.argmax(counts)]]])
         inl = remaining[_vp_residuals(rm, rs, re, vp) <= inlier_px]
         if len(inl) < min_support:
             break

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraView, Segment2D, Segment3D, principal_line, sample_segment
+from .geometry import (
+    CameraView,
+    Segment2D,
+    Segment3D,
+    distinct_index_pairs,
+    principal_line,
+    sample_segment,
+)
 
 __all__ = [
     "DepthMap",
@@ -140,8 +147,7 @@ def fit_segment_to_depth(
     best_count = -1
     best_mask = None
     best_line = None
-    for _ in range(_ITERATIONS):
-        i, j = rng.choice(n, size=2, replace=False)
+    for i, j in distinct_index_pairs(rng, n, _ITERATIONS).tolist():
         d = points[j] - points[i]
         nd = np.linalg.norm(d)
         if nd < 1e-12:

@@ -627,6 +627,29 @@ def trimmed_extent(ts) -> tuple[float, float] | None:
     return lo, hi
 
 
+def distinct_index_pairs(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """``k`` minimal samples of two distinct indices below ``n``, as a ``(k, 2)`` array.
+
+    Row ``i`` equals the ``i``-th of ``k`` successive ``rng.choice(n, size=2,
+    replace=False)`` calls, and ``rng`` is left in the same state, with one
+    generator call.  For two of ``n`` that call runs Floyd's algorithm: a
+    first index below ``n - 1``, a second below ``n`` that becomes ``n - 1``
+    when it repeats the first, then one step of a Fisher-Yates shuffle that
+    swaps the two when its draw below 2 is 0.  The three draws of a sample are
+    the same bounded (Lemire) draws that ``integers`` makes, in the same
+    order.
+
+    Raises:
+        ValueError: if ``n < 2``.
+    """
+    if n < 2:
+        raise ValueError(f"cannot draw two distinct indices below {n}")
+    first, second, shuffle = rng.integers(0, [n - 1, n, 2], size=(k, 3)).T
+    second = np.where(second == first, n - 1, second)
+    swap = shuffle == 0
+    return np.stack([np.where(swap, second, first), np.where(swap, first, second)], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # minimal orthonormal parameterization
 # ---------------------------------------------------------------------------

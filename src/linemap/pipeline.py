@@ -44,7 +44,7 @@ from .optimize import (
     soft_point_line_weights,
     vp_orthogonal_pairs,
 )
-from .scoring import proposal, selection_pair_score
+from .scoring import proposal_block, selection_pair_score
 from .tracks import LineTrack, TrackCandidate, build_tracks
 from .triangulation import (
     DegenerateTriangulationError,
@@ -159,45 +159,61 @@ def _detection_proposals(
 
 
 def _select_best(
-    proposals: list[tuple[TrackCandidate, int]],
+    proposals: list[list[tuple[TrackCandidate, int]]],
     ref_view: CameraView,
     views: dict[int, CameraView],
     config: PipelineConfig,
-) -> TrackCandidate | None:
-    """Keep the proposal best supported by proposals from other images.
+) -> list[TrackCandidate | None]:
+    """For each detection of one reference image, the proposal best supported
+    by proposals from other images, or None.
 
-    A proposal's support is the sum, over the other generating images, of
-    its best pair score against that image's proposals; ties keep the first
-    proposal.  Each proposal is scored through one record, measured in the
-    image that generated it.  The pair score is symmetric bit for bit, so
-    each cross-image pair is scored once.
+    ``proposals[d]`` lists detection ``d``'s proposals with their generating
+    images.  A proposal's support is the sum, over the other generating
+    images of its detection in order of first appearance, of its best pair
+    score against that image's proposals; ties keep the first proposal.
+    The image's pairs are scored as one block, each proposal measured in
+    the image that generated it.  The pair score is symmetric bit for bit,
+    so each cross-image pair is scored once.
     """
-    if not proposals:
-        return None
-    n = len(proposals)
-    by_img: dict[int, list[int]] = {}
-    for idx, (_, gen) in enumerate(proposals):
-        by_img.setdefault(gen, []).append(idx)
-    records = [proposal(cand.segment, views[gen], ref_view) for cand, gen in proposals]
-    scores = [[0.0] * n for _ in range(n)]
-    for a, (_, gen_a) in enumerate(proposals):
-        for b in range(a + 1, n):
-            if gen_a != proposals[b][1]:
-                scores[a][b] = scores[b][a] = selection_pair_score(records[a], records[b], config)
-    best_idx = -1
-    best_score = -1.0
-    for idx, (_, gen) in enumerate(proposals):
-        row = scores[idx]
-        total = 0.0
-        for j, others in by_img.items():
-            if j != gen:
-                total += max(row[oi] for oi in others)
-        if total > best_score:
-            best_score = total
-            best_idx = idx
-    if best_score >= config.accept_threshold:
-        return proposals[best_idx][0]
-    return None
+    flat = [p for det in proposals for p in det]
+    if not flat:
+        return [None] * len(proposals)
+    first: list[int] = []
+    second: list[int] = []
+    column: list[int] = []  # rank of each proposal's generating image within its detection
+    offset = 0
+    for det in proposals:
+        ranks: dict[int, int] = {}
+        cols = [ranks.setdefault(gen, len(ranks)) for _, gen in det]
+        for a, col_a in enumerate(cols):
+            for b in range(a + 1, len(cols)):
+                if cols[b] != col_a:
+                    first.append(offset + a)
+                    second.append(offset + b)
+        column += cols
+        offset += len(det)
+    a, b, cols = (np.array(x, dtype=np.intp) for x in (first, second, column))
+    block = proposal_block([c.segment for c, _ in flat], [g for _, g in flat], views, ref_view)
+    scores = selection_pair_score(block, a, b, config)
+    # best[i, r]: proposal i's best score against the r-th generating image of
+    # its detection; its own image's column stays 0.0, which adds nothing
+    best = np.zeros((len(flat), int(cols.max()) + 1))
+    np.maximum.at(best, (a, cols[b]), scores)
+    np.maximum.at(best, (b, cols[a]), scores)
+    support = best[:, 0]
+    for r in range(1, best.shape[1]):
+        support = support + best[:, r]  # one image at a time, as a sequential sum
+    support = support.tolist()
+    selected: list[TrackCandidate | None] = []
+    offset = 0
+    for det in proposals:
+        if det:
+            idx = max(range(offset, offset + len(det)), key=support.__getitem__)
+            selected.append(flat[idx][0] if support[idx] >= config.accept_threshold else None)
+        else:
+            selected.append(None)
+        offset += len(det)
+    return selected
 
 
 def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
@@ -242,6 +258,10 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     for img in images:
         view = views[img]
         rows = data.matches.get(img, []) if data.matches else []
+        # triangulate every detection's proposals, then select within the image
+        # at once: selection never feeds back into proposal generation
+        img_proposals: list[list[tuple[TrackCandidate, int]]] = []
+        img_matches: list[list[Node]] = []
         for di in range(len(data.detections[img])):
             node = (img, di)
             rays = ray_floats[node]
@@ -268,10 +288,13 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
                 vp_cam.get(det_vp.get(node)),
             )
             n_proposals += len(proposals)
-            best = _select_best(proposals, view, views, config)
+            img_proposals.append(proposals)
+            img_matches.append([mn for mn, _ in kept])
+        selected = _select_best(img_proposals, view, views, config)
+        for di, (best, matched) in enumerate(zip(selected, img_matches)):
             if best is not None:
-                candidates[node] = best
-                all_edges.extend((node, mn) for mn, _ in kept)
+                candidates[(img, di)] = best
+                all_edges.extend(((img, di), mn) for mn in matched)
 
     tracks = build_tracks(candidates, all_edges, views, config)
 

@@ -395,10 +395,11 @@ def reference_inlier_percentage(pred, gt, tau, spacing, aggregate="mean"):
 # Both pair scores as the minimum over every component, with the pair
 # projected into both views before any component is read, and every distance
 # and scale computed fresh from the segments and ``view.K``, ``view.R`` and
-# ``view.t``.  ``linemap.scoring`` returns 0 as soon as the 3D components give
-# 0 and reads each segment's own-view projection and scale from a record built
-# once per pass, which must not change a bit.  Projections, depths and 3D
-# distances are computed here on Python floats, each dot product summed as
+# ``view.t``, one pair at a time.  ``linemap.scoring`` returns 0 as soon as the
+# 3D components give 0, reads each segment's own-view projection and scale from
+# a record built once per pass (track scores) and scores selection pairs as rows
+# of one array block, none of which must change a bit.  Projections, depths and
+# 3D distances are computed here on Python floats, each dot product summed as
 # ``(a0*b0 + a1*b1) + a2*b2``.
 
 

@@ -13,6 +13,7 @@ from linemap.geometry import (
     acute_angle,
     closest_point_line_to_line,
     cross3,
+    distinct_index_pairs,
     minimal_to_plucker,
     normalized,
     plucker_from_segment,
@@ -411,3 +412,22 @@ def test_cross3_equals_np_cross_bit_for_bit():
         ref = np.cross(x, y)
         assert got.dtype == ref.dtype and got.shape == ref.shape == (3,)
         assert got.tobytes() == ref.tobytes()  # equal bits, signed zeros included
+
+
+@pytest.mark.parametrize("n", [2, 3, 58, 5000, 2**31 + 7])
+def test_distinct_index_pairs_equal_successive_choice_calls(n):
+    # the same pairs and the same generator state afterwards, so a caller
+    # that draws its pairs up front keeps every later draw
+    for seed in range(100):
+        for k in (0, 1, 7, 500):
+            loop, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [loop.choice(n, size=2, replace=False).tolist() for _ in range(k)]
+            got = distinct_index_pairs(batch, n, k)
+            assert got.shape == (k, 2) and got.dtype == np.int64
+            assert got.tolist() == want
+            assert batch.bit_generator.state == loop.bit_generator.state
+
+
+def test_distinct_index_pairs_need_two_indices():
+    with pytest.raises(ValueError):
+        distinct_index_pairs(np.random.default_rng(0), 1, 3)

@@ -14,7 +14,6 @@ from linemap.geometry import CameraView, Segment2D, Segment3D, acute_angle
 from linemap.metrics import evaluate_segments
 from linemap.optimize import OptimizeConfig
 from linemap.pipeline import PipelineInput, compute_neighbors, run_pipeline
-from linemap.scoring import proposal
 from linemap.synthetic import (
     ObservationConfig,
     SceneConfig,
@@ -25,7 +24,7 @@ from linemap.synthetic import (
 from linemap.tracks import TrackCandidate
 from linemap.triangulation import TriangulationError
 
-from support import identity_view
+from support import identity_view, reference_selection_pair_score
 
 
 @pytest.fixture(scope="module")
@@ -127,47 +126,58 @@ def test_opt_max_iterations_caps_joint_refinement(clean_scene, monkeypatch):
 
 
 def test_select_best_scores_each_cross_image_pair_once(monkeypatch):
-    gens = [1, 2, 2, 3, 1]
+    # two detections of one image: their proposals form one block, and only
+    # pairs of one detection from different generating images are scored
+    gens = [[1, 2, 2, 3, 1], [2, 2], [], [3, 1]]
     proposals = [
-        (TrackCandidate(Segment3D(np.array([i, 0.0, 5.0]), np.array([i, 1.0, 5.0]))), gen)
-        for i, gen in enumerate(gens)
+        [
+            (TrackCandidate(Segment3D(np.array([i, d, 5.0]), np.array([i, d + 1.0, 5.0]))), gen)
+            for i, gen in enumerate(det)
+        ]
+        for d, det in enumerate(gens)
     ]
-    index = {id(cand.segment.floats): i for i, (cand, _) in enumerate(proposals)}
-    views = {g: identity_view(f=600.0 + g) for g in gens}
-    pairs = []
+    flat_gens = [gen for det in gens for gen in det]
+    views = {g: identity_view(f=600.0 + g) for g in flat_gens}
+    blocks, pairs = [], []
 
-    def score(a, b, config):
-        ia, ib = index[id(a.floats)], index[id(b.floats)]
+    def score(block, first, second, config):
         # each proposal is measured in the image that generated it
-        assert (a.view, b.view) == (views[gens[ia]], views[gens[ib]])
-        pairs.append(frozenset((ia, ib)))
-        return 0.75
+        assert [row.tolist() for row in block.kr] == [views[g].floats.kr for g in flat_gens]
+        blocks.append(block)
+        pairs.extend(frozenset(p) for p in zip(first.tolist(), second.tolist()))
+        return np.full(len(first), 0.75)
 
     monkeypatch.setattr(pipeline, "selection_pair_score", score)
     best = pipeline._select_best(proposals, identity_view(), views, PipelineConfig())
+    assert len(blocks) == 1
     cross = {
         frozenset((a, b))
-        for a in range(len(gens))
-        for b in range(a + 1, len(gens))
-        if gens[a] != gens[b]
+        for a in range(5)
+        for b in range(a + 1, 5)
+        if gens[0][a] != gens[0][b]
     }
-    assert len(pairs) == len(cross) == 8
-    assert set(pairs) == cross
-    # every proposal sums 0.75 from each of two other images: the first one wins the tie
-    assert best is proposals[0][0]
+    assert len(pairs) == len(cross) + 1 == 9
+    assert set(pairs) == cross | {frozenset((7, 8))}
+    # in the first detection every proposal sums 0.75 from each of two other
+    # images: the first one wins the tie; the second detection has one
+    # generating image and no support, the third no proposal
+    assert [id(b) for b in best] == [id(w) for w in (proposals[0][0][0], None, None, None)]
+    config = PipelineConfig(accept_threshold=0.75)
+    best = pipeline._select_best(proposals, identity_view(), views, config)
+    want = [proposals[0][0][0], None, None, proposals[3][0][0]]
+    assert [id(b) for b in best] == [id(w) for w in want]
 
 
 def _select_best_reference(proposals, ref_view, views, config):
-    """The selection rule as a plain loop that scores each pair in both directions."""
+    """The selection rule as a plain loop over one detection's proposals that
+    scores each pair in both directions with the reference pair score."""
     best, best_score = None, -1.0
     for cand, gen in proposals:
         per_image = {}
         for other, j in proposals:
             if j != gen:
-                s = pipeline.selection_pair_score(
-                    proposal(cand.segment, views[gen], ref_view),
-                    proposal(other.segment, views[j], ref_view),
-                    config,
+                s = reference_selection_pair_score(
+                    cand.segment, other.segment, ref_view, views[gen], views[j], config
                 )
                 per_image[j] = max(per_image.get(j, 0.0), s)
         total = sum(per_image.values())
@@ -182,8 +192,9 @@ def test_select_best_matches_the_two_direction_loop(clean_scene, monkeypatch):
 
     def checked(proposals, ref_view, views, config):
         best = select(proposals, ref_view, views, config)
-        assert best is _select_best_reference(proposals, ref_view, views, config)
-        accepted.append(best is not None)
+        want = [_select_best_reference(det, ref_view, views, config) for det in proposals]
+        assert [id(b) for b in best] == [id(w) for w in want]
+        accepted.extend(b is not None for b in best)
         return best
 
     monkeypatch.setattr(pipeline, "_select_best", checked)
@@ -303,55 +314,75 @@ def test_each_relative_pose_is_computed_once_per_run(noisy_scene, monkeypatch):
 
 
 def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatch):
-    # each record projects its segment into its own view once, when it is
-    # built; a pair whose 3D components give 0 projects nothing, and any other
+    # each selection block projects every proposal into its generating view
+    # once, when it is built, and each track record its segment into its own
+    # view; a pair whose 3D components give 0 projects nothing, and any other
     # pair projects each segment into the other's view
     _, inp = noisy_scene
     counts = Counter()
     made = []  # projections made by each open builder or pair score
-    projection = scoring.project_floats
+    projection, project_rows = scoring.project_floats, scoring._project_rows
 
     def counted_projection(seg, view):
         made[-1].append((id(seg), id(view)))
         return projection(seg, view)
 
-    def built(phase, build):
-        def wrapper(seg, view, *ref_view):
-            made.append([])
-            record = build(seg, view, *ref_view)
-            assert made.pop() == [(id(seg), id(view))]
-            counts[phase, "records"] += 1
-            counts[phase, "projections"] += 1
-            return record
+    def counted_rows(start, end, kr, kt):
+        made[-1].append(len(start))
+        return project_rows(start, end, kr, kt)
 
-        return wrapper
+    def built_block(segments, *args):
+        made.append([])
+        block = scoring.proposal_block(segments, *args)
+        assert made.pop() == [len(segments)]
+        counts["selection", "records"] += len(segments)
+        counts["selection", "projections"] += len(segments)
+        return block
 
-    def scored(phase, score):
-        def wrapper(a, b, config):
-            made.append([])
-            s = score(a, b, config)
-            pair = made.pop()
-            counts[phase, "pairs"] += 1
-            if pair:
-                assert pair == [(id(b), id(a.view)), (id(a), id(b.view))]
-                counts[phase, "past the gate"] += 1
-                counts[phase, "projections"] += len(pair)
-            return s
+    def scored_block(block, first, second, config):
+        made.append([])
+        s = scoring.selection_pair_score(block, first, second, config)
+        rows = made.pop()
+        counts["selection", "blocks"] += 1
+        counts["selection", "pairs"] += len(first)
+        # b into a's view and a into b's view, for the same rows
+        assert len(rows) == 2 and rows[0] == rows[1]
+        counts["selection", "past the gate"] += rows[0]
+        counts["selection", "projections"] += sum(rows)
+        return s
 
-        return wrapper
+    def built(seg, view):
+        made.append([])
+        record = scoring.hypothesis(seg, view)
+        assert made.pop() == [(id(seg), id(view))]
+        counts["tracks", "records"] += 1
+        counts["tracks", "projections"] += 1
+        return record
+
+    def scored(a, b, config):
+        made.append([])
+        s = scoring.track_pair_score(a, b, config)
+        pair = made.pop()
+        counts["tracks", "pairs"] += 1
+        if pair:
+            assert pair == [(id(b), id(a.view)), (id(a), id(b.view))]
+            counts["tracks", "past the gate"] += 1
+            counts["tracks", "projections"] += len(pair)
+        return s
 
     monkeypatch.setattr(scoring, "project_floats", counted_projection)
-    monkeypatch.setattr(pipeline, "proposal", built("selection", scoring.proposal))
-    selection = scored("selection", scoring.selection_pair_score)
-    monkeypatch.setattr(pipeline, "selection_pair_score", selection)
-    monkeypatch.setattr(tracks, "hypothesis", built("tracks", scoring.hypothesis))
-    monkeypatch.setattr(tracks, "track_pair_score", scored("tracks", scoring.track_pair_score))
+    monkeypatch.setattr(scoring, "_project_rows", counted_rows)
+    monkeypatch.setattr(pipeline, "proposal_block", built_block)
+    monkeypatch.setattr(pipeline, "selection_pair_score", scored_block)
+    monkeypatch.setattr(tracks, "hypothesis", built)
+    monkeypatch.setattr(tracks, "track_pair_score", scored)
     result = run_pipeline(inp, PipelineConfig(optimize=False))
-    # one selection record per proposal; one track record per accepted
-    # candidate and one per track entering remerge
+    # one selection block per image, one row per proposal; one track record
+    # per accepted candidate and one per track entering remerge
     assert result.stats["proposals"] == 9_695
     assert result.stats["accepted"] == 895
     assert counts == {
+        ("selection", "blocks"): 16,
         ("selection", "records"): 9_695,
         ("selection", "pairs"): 42_698,
         ("selection", "past the gate"): 22_444,
@@ -372,7 +403,7 @@ def test_scored_segments_keep_only_their_fields_and_cached_properties(noisy_scen
     select, remerge, build = pipeline._select_best, tracks.remerge_tracks, pipeline.build_tracks
 
     def selected(proposals, *args):
-        segments.extend(cand.segment for cand, _ in proposals)
+        segments.extend(cand.segment for det in proposals for cand, _ in det)
         return select(proposals, *args)
 
     def remerged(found, *args):

@@ -26,7 +26,7 @@ from linemap.scoring import (
     overlap_ratio,
     perpendicular_distance_2d,
     perspective_distance,
-    proposal,
+    proposal_block,
     selection_pair_score,
     track_pair_score,
 )
@@ -47,9 +47,15 @@ def seg2(a, b):
     return Segment2D(np.asarray(a, float), np.asarray(b, float))
 
 
+def pair_block(a, b, ref, view_a, view_b):
+    """The block of ``a`` and ``b``, generated in their views for a detection of ``ref``."""
+    return proposal_block([a, b], [0, 1], {0: view_a, 1: view_b}, ref)
+
+
 def selection(a, b, ref, view_a, view_b, config=PipelineConfig()):
-    """Selection score of ``a`` and ``b``, generated in their views for a detection of ``ref``."""
-    return selection_pair_score(proposal(a, view_a, ref), proposal(b, view_b, ref), config)
+    """Selection score of ``a`` and ``b``, a block of one pair."""
+    (score,) = selection_pair_score(pair_block(a, b, ref, view_a, view_b), [0], [1], config)
+    return float(score)
 
 
 def track(a, view_a, b, view_b, config=PipelineConfig()):
@@ -96,7 +102,7 @@ def test_perspective_distance_scales_by_ray_depth():
     a = seg3([0, 0, 2], [0, 1, 2])
     # same rays, pushed along them by 1%
     b = seg3([0, 0, 2.02], [0, 1.01, 2.02])
-    d = perspective_distance(proposal(a, view, view), proposal(b, view, view))
+    (d,) = perspective_distance(pair_block(a, b, view, view, view), [0], [1])
     # each segment scales the endpoint distances by its own ray depths
     d_start, d_end = 0.02, np.linalg.norm(b.end - a.end)
     by_a = max(d_start / np.linalg.norm(a.start), d_end / np.linalg.norm(a.end))
@@ -104,7 +110,7 @@ def test_perspective_distance_scales_by_ray_depth():
     assert d == pytest.approx(0.5 * (by_a + by_b), rel=1e-12)
     assert by_b < by_a  # b lies farther along the rays
     # symmetric bit for bit
-    assert perspective_distance(proposal(b, view, view), proposal(a, view, view)) == d
+    assert perspective_distance(pair_block(b, a, view, view, view), [0], [1]) == [d]
 
 
 def test_overlap_ratio_hand_case():
@@ -377,19 +383,33 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
     # random pairs, near copies and strays, seen from cameras close enough to
     # cut some segments: each score equals the minimum over all of its
     # components, bit for bit, whichever way it ends
-    projections = scoring._projections
+    projections, project_rows = scoring._projections, scoring._project_rows
     ends = []
+    cross = []  # `ok` of each row the selection block projects into the other view
 
     def recorded(a, b):
         pairs = projections(a, b)
         ends.append("behind" if pairs is None else "projected")
         return pairs
 
+    def recorded_rows(*args):
+        rows = project_rows(*args)
+        cross.extend(rows.ok.tolist())
+        return rows
+
     def outcome(score):
         # gated on the 3D components, behind a view, or projected and scored in full
         return ends.pop() if ends else "gated", score > 0
 
+    def selection_outcome(block, score):
+        # the block's own projections, then its two cross projections of the pair
+        if not cross:
+            return "gated", score > 0
+        projected = all(cross) and all(block.own.ok.tolist())
+        return "projected" if projected else "behind", score > 0
+
     monkeypatch.setattr(scoring, "_projections", recorded)
+    monkeypatch.setattr(scoring, "_project_rows", recorded_rows)
     rng = np.random.default_rng(44)
     cfg = PipelineConfig()
     outcomes = Counter()
@@ -405,8 +425,10 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
             # a camera beside a, between its start and midpoint, looking along it
             beside = a.start + rng.uniform(0.05, 0.45) * (a.end - a.start) + rng.normal(0, 0.05, 3)
             va = make_view(beside, target=beside + a.direction)
-        s = selection(a, b, ref, va, vb, cfg)
-        outcomes["selection", *outcome(s)] += 1
+        block = pair_block(a, b, ref, va, vb)
+        cross.clear()
+        (s,) = selection_pair_score(block, [0], [1], cfg)
+        outcomes["selection", *selection_outcome(block, s)] += 1
         assert s == reference_selection_pair_score(a, b, ref, va, vb, cfg)
         t = track(a, va, b, vb, cfg)
         outcomes["track", *outcome(t)] += 1
@@ -416,3 +438,46 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
         assert outcomes[kind, "behind", False] >= 20
         assert outcomes[kind, "projected", True] >= 20
 
+
+def test_selection_block_equals_the_reference_pair_by_pair():
+    # one block of many proposals from four generating views, scored in one
+    # call: near copies, strays, segments cut by a camera beside them,
+    # segments along a viewing ray (a point in that view) and NaN segments
+    rng = np.random.default_rng(45)
+    cfg = PipelineConfig()
+    ref = make_view([0.0, 0.0, -4.0])
+    base = [seg3(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(8)]
+    beside = base[0].start + 0.3 * (base[0].end - base[0].start)
+    axis = make_view([0.2, -0.1, -3.0], target=(0.0, 0.0, 0.0))
+    views = {
+        0: make_view([3.0, 0.5, -0.5]),
+        1: make_view([2.5, -1.0, 1.0]),
+        2: make_view(beside, target=beside + base[0].direction),
+        3: axis,
+    }
+    segments = []
+    for b in base:
+        for spread in (0.0, 0.0, 0.0002, 0.0005, 0.001, 0.005, 0.03, 0.5):
+            jitter = rng.normal(scale=spread, size=(2, 3))
+            segments.append(seg3(b.start + jitter[0], b.end + jitter[1]))
+    # along the optical axis of `axis`, and a near copy off it
+    c, d = axis.camera_center, axis.R[2]
+    segments += [seg3(c + 2.0 * d, c + 4.0 * d), seg3(c + 2.001 * d, c + 4.002 * d)]
+    segments += [seg3([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]), seg3(base[1].start, [0.3, np.nan, 0.1])]
+    gens = rng.integers(0, 4, size=len(segments)).tolist()
+    gens[0], gens[-4:] = 2, [3, 0, 1, 2]
+    n = len(segments)
+    first, second = zip(*[(i, j) for i in range(n) for j in range(i + 1, n) if gens[i] != gens[j]])
+    block = proposal_block(segments, gens, views, ref)
+    scores = selection_pair_score(block, first, second, cfg)
+    kinds = Counter()
+    for i, j, s in zip(first, second, scores.tolist()):
+        want = reference_selection_pair_score(
+            segments[i], segments[j], ref, views[gens[i]], views[gens[j]], cfg
+        )
+        assert s == want, (i, j)
+        nan = not np.isfinite(np.concatenate([segments[k].endpoints() for k in (i, j)])).all()
+        kinds["nan" if nan else "positive" if s > 0 else "zero"] += 1
+    assert not block.own.ok[-4]  # a point in its generating view
+    assert not block.own.ok[0]  # its start behind its generating view
+    assert kinds["nan"] >= 50 and kinds["positive"] >= 20 and kinds["zero"] >= 500

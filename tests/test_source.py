@@ -2,9 +2,10 @@
 
 Every config key is read by the pipeline and documented in README, every
 field of the synthetic and refinement configs is set by some call, every
-imported name is used, no object's ``__dict__`` is written, and neither
-the pair scores nor the two-view triangulation of a match makes a BLAS
-call.
+imported name is used, no object's ``__dict__`` is written, neither the
+pair scores nor the two-view triangulation of a match makes a BLAS call,
+the selection block keeps to the numpy calls that round as Python floats
+do, and no random draw runs once per loop iteration.
 """
 
 import ast
@@ -198,3 +199,73 @@ def test_two_view_triangulation_has_no_matrix_product_or_numpy_call():
         if isinstance(node, ast.Name) and node.id == "np"
     ]
     assert _matrix_products(code) + numpy_calls == []
+
+
+# the selection block: elementwise numpy that rounds as the scalar formulas do
+SELECTION_BLOCK_CODE = (
+    "_dot_rows",
+    "_min",
+    "_max",
+    "_acute_angles",
+    "_normalized_rows",
+    "PlanarRows.take",
+    "_project_rows",
+    "_perpendicular_rows",
+    "_angle_rows",
+    "proposal_block",
+    "perspective_distance",
+    "selection_pair_score",
+)
+# numpy calls whose result can differ from the scalar code's: a BLAS or
+# pairwise reduction, a transcendental function other than libm's, `x * x`
+# for `x ** 2`, or a NaN rule other than Python's min and max
+INEXACT_NUMPY = {
+    "einsum",
+    "dot",
+    "inner",
+    "matmul",
+    "vdot",
+    "linalg",
+    "sum",
+    "exp",
+    "arccos",
+    "hypot",
+    "square",
+    "power",
+    "minimum",
+    "maximum",
+}
+
+
+def test_selection_block_makes_only_exact_numpy_calls():
+    defined = dict(_definitions(TREES["scoring.py"]))
+    code = [(f"scoring.py {name}", defined[name]) for name in SELECTION_BLOCK_CODE]
+    inexact = [
+        f"{where}:{node.lineno} np.{node.attr}"
+        for where, tree in code
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+        and node.attr in INEXACT_NUMPY
+    ]
+    assert _matrix_products(code) + inexact == []
+
+
+def test_no_random_draw_runs_once_per_iteration():
+    # k samples of two distinct indices are one generator call
+    # (geometry.distinct_index_pairs), never k calls of rng.choice
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    draws = sorted(
+        {
+            f"{name[:-3]}.{where}:{node.lineno}"
+            for name, tree in TREES.items()
+            for where, loop in _scoped_nodes(tree)
+            if isinstance(loop, loops)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice"
+        }
+    )
+    assert draws == []
