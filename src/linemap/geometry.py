@@ -179,7 +179,8 @@ def intrinsics_matrix(focal: float, cx: float, cy: float) -> FloatArray:
 
 
 class ViewFloats(NamedTuple):
-    """A :class:`CameraView` as Python floats, for per-pair scalar work."""
+    """A :class:`CameraView` as Python floats, for per-match scalar work and
+    the pair-score blocks."""
 
     kr: list[list[float]]  # rows of K R
     kt: list[float]  # K t
@@ -198,10 +199,10 @@ class CameraView:
     :func:`project_segment`, segments), gives a point's depth
     (:meth:`depth`), casts viewing rays (:meth:`world_ray`) and holds the
     line map (:attr:`line_map`).  Its float record (:attr:`floats`) serves
-    the per-pair scalar work: :meth:`depth` and :func:`project_floats`
-    read it term by term through :func:`dot3`, with no BLAS call.  Derived
-    values are cached on first access; instances are immutable, so a cache
-    can never go stale.
+    the per-pair and per-match work: :meth:`depth`, :func:`relative_pose`
+    and the pair-score blocks of :mod:`~linemap.scoring` read it term by
+    term, with no BLAS call.  Derived values are cached on first access;
+    instances are immutable, so a cache can never go stale.
 
     Attributes:
         K: 3x3 intrinsic matrix.
@@ -304,7 +305,7 @@ def relative_pose(ref: CameraView, match: CameraView) -> tuple[Mat3, Vec3]:
 
 
 class PlanarFloats(NamedTuple):
-    """A 2D segment as Python floats in homogeneous form, for per-pair scalar work.
+    """A 2D segment as Python floats in homogeneous form, for scalar work.
 
     The first four fields mirror :class:`SegmentFloats`, so one dot product,
     :func:`dot3`, serves 2D and 3D records alike, a point's distance to
@@ -438,36 +439,14 @@ def project_segment(seg: Segment3D, view: CameraView) -> Segment2D | None:
     """Both endpoints projected into ``view``; None if either is at or behind its camera plane.
 
     Numpy arithmetic, whose bits the synthetic observations are built from;
-    the pair scores use :func:`project_floats`.
+    the pair scores project rows of a block from :attr:`CameraView.floats`
+    (:mod:`~linemap.scoring`).
     """
     try:
         start, end = view.project_point(seg.start), view.project_point(seg.end)
     except ValueError:
         return None
     return Segment2D(start, end)
-
-
-def project_floats(seg: Segment3D, view: CameraView) -> PlanarFloats | None:
-    """``seg`` projected into ``view`` as a :class:`PlanarFloats` record.
-
-    Reads :attr:`Segment3D.floats` and :attr:`CameraView.floats`, summing
-    each row product through :func:`dot3`, so it agrees with
-    :func:`project_segment` to rounding (a scoring record, which holds the
-    same floats, projects as its segment does).  None if an endpoint is at
-    or behind its camera plane, or if the projection is shorter than EPS px.
-    """
-    s, e = seg.floats.start, seg.floats.end
-    (r0, r1, r2), (k0, k1, k2) = view.floats.kr, view.floats.kt
-    # the last K row is (0, 0, 1), so the third coordinate is the camera-frame depth
-    ws, we = dot3(r2, s) + k2, dot3(r2, e) + k2
-    if ws <= EPS or we <= EPS:
-        return None
-    return planar_floats(
-        (dot3(r0, s) + k0) / ws,
-        (dot3(r1, s) + k1) / ws,
-        (dot3(r0, e) + k0) / we,
-        (dot3(r1, e) + k1) / we,
-    )
 
 
 def sample_segment(seg: Segment2D | Segment3D, spacing: float) -> FloatArray:

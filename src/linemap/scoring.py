@@ -8,11 +8,6 @@ keeps a sum of pair scores interpretable as a support count.  The ``tau_*``
 thresholds are read from :class:`~linemap.config.PipelineConfig`; the gate
 is a constant of this module.
 
-Each distance has one home here and serves 2D and 3D segments alike where
-it makes sense: one acute angle (:func:`angular_distance`), and one
-projection of a segment's endpoints along another (``_along``), which
-both the overlap ratio and the inner-segment distance read.
-
 Two phases use different component sets.  During proposal selection both
 hypotheses explain the same 2D detection, so endpoint-wise comparisons are
 meaningful (perspective distance); 2D distances are measured in the views
@@ -26,39 +21,28 @@ views, and the score is the minimum of the 3D and the image components.  A
 segment behind either view, or one that projects to less than
 :data:`~linemap.geometry.EPS` px (it lies along a viewing ray), scores 0.
 
-A track pair score is a few dozen flops, so it runs on Python floats, not
-on numpy arrays.  Every distance reads the float records that
-:mod:`~linemap.geometry` keeps for the pinhole model:
-:attr:`Segment3D.floats <linemap.geometry.Segment3D.floats>` (start, end,
-direction and length, cached and bit-equal to the numpy attributes),
-:attr:`Segment2D.floats <linemap.geometry.Segment2D.floats>` and a
-projection by :func:`~linemap.geometry.project_floats`, both a
-:class:`~linemap.geometry.PlanarFloats` record in homogeneous form, and
-:meth:`CameraView.depth <linemap.geometry.CameraView.depth>` for the
-inner-segment scale.  With the homogeneous form one dot product,
-:func:`~linemap.geometry.dot3`, serves 2D and 3D records, a point's
-distance to a line included, and it sums its terms in a fixed order with
-no BLAS call.  A track pair score reads two :class:`ScoredSegment`
-records, which track building and remerge build once per segment and
-pass (:func:`hypothesis`): the segment's floats, its own view (the
-detection's view or the track's representative view), its projection
-there and its inner-segment scale.  It makes only the two cross
-projections.
+Both phases score blocks of pairs.  :func:`proposal_block` stacks the
+proposals of all detections of one reference image (endpoints,
+directions, endpoint ray lengths, generating views and projections there)
+and :func:`selection_pair_score` scores their pairs; :func:`track_block`
+stacks the segments of one track-building or remerge pass (endpoints,
+directions, lengths, inner-segment scales, owning views and projections
+there) and :func:`track_pair_score` scores its pairs.  Each pair is one
+row of elementwise array arithmetic, and only the rows past the 3D gate
+are projected into the other segment's view.
 
-Selection scores the proposals of all detections of one reference image
-as one block (:func:`selection_pair_score`): :func:`proposal_block`
-stacks the proposals' endpoints, directions, endpoint ray lengths,
-generating views and projections there into arrays, and each pair is one
-row of elementwise array arithmetic.  The block gives every score that
-one pair at a time on Python floats gives, bit for bit.  numpy's
-elementwise ``+ - * /``, ``sqrt`` and ``abs`` round as Python floats do,
-and each 3-vector dot product is written out as ``(a0*b0 + a1*b1) +
-a2*b2``, never handed to ``@`` or ``einsum``.  ``np.exp``, ``np.arccos``,
-``np.hypot`` and ``x * x`` for ``x ** 2`` can differ from ``math.exp``,
-``math.acos``, ``math.hypot`` and Python's ``**`` in the last bit, so
-those run through :mod:`math` element by element.  Python's ``min(x, y)``
-keeps ``x`` unless ``y < x``, NaN included, so it is written as
-``np.where``, not ``np.minimum``.
+A block gives every score that one pair at a time on Python floats gives,
+bit for bit (``tests/support.py`` keeps that form as the reference).
+numpy's elementwise ``+ - * /``, ``sqrt`` and ``abs`` round as Python
+floats do, and each 3-vector dot product is written out as ``(a0*b0 +
+a1*b1) + a2*b2``, never handed to ``@`` or ``einsum``.  ``np.exp``,
+``np.arccos``, ``np.hypot`` and ``x * x`` for ``x ** 2`` can differ from
+``math.exp``, ``math.acos``, ``math.hypot`` and Python's ``**`` in the last
+bit, so those run through :mod:`math` element by element.  Python's
+``min(x, y)`` keeps ``x`` unless ``y < x``, NaN included, so it is written
+as ``np.where``, not ``np.minimum``.  The views enter through their float
+records (:attr:`CameraView.floats <linemap.geometry.CameraView.floats>`),
+so no BLAS call touches a score.
 """
 
 from __future__ import annotations
@@ -69,119 +53,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import (
-    EPS,
-    CameraView,
-    PlanarFloats,
-    Segment2D,
-    Segment3D,
-    SegmentFloats,
-    dot3,
-    project_floats,
-)
-
-Segment = Segment2D | Segment3D
+from .geometry import EPS, CameraView, Segment3D
 
 SCORE_GATE = 0.5  # lowest nonzero similarity of one component
-
-
-# ---------------------------------------------------------------------------
-# raw distances
-# ---------------------------------------------------------------------------
-
-
-def _dist3(p, q) -> float:
-    d = (p[0] - q[0], p[1] - q[1], p[2] - q[2])
-    return math.sqrt(dot3(d, d))
-
-
-def _angle(a, b) -> float:
-    return math.degrees(math.acos(min(1.0, abs(dot3(a.direction, b.direction)))))
-
-
-def angular_distance(a: Segment, b: Segment) -> float:
-    """Acute angle between segment directions (2D or 3D), in degrees."""
-    return _angle(a.floats, b.floats)
-
-
-def _perpendicular(a: PlanarFloats, b: PlanarFloats) -> float:
-    la, lb = a.line, b.line
-    return 0.5 * (
-        max(abs(dot3(lb, a.start)), abs(dot3(lb, a.end)))
-        + max(abs(dot3(la, b.start)), abs(dot3(la, b.end)))
-    )
-
-
-def perpendicular_distance_2d(a: Segment2D, b: Segment2D) -> float:
-    """Orthogonal endpoint distance, averaged over both directions.
-
-    Each direction takes the larger distance of one segment's endpoints to
-    the other's supporting line.
-    """
-    return _perpendicular(a.floats, b.floats)
-
-
-def _along(a, b) -> tuple[float, float]:
-    """Where ``a``'s start and end fall along ``b``, as distances from ``b.start``."""
-    (o0, o1, o2), d = b.start, b.direction
-    (s0, s1, s2), (e0, e1, e2) = a.start, a.end
-    return dot3((s0 - o0, s1 - o1, s2 - o2), d), dot3((e0 - o0, e1 - o1, e2 - o2), d)
-
-
-def _overlap(a, b) -> float:
-    ta, tb = _along(a, b)
-    inter = min(max(ta, tb), b.length) - max(min(ta, tb), 0.0)
-    return max(0.0, inter) / b.length
-
-
-def _mutual_overlap(a, b) -> float:
-    return min(_overlap(a, b), _overlap(b, a))
-
-
-def overlap_ratio(a: Segment, b: Segment) -> float:
-    """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
-    return _overlap(a.floats, b.floats)
-
-
-def mutual_overlap(a: Segment, b: Segment) -> float:
-    return _mutual_overlap(a.floats, b.floats)
-
-
-def _clipped_feet(a: SegmentFloats, b: SegmentFloats) -> list:
-    """Feet of ``a``'s endpoints on ``b``'s line, clipped to ``b``'s extent."""
-    (o0, o1, o2), (d0, d1, d2) = b.start, b.direction
-    feet = []
-    for t in _along(a, b):
-        s = min(max(t, 0.0), b.length)
-        feet.append((o0 + s * d0, o1 + s * d1, o2 + s * d2))
-    return feet
-
-
-def innerseg_distance(a: Segment3D | ScoredSegment, b: Segment3D | ScoredSegment) -> float:
-    """Distance between the mutually clipped inner segments.
-
-    Each segment's endpoints are orthogonally projected onto the other's
-    supporting line and clipped to its extent; the result is one inner
-    segment per line and the distance is the larger of the two aligned
-    endpoint distances.  For collinear disjoint segments both inner segments
-    collapse and the value equals the gap.
-    """
-    fa, fb = a.floats, b.floats
-    on_b = _clipped_feet(fa, fb)
-    on_a = _clipped_feet(fb, fa)
-    if dot3(fa.direction, fb.direction) < 0:
-        on_a.reverse()
-    return max(_dist3(on_a[0], on_b[0]), _dist3(on_a[1], on_b[1]))
-
-
-def _midpoint(seg: SegmentFloats) -> tuple[float, float, float]:
-    (s0, s1, s2), (e0, e1, e2) = seg.start, seg.end
-    return 0.5 * (s0 + e0), 0.5 * (s1 + e1), 0.5 * (s2 + e2)
-
-
-# ---------------------------------------------------------------------------
-# normalization, per-pass records and track pair scores
-# ---------------------------------------------------------------------------
 
 
 def normalize_distance(r: float, tau: float) -> float:
@@ -190,99 +64,20 @@ def normalize_distance(r: float, tau: float) -> float:
     return s if s >= SCORE_GATE else 0.0
 
 
-def _binary_overlap(ratio: float, tau: float) -> float:
-    return 1.0 if ratio >= tau else 0.0
-
-
-class ScoredSegment(NamedTuple):
-    """A segment as one scoring pass reads it.
-
-    ``own`` is the segment projected into ``view`` by
-    :func:`~linemap.geometry.project_floats`, None when it is behind that
-    view or projects to a point there.  ``scale`` is what its
-    inner-segment distance is divided by.
-    """
-
-    floats: SegmentFloats
-    view: CameraView
-    own: PlanarFloats | None
-    scale: float
-
-
-def hypothesis(seg: Segment3D, view: CameraView) -> ScoredSegment:
-    """``seg`` owned by ``view``: a detection's best hypothesis, or a track's refit.
-
-    Its scale is its midpoint depth divided by the focal length; one pixel
-    of image noise displaces a 3D point by roughly this amount, which makes
-    the inner-segment distance unit-free.
-    """
-    f = seg.floats
-    scale = view.depth(_midpoint(f)) / view.focal
-    return ScoredSegment(f, view, project_floats(seg, view), scale)
-
-
-def _projections(a: ScoredSegment, b: ScoredSegment):
-    """``(a, b)`` projected into ``a``'s view and into ``b``'s view.
-
-    The own projections come with the records; the two cross projections
-    are made here.  None when either segment is behind either view or
-    projects to a point in it: such a hypothesis cannot support the other.
-    """
-    pb, qa = project_floats(b, a.view), project_floats(a, b.view)
-    if a.own is None or pb is None or qa is None or b.own is None:
-        return None
-    return (a.own, pb), (qa, b.own)
-
-
-def _image_components(pairs, config: PipelineConfig) -> list[float]:
-    """2D angle and perpendicular components, each averaged over both views."""
-    (pa, pb), (qa, qb) = pairs
-    return [
-        normalize_distance(0.5 * (_angle(pa, pb) + _angle(qa, qb)), config.tau_angle_2d),
-        normalize_distance(
-            0.5 * (_perpendicular(pa, pb) + _perpendicular(qa, qb)), config.tau_perp_2d
-        ),
-    ]
-
-
-def track_pair_score(
-    a: ScoredSegment, b: ScoredSegment, config: PipelineConfig = PipelineConfig()
-) -> float:
-    """Consistency of two :func:`hypothesis` records of different detections.
-
-    The 2D distances are measured in the views owning the detections.
-    Endpoint correspondence across detections is meaningless here, so
-    overlap and inner-segment distances substitute for the perspective
-    distance; the inner-segment distance is divided by the smaller scale.
-    """
-    scale = min(a.scale, b.scale)
-    if scale <= 0:
-        return 0.0
-    fa, fb = a.floats, b.floats
-    score = min(
-        normalize_distance(_angle(fa, fb), config.tau_angle_3d),
-        _binary_overlap(_mutual_overlap(fa, fb), config.tau_overlap),
-        normalize_distance(innerseg_distance(a, b) / scale, config.tau_innerseg),
-    )
-    pairs = _projections(a, b) if score > 0.0 else None
-    if pairs is None:
-        return 0.0
-    (pa, pb), (qa, qb) = pairs
-    return min(
-        score,
-        *_image_components(pairs, config),
-        _binary_overlap(min(_mutual_overlap(pa, pb), _mutual_overlap(qa, qb)), config.tau_overlap),
-    )
-
-
 # ---------------------------------------------------------------------------
-# proposal selection: one block of pairs per reference image
+# elementwise rows
 # ---------------------------------------------------------------------------
 
 
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`~linemap.geometry.dot3` of matching rows of two ``(m, 3)`` arrays."""
     return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+
+
+def _dist_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Distance between matching rows of two ``(m, 3)`` arrays."""
+    d = p - q
+    return np.sqrt(_dot_rows(d, d))
 
 
 def _min(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -296,7 +91,7 @@ def _max(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _acute_angles(dots: np.ndarray) -> np.ndarray:
-    """``_angle`` from each row's dot product of unit directions, in degrees."""
+    """Acute angle from each row's dot product of unit directions, in degrees."""
     c = np.abs(dots)
     c = np.where(c < 1.0, c, 1.0)  # min(1.0, c): NaN gives 1.0
     return np.array([math.degrees(math.acos(x)) for x in c.tolist()])
@@ -307,14 +102,26 @@ def _normalized_rows(r: np.ndarray, tau: float) -> np.ndarray:
     return np.array([normalize_distance(x, tau) for x in r.tolist()])
 
 
-class PlanarRows(NamedTuple):
-    """Segments projected into views, one row each, as
-    :func:`~linemap.geometry.project_floats` gives them.
+def _binary_rows(ratio: np.ndarray, tau: float) -> np.ndarray:
+    """1 where an overlap ratio reaches ``tau``, else 0 (NaN included)."""
+    return np.where(ratio >= tau, 1.0, 0.0)
 
-    ``ok`` is False where that function gives None (an endpoint at or
-    behind the camera plane, or a projection shorter than EPS px); the
-    other fields of such a row are placeholders.  ``(u, v)`` is the unit
-    direction and ``(l0, u, l2)`` the supporting line.
+
+def _overlap_rows(t_start: np.ndarray, t_end: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Fraction of a segment of ``length`` covered by another segment whose
+    endpoints fall at ``t_start`` and ``t_end`` along it."""
+    inter = _min(_max(t_start, t_end), length) - _max(_min(t_start, t_end), 0.0)
+    return _max(0.0, inter) / length
+
+
+class PlanarRows(NamedTuple):
+    """Segments projected into views, one row each, bit for bit as a
+    projection on Python floats through ``dot3`` gives them.
+
+    ``ok`` is False where an endpoint is at or behind the camera plane, or
+    where the projection is shorter than EPS px; the other fields of such a
+    row are placeholders.  ``(u, v)`` is the unit direction, ``(l0, u, l2)``
+    the supporting line and ``length`` the :func:`math.hypot` length.
     """
 
     ok: np.ndarray
@@ -326,6 +133,7 @@ class PlanarRows(NamedTuple):
     v: np.ndarray
     l0: np.ndarray
     l2: np.ndarray
+    length: np.ndarray
 
     def take(self, idx) -> PlanarRows:
         return PlanarRows(*(field[idx] for field in self))
@@ -333,6 +141,7 @@ class PlanarRows(NamedTuple):
 
 def _project_rows(start, end, kr, kt) -> PlanarRows:
     """Rows ``i`` of ``start`` and ``end`` projected by ``kr[i]`` (``K R``) and ``kt[i]``."""
+    # the last K row is (0, 0, 1), so the third coordinate is the camera-frame depth
     ws = _dot_rows(kr[:, 2], start) + kt[:, 2]
     we = _dot_rows(kr[:, 2], end) + kt[:, 2]
     ok = ~((ws <= EPS) | (we <= EPS))
@@ -345,12 +154,15 @@ def _project_rows(start, end, kr, kt) -> PlanarRows:
     n = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
     ok &= ~(n < EPS)
     n = np.where(ok, n, 1.0)
-    return PlanarRows(ok, x1, y1, x2, y2, dx / n, dy / n, (y1 - y2) / n, (x1 * y2 - x2 * y1) / n)
+    line = ((y1 - y2) / n, (x1 * y2 - x2 * y1) / n)
+    return PlanarRows(ok, x1, y1, x2, y2, dx / n, dy / n, *line, n)
 
 
 def _perpendicular_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
-    """``_perpendicular`` row by row: a line's ``dot3`` with ``(x, y, 1)``
-    is ``(l0*x + l1*y) + l2``."""
+    """Orthogonal endpoint distance, averaged over both directions; each
+    direction takes the larger distance of one segment's endpoints to the
+    other's supporting line.  A line's ``dot3`` with ``(x, y, 1)`` is
+    ``(l0*x + l1*y) + l2``."""
     to_b = _max(
         np.abs((b.l0 * a.x1 + b.u * a.y1) + b.l2), np.abs((b.l0 * a.x2 + b.u * a.y2) + b.l2)
     )
@@ -363,6 +175,81 @@ def _perpendicular_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
 def _angle_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
     # the directions' third terms are 0.0 * 0.0, which abs() cannot tell from no term
     return _acute_angles(a.u * b.u + a.v * b.v)
+
+
+def _along_planar(a: PlanarRows, b: PlanarRows) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``a``'s start and end fall along ``b``, as distances from ``b``'s
+    start.  The ``dot3`` of an ``(x, y, 1)`` difference with ``(u, v, 0)``
+    ends in ``+ 0.0 * 0.0``; the term stays, so each value is that ``dot3``
+    bit for bit, signed zeros included."""
+    return (
+        ((a.x1 - b.x1) * b.u + (a.y1 - b.y1) * b.v) + 0.0,
+        ((a.x2 - b.x1) * b.u + (a.y2 - b.y1) * b.v) + 0.0,
+    )
+
+
+def _mutual_overlap_planar(a: PlanarRows, b: PlanarRows) -> np.ndarray:
+    return _min(
+        _overlap_rows(*_along_planar(a, b), b.length),
+        _overlap_rows(*_along_planar(b, a), a.length),
+    )
+
+
+# ---------------------------------------------------------------------------
+# blocks
+# ---------------------------------------------------------------------------
+
+
+def _segment_rows(segments: list[Segment3D]):
+    """Starts, ends, unit directions and lengths of ``segments``, one row
+    each, equal to their float records.
+
+    Raises:
+        ValueError: if a segment is shorter than EPS.
+    """
+    start = np.array([s.start for s in segments]).reshape(-1, 3)
+    end = np.array([s.end for s in segments]).reshape(-1, 3)
+    d = end - start
+    length = np.sqrt(_dot_rows(d, d))
+    if (length < EPS).any():
+        raise ValueError("cannot normalize near-zero vector")
+    return start, end, d / length[:, None], length
+
+
+def _view_rows(owners: list[int], views: dict[int, CameraView]):
+    """The float records of the distinct views of ``owners``, and each owner's
+    index among them."""
+    images = {g: i for i, g in enumerate(dict.fromkeys(owners))}
+    return [views[g].floats for g in images], [images[g] for g in owners]
+
+
+def _cross_rows(block, a: np.ndarray, b: np.ndarray):
+    """Rows ``a`` and ``b`` of ``block``, each projected into both segments'
+    views: ``(kept, (pa, pb), (qa, qb))`` with ``p*`` in ``a``'s view and
+    ``q*`` in ``b``'s, for the rows ``kept`` where all four projections exist.
+    """
+    pb = _project_rows(block.start[b], block.end[b], block.kr[a], block.kt[a])
+    qa = _project_rows(block.start[a], block.end[a], block.kr[b], block.kt[b])
+    pa, qb = block.own.take(a), block.own.take(b)
+    kept = np.flatnonzero(pa.ok & pb.ok & qa.ok & qb.ok)
+    pa, pb, qa, qb = (rows.take(kept) for rows in (pa, pb, qa, qb))
+    return kept, (pa, pb), (qa, qb)
+
+
+def _image_components(p, q, config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """2D angle and perpendicular components, each averaged over both views."""
+    (pa, pb), (qa, qb) = p, q
+    angle = 0.5 * (_angle_rows(pa, pb) + _angle_rows(qa, qb))
+    perpendicular = 0.5 * (_perpendicular_rows(pa, pb) + _perpendicular_rows(qa, qb))
+    return (
+        _normalized_rows(angle, config.tau_angle_2d),
+        _normalized_rows(perpendicular, config.tau_perp_2d),
+    )
+
+
+# ---------------------------------------------------------------------------
+# proposal selection: one block of pairs per reference image
+# ---------------------------------------------------------------------------
 
 
 class ProposalBlock(NamedTuple):
@@ -393,21 +280,14 @@ def proposal_block(
     Raises:
         ValueError: if a segment is shorter than EPS.
     """
-    start = np.array([s.start for s in segments]).reshape(-1, 3)
-    end = np.array([s.end for s in segments]).reshape(-1, 3)
-    d = end - start
-    length = np.sqrt(_dot_rows(d, d))
-    if (length < EPS).any():
-        raise ValueError("cannot normalize near-zero vector")
+    start, end, direction, _ = _segment_rows(segments)
     center = np.array(ref_view.floats.center)
     to_start, to_end = start - center, end - center
     rays = np.stack([np.sqrt(_dot_rows(to_start, to_start)), np.sqrt(_dot_rows(to_end, to_end))], 1)
-    images = {g: i for i, g in enumerate(dict.fromkeys(gens))}
-    rows = [images[g] for g in gens]
-    kr = np.array([views[g].floats.kr for g in images]).reshape(-1, 3, 3)[rows]
-    kt = np.array([views[g].floats.kt for g in images]).reshape(-1, 3)[rows]
-    own = _project_rows(start, end, kr, kt)
-    return ProposalBlock(start, end, d / length[:, None], rays, kr, kt, own)
+    floats, rows = _view_rows(gens, views)
+    kr = np.array([v.kr for v in floats]).reshape(-1, 3, 3)[rows]
+    kt = np.array([v.kt for v in floats]).reshape(-1, 3)[rows]
+    return ProposalBlock(start, end, direction, rays, kr, kt, _project_rows(start, end, kr, kt))
 
 
 def perspective_distance(block: ProposalBlock, first, second) -> np.ndarray:
@@ -421,9 +301,8 @@ def perspective_distance(block: ProposalBlock, first, second) -> np.ndarray:
     centre and keeps the larger ratio; the result is the mean of the two,
     symmetric in ``first`` and ``second`` bit for bit.
     """
-    ds_vec = block.start[first] - block.start[second]
-    de_vec = block.end[first] - block.end[second]
-    ds, de = np.sqrt(_dot_rows(ds_vec, ds_vec)), np.sqrt(_dot_rows(de_vec, de_vec))
+    ds = _dist_rows(block.start[first], block.start[second])
+    de = _dist_rows(block.end[first], block.end[second])
     (sa, ea), (sb, eb) = block.rays[first].T, block.rays[second].T
     return 0.5 * (_max(ds / sa, de / ea) + _max(ds / sb, de / eb))
 
@@ -447,17 +326,116 @@ def selection_pair_score(
         _normalized_rows(perspective_distance(block, a, b), config.tau_perspective),
     )
     past = np.flatnonzero(score > 0.0)
-    a, b = a[past], b[past]
-    pb = _project_rows(block.start[b], block.end[b], block.kr[a], block.kt[a])
-    qa = _project_rows(block.start[a], block.end[a], block.kr[b], block.kt[b])
-    pa, qb = block.own.take(a), block.own.take(b)
-    kept = np.flatnonzero(pa.ok & pb.ok & qa.ok & qb.ok)
-    pa, pb, qa, qb = (rows.take(kept) for rows in (pa, pb, qa, qb))
-    angle = 0.5 * (_angle_rows(pa, pb) + _angle_rows(qa, qb))
-    perpendicular = 0.5 * (_perpendicular_rows(pa, pb) + _perpendicular_rows(qa, qb))
+    kept, p, q = _cross_rows(block, a[past], b[past])
+    angle, perpendicular = _image_components(p, q, config)
+    rows = past[kept]
     scores = np.zeros(len(score))
-    scores[past[kept]] = _min(
-        _min(score[past[kept]], _normalized_rows(angle, config.tau_angle_2d)),
-        _normalized_rows(perpendicular, config.tau_perp_2d),
+    scores[rows] = _min(_min(score[rows], angle), perpendicular)
+    return scores
+
+
+# ---------------------------------------------------------------------------
+# track building and remerge: one block of segments per pass
+# ---------------------------------------------------------------------------
+
+
+class TrackBlock(NamedTuple):
+    """The segments of one track-building or remerge pass, one row each.
+
+    ``start``, ``end`` and ``direction`` are ``(n, 3)`` arrays and
+    ``length`` an ``(n,)`` array, equal to the segments' float records;
+    ``scale`` is each segment's inner-segment scale; ``kr`` and ``kt`` are
+    the owning view's ``K R`` rows and ``K t``; ``own`` is the projection
+    into the owning view.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    direction: np.ndarray
+    length: np.ndarray
+    scale: np.ndarray
+    kr: np.ndarray
+    kt: np.ndarray
+    own: PlanarRows
+
+
+def track_block(
+    segments: list[Segment3D], owners: list[int], views: dict[int, CameraView]
+) -> TrackBlock:
+    """The block of ``segments``, segment ``i`` owned by image ``owners[i]``:
+    a detection's best hypothesis in its detection's view, or a track's refit
+    in the view of its first support.
+
+    A segment's scale is its midpoint depth in its owning view
+    (:meth:`CameraView.depth <linemap.geometry.CameraView.depth>`, term by
+    term) divided by that view's focal length; one pixel of image noise
+    displaces a 3D point by roughly this amount, which makes the
+    inner-segment distance unit-free.
+
+    Raises:
+        ValueError: if a segment is shorter than EPS.
+    """
+    start, end, direction, length = _segment_rows(segments)
+    floats, rows = _view_rows(owners, views)
+    kr = np.array([v.kr for v in floats]).reshape(-1, 3, 3)[rows]
+    kt = np.array([v.kt for v in floats]).reshape(-1, 3)[rows]
+    depth_row = np.array([v.R[2] for v in floats]).reshape(-1, 3)[rows]
+    depth_t = np.array([v.t[2] for v in floats]).reshape(-1)[rows]
+    focal = np.array([v.focal for v in floats]).reshape(-1)[rows]
+    scale = (_dot_rows(depth_row, 0.5 * (start + end)) + depth_t) / focal
+    own = _project_rows(start, end, kr, kt)
+    return TrackBlock(start, end, direction, length, scale, kr, kt, own)
+
+
+def track_pair_score(
+    block: TrackBlock, first, second, config: PipelineConfig = PipelineConfig()
+) -> np.ndarray:
+    """Consistency of the segment pairs ``(first[i], second[i])`` of ``block``, one per row.
+
+    The segments explain different detections (or tracks), and the 2D
+    distances are measured in their owning views.  Endpoint
+    correspondence across detections is meaningless here, so the overlap
+    ratio and the inner-segment distance substitute for the perspective
+    distance.  The inner-segment distance is divided by the smaller scale
+    of the pair, and a row whose smaller scale is not positive scores 0.
+    Only the rows whose 3D components give a nonzero score are projected
+    into the other segment's view.
+
+    The inner-segment distance projects each segment's endpoints onto the
+    other's supporting line and clips them to its extent, which gives one
+    inner segment per line; it is the larger of the two aligned endpoint
+    distances, and for collinear disjoint segments it equals the gap.
+    """
+    a, b = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
+    sa, ea, da, la = block.start[a], block.end[a], block.direction[a], block.length[a]
+    sb, eb, db, lb = block.start[b], block.end[b], block.direction[b], block.length[b]
+    scale = _min(block.scale[a], block.scale[b])
+    low = scale <= 0.0
+    dots = _dot_rows(da, db)
+    # where each segment's start and end fall along the other, from its start
+    a_on_b = _dot_rows(sa - sb, db), _dot_rows(ea - sb, db)
+    b_on_a = _dot_rows(sb - sa, da), _dot_rows(eb - sa, da)
+    overlap = _min(_overlap_rows(*a_on_b, lb), _overlap_rows(*b_on_a, la))
+    # the feet clipped to the other's extent, a's reversed where the directions oppose
+    on_b = [sb + _min(_max(t, 0.0), lb)[:, None] * db for t in a_on_b]
+    on_a = [sa + _min(_max(t, 0.0), la)[:, None] * da for t in b_on_a]
+    turn = (dots < 0.0)[:, None]
+    on_a = np.where(turn, on_a[1], on_a[0]), np.where(turn, on_a[0], on_a[1])
+    inner = _max(_dist_rows(on_a[0], on_b[0]), _dist_rows(on_a[1], on_b[1]))
+    score = _min(
+        _min(
+            _normalized_rows(_acute_angles(dots), config.tau_angle_3d),
+            _binary_rows(overlap, config.tau_overlap),
+        ),
+        _normalized_rows(np.where(low, 0.0, inner) / np.where(low, 1.0, scale), config.tau_innerseg),
+    )
+    past = np.flatnonzero((score > 0.0) & ~low)
+    kept, p, q = _cross_rows(block, a[past], b[past])
+    angle, perpendicular = _image_components(p, q, config)
+    overlap = _min(_mutual_overlap_planar(*p), _mutual_overlap_planar(*q))
+    rows = past[kept]
+    scores = np.zeros(len(score))
+    scores[rows] = _min(
+        _min(_min(score[rows], angle), perpendicular), _binary_rows(overlap, config.tau_overlap)
     )
     return scores

@@ -6,9 +6,13 @@ consistent.  Connected components become tracks, each refit by
 :func:`~linemap.geometry.principal_line` through all member endpoints and
 trimmed by :func:`~linemap.geometry.trimmed_extent`.  A stricter second
 merging pass joins duplicate tracks that the match graph failed to connect.
-The pair scores' ``tau_*`` thresholds, ``min_images`` and ``remerge`` are
-read from :class:`~linemap.config.PipelineConfig`; the edge and remerge
-score thresholds and the support floor are constants of this module.
+Each pass stacks its segments into one :func:`~linemap.scoring.track_block`
+and scores its pairs as rows of that block, :data:`SCORE_ROWS` rows per
+call, before it unites any of them.  The pair scores' ``tau_*``
+thresholds, ``min_images`` and ``remerge`` are read from
+:class:`~linemap.config.PipelineConfig`; the edge and remerge score
+thresholds, the support floor and the slice size are constants of this
+module.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import numpy as np
 
 from .config import PipelineConfig
 from .geometry import CameraView, Segment3D, principal_line, trimmed_extent
-from .scoring import hypothesis, track_pair_score
+from .scoring import TrackBlock, track_block, track_pair_score
 
 Node = tuple[int, int]  # (image id, segment index)
 
 EDGE_SCORE_MIN = 0.5  # a match edge joins two detections at this pair score
 MIN_SUPPORTS = 3  # smallest component that becomes a track
 REMERGE_SCORE_MIN = 0.75  # stricter pair score that merges two tracks
+SCORE_ROWS = 1024  # pair rows scored per call, which keeps peak memory flat
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,17 @@ def fit_segment_to_endpoints(endpoints: np.ndarray) -> Segment3D | None:
     return Segment3D(mean + lo * d, mean + hi * d)
 
 
+def _pair_scores(block: TrackBlock, first, second, config: PipelineConfig) -> list[float]:
+    """:func:`~linemap.scoring.track_pair_score` of the rows ``(first[i],
+    second[i])`` of ``block``, :data:`SCORE_ROWS` rows per call."""
+    first, second = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
+    scores = []
+    for k in range(0, len(first), SCORE_ROWS):
+        rows = slice(k, k + SCORE_ROWS)
+        scores += track_pair_score(block, first[rows], second[rows], config).tolist()
+    return scores
+
+
 def _make_track(nodes: list[Node], candidates: dict[Node, TrackCandidate]) -> LineTrack | None:
     seg = fit_segment_to_endpoints(
         np.concatenate([candidates[n].segment.endpoints() for n in nodes])
@@ -115,17 +131,18 @@ def build_tracks(
             used for edge verification.
     """
     nodes = sorted(candidates.keys())
-    records = {n: hypothesis(candidates[n].segment, views[n[0]]) for n in nodes}
-    uf = UnionFind(nodes)
-    seen = set()
+    index = {n: i for i, n in enumerate(nodes)}
+    block = track_block([candidates[n].segment for n in nodes], [n[0] for n in nodes], views)
+    # each edge once, in the order and direction it first appears
+    first_seen: dict[tuple[Node, Node], tuple[Node, Node]] = {}
     for a, b in edges:
-        if a not in candidates or b not in candidates or a == b:
-            continue
-        key = (a, b) if a <= b else (b, a)
-        if key in seen:
-            continue
-        seen.add(key)
-        if track_pair_score(records[a], records[b], config) >= EDGE_SCORE_MIN:
+        if a in index and b in index and a != b:
+            first_seen.setdefault((a, b) if a <= b else (b, a), (a, b))
+    pairs = list(first_seen.values())
+    scores = _pair_scores(block, [index[a] for a, _ in pairs], [index[b] for _, b in pairs], config)
+    uf = UnionFind(nodes)
+    for (a, b), score in zip(pairs, scores):
+        if score >= EDGE_SCORE_MIN:
             uf.union(a, b)
 
     components: dict[Node, list[Node]] = {}
@@ -156,17 +173,18 @@ def remerge_tracks(
 ) -> list[LineTrack]:
     """Second-pass merging of duplicate tracks under a stricter threshold.
 
-    Tracks are compared through their refit segments, each represented by
-    the view of its first support; qualifying pairs are united and the
-    merged groups refit from scratch.  Components do not depend on the
-    order of the unions.
+    Tracks are compared through their refit segments, each owned by the
+    view of its first support; every pair is scored in one block,
+    qualifying pairs are united and the merged groups refit from scratch.
+    Components do not depend on the order of the unions.
     """
-    records = [hypothesis(t.segment, views[t.supports[0][0]]) for t in tracks]
+    block = track_block([t.segment for t in tracks], [t.supports[0][0] for t in tracks], views)
+    first, second = np.triu_indices(len(tracks), 1)  # every i < j, ordered by i, then j
+    scores = _pair_scores(block, first, second, config)
     uf = UnionFind(range(len(tracks)))
-    for i in range(len(tracks)):
-        for j in range(i + 1, len(tracks)):
-            if track_pair_score(records[i], records[j], config) >= REMERGE_SCORE_MIN:
-                uf.union(i, j)
+    for i, j, score in zip(first.tolist(), second.tolist(), scores):
+        if score >= REMERGE_SCORE_MIN:
+            uf.union(i, j)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(tracks)):

@@ -19,13 +19,7 @@ from linemap.geometry import (
 )
 from linemap.metrics import min_distance_to_segments, sample_segments
 from linemap.optimize import ASSOC_LOSS_SCALE
-from linemap.scoring import (
-    angular_distance,
-    innerseg_distance,
-    mutual_overlap,
-    normalize_distance,
-    perpendicular_distance_2d,
-)
+from linemap.scoring import normalize_distance
 from linemap.triangulation import (
     CheiralityError,
     FullyDegenerateError,
@@ -396,15 +390,102 @@ def reference_inlier_percentage(pred, gt, tau, spacing, aggregate="mean"):
 # projected into both views before any component is read, and every distance
 # and scale computed fresh from the segments and ``view.K``, ``view.R`` and
 # ``view.t``, one pair at a time.  ``linemap.scoring`` returns 0 as soon as the
-# 3D components give 0, reads each segment's own-view projection and scale from
-# a record built once per pass (track scores) and scores selection pairs as rows
-# of one array block, none of which must change a bit.  Projections, depths and
-# 3D distances are computed here on Python floats, each dot product summed as
-# ``(a0*b0 + a1*b1) + a2*b2``.
+# 3D components give 0, stacks each pass's segments, their own-view
+# projections and scales into one array block and scores its pairs as rows of
+# elementwise arithmetic, none of which must change a bit.  Projections,
+# depths and distances are computed here on Python floats, each dot product
+# summed as ``(a0*b0 + a1*b1) + a2*b2``.
 
 
 def _reference_dot3(a, b):
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+# The raw distances, on the segments' float records (``Segment3D.floats`` and
+# ``Segment2D.floats``, whose homogeneous 2D form lets one dot product serve
+# 2D and 3D segments alike).  One projection of a segment's endpoints along
+# another (``_along``) serves both the overlap ratio and the inner-segment
+# distance.
+
+
+def _angle(a, b):
+    return math.degrees(math.acos(min(1.0, abs(_reference_dot3(a.direction, b.direction)))))
+
+
+def angular_distance(a, b):
+    """Acute angle between segment directions (2D or 3D), in degrees."""
+    return _angle(a.floats, b.floats)
+
+
+def perpendicular_distance_2d(a, b):
+    """Orthogonal endpoint distance, averaged over both directions.
+
+    Each direction takes the larger distance of one segment's endpoints to
+    the other's supporting line.
+    """
+    fa, fb = a.floats, b.floats
+    return 0.5 * (
+        max(abs(_reference_dot3(fb.line, fa.start)), abs(_reference_dot3(fb.line, fa.end)))
+        + max(abs(_reference_dot3(fa.line, fb.start)), abs(_reference_dot3(fa.line, fb.end)))
+    )
+
+
+def _along(a, b):
+    """Where ``a``'s start and end fall along ``b``, as distances from ``b.start``."""
+    (o0, o1, o2), d = b.start, b.direction
+    (s0, s1, s2), (e0, e1, e2) = a.start, a.end
+    return (
+        _reference_dot3((s0 - o0, s1 - o1, s2 - o2), d),
+        _reference_dot3((e0 - o0, e1 - o1, e2 - o2), d),
+    )
+
+
+def _overlap(a, b):
+    ta, tb = _along(a, b)
+    inter = min(max(ta, tb), b.length) - max(min(ta, tb), 0.0)
+    return max(0.0, inter) / b.length
+
+
+def overlap_ratio(a, b):
+    """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
+    return _overlap(a.floats, b.floats)
+
+
+def mutual_overlap(a, b):
+    fa, fb = a.floats, b.floats
+    return min(_overlap(fa, fb), _overlap(fb, fa))
+
+
+def _dist3(p, q):
+    d = (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+    return math.sqrt(_reference_dot3(d, d))
+
+
+def _clipped_feet(a, b):
+    """Feet of ``a``'s endpoints on ``b``'s line, clipped to ``b``'s extent."""
+    (o0, o1, o2), (d0, d1, d2) = b.start, b.direction
+    feet = []
+    for t in _along(a, b):
+        s = min(max(t, 0.0), b.length)
+        feet.append((o0 + s * d0, o1 + s * d1, o2 + s * d2))
+    return feet
+
+
+def innerseg_distance(a, b):
+    """Distance between the mutually clipped inner segments.
+
+    Each segment's endpoints are orthogonally projected onto the other's
+    supporting line and clipped to its extent; the result is one inner
+    segment per line and the distance is the larger of the two aligned
+    endpoint distances.  For collinear disjoint segments both inner segments
+    collapse and the value equals the gap.
+    """
+    fa, fb = a.floats, b.floats
+    on_b = _clipped_feet(fa, fb)
+    on_a = _clipped_feet(fb, fa)
+    if _reference_dot3(fa.direction, fb.direction) < 0:
+        on_a.reverse()
+    return max(_dist3(on_a[0], on_b[0]), _dist3(on_a[1], on_b[1]))
 
 
 def _reference_project(seg, view):

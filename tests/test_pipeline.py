@@ -315,17 +315,14 @@ def test_each_relative_pose_is_computed_once_per_run(noisy_scene, monkeypatch):
 
 def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatch):
     # each selection block projects every proposal into its generating view
-    # once, when it is built, and each track record its segment into its own
-    # view; a pair whose 3D components give 0 projects nothing, and any other
-    # pair projects each segment into the other's view
+    # once, when it is built, and each track block every segment into its
+    # owning view; a pair whose 3D components give 0 projects nothing, and
+    # any other pair projects each segment into the other's view
     _, inp = noisy_scene
     counts = Counter()
-    made = []  # projections made by each open builder or pair score
-    projection, project_rows = scoring.project_floats, scoring._project_rows
-
-    def counted_projection(seg, view):
-        made[-1].append((id(seg), id(view)))
-        return projection(seg, view)
+    passes = []  # the rows each track block scores
+    made = []  # row projections made by each open builder or pair score
+    project_rows, build = scoring._project_rows, pipeline.build_tracks
 
     def counted_rows(start, end, kr, kt):
         made[-1].append(len(start))
@@ -351,43 +348,58 @@ def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatc
         counts["selection", "projections"] += sum(rows)
         return s
 
-    def built(seg, view):
+    def built_track_block(segments, *args):
         made.append([])
-        record = scoring.hypothesis(seg, view)
-        assert made.pop() == [(id(seg), id(view))]
-        counts["tracks", "records"] += 1
-        counts["tracks", "projections"] += 1
-        return record
+        block = scoring.track_block(segments, *args)
+        assert made.pop() == [len(segments)]
+        passes.append(0)
+        counts["tracks", "blocks"] += 1
+        counts["tracks", "records"] += len(segments)
+        counts["tracks", "projections"] += len(segments)
+        return block
 
-    def scored(a, b, config):
+    def scored_slice(block, first, second, config):
         made.append([])
-        s = scoring.track_pair_score(a, b, config)
-        pair = made.pop()
-        counts["tracks", "pairs"] += 1
-        if pair:
-            assert pair == [(id(b), id(a.view)), (id(a), id(b.view))]
-            counts["tracks", "past the gate"] += 1
-            counts["tracks", "projections"] += len(pair)
+        s = scoring.track_pair_score(block, first, second, config)
+        rows = made.pop()
+        assert 0 < len(first) <= tracks.SCORE_ROWS
+        passes[-1] += len(first)
+        counts["tracks", "slices"] += 1
+        counts["tracks", "pairs"] += len(first)
+        assert len(rows) == 2 and rows[0] == rows[1]
+        counts["tracks", "past the gate"] += rows[0]
+        counts["tracks", "projections"] += sum(rows)
         return s
 
-    monkeypatch.setattr(scoring, "project_floats", counted_projection)
+    def building(candidates, edges, *args):
+        # the match edges between accepted detections, each counted once
+        joined = {frozenset(e) for e in edges if e[0] != e[1] and set(e) <= candidates.keys()}
+        counts["tracks", "edges"] = len(joined)
+        return build(candidates, edges, *args)
+
     monkeypatch.setattr(scoring, "_project_rows", counted_rows)
     monkeypatch.setattr(pipeline, "proposal_block", built_block)
     monkeypatch.setattr(pipeline, "selection_pair_score", scored_block)
-    monkeypatch.setattr(tracks, "hypothesis", built)
-    monkeypatch.setattr(tracks, "track_pair_score", scored)
+    monkeypatch.setattr(pipeline, "build_tracks", building)
+    monkeypatch.setattr(tracks, "track_block", built_track_block)
+    monkeypatch.setattr(tracks, "track_pair_score", scored_slice)
     result = run_pipeline(inp, PipelineConfig(optimize=False))
-    # one selection block per image, one row per proposal; one track record
-    # per accepted candidate and one per track entering remerge
+    # one selection block per image, one row per proposal; one track block
+    # for the accepted candidates, with a row per deduplicated match edge,
+    # and one for the tracks entering remerge, with a row per pair of them
     assert result.stats["proposals"] == 9_695
     assert result.stats["accepted"] == 895
+    assert passes == [counts["tracks", "edges"], 40 * 39 // 2]
     assert counts == {
         ("selection", "blocks"): 16,
         ("selection", "records"): 9_695,
         ("selection", "pairs"): 42_698,
         ("selection", "past the gate"): 22_444,
         ("selection", "projections"): 2 * 22_444 + 9_695,
+        ("tracks", "edges"): 6_547,
+        ("tracks", "blocks"): 2,
         ("tracks", "records"): 935,
+        ("tracks", "slices"): 7 + 1,
         ("tracks", "pairs"): 7_327,
         ("tracks", "past the gate"): 5_359,
         ("tracks", "projections"): 2 * 5_359 + 935,
@@ -395,7 +407,7 @@ def test_pair_scores_project_only_pairs_past_the_3d_gate(noisy_scene, monkeypatc
 
 
 def test_scored_segments_keep_only_their_fields_and_cached_properties(noisy_scene, monkeypatch):
-    # per-segment scoring work lives in the records of one pass, so every
+    # per-segment scoring work lives in the array blocks of one pass, so every
     # proposal, every track entering remerge and every track built holds
     # nothing beyond its dataclass fields and cached properties afterwards
     _, inp = noisy_scene

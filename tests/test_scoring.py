@@ -12,28 +12,27 @@ from linemap.geometry import (
     Segment3D,
     normalized,
     plucker_from_segment,
-    project_floats,
     project_point_to_line3d,
     project_segment,
     quat_to_rotmat,
 )
 from linemap.scoring import (
-    angular_distance,
-    hypothesis,
-    innerseg_distance,
-    mutual_overlap,
     normalize_distance,
-    overlap_ratio,
-    perpendicular_distance_2d,
     perspective_distance,
     proposal_block,
     selection_pair_score,
+    track_block,
     track_pair_score,
 )
 
 from support import (
+    angular_distance,
     identity_view,
+    innerseg_distance,
     make_view,
+    mutual_overlap,
+    overlap_ratio,
+    perpendicular_distance_2d,
     reference_selection_pair_score,
     reference_track_pair_score,
 )
@@ -58,9 +57,15 @@ def selection(a, b, ref, view_a, view_b, config=PipelineConfig()):
     return float(score)
 
 
+def owned_block(a, view_a, b, view_b):
+    """The track block of ``a`` and ``b``, owned by their views."""
+    return track_block([a, b], [0, 1], {0: view_a, 1: view_b})
+
+
 def track(a, view_a, b, view_b, config=PipelineConfig()):
-    """Track score of ``a`` and ``b``, owned by their views."""
-    return track_pair_score(hypothesis(a, view_a), hypothesis(b, view_b), config)
+    """Track score of ``a`` and ``b``, owned by their views, a block of one pair."""
+    (score,) = track_pair_score(owned_block(a, view_a, b, view_b), [0], [1], config)
+    return float(score)
 
 
 # ---------------------------------------------------------------------------
@@ -192,36 +197,39 @@ def test_innerseg_scale_uses_min_depth_over_focal():
     vb = identity_view(f=300.0)
     a = seg3([0, 0, 6], [1, 0, 6])
     b = seg3([0, 0, 9], [1, 0, 9])
-    # each record holds its own midpoint depth over focal length; the track
+    # each row holds its own midpoint depth over focal length; the track
     # score divides by the smaller one, as the reference does
-    assert hypothesis(a, va).scale == pytest.approx(6 / 600)
-    assert hypothesis(b, vb).scale == pytest.approx(9 / 300)
+    assert owned_block(a, va, b, vb).scale.tolist() == pytest.approx([6 / 600, 9 / 300])
 
 
 def test_float_projection_matches_project_segment():
     # random intrinsics, poses and segments, about two thirds of them cut by
-    # the camera plane: the float record is None exactly where project_segment
-    # is, and otherwise agrees with it to 1e-12 relative
+    # the camera plane, each segment owned by its own view in one block: a
+    # row's projection is missing exactly where project_segment gives None,
+    # and otherwise agrees with it to 1e-12 relative
     rng = np.random.default_rng(46)
-    outcomes = Counter()
-    for _ in range(1000):
+    segments, views = [], {}
+    for i in range(1000):
         f = rng.uniform(200.0, 2000.0)
         fy, cx, cy = f * rng.uniform(0.9, 1.1), rng.uniform(0, 640), rng.uniform(0, 480)
         K = np.array([[f, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
         q = rng.normal(size=4)
-        view = CameraView(K, quat_to_rotmat(q / np.linalg.norm(q)), rng.normal(size=3) * 5, 640, 480)
-        seg = seg3(rng.normal(size=3) * 5, rng.normal(size=3) * 5)
-        got, ref = project_floats(seg, view), project_segment(seg, view)
+        views[i] = CameraView(K, quat_to_rotmat(q / np.linalg.norm(q)), rng.normal(size=3) * 5, 640, 480)
+        segments.append(seg3(rng.normal(size=3) * 5, rng.normal(size=3) * 5))
+    own = track_block(segments, list(views), views).own
+    outcomes = Counter()
+    for i, seg in enumerate(segments):
+        ref = project_segment(seg, views[i])
         outcomes[ref is None] += 1
-        assert (got is None) == (ref is None)
+        assert (not own.ok[i]) == (ref is None)
         if ref is None:
             continue
-        for g, r in ((got.start, ref.start), (got.end, ref.end)):
-            assert g[2] == 1.0
-            assert np.linalg.norm(np.array(g[:2]) - r) <= 1e-12 * np.linalg.norm(r)
-        assert got.length == pytest.approx(ref.length, rel=1e-12)
-        assert np.abs(np.array(got.direction) - [*ref.direction, 0.0]).max() <= 1e-12
-        assert np.abs(np.array(got.line[:2]) - ref.infinite_line[:2]).max() <= 1e-12
+        for got, want in (((own.x1[i], own.y1[i]), ref.start), ((own.x2[i], own.y2[i]), ref.end)):
+            assert np.linalg.norm(np.array(got) - want) <= 1e-12 * np.linalg.norm(want)
+        assert own.length[i] == pytest.approx(ref.length, rel=1e-12)
+        assert np.abs(np.array([own.u[i], own.v[i]]) - ref.direction).max() <= 1e-12
+        line = np.array([own.l0[i], own.u[i]])
+        assert np.abs(line - ref.infinite_line[:2]).max() <= 1e-12
     assert outcomes[True] >= 200 and outcomes[False] >= 200
 
 
@@ -234,7 +242,7 @@ def test_a_segment_along_a_viewing_ray_scores_zero():
     other = make_view([-3.0, 0.5, 3.0], target=(0.0, 0.0, 3.0))
     a = seg3([0, 0, 2], [0, 0, 4])
     b = seg3([0, 0, 2.05], [0, 0, 4.1])
-    assert project_floats(a, axis) is None
+    assert not track_block([a], [0], {0: axis}).own.ok[0]
     assert track(a, other, b, side) > 0.0
     for args in ((a, axis, b, side), (b, side, a, axis)):
         assert track(*args) == 0.0
@@ -355,7 +363,7 @@ def test_behind_camera_scores_zero():
     a = seg3([-0.5, 0.0, 0.0], [0.5, 0.0, 0.0])
     va, _ = two_views()
     cut = cutting_view(-0.2, +1.0)
-    assert hypothesis(a, cut).scale > 0
+    assert track_block([a], [0], {0: cut}).scale[0] > 0
     assert project_segment(a, cut) is None
     assert track(a, va, a, va) == pytest.approx(1.0)
     assert track(a, va, a, cut) == 0.0
@@ -383,32 +391,23 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
     # random pairs, near copies and strays, seen from cameras close enough to
     # cut some segments: each score equals the minimum over all of its
     # components, bit for bit, whichever way it ends
-    projections, project_rows = scoring._projections, scoring._project_rows
-    ends = []
-    cross = []  # `ok` of each row the selection block projects into the other view
-
-    def recorded(a, b):
-        pairs = projections(a, b)
-        ends.append("behind" if pairs is None else "projected")
-        return pairs
+    project_rows = scoring._project_rows
+    cross = []  # `ok` of each row a block projects into the other segment's view
 
     def recorded_rows(*args):
         rows = project_rows(*args)
         cross.extend(rows.ok.tolist())
         return rows
 
-    def outcome(score):
-        # gated on the 3D components, behind a view, or projected and scored in full
-        return ends.pop() if ends else "gated", score > 0
-
-    def selection_outcome(block, score):
-        # the block's own projections, then its two cross projections of the pair
+    def outcome(block, score):
+        # gated on the 3D components, behind a view (or a point in it), or
+        # projected and scored in full: the block's own projections, then its
+        # two cross projections of the pair
         if not cross:
             return "gated", score > 0
         projected = all(cross) and all(block.own.ok.tolist())
         return "projected" if projected else "behind", score > 0
 
-    monkeypatch.setattr(scoring, "_projections", recorded)
     monkeypatch.setattr(scoring, "_project_rows", recorded_rows)
     rng = np.random.default_rng(44)
     cfg = PipelineConfig()
@@ -428,10 +427,12 @@ def test_pair_scores_equal_the_full_min_reference(monkeypatch):
         block = pair_block(a, b, ref, va, vb)
         cross.clear()
         (s,) = selection_pair_score(block, [0], [1], cfg)
-        outcomes["selection", *selection_outcome(block, s)] += 1
+        outcomes["selection", *outcome(block, s)] += 1
         assert s == reference_selection_pair_score(a, b, ref, va, vb, cfg)
-        t = track(a, va, b, vb, cfg)
-        outcomes["track", *outcome(t)] += 1
+        block = owned_block(a, va, b, vb)
+        cross.clear()
+        (t,) = track_pair_score(block, [0], [1], cfg)
+        outcomes["track", *outcome(block, t)] += 1
         assert t == reference_track_pair_score(a, va, b, vb, cfg)
     for kind in ("selection", "track"):
         assert outcomes[kind, "gated", False] >= 20
@@ -481,3 +482,56 @@ def test_selection_block_equals_the_reference_pair_by_pair():
     assert not block.own.ok[-4]  # a point in its generating view
     assert not block.own.ok[0]  # its start behind its generating view
     assert kinds["nan"] >= 50 and kinds["positive"] >= 20 and kinds["zero"] >= 500
+
+
+def test_track_block_equals_the_reference_pair_by_pair():
+    # one block of segments owned by five views, every pair scored in one
+    # call: near copies and strays, anti-parallel copies (the reversed feet
+    # of the inner-segment distance), collinear disjoint segments (its gap
+    # case), segments cut by a camera beside them, segments behind their own
+    # view (scale <= 0), one along a viewing ray (a point in that view) and
+    # NaN segments
+    rng = np.random.default_rng(47)
+    cfg = PipelineConfig()
+    base = [seg3(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(6)]
+    beside = base[0].start + 0.3 * (base[0].end - base[0].start)
+    axis = make_view([0.2, -0.1, -3.0], target=(0.0, 0.0, 0.0))
+    views = {
+        0: make_view([3.0, 0.5, -0.5]),
+        1: make_view([2.5, -1.0, 1.0]),
+        2: make_view(beside, target=beside + base[0].direction),
+        3: axis,
+        4: make_view([0.0, 0.3, 4.0], target=(0.0, 0.3, 8.0)),  # faces away from the scene
+    }
+    segments = []
+    for b in base:
+        for spread in (0.0, 0.0005, 0.001, 0.005, 0.03, 0.5):
+            jitter = rng.normal(scale=spread, size=(2, 3))
+            segments.append(seg3(b.start + jitter[0], b.end + jitter[1]))
+            segments.append(seg3(b.end + jitter[1], b.start + jitter[0]))
+        d = b.end - b.start
+        segments.append(seg3(b.end + 0.2 * d, b.end + 1.2 * d))  # on b's line, past its end
+    # along the optical axis of `axis`, and a near copy off it
+    c, d = axis.camera_center, axis.R[2]
+    segments += [seg3(c + 2.0 * d, c + 4.0 * d), seg3(c + 2.001 * d, c + 4.002 * d)]
+    segments += [seg3([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]), seg3(base[1].start, [0.3, np.nan, 0.1])]
+    owners = rng.choice([0, 1, 2], p=[0.45, 0.45, 0.1], size=len(segments)).tolist()
+    owners[:3], owners[-4:] = [2, 4, 4], [3, 0, 1, 2]
+    n = len(segments)
+    first, second = zip(*[(i, j) for i in range(n) for j in range(i + 1, n)])
+    block = track_block(segments, owners, views)
+    scores = track_pair_score(block, first, second, cfg)
+    kinds = Counter()
+    for i, j, s in zip(first, second, scores.tolist()):
+        want = reference_track_pair_score(
+            segments[i], views[owners[i]], segments[j], views[owners[j]], cfg
+        )
+        assert s == want, (i, j)
+        nan = not np.isfinite(np.concatenate([segments[k].endpoints() for k in (i, j)])).all()
+        turned = segments[i].direction @ segments[j].direction < 0
+        kinds["nan" if nan else "turned" if turned and s > 0 else "positive" if s > 0 else "zero"] += 1
+    assert not block.own.ok[0] and block.scale[0] > 0  # its start behind its own view
+    assert (block.scale[1:3] < 0).all()  # behind its own view
+    assert not block.own.ok[-4]  # a point in its own view
+    assert kinds["nan"] >= 50 and kinds["zero"] >= 500
+    assert kinds["positive"] >= 40 and kinds["turned"] >= 60

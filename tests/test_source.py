@@ -4,8 +4,9 @@ Every config key is read by the pipeline and documented in README, every
 field of the synthetic and refinement configs is set by some call, every
 imported name is used, no object's ``__dict__`` is written, neither the
 pair scores nor the two-view triangulation of a match makes a BLAS call,
-the selection block keeps to the numpy calls that round as Python floats
-do, and no random draw runs once per loop iteration.
+the selection and track blocks keep to the numpy calls that round as
+Python floats do, no random draw runs once per loop iteration, and track
+building scores no pair once per loop iteration.
 """
 
 import ast
@@ -141,8 +142,8 @@ def test_no_object_dict_is_written():
     assert writes == []
 
 
-# the per-pair float code that scoring.py reads from geometry.py
-GEOMETRY_FLOAT_CODE = ("CameraView.depth", "planar_floats", "project_floats", "Segment2D.floats")
+# geometry's float code for a point's depth and a 2D segment's record
+GEOMETRY_FLOAT_CODE = ("CameraView.depth", "planar_floats", "Segment2D.floats")
 
 
 def _matrix_products(code):
@@ -201,9 +202,10 @@ def test_two_view_triangulation_has_no_matrix_product_or_numpy_call():
     assert _matrix_products(code) + numpy_calls == []
 
 
-# the selection block: elementwise numpy that rounds as the scalar formulas do
-SELECTION_BLOCK_CODE = (
+# the pair-score blocks: elementwise numpy that rounds as the scalar formulas do
+ROW_CODE = (
     "_dot_rows",
+    "_dist_rows",
     "_min",
     "_max",
     "_acute_angles",
@@ -212,9 +214,19 @@ SELECTION_BLOCK_CODE = (
     "_project_rows",
     "_perpendicular_rows",
     "_angle_rows",
-    "proposal_block",
-    "perspective_distance",
-    "selection_pair_score",
+    "_segment_rows",
+    "_view_rows",
+    "_cross_rows",
+    "_image_components",
+)
+SELECTION_BLOCK_CODE = ROW_CODE + ("proposal_block", "perspective_distance", "selection_pair_score")
+TRACK_BLOCK_CODE = ROW_CODE + (
+    "_binary_rows",
+    "_overlap_rows",
+    "_along_planar",
+    "_mutual_overlap_planar",
+    "track_block",
+    "track_pair_score",
 )
 # numpy calls whose result can differ from the scalar code's: a BLAS or
 # pairwise reduction, a transcendental function other than libm's, `x * x`
@@ -237,9 +249,10 @@ INEXACT_NUMPY = {
 }
 
 
-def test_selection_block_makes_only_exact_numpy_calls():
+def _inexact_calls(names):
+    """``@`` and inexact numpy calls in the named definitions of scoring.py."""
     defined = dict(_definitions(TREES["scoring.py"]))
-    code = [(f"scoring.py {name}", defined[name]) for name in SELECTION_BLOCK_CODE]
+    code = [(f"scoring.py {name}", defined[name]) for name in names]
     inexact = [
         f"{where}:{node.lineno} np.{node.attr}"
         for where, tree in code
@@ -249,7 +262,19 @@ def test_selection_block_makes_only_exact_numpy_calls():
         and node.value.id == "np"
         and node.attr in INEXACT_NUMPY
     ]
-    assert _matrix_products(code) + inexact == []
+    return _matrix_products(code) + inexact
+
+
+def test_selection_block_makes_only_exact_numpy_calls():
+    assert _inexact_calls(SELECTION_BLOCK_CODE) == []
+
+
+def test_track_block_makes_only_exact_numpy_calls():
+    # every definition of scoring.py belongs to a block, except the one
+    # scalar normalization the blocks call element by element
+    assert _inexact_calls(TRACK_BLOCK_CODE) == []
+    defined = {name for name, _ in _definitions(TREES["scoring.py"])}
+    assert defined - set(SELECTION_BLOCK_CODE + TRACK_BLOCK_CODE) == {"normalize_distance"}
 
 
 def test_no_random_draw_runs_once_per_iteration():
@@ -269,3 +294,22 @@ def test_no_random_draw_runs_once_per_iteration():
         }
     )
     assert draws == []
+
+
+def test_track_passes_score_no_pair_inside_a_loop():
+    # build_tracks and remerge_tracks score all of their pairs as rows of one
+    # block before they unite any, never one score call per edge or pair
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    defined = dict(_definitions(TREES["tracks.py"]))
+    calls = sorted(
+        {
+            f"tracks.{name}:{node.lineno}"
+            for name in ("build_tracks", "remerge_tracks")
+            for loop in ast.walk(defined[name])
+            if isinstance(loop, loops)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and "score" in getattr(node.func, "id", getattr(node.func, "attr", ""))
+        }
+    )
+    assert calls == []

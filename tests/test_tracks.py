@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from linemap import tracks as tracks_module
 from linemap.config import PipelineConfig
 from linemap.geometry import Segment3D, trimmed_extent
+from linemap.scoring import track_block, track_pair_score
 from linemap.tracks import (
+    SCORE_ROWS,
     LineTrack,
     TrackCandidate,
     build_tracks,
@@ -143,3 +146,37 @@ def test_build_is_deterministic():
     for a, b in zip(t1, t2):
         np.testing.assert_array_equal(a.segment.start, b.segment.start)
         np.testing.assert_array_equal(a.segment.end, b.segment.end)
+
+
+def test_sliced_scores_equal_scoring_each_row_alone(monkeypatch):
+    # about 2.5 slices of rows scored through the slicing helper give, row for
+    # row, what each row scored alone gives: a slice seam never shifts, drops
+    # or repeats a row
+    rng = np.random.default_rng(48)
+    views = ring_views()
+    segments = []
+    for line in range(5):
+        y, z = rng.uniform(-0.3, 0.3, 2)
+        for _ in range(12):
+            t0 = rng.uniform(-0.8, -0.2)
+            seg = on_x_axis(t0, t0 + rng.uniform(0.6, 1.4), y, z)
+            jitter = rng.normal(scale=rng.choice([0.001, 0.005, 0.02]), size=(2, 3))
+            segments.append(Segment3D(seg.start + jitter[0], seg.end + jitter[1]))
+    owners = rng.integers(0, len(views), size=len(segments)).tolist()
+    block = track_block(segments, owners, views)
+    rows = int(2.5 * SCORE_ROWS)
+    first = rng.integers(0, len(segments), size=rows)
+    second = (first + rng.integers(1, len(segments), size=rows)) % len(segments)
+    sizes = []
+
+    def counted(block, first, second, config):
+        sizes.append(len(first))
+        return track_pair_score(block, first, second, config)
+
+    monkeypatch.setattr(tracks_module, "track_pair_score", counted)
+    cfg = PipelineConfig()
+    sliced = tracks_module._pair_scores(block, first, second, cfg)
+    alone = [float(track_pair_score(block, [i], [j], cfg)[0]) for i, j in zip(first, second)]
+    assert sizes == [SCORE_ROWS, SCORE_ROWS, rows - 2 * SCORE_ROWS]
+    assert sliced == alone
+    assert sum(s > 0 for s in alone) >= 200 and len(set(alone)) >= 100
