@@ -22,8 +22,13 @@ from .geometry import (
     leading_sign,
     normalized,
     point_segment_distances,
+    stack_segments_2d,
 )
 from .tracks import UnionFind
+
+VP_MAX_MODELS = 8  # vanishing points one image can give
+VP_ITERATIONS = 500  # two-segment hypotheses per RANSAC round
+VP_TRACK_MAX_ANGLE_DEG = 10.0  # world-direction disagreement two merged VP detections may have
 
 
 def associate_points_to_segments(
@@ -89,14 +94,13 @@ def estimate_vps(
     segments: list[Segment2D],
     inlier_px: float = 1.0,
     min_support: int = 5,
-    max_models: int = 8,
-    iterations: int = 500,
     seed: int = 0,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Sequential RANSAC vanishing point detection.
 
     Returns ``(vps, assignment)`` where ``assignment[i]`` is the VP index of
-    segment ``i`` or -1.  Each round samples two-segment models, keeps the
+    segment ``i`` or -1; at most :data:`VP_MAX_MODELS` VPs are found.  Each
+    round samples :data:`VP_ITERATIONS` two-segment models, keeps the
     one with the largest support among the not-yet-assigned segments (the
     first one on ties), and refines it on its inliers (null vector of the
     stacked line equations).  A round's hypotheses are scored together as
@@ -105,24 +109,24 @@ def estimate_vps(
     (:func:`~linemap.geometry.distinct_index_pairs`).  A model needs two
     segments, so ``min_support`` below 2 counts as 2.  Deterministic for a
     fixed seed.
+
+    Raises:
+        ValueError: if a segment is shorter than EPS.
     """
     min_support = max(min_support, 2)
     rng = np.random.default_rng(seed)
     n = len(segments)
     assignment = np.full(n, -1, dtype=np.int64)
-    if n:
-        # homogeneous endpoints (x, y, 1) and lines from the float records
-        planar = [s.floats for s in segments]
-        lines = np.array([p.line for p in planar])
-        starts_h = np.array([p.start for p in planar])
-        ends_h = np.array([p.end for p in planar])
-        mids_h = 0.5 * (starts_h + ends_h)
+    ends, planar = stack_segments_2d(segments)  # homogeneous endpoints (x, y, 1)
+    starts_h, ends_h = ends[:, 0], ends[:, 1]
+    lines = np.stack([planar.l0, planar.u, planar.l2], axis=1)
+    mids_h = 0.5 * (starts_h + ends_h)
     remaining = np.arange(n)
     vps: list[np.ndarray] = []
 
-    while len(remaining) >= min_support and len(vps) < max_models:
+    while len(remaining) >= min_support and len(vps) < VP_MAX_MODELS:
         rm, rs, re = mids_h[remaining], starts_h[remaining], ends_h[remaining]
-        pairs = remaining[distinct_index_pairs(rng, len(remaining), iterations)]
+        pairs = remaining[distinct_index_pairs(rng, len(remaining), VP_ITERATIONS)]
         cand = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
         inliers = _vp_residuals(rm, rs, re, cand) <= inlier_px
         counts = inliers.sum(axis=1)
@@ -185,19 +189,18 @@ def build_vp_tracks(
     directions: dict[VPNode, np.ndarray],
     shared_counts: dict[tuple[VPNode, VPNode], int],
     min_shared: int = 3,
-    max_angle_deg: float = 10.0,
 ) -> list[VPTrack]:
     """Merge per-image VP detections into cross-image tracks.
 
     ``shared_counts`` gives, for pairs of detections in different images,
     how many line tracks are supported by segments assigned to both.  Pairs
     sharing at least ``min_shared`` tracks and agreeing in world direction
-    within ``max_angle_deg`` become merge candidates, processed by
+    within :data:`VP_TRACK_MAX_ANGLE_DEG` become merge candidates, processed by
     descending count; a merge is skipped if it would put two detections of
     the same image into one track.
     """
     nodes = sorted(directions.keys())
-    cos_min = np.cos(np.radians(max_angle_deg))
+    cos_min = np.cos(np.radians(VP_TRACK_MAX_ANGLE_DEG))
     edges = []
     for (a, b), cnt in shared_counts.items():
         if cnt < min_shared or a[0] == b[0]:

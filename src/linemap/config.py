@@ -3,8 +3,8 @@
 :class:`PipelineConfig` is the public tuning surface: the ``tau_*``
 scoring thresholds, the selection and track-size gates, the cue and
 refinement switches, and refinement's iteration cap.  Every other
-threshold lives once, where it is read: as a module constant or as the
-default of the function that reads it.
+threshold lives once, as a constant of the module that reads it; a
+function keeps a keyword default only when some call passes it.
 
 Config files are plain ``key = value`` lines; ``#`` starts a comment.
 Values are coerced to the declared field type; unknown keys are rejected

@@ -179,16 +179,11 @@ def intrinsics_matrix(focal: float, cx: float, cy: float) -> FloatArray:
 
 
 class ViewFloats(NamedTuple):
-    """A :class:`CameraView` as Python floats, for per-match scalar work and
-    the pair-score blocks."""
+    """A :class:`CameraView`'s pose as Python floats, for per-match scalar work."""
 
-    kr: list[list[float]]  # rows of K R
-    kt: list[float]  # K t
-    center: list[float]
     R: list[list[float]]  # rows of R; the camera-frame depth is R[2] . p + t[2]
     Rt: list[list[float]]  # rows of R^T: a camera-frame point X lies at R^T (X - t)
     t: list[float]
-    focal: float
 
 
 @dataclass(frozen=True)
@@ -198,11 +193,12 @@ class CameraView:
     The one home of the pinhole model: it projects points (and, through
     :func:`project_segment`, segments), gives a point's depth
     (:meth:`depth`), casts viewing rays (:meth:`world_ray`) and holds the
-    line map (:attr:`line_map`).  Its float record (:attr:`floats`) serves
-    the per-pair and per-match work: :meth:`depth`, :func:`relative_pose`
-    and the pair-score blocks of :mod:`~linemap.scoring` read it term by
-    term, with no BLAS call.  Derived values are cached on first access;
-    instances are immutable, so a cache can never go stale.
+    line map (:attr:`line_map`).  Its pose as Python floats (:attr:`floats`)
+    serves the per-match work: :meth:`depth`, :func:`relative_pose` and the
+    two-view triangulation read it term by term, with no BLAS call; the
+    pair-score blocks of :mod:`~linemap.scoring` stack :attr:`projection`,
+    :attr:`camera_center` and :attr:`focal`.  Derived values are cached on
+    first access; instances are immutable, so a cache can never go stale.
 
     Attributes:
         K: 3x3 intrinsic matrix.
@@ -234,23 +230,14 @@ class CameraView:
         return -self.R.T @ self.t
 
     @cached_property
-    def _kr_kt(self) -> tuple[FloatArray, FloatArray]:
+    def projection(self) -> tuple[FloatArray, FloatArray]:
+        """``(K R, K t)``: a world point ``X`` images to ``K R X + K t``."""
         return self.K @ self.R, self.K @ self.t
 
     @cached_property
     def floats(self) -> ViewFloats:
-        """The projection, centre, pose and focal length as Python floats, taken
-        from the arrays above (``.tolist()`` keeps every bit)."""
-        KR, Kt = self._kr_kt
-        return ViewFloats(
-            KR.tolist(),
-            Kt.tolist(),
-            self.camera_center.tolist(),
-            self.R.tolist(),
-            self.R.T.tolist(),
-            self.t.tolist(),
-            self.focal,
-        )
+        """``R``, ``R^T`` and ``t`` as Python floats (``.tolist()`` keeps every bit)."""
+        return ViewFloats(self.R.tolist(), self.R.T.tolist(), self.t.tolist())
 
     @cached_property
     def line_map(self) -> tuple[FloatArray, FloatArray]:
@@ -270,7 +257,7 @@ class CameraView:
         Raises:
             ValueError: if the point is at or behind the camera plane.
         """
-        KR, Kt = self._kr_kt
+        KR, Kt = self.projection
         uvw = KR @ p_world + Kt
         # the last K row is (0, 0, 1), so uvw[2] is the camera-frame depth
         if uvw[2] <= EPS:
@@ -304,34 +291,63 @@ def relative_pose(ref: CameraView, match: CameraView) -> tuple[Mat3, Vec3]:
 # ---------------------------------------------------------------------------
 
 
-class PlanarFloats(NamedTuple):
-    """A 2D segment as Python floats in homogeneous form, for scalar work.
+class PlanarRows(NamedTuple):
+    """2D segments, one row each, bit for bit as the same formulas on
+    Python floats give them.
 
-    The first four fields mirror :class:`SegmentFloats`, so one dot product,
-    :func:`dot3`, serves 2D and 3D records alike, a point's distance to
-    ``line`` included.
+    ``ok`` is False where a segment is shorter than EPS (or, for a
+    projection, where an endpoint is at or behind the camera plane); the
+    other fields of such a row are placeholders.  ``(x1, y1)``-``(x2, y2)``
+    are the endpoints, ``(u, v)`` the unit direction, ``(l0, u, l2)`` the
+    supporting line and ``length`` the :func:`math.hypot` length.
     """
 
-    start: tuple[float, float, float]  # (x, y, 1)
-    end: tuple[float, float, float]
-    direction: tuple[float, float, float]  # (dx, dy, 0), unit length
-    length: float
-    line: tuple[float, float, float]  # a*x + b*y + c = 0 with |(a, b)| = 1
+    ok: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    l0: np.ndarray
+    l2: np.ndarray
+    length: np.ndarray
+
+    def take(self, idx) -> PlanarRows:
+        return PlanarRows(*(field[idx] for field in self))
 
 
-def planar_floats(x1: float, y1: float, x2: float, y2: float) -> PlanarFloats | None:
-    """The record of the 2D segment ``(x1, y1)``-``(x2, y2)``; None when shorter than EPS.
+def planar_rows(x1: FloatArray, y1: FloatArray, x2: FloatArray, y2: FloatArray) -> PlanarRows:
+    """The 2D segments ``(x1[i], y1[i])``-``(x2[i], y2[i])`` as :class:`PlanarRows`.
 
-    The line's normal is ``(y1 - y2, x2 - x1) / length``.  On a level
-    segment its first term is +0.0, where ``-(y2 - y1)`` would give -0.0;
-    VP estimation stacks these lines, and its result follows that sign.
+    Elementwise arithmetic only, with :func:`math.hypot` element by element,
+    so each row equals the scalar formulas, signed zeros included: the
+    direction is ``(dx, dy) / length`` and the line ``(y1 - y2, x2 - x1,
+    x1*y2 - x2*y1) / length``.  On a level segment the line's first term is
+    +0.0, where ``-(y2 - y1)`` would give -0.0; VP estimation stacks these
+    lines, and its result follows that sign.
     """
     dx, dy = x2 - x1, y2 - y1
-    n = math.hypot(dx, dy)
-    if n < EPS:
-        return None
-    line = ((y1 - y2) / n, dx / n, (x1 * y2 - x2 * y1) / n)
-    return PlanarFloats((x1, y1, 1.0), (x2, y2, 1.0), (dx / n, dy / n, 0.0), n, line)
+    n = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    ok = ~(n < EPS)
+    n = np.where(ok, n, 1.0)
+    return PlanarRows(ok, x1, y1, x2, y2, dx / n, dy / n, (y1 - y2) / n, (x1 * y2 - x2 * y1) / n, n)
+
+
+def stack_segments_2d(segments: list[Segment2D]) -> tuple[FloatArray, PlanarRows]:
+    """The endpoints of ``segments`` as homogeneous rows ``(x, y, 1)``, an
+    ``(n, 2, 3)`` array, and the segments' :func:`planar_rows`.
+
+    Raises:
+        ValueError: if a segment is shorter than EPS.
+    """
+    ends = np.array([[[*s.start, 1.0], [*s.end, 1.0]] for s in segments], dtype=np.float64)
+    ends = ends.reshape(-1, 2, 3)
+    (x1, y1, _), (x2, y2, _) = ends.transpose(1, 2, 0)
+    planar = planar_rows(x1, y1, x2, y2)
+    if not planar.ok.all():
+        raise ValueError("cannot normalize near-zero vector")
+    return ends, planar
 
 
 @dataclass(frozen=True)
@@ -358,39 +374,28 @@ class Segment2D:
     def midpoint(self) -> FloatArray:
         return 0.5 * (self.start + self.end)
 
-    @property
-    def floats(self) -> PlanarFloats:
-        """This segment's :func:`planar_floats` record, built on each access (the
-        cached :attr:`direction` and :attr:`infinite_line` read it once).
+    @cached_property
+    def direction(self) -> FloatArray:
+        """``(end - start) / length`` elementwise; :func:`planar_rows` gives the same bits.
 
         Raises:
             ValueError: if the segment is shorter than EPS.
         """
-        planar = planar_floats(*self.start.tolist(), *self.end.tolist())
-        if planar is None:
+        if self.length < EPS:
             raise ValueError("cannot normalize near-zero vector")
-        return planar
-
-    @cached_property
-    def direction(self) -> FloatArray:
-        return np.array(self.floats.direction[:2])
+        return (self.end - self.start) / self.length
 
     @cached_property
     def infinite_line(self) -> FloatArray:
-        """Homogeneous coefficients of the supporting line, ``|(a, b)| = 1``."""
-        return np.array(self.floats.line)
+        """Homogeneous coefficients of the supporting line, ``|(a, b)| = 1``:
+        ``(y1 - y2, x2 - x1, x1*y2 - x2*y1) / length``, as in :func:`planar_rows`."""
+        (x1, y1), (x2, y2) = self.start.tolist(), self.end.tolist()
+        n = self.length
+        u = self.direction[0]  # (x2 - x1) / n; raises below EPS
+        return np.array([(y1 - y2) / n, u, (x1 * y2 - x2 * y1) / n])
 
     def endpoints(self) -> FloatArray:
         return np.stack([self.start, self.end])
-
-
-class SegmentFloats(NamedTuple):
-    """A :class:`Segment3D` as Python floats, for per-pair and per-match scalar work."""
-
-    start: list[float]
-    end: list[float]
-    direction: list[float]
-    length: float
 
 
 @dataclass(frozen=True)
@@ -415,21 +420,14 @@ class Segment3D:
 
     @cached_property
     def direction(self) -> FloatArray:
-        return np.array(self.floats.direction)
+        """``(end - start) / length`` elementwise.
 
-    @cached_property
-    def floats(self) -> SegmentFloats:
-        """Start, end, unit direction and length as Python floats.
-
-        The direction is ``(end - start) / length`` elementwise; the length
-        is :attr:`length`'s :func:`norm3`, taken here from the same floats.
+        Raises:
+            ValueError: if the segment is shorter than EPS.
         """
-        start, end = self.start.tolist(), self.end.tolist()
-        d = [e - s for s, e in zip(start, end)]
-        n = norm3(d)
-        if n < EPS:
+        if self.length < EPS:
             raise ValueError("cannot normalize near-zero vector")
-        return SegmentFloats(start, end, [x / n for x in d], n)
+        return (self.end - self.start) / self.length
 
     def endpoints(self) -> FloatArray:
         return np.stack([self.start, self.end])
@@ -439,8 +437,8 @@ def project_segment(seg: Segment3D, view: CameraView) -> Segment2D | None:
     """Both endpoints projected into ``view``; None if either is at or behind its camera plane.
 
     Numpy arithmetic, whose bits the synthetic observations are built from;
-    the pair scores project rows of a block from :attr:`CameraView.floats`
-    (:mod:`~linemap.scoring`).
+    the pair scores project rows of a block elementwise from
+    :attr:`CameraView.projection` (:mod:`~linemap.scoring`).
     """
     try:
         start, end = view.project_point(seg.start), view.project_point(seg.end)

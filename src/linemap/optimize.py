@@ -50,6 +50,7 @@ from .geometry import (
     quat_mul,
     quat_to_rotmat,
     skew,
+    stack_segments_2d,
     trimmed_extent,
 )
 
@@ -97,6 +98,7 @@ _FTOL = 1e-8  # relative cost drop
 _GTOL = 1e-10  # max |gradient| entry
 
 ASSOC_LOSS_SCALE = 0.25  # Huber, point-line and line-VP terms; scene units / radians-ish
+POINT_LINE_MAX_RATIO = 2.0  # point-line distance an incidence keeps, in the smaller uncertainty scale
 
 
 @dataclass(frozen=True)
@@ -452,10 +454,8 @@ class _Linearizer:
         lo_view = np.array([view_index[img] for _, img, _ in lo], dtype=np.intp)
         line_maps = np.array([v.line_map for v in views]).reshape(-1, 2, 3, 3)[lo_view]
         self.lo_Am, self.lo_Ad = line_maps[:, 0], line_maps[:, 1]
-        self.lo_ends = np.array(
-            [[[*seg.start, 1.0], [*seg.end, 1.0]] for _, _, seg in lo], dtype=np.float64
-        ).reshape(-1, 2, 3)
-        self.lo_direction = np.array([seg.direction for _, _, seg in lo]).reshape(-1, 2)
+        self.lo_ends, planar = stack_segments_2d([seg for _, _, seg in lo])
+        self.lo_direction = np.stack([planar.u, planar.v], axis=1)
 
         self.pl_point, self.pl_line = _index(problem.point_line, 0), _index(problem.point_line, 1)
         self.pl_weight = _floats(problem.point_line, 2)
@@ -686,20 +686,20 @@ def extract_point_line_edges(
     lines: list[PluckerLine],
     line_scales: np.ndarray,
     candidates: list[tuple[int, int]],
-    max_ratio: float = 2.0,
 ) -> list[tuple[int, int]]:
     """Keep candidate incidences whose 3D distance is small vs. uncertainty.
 
     The uncertainty scale of a feature is its minimum depth over focal
     length across observations; an edge survives when the point-line
-    distance is at most ``max_ratio`` times the smaller of the two scales.
+    distance is at most :data:`POINT_LINE_MAX_RATIO` times the smaller of
+    the two scales.
     """
     out = []
     for pi, li in candidates:
         sigma = min(float(point_scales[pi]), float(line_scales[li]))
         if sigma <= 0:
             continue
-        if point_line_distance_3d(points[pi], lines[li]) / sigma <= max_ratio:
+        if point_line_distance_3d(points[pi], lines[li]) / sigma <= POINT_LINE_MAX_RATIO:
             out.append((pi, li))
     return sorted(out)
 

@@ -40,9 +40,10 @@ a1*b1) + a2*b2``, never handed to ``@`` or ``einsum``.  ``np.exp``,
 ``math.exp``, ``math.acos``, ``math.hypot`` and Python's ``**`` in the last
 bit, so those run through :mod:`math` element by element.  Python's
 ``min(x, y)`` keeps ``x`` unless ``y < x``, NaN included, so it is written
-as ``np.where``, not ``np.minimum``.  The views enter through their float
-records (:attr:`CameraView.floats <linemap.geometry.CameraView.floats>`),
-so no BLAS call touches a score.
+as ``np.where``, not ``np.minimum``.  A block stacks its views' ``K R`` and
+``K t`` (:attr:`CameraView.projection
+<linemap.geometry.CameraView.projection>`), and a projection's 2D record is
+:func:`~linemap.geometry.planar_rows`, so no BLAS call touches a score.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import EPS, CameraView, Segment3D
+from .geometry import EPS, CameraView, PlanarRows, Segment3D, planar_rows
 
 SCORE_GATE = 0.5  # lowest nonzero similarity of one component
 
@@ -114,31 +115,6 @@ def _overlap_rows(t_start: np.ndarray, t_end: np.ndarray, length: np.ndarray) ->
     return _max(0.0, inter) / length
 
 
-class PlanarRows(NamedTuple):
-    """Segments projected into views, one row each, bit for bit as a
-    projection on Python floats through ``dot3`` gives them.
-
-    ``ok`` is False where an endpoint is at or behind the camera plane, or
-    where the projection is shorter than EPS px; the other fields of such a
-    row are placeholders.  ``(u, v)`` is the unit direction, ``(l0, u, l2)``
-    the supporting line and ``length`` the :func:`math.hypot` length.
-    """
-
-    ok: np.ndarray
-    x1: np.ndarray
-    y1: np.ndarray
-    x2: np.ndarray
-    y2: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    l0: np.ndarray
-    l2: np.ndarray
-    length: np.ndarray
-
-    def take(self, idx) -> PlanarRows:
-        return PlanarRows(*(field[idx] for field in self))
-
-
 def _project_rows(start, end, kr, kt) -> PlanarRows:
     """Rows ``i`` of ``start`` and ``end`` projected by ``kr[i]`` (``K R``) and ``kt[i]``."""
     # the last K row is (0, 0, 1), so the third coordinate is the camera-frame depth
@@ -146,16 +122,13 @@ def _project_rows(start, end, kr, kt) -> PlanarRows:
     we = _dot_rows(kr[:, 2], end) + kt[:, 2]
     ok = ~((ws <= EPS) | (we <= EPS))
     ws, we = np.where(ok, ws, 1.0), np.where(ok, we, 1.0)
-    x1 = (_dot_rows(kr[:, 0], start) + kt[:, 0]) / ws
-    y1 = (_dot_rows(kr[:, 1], start) + kt[:, 1]) / ws
-    x2 = (_dot_rows(kr[:, 0], end) + kt[:, 0]) / we
-    y2 = (_dot_rows(kr[:, 1], end) + kt[:, 1]) / we
-    dx, dy = x2 - x1, y2 - y1
-    n = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
-    ok &= ~(n < EPS)
-    n = np.where(ok, n, 1.0)
-    line = ((y1 - y2) / n, (x1 * y2 - x2 * y1) / n)
-    return PlanarRows(ok, x1, y1, x2, y2, dx / n, dy / n, *line, n)
+    planar = planar_rows(
+        (_dot_rows(kr[:, 0], start) + kt[:, 0]) / ws,
+        (_dot_rows(kr[:, 1], start) + kt[:, 1]) / ws,
+        (_dot_rows(kr[:, 0], end) + kt[:, 0]) / we,
+        (_dot_rows(kr[:, 1], end) + kt[:, 1]) / we,
+    )
+    return planar._replace(ok=planar.ok & ok)
 
 
 def _perpendicular_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
@@ -202,7 +175,8 @@ def _mutual_overlap_planar(a: PlanarRows, b: PlanarRows) -> np.ndarray:
 
 def _segment_rows(segments: list[Segment3D]):
     """Starts, ends, unit directions and lengths of ``segments``, one row
-    each, equal to their float records.
+    each, equal to :attr:`~linemap.geometry.Segment3D.direction` and
+    :attr:`~linemap.geometry.Segment3D.length`.
 
     Raises:
         ValueError: if a segment is shorter than EPS.
@@ -217,10 +191,13 @@ def _segment_rows(segments: list[Segment3D]):
 
 
 def _view_rows(owners: list[int], views: dict[int, CameraView]):
-    """The float records of the distinct views of ``owners``, and each owner's
-    index among them."""
+    """The distinct views of ``owners``, each owner's index among them, and
+    each owner's ``K R`` rows and ``K t``, ``(n, 3, 3)`` and ``(n, 3)``."""
     images = {g: i for i, g in enumerate(dict.fromkeys(owners))}
-    return [views[g].floats for g in images], [images[g] for g in owners]
+    distinct, rows = [views[g] for g in images], [images[g] for g in owners]
+    kr = np.array([v.projection[0] for v in distinct]).reshape(-1, 3, 3)[rows]
+    kt = np.array([v.projection[1] for v in distinct]).reshape(-1, 3)[rows]
+    return distinct, rows, kr, kt
 
 
 def _cross_rows(block, a: np.ndarray, b: np.ndarray):
@@ -255,11 +232,11 @@ def _image_components(p, q, config: PipelineConfig) -> tuple[np.ndarray, np.ndar
 class ProposalBlock(NamedTuple):
     """The triangulation proposals of one reference image, one row each.
 
-    ``start``, ``end`` and ``direction`` are ``(n, 3)`` arrays equal to the
-    segments' float records; ``rays`` holds each proposal's endpoint
-    distances to the reference camera centre, ``(n, 2)``; ``kr`` and
-    ``kt`` are the generating view's ``K R`` rows and ``K t``; ``own`` is
-    the projection into the generating view.
+    ``start``, ``end`` and ``direction`` are ``(n, 3)`` arrays, the
+    segments' own attributes bit for bit; ``rays`` holds each proposal's
+    endpoint distances to the reference camera centre, ``(n, 2)``; ``kr``
+    and ``kt`` are the generating view's ``K R`` rows and ``K t``; ``own``
+    is the projection into the generating view.
     """
 
     start: np.ndarray
@@ -281,12 +258,10 @@ def proposal_block(
         ValueError: if a segment is shorter than EPS.
     """
     start, end, direction, _ = _segment_rows(segments)
-    center = np.array(ref_view.floats.center)
+    center = ref_view.camera_center
     to_start, to_end = start - center, end - center
     rays = np.stack([np.sqrt(_dot_rows(to_start, to_start)), np.sqrt(_dot_rows(to_end, to_end))], 1)
-    floats, rows = _view_rows(gens, views)
-    kr = np.array([v.kr for v in floats]).reshape(-1, 3, 3)[rows]
-    kt = np.array([v.kt for v in floats]).reshape(-1, 3)[rows]
+    _, _, kr, kt = _view_rows(gens, views)
     return ProposalBlock(start, end, direction, rays, kr, kt, _project_rows(start, end, kr, kt))
 
 
@@ -343,7 +318,7 @@ class TrackBlock(NamedTuple):
     """The segments of one track-building or remerge pass, one row each.
 
     ``start``, ``end`` and ``direction`` are ``(n, 3)`` arrays and
-    ``length`` an ``(n,)`` array, equal to the segments' float records;
+    ``length`` an ``(n,)`` array, the segments' own attributes bit for bit;
     ``scale`` is each segment's inner-segment scale; ``kr`` and ``kt`` are
     the owning view's ``K R`` rows and ``K t``; ``own`` is the projection
     into the owning view.
@@ -376,12 +351,10 @@ def track_block(
         ValueError: if a segment is shorter than EPS.
     """
     start, end, direction, length = _segment_rows(segments)
-    floats, rows = _view_rows(owners, views)
-    kr = np.array([v.kr for v in floats]).reshape(-1, 3, 3)[rows]
-    kt = np.array([v.kt for v in floats]).reshape(-1, 3)[rows]
-    depth_row = np.array([v.R[2] for v in floats]).reshape(-1, 3)[rows]
-    depth_t = np.array([v.t[2] for v in floats]).reshape(-1)[rows]
-    focal = np.array([v.focal for v in floats]).reshape(-1)[rows]
+    distinct, rows, kr, kt = _view_rows(owners, views)
+    depth_row = np.array([v.R[2] for v in distinct]).reshape(-1, 3)[rows]
+    depth_t = np.array([v.t[2] for v in distinct]).reshape(-1)[rows]
+    focal = np.array([v.focal for v in distinct]).reshape(-1)[rows]
     scale = (_dot_rows(depth_row, 0.5 * (start + end)) + depth_t) / focal
     own = _project_rows(start, end, kr, kt)
     return TrackBlock(start, end, direction, length, scale, kr, kt, own)

@@ -45,8 +45,9 @@ __all__ = [
 ]
 
 
-# the camera ring: every view has this image size and focal length, and
-# sits at this radius and height amplitude around the box
+# the camera ring: every view (and the depth scene's one camera) has this
+# image size and focal length; ring views sit at this radius and height
+# amplitude around the box
 IMAGE_WIDTH = 640
 IMAGE_HEIGHT = 480
 FOCAL = 600.0
@@ -329,20 +330,17 @@ def observe_scene(
 # ---------------------------------------------------------------------------
 
 
-def make_depth_scene(
-    rng: np.random.Generator,
-    width: int = 640,
-    height: int = 480,
-    focal: float = 600.0,
-    occluded_fraction: float = 0.3,
-):
-    """A slanted base plane, a 2D segment on it, and occluders hiding part of it.
+def make_depth_scene(rng: np.random.Generator, occluded_fraction: float = 0.3):
+    """A slanted base plane, a 2D segment on it, and occluders hiding part of it,
+    seen by an :data:`IMAGE_WIDTH` x :data:`IMAGE_HEIGHT` camera of focal
+    length :data:`FOCAL`.
 
     Returns ``(view, depth_map, seg2d, gt_segment3d)`` where the ground
     truth segment is the back-projection of the 2D segment onto the base
     plane and roughly ``occluded_fraction`` of its samples see a nearer
     occluder depth instead.
     """
+    width, height, focal = IMAGE_WIDTH, IMAGE_HEIGHT, FOCAL
     K = intrinsics_matrix(focal, width / 2.0, height / 2.0)
     view = CameraView(K=K, R=np.eye(3), t=np.zeros(3), width=width, height=height)
 

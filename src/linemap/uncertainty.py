@@ -9,8 +9,9 @@ segment:
   viewing rays (a 2x2 normal system per endpoint);
 * line construction: each reference endpoint ray is intersected with the
   plane spanned by the matched segment's rays (a 3x3 system per
-  endpoint), which is how two-view line triangulation actually works and
-  degrades when the line nears that plane.
+  endpoint, solved by Cramer's rule), which is how two-view line
+  triangulation actually works and degrades when the line nears that
+  plane.
 
 Covariances are reported for the stacked 6-vector of both 3D endpoints;
 the scalar summary is the largest eigenvalue.  ``run_degeneracy_experiment``
@@ -116,20 +117,22 @@ def _line_system(ref_view, match_view, ref_px, match_px):
     ref_px, match_px = _stack_pixels(ref_px, match_px)
     n = ref_px.shape[0]
     Cr = ref_view.camera_center
-    Cm = match_view.camera_center
-    delta = np.broadcast_to(Cm - Cr, (n, 3))
+    delta = match_view.camera_center - Cr
     dm1, Jm1 = ray_directions_and_jacobians(match_view, match_px[:, 0])
     dm2, Jm2 = ray_directions_and_jacobians(match_view, match_px[:, 1])
+    normal = np.cross(dm1, dm2)  # of the plane through the matched segment's rays
     points = np.zeros((n, 2, 3))
     J = np.zeros((n, 6, 8))
-    e0 = np.broadcast_to(np.array([1.0, 0.0, 0.0]), (n, 3))
     for i in (0, 1):
         dr, Jr = ray_directions_and_jacobians(ref_view, ref_px[:, i])
-        A = np.stack([dr, -dm1, -dm2], axis=2)  # columns
-        u = np.linalg.solve(A, delta[..., None])[..., 0]
-        lam, alpha, beta = u[:, 0], u[:, 1], u[:, 2]
-        # first row of A^{-1}
-        r0 = np.linalg.solve(np.transpose(A, (0, 2, 1)), e0[..., None])[..., 0]
+        # Cr + lam dr = Cm + alpha dm1 + beta dm2 by Cramer's rule on
+        # A = [dr, -dm1, -dm2]: det A = normal . dr, and the first row of
+        # A^-1 is normal / det A
+        det = np.einsum("nj,nj->n", normal, dr)
+        r0 = normal / det[:, None]
+        lam = r0 @ delta
+        alpha = (np.cross(dr, dm2) @ delta) / det
+        beta = (np.cross(dm1, dr) @ delta) / det
         points[:, i] = Cr + lam[:, None] * dr
         eye = np.eye(3)[None]
         outer = dr[:, :, None] * r0[:, None, :]

@@ -1,6 +1,7 @@
 """Shared synthetic two-view fixtures for the test suite."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -401,11 +402,43 @@ def _reference_dot3(a, b):
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
-# The raw distances, on the segments' float records (``Segment3D.floats`` and
-# ``Segment2D.floats``, whose homogeneous 2D form lets one dot product serve
-# 2D and 3D segments alike).  One projection of a segment's endpoints along
-# another (``_along``) serves both the overlap ratio and the inner-segment
-# distance.
+# The raw distances, on float records built here from a segment's endpoints.
+# A 2D record is homogeneous, so one dot product serves 2D and 3D segments
+# alike.  One projection of a segment's endpoints along another (``_along``)
+# serves both the overlap ratio and the inner-segment distance.
+
+
+class FloatRecord(NamedTuple):
+    start: tuple
+    end: tuple
+    direction: tuple  # unit length; a 2D record's third term is 0.0
+    length: float
+    line: tuple | None  # a 2D record's a*x + b*y + c = 0 with |(a, b)| = 1
+
+
+def reference_planar_record(x1, y1, x2, y2):
+    """The 2D segment ``(x1, y1)``-``(x2, y2)`` as a homogeneous :class:`FloatRecord`
+    on Python floats; None when shorter than EPS.  The line's first term is
+    ``y1 - y2``, so a level segment's is +0.0."""
+    dx, dy = x2 - x1, y2 - y1
+    n = math.hypot(dx, dy)
+    if n < EPS:
+        return None
+    line = ((y1 - y2) / n, dx / n, (x1 * y2 - x2 * y1) / n)
+    return FloatRecord((x1, y1, 1.0), (x2, y2, 1.0), (dx / n, dy / n, 0.0), n, line)
+
+
+def _record(seg):
+    """A :class:`Segment2D` or :class:`Segment3D` as a :class:`FloatRecord`."""
+    start, end = seg.start.tolist(), seg.end.tolist()
+    if len(start) == 2:
+        record = reference_planar_record(*start, *end)
+        if record is None:
+            raise ValueError("segment shorter than EPS")
+        return record
+    d = [e - s for s, e in zip(start, end)]
+    n = math.sqrt(_reference_dot3(d, d))
+    return FloatRecord(start, end, tuple(x / n for x in d), n, None)
 
 
 def _angle(a, b):
@@ -414,7 +447,7 @@ def _angle(a, b):
 
 def angular_distance(a, b):
     """Acute angle between segment directions (2D or 3D), in degrees."""
-    return _angle(a.floats, b.floats)
+    return _angle(_record(a), _record(b))
 
 
 def perpendicular_distance_2d(a, b):
@@ -423,7 +456,7 @@ def perpendicular_distance_2d(a, b):
     Each direction takes the larger distance of one segment's endpoints to
     the other's supporting line.
     """
-    fa, fb = a.floats, b.floats
+    fa, fb = _record(a), _record(b)
     return 0.5 * (
         max(abs(_reference_dot3(fb.line, fa.start)), abs(_reference_dot3(fb.line, fa.end)))
         + max(abs(_reference_dot3(fa.line, fb.start)), abs(_reference_dot3(fa.line, fb.end)))
@@ -448,11 +481,11 @@ def _overlap(a, b):
 
 def overlap_ratio(a, b):
     """Fraction of ``b`` covered by the orthogonal projection of ``a`` (2D or 3D)."""
-    return _overlap(a.floats, b.floats)
+    return _overlap(_record(a), _record(b))
 
 
 def mutual_overlap(a, b):
-    fa, fb = a.floats, b.floats
+    fa, fb = _record(a), _record(b)
     return min(_overlap(fa, fb), _overlap(fb, fa))
 
 
@@ -480,7 +513,7 @@ def innerseg_distance(a, b):
     endpoint distances.  For collinear disjoint segments both inner segments
     collapse and the value equals the gap.
     """
-    fa, fb = a.floats, b.floats
+    fa, fb = _record(a), _record(b)
     on_b = _clipped_feet(fa, fb)
     on_a = _clipped_feet(fb, fa)
     if _reference_dot3(fa.direction, fb.direction) < 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linemap import association
 from linemap.association import (
     _vp_residuals,
     associate_points_to_segments,
@@ -237,14 +238,16 @@ def random_segment_set(rng, kind):
 
 
 @pytest.mark.parametrize("kind", ["mixed", "duplicates", "few", "parallel"])
-def test_batched_rounds_match_the_loop_on_random_sets(kind):
+def test_batched_rounds_match_the_loop_on_random_sets(kind, monkeypatch):
     rng = np.random.default_rng(["mixed", "duplicates", "few", "parallel"].index(kind))
     zero_norm = 0
     for trial in range(8):
         segs = random_segment_set(rng, kind)
         for min_support, iterations in ((5, 500), (2, 60)):
-            kw = dict(min_support=min_support, iterations=iterations, seed=trial)
-            assert_same_vps(estimate_vps(segs, **kw), estimate_vps_loop(segs, **kw))
+            monkeypatch.setattr(association, "VP_ITERATIONS", iterations)
+            got = estimate_vps(segs, min_support=min_support, seed=trial)
+            want = estimate_vps_loop(segs, min_support=min_support, iterations=iterations, seed=trial)
+            assert_same_vps(got, want)
         lines = [s.infinite_line for s in segs]
         zero_norm += sum(
             np.linalg.norm(np.cross(lines[i], lines[j])) < EPS

@@ -5,6 +5,7 @@ import pytest
 
 from linemap.association import principal_direction
 from linemap.geometry import (
+    EPS,
     CameraView,
     MinimalLineParam,
     PluckerLine,
@@ -16,6 +17,7 @@ from linemap.geometry import (
     distinct_index_pairs,
     minimal_to_plucker,
     normalized,
+    planar_rows,
     plucker_from_segment,
     plucker_to_minimal,
     point_line_distance_3d,
@@ -30,6 +32,8 @@ from linemap.geometry import (
     relative_pose,
     rotmat_to_quat,
 )
+
+from support import reference_planar_record
 
 
 def random_rotation(rng):
@@ -272,9 +276,9 @@ def test_cached_attributes_are_computed_once():
     seg2 = Segment2D([1.0, 2.0], [30.0, -4.0])
     seg3 = Segment3D([1.0, 2.0, 3.0], [-2.0, 0.5, 1.0])
     for obj, names in (
-        (view, ("focal", "camera_center", "_kr_kt", "line_map", "floats")),
+        (view, ("focal", "camera_center", "projection", "line_map", "floats")),
         (seg2, ("length", "direction", "infinite_line")),
-        (seg3, ("length", "direction", "floats")),
+        (seg3, ("length", "direction")),
     ):
         for name in names:
             assert getattr(obj, name) is getattr(obj, name)
@@ -299,9 +303,6 @@ def test_segment_float_record_keeps_the_bits_of_its_float_length():
         assert seg.length == n
         assert seg.direction.tolist() == [x / n for x in d]
         np.testing.assert_allclose(seg.direction, normalized(seg.end - seg.start), rtol=1e-15, atol=0)
-        rec = seg.floats
-        assert (rec.start, rec.end) == (seg.start.tolist(), seg.end.tolist())
-        assert (rec.direction, rec.length) == (seg.direction.tolist(), seg.length)
     with pytest.raises(ValueError):
         Segment3D([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]).direction
 
@@ -310,11 +311,6 @@ def test_segment2d_line_keeps_the_bits_and_the_sign_of_zero():
     # the supporting line is (y1 - y2, x2 - x1, x1*y2 - x2*y1) / length term
     # by term: a level or plumb segment has a zero coefficient, and its sign
     # (+0.0 from y1 - y2, where -(y2 - y1) gives -0.0) moves VP estimation
-    def reference(x1, y1, x2, y2):
-        a, b, c = y1 - y2, x2 - x1, x1 * y2 - x2 * y1
-        n = math.hypot(a, b)
-        return [a / n, b / n, c / n]
-
     rng = np.random.default_rng(21)
     cases = [(0.0, 0.0, 5.0, 0.0), (5.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0, 5.0), (-0.0, 5.0, -0.0, 0.0)]
     for _ in range(500):
@@ -322,11 +318,57 @@ def test_segment2d_line_keeps_the_bits_and_the_sign_of_zero():
         cases += [(x1, y1, x2, y2), (x1, y1, x2, y1), (x1, y1, x1, y2)]  # random, level, plumb
     zeros = 0
     for x1, y1, x2, y2 in cases:
-        got = Segment2D([x1, y1], [x2, y2]).infinite_line.tolist()
-        for g, r in zip(got, reference(x1, y1, x2, y2)):
+        seg, want = Segment2D([x1, y1], [x2, y2]), reference_planar_record(x1, y1, x2, y2)
+        got = seg.infinite_line.tolist() + seg.direction.tolist()
+        for g, r in zip(got, want.line + want.direction[:2]):
             assert g == r and math.copysign(1.0, g) == math.copysign(1.0, r), (x1, y1, x2, y2)
             zeros += g == 0.0
     assert zeros >= 1000
+    for name in ("direction", "infinite_line"):
+        with pytest.raises(ValueError):
+            getattr(Segment2D([1.0, 2.0], [1.0, 2.0]), name)
+
+
+def test_planar_rows_equal_the_scalar_record_bit_for_bit():
+    # random, level and plumb segments, two kinds of length near EPS (on
+    # both sides of it), and signed zeros
+    rng = np.random.default_rng(22)
+    n = 2500
+    x1, y1, x2, y2 = rng.uniform(-700.0, 700.0, (4, n))
+    tiny = rng.uniform(0.25, 4.0, (2, n)) * EPS * rng.choice([-1.0, 1.0], (2, n))
+    kinds = [
+        (x1, y1, x2, y2),
+        (x1, y1, x2, y1),
+        (x1, y1, x1, y2),
+        (x1, y1, x1 + tiny[0], y1 + tiny[1]),
+        (x1, y1, x1 + tiny[0], y1),
+    ]
+    zeros = [
+        (0.0, 0.0, 5.0, 0.0),
+        (5.0, -0.0, -0.0, -0.0),
+        (0.0, 0.0, 0.0, 5.0),
+        (-0.0, 5.0, -0.0, 0.0),
+        (0.0, 0.0, 5.0, -0.0),  # dy = -0.0
+        (0.0, 5.0, -0.0, 0.0),  # dx = -0.0
+    ]
+    x1, y1, x2, y2 = (np.concatenate(c) for c in zip(*kinds, np.array(zeros).T))
+    rows = planar_rows(x1, y1, x2, y2)
+    assert len(rows.ok) > 10_000
+    fields = ("u", "v", "l0", "l2", "length")
+    short = 0
+    for i, case in enumerate(zip(x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist())):
+        want = reference_planar_record(*case)
+        assert bool(rows.ok[i]) == (want is not None), case
+        if want is None:
+            short += 1
+            continue
+        assert [rows.x1[i], rows.y1[i], rows.x2[i], rows.y2[i]] == list(case)
+        expected = (*want.direction[:2], want.line[0], want.line[2], want.length)
+        for name, w in zip(fields, expected):
+            g = float(getattr(rows, name)[i])
+            assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (name, case)
+        assert float(rows.u[i]) == want.line[1]
+    assert short > 100 and (rows.ok & (rows.length < 4 * EPS)).sum() > 100
 
 
 def test_relative_pose_roundtrip():

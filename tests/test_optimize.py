@@ -272,6 +272,22 @@ class TestBatchedAssembly:
         with pytest.raises(FloatingPointError, match="line drifted"):
             opt_module._line_geometry(par.q[None, :], par.w[None, :])
 
+    def test_observation_directions_equal_the_segments_row_by_row(self):
+        # the rows come from the stacked endpoints (geometry.planar_rows), with
+        # the bits of Segment2D.direction, signed zeros included
+        problem = noisy_line_problem()
+        problem.line_obs += [
+            (0, 0, Segment2D([10.0, 5.0], [300.0, 5.0])),  # level
+            (0, 1, Segment2D([7.0, 0.0], [-0.0, -0.0])),
+            (0, 2, Segment2D([-0.0, 90.0], [0.0, 0.0])),  # plumb
+        ]
+        lin = _Linearizer(problem, OptimizeConfig())
+        want = np.array([seg.direction for _, _, seg in problem.line_obs])
+        assert lin.lo_direction.tobytes() == want.tobytes()
+        problem.line_obs.append((0, 1, Segment2D([3.0, 4.0], [3.0, 4.0])))
+        with pytest.raises(ValueError):
+            _Linearizer(problem, OptimizeConfig())
+
 
 def vp_only_problem():
     a = np.array([1.0, 0.0, 0.0])

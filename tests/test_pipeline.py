@@ -142,7 +142,8 @@ def test_select_best_scores_each_cross_image_pair_once(monkeypatch):
 
     def score(block, first, second, config):
         # each proposal is measured in the image that generated it
-        assert [row.tolist() for row in block.kr] == [views[g].floats.kr for g in flat_gens]
+        kr = [(views[g].K @ views[g].R).tolist() for g in flat_gens]
+        assert [row.tolist() for row in block.kr] == kr
         blocks.append(block)
         pairs.extend(frozenset(p) for p in zip(first.tolist(), second.tolist()))
         return np.full(len(first), 0.75)

@@ -1,10 +1,11 @@
 """Source hygiene of src/linemap, checked on its syntax trees.
 
 Every config key is read by the pipeline and documented in README, every
-field of the synthetic and refinement configs is set by some call, every
-imported name is used, no object's ``__dict__`` is written, neither the
-pair scores nor the two-view triangulation of a match makes a BLAS call,
-the selection and track blocks keep to the numpy calls that round as
+field of the synthetic and refinement configs and every keyword default of
+a public function is set by some call, every imported name is used, no
+object's ``__dict__`` is written, neither the pair scores nor the two-view
+triangulation of a match makes a BLAS call, the selection and track blocks
+and geometry's 2D segment rows keep to the numpy calls that round as
 Python floats do, no random draw runs once per loop iteration, and track
 building scores no pair once per loop iteration.
 """
@@ -69,24 +70,71 @@ def test_no_imported_name_goes_unread():
     assert unread == []
 
 
+def _calls():
+    """``(callee name, call)`` of every call in the repository's Python files."""
+    for folder in ("src", "tests", "bench", "tools"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    yield getattr(node.func, "id", getattr(node.func, "attr", None)), node
+
+
 def test_every_config_field_of_the_synthetic_scenes_and_refinement_is_set_by_some_call():
     # a field that no call in the repository passes by name is a knob nobody
     # turns: its value belongs in a module constant
     configs = (SceneConfig, ObservationConfig, OptimizeConfig)
     passed = {cls.__name__: set() for cls in configs}
-    for folder in ("src", "tests", "bench", "tools"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if callee in passed:
-                        passed[callee].update(k.arg for k in node.keywords)
+    for callee, node in _calls():
+        if callee in passed:
+            passed[callee].update(k.arg for k in node.keywords)
     unset = [
         f"{cls.__name__}.{f.name}"
         for cls in configs
         for f in dataclasses.fields(cls)
         if f.name not in passed[cls.__name__]
     ]
+    assert unset == []
+
+
+def _public_defaults(tree):
+    """``(qualified name, parameter, position)`` of each parameter with a
+    default of the public top-level functions and methods of public classes;
+    the position counts the call's positional arguments (None for a
+    keyword-only parameter)."""
+    scopes = [("", tree.body, 0)] + [
+        (f"{node.name}.", node.body, 1)  # a method's call does not pass `self`
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    ]
+    for prefix, body, skip in scopes:
+        for node in body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield f"{prefix}{node.name}", arg.arg, i - (0 if static else skip)
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}{node.name}", arg.arg, None
+
+
+def test_every_keyword_default_of_a_public_function_is_passed_by_some_call():
+    # a default that no call overrides, by name or by position, is a knob
+    # nobody turns: its value belongs in a module constant
+    passed = set()
+    for callee, node in _calls():
+        passed.update((callee, k.arg) for k in node.keywords)
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            passed.add((callee, "*"))
+        passed.update((callee, i) for i in range(len(node.args)))
+    unset = []
+    for module, tree in TREES.items():
+        for qualified, param, position in _public_defaults(tree):
+            callee = qualified.rpartition(".")[2]
+            if not {(callee, param), (callee, position), (callee, "*")} & passed:
+                unset.append(f"{module[:-3]}.{qualified}({param})")
     assert unset == []
 
 
@@ -142,8 +190,11 @@ def test_no_object_dict_is_written():
     assert writes == []
 
 
-# geometry's float code for a point's depth and a 2D segment's record
-GEOMETRY_FLOAT_CODE = ("CameraView.depth", "planar_floats", "Segment2D.floats")
+# geometry's rows of 2D segments: the pair-score blocks' projections, and the
+# stacked observations of VP estimation and joint refinement
+GEOMETRY_ROW_CODE = ("PlanarRows.take", "planar_rows", "stack_segments_2d")
+# geometry's float code for a point's depth, and its 2D segment rows
+GEOMETRY_FLOAT_CODE = ("CameraView.depth",) + GEOMETRY_ROW_CODE
 
 
 def _matrix_products(code):
@@ -174,7 +225,6 @@ TWO_VIEW_FLOAT_CODE = {
         "cross3_floats",
         "relative_pose",
         "Segment3D.length",
-        "Segment3D.floats",
     ),
     "triangulation.py": (
         "ray_plane_form",
@@ -210,7 +260,6 @@ ROW_CODE = (
     "_max",
     "_acute_angles",
     "_normalized_rows",
-    "PlanarRows.take",
     "_project_rows",
     "_perpendicular_rows",
     "_angle_rows",
@@ -250,9 +299,11 @@ INEXACT_NUMPY = {
 
 
 def _inexact_calls(names):
-    """``@`` and inexact numpy calls in the named definitions of scoring.py."""
-    defined = dict(_definitions(TREES["scoring.py"]))
-    code = [(f"scoring.py {name}", defined[name]) for name in names]
+    """``@`` and inexact numpy calls in the named definitions of scoring.py
+    and in geometry's row code."""
+    scoring, geometry = (dict(_definitions(TREES[m])) for m in ("scoring.py", "geometry.py"))
+    code = [(f"scoring.py {name}", scoring[name]) for name in names]
+    code += [(f"geometry.py {name}", geometry[name]) for name in GEOMETRY_ROW_CODE]
     inexact = [
         f"{where}:{node.lineno} np.{node.attr}"
         for where, tree in code
