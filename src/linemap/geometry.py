@@ -76,6 +76,32 @@ def matvec3(M, x) -> Vec3:
     return dot3(M[0], x), dot3(M[1], x), dot3(M[2], x)
 
 
+# Rows of elementwise arithmetic: each row equals the scalar helpers above on
+# Python floats, bit for bit.  numpy's elementwise + - * / and sqrt round as
+# Python floats do; a BLAS product or a pairwise sum would not.
+
+
+def dot_rows(a: FloatArray, b: FloatArray) -> FloatArray:
+    """:func:`dot3` of matching rows of two ``(m, 3)`` arrays (either may be one row)."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def matvec_rows(M: FloatArray, x: FloatArray) -> FloatArray:
+    """:func:`matvec3` of matching rows of ``(m, 3, 3)`` matrices and ``(m, 3)`` vectors."""
+    return np.stack([dot_rows(M[..., i, :], x) for i in range(3)], axis=-1)
+
+
+def min_rows(x, y) -> FloatArray:
+    """Python's ``min(x, y)`` row by row: ``y`` only where ``y < x``, so a NaN
+    ``y`` keeps ``x`` (``np.minimum`` would give NaN)."""
+    return np.where(y < x, y, x)
+
+
+def max_rows(x, y) -> FloatArray:
+    """Python's ``max(x, y)`` row by row: ``y`` only where ``y > x``."""
+    return np.where(y > x, y, x)
+
+
 def skew(v: FloatArray) -> FloatArray:
     """Cross-product matrix: ``skew(a) @ b == cross(a, b)``."""
     return np.array(
@@ -194,8 +220,9 @@ class CameraView:
     :func:`project_segment`, segments), gives a point's depth
     (:meth:`depth`), casts viewing rays (:meth:`world_ray`) and holds the
     line map (:attr:`line_map`).  Its pose as Python floats (:attr:`floats`)
-    serves the per-match work: :meth:`depth`, :func:`relative_pose` and the
-    two-view triangulation read it term by term, with no BLAS call; the
+    serves the per-match work: :meth:`depth`, :func:`relative_pose`, the
+    neighbour ranking's camera centres and the two-view match blocks' world
+    endpoints read it term by term, with no BLAS call; the
     pair-score blocks of :mod:`~linemap.scoring` stack :attr:`projection`,
     :attr:`camera_center` and :attr:`focal`.  Derived values are cached on
     first access; instances are immutable, so a cache can never go stale.
@@ -264,9 +291,17 @@ class CameraView:
             raise ValueError("point does not lie in front of the camera")
         return uvw[:2] / uvw[2]
 
-    def pixel_to_normalized(self, pixel: FloatArray) -> FloatArray:
-        """Homogeneous normalized image coordinates ``K^-1 (u, v, 1)``."""
-        return np.linalg.solve(self.K, np.array([pixel[0], pixel[1], 1.0]))
+    def pixel_to_normalized(self, pixels: FloatArray) -> FloatArray:
+        """Homogeneous normalized image coordinates ``K^-1 (u, v, 1)`` of a pixel,
+        or of each row of an ``(m, 2)`` array.
+
+        The rows are one broadcast solve, a stack of 3x3 systems with one
+        right-hand side each, so a row gets the bits of its own solve; one
+        solve with ``m`` right-hand sides would not.
+        """
+        px = np.asarray(pixels, dtype=np.float64)
+        homogeneous = np.concatenate([px, np.ones(px.shape[:-1] + (1,))], axis=-1)
+        return np.linalg.solve(self.K, homogeneous[..., None])[..., 0]
 
     def world_ray(self, x) -> PluckerLine:
         """The world line from the camera center along normalized coordinates ``x`` (3 floats)."""

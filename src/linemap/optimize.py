@@ -610,12 +610,12 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
 
 def segment_on_line_from_supports(
     line: PluckerLine,
-    supports: list[tuple[tuple[Vec3, Vec3], CameraView]],
+    supports: list[tuple[np.ndarray | tuple[Vec3, Vec3], CameraView]],
 ) -> Segment3D | None:
     """Clip an infinite line to an extent explained by its 2D supports.
 
     Each support is a detection's two endpoint rays, in normalized
-    coordinates, with its view.  Every ray is intersected (closest-point)
+    coordinates (a ``(2, 3)`` array or two 3-sequences), with its view.  Every ray is intersected (closest-point)
     with the line; the extent follows
     :func:`~linemap.geometry.trimmed_extent`, the same rule as the track
     refit.

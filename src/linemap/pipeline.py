@@ -1,8 +1,9 @@
 """End-to-end mapping: detections and matches in, 3D line tracks out.
 
 Stages: neighbor selection, per-image vanishing point estimation and
-point-segment association, per-detection proposal triangulation with
-degeneracy rescue, consistency-scored selection, track clustering,
+point-segment association, proposal triangulation (one array pass over
+each reference image's matches) with degeneracy rescue, consistency-scored
+selection, track clustering,
 cross-image VP tracks, joint refinement, and 3D association graph
 extraction.  Everything runs in one thread, in image order, so the output
 is identical across runs.
@@ -11,6 +12,7 @@ is identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +26,10 @@ from .association import (
 from .config import PipelineConfig
 from .geometry import (
     CameraView,
-    Mat3,
     Segment2D,
-    Vec3,
+    Segment3D,
+    dot3,
+    matvec3,
     minimal_to_plucker,
     normalized,
     plucker_from_segment,
@@ -47,10 +50,9 @@ from .optimize import (
 from .scoring import proposal_block, selection_pair_score
 from .tracks import LineTrack, TrackCandidate, build_tracks
 from .triangulation import (
-    DegenerateTriangulationError,
     RayPlaneForm,
     TriangulationError,
-    ray_plane_form,
+    match_rows,
     triangulate_algebraic,
     triangulate_line_point,
     triangulate_line_vp,
@@ -62,7 +64,7 @@ __all__ = ["PipelineInput", "PipelineResult", "compute_neighbors", "run_pipeline
 
 Node = tuple[int, int]
 
-TOP_K_MATCHES = 10  # matches tried per detection, in match-list order
+TOP_K_MATCHES = 10  # matches past the IoU gate kept per detection, in match-list order
 IOU_MIN = 0.1  # weak epipolar IoU a match needs to be triangulated
 
 
@@ -89,16 +91,25 @@ class PipelineResult:
 
 
 def compute_neighbors(
-    images: list[int],
+    views: dict[int, CameraView],
     point_obs: dict[int, list[tuple[int, np.ndarray]]],
     n_neighbors: int = 20,
 ) -> dict[int, list[int]]:
     """Rank other images by Dice overlap of observed point ids.
 
-    Without point observations every pair scores zero and the ranking
-    falls back to ascending image id.
+    Ties go to the nearer camera centre, then to the lower image id, so
+    that without point observations, or where most points are seen from
+    most views, each image's neighbours are the views around it rather than
+    the lowest ids.  The centres are ``-(R^T t)`` and their squared
+    distances are summed term by term (:func:`~linemap.geometry.dot3`), so
+    the ranking does not depend on the BLAS kernel.
     """
+    images = sorted(views)
     sets = {img: {pi for pi, _ in point_obs.get(img, [])} for img in images}
+    centers = {}
+    for img in images:
+        v = views[img].floats
+        centers[img] = [-x for x in matvec3(v.Rt, v.t)]
     out = {}
     for img in images:
         scored = []
@@ -108,134 +119,241 @@ def compute_neighbors(
             a, b = sets[img], sets[other]
             denom = len(a) + len(b)
             dice = 2.0 * len(a & b) / denom if denom else 0.0
-            scored.append((-dice, other))
+            gap = [x - y for x, y in zip(centers[img], centers[other])]
+            scored.append((-dice, dot3(gap, gap), other))
         scored.sort()
-        out[img] = [other for _, other in scored[:n_neighbors]]
+        out[img] = [other for *_, other in scored[:n_neighbors]]
     return out
 
 
-def _detection_proposals(
+class RayTable(NamedTuple):
+    """Every detection's endpoint rays in normalized coordinates, ``(2, 3)``
+    rows: detection ``d`` of ``images[k]`` is row ``first[k] + d`` of
+    ``rays``."""
+
+    images: np.ndarray
+    first: np.ndarray
+    rays: np.ndarray
+
+    @classmethod
+    def solve(
+        cls, views: dict[int, CameraView], detections: dict[int, list[Segment2D]]
+    ) -> RayTable:
+        """The table of every image's detections, one broadcast solve per image."""
+        images = sorted(views)
+        rays = [np.zeros((0, 2, 3))]
+        for img in images:
+            pixels = np.array([(d.start, d.end) for d in detections[img]], dtype=np.float64)
+            rays.append(views[img].pixel_to_normalized(pixels.reshape(-1, 2)).reshape(-1, 2, 3))
+        first = np.cumsum([0] + [len(r) for r in rays[1:]])
+        return cls(np.array(images, dtype=np.intp).reshape(-1), first, np.concatenate(rays))
+
+    def of(self, img: int) -> np.ndarray:
+        """The rows of image ``img``'s detections."""
+        k = int(np.searchsorted(self.images, img))
+        return self.rays[self.first[k] : self.first[k + 1]]
+
+    def at(self, imgs: np.ndarray, dets: np.ndarray) -> np.ndarray:
+        """The rows of detections ``dets[i]`` of images ``imgs[i]``.
+
+        Raises:
+            KeyError: if an image or a detection does not exist.
+        """
+        k = np.minimum(np.searchsorted(self.images, imgs), len(self.images) - 1)
+        rows = self.first[k] + dets
+        known = (self.images[k] == imgs) & (dets >= 0) & (rows < self.first[k + 1])
+        if not known.all():
+            i = int(np.argmin(known))
+            raise KeyError(f"no detection {int(dets[i])} in image {int(imgs[i])}")
+        return self.rays[rows]
+
+
+class ImageProposals(NamedTuple):
+    """The proposals of one reference image's detections, one row each.
+
+    Rows are grouped by detection in detection order: within a detection,
+    the algebraic or rescued proposal of each kept match in match order,
+    then the multi-point one.  ``gens`` is each row's generating image and
+    ``counts`` the number of rows of each detection.  ``kept`` lists each
+    detection's kept matches.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    sources: list[str]
+    gens: list[int]
+    counts: list[int]
+    kept: list[list[Node]]
+
+
+def _image_proposals(
     img: int,
-    view: CameraView,
-    rays: tuple[Vec3, Vec3],
-    kept: list[tuple[Node, RayPlaneForm]],
-    assoc_pts: list[np.ndarray],
-    vp_cam: np.ndarray | None,
-) -> list[tuple[TrackCandidate, int]]:
-    """Triangulated hypotheses for one detection, tagged by generating image."""
-    proposals: list[tuple[TrackCandidate, int]] = []
-    for (j, _), form in kept:
-        try:
-            seg = triangulate_algebraic(form)
-            proposals.append((TrackCandidate(seg, "algebraic"), j))
+    views: dict[int, CameraView],
+    neighbors: list[int],
+    rows: list[list[Node]],
+    rays: RayTable,
+    assoc_pts: list[list[np.ndarray]],
+    vp_dirs: list[np.ndarray | None],
+) -> ImageProposals:
+    """Triangulated hypotheses for every detection of image ``img``.
+
+    ``rows[d]`` is detection ``d``'s match list, ``assoc_pts[d]`` its
+    associated 3D points and ``vp_dirs[d]`` its camera-frame VP direction
+    or None.  Every match into a neighbour is one row of one block, which
+    gets its form and its IoU gate.  The first :data:`TOP_K_MATCHES` rows
+    of each detection that pass the gate are kept and triangulated as one
+    block; a degenerate row goes to the point or VP rescue as one
+    :class:`~linemap.triangulation.RayPlaneForm`.
+    """
+    view, x = views[img], rays.of(img)
+    matches = [m for row in rows for m in row]
+    js, djs = np.array(matches, dtype=np.intp).reshape(len(matches), 2).T
+    det = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    eligible = np.flatnonzero((js != img) & np.isin(js, neighbors))
+    det, js, djs = det[eligible], js[eligible], djs[eligible]
+    y = rays.at(js, djs)
+    # the pose table: one relative pose per neighbour that a match reaches
+    pair_images = np.unique(js)
+    poses = [relative_pose(view, views[j]) for j in pair_images.tolist()]
+    pose = np.searchsorted(pair_images, js)
+    R = np.array([R for R, _ in poses]).reshape(-1, 3, 3)[pose]
+    t = np.array([t for _, t in poses]).reshape(-1, 3)[pose]
+    block = match_rows(view, R, t, x[det, 0], x[det, 1], y[:, 0], y[:, 1])
+    # each detection keeps its first TOP_K_MATCHES rows past the gate, in match order
+    hit = np.flatnonzero(weak_epipolar_iou(block) >= IOU_MIN)
+    rank = np.arange(len(hit)) - np.searchsorted(det[hit], det[hit])
+    kept = hit[rank < TOP_K_MATCHES]
+    block, det, js, djs = block.take(kept), det[kept], js[kept], djs[kept]
+    tri = triangulate_algebraic(block)
+    start, end, found = tri.start, tri.end, tri.ok
+    sources = ["algebraic"] * len(kept)
+    # degenerate ray/plane geometry: rescue with a point or a VP direction
+    for i in np.flatnonzero(tri.bad1 | tri.bad2).tolist():
+        rescued = _rescue(block.form(i), assoc_pts[det[i]], vp_dirs[det[i]])
+        if rescued is not None:
+            seg, sources[i] = rescued
+            start[i], end[i], found[i] = seg.start, seg.end, True
+    found = np.flatnonzero(found)
+    owner, gens = det[found].tolist(), js[found].tolist()
+    sources = [sources[i] for i in found.tolist()]
+    start, end = [start[found]], [end[found]]
+    # then each detection's multi-point proposal, after its match proposals
+    for d, pts in enumerate(assoc_pts):
+        if len(pts) < 2:
             continue
-        except DegenerateTriangulationError:
-            pass
+        try:
+            seg = triangulate_multipoint(x[d], view, np.array(pts))
         except TriangulationError:
             continue
-        # degenerate ray/plane geometry: rescue with a point or a VP direction
-        rescued = False
-        for p in assoc_pts[:2]:
-            try:
-                seg = triangulate_line_point(form, p)
-            except TriangulationError:
-                continue
-            proposals.append((TrackCandidate(seg, "point"), j))
-            rescued = True
-            break
-        if not rescued and vp_cam is not None:
-            try:
-                seg = triangulate_line_vp(form, vp_cam)
-                proposals.append((TrackCandidate(seg, "vp"), j))
-            except TriangulationError:
-                pass
-    if len(assoc_pts) >= 2:
+        owner.append(d)
+        gens.append(img)
+        sources.append("point")
+        start.append(seg.start[None])
+        end.append(seg.end[None])
+    order = np.argsort(
+        2 * np.array(owner, dtype=np.intp) + (np.arange(len(owner)) >= len(found)), kind="stable"
+    )
+    kept_nodes: list[list[Node]] = [[] for _ in rows]
+    for d, j, dj in zip(det.tolist(), js.tolist(), djs.tolist()):
+        kept_nodes[d].append((j, dj))
+    return ImageProposals(
+        np.concatenate(start)[order],
+        np.concatenate(end)[order],
+        [sources[i] for i in order.tolist()],
+        [gens[i] for i in order.tolist()],
+        np.bincount(np.array(owner, dtype=np.intp), minlength=len(rows)).tolist(),
+        kept_nodes,
+    )
+
+
+def _rescue(
+    form: RayPlaneForm, assoc_pts: list[np.ndarray], vp_dir: np.ndarray | None
+) -> tuple[Segment3D, str] | None:
+    """A degenerate match triangulated through one of the detection's first
+    two associated points, or else through its VP direction; None if all fail."""
+    for p in assoc_pts[:2]:
         try:
-            seg = triangulate_multipoint(rays, view, np.array(assoc_pts))
-            proposals.append((TrackCandidate(seg, "point"), img))
+            return triangulate_line_point(form, p), "point"
+        except TriangulationError:
+            continue
+    if vp_dir is not None:
+        try:
+            return triangulate_line_vp(form, vp_dir), "vp"
         except TriangulationError:
             pass
-    return proposals
+    return None
 
 
 def _select_best(
-    proposals: list[list[tuple[TrackCandidate, int]]],
+    props: ImageProposals,
     ref_view: CameraView,
     views: dict[int, CameraView],
     config: PipelineConfig,
-) -> list[TrackCandidate | None]:
-    """For each detection of one reference image, the proposal best supported
-    by proposals from other images, or None.
+) -> list[int | None]:
+    """For each detection of one reference image, the row of its proposal
+    best supported by proposals from other images, or None.
 
-    ``proposals[d]`` lists detection ``d``'s proposals with their generating
-    images.  A proposal's support is the sum, over the other generating
-    images of its detection in order of first appearance, of its best pair
-    score against that image's proposals; ties keep the first proposal.
-    The image's pairs are scored as one block, each proposal measured in
-    the image that generated it.  The pair score is symmetric bit for bit,
-    so each cross-image pair is scored once.
+    A proposal's support is the sum, over the other generating images of
+    its detection in order of first appearance, of its best pair score
+    against that image's proposals; ties keep the first proposal.  The
+    image's pairs are scored as one block, each proposal measured in the
+    image that generated it.  The pair score is symmetric bit for bit, so
+    each cross-image pair is scored once.
     """
-    flat = [p for det in proposals for p in det]
-    if not flat:
-        return [None] * len(proposals)
+    if not props.gens:
+        return [None] * len(props.counts)
     first: list[int] = []
     second: list[int] = []
     column: list[int] = []  # rank of each proposal's generating image within its detection
     offset = 0
-    for det in proposals:
+    for count in props.counts:
         ranks: dict[int, int] = {}
-        cols = [ranks.setdefault(gen, len(ranks)) for _, gen in det]
+        cols = [ranks.setdefault(gen, len(ranks)) for gen in props.gens[offset : offset + count]]
         for a, col_a in enumerate(cols):
             for b in range(a + 1, len(cols)):
                 if cols[b] != col_a:
                     first.append(offset + a)
                     second.append(offset + b)
         column += cols
-        offset += len(det)
+        offset += count
     a, b, cols = (np.array(x, dtype=np.intp) for x in (first, second, column))
-    block = proposal_block([c.segment for c, _ in flat], [g for _, g in flat], views, ref_view)
+    block = proposal_block(props.start, props.end, props.gens, views, ref_view)
     scores = selection_pair_score(block, a, b, config)
     # best[i, r]: proposal i's best score against the r-th generating image of
     # its detection; its own image's column stays 0.0, which adds nothing
-    best = np.zeros((len(flat), int(cols.max()) + 1))
+    best = np.zeros((len(props.gens), int(cols.max()) + 1))
     np.maximum.at(best, (a, cols[b]), scores)
     np.maximum.at(best, (b, cols[a]), scores)
     support = best[:, 0]
     for r in range(1, best.shape[1]):
         support = support + best[:, r]  # one image at a time, as a sequential sum
     support = support.tolist()
-    selected: list[TrackCandidate | None] = []
+    selected: list[int | None] = []
     offset = 0
-    for det in proposals:
-        if det:
-            idx = max(range(offset, offset + len(det)), key=support.__getitem__)
-            selected.append(flat[idx][0] if support[idx] >= config.accept_threshold else None)
+    for count in props.counts:
+        if count:
+            idx = max(range(offset, offset + count), key=support.__getitem__)
+            selected.append(idx if support[idx] >= config.accept_threshold else None)
         else:
             selected.append(None)
-        offset += len(det)
+        offset += count
     return selected
 
 
 def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     views = data.views
     images = sorted(views)
-    neighbors = data.neighbors or compute_neighbors(images, data.point_obs)
-    neighbor_sets = {img: set(neighbors.get(img, ())) for img in images}
+    neighbors = data.neighbors or compute_neighbors(views, data.point_obs)
 
     # association table: each detection's points and VP node, looked up once
     det_points: dict[Node, list[int]] = {}  # global point ids, in association order
     det_vp: dict[Node, Node] = {}  # detection -> VP node (img, k)
     vp_cam: dict[Node, np.ndarray] = {}  # VP node -> camera-frame direction
     vp_world: dict[Node, np.ndarray] = {}  # VP node -> world direction
-    # ray table: each detection's endpoint rays in normalized coordinates, solved
-    # once and kept as Python floats (``.tolist()`` keeps every bit)
-    ray_floats: dict[Node, tuple[Vec3, Vec3]] = {}
+    # ray table: each detection's endpoint rays in normalized coordinates
+    rays = RayTable.solve(views, data.detections)
     for img in images:
         dets = data.detections[img]
-        view = views[img]
-        for di, det in enumerate(dets):
-            rays = view.pixel_to_normalized(det.start), view.pixel_to_normalized(det.end)
-            ray_floats[(img, di)] = (tuple(rays[0].tolist()), tuple(rays[1].tolist()))
         if config.use_vps:
             vps, assign = estimate_vps(dets)
             for k, vp in enumerate(vps):
@@ -253,48 +371,30 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     candidates: dict[Node, TrackCandidate] = {}
     all_edges: list[tuple[Node, Node]] = []
     n_proposals = 0
-    # pose table: each ordered image pair's relative pose, computed on its first match
-    poses: dict[tuple[int, int], tuple[Mat3, Vec3]] = {}
     for img in images:
         view = views[img]
+        n_dets = len(data.detections[img])
         rows = data.matches.get(img, []) if data.matches else []
+        rows = [rows[di] if di < len(rows) else [] for di in range(n_dets)]
+        nodes = [(img, di) for di in range(n_dets)]
         # triangulate every detection's proposals, then select within the image
         # at once: selection never feeds back into proposal generation
-        img_proposals: list[list[tuple[TrackCandidate, int]]] = []
-        img_matches: list[list[Node]] = []
-        for di in range(len(data.detections[img])):
-            node = (img, di)
-            rays = ray_floats[node]
-            row = rows[di] if di < len(rows) else []
-            kept: list[tuple[Node, RayPlaneForm]] = []
-            for j, dj in row:
-                if j == img or j not in neighbor_sets[img]:
-                    continue
-                if len(kept) >= TOP_K_MATCHES:
-                    break
-                pose = poses.get((img, j))
-                if pose is None:
-                    pose = poses[(img, j)] = relative_pose(view, views[j])
-                # a match without a match plane scores IoU 0
-                form = ray_plane_form(view, rays, pose, ray_floats[(j, dj)])
-                if form is not None and weak_epipolar_iou(form) >= IOU_MIN:
-                    kept.append(((j, dj), form))
-            proposals = _detection_proposals(
-                img,
-                view,
-                rays,
-                kept,
-                [data.points3d[pi] for pi in det_points.get(node, ())],
-                vp_cam.get(det_vp.get(node)),
-            )
-            n_proposals += len(proposals)
-            img_proposals.append(proposals)
-            img_matches.append([mn for mn, _ in kept])
-        selected = _select_best(img_proposals, view, views, config)
-        for di, (best, matched) in enumerate(zip(selected, img_matches)):
+        props = _image_proposals(
+            img,
+            views,
+            list(neighbors.get(img, ())),
+            rows,
+            rays,
+            [[data.points3d[pi] for pi in det_points.get(node, ())] for node in nodes],
+            [vp_cam.get(det_vp.get(node)) for node in nodes],
+        )
+        n_proposals += len(props.gens)
+        selected = _select_best(props, view, views, config)
+        for node, best, matched in zip(nodes, selected, props.kept):
             if best is not None:
-                candidates[(img, di)] = best
-                all_edges.extend(((img, di), mn) for mn in matched)
+                seg = Segment3D(props.start[best].copy(), props.end[best].copy())
+                candidates[node] = TrackCandidate(seg, props.sources[best])
+                all_edges.extend((node, mn) for mn in matched)
 
     tracks = build_tracks(candidates, all_edges, views, config)
 
@@ -351,7 +451,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         for ti, t in enumerate(tracks):
             line = minimal_to_plucker(result.lines[ti])
             seg = segment_on_line_from_supports(
-                line, [(ray_floats[s], views[s[0]]) for s in t.supports]
+                line, [(rays.of(img)[di], views[img]) for img, di in t.supports]
             )
             if seg is not None:
                 t.segment = seg

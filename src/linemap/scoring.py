@@ -40,10 +40,12 @@ a1*b1) + a2*b2``, never handed to ``@`` or ``einsum``.  ``np.exp``,
 ``math.exp``, ``math.acos``, ``math.hypot`` and Python's ``**`` in the last
 bit, so those run through :mod:`math` element by element.  Python's
 ``min(x, y)`` keeps ``x`` unless ``y < x``, NaN included, so it is written
-as ``np.where``, not ``np.minimum``.  A block stacks its views' ``K R`` and
-``K t`` (:attr:`CameraView.projection
-<linemap.geometry.CameraView.projection>`), and a projection's 2D record is
-:func:`~linemap.geometry.planar_rows`, so no BLAS call touches a score.
+as ``np.where`` (:func:`~linemap.geometry.min_rows`), not ``np.minimum``;
+the two-view match blocks of :mod:`~linemap.triangulation` share these row
+helpers.  A block stacks its views' ``K R`` and ``K t``
+(:attr:`CameraView.projection <linemap.geometry.CameraView.projection>`),
+and a projection's 2D record is :func:`~linemap.geometry.planar_rows`, so no
+BLAS call touches a score.
 """
 
 from __future__ import annotations
@@ -54,7 +56,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import EPS, CameraView, PlanarRows, Segment3D, planar_rows
+from .geometry import (
+    EPS,
+    CameraView,
+    PlanarRows,
+    Segment3D,
+    dot_rows,
+    max_rows,
+    min_rows,
+    planar_rows,
+)
 
 SCORE_GATE = 0.5  # lowest nonzero similarity of one component
 
@@ -70,25 +81,10 @@ def normalize_distance(r: float, tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`~linemap.geometry.dot3` of matching rows of two ``(m, 3)`` arrays."""
-    return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
-
-
 def _dist_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Distance between matching rows of two ``(m, 3)`` arrays."""
     d = p - q
-    return np.sqrt(_dot_rows(d, d))
-
-
-def _min(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Python's ``min(x, y)`` row by row: ``y`` only where ``y < x``."""
-    return np.where(y < x, y, x)
-
-
-def _max(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Python's ``max(x, y)`` row by row: ``y`` only where ``y > x``."""
-    return np.where(y > x, y, x)
+    return np.sqrt(dot_rows(d, d))
 
 
 def _acute_angles(dots: np.ndarray) -> np.ndarray:
@@ -111,22 +107,22 @@ def _binary_rows(ratio: np.ndarray, tau: float) -> np.ndarray:
 def _overlap_rows(t_start: np.ndarray, t_end: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Fraction of a segment of ``length`` covered by another segment whose
     endpoints fall at ``t_start`` and ``t_end`` along it."""
-    inter = _min(_max(t_start, t_end), length) - _max(_min(t_start, t_end), 0.0)
-    return _max(0.0, inter) / length
+    inter = min_rows(max_rows(t_start, t_end), length) - max_rows(min_rows(t_start, t_end), 0.0)
+    return max_rows(0.0, inter) / length
 
 
 def _project_rows(start, end, kr, kt) -> PlanarRows:
     """Rows ``i`` of ``start`` and ``end`` projected by ``kr[i]`` (``K R``) and ``kt[i]``."""
     # the last K row is (0, 0, 1), so the third coordinate is the camera-frame depth
-    ws = _dot_rows(kr[:, 2], start) + kt[:, 2]
-    we = _dot_rows(kr[:, 2], end) + kt[:, 2]
+    ws = dot_rows(kr[:, 2], start) + kt[:, 2]
+    we = dot_rows(kr[:, 2], end) + kt[:, 2]
     ok = ~((ws <= EPS) | (we <= EPS))
     ws, we = np.where(ok, ws, 1.0), np.where(ok, we, 1.0)
     planar = planar_rows(
-        (_dot_rows(kr[:, 0], start) + kt[:, 0]) / ws,
-        (_dot_rows(kr[:, 1], start) + kt[:, 1]) / ws,
-        (_dot_rows(kr[:, 0], end) + kt[:, 0]) / we,
-        (_dot_rows(kr[:, 1], end) + kt[:, 1]) / we,
+        (dot_rows(kr[:, 0], start) + kt[:, 0]) / ws,
+        (dot_rows(kr[:, 1], start) + kt[:, 1]) / ws,
+        (dot_rows(kr[:, 0], end) + kt[:, 0]) / we,
+        (dot_rows(kr[:, 1], end) + kt[:, 1]) / we,
     )
     return planar._replace(ok=planar.ok & ok)
 
@@ -136,10 +132,10 @@ def _perpendicular_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
     direction takes the larger distance of one segment's endpoints to the
     other's supporting line.  A line's ``dot3`` with ``(x, y, 1)`` is
     ``(l0*x + l1*y) + l2``."""
-    to_b = _max(
+    to_b = max_rows(
         np.abs((b.l0 * a.x1 + b.u * a.y1) + b.l2), np.abs((b.l0 * a.x2 + b.u * a.y2) + b.l2)
     )
-    to_a = _max(
+    to_a = max_rows(
         np.abs((a.l0 * b.x1 + a.u * b.y1) + a.l2), np.abs((a.l0 * b.x2 + a.u * b.y2) + a.l2)
     )
     return 0.5 * (to_b + to_a)
@@ -162,7 +158,7 @@ def _along_planar(a: PlanarRows, b: PlanarRows) -> tuple[np.ndarray, np.ndarray]
 
 
 def _mutual_overlap_planar(a: PlanarRows, b: PlanarRows) -> np.ndarray:
-    return _min(
+    return min_rows(
         _overlap_rows(*_along_planar(a, b), b.length),
         _overlap_rows(*_along_planar(b, a), a.length),
     )
@@ -173,21 +169,19 @@ def _mutual_overlap_planar(a: PlanarRows, b: PlanarRows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _segment_rows(segments: list[Segment3D]):
-    """Starts, ends, unit directions and lengths of ``segments``, one row
-    each, equal to :attr:`~linemap.geometry.Segment3D.direction` and
-    :attr:`~linemap.geometry.Segment3D.length`.
+def _segment_rows(start: np.ndarray, end: np.ndarray):
+    """Unit directions and lengths of the segments ``start[i]``-``end[i]``,
+    ``(n, 3)`` arrays, equal to :attr:`~linemap.geometry.Segment3D.direction`
+    and :attr:`~linemap.geometry.Segment3D.length`.
 
     Raises:
         ValueError: if a segment is shorter than EPS.
     """
-    start = np.array([s.start for s in segments]).reshape(-1, 3)
-    end = np.array([s.end for s in segments]).reshape(-1, 3)
     d = end - start
-    length = np.sqrt(_dot_rows(d, d))
+    length = np.sqrt(dot_rows(d, d))
     if (length < EPS).any():
         raise ValueError("cannot normalize near-zero vector")
-    return start, end, d / length[:, None], length
+    return d / length[:, None], length
 
 
 def _view_rows(owners: list[int], views: dict[int, CameraView]):
@@ -249,18 +243,23 @@ class ProposalBlock(NamedTuple):
 
 
 def proposal_block(
-    segments: list[Segment3D], gens: list[int], views: dict[int, CameraView], ref_view: CameraView
+    start: np.ndarray,
+    end: np.ndarray,
+    gens: list[int],
+    views: dict[int, CameraView],
+    ref_view: CameraView,
 ) -> ProposalBlock:
-    """The block of ``segments``, segment ``i`` generated in image ``gens[i]``,
-    for detections of ``ref_view``.
+    """The block of the proposals ``start[i]``-``end[i]`` (``(n, 3)`` arrays),
+    proposal ``i`` generated in image ``gens[i]``, for detections of
+    ``ref_view``.
 
     Raises:
-        ValueError: if a segment is shorter than EPS.
+        ValueError: if a proposal is shorter than EPS.
     """
-    start, end, direction, _ = _segment_rows(segments)
+    direction, _ = _segment_rows(start, end)
     center = ref_view.camera_center
     to_start, to_end = start - center, end - center
-    rays = np.stack([np.sqrt(_dot_rows(to_start, to_start)), np.sqrt(_dot_rows(to_end, to_end))], 1)
+    rays = np.stack([np.sqrt(dot_rows(to_start, to_start)), np.sqrt(dot_rows(to_end, to_end))], 1)
     _, _, kr, kt = _view_rows(gens, views)
     return ProposalBlock(start, end, direction, rays, kr, kt, _project_rows(start, end, kr, kt))
 
@@ -279,7 +278,7 @@ def perspective_distance(block: ProposalBlock, first, second) -> np.ndarray:
     ds = _dist_rows(block.start[first], block.start[second])
     de = _dist_rows(block.end[first], block.end[second])
     (sa, ea), (sb, eb) = block.rays[first].T, block.rays[second].T
-    return 0.5 * (_max(ds / sa, de / ea) + _max(ds / sb, de / eb))
+    return 0.5 * (max_rows(ds / sa, de / ea) + max_rows(ds / sb, de / eb))
 
 
 def selection_pair_score(
@@ -294,9 +293,9 @@ def selection_pair_score(
     other proposal's view.
     """
     a, b = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
-    score = _min(
+    score = min_rows(
         _normalized_rows(
-            _acute_angles(_dot_rows(block.direction[a], block.direction[b])), config.tau_angle_3d
+            _acute_angles(dot_rows(block.direction[a], block.direction[b])), config.tau_angle_3d
         ),
         _normalized_rows(perspective_distance(block, a, b), config.tau_perspective),
     )
@@ -305,7 +304,7 @@ def selection_pair_score(
     angle, perpendicular = _image_components(p, q, config)
     rows = past[kept]
     scores = np.zeros(len(score))
-    scores[rows] = _min(_min(score[rows], angle), perpendicular)
+    scores[rows] = min_rows(min_rows(score[rows], angle), perpendicular)
     return scores
 
 
@@ -350,12 +349,14 @@ def track_block(
     Raises:
         ValueError: if a segment is shorter than EPS.
     """
-    start, end, direction, length = _segment_rows(segments)
+    start = np.array([s.start for s in segments]).reshape(-1, 3)
+    end = np.array([s.end for s in segments]).reshape(-1, 3)
+    direction, length = _segment_rows(start, end)
     distinct, rows, kr, kt = _view_rows(owners, views)
     depth_row = np.array([v.R[2] for v in distinct]).reshape(-1, 3)[rows]
     depth_t = np.array([v.t[2] for v in distinct]).reshape(-1)[rows]
     focal = np.array([v.focal for v in distinct]).reshape(-1)[rows]
-    scale = (_dot_rows(depth_row, 0.5 * (start + end)) + depth_t) / focal
+    scale = (dot_rows(depth_row, 0.5 * (start + end)) + depth_t) / focal
     own = _project_rows(start, end, kr, kt)
     return TrackBlock(start, end, direction, length, scale, kr, kt, own)
 
@@ -382,21 +383,21 @@ def track_pair_score(
     a, b = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
     sa, ea, da, la = block.start[a], block.end[a], block.direction[a], block.length[a]
     sb, eb, db, lb = block.start[b], block.end[b], block.direction[b], block.length[b]
-    scale = _min(block.scale[a], block.scale[b])
+    scale = min_rows(block.scale[a], block.scale[b])
     low = scale <= 0.0
-    dots = _dot_rows(da, db)
+    dots = dot_rows(da, db)
     # where each segment's start and end fall along the other, from its start
-    a_on_b = _dot_rows(sa - sb, db), _dot_rows(ea - sb, db)
-    b_on_a = _dot_rows(sb - sa, da), _dot_rows(eb - sa, da)
-    overlap = _min(_overlap_rows(*a_on_b, lb), _overlap_rows(*b_on_a, la))
+    a_on_b = dot_rows(sa - sb, db), dot_rows(ea - sb, db)
+    b_on_a = dot_rows(sb - sa, da), dot_rows(eb - sa, da)
+    overlap = min_rows(_overlap_rows(*a_on_b, lb), _overlap_rows(*b_on_a, la))
     # the feet clipped to the other's extent, a's reversed where the directions oppose
-    on_b = [sb + _min(_max(t, 0.0), lb)[:, None] * db for t in a_on_b]
-    on_a = [sa + _min(_max(t, 0.0), la)[:, None] * da for t in b_on_a]
+    on_b = [sb + min_rows(max_rows(t, 0.0), lb)[:, None] * db for t in a_on_b]
+    on_a = [sa + min_rows(max_rows(t, 0.0), la)[:, None] * da for t in b_on_a]
     turn = (dots < 0.0)[:, None]
     on_a = np.where(turn, on_a[1], on_a[0]), np.where(turn, on_a[0], on_a[1])
-    inner = _max(_dist_rows(on_a[0], on_b[0]), _dist_rows(on_a[1], on_b[1]))
-    score = _min(
-        _min(
+    inner = max_rows(_dist_rows(on_a[0], on_b[0]), _dist_rows(on_a[1], on_b[1]))
+    score = min_rows(
+        min_rows(
             _normalized_rows(_acute_angles(dots), config.tau_angle_3d),
             _binary_rows(overlap, config.tau_overlap),
         ),
@@ -405,10 +406,11 @@ def track_pair_score(
     past = np.flatnonzero((score > 0.0) & ~low)
     kept, p, q = _cross_rows(block, a[past], b[past])
     angle, perpendicular = _image_components(p, q, config)
-    overlap = _min(_mutual_overlap_planar(*p), _mutual_overlap_planar(*q))
+    overlap = min_rows(_mutual_overlap_planar(*p), _mutual_overlap_planar(*q))
     rows = past[kept]
     scores = np.zeros(len(score))
-    scores[rows] = _min(
-        _min(_min(score[rows], angle), perpendicular), _binary_rows(overlap, config.tau_overlap)
+    scores[rows] = min_rows(
+        min_rows(min_rows(score[rows], angle), perpendicular),
+        _binary_rows(overlap, config.tau_overlap),
     )
     return scores

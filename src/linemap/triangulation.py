@@ -9,25 +9,33 @@ to the plane back-projected from the matched segment: fitting through shared
 vanishing-point direction.
 
 Every two-view routine, and the weak epipolar IoU gate in front of them,
-reads one :class:`RayPlaneForm` per match: the relative pose, the reference
-and matched endpoint rays and the plane back-projected from the matched
-segment.  The pipeline solves each detection's endpoint rays once per run,
-computes each image pair's relative pose once, and builds the form from
-them, so no call repeats that setup.
+reads the ray-plane form of a match: the relative pose, the reference and
+matched endpoint rays and the plane back-projected from the matched
+segment.  The pipeline forms every match of one reference image at once, as
+the rows of one :class:`MatchRows` block (:func:`match_rows`), and runs the
+IoU gate (:func:`weak_epipolar_iou`) and the algebraic triangulation with
+its degeneracy test and cheirality checks (:func:`triangulate_algebraic`)
+as one array pass over those rows.  Both also take one
+:class:`RayPlaneForm`, as a block of one row.
 
-A match costs a few dozen flops, so the form, the IoU gate, the degeneracy
-check and the algebraic triangulation run on Python floats: every 3-vector
-product is summed term by term through :func:`~linemap.geometry.dot3`,
-with no BLAS call, and a degenerate configuration scores IoU 0 or raises a
-:class:`TriangulationError`, never a division error.  The rescue solvers
-(point, VP and multi-point) run a few hundred times a run and keep numpy;
-they convert the form's fields where they read them.
+A block gives every row the bits that one match at a time on Python floats
+gives (``tests/support.py`` keeps that form as the oracle): only ``+ - * /``,
+``sqrt`` and ``abs`` run as numpy arithmetic, each 3-vector product is
+summed term by term as :func:`~linemap.geometry.dot3` does, Python's
+``min`` and ``max`` are :func:`~linemap.geometry.min_rows` and
+:func:`~linemap.geometry.max_rows`, and the plane angle's ``asin`` and
+``degrees`` run through :mod:`math` element by element.  No BLAS call
+touches a row, and a degenerate configuration scores IoU 0 or gets a
+failure flag, never a division error.  The rescue solvers (point, VP and
+multi-point) run a few hundred times a run on one :class:`RayPlaneForm` of
+Python floats each, and keep numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,13 +49,16 @@ from .geometry import (
     Vec3,
     closest_point_line_to_line,
     cross3,
-    cross3_floats,
-    dot3,
-    matvec3,
-    norm3,
+    dot_rows,
+    matvec_rows,
+    max_rows,
+    min_rows,
     normalized,
     principal_line,
 )
+
+
+MIN_PLANE_ANGLE_DEG = 1.0  # a reference ray closer to the match plane is degenerate
 
 
 class TriangulationError(Exception):
@@ -68,20 +79,6 @@ class FullyDegenerateError(DegenerateTriangulationError):
 
 class CheiralityError(TriangulationError):
     """No solution places the segment in front of both cameras."""
-
-
-def check_degeneracy(ray_dir, plane_normal, min_angle_deg: float) -> bool:
-    """Whether a ray (any 3-sequence) lies within ``min_angle_deg`` of a plane.
-
-    The angle measured is between the ray and the plane itself (zero when
-    the ray is contained in the plane), not the angle to the normal.  A
-    zero-length ray or normal has no angle and counts as degenerate.
-    """
-    scale = norm3(ray_dir) * norm3(plane_normal)
-    if scale == 0.0:
-        return True
-    s = abs(dot3(ray_dir, plane_normal)) / scale
-    return math.degrees(math.asin(min(1.0, s))) < min_angle_deg
 
 
 @dataclass(frozen=True)
@@ -112,53 +109,182 @@ class RayPlaneForm:
     c: float
 
 
-def ray_plane_form(
-    ref_view: CameraView,
-    ref_rays: tuple[Vec3, Vec3],
-    pose: tuple[Mat3, Vec3],
-    match_rays: tuple[Vec3, Vec3],
-) -> RayPlaneForm | None:
-    """The form of one match; ``None`` if the matched rays coincide.
+# ---------------------------------------------------------------------------
+# blocks of matches into one reference view
+# ---------------------------------------------------------------------------
 
-    ``pose`` is :func:`~linemap.geometry.relative_pose` of the reference
-    and matched views; the rays are 3-sequences of Python floats.
+
+class MatchRows(NamedTuple):
+    """The ray-plane forms of a block of matches into one reference view, one row each.
+
+    The fields after ``plane`` are :class:`RayPlaneForm`'s, stacked: ``R``
+    is ``(m, 3, 3)``, ``a`` is ``(m, 2)``, ``c`` is ``(m,)`` and the others
+    are ``(m, 3)``.  ``plane`` is False where the matched rays coincide, so
+    that the match has no plane; such a row's ``n``, ``a`` and ``c`` are
+    placeholders.
     """
-    R, t = pose
-    x1, x2 = ref_rays
-    y1, y2 = match_rays
-    n = cross3_floats(y1, y2)
-    nn = norm3(n)
-    if nn < EPS:
-        return None
-    n = (n[0] / nn, n[1] / nn, n[2] / nn)
-    Rx1, Rx2 = matvec3(R, x1), matvec3(R, x2)
-    a = (dot3(n, Rx1), dot3(n, Rx2))
-    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot3(n, t))
+
+    ref_view: CameraView
+    plane: np.ndarray
+    R: np.ndarray
+    t: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    Rx1: np.ndarray
+    Rx2: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
+    n: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+
+    def take(self, idx) -> MatchRows:
+        return MatchRows(self.ref_view, *(field[idx] for field in self[1:]))
+
+    def form(self, i: int) -> RayPlaneForm:
+        """Row ``i`` as a :class:`RayPlaneForm` (``.tolist()`` keeps every bit)."""
+        R, *vectors, a, c = (field[i].tolist() for field in self[2:])
+        return RayPlaneForm(self.ref_view, tuple(map(tuple, R)), *map(tuple, vectors), tuple(a), c)
 
 
-def _finish_segment(form: RayPlaneForm, lam1: float, lam2: float) -> Segment3D:
-    """Cheirality check in both views, then the endpoints in world coordinates."""
-    if lam1 <= 0 or lam2 <= 0:
-        raise CheiralityError("endpoint depth is not positive in the reference view")
-    depth_row, tz = form.R[2], form.t[2]
-    v = form.ref_view.floats
-    t0, t1, t2 = v.t
+def match_rows(
+    ref_view: CameraView,
+    R: np.ndarray,
+    t: np.ndarray,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    y1: np.ndarray,
+    y2: np.ndarray,
+) -> MatchRows:
+    """The forms of the matches ``i``: reference rays ``x1[i]``, ``x2[i]``
+    against matched rays ``y1[i]``, ``y2[i]`` under the relative pose
+    ``R[i]``, ``t[i]`` (:func:`~linemap.geometry.relative_pose` of the
+    reference and matched views).
+
+    The match plane's normal is ``y1 x y2`` divided by its norm; rows whose
+    norm is below EPS have no plane.
+    """
+    n = np.stack(
+        [
+            y1[:, 1] * y2[:, 2] - y1[:, 2] * y2[:, 1],
+            y1[:, 2] * y2[:, 0] - y1[:, 0] * y2[:, 2],
+            y1[:, 0] * y2[:, 1] - y1[:, 1] * y2[:, 0],
+        ],
+        axis=1,
+    )
+    nn = np.sqrt(dot_rows(n, n))
+    plane = ~(nn < EPS)
+    n = n / np.where(plane, nn, 1.0)[:, None]
+    Rx1, Rx2 = matvec_rows(R, x1), matvec_rows(R, x2)
+    a = np.stack([dot_rows(n, Rx1), dot_rows(n, Rx2)], axis=1)
+    return MatchRows(ref_view, plane, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot_rows(n, t))
+
+
+def _one_row(form: RayPlaneForm) -> MatchRows:
+    """The block of one match: each of the form's fields as a row."""
+    rows = (np.array([getattr(form, name)], dtype=np.float64) for name in MatchRows._fields[2:])
+    return MatchRows(form.ref_view, np.array([True]), *rows)
+
+
+def weak_epipolar_iou(form: MatchRows | RayPlaneForm) -> np.ndarray | float:
+    """Interval overlap between each matched segment and its epipolar band:
+    one value per row of a :class:`MatchRows` block, or one float for one
+    :class:`RayPlaneForm`.
+
+    The epipolar lines of the two reference endpoints cut an interval on the
+    infinite line supporting the matched segment; a row's value is the 1D
+    intersection-over-union between that interval and the matched segment
+    itself.  Degenerate configurations (no match plane, no baseline,
+    epipolar lines parallel to the matched line) score 0.
+
+    The epipolar line of ``x`` meets the matched line at the image of the
+    point where ``x``'s ray meets the match plane: with ``E = [t]x R``,
+    ``(E x) x (y1 x y2)`` is ``c R x - (n . R x) t`` up to a positive scale,
+    so each cut is read off the form as ``c * Rx_i - a_i * t``.
+    """
+    rows = _one_row(form) if isinstance(form, RayPlaneForm) else form
+    t, c = rows.t, rows.c[:, None]
+    ox, oy = rows.y1[:, 0], rows.y1[:, 1]
+    dx, dy = rows.y2[:, 0] - ox, rows.y2[:, 1] - oy
+    seg_len = np.sqrt(dx * dx + dy * dy)
+    zero = ~rows.plane | (np.sqrt(dot_rows(t, t)) < EPS) | (seg_len < EPS)
+    seg_len = np.where(zero, 1.0, seg_len)
+    ux, uy = dx / seg_len, dy / seg_len
+    params = []
+    for Rx, a in ((rows.Rx1, rows.a[:, :1]), (rows.Rx2, rows.a[:, 1:])):
+        h = c * Rx - a * t
+        h0, h1, h2 = h[:, 0], h[:, 1], h[:, 2]
+        # the epipolar line runs parallel to the matched line
+        zero |= np.abs(h2) < EPS * (np.sqrt(h0 * h0 + h1 * h1) + EPS)
+        h2 = np.where(zero, 1.0, h2)
+        params.append((h0 / h2 - ox) * ux + (h1 / h2 - oy) * uy)
+    lo, hi = min_rows(*params), max_rows(*params)
+    inter = max_rows(0.0, min_rows(hi, seg_len) - max_rows(lo, 0.0))
+    union = max_rows(hi, seg_len) - min_rows(lo, 0.0)
+    zero |= union < EPS
+    iou = np.where(zero, 0.0, inter / np.where(zero, 1.0, union))
+    return iou if rows is form else float(iou[0])
+
+
+def degenerate_rows(ray: np.ndarray, normal: np.ndarray, min_angle_deg: float) -> np.ndarray:
+    """Whether each ray (rows of ``(m, 3)``) lies within ``min_angle_deg`` of
+    its plane, given by the matching row of ``normal``.
+
+    The angle measured is between the ray and the plane itself (zero when
+    the ray is contained in the plane), not the angle to the normal.  A
+    zero-length ray or normal has no angle and counts as degenerate.
+    """
+    scale = np.sqrt(dot_rows(ray, ray)) * np.sqrt(dot_rows(normal, normal))
+    zero = scale == 0.0
+    s = np.abs(dot_rows(ray, normal)) / np.where(zero, 1.0, scale)
+    s = np.where(s < 1.0, s, 1.0)  # min(1.0, s): NaN gives 1.0
+    angle = np.array([math.degrees(math.asin(x)) for x in s.tolist()])
+    return zero | (angle < min_angle_deg)
+
+
+class AlgebraicRows(NamedTuple):
+    """Outcome of the algebraic triangulation of each row of a block.
+
+    ``bad1`` and ``bad2`` flag the endpoint rays within the threshold angle
+    of the match plane (a degenerate row has either); ``ok`` flags the rows
+    that are not degenerate and lie in front of both cameras, the others
+    failing cheirality.  ``start`` and ``end`` are ``(m, 3)`` world
+    endpoints, placeholders where ``ok`` is False.
+    """
+
+    bad1: np.ndarray
+    bad2: np.ndarray
+    ok: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+
+def _finish_rows(rows: MatchRows, lam1: np.ndarray, lam2: np.ndarray):
+    """Cheirality check in both views, then the endpoints in world coordinates:
+    ``(ok, start, end)``, the endpoints at depths ``lam1`` and ``lam2`` along
+    the reference rays."""
+    ok = ~((lam1 <= 0) | (lam2 <= 0))
+    v = rows.ref_view.floats
+    Rt, t_ref = np.array(v.Rt), np.array(v.t)
     ends = []
-    for li, (x0, x1, x2) in ((lam1, form.x1), (lam2, form.x2)):
-        p0, p1, p2 = li * x0, li * x1, li * x2
-        if dot3(depth_row, (p0, p1, p2)) + tz <= 0:
-            raise CheiralityError("endpoint lies behind the matched view")
-        ends.append(matvec3(v.Rt, (p0 - t0, p1 - t1, p2 - t2)))
-    return Segment3D(*ends)
+    for lam, x in ((lam1, rows.x1), (lam2, rows.x2)):
+        p = lam[:, None] * x
+        ok &= ~(dot_rows(rows.R[:, 2], p) + rows.t[:, 2] <= 0)
+        ends.append(matvec_rows(Rt, p - t_ref))
+    return ok, ends[0], ends[1]
 
 
-def triangulate_algebraic(form: RayPlaneForm, min_angle_deg: float = 1.0) -> Segment3D:
-    """Two-view triangulation intersecting reference rays with the match plane.
+def triangulate_algebraic(
+    form: MatchRows | RayPlaneForm, min_angle_deg: float = MIN_PLANE_ANGLE_DEG
+) -> AlgebraicRows | Segment3D:
+    """Two-view triangulation, intersecting the reference rays with the
+    match plane: the outcome of every row of a :class:`MatchRows` block as
+    :class:`AlgebraicRows`, or the segment of one :class:`RayPlaneForm`.
 
     The matched segment back-projects to a plane through the matched camera
     center; each reference endpoint ray is intersected with that plane.  A
     ray exactly parallel to the plane (``a[i] == 0``) is degenerate at any
-    threshold.
+    threshold.  A block flags its failures; one form raises them.
 
     Raises:
         WeaklyDegenerateError: one endpoint ray within ``min_angle_deg`` of
@@ -166,14 +292,40 @@ def triangulate_algebraic(form: RayPlaneForm, min_angle_deg: float = 1.0) -> Seg
         FullyDegenerateError: both endpoint rays degenerate.
         CheiralityError: intersection behind either camera.
     """
-    a1, a2 = form.a
-    bad1 = a1 == 0.0 or check_degeneracy(form.Rx1, form.n, min_angle_deg)
-    bad2 = a2 == 0.0 or check_degeneracy(form.Rx2, form.n, min_angle_deg)
-    if bad1 and bad2:
+    rows = _one_row(form) if isinstance(form, RayPlaneForm) else form
+    a1, a2 = rows.a[:, 0], rows.a[:, 1]
+    bad1 = (a1 == 0.0) | degenerate_rows(rows.Rx1, rows.n, min_angle_deg)
+    bad2 = (a2 == 0.0) | degenerate_rows(rows.Rx2, rows.n, min_angle_deg)
+    bad = bad1 | bad2
+    ok, start, end = _finish_rows(
+        rows, -rows.c / np.where(bad, 1.0, a1), -rows.c / np.where(bad, 1.0, a2)
+    )
+    if rows is form:
+        return AlgebraicRows(bad1, bad2, ok & ~bad, start, end)
+    if bad1[0] and bad2[0]:
         raise FullyDegenerateError("both endpoint rays parallel to the match plane")
-    if bad1 or bad2:
+    if bad[0]:
         raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
-    return _finish_segment(form, -form.c / a1, -form.c / a2)
+    if not ok[0]:
+        raise CheiralityError("an endpoint lies behind the reference or the matched view")
+    return Segment3D(start[0], end[0])
+
+
+# ---------------------------------------------------------------------------
+# rescue: one match, or one detection, at a time
+# ---------------------------------------------------------------------------
+
+
+def _finish_segment(form: RayPlaneForm, lam1: float, lam2: float) -> Segment3D:
+    """The segment at depths ``lam1`` and ``lam2`` along the reference rays.
+
+    Raises:
+        CheiralityError: an endpoint lies behind either camera.
+    """
+    ok, start, end = _finish_rows(_one_row(form), np.array([lam1]), np.array([lam2]))
+    if not ok[0]:
+        raise CheiralityError("an endpoint lies behind the reference or the matched view")
+    return Segment3D(start[0], end[0])
 
 
 def triangulate_multipoint(
@@ -387,47 +539,3 @@ def triangulate_line_vp(form: RayPlaneForm, vp_dir: np.ndarray) -> Segment3D:
     if not sols:
         raise TriangulationError("constrained solve produced no real candidate")
     return _pick_solution(sols, form)
-
-
-# ---------------------------------------------------------------------------
-# match prefiltering
-# ---------------------------------------------------------------------------
-
-
-def weak_epipolar_iou(form: RayPlaneForm) -> float:
-    """Interval overlap between a matched segment and its epipolar band.
-
-    The epipolar lines of the two reference endpoints cut an interval on the
-    infinite line supporting the matched segment; returned is the 1D
-    intersection-over-union between that interval and the matched segment
-    itself.  Degenerate configurations (no baseline, epipolar lines parallel
-    to the matched line) score 0.
-
-    The epipolar line of ``x`` meets the matched line at the image of the
-    point where ``x``'s ray meets the match plane: with ``E = [t]x R``,
-    ``(E x) x (y1 x y2)`` is ``c R x - (n . R x) t`` up to a positive scale,
-    so each cut is read off the form as ``c * Rx_i - a_i * t``.
-    """
-    t = form.t
-    if norm3(t) < EPS:
-        return 0.0
-    ox, oy, _ = form.y1
-    dx, dy = form.y2[0] - ox, form.y2[1] - oy
-    seg_len = math.sqrt(dx * dx + dy * dy)
-    if seg_len < EPS:
-        return 0.0
-    ux, uy = dx / seg_len, dy / seg_len
-
-    c = form.c
-    params = []
-    for Rx, a in ((form.Rx1, form.a[0]), (form.Rx2, form.a[1])):
-        h0, h1, h2 = c * Rx[0] - a * t[0], c * Rx[1] - a * t[1], c * Rx[2] - a * t[2]
-        if abs(h2) < EPS * (math.sqrt(h0 * h0 + h1 * h1) + EPS):
-            return 0.0  # epipolar line parallel to the matched line
-        params.append((h0 / h2 - ox) * ux + (h1 / h2 - oy) * uy)
-    lo, hi = min(params), max(params)
-    inter = max(0.0, min(hi, seg_len) - max(lo, 0.0))
-    union = max(hi, seg_len) - min(lo, 0.0)
-    if union < EPS:
-        return 0.0
-    return inter / union

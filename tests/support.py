@@ -12,6 +12,10 @@ from linemap.geometry import (
     Segment2D,
     Segment3D,
     cross3,
+    cross3_floats,
+    dot3,
+    matvec3,
+    norm3,
     normalized,
     project_segment,
     quat_to_rotmat,
@@ -26,7 +30,7 @@ from linemap.triangulation import (
     FullyDegenerateError,
     RayPlaneForm,
     WeaklyDegenerateError,
-    ray_plane_form,
+    match_rows,
 )
 
 
@@ -66,9 +70,21 @@ def float_rays(seg, view):
     return tuple(tuple(x.tolist()) for x in endpoint_rays(seg, view))
 
 
+def match_form(ref_view, ref_rays, pose, match_rays):
+    """The ray-plane form of one match, the one row of a block; None if the
+    matched rays coincide, so that the match has no plane.
+
+    ``pose`` is :func:`relative_pose` of the reference and matched views;
+    the rays are 3-sequences.
+    """
+    fields = (*pose, *ref_rays, *match_rays)  # R, t, x1, x2, y1, y2
+    rows = match_rows(ref_view, *(np.array([v], dtype=np.float64) for v in fields))
+    return rows.form(0) if rows.plane[0] else None
+
+
 def two_view(ref_seg, ref_view, match_seg, match_view):
     """The ray-plane form of one match, built as the pipeline builds it."""
-    return ray_plane_form(
+    return match_form(
         ref_view,
         float_rays(ref_seg, ref_view),
         relative_pose(ref_view, match_view),
@@ -617,10 +633,87 @@ def reference_track_pair_score(a, view_a, b, view_b, config=PipelineConfig()):
 # Reference two-view triangulation
 # ---------------------------------------------------------------------------
 #
-# The ray-plane form, the weak epipolar IoU and the algebraic triangulation on
-# numpy arrays, each 3-vector product handed to numpy's ``@``.
-# ``linemap.triangulation`` computes the same formulas on Python floats, so
-# the two agree to rounding.
+# Two oracles for ``linemap.triangulation``'s match blocks.  The float oracle
+# runs one match at a time on Python floats, every 3-vector product summed
+# term by term through ``geometry.dot3``: a block row must equal it bit for
+# bit, outcome for outcome.  The numpy oracle below it hands each product to
+# numpy's ``@``, so it agrees to rounding.
+
+
+def float_ray_plane_form(ref_view, ref_rays, pose, match_rays):
+    """The form of one match on Python floats; ``None`` if the matched rays coincide."""
+    R, t = pose
+    x1, x2 = ref_rays
+    y1, y2 = match_rays
+    n = cross3_floats(y1, y2)
+    nn = norm3(n)
+    if nn < EPS:
+        return None
+    n = (n[0] / nn, n[1] / nn, n[2] / nn)
+    Rx1, Rx2 = matvec3(R, x1), matvec3(R, x2)
+    a = (dot3(n, Rx1), dot3(n, Rx2))
+    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot3(n, t))
+
+
+def float_check_degeneracy(ray_dir, plane_normal, min_angle_deg):
+    scale = norm3(ray_dir) * norm3(plane_normal)
+    if scale == 0.0:
+        return True
+    s = abs(dot3(ray_dir, plane_normal)) / scale
+    return math.degrees(math.asin(min(1.0, s))) < min_angle_deg
+
+
+def float_finish_segment(form, lam1, lam2):
+    """Cheirality check in both views, then the endpoints ``(start, end)`` in world coordinates."""
+    if lam1 <= 0 or lam2 <= 0:
+        raise CheiralityError("endpoint depth is not positive in the reference view")
+    depth_row, tz = form.R[2], form.t[2]
+    v = form.ref_view.floats
+    t0, t1, t2 = v.t
+    ends = []
+    for li, (x0, x1, x2) in ((lam1, form.x1), (lam2, form.x2)):
+        p0, p1, p2 = li * x0, li * x1, li * x2
+        if dot3(depth_row, (p0, p1, p2)) + tz <= 0:
+            raise CheiralityError("endpoint lies behind the matched view")
+        ends.append(matvec3(v.Rt, (p0 - t0, p1 - t1, p2 - t2)))
+    return tuple(ends)
+
+
+def float_triangulate_algebraic(form, min_angle_deg=1.0):
+    """Endpoints ``(start, end)`` as Python floats, raising as ``triangulate_algebraic`` does."""
+    a1, a2 = form.a
+    bad1 = a1 == 0.0 or float_check_degeneracy(form.Rx1, form.n, min_angle_deg)
+    bad2 = a2 == 0.0 or float_check_degeneracy(form.Rx2, form.n, min_angle_deg)
+    if bad1 and bad2:
+        raise FullyDegenerateError("both endpoint rays parallel to the match plane")
+    if bad1 or bad2:
+        raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
+    return float_finish_segment(form, -form.c / a1, -form.c / a2)
+
+
+def float_weak_epipolar_iou(form):
+    t = form.t
+    if norm3(t) < EPS:
+        return 0.0
+    ox, oy, _ = form.y1
+    dx, dy = form.y2[0] - ox, form.y2[1] - oy
+    seg_len = math.sqrt(dx * dx + dy * dy)
+    if seg_len < EPS:
+        return 0.0
+    ux, uy = dx / seg_len, dy / seg_len
+    c = form.c
+    params = []
+    for Rx, a in ((form.Rx1, form.a[0]), (form.Rx2, form.a[1])):
+        h0, h1, h2 = c * Rx[0] - a * t[0], c * Rx[1] - a * t[1], c * Rx[2] - a * t[2]
+        if abs(h2) < EPS * (math.sqrt(h0 * h0 + h1 * h1) + EPS):
+            return 0.0  # epipolar line parallel to the matched line
+        params.append((h0 / h2 - ox) * ux + (h1 / h2 - oy) * uy)
+    lo, hi = min(params), max(params)
+    inter = max(0.0, min(hi, seg_len) - max(lo, 0.0))
+    union = max(hi, seg_len) - min(lo, 0.0)
+    if union < EPS:
+        return 0.0
+    return inter / union
 
 
 def reference_ray_plane_form(ref_view, ref_rays, match_view, match_rays):

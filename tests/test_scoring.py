@@ -46,9 +46,14 @@ def seg2(a, b):
     return Segment2D(np.asarray(a, float), np.asarray(b, float))
 
 
+def endpoint_rows(segments):
+    """The starts and the ends of ``segments``, as ``(n, 3)`` arrays."""
+    return tuple(np.array([getattr(s, end) for s in segments]) for end in ("start", "end"))
+
+
 def pair_block(a, b, ref, view_a, view_b):
     """The block of ``a`` and ``b``, generated in their views for a detection of ``ref``."""
-    return proposal_block([a, b], [0, 1], {0: view_a, 1: view_b}, ref)
+    return proposal_block(*endpoint_rows([a, b]), [0, 1], {0: view_a, 1: view_b}, ref)
 
 
 def selection(a, b, ref, view_a, view_b, config=PipelineConfig()):
@@ -469,7 +474,7 @@ def test_selection_block_equals_the_reference_pair_by_pair():
     gens[0], gens[-4:] = 2, [3, 0, 1, 2]
     n = len(segments)
     first, second = zip(*[(i, j) for i in range(n) for j in range(i + 1, n) if gens[i] != gens[j]])
-    block = proposal_block(segments, gens, views, ref)
+    block = proposal_block(*endpoint_rows(segments), gens, views, ref)
     scores = selection_pair_score(block, first, second, cfg)
     kinds = Counter()
     for i, j, s in zip(first, second, scores.tolist()):

@@ -3,11 +3,12 @@
 Every config key is read by the pipeline and documented in README, every
 field of the synthetic and refinement configs and every keyword default of
 a public function is set by some call, every imported name is used, no
-object's ``__dict__`` is written, neither the pair scores nor the two-view
-triangulation of a match makes a BLAS call, the selection and track blocks
-and geometry's 2D segment rows keep to the numpy calls that round as
-Python floats do, no random draw runs once per loop iteration, and track
-building scores no pair once per loop iteration.
+object's ``__dict__`` is written, the pair scores make no BLAS call, the
+selection, track and two-view match blocks and geometry's rows keep to the
+numpy calls that round as Python floats do, no random draw runs once per
+loop iteration, track building scores no pair once per loop iteration, and
+the pipeline forms, gates and triangulates no match once per loop
+iteration.
 """
 
 import ast
@@ -190,10 +191,19 @@ def test_no_object_dict_is_written():
     assert writes == []
 
 
-# geometry's rows of 2D segments: the pair-score blocks' projections, and the
+# geometry's elementwise rows: the 3-vector products, Python's min and max,
+# and the 2D segment rows of the pair-score blocks' projections and of the
 # stacked observations of VP estimation and joint refinement
-GEOMETRY_ROW_CODE = ("PlanarRows.take", "planar_rows", "stack_segments_2d")
-# geometry's float code for a point's depth, and its 2D segment rows
+GEOMETRY_ROW_CODE = (
+    "dot_rows",
+    "matvec_rows",
+    "min_rows",
+    "max_rows",
+    "PlanarRows.take",
+    "planar_rows",
+    "stack_segments_2d",
+)
+# geometry's float code for a point's depth, and its rows
 GEOMETRY_FLOAT_CODE = ("CameraView.depth",) + GEOMETRY_ROW_CODE
 
 
@@ -216,48 +226,9 @@ def test_scoring_has_no_matrix_product():
     assert _matrix_products(code) == []
 
 
-# the per-match two-view code, and the geometry it reads
-TWO_VIEW_FLOAT_CODE = {
-    "geometry.py": (
-        "dot3",
-        "norm3",
-        "matvec3",
-        "cross3_floats",
-        "relative_pose",
-        "Segment3D.length",
-    ),
-    "triangulation.py": (
-        "ray_plane_form",
-        "check_degeneracy",
-        "triangulate_algebraic",
-        "_finish_segment",
-        "weak_epipolar_iou",
-    ),
-}
-
-
-def test_two_view_triangulation_has_no_matrix_product_or_numpy_call():
-    # every 3-vector product of a match goes through geometry.dot3 on Python
-    # floats; `@` or a numpy function would hand it to the CPU's BLAS kernel
-    code = []
-    for module, names in TWO_VIEW_FLOAT_CODE.items():
-        defined = dict(_definitions(TREES[module]))
-        code += [(f"{module} {name}", defined[name]) for name in names]
-    numpy_calls = [
-        f"{where}:{node.lineno}"
-        for where, tree in code
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id == "np"
-    ]
-    assert _matrix_products(code) + numpy_calls == []
-
-
 # the pair-score blocks: elementwise numpy that rounds as the scalar formulas do
 ROW_CODE = (
-    "_dot_rows",
     "_dist_rows",
-    "_min",
-    "_max",
     "_acute_angles",
     "_normalized_rows",
     "_project_rows",
@@ -298,22 +269,27 @@ INEXACT_NUMPY = {
 }
 
 
-def _inexact_calls(names):
-    """``@`` and inexact numpy calls in the named definitions of scoring.py
-    and in geometry's row code."""
-    scoring, geometry = (dict(_definitions(TREES[m])) for m in ("scoring.py", "geometry.py"))
-    code = [(f"scoring.py {name}", scoring[name]) for name in names]
-    code += [(f"geometry.py {name}", geometry[name]) for name in GEOMETRY_ROW_CODE]
-    inexact = [
+def _numpy_calls(code, names):
+    """``where:line np.name`` of every ``np.name`` in ``names`` in the given
+    ``(where, tree)`` pairs."""
+    return [
         f"{where}:{node.lineno} np.{node.attr}"
         for where, tree in code
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "np"
-        and node.attr in INEXACT_NUMPY
+        and node.attr in names
     ]
-    return _matrix_products(code) + inexact
+
+
+def _inexact_calls(names):
+    """``@`` and inexact numpy calls in the named definitions of scoring.py
+    and in geometry's row code."""
+    scoring, geometry = (dict(_definitions(TREES[m])) for m in ("scoring.py", "geometry.py"))
+    code = [(f"scoring.py {name}", scoring[name]) for name in names]
+    code += [(f"geometry.py {name}", geometry[name]) for name in GEOMETRY_ROW_CODE]
+    return _matrix_products(code) + _numpy_calls(code, INEXACT_NUMPY)
 
 
 def test_selection_block_makes_only_exact_numpy_calls():
@@ -326,6 +302,80 @@ def test_track_block_makes_only_exact_numpy_calls():
     assert _inexact_calls(TRACK_BLOCK_CODE) == []
     defined = {name for name, _ in _definitions(TREES["scoring.py"])}
     assert defined - set(SELECTION_BLOCK_CODE + TRACK_BLOCK_CODE) == {"normalize_distance"}
+
+
+# the two-view front end: the neighbour ranking, the per-image pass, the
+# match blocks (which also take one match as a block of one row), and the
+# geometry they read
+FRONT_END_CODE = {
+    "geometry.py": (
+        "dot3",
+        "norm3",
+        "matvec3",
+        "cross3_floats",
+        "relative_pose",
+        "Segment3D.length",
+        "dot_rows",
+        "matvec_rows",
+        "min_rows",
+        "max_rows",
+    ),
+    "pipeline.py": ("compute_neighbors", "_image_proposals"),
+    "triangulation.py": (
+        "MatchRows.take",
+        "MatchRows.form",
+        "match_rows",
+        "_one_row",
+        "weak_epipolar_iou",
+        "degenerate_rows",
+        "_finish_rows",
+        "triangulate_algebraic",
+        "_finish_segment",
+    ),
+}
+# the point, VP and multi-point rescue: a few hundred calls a run, on numpy
+RESCUE_CODE = {
+    "triangulate_multipoint",
+    "solve_constrained_quadratic",
+    "_solve_linear_equality",
+    "_plane_cost",
+    "_pick_solution",
+    "triangulate_line_point",
+    "triangulate_line_vp",
+}
+
+
+def test_front_end_blocks_make_only_exact_numpy_calls():
+    # every row of a match block equals the float oracle bit for bit: no `@`,
+    # no inexact numpy call, and the plane angle's asin and degrees through
+    # math element by element, never np.arcsin or np.degrees
+    code = []
+    for module, names in FRONT_END_CODE.items():
+        defined = dict(_definitions(TREES[module]))
+        code += [(f"{module} {name}", defined[name]) for name in names]
+    inexact = INEXACT_NUMPY | {"arcsin", "degrees", "rad2deg"}
+    assert _matrix_products(code) + _numpy_calls(code, inexact) == []
+    # every definition of triangulation.py is front-end block code or rescue
+    defined = {name for name, _ in _definitions(TREES["triangulation.py"])}
+    assert defined - set(FRONT_END_CODE["triangulation.py"]) == RESCUE_CODE
+
+
+def test_no_match_is_formed_gated_or_triangulated_inside_a_loop():
+    # the pipeline forms, gates and triangulates the matches of one reference
+    # image as rows of one block, never one call per match or per detection
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    front_end = {name for name in FRONT_END_CODE["triangulation.py"] if "." not in name}
+    calls = sorted(
+        {
+            f"pipeline.{where}:{node.lineno}"
+            for where, loop in _scoped_nodes(TREES["pipeline.py"])
+            if isinstance(loop, loops)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", "")) in front_end
+        }
+    )
+    assert calls == []
 
 
 def test_no_random_draw_runs_once_per_iteration():

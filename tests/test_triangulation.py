@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -16,32 +18,41 @@ from linemap.geometry import (
     relative_pose,
     skew,
 )
+from linemap import pipeline
 from linemap.triangulation import (
     CheiralityError,
     DegenerateTriangulationError,
     FullyDegenerateError,
     TriangulationError,
     WeaklyDegenerateError,
-    check_degeneracy,
+    degenerate_rows,
+    match_rows,
     solve_constrained_quadratic,
     triangulate_algebraic,
     triangulate_line_point,
     triangulate_line_vp,
-    ray_plane_form,
     triangulate_multipoint,
     weak_epipolar_iou,
 )
 
 from support import (
     endpoint_rays,
+    float_check_degeneracy,
+    float_ray_plane_form,
+    float_rays,
+    float_triangulate_algebraic,
+    float_weak_epipolar_iou,
     identity_view,
     intrinsics,
+    make_view,
+    match_form,
     random_two_view_segment,
     reference_plane_angle_deg,
     reference_ray_plane_form,
     reference_triangulate_algebraic,
     reference_weak_epipolar_iou,
     two_view,
+    visible,
     weak_degenerate_pair,
 )
 
@@ -127,13 +138,19 @@ def test_behind_camera_raises_cheirality():
         triangulate_algebraic(two_view(s_r, ref, s_m, match))
 
 
+def is_degenerate(ray, normal, min_angle_deg):
+    """:func:`degenerate_rows` of one ray against one plane normal."""
+    ray, normal = (np.array([v], dtype=np.float64) for v in (ray, normal))
+    return bool(degenerate_rows(ray, normal, min_angle_deg)[0])
+
+
 def test_check_degeneracy_threshold():
     n = np.array([0.0, 0.0, 1.0])
     in_plane = np.array([1.0, 0.0, 0.0])
-    assert check_degeneracy(in_plane, n, 1.0)
+    assert is_degenerate(in_plane, n, 1.0)
     tilted = np.array([np.cos(np.radians(2.0)), 0.0, np.sin(np.radians(2.0))])
-    assert not check_degeneracy(tilted, n, 1.0)
-    assert check_degeneracy(tilted, n, 3.0)
+    assert not is_degenerate(tilted, n, 1.0)
+    assert is_degenerate(tilted, n, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +418,7 @@ def test_float_two_view_path_agrees_with_the_numpy_reference():
         for Rx, old_Rx in ((form.Rx1, old_form.Rx1), (form.Rx2, old_form.Rx2)):
             angles.append(reference_plane_angle_deg(old_Rx, old_form.n))
             if abs(angles[-1] - 1.0) > 1e-9:
-                assert check_degeneracy(Rx, form.n, 1.0) == (angles[-1] < 1.0)
+                assert is_degenerate(Rx, form.n, 1.0) == (angles[-1] < 1.0)
                 verdicts += 1
         # a ray turning into the match plane moves its epipolar cut as 1 / angle
         rel = 1e-12 * max(1.0, 0.1 / min(angles))
@@ -431,7 +448,7 @@ def test_float_two_view_path_agrees_with_the_numpy_reference():
 
 
 def float_form(ref_view, ref_rays, match_view, match_rays):
-    return ray_plane_form(ref_view, ref_rays, relative_pose(ref_view, match_view), match_rays)
+    return match_form(ref_view, ref_rays, relative_pose(ref_view, match_view), match_rays)
 
 
 def assert_every_solver_fails_cleanly(form):
@@ -454,7 +471,7 @@ def test_a_zero_length_reference_ray_scores_zero_and_does_not_triangulate():
     ref, match = side_by_side_views()
     rays = ((0.0, 0.0, 0.0), (0.1, 0.2, 1.0))
     form = float_form(ref, rays, match, ((0.0, 0.0, 1.0), (0.2, 0.3, 1.0)))
-    assert form.a[0] == 0.0 and check_degeneracy(form.x1, form.n, 1.0)
+    assert form.a[0] == 0.0 and is_degenerate(form.x1, form.n, 1.0)
     assert weak_epipolar_iou(form) == 0.0
     with pytest.raises(DegenerateTriangulationError):
         triangulate_algebraic(form, min_angle_deg=0.0)
@@ -503,3 +520,175 @@ def test_a_reference_ray_parallel_to_the_match_plane_is_degenerate_at_any_thresh
     with pytest.raises(WeaklyDegenerateError):
         triangulate_algebraic(form, min_angle_deg=0.0)
     assert_every_solver_fails_cleanly(form)
+
+
+# ---------------------------------------------------------------------------
+# match blocks against the float oracle: equal bit for bit, row by row
+# ---------------------------------------------------------------------------
+
+
+def same_float(x, y):
+    """The same value as Python floats: equal with the same sign (so -0.0 is
+    not 0.0), or both NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def same_floats(xs, ys):
+    xs, ys = np.ravel(xs).tolist(), np.ravel(ys).tolist()
+    return len(xs) == len(ys) and all(map(same_float, xs, ys))
+
+
+def block_matches(rng):
+    """``(kind, match_view, ref_rays, match_rays)`` of matches into one
+    reference view, :func:`~support.identity_view`: random true, stretched
+    and moved matches and random rays, weakly degenerate matches, and the
+    configurations a block must mask."""
+    ref = identity_view()
+    rays = lambda seg, view: float_rays(seg, view)  # noqa: E731
+    while True:
+        center = rng.uniform(-3.0, 3.0, size=3)
+        match = make_view(center, target=(0.0, 0.0, 5.0) + rng.normal(size=3))
+        a, b = (np.array([*rng.uniform(-1.5, 1.5, size=2), rng.uniform(3.0, 7.0)]) for _ in "ab")
+        if not all(visible(v, p) for v in (ref, match) for p in (a, b)):
+            continue
+        s_r, s_m = (project_segment(Segment3D(a, b), v) for v in (ref, match))
+        d = s_m.end - s_m.start
+        lo, hi = rng.uniform(-0.6, 0.4), rng.uniform(0.6, 1.6)
+        yield "true", match, rays(s_r, ref), rays(s_m, match)
+        stretched = Segment2D(s_m.start + lo * d, s_m.start + hi * d)
+        yield "stretched", match, rays(s_r, ref), rays(stretched, match)
+        yield "moved", match, rays(s_r, ref), rays(shifted(s_m, rng.uniform(-2, 2) * d), match)
+        random_rays = [tuple([*rng.uniform(-1.0, 1.0, size=2).tolist(), 1.0]) for _ in "xxyy"]
+        yield "random", match, tuple(random_rays[:2]), tuple(random_rays[2:])
+        _, weak, _, w_r, w_m = weak_degenerate_pair(rng)
+        yield "weakly degenerate", weak, rays(w_r, ref), rays(w_m, weak)
+        if rng.uniform() < 0.8:
+            continue
+        _, side = side_by_side_views()
+        forward = CameraView(intrinsics(), np.eye(3), np.array([0.0, 0.0, -1.0]), 640, 480)
+        twin = identity_view()
+        ref_rays = ((0.1, 0.2, 1.0), (0.3, -0.1, 1.0))
+        yield "coincident", side, ref_rays, ((0.2, 0.3, 1.0), (0.2, 0.3, 1.0))
+        yield "zero baseline", twin, ref_rays, ((0.2, 0.3, 1.0), (0.4, 0.1, 1.0))
+        s_r = Segment2D(np.array([300.0, 200.0]), np.array([340.0, 260.0]))
+        s_m = Segment2D(np.array([100.0, 220.0]), np.array([400.0, 220.0]))
+        yield "parallel epipolar", side, rays(s_r, ref), rays(s_m, side)
+        yield "a == 0", side, ((0.0, 0.5, 1.0), (0.4, 0.1, 1.0)), ((0.0, 0.5, 1.0), (0.5, 1.0, 1.0))
+        yield "c == 0", side, ref_rays, ((-0.3, 0.0, 1.0), (0.4, 0.0, 1.0))
+        yield "c == 0", forward, ref_rays, ((0.1, 0.1, 1.0), (0.3, 0.3, 1.0))
+        zero_ray = ((0.0, 0.0, 0.0), (0.1, 0.2, 1.0))
+        yield "zero ray", side, zero_ray, ((0.0, 0.0, 1.0), (0.2, 0.3, 1.0))
+        nan = float("nan")
+        yield "nan", side, ((nan, 0.2, 1.0), (0.3, -0.1, 1.0)), ((0.2, 0.3, 1.0), (0.4, 0.1, 1.0))
+        yield "nan", side, ((0.1, 0.2, 1.0), (nan, -0.1, 1.0)), ((0.2, 0.3, 1.0), (0.4, 0.1, 1.0))
+        yield "nan", side, ref_rays, ((0.2, 0.3, 1.0), (0.4, nan, 1.0))
+        signed = ((-0.0, 0.0, 1.0), (0.0, -0.0, 1.0))
+        yield "signed zeros", side, signed, ((-0.0, 0.3, 1.0), (0.2, -0.0, 1.0))
+        yield "signed zeros", forward, signed, ((0.0, -0.0, 1.0), (-0.0, 0.2, 1.0))
+
+
+def test_match_block_equals_the_float_oracle_row_by_row():
+    rng = np.random.default_rng(33)
+    ref = identity_view()
+    cases = list(itertools.islice(block_matches(rng), 2_000))
+    poses = [relative_pose(ref, match) for _, match, _, _ in cases]
+    stack = lambda rows: np.array(rows, dtype=np.float64)  # noqa: E731
+    x1, x2, y1, y2 = (
+        stack([c[k][e] for c in cases]) for k, e in ((2, 0), (2, 1), (3, 0), (3, 1))
+    )
+    R, t = stack([R for R, _ in poses]), stack([t for _, t in poses])
+    with np.errstate(all="raise"):
+        block = match_rows(ref, R, t, x1, x2, y1, y2)
+        iou = weak_epipolar_iou(block).tolist()
+        tri = triangulate_algebraic(block)
+        degenerate = [degenerate_rows(Rx, block.n, 1.0).tolist() for Rx in (block.Rx1, block.Rx2)]
+    outcomes = Counter()
+    for i, ((kind, _, ref_rays, match_rays), pose) in enumerate(zip(cases, poses)):
+        form = float_ray_plane_form(ref, ref_rays, pose, match_rays)
+        assert bool(block.plane[i]) == (form is not None), (i, kind)
+        if form is None:
+            assert iou[i] == 0.0
+            outcomes[kind, "no plane"] += 1
+            continue
+        got = block.form(i)
+        for name in ("R", "t", "x1", "x2", "Rx1", "Rx2", "y1", "y2", "n", "a", "c"):
+            assert same_floats(getattr(got, name), getattr(form, name)), (i, kind, name)
+        try:
+            want_iou = float_weak_epipolar_iou(form)
+        except ZeroDivisionError:  # only a NaN row divides by an exact zero
+            assert kind == "nan" and not iou[i] >= 0.1
+        else:
+            assert same_float(iou[i], want_iou), (i, kind)
+        for e, Rx in enumerate((form.Rx1, form.Rx2)):
+            assert degenerate[e][i] == float_check_degeneracy(Rx, form.n, 1.0), (i, kind)
+        bad1, bad2, ok = (bool(x[i]) for x in (tri.bad1, tri.bad2, tri.ok))
+        try:
+            start, end = float_triangulate_algebraic(form)
+        except FullyDegenerateError:
+            assert (bad1, bad2, ok) == (True, True, False), (i, kind)
+            outcomes[kind, "fully degenerate"] += 1
+        except WeaklyDegenerateError:
+            assert bad1 != bad2 and not ok, (i, kind)
+            outcomes[kind, "weakly degenerate"] += 1
+        except CheiralityError:
+            assert (bad1, bad2, ok) == (False, False, False), (i, kind)
+            outcomes[kind, "cheirality"] += 1
+        else:
+            assert (bad1, bad2, ok) == (False, False, True), (i, kind)
+            assert same_floats(tri.start[i], start) and same_floats(tri.end[i], end), (i, kind)
+            outcomes[kind, "segment"] += 1
+    # every kind of match, and every outcome, is exercised
+    kinds = {kind for kind, _ in outcomes}
+    assert kinds == {kind for kind, *_ in cases} and len(kinds) == 13
+    totals = Counter(outcome for _, outcome in outcomes.elements())
+    assert totals["segment"] >= 500 and totals["cheirality"] >= 100, totals
+    assert totals["weakly degenerate"] >= 100 and totals["fully degenerate"] >= 1, totals
+    assert sum(x >= 0.1 for x in iou) >= 500
+    # the masked configurations end where the scalar code's early returns do
+    special = {
+        "coincident": "no plane",
+        "zero baseline": "cheirality",
+        "parallel epipolar": "cheirality",
+        "a == 0": "weakly degenerate",
+        "c == 0": "cheirality",
+        "zero ray": "weakly degenerate",
+    }
+    for kind, outcome in special.items():
+        assert {o for k, o in outcomes if k == kind} == {outcome}, kind
+        if kind != "a == 0":
+            assert {x for x, c in zip(iou, cases) if c[0] == kind} == {0.0}, kind
+
+
+def test_each_detection_keeps_its_first_ten_passing_matches_in_match_order():
+    # one detection matched into 15 views twice each, its true image and a
+    # moved copy, with self matches and matches into two non-neighbours mixed in
+    ref = identity_view()
+    gt = Segment3D(np.array([-0.5, -0.3, 5.0]), np.array([0.6, 0.4, 6.0]))
+    views, detections = {0: ref}, {0: [project_segment(gt, ref)]}
+    for j in range(1, 16):
+        angle = 2.0 * np.pi * j / 15
+        views[j] = make_view((2.5 * np.cos(angle), 2.5 * np.sin(angle), 0.5), target=(0, 0, 5.5))
+        true = project_segment(gt, views[j])
+        detections[j] = [true, shifted(true, 3.0 * (true.end - true.start))]
+    row = [(0, 0)] + [(j, k) for j in range(1, 16) for k in (1, 0)]
+    row.insert(9, (0, 0))
+    neighbors = [j for j in range(16) if j not in (4, 9)]
+    rays = pipeline.RayTable.solve(views, detections)
+    props = pipeline._image_proposals(0, views, neighbors, [row], rays, [[]], [None])
+    passing = []
+    for j, k in row:
+        if j != 0 and j in neighbors:
+            form = float_ray_plane_form(
+                ref,
+                float_rays(detections[0][0], ref),
+                relative_pose(ref, views[j]),
+                float_rays(detections[j][k], views[j]),
+            )
+            if form is not None and float_weak_epipolar_iou(form) >= pipeline.IOU_MIN:
+                passing.append((j, k))
+    assert len(passing) == 13 and all(k == 0 for _, k in passing)
+    assert props.kept == [passing[: pipeline.TOP_K_MATCHES]]
+    # one algebraic proposal per kept match, in match order
+    assert props.gens == [j for j, _ in passing[:10]] and props.counts == [10]

@@ -2,15 +2,17 @@
 
 Run from the repository root:
 
-    python3 tools/ab.py REF [--pairs N] [--seed S] [--set KEY=VALUE ...]
+    python3 tools/ab.py REF [--pairs N] [--seed S] [--views V] [--set KEY=VALUE ...]
 
 ``src/linemap`` at ``REF`` is extracted with ``git archive`` and imported under
 the package name ``linemap_ref`` (every import inside the package is
 relative), next to the working tree's ``src/linemap``, in one process with
 BLAS pinned to one thread.  One dataset is written with ``linemap synth
---views 16 --noise 1.0 --outliers 0.2 --seed S``.  After one untimed run of
-each copy, the two copies' ``cli.main(["map", ...])`` alternate for N pairs,
-the reference first in even pairs and the working tree first in odd ones.
+--views V --noise 1.0 --outliers 0.2 --seed S``, V 16 by default; a wider
+ring, such as 48 views, gives each detection more matches, so the per-match
+front end weighs more in the time.  After one untimed run of each copy, the
+two copies' ``cli.main(["map", ...])`` alternate for N pairs, the reference
+first in even pairs and the working tree first in odd ones.
 Each ``--set KEY=VALUE`` (repeatable) is passed to both copies' ``map``, so
 ``--set optimize=false`` times the stages before joint refinement alone.
 
@@ -81,11 +83,14 @@ def main(argv=None) -> int:
     parser.add_argument("ref", help="commit to compare the working tree against")
     parser.add_argument("--pairs", type=int, default=12)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--views", type=int, default=16, help="views of the synth dataset")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="config override passed to both copies' map (repeatable)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.views < 2:
+        parser.error("--views must be at least 2")
     overrides = [arg for kv in args.set for arg in ("--set", kv)]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -98,7 +103,7 @@ def main(argv=None) -> int:
             "new": importlib.import_module("linemap.cli"),
         }
         data = tmp / "data"
-        synth = ["synth", "--output", str(data), "--views", "16", "--noise", "1.0",
+        synth = ["synth", "--output", str(data), "--views", str(args.views), "--noise", "1.0",
                  "--outliers", "0.2", "--seed", str(args.seed)]
         _run(sides["new"], synth)
         times = {name: [] for name in sides}
