@@ -107,7 +107,7 @@ def _line_distances(points: np.ndarray, anchor: np.ndarray, direction: np.ndarra
 
 def _pca_line(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     center, direction, spread = principal_line(points)
-    if spread < 1e-18:
+    if not spread >= 1e-18:
         return None
     return center, direction
 

@@ -81,14 +81,30 @@ def matvec3(M, x) -> Vec3:
 # Python floats do; a BLAS product or a pairwise sum would not.
 
 
+def columns(*cols: FloatArray) -> FloatArray:
+    """``np.stack(cols, axis=-1)`` of a few arrays of one shape, without its overhead."""
+    out = np.empty(np.shape(cols[0]) + (len(cols),))
+    for i, col in enumerate(cols):
+        out[..., i] = col
+    return out
+
+
 def dot_rows(a: FloatArray, b: FloatArray) -> FloatArray:
     """:func:`dot3` of matching rows of two ``(m, 3)`` arrays (either may be one row)."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+    p = a * b
+    return (p[..., 0] + p[..., 1]) + p[..., 2]
 
 
 def matvec_rows(M: FloatArray, x: FloatArray) -> FloatArray:
     """:func:`matvec3` of matching rows of ``(m, 3, 3)`` matrices and ``(m, 3)`` vectors."""
-    return np.stack([dot_rows(M[..., i, :], x) for i in range(3)], axis=-1)
+    return columns(*(dot_rows(M[..., i, :], x) for i in range(3)))
+
+
+def cross_rows(a: FloatArray, b: FloatArray) -> FloatArray:
+    """:func:`cross3_floats` of matching rows of two ``(m, 3)`` arrays (either may be one row)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return columns(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 def min_rows(x, y) -> FloatArray:
@@ -218,11 +234,10 @@ class CameraView:
 
     The one home of the pinhole model: it projects points (and, through
     :func:`project_segment`, segments), gives a point's depth
-    (:meth:`depth`), casts viewing rays (:meth:`world_ray`) and holds the
+    (:meth:`depth`) and its centre (:attr:`camera_center`), and holds the
     line map (:attr:`line_map`).  Its pose as Python floats (:attr:`floats`)
-    serves the per-match work: :meth:`depth`, :func:`relative_pose`, the
-    neighbour ranking's camera centres and the two-view match blocks' world
-    endpoints read it term by term, with no BLAS call; the
+    serves the per-match work: :meth:`depth`, :func:`relative_pose` and
+    :attr:`camera_center` read it term by term, with no BLAS call; the
     pair-score blocks of :mod:`~linemap.scoring` stack :attr:`projection`,
     :attr:`camera_center` and :attr:`focal`.  Derived values are cached on
     first access; instances are immutable, so a cache can never go stale.
@@ -254,7 +269,9 @@ class CameraView:
 
     @cached_property
     def camera_center(self) -> FloatArray:
-        return -self.R.T @ self.t
+        """``-(R^T t)``, each entry summed through :func:`dot3` from :attr:`floats`."""
+        v = self.floats
+        return np.array([-x for x in matvec3(v.Rt, v.t)])
 
     @cached_property
     def projection(self) -> tuple[FloatArray, FloatArray]:
@@ -302,11 +319,6 @@ class CameraView:
         px = np.asarray(pixels, dtype=np.float64)
         homogeneous = np.concatenate([px, np.ones(px.shape[:-1] + (1,))], axis=-1)
         return np.linalg.solve(self.K, homogeneous[..., None])[..., 0]
-
-    def world_ray(self, x) -> PluckerLine:
-        """The world line from the camera center along normalized coordinates ``x`` (3 floats)."""
-        d = normalized(np.asarray(x, dtype=np.float64))
-        return PluckerLine.from_point_direction(self.camera_center, self.R.T @ d)
 
 
 def relative_pose(ref: CameraView, match: CameraView) -> tuple[Mat3, Vec3]:
@@ -608,18 +620,47 @@ def project_line(line: PluckerLine, view: CameraView) -> FloatArray:
 # ---------------------------------------------------------------------------
 
 
-def principal_line(points: FloatArray) -> tuple[FloatArray, FloatArray, float]:
-    """Least-squares line through a point set: ``(mean, direction, spread)``.
+def principal_lines(
+    points: FloatArray, owner: np.ndarray, n_groups: int
+) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """Least-squares line through each group of points: ``(mean, direction,
+    spread)``, one row per group.
 
-    ``direction`` is the dominant eigenvector of the centred scatter matrix
-    and ``spread`` its eigenvalue; callers judge degeneracy by comparing
-    ``spread`` against their own scale-aware threshold.
+    Point ``i`` belongs to group ``owner[i]``.  A group's mean and centred
+    scatter matrix are elementwise sums over its points in input order
+    (``np.cumsum`` adds one point at a time), with no BLAS call; one stacked
+    ``np.linalg.eigh`` gives every group's dominant eigenvector
+    (``direction``) and its eigenvalue (``spread``).  Callers judge
+    degeneracy by comparing ``spread`` against their own scale-aware
+    threshold; a group with a non-finite point has spread NaN, which no
+    threshold passes.  A group without points has mean 0 and spread 0.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    evals, evecs = np.linalg.eigh(centered.T @ centered)
-    return mean, evecs[:, -1], float(evals[-1])
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    owner = np.asarray(owner, dtype=np.intp)
+    count = np.bincount(owner, minlength=n_groups)
+    order = np.argsort(owner, kind="stable")
+    group = owner[order]
+    slot = np.arange(len(order)) - (np.cumsum(count) - count)[group]
+    width = max(int(count.max(initial=0)), 1)
+    padded = np.zeros((n_groups, width, 3))
+    padded[group, slot] = pts[order]
+    # the running sums at each group's last point cover its points alone
+    rows, last = np.arange(n_groups), np.where(count > 0, count - 1, 0)
+    mean = np.cumsum(padded, axis=1)[rows, last] / np.where(count > 0, count, 1)[:, None]
+    centered = padded - mean[:, None]
+    products = centered[..., [0, 0, 0, 1, 1, 2]] * centered[..., [0, 1, 2, 1, 2, 2]]
+    scatter = np.cumsum(products, axis=1)[rows, last][:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]
+    # a non-finite group would fail the whole stacked call: it gets spread NaN
+    finite = np.isfinite(scatter).all(axis=(1, 2))
+    evals, evecs = np.linalg.eigh(np.where(finite[:, None, None], scatter, 0.0))
+    return mean, evecs[:, :, -1], np.where(finite, evals[:, -1], np.nan)
+
+
+def principal_line(points: FloatArray) -> tuple[FloatArray, FloatArray, float]:
+    """:func:`principal_lines` of one group: ``(mean, direction, spread)``."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    mean, direction, spread = principal_lines(pts, np.zeros(len(pts), dtype=np.intp), 1)
+    return mean[0], direction[0], float(spread[0])
 
 
 def trimmed_extent(ts) -> tuple[float, float] | None:

@@ -42,10 +42,11 @@ from .geometry import (
     PluckerLine,
     Segment2D,
     Segment3D,
-    Vec3,
-    closest_point_line_to_line,
+    cross_rows,
+    dot_rows,
+    matvec_rows,
+    min_rows,
     normalized,
-    point_line_distance_3d,
     quat_exp,
     quat_mul,
     quat_to_rotmat,
@@ -609,31 +610,62 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
 
 
 def segment_on_line_from_supports(
-    line: PluckerLine,
-    supports: list[tuple[np.ndarray | tuple[Vec3, Vec3], CameraView]],
-) -> Segment3D | None:
-    """Clip an infinite line to an extent explained by its 2D supports.
+    lines: PluckerLine | list[PluckerLine],
+    rays: np.ndarray,
+    views: list[CameraView],
+    owner: np.ndarray | None = None,
+) -> Segment3D | None | list[Segment3D | None]:
+    """Clip each infinite line to an extent explained by its 2D supports.
 
-    Each support is a detection's two endpoint rays, in normalized
-    coordinates (a ``(2, 3)`` array or two 3-sequences), with its view.  Every ray is intersected (closest-point)
-    with the line; the extent follows
+    Support ``i`` is a detection's two endpoint rays ``rays[i]`` in
+    normalized coordinates (``(n, 2, 3)``, rows of the pipeline's ray
+    table), seen from ``views[i]``, and it belongs to line ``owner[i]``.
+    Every ray is intersected (closest point) with its line in one array
+    pass, with no BLAS call; each line's extent follows
     :func:`~linemap.geometry.trimmed_extent`, the same rule as the track
-    refit.
+    refit.  Returns one segment, or None, per line; with one line and no
+    ``owner``, every support is that line's and its segment or None is
+    returned.
     """
-    origin = line.closest_point_to_origin()
-    ts = []
-    for rays, view in supports:
-        for x in rays:
-            try:
-                foot = closest_point_line_to_line(line, view.world_ray(x))
-            except ValueError:
-                continue
-            ts.append(float((foot - origin) @ line.d))
-    extent = trimmed_extent(ts)
-    if extent is None:
-        return None
-    lo, hi = extent
-    return Segment3D(origin + lo * line.d, origin + hi * line.d)
+    one = owner is None
+    if one:
+        lines, owner = [lines], np.zeros(len(views), dtype=np.intp)
+    d = np.array([line.d for line in lines]).reshape(-1, 3)
+    m = np.array([line.m for line in lines]).reshape(-1, 3)
+    origin = cross_rows(d, m)  # each line's point closest to the world origin
+    # one row per ray, each support's start ray then its end ray
+    x = np.asarray(rays, dtype=np.float64).reshape(-1, 3)
+    row = np.repeat(np.asarray(owner, dtype=np.intp), 2)
+    # each distinct view's centre and R^T, stacked once
+    distinct = {id(v): v for v in views}
+    slot = dict(zip(distinct, range(len(distinct))))
+    view = np.repeat(np.array([slot[id(v)] for v in views], dtype=np.intp), 2)
+    center = np.array([v.camera_center for v in distinct.values()]).reshape(-1, 3)[view]
+    Rt = np.array([v.R.T for v in distinct.values()]).reshape(-1, 3, 3)[view]
+    xn = np.sqrt(dot_rows(x, x))
+    short = xn < EPS
+    ray = matvec_rows(Rt, x / np.where(short, 1.0, xn)[:, None])
+    ray = ray / np.where(short, 1.0, np.sqrt(dot_rows(ray, ray)))[:, None]
+    # the point of each line closest to each of its rays
+    dl, ml = d[row], m[row]
+    c = cross_rows(dl, ray)
+    denom = dot_rows(c, c)
+    hit = ~(short | (denom < EPS))
+    foot = dot_rows(cross_rows(center, ray), c)[:, None] * dl - cross_rows(ml, cross_rows(ray, c))
+    foot = foot / np.where(hit, denom, 1.0)[:, None]
+    ts = dot_rows(foot - origin[row], dl)
+    hit = np.flatnonzero(hit)
+    ts = ts[hit][np.argsort(row[hit], kind="stable")]  # grouped by line
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(row[hit], minlength=len(lines)))])
+    segments = []
+    for k in range(len(lines)):
+        extent = trimmed_extent(ts[bounds[k] : bounds[k + 1]])
+        if extent is None:
+            segments.append(None)
+        else:
+            lo, hi = extent
+            segments.append(Segment3D(origin[k] + lo * d[k], origin[k] + hi * d[k]))
+    return segments[0] if one else segments
 
 
 def soft_point_line_weights(
@@ -694,14 +726,17 @@ def extract_point_line_edges(
     distance is at most :data:`POINT_LINE_MAX_RATIO` times the smaller of
     the two scales.
     """
-    out = []
-    for pi, li in candidates:
-        sigma = min(float(point_scales[pi]), float(line_scales[li]))
-        if sigma <= 0:
-            continue
-        if point_line_distance_3d(points[pi], lines[li]) / sigma <= POINT_LINE_MAX_RATIO:
-            out.append((pi, li))
-    return sorted(out)
+    if not candidates:
+        return []
+    pi, li = np.array(candidates, dtype=np.intp).T
+    sigma = min_rows(np.asarray(point_scales, dtype=np.float64)[pi], np.asarray(line_scales)[li])
+    p = np.asarray(points, dtype=np.float64)[pi]
+    d = np.array([line.d for line in lines])[li]
+    # the foot of each point on its line: p + d x (m + d x p)
+    foot = p + cross_rows(d, np.array([line.m for line in lines])[li] + cross_rows(d, p))
+    dist = np.sqrt(dot_rows(p - foot, p - foot))
+    keep = (sigma > 0) & (dist / np.where(sigma > 0, sigma, 1.0) <= POINT_LINE_MAX_RATIO)
+    return sorted(zip(pi[keep].tolist(), li[keep].tolist()))
 
 
 def extract_line_vp_edges(
@@ -712,8 +747,9 @@ def extract_line_vp_edges(
 ) -> list[tuple[int, int]]:
     """Keep candidate line-VP pairs within an angular tolerance."""
     cos_min = math.cos(math.radians(max_angle_deg))
-    out = []
-    for li, vi in candidates:
-        if abs(float(lines[li].d @ vps[vi])) >= cos_min:
-            out.append((li, vi))
-    return sorted(out)
+    if not candidates:
+        return []
+    li, vi = np.array(candidates, dtype=np.intp).T
+    d = np.array([line.d for line in lines])[li]
+    keep = np.abs(dot_rows(d, np.asarray(vps, dtype=np.float64)[vi])) >= cos_min
+    return sorted(zip(li[keep].tolist(), vi[keep].tolist()))

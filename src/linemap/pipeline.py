@@ -11,6 +11,7 @@ is identical across runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -29,7 +30,6 @@ from .geometry import (
     Segment2D,
     Segment3D,
     dot3,
-    matvec3,
     minimal_to_plucker,
     normalized,
     plucker_from_segment,
@@ -50,8 +50,6 @@ from .optimize import (
 from .scoring import proposal_block, selection_pair_score
 from .tracks import LineTrack, TrackCandidate, build_tracks
 from .triangulation import (
-    RayPlaneForm,
-    TriangulationError,
     match_rows,
     triangulate_algebraic,
     triangulate_line_point,
@@ -66,6 +64,16 @@ Node = tuple[int, int]
 
 TOP_K_MATCHES = 10  # matches past the IoU gate kept per detection, in match-list order
 IOU_MIN = 0.1  # weak epipolar IoU a match needs to be triangulated
+# the triangulation outcomes counted in ``stats``: kept matches that are
+# degenerate, rescued through a point, through a VP direction or not at
+# all, and the multi-point proposals
+TRIANGULATION_STATS = (
+    "degenerate_matches",
+    "point_rescues",
+    "vp_rescues",
+    "unrescued_matches",
+    "multipoint_proposals",
+)
 
 
 @dataclass
@@ -100,16 +108,14 @@ def compute_neighbors(
     Ties go to the nearer camera centre, then to the lower image id, so
     that without point observations, or where most points are seen from
     most views, each image's neighbours are the views around it rather than
-    the lowest ids.  The centres are ``-(R^T t)`` and their squared
-    distances are summed term by term (:func:`~linemap.geometry.dot3`), so
-    the ranking does not depend on the BLAS kernel.
+    the lowest ids.  The centres (:attr:`~linemap.geometry.CameraView.camera_center`)
+    and their squared distances are summed term by term
+    (:func:`~linemap.geometry.dot3`), so the ranking does not depend on the
+    BLAS kernel.
     """
     images = sorted(views)
     sets = {img: {pi for pi, _ in point_obs.get(img, [])} for img in images}
-    centers = {}
-    for img in images:
-        v = views[img].floats
-        centers[img] = [-x for x in matvec3(v.Rt, v.t)]
+    centers = {img: views[img].camera_center.tolist() for img in images}
     out = {}
     for img in images:
         scored = []
@@ -175,7 +181,8 @@ class ImageProposals(NamedTuple):
     the algebraic or rescued proposal of each kept match in match order,
     then the multi-point one.  ``gens`` is each row's generating image and
     ``counts`` the number of rows of each detection.  ``kept`` lists each
-    detection's kept matches.
+    detection's kept matches, and ``outcomes`` counts the image's
+    :data:`TRIANGULATION_STATS`.
     """
 
     start: np.ndarray
@@ -184,6 +191,7 @@ class ImageProposals(NamedTuple):
     gens: list[int]
     counts: list[int]
     kept: list[list[Node]]
+    outcomes: Counter
 
 
 def _image_proposals(
@@ -202,8 +210,11 @@ def _image_proposals(
     or None.  Every match into a neighbour is one row of one block, which
     gets its form and its IoU gate.  The first :data:`TOP_K_MATCHES` rows
     of each detection that pass the gate are kept and triangulated as one
-    block; a degenerate row goes to the point or VP rescue as one
-    :class:`~linemap.triangulation.RayPlaneForm`.
+    block.  The degenerate rows go to the point rescue as one block with
+    their detection's first associated point, those that fail it and have
+    a second point to it again, and those still left to the VP rescue; the
+    detections with two or more points get their multi-point proposals as
+    one more block.
     """
     view, x = views[img], rays.of(img)
     matches = [m for row in rows for m in row]
@@ -227,29 +238,48 @@ def _image_proposals(
     tri = triangulate_algebraic(block)
     start, end, found = tri.start, tri.end, tri.ok
     sources = ["algebraic"] * len(kept)
-    # degenerate ray/plane geometry: rescue with a point or a VP direction
-    for i in np.flatnonzero(tri.bad1 | tri.bad2).tolist():
-        rescued = _rescue(block.form(i), assoc_pts[det[i]], vp_dirs[det[i]])
-        if rescued is not None:
-            seg, sources[i] = rescued
-            start[i], end[i], found[i] = seg.start, seg.end, True
+    # degenerate ray/plane geometry: rescue through the detection's first
+    # point, then its second, then its VP direction
+    outcomes = Counter(dict.fromkeys(TRIANGULATION_STATS, 0))
+    left = np.flatnonzero(tri.bad1 | tri.bad2)
+    outcomes["degenerate_matches"] = len(left)
+
+    def rescue(solve, source: str, cues: list) -> None:
+        """``solve`` the rows still ``left`` whose detection has a cue, as one block."""
+        nonlocal left
+        tried = left[[cues[d] is not None for d in det[left].tolist()]]
+        if not len(tried):
+            return
+        out = solve(block.take(tried), np.array([cues[d] for d in det[tried].tolist()]))
+        ok = out.failure == 0
+        done = tried[ok]
+        start[done], end[done], found[done] = out.start[ok], out.end[ok], True
+        for i in done.tolist():
+            sources[i] = source
+        left = np.setdiff1d(left, done)
+        outcomes[source + "_rescues"] += len(done)
+
+    rescue(triangulate_line_point, "point", [p[0] if len(p) > 0 else None for p in assoc_pts])
+    rescue(triangulate_line_point, "point", [p[1] if len(p) > 1 else None for p in assoc_pts])
+    rescue(triangulate_line_vp, "vp", vp_dirs)
+    outcomes["unrescued_matches"] = len(left)
     found = np.flatnonzero(found)
     owner, gens = det[found].tolist(), js[found].tolist()
     sources = [sources[i] for i in found.tolist()]
     start, end = [start[found]], [end[found]]
     # then each detection's multi-point proposal, after its match proposals
-    for d, pts in enumerate(assoc_pts):
-        if len(pts) < 2:
-            continue
-        try:
-            seg = triangulate_multipoint(x[d], view, np.array(pts))
-        except TriangulationError:
-            continue
-        owner.append(d)
-        gens.append(img)
-        sources.append("point")
-        start.append(seg.start[None])
-        end.append(seg.end[None])
+    multi = [d for d, pts in enumerate(assoc_pts) if len(pts) >= 2]
+    if multi:
+        pts = np.array([p for d in multi for p in assoc_pts[d]], dtype=np.float64)
+        point_owner = np.repeat(np.arange(len(multi)), [len(assoc_pts[d]) for d in multi])
+        fit = triangulate_multipoint(x[multi], view, pts, point_owner)
+        ok = np.flatnonzero(fit.failure == 0)
+        owner += [multi[i] for i in ok.tolist()]
+        gens += [img] * len(ok)
+        sources += ["point"] * len(ok)
+        start.append(fit.start[ok])
+        end.append(fit.end[ok])
+        outcomes["multipoint_proposals"] = len(ok)
     order = np.argsort(
         2 * np.array(owner, dtype=np.intp) + (np.arange(len(owner)) >= len(found)), kind="stable"
     )
@@ -263,25 +293,8 @@ def _image_proposals(
         [gens[i] for i in order.tolist()],
         np.bincount(np.array(owner, dtype=np.intp), minlength=len(rows)).tolist(),
         kept_nodes,
+        outcomes,
     )
-
-
-def _rescue(
-    form: RayPlaneForm, assoc_pts: list[np.ndarray], vp_dir: np.ndarray | None
-) -> tuple[Segment3D, str] | None:
-    """A degenerate match triangulated through one of the detection's first
-    two associated points, or else through its VP direction; None if all fail."""
-    for p in assoc_pts[:2]:
-        try:
-            return triangulate_line_point(form, p), "point"
-        except TriangulationError:
-            continue
-    if vp_dir is not None:
-        try:
-            return triangulate_line_vp(form, vp_dir), "vp"
-        except TriangulationError:
-            pass
-    return None
 
 
 def _select_best(
@@ -371,6 +384,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
     candidates: dict[Node, TrackCandidate] = {}
     all_edges: list[tuple[Node, Node]] = []
     n_proposals = 0
+    outcomes = Counter(dict.fromkeys(TRIANGULATION_STATS, 0))
     for img in images:
         view = views[img]
         n_dets = len(data.detections[img])
@@ -389,6 +403,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             [vp_cam.get(det_vp.get(node)) for node in nodes],
         )
         n_proposals += len(props.gens)
+        outcomes.update(props.outcomes)
         selected = _select_best(props, view, views, config)
         for node, best, matched in zip(nodes, selected, props.kept):
             if best is not None:
@@ -448,11 +463,18 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             "opt_iterations": result.iterations,
             "opt_termination": result.termination,
         }
-        for ti, t in enumerate(tracks):
-            line = minimal_to_plucker(result.lines[ti])
-            seg = segment_on_line_from_supports(
-                line, [(rays.of(img)[di], views[img]) for img, di in t.supports]
-            )
+        # trim every refined line to its supports' rays, as one block
+        support_images = [img for t in tracks for img, _ in t.supports]
+        segments = segment_on_line_from_supports(
+            [minimal_to_plucker(param) for param in result.lines],
+            rays.at(
+                np.array(support_images, dtype=np.intp),
+                np.array([di for t in tracks for _, di in t.supports], dtype=np.intp),
+            ),
+            [views[img] for img in support_images],
+            np.repeat(np.arange(len(tracks)), [len(t.supports) for t in tracks]),
+        )
+        for t, seg in zip(tracks, segments):
             if seg is not None:
                 t.segment = seg
         for vi, vt in enumerate(vp_tracks):
@@ -491,6 +513,7 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
         "images": len(images),
         "detections": sum(len(v) for v in data.detections.values()),
         "proposals": n_proposals,
+        **outcomes,
         "accepted": len(candidates),
         "tracks": len(tracks),
         "vp_tracks": len(vp_tracks),

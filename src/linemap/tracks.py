@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
-from .geometry import CameraView, Segment3D, principal_line, trimmed_extent
+from .geometry import CameraView, Segment3D, dot_rows, principal_line, trimmed_extent
 from .scoring import TrackBlock, track_block, track_pair_score
 
 Node = tuple[int, int]  # (image id, segment index)
@@ -85,9 +85,9 @@ def fit_segment_to_endpoints(endpoints: np.ndarray) -> Segment3D | None:
     """
     pts = np.asarray(endpoints, dtype=np.float64)
     mean, d, spread = principal_line(pts)
-    if spread <= 1e-12 * max(1.0, float(np.abs(pts).max()) ** 2):
+    if not spread > 1e-12 * max(1.0, float(np.abs(pts).max()) ** 2):
         return None
-    extent = trimmed_extent((pts - mean) @ d)
+    extent = trimmed_extent(dot_rows(pts - mean, d))
     if extent is None:
         return None
     lo, hi = extent

@@ -4,13 +4,16 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from linemap.config import PipelineConfig
 from linemap.geometry import (
     EPS,
     CameraView,
+    PluckerLine,
     Segment2D,
     Segment3D,
+    closest_point_line_to_line,
     cross3,
     cross3_floats,
     dot3,
@@ -21,14 +24,17 @@ from linemap.geometry import (
     quat_to_rotmat,
     relative_pose,
     skew,
+    trimmed_extent,
 )
 from linemap.metrics import min_distance_to_segments, sample_segments
 from linemap.optimize import ASSOC_LOSS_SCALE
 from linemap.scoring import normalize_distance
 from linemap.triangulation import (
     CheiralityError,
+    DegenerateTriangulationError,
     FullyDegenerateError,
     RayPlaneForm,
+    TriangulationError,
     WeaklyDegenerateError,
     match_rows,
 )
@@ -782,3 +788,196 @@ def reference_weak_epipolar_iou(form):
     if union < EPS:
         return 0.0
     return inter / union
+
+
+# ---------------------------------------------------------------------------
+# Reference rescue triangulation and track trim
+# ---------------------------------------------------------------------------
+#
+# The scalar code the rescue blocks (``triangulate_line_point``,
+# ``triangulate_line_vp``, ``solve_constrained_quadratic``,
+# ``triangulate_multipoint``) and the trim block
+# (``segment_on_line_from_supports``) replaced: one match, one detection or
+# one line at a time, on numpy 3-vectors with numpy's polynomial helpers,
+# ``np.roots``, ``det``, ``solve`` and ``eigh``.  A block row must end as the
+# oracle does, with the same exception and message where it fails, and with
+# endpoints within rounding where it does not.
+
+
+def _reference_principal_line(points):
+    pts = np.asarray(points, dtype=np.float64)
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    evals, evecs = np.linalg.eigh(centered.T @ centered)
+    return mean, evecs[:, -1], float(evals[-1])
+
+
+def _reference_world_ray(view, x):
+    d = normalized(np.asarray(x, dtype=np.float64))
+    return PluckerLine.from_point_direction(-view.R.T @ view.t, view.R.T @ d)
+
+
+def reference_triangulate_multipoint(ref_rays, ref_view, points3d):
+    """Segment3D, or the TriangulationError that ``triangulate_multipoint`` gives."""
+    pts = np.asarray(points3d, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
+        raise TriangulationError("need at least two 3D points to fit a line")
+    mean, direction, spread = _reference_principal_line(pts)
+    if spread < EPS:
+        raise DegenerateTriangulationError("3D points are coincident; no line direction")
+    fitted = PluckerLine.from_point_direction(mean, direction)
+    endpoints = []
+    for x in ref_rays:
+        try:
+            endpoints.append(closest_point_line_to_line(_reference_world_ray(ref_view, x), fitted))
+        except ValueError as exc:
+            raise DegenerateTriangulationError("fitted line is parallel to an endpoint ray") from exc
+    for p in endpoints:
+        if ref_view.depth(p) <= 0:
+            raise CheiralityError("fitted segment lies behind the reference view")
+    return Segment3D(endpoints[0], endpoints[1])
+
+
+def reference_solve_constrained_quadratic(A, b, Q, q):
+    """``[(lam, cost, mu)]`` sorted as ``solve_constrained_quadratic`` sorts
+    them, with each candidate's multiplier ``mu`` (None for ``Q = 0``)."""
+    A, b, Q, q = (np.asarray(x, dtype=np.float64) for x in (A, b, Q, q))
+    if not np.any(Q):
+        kkt = np.zeros((3, 3))
+        kkt[:2, :2] = 2.0 * A
+        kkt[:2, 2] = q
+        kkt[2, :2] = q
+        rhs = np.array([-b[0], -b[1], 0.0])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        lam = sol[:2]
+        return [(lam, float(lam @ A @ lam + b @ lam), None)]
+    # polynomial entries in mu (ascending coefficients)
+    M = [[np.array([A[i, j], Q[i, j]]) for j in range(2)] for i in range(2)]
+    v = [np.array([b[i], q[i]]) for i in range(2)]
+    adj = [[M[1][1], -1.0 * M[0][1]], [-1.0 * M[1][0], M[0][0]]]
+    det = npoly.polysub(npoly.polymul(M[0][0], M[1][1]), npoly.polymul(M[0][1], M[1][0]))
+    w = [npoly.polyadd(npoly.polymul(adj[i][0], v[0]), npoly.polymul(adj[i][1], v[1])) for i in range(2)]
+    # constraint numerator: 1/4 w^T Q w - 1/2 det (q . w)
+    num = np.zeros(1)
+    for i in range(2):
+        for j in range(2):
+            num = npoly.polyadd(num, 0.25 * Q[i, j] * npoly.polymul(w[i], w[j]))
+    qw = npoly.polyadd(q[0] * w[0], q[1] * w[1])
+    num = npoly.polysub(num, 0.5 * npoly.polymul(det, qw))
+    scale = np.max(np.abs(num))
+    if scale < EPS:
+        return []
+    coeffs = np.trim_zeros(num / scale, "b")
+    if coeffs.size <= 1:
+        return []
+    det_scale = max(np.max(np.abs(A)), np.max(np.abs(Q)))
+    sols = []
+    for r in np.roots(coeffs[::-1]):
+        if abs(r.imag) > 1e-8 * max(1.0, abs(r)):
+            continue
+        mu = float(r.real)
+        Mm = A + mu * Q
+        if abs(np.linalg.det(Mm)) < 1e-14 * max(1.0, det_scale**2):
+            continue
+        lam = -0.5 * np.linalg.solve(Mm, b + mu * q)
+        sols.append((lam, float(lam @ A @ lam + b @ lam), mu))
+    return reference_preference_order(sols)
+
+
+def reference_preference_order(sols):
+    """Candidates ``(lam, cost, ...)`` by cost; among cost ties, the larger
+    smallest depth first."""
+    sols = sorted(sols, key=lambda s: s[1])
+    i = 0
+    while i < len(sols):
+        j = i + 1
+        while j < len(sols) and sols[j][1] - sols[i][1] < 1e-10:
+            j += 1
+        sols[i:j] = sorted(sols[i:j], key=lambda s: -min(s[0]))
+        i = j
+    return sols
+
+
+def reference_plane_cost(form):
+    """``(A, b)`` of the summed squared match-plane offsets of the endpoints."""
+    a = np.array(form.a)
+    return np.diag(a * a), 2.0 * form.c * a
+
+
+def _reference_constrained_segment(form, Q, q):
+    sols = reference_solve_constrained_quadratic(*reference_plane_cost(form), Q, q)
+    if not sols:
+        raise TriangulationError("constrained solve produced no real candidate")
+    for lam, *_ in sols:
+        try:
+            return float_finish_segment(form, float(lam[0]), float(lam[1]))
+        except CheiralityError:
+            continue
+    raise CheiralityError("no candidate places the segment in front of both cameras")
+
+
+def reference_point_constraint(form, point3d):
+    """``(Q, q)``: the collinearity constraint that ``point3d`` puts on the
+    endpoint depths of one :class:`RayPlaneForm`, or the TriangulationError
+    that ``triangulate_line_point`` gives before it solves."""
+    x1, x2 = np.array(form.x1), np.array(form.x2)
+    n_p = cross3(x1, x2)
+    npn = np.linalg.norm(n_p)
+    if npn < EPS:
+        raise TriangulationError("reference segment endpoints coincide")
+    n_p = n_p / npn
+    p_ref = form.ref_view.R @ np.asarray(point3d, dtype=np.float64) + form.ref_view.t
+    p_in_plane = p_ref - (n_p @ p_ref) * n_p
+    if np.linalg.norm(p_in_plane) < EPS:
+        raise DegenerateTriangulationError("3D point projects to the camera center")
+    # in-plane frame: rays and the projected point with a zero third coordinate
+    u = normalized(x1)
+    v = cross3(n_p, u)
+    p1, p2, p0 = (np.array([u @ y, v @ y]) for y in (x1, x2, p_in_plane))
+    cross2 = lambda a, b: a[0] * b[1] - a[1] * b[0]  # noqa: E731
+    c12 = cross2(p1, p2)
+    Q = np.array([[0.0, 0.5 * c12], [0.5 * c12, 0.0]])
+    q = np.array([-cross2(p1, p0), -cross2(p0, p2)])
+    if not np.any(Q) and not np.any(q):
+        raise DegenerateTriangulationError("collinearity constraint is vacuous")
+    return Q, q
+
+
+def reference_triangulate_line_point(form, point3d):
+    """Endpoints ``(start, end)``, or the TriangulationError that
+    ``triangulate_line_point`` gives, for one :class:`RayPlaneForm`."""
+    return _reference_constrained_segment(form, *reference_point_constraint(form, point3d))
+
+
+def reference_triangulate_line_vp(form, vp_dir):
+    """Endpoints ``(start, end)``, or the TriangulationError that
+    ``triangulate_line_vp`` gives, for one :class:`RayPlaneForm`."""
+    x1, x2 = np.array(form.x1), np.array(form.x2)
+    w = cross3(vp_dir, cross3(x1, x2))
+    if np.linalg.norm(w) < EPS:
+        raise DegenerateTriangulationError("vanishing direction is perpendicular to the ray plane")
+    q = np.array([-(w @ x1), w @ x2])
+    if np.max(np.abs(q)) < EPS:
+        raise DegenerateTriangulationError("vanishing direction constrains neither ray")
+    return _reference_constrained_segment(form, np.zeros((2, 2)), q)
+
+
+def reference_segment_on_line_from_supports(line, supports):
+    """The trimmed segment of one line, or None; ``supports`` lists ``(rays, view)``."""
+    origin = line.closest_point_to_origin()
+    ts = []
+    for rays, view in supports:
+        for x in rays:
+            try:
+                foot = closest_point_line_to_line(line, _reference_world_ray(view, x))
+            except ValueError:
+                continue
+            ts.append(float((foot - origin) @ line.d))
+    extent = trimmed_extent(ts)
+    if extent is None:
+        return None
+    lo, hi = extent
+    return Segment3D(origin + lo * line.d, origin + hi * line.d)

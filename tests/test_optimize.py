@@ -549,10 +549,8 @@ class TestHelpers:
         views = ring_views(3)
         seg = Segment3D(np.array([-0.5, 0.2, 0.1]), np.array([0.7, -0.1, 0.3]))
         line = plucker_from_segment(seg)
-        supports = [
-            (endpoint_rays(project_segment(seg, views[i]), views[i]), views[i]) for i in views
-        ]
-        out = segment_on_line_from_supports(line, supports)
+        rays = np.array([endpoint_rays(project_segment(seg, views[i]), views[i]) for i in views])
+        out = segment_on_line_from_supports(line, rays, list(views.values()))
         assert out is not None
         ends = sorted([out.start, out.end], key=lambda p: p[0])
         gt = sorted([seg.start, seg.end], key=lambda p: p[0])
@@ -563,7 +561,7 @@ class TestHelpers:
         line = plucker_from_segment(
             Segment3D(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 2.0]))
         )
-        assert segment_on_line_from_supports(line, []) is None
+        assert segment_on_line_from_supports(line, np.zeros((0, 2, 3)), []) is None
 
 
 if __name__ == "__main__":

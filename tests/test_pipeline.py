@@ -23,7 +23,7 @@ from linemap.synthetic import (
     scene_diameter,
 )
 from linemap.tracks import TrackCandidate
-from linemap.triangulation import TriangulationError
+from linemap.triangulation import RescueRows
 
 from support import identity_view, intrinsics, reference_selection_pair_score
 
@@ -94,10 +94,26 @@ def test_junction_edges_are_a_subset_of_gt(clean_scene, clean_result):
 
 def test_stats_describe_the_run(clean_result):
     stats = clean_result.stats
-    for key in ("images", "detections", "proposals", "accepted", "tracks", "vp_tracks"):
+    for key in (
+        "images",
+        "detections",
+        "proposals",
+        "degenerate_matches",
+        "point_rescues",
+        "vp_rescues",
+        "unrescued_matches",
+        "multipoint_proposals",
+        "accepted",
+        "tracks",
+        "vp_tracks",
+    ):
         assert key in stats
     assert stats["images"] == 8
     assert stats["tracks"] == len(clean_result.tracks)
+    # every degenerate match is rescued by a point, by a VP or not at all
+    assert stats["degenerate_matches"] == (
+        stats["point_rescues"] + stats["vp_rescues"] + stats["unrescued_matches"]
+    )
     # no wall-clock entries: stats must be reproducible across runs
     assert all("time" not in k and "seconds" not in k for k in stats)
 
@@ -131,7 +147,13 @@ def _proposals(gens, start, end):
     entry of ``gens[d]``, generated in that image."""
     flat = [gen for det in gens for gen in det]
     return pipeline.ImageProposals(
-        start, end, ["algebraic"] * len(flat), flat, [len(det) for det in gens], [[] for _ in gens]
+        start,
+        end,
+        ["algebraic"] * len(flat),
+        flat,
+        [len(det) for det in gens],
+        [[] for _ in gens],
+        Counter(),
     )
 
 
@@ -273,14 +295,17 @@ def test_rescue_receives_a_detections_points_in_association_order(monkeypatch):
     )
     received = []
 
-    def multipoint(rays, view, pts):
-        received.append(np.array(pts))
-        raise TriangulationError("recorded")
+    def multipoint(rays, view, pts, owner):
+        # one block per image: detection 0 is its one row, and both points are its own
+        received.append((np.array(rays), np.array(pts), np.array(owner)))
+        return RescueRows(np.ones(len(rays), dtype=np.intp), np.zeros((1, 3)), np.zeros((1, 3)))
 
     monkeypatch.setattr(pipeline, "triangulate_multipoint", multipoint)
     run_pipeline(inp, PipelineConfig(use_vps=False, optimize=False))
     assert len(received) == 1
-    np.testing.assert_array_equal(received[0], points3d[[5, 2]])
+    rays, pts, owner = received[0]
+    assert rays.shape == (1, 2, 3) and owner.tolist() == [0, 0]
+    np.testing.assert_array_equal(pts, points3d[[5, 2]])
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +320,45 @@ def noisy_scene():
         point_obs=obs.points2d,
     )
     return obs, inp
+
+
+def test_triangulation_counters_add_up_to_the_proposals(noisy_scene, monkeypatch):
+    # the counters in stats against what each image's blocks gave: the
+    # degenerate rows of the algebraic blocks, and the proposals by source
+    _, inp = noisy_scene
+    degenerate, sources, rescue_calls = [], Counter(), Counter()
+    algebraic, proposals = pipeline.triangulate_algebraic, pipeline._image_proposals
+
+    def triangulated(block):
+        tri = algebraic(block)
+        degenerate.append(int((tri.bad1 | tri.bad2).sum()))
+        return tri
+
+    def proposed(*args):
+        props = proposals(*args)
+        sources.update(props.sources)
+        return props
+
+    def counted(name):
+        solve = getattr(pipeline, name)
+        return lambda *args: rescue_calls.update([name]) or solve(*args)
+
+    monkeypatch.setattr(pipeline, "triangulate_algebraic", triangulated)
+    monkeypatch.setattr(pipeline, "_image_proposals", proposed)
+    for name in ("triangulate_line_point", "triangulate_line_vp", "triangulate_multipoint"):
+        monkeypatch.setattr(pipeline, name, counted(name))
+    stats = run_pipeline(inp, PipelineConfig(optimize=False)).stats
+    assert stats["degenerate_matches"] == sum(degenerate) > 0
+    assert stats["vp_rescues"] == sources["vp"] > 0
+    assert stats["point_rescues"] + stats["multipoint_proposals"] == sources["point"]
+    assert stats["point_rescues"] > 0 and stats["multipoint_proposals"] > 0
+    assert stats["unrescued_matches"] == (
+        stats["degenerate_matches"] - stats["point_rescues"] - stats["vp_rescues"]
+    )
+    assert stats["proposals"] == sum(sources.values())
+    # one block per image and rescue, the point rescue at most twice
+    assert rescue_calls["triangulate_multipoint"] <= 16 and rescue_calls["triangulate_line_vp"] <= 16
+    assert 16 <= rescue_calls["triangulate_line_point"] <= 32
 
 
 def test_each_endpoint_ray_is_solved_once_per_run(noisy_scene, monkeypatch):

@@ -5,10 +5,12 @@ field of the synthetic and refinement configs and every keyword default of
 a public function is set by some call, every imported name is used, no
 object's ``__dict__`` is written, the pair scores make no BLAS call, the
 selection, track and two-view match blocks and geometry's rows keep to the
-numpy calls that round as Python floats do, no random draw runs once per
+numpy calls that round as Python floats do, the rescue, trim and graph
+blocks make no BLAS call and only two LAPACK ones, no random draw runs once per
 loop iteration, track building scores no pair once per loop iteration, and
 the pipeline forms, gates and triangulates no match once per loop
-iteration.
+iteration, and neither it nor refinement rescues, fits or trims once per
+loop iteration.
 """
 
 import ast
@@ -315,8 +317,10 @@ FRONT_END_CODE = {
         "cross3_floats",
         "relative_pose",
         "Segment3D.length",
+        "columns",
         "dot_rows",
         "matvec_rows",
+        "cross_rows",
         "min_rows",
         "max_rows",
     ),
@@ -330,52 +334,132 @@ FRONT_END_CODE = {
         "degenerate_rows",
         "_finish_rows",
         "triangulate_algebraic",
-        "_finish_segment",
     ),
 }
-# the point, VP and multi-point rescue: a few hundred calls a run, on numpy
+# the point, VP and multi-point rescue blocks, the track refit and trim, the
+# graph extraction and the camera centre they read: no BLAS call either, and
+# of LAPACK only the two eigen-solvers, each in its one helper
 RESCUE_CODE = {
-    "triangulate_multipoint",
-    "solve_constrained_quadratic",
-    "_solve_linear_equality",
-    "_plane_cost",
-    "_pick_solution",
-    "triangulate_line_point",
-    "triangulate_line_vp",
+    "geometry.py": ("CameraView.camera_center", "principal_lines", "principal_line"),
+    "triangulation.py": (
+        "RescueRows.segment",
+        "_fail",
+        "_norm_rows",
+        "_unit_rows",
+        "triangulate_multipoint",
+        "solve_constrained_quadratic",
+        "_kkt_rows",
+        "_linear_product",
+        "_product",
+        "_polynomial_roots",
+        "_multiplier_rows",
+        "_preference_order",
+        "_constrained_rows",
+        "triangulate_line_point",
+        "triangulate_line_vp",
+    ),
+    "tracks.py": ("fit_segment_to_endpoints",),
+    "optimize.py": (
+        "segment_on_line_from_supports",
+        "extract_point_line_edges",
+        "extract_line_vp_edges",
+    ),
 }
+LAPACK_HELPERS = {"principal_lines": {"eigh"}, "_polynomial_roots": {"eigvals"}}
+
+
+def _code(blocks):
+    code = []
+    for module, names in blocks.items():
+        defined = dict(_definitions(TREES[module]))
+        code += [(f"{module} {name}", defined[name]) for name in names]
+    return code
 
 
 def test_front_end_blocks_make_only_exact_numpy_calls():
     # every row of a match block equals the float oracle bit for bit: no `@`,
     # no inexact numpy call, and the plane angle's asin and degrees through
     # math element by element, never np.arcsin or np.degrees
-    code = []
-    for module, names in FRONT_END_CODE.items():
-        defined = dict(_definitions(TREES[module]))
-        code += [(f"{module} {name}", defined[name]) for name in names]
+    code = _code(FRONT_END_CODE)
     inexact = INEXACT_NUMPY | {"arcsin", "degrees", "rad2deg"}
     assert _matrix_products(code) + _numpy_calls(code, inexact) == []
     # every definition of triangulation.py is front-end block code or rescue
     defined = {name for name, _ in _definitions(TREES["triangulation.py"])}
-    assert defined - set(FRONT_END_CODE["triangulation.py"]) == RESCUE_CODE
+    assert defined - set(FRONT_END_CODE["triangulation.py"]) == set(RESCUE_CODE["triangulation.py"])
+
+
+def _linalg_calls(tree):
+    """The ``X`` of every ``np.linalg.X`` below ``tree``."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "np"
+    }
+
+
+def test_rescue_trim_and_graph_blocks_make_only_exact_numpy_calls():
+    # the rescue, multi-point, refit, trim and graph code sums every product
+    # term by term (geometry's row helpers): no `@`, no BLAS or pairwise
+    # reduction, no np.cross, np.roots or numpy.polynomial; LAPACK's eigvals
+    # (the multiplier polynomial's companion matrices) and eigh (the stacked
+    # PCA) run in their one helper each
+    code = _code(RESCUE_CODE)
+    inexact = (INEXACT_NUMPY - {"linalg"}) | {"cross", "roots", "polynomial", "arcsin", "degrees"}
+    assert _matrix_products(code) + _numpy_calls(code, inexact) == []
+    lapack = {where.split()[-1]: _linalg_calls(tree) for where, tree in code}
+    assert {name: calls for name, calls in lapack.items() if calls} == LAPACK_HELPERS
+    imports = [
+        node.module
+        for node in ast.walk(TREES["triangulation.py"])
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+    ]
+    assert imports == []
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def test_no_match_is_formed_gated_or_triangulated_inside_a_loop():
     # the pipeline forms, gates and triangulates the matches of one reference
     # image as rows of one block, never one call per match or per detection
-    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     front_end = {name for name in FRONT_END_CODE["triangulation.py"] if "." not in name}
     calls = sorted(
         {
             f"pipeline.{where}:{node.lineno}"
             for where, loop in _scoped_nodes(TREES["pipeline.py"])
-            if isinstance(loop, loops)
+            if isinstance(loop, LOOPS)
             for node in ast.walk(loop)
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", "")) in front_end
         }
     )
     assert calls == []
+
+
+def test_no_rescue_or_trim_runs_inside_a_loop():
+    # the rescue blocks run once per image and the trim once per run: no loop
+    # of pipeline.py or optimize.py calls them, or even names them
+    blocks = {
+        "triangulate_line_point",
+        "triangulate_line_vp",
+        "triangulate_multipoint",
+        "segment_on_line_from_supports",
+    }
+    found = sorted(
+        {
+            f"{module[:-3]}.{where}:{node.lineno}"
+            for module in ("pipeline.py", "optimize.py")
+            for where, loop in _scoped_nodes(TREES[module])
+            if isinstance(loop, LOOPS)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Name) and node.id in blocks
+        }
+    )
+    assert found == []
 
 
 def test_no_random_draw_runs_once_per_iteration():

@@ -19,12 +19,16 @@ from linemap.geometry import (
     skew,
 )
 from linemap import pipeline
+from linemap.optimize import segment_on_line_from_supports
 from linemap.triangulation import (
+    FAILURES,
+    TIE_COST,
     CheiralityError,
     DegenerateTriangulationError,
     FullyDegenerateError,
     TriangulationError,
     WeaklyDegenerateError,
+    _preference_order,
     degenerate_rows,
     match_rows,
     solve_constrained_quadratic,
@@ -48,8 +52,16 @@ from support import (
     match_form,
     random_two_view_segment,
     reference_plane_angle_deg,
+    reference_plane_cost,
+    reference_point_constraint,
+    reference_preference_order,
     reference_ray_plane_form,
+    reference_segment_on_line_from_supports,
+    reference_solve_constrained_quadratic,
     reference_triangulate_algebraic,
+    reference_triangulate_line_point,
+    reference_triangulate_line_vp,
+    reference_triangulate_multipoint,
     reference_weak_epipolar_iou,
     two_view,
     visible,
@@ -692,3 +704,363 @@ def test_each_detection_keeps_its_first_ten_passing_matches_in_match_order():
     assert props.kept == [passing[: pipeline.TOP_K_MATCHES]]
     # one algebraic proposal per kept match, in match order
     assert props.gens == [j for j, _ in passing[:10]] and props.counts == [10]
+
+
+# ---------------------------------------------------------------------------
+# rescue blocks and the track trim against the scalar oracle, row by row
+# ---------------------------------------------------------------------------
+
+
+def close_rows(got, want, tol):
+    """Endpoints within ``tol``."""
+    return np.abs(np.asarray(got, dtype=np.float64) - np.asarray(want, dtype=np.float64)).max() <= tol
+
+
+def row_outcome(rows, i):
+    """Row ``i`` of a RescueRows block: its segment, or its failure as the
+    ``(exception class, message)`` that one form or one detection raises."""
+    code = int(rows.failure[i])
+    return FAILURES[code] if code else (rows.start[i], rows.end[i])
+
+
+def oracle_outcome(solve, *args):
+    """The oracle's endpoints, or ``(exception class, message)``; any other
+    exception (a NaN reaching LAPACK) as ``(class, None)``."""
+    try:
+        out = solve(*args)
+    except TriangulationError as exc:
+        return type(exc), str(exc)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        return type(exc), None
+    return (out.start, out.end) if isinstance(out, Segment3D) else out
+
+
+SCENE_SCALE = 10.0  # the rescue scenes lie within about this distance of the camera
+NEAR_DOUBLE = 1e-3  # two multipliers this close, relative to their size, are a near-double root
+
+
+def point_tolerance(form, point):
+    """How far a point-rescue row's endpoints may stray from the oracle's:
+    1e-9 of the scene scale, or 1e-6 of it where the multiplier polynomial
+    has two real roots within :data:`NEAR_DOUBLE` of each other.  Such a
+    pair of roots, and the depths at them, move by about the square root
+    of the coefficients' rounding (1e-8 of the scene in one random row), in
+    the oracle as in the block."""
+    try:
+        Q, q = reference_point_constraint(form, point)
+        sols = reference_solve_constrained_quadratic(*reference_plane_cost(form), Q, q)
+    except (TriangulationError, np.linalg.LinAlgError):  # a failure, or a NaN row
+        return 1e-9 * SCENE_SCALE
+    mus = sorted(mu for *_, mu in sols)
+    near = any(b - a < NEAR_DOUBLE * max(1.0, abs(a), abs(b)) for a, b in zip(mus, mus[1:]))
+    return (1e-6 if near else 1e-9) * SCENE_SCALE
+
+
+def assert_rows_match_the_oracle(rows, oracle, kinds, tolerances=None):
+    """Every row ends as the oracle does; returns Counter((kind, outcome))."""
+    outcomes = Counter()
+    for i, (kind, want) in enumerate(zip(kinds, oracle)):
+        got = row_outcome(rows, i)
+        if kind == "nan":
+            # the block flags the row; the oracle raises or carries the NaN into its endpoints
+            assert isinstance(got[0], type), (i, kind, got)
+            if not isinstance(want[0], type):
+                assert not np.isfinite(np.concatenate(want)).all(), (i, kind, want)
+            outcomes[kind, "flagged"] += 1
+        elif isinstance(want[0], type):
+            assert got == want, (i, kind, got, want)
+            outcomes[kind, want[0].__name__ + ": " + want[1]] += 1
+        else:
+            assert not isinstance(got[0], type), (i, kind, got, want)
+            tol = 1e-9 * SCENE_SCALE if tolerances is None else tolerances[i]
+            assert close_rows(got, want, tol), (i, kind, got, want)
+            outcomes[kind, "segment"] += 1
+    return outcomes
+
+
+def rescue_cases(rng, n):
+    """``(kind, pose, ref_rays, match_rays, point, vp)`` of matches into a
+    reference camera at the world origin, looking down z: each random or
+    weakly degenerate two-view pair is moved into the reference camera's
+    frame, with a point on the line, off it, behind the camera or at its
+    centre, and the line's direction or a random one."""
+    for _ in range(n):
+        if rng.uniform() < 0.5:
+            ref, match, gt, s_r, s_m = weak_degenerate_pair(rng)
+        else:
+            ref, match, gt, s_r, s_m = random_two_view_segment(rng, min_plane_angle_deg=0.0)
+        pose = relative_pose(ref, match)
+        ref_rays, match_rays = float_rays(s_r, ref), float_rays(s_m, match)
+        to_ref = lambda p: ref.R @ p + ref.t  # noqa: E731
+        on_line = to_ref(gt.start + rng.uniform(0.2, 0.8) * (gt.end - gt.start))
+        direction = ref.R @ gt.direction
+        yield "on line", pose, ref_rays, match_rays, on_line, direction
+        yield "off line", pose, ref_rays, match_rays, on_line + rng.normal(size=3), rng.normal(size=3)
+        yield "behind", pose, ref_rays, match_rays, -on_line, direction + 0.3 * rng.normal(size=3)
+        if rng.uniform() < 0.8:
+            continue
+        yield "at centre", pose, ref_rays, match_rays, np.zeros(3), direction
+        yield "coincident", pose, (ref_rays[0], ref_rays[0]), match_rays, on_line, direction
+        off_plane = np.cross(ref_rays[0], ref_rays[1])
+        yield "off plane", pose, ref_rays, match_rays, on_line, off_plane
+        tiny = tuple(tuple(1e-5 * v for v in x) for x in ref_rays)
+        yield "tiny rays", pose, tiny, match_rays, on_line, direction
+        nan = float("nan")
+        yield "nan", pose, ((nan, 0.1, 1.0), ref_rays[1]), match_rays, on_line, direction
+        yield "nan", pose, ref_rays, match_rays, np.array([nan, 0.0, 3.0]), np.array([0.0, nan, 1.0])
+
+
+def rescue_block(cases):
+    ref = identity_view()
+    stack = lambda rows: np.array(rows, dtype=np.float64)  # noqa: E731
+    R, t = stack([c[1][0] for c in cases]), stack([c[1][1] for c in cases])
+    x1, x2, y1, y2 = (stack([c[k][e] for c in cases]) for k, e in ((2, 0), (2, 1), (3, 0), (3, 1)))
+    block = match_rows(ref, R, t, x1, x2, y1, y2)
+    return block, stack([c[4] for c in cases]), stack([c[5] for c in cases])
+
+
+def test_point_and_vp_rescue_blocks_equal_the_scalar_oracle_row_by_row():
+    rng = np.random.default_rng(34)
+    cases = [c for c in rescue_cases(rng, 150)]
+    block, points, vps = rescue_block(cases)
+    assert block.plane.all()
+    kinds = [c[0] for c in cases]
+    with np.errstate(all="raise"):
+        by_point = triangulate_line_point(block, points)
+        by_vp = triangulate_line_vp(block, vps)
+    forms = [block.form(i) for i in range(len(cases))]
+    with np.errstate(all="ignore"):
+        want_point = [oracle_outcome(reference_triangulate_line_point, f, p) for f, p in zip(forms, points)]
+        want_vp = [oracle_outcome(reference_triangulate_line_vp, f, v) for f, v in zip(forms, vps)]
+        tol_point = [point_tolerance(f, p) for f, p in zip(forms, points)]
+    point = assert_rows_match_the_oracle(by_point, want_point, kinds, tol_point)
+    vp = assert_rows_match_the_oracle(by_vp, want_vp, kinds)
+    # all but a few near-double rows keep to 1e-9 of the scene scale
+    strays = [
+        i
+        for i, want in enumerate(want_point)
+        if not isinstance(want[0], type)
+        and not close_rows(row_outcome(by_point, i), want, 1e-9 * SCENE_SCALE)
+    ]
+    assert len(strays) <= 3 and all(tol_point[i] > 1e-9 * SCENE_SCALE for i in strays), strays
+    outcomes = lambda counts: Counter(o for _, o in counts.elements())  # noqa: E731
+    assert outcomes(point)["segment"] >= 250 and outcomes(vp)["segment"] >= 250
+    assert {o.split(":")[0] for o in outcomes(point)} >= {
+        "segment",
+        "CheiralityError",
+        "TriangulationError",
+        "DegenerateTriangulationError",
+    }
+    # each failure mode of the scalar code is reached
+    assert outcomes(point)["TriangulationError: reference segment endpoints coincide"] >= 1
+    assert outcomes(point)["DegenerateTriangulationError: 3D point projects to the camera center"] >= 1
+    assert outcomes(point)["CheiralityError: no candidate places the segment in front of both cameras"] >= 1
+    assert outcomes(vp)[
+        "DegenerateTriangulationError: vanishing direction is perpendicular to the ray plane"
+    ] >= 1
+    assert outcomes(vp)["DegenerateTriangulationError: vanishing direction constrains neither ray"] >= 1
+    assert outcomes(vp)["CheiralityError: no candidate places the segment in front of both cameras"] >= 1
+    assert point["nan", "flagged"] == vp["nan", "flagged"] >= 2
+    # one form is a block of one row: the same outcome, raised
+    for i in range(0, len(cases), 7):
+        for solve, cue, want in ((triangulate_line_point, points, want_point), (triangulate_line_vp, vps, want_vp)):
+            if kinds[i] == "nan":
+                continue
+            try:
+                seg = solve(forms[i], cue[i])
+            except TriangulationError as exc:
+                assert (type(exc), str(exc)) == want[i]
+            else:
+                assert close_rows((seg.start, seg.end), want[i], 1e-6 * SCENE_SCALE)
+
+
+def constrained_cases(rng):
+    """``(kind, A, b, Q, q)``: random problems, the point and VP rescue's
+    shapes, and the configurations the solver has to get right."""
+    sym = lambda M: 0.5 * (M + M.T)  # noqa: E731
+    for _ in range(150):
+        G = rng.normal(size=(2, 2))
+        yield "random", G.T @ G + 0.1 * np.eye(2), rng.normal(size=2), sym(rng.normal(size=(2, 2))), rng.normal(size=2)
+        a = rng.normal(size=2)
+        h = rng.normal()
+        yield "point", np.diag(a * a), 2.0 * rng.normal() * a, np.array([[0.0, h], [h, 0.0]]), rng.normal(size=2)
+        yield "vp", np.diag(a * a), 2.0 * rng.normal() * a, np.zeros((2, 2)), rng.normal(size=2)
+    # no real root: an indefinite cost on a cone through the origin
+    for _ in range(20):
+        yield "indefinite", sym(rng.normal(size=(2, 2))), rng.normal(size=2), sym(rng.normal(size=(2, 2))), np.zeros(2)
+    # a singular A + mu Q at the root mu = 0
+    yield "singular", np.diag([0.0, 1.0]), np.array([1.0, 2.0]), np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0.5, -1.0])
+    # q1 = 0: the numerator's leading coefficient vanishes, degree 3
+    yield "degree 3", np.diag([1.0, 2.0]), np.array([-1.0, -3.0]), np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([-1.0, 0.0])
+    # Q = 0 with a singular KKT matrix (p^T A p = 0 for p along the constraint)
+    yield "singular kkt", np.diag([0.0, 2.0]), np.array([0.0, 3.0]), np.zeros((2, 2)), np.array([0.0, 1.5])
+    yield "singular kkt", np.diag([3.0, 0.0]), np.array([1.0, 0.0]), np.zeros((2, 2)), np.array([-2.0, 0.0])
+    yield "singular kkt", np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.array([1.0, 2.0])
+    yield "singular kkt", np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, -2.0]), np.zeros((2, 2)), np.array([1.0, 1.0])
+    # p^T A p = 0 with p^T A q != 0: the least-squares solution is not 0
+    yield "singular kkt", np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, -2.0]), np.zeros((2, 2)), np.array([2.0, 0.0])
+    yield "singular kkt", np.array([[0.0, -0.5], [-0.5, 3.0]]), np.array([0.7, 0.2]), np.zeros((2, 2)), np.array([0.0, -3.0])
+    nan = float("nan")
+    yield "nan", np.diag([nan, 1.0]), np.ones(2), np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones(2)
+    yield "nan", np.eye(2), np.ones(2), np.zeros((2, 2)), np.array([nan, 1.0])
+
+
+def test_constrained_solver_block_equals_the_scalar_oracle_row_by_row():
+    rng = np.random.default_rng(35)
+    cases = list(constrained_cases(rng))
+    A, b, Q, q = (np.array([c[k] for c in cases]) for k in range(1, 5))
+    with np.errstate(all="raise"):
+        block = solve_constrained_quadratic(A, b, Q, q)
+    kinds = Counter()
+    for i, (kind, *problem) in enumerate(cases):
+        got = [(lam, cost) for lam, cost, ok in zip(block.lam[i], block.cost[i], block.valid[i]) if ok]
+        assert block.valid[i].tolist() == sorted(block.valid[i].tolist(), reverse=True)
+        if kind == "nan":
+            assert got == []
+            continue
+        want = reference_solve_constrained_quadratic(*problem)
+        assert len(got) == len(want), (i, kind)
+        kinds[kind, len(want)] += 1
+        for (lam, cost), (want_lam, want_cost, _) in zip(got, want):
+            scale = max(1.0, np.abs(want_lam).max())
+            assert np.abs(lam - want_lam).max() <= 1e-9 * scale, (i, kind, lam, want_lam)
+            assert abs(cost - want_cost) <= 1e-9 * scale * scale, (i, kind)
+        # one problem is a block of one row
+        one = solve_constrained_quadratic(*problem)
+        assert [s.lam.tolist() for s in one] == [lam.tolist() for lam, _ in got]
+    counts = Counter(kind for kind, _ in kinds.elements())
+    assert counts["random"] == counts["point"] == counts["vp"] == 150
+    # some problems have no real root, and some have four candidates
+    assert kinds["indefinite", 0] + kinds["random", 0] >= 1
+    assert kinds["random", 4] + kinds["point", 4] >= 1
+    assert kinds["singular", 1] == 1  # the root mu = 0 is skipped
+    assert kinds["degree 3", 2] == 1
+    assert kinds["singular kkt", 1] == 6
+
+
+def test_candidate_order_breaks_cost_ties_by_the_larger_smallest_depth():
+    # two candidates of one problem tie in cost only where two multiplier
+    # roots merge, and there rounding decides; so the tie rule is checked on
+    # the ordering step, against the oracle's ordering, with planted ties.
+    # Runs of costs within TIE_COST of their first, as the oracle forms them:
+    # exact ties, ties just inside and just outside the window, a run that a
+    # third candidate extends past the window of the second, and invalid slots
+    rng = np.random.default_rng(38)
+    base = rng.normal(size=(400, 1))
+    steps = TIE_COST * rng.choice([0.0, 0.3, 0.6, 0.99, 1.01, 1e7], size=(400, 4))
+    cost = base + np.cumsum(steps, axis=1)[:, rng.permutation(4)]
+    lam = rng.normal(size=(400, 4, 2))
+    valid = rng.uniform(size=(400, 4)) < 0.85
+    got_lam, got_cost, got_valid = _preference_order(lam, np.where(valid, cost, 0.0), valid)
+    reordered = 0
+    for i in range(400):
+        sols = [(lam[i, k], cost[i, k]) for k in range(4) if valid[i, k]]
+        want = reference_preference_order(sols)
+        assert got_valid[i].tolist() == [k < len(sols) for k in range(4)]
+        assert [l.tolist() for l in got_lam[i, : len(sols)]] == [l.tolist() for l, _ in want]
+        reordered += [c for _, c in want] != sorted(c for _, c in want)
+    assert reordered >= 50
+
+
+def multipoint_cases(rng, view, n):
+    """``(kind, rays, points)`` of detections in ``view``."""
+    center = view.camera_center
+    while n > 0:
+        a, b = (np.array([*rng.uniform(-1.5, 1.5, size=2), rng.uniform(3.0, 7.0)]) for _ in "ab")
+        gt = Segment3D(view.R.T @ (a - view.t), view.R.T @ (b - view.t))
+        seg = project_segment(gt, view)
+        if seg is None or seg.length < 5.0:
+            continue
+        rays = np.array(endpoint_rays(seg, view))
+        along = lambda k: gt.start + rng.uniform(-0.2, 1.2, size=(k, 1)) * (gt.end - gt.start)  # noqa: E731
+        k = int(rng.integers(2, 6))
+        yield "on line", rays, along(k)
+        yield "noisy", rays, along(k) + 0.01 * rng.normal(size=(k, 3))
+        yield "random", rays, rng.normal(size=(k, 3)) * 3.0
+        n -= 1
+        if rng.uniform() < 0.7:
+            continue
+        yield "one point", rays, along(1)
+        yield "no point", rays, np.zeros((0, 3))
+        yield "coincident", rays, np.tile(gt.midpoint, (3, 1))
+        ray = view.R.T @ normalized(rays[0])
+        yield "parallel", rays, center + np.array([2.0, 3.0, 5.0])[:, None] * ray
+        yield "behind", rays, 2.0 * center - along(k)
+        yield "nan", rays, np.vstack([along(2), [[np.nan, 0.0, 1.0]]])
+
+
+def test_multipoint_block_equals_the_scalar_oracle_row_by_row():
+    rng = np.random.default_rng(36)
+    view = make_view((1.0, -2.0, -3.0), target=(0.0, 0.0, 4.0))
+    cases = list(multipoint_cases(rng, view, 120))
+    rays = np.array([c[1] for c in cases])
+    owner = np.repeat(np.arange(len(cases)), [len(c[2]) for c in cases])
+    points = np.concatenate([c[2] for c in cases])
+    with np.errstate(all="raise"):
+        rows = triangulate_multipoint(rays, view, points, owner)
+    with np.errstate(all="ignore"):
+        want = [oracle_outcome(reference_triangulate_multipoint, r, view, p) for _, r, p in cases]
+    outcomes = assert_rows_match_the_oracle(rows, want, [c[0] for c in cases])
+    reached = {o for _, o in outcomes}
+    assert reached >= {
+        "segment",
+        "TriangulationError: need at least two 3D points to fit a line",
+        "DegenerateTriangulationError: 3D points are coincident; no line direction",
+        "DegenerateTriangulationError: fitted line is parallel to an endpoint ray",
+        "CheiralityError: fitted segment lies behind the reference view",
+        "flagged",
+    }, outcomes
+    assert sum(c for (k, o), c in outcomes.items() if o == "segment") >= 300
+    # one detection is a block of one row, bit for bit
+    for i in range(0, len(cases), 5):
+        if cases[i][0] == "nan":
+            continue
+        one = oracle_outcome(triangulate_multipoint, rays[i], view, cases[i][2])
+        got = row_outcome(rows, i)
+        if isinstance(got[0], type):
+            assert one == got
+        else:
+            assert np.array(one).tobytes() == np.array(got).tobytes()
+
+
+def test_trim_block_equals_the_scalar_oracle_line_by_line():
+    rng = np.random.default_rng(37)
+    views = [make_view(normalized(rng.normal(size=3)) * rng.uniform(4.0, 6.0)) for _ in range(8)]
+    lines, rays, support_views, owner, supports = [], [], [], [], []
+    for li in range(60):
+        a, b = rng.uniform(-1.0, 1.0, size=(2, 3))
+        line = PluckerLine.from_two_points(a, b)
+        mine = []
+        for _ in range(int(rng.integers(0, 9))):
+            view = views[int(rng.integers(len(views)))]
+            s, e = (a + rng.uniform(-0.3, 1.3) * (b - a) for _ in "se")
+            x = [view.R @ p + view.t for p in (s, e)]
+            if rng.uniform() < 0.1:
+                # a ray along the line has no closest point and is skipped
+                x[0] = view.R @ line.d
+            if rng.uniform() < 0.2:
+                x[1] = x[1] + rng.normal(size=3) * 0.1
+            mine.append((np.array(x), view))
+        lines.append(line)
+        supports.append(mine)
+        for r, view in mine:
+            rays.append(r)
+            support_views.append(view)
+            owner.append(li)
+    with np.errstate(all="raise"):
+        got = segment_on_line_from_supports(
+            lines, np.array(rays).reshape(-1, 2, 3), support_views, np.array(owner, dtype=np.intp)
+        )
+    nones = 0
+    for line, mine, seg in zip(lines, supports, got):
+        want = reference_segment_on_line_from_supports(line, mine)
+        assert (seg is None) == (want is None)
+        if want is None:
+            nones += 1
+            continue
+        assert close_rows(seg.endpoints(), want.endpoints(), 1e-9 * SCENE_SCALE)
+        one = segment_on_line_from_supports(line, np.array([r for r, _ in mine]), [v for _, v in mine])
+        assert one.endpoints().tobytes() == seg.endpoints().tobytes()
+    assert 1 <= nones < 20
+    # no lines, no segments
+    assert segment_on_line_from_supports([], np.zeros((0, 2, 3)), [], np.zeros(0, dtype=np.intp)) == []

@@ -17,9 +17,12 @@ Each ``--set KEY=VALUE`` (repeatable) is passed to both copies' ``map``, so
 ``--set optimize=false`` times the stages before joint refinement alone.
 
 Prints each side's median and quartiles, the pairs the working tree won and
-the median of the paired ratios (working tree / reference).  Exits 1 as soon
-as a pair's ``tracks.json`` bytes differ or a run fails, and 2 when ``REF``
-cannot be read.
+the median of the paired ratios (working tree / reference).  Every pair's
+``tracks.json`` bytes are compared.  When they differ (a change that moves
+the output on purpose), every pair is still timed: the first differing pair
+and both sides' sha256 prefixes are printed, then the summary, and the exit
+status is 1.  Exits 1 as well when a run fails, and 2 when ``REF`` cannot be
+read.
 """
 
 import os
@@ -29,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
 import statistics  # noqa: E402
@@ -107,6 +111,7 @@ def main(argv=None) -> int:
                  "--outliers", "0.2", "--seed", str(args.seed)]
         _run(sides["new"], synth)
         times = {name: [] for name in sides}
+        differs = None  # the first pair whose tracks.json bytes differ, with both digests
         for pair in range(-1, args.pairs):  # pair -1 is the untimed warm-up
             order = ["ref", "new"] if pair % 2 == 0 else ["new", "ref"]
             for name in order:
@@ -116,10 +121,11 @@ def main(argv=None) -> int:
                 if pair >= 0:
                     times[name].append(elapsed)
             tracks = {name: (tmp / f"out_{name}" / "tracks.json").read_bytes() for name in sides}
-            if tracks["ref"] != tracks["new"]:
+            if tracks["ref"] != tracks["new"] and differs is None:
                 where = f"pair {pair + 1}" if pair >= 0 else "the warm-up"
-                print(f"error: tracks.json differs in {where}", file=sys.stderr)
-                return 1
+                digests = {name: hashlib.sha256(blob).hexdigest()[:16] for name, blob in tracks.items()}
+                differs = f"{where}: ref {digests['ref']}, new {digests['new']}"
+                print(f"error: tracks.json differs in {differs}", file=sys.stderr, flush=True)
             if pair >= 0:
                 ref, new = times["ref"][-1], times["new"][-1]
                 print(f"pair {pair + 1}: ref {ref:.3f} s, new {new:.3f} s", flush=True)
@@ -128,10 +134,13 @@ def main(argv=None) -> int:
     wins = sum(r < 1.0 for r in ratios)
     print(_summary(f"ref {args.ref}", times["ref"]))
     print(_summary("new (working tree)", times["new"]))
-    print(f"tracks.json identical in all {args.pairs} pairs")
+    if differs is None:
+        print(f"tracks.json identical in all {args.pairs} pairs")
+    else:
+        print(f"tracks.json differs, first in {differs}")
     print(f"new faster in {wins} of {args.pairs} pairs; paired median ratio new/ref "
           f"{statistics.median(ratios):.3f}")
-    return 0
+    return 0 if differs is None else 1
 
 
 if __name__ == "__main__":
