@@ -23,7 +23,11 @@ line-(point, VP) coupling and the dense (point, VP) part.  Lines couple only
 with points and VPs, so a step eliminates the line blocks with one batched
 4x4 solve, solves the reduced (Schur complement) system on the 3P + 2V point
 and VP unknowns, and back-substitutes the line steps (Triggs et al., "Bundle
-Adjustment - A Modern Synthesis", 2000).  Each state is evaluated once: a
+Adjustment - A Modern Synthesis", 2000).  Each part is one ``np.bincount``
+over every term's contributions, in a flat layout fixed once per problem,
+and the Schur update is one bincount seeded with the entries it touches;
+bincount adds in index order, so the sums have the bits of a scatter with
+``np.add.at`` in the same order.  Each state is evaluated once: a
 trial step builds its normal equations, and when the step is accepted they
 carry over to the next iteration.
 """
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,8 +171,8 @@ def _unit_rows(a: np.ndarray) -> np.ndarray:
 def _vp_bases(vps: np.ndarray) -> np.ndarray:
     """``(V, 3, 2)`` orthonormal tangent bases of unit VP directions."""
     seed = np.where((np.abs(vps[:, 0]) < 0.9)[:, None], _E1, _E2)
-    b1 = _unit_rows(np.cross(vps, seed))
-    return np.stack([b1, np.cross(vps, b1)], axis=2)
+    b1 = _unit_rows(cross_rows(vps, seed))
+    return np.stack([b1, cross_rows(vps, b1)], axis=2)
 
 
 class _State:
@@ -285,28 +290,28 @@ def _line_rows(A_m, A_d, ends, direction, d, m, dd, dm, alpha):
 
 def _point_line_rows(p, d, m, dd, dm, weight):
     """Weighted point-to-line distances ``(Q, 1)`` and their point and line Jacobians."""
-    dp = np.cross(d, p)
-    e = -np.cross(d, m) - np.cross(d, dp)
-    dist = np.linalg.norm(e, axis=1)
+    dp = cross_rows(d, p)
+    e = -cross_rows(d, m) - cross_rows(d, dp)
+    dist = np.sqrt(dot_rows(e, e))
     on = dist < 1e-12
     ehat = e / np.where(on, 1.0, dist)[:, None]
     weight = np.where(on, 0.0, weight)[:, None]
     # ehat @ skew(a) == ehat x a
     Jp = ehat - np.sum(ehat * d, axis=1, keepdims=True) * d  # ehat @ (I - d d^T)
-    e_dd = np.cross(ehat, m) + np.cross(ehat, dp) + np.cross(np.cross(ehat, d), p)
-    Jl = _matvec(dd.transpose(0, 2, 1), e_dd) + _matvec(dm.transpose(0, 2, 1), np.cross(d, ehat))
+    e_dd = cross_rows(ehat, m) + cross_rows(ehat, dp) + cross_rows(cross_rows(ehat, d), p)
+    Jl = _matvec(dd.transpose(0, 2, 1), e_dd) + _matvec(dm.transpose(0, 2, 1), cross_rows(d, ehat))
     return weight * dist[:, None], (weight * Jp)[:, None, :], (weight * Jl)[:, None, :]
 
 
 def _line_vp_rows(d, dd, v, basis, weight):
     """Weighted line-VP direction residuals ``(R, 1)`` and their line and VP Jacobians."""
-    e = np.cross(d, v)
-    nrm = np.linalg.norm(e, axis=1)
+    e = cross_rows(d, v)
+    nrm = np.sqrt(dot_rows(e, e))
     parallel = nrm < 1e-12
     ehat = e / np.where(parallel, 1.0, nrm)[:, None]
     weight = np.where(parallel, 0.0, weight)[:, None]
-    Jl = _matvec(dd.transpose(0, 2, 1), np.cross(v, ehat))
-    Jv = _matvec(basis.transpose(0, 2, 1), np.cross(ehat, d))
+    Jl = _matvec(dd.transpose(0, 2, 1), cross_rows(v, ehat))
+    Jv = _matvec(basis.transpose(0, 2, 1), cross_rows(ehat, d))
     return weight * nrm[:, None], (weight * Jl)[:, None, :], (weight * Jv)[:, None, :]
 
 
@@ -366,6 +371,75 @@ def _coupling_slots(n_lines: int, n_reduced: int, couplings):
     return slot_cols, slots
 
 
+class _Layout(NamedTuple):
+    """Where each contribution to the normal equations goes, one flat index
+    array per matrix: every term's blocks in term order, for each term its
+    line block, its reduced blocks against the line, then each reduced
+    block and pair of reduced blocks, as :meth:`_Linearizer.normal_equations`
+    lists them."""
+
+    A: np.ndarray
+    g_lines: np.ndarray
+    Bt: np.ndarray
+    g_reduced: np.ndarray
+    C: np.ndarray
+
+
+def _layout(terms: list[_Term], n_slots: int, n_reduced: int) -> _Layout:
+    A, g_lines, Bt, g_reduced, C = ([np.zeros(0, np.intp)] for _ in _Layout._fields)
+    for t in terms:
+        if t.lines is not None:
+            A.append((16 * t.lines[:, None] + np.arange(16)).ravel())
+            g_lines.append((4 * t.lines[:, None] + _DIAG4).ravel())
+            for _ in t.cols:
+                slot = t.lines[:, None] * n_slots + t.slots
+                Bt.append((4 * slot[:, :, None] + _DIAG4).ravel())
+        for cols_i in t.cols:
+            g_reduced.append(cols_i.ravel())
+            for cols_j in t.cols:
+                C.append((n_reduced * cols_i[:, :, None] + cols_j[:, None, :]).ravel())
+    return _Layout(*(np.concatenate(parts) for parts in (A, g_lines, Bt, g_reduced, C)))
+
+
+class _SchurLayout(NamedTuple):
+    """The Schur update's scatter on the ``n`` reduced unknowns.
+
+    Of the ``(L, S, S)`` products of the line slots, ``pairs`` are the ones
+    between used slots and ``entries`` the distinct flat entries of ``S``
+    they touch; ``S_index`` is the bincount's index that puts each entry's
+    own value first, then the products in order.  ``slots``,
+    ``rhs_entries`` and ``rhs_index`` do the same for the ``(L, S)`` slots
+    and the right-hand side.
+    """
+
+    pairs: np.ndarray
+    entries: np.ndarray
+    S_index: np.ndarray
+    slots: np.ndarray
+    rhs_entries: np.ndarray
+    rhs_index: np.ndarray
+
+    @classmethod
+    def of(cls, slot_cols: np.ndarray, n: int) -> _SchurLayout:
+        def seeded(flat):
+            entries, inverse = np.unique(flat, return_inverse=True)
+            return entries, np.concatenate([np.arange(len(entries)), inverse.ravel()])
+
+        used = slot_cols < n
+        pairs = np.flatnonzero(used[:, :, None] & used[:, None, :])
+        flat = (n * slot_cols[:, :, None] + slot_cols[:, None, :]).ravel()[pairs]
+        slots = np.flatnonzero(used)
+        return cls(pairs, *seeded(flat), slots, *seeded(slot_cols.ravel()[slots]))
+
+
+def _seeded_sum(target: np.ndarray, entries, index, values) -> None:
+    """Add ``values`` into the flat ``entries`` of ``target`` one at a time, in
+    order, as ``np.add.at`` would: one bincount seeded with their values."""
+    flat = target.reshape(-1)
+    seeds = flat[entries]
+    flat[entries] = np.bincount(index, np.concatenate([seeds, values]), minlength=len(seeds))
+
+
 @dataclass
 class _NormalEquations:
     """``[[A, B], [B^T, C]] x = -[g_lines, g_reduced]`` with the line blocks first.
@@ -384,6 +458,7 @@ class _NormalEquations:
     cost: float
     slot_cols: np.ndarray
     n_point_cols: int
+    schur: _SchurLayout
 
     def gradient(self) -> np.ndarray:
         """The gradient in unknown order: points, lines, VPs."""
@@ -402,19 +477,20 @@ class _NormalEquations:
         floor = 1e-12 * max(1.0, np.concatenate([diag_C, diag_A.ravel()]).max(initial=0.0))
         A = self.A.copy()
         A[:, _DIAG4, _DIAG4] += damping * np.maximum(diag_A, floor)
-        S = np.zeros((n + 1, n + 1))  # row and column n take the unused slots
-        S[:n, :n] = self.C
+        S = self.C.copy()
         S[np.arange(n), np.arange(n)] += damping * np.maximum(diag_C, floor)
 
         # eliminate the lines: S = C - B^T A^-1 B and rhs = -g_reduced + B^T A^-1 g_lines
         B = self.Bt.transpose(0, 2, 1)
         Y = np.linalg.solve(A, np.concatenate([self.g_lines[:, :, None], B], axis=2))
         BtY = np.einsum("lsi,lij->lsj", self.Bt, Y)  # (L, S, 1 + S)
+        lay = self.schur
+        _seeded_sum(S, lay.entries, lay.S_index, -BtY[:, :, 1:].ravel()[lay.pairs])
+        rhs = -self.g_reduced
+        _seeded_sum(rhs, lay.rhs_entries, lay.rhs_index, BtY[:, :, 0].ravel()[lay.slots])
+        # unused slots (column n) read a zero step
+        x = np.append(np.linalg.solve(S, rhs), 0.0)
         cols = self.slot_cols
-        np.add.at(S, (cols[:, :, None], cols[:, None, :]), -BtY[:, :, 1:])
-        rhs = np.append(-self.g_reduced, 0.0)
-        np.add.at(rhs, cols, BtY[:, :, 0])
-        x = np.append(np.linalg.solve(S[:n, :n], rhs[:n]), 0.0)
         # back-substitute: A x_lines = -g_lines - B x
         rhs_lines = -self.g_lines - np.einsum("lsi,ls->li", self.Bt, x[cols])
         x_lines = np.linalg.solve(A, rhs_lines[:, :, None])[:, :, 0]
@@ -477,6 +553,8 @@ class _Linearizer:
         )
         for t, t_slots in zip(coupled, slots):
             t.slots = t_slots
+        self.layout = _layout(self.terms, self.slot_cols.shape[1], self.n_reduced)
+        self.schur = _SchurLayout.of(self.slot_cols, self.n_reduced)
 
     def residuals(self, state: _State):
         """Every term's residuals and Jacobian blocks on ``state``, in ``terms`` order.
@@ -510,11 +588,7 @@ class _Linearizer:
 
     def normal_equations(self, state: _State) -> _NormalEquations:
         n_lines, n_slots = self.slot_cols.shape
-        A = np.zeros((n_lines, 4, 4))
-        Bt = np.zeros((n_lines, n_slots, 4))
-        C = np.zeros((self.n_reduced, self.n_reduced))
-        g_lines = np.zeros((n_lines, 4))
-        g_reduced = np.zeros(self.n_reduced)
+        A, g_lines, Bt, g_reduced, C = ([np.zeros(0)] for _ in _Layout._fields)
         cost = 0.0
         for term, (r, J_line, J_reduced) in zip(self.terms, self.residuals(state)):
             val, w = _loss_value_and_weight(term.loss, np.einsum("ki,ki->k", r, r), term.scale)
@@ -524,16 +598,25 @@ class _Linearizer:
             Jw = [sw[:, :, None] * J for J in J_reduced]
             if J_line is not None:
                 Jl = sw[:, :, None] * J_line
-                np.add.at(A, term.lines, Jl.transpose(0, 2, 1) @ Jl)
-                np.add.at(g_lines, term.lines, np.einsum("kri,kr->ki", Jl, rw))
-                for Ji in Jw:
-                    np.add.at(Bt, (term.lines[:, None], term.slots), Ji.transpose(0, 2, 1) @ Jl)
-            for cols_i, Ji in zip(term.cols, Jw):
-                np.add.at(g_reduced, cols_i, np.einsum("kri,kr->ki", Ji, rw))
-                for cols_j, Jj in zip(term.cols, Jw):
-                    H_ij = Ji.transpose(0, 2, 1) @ Jj
-                    np.add.at(C, (cols_i[:, :, None], cols_j[:, None, :]), H_ij)
-        return _NormalEquations(A, Bt, C, g_lines, g_reduced, cost, self.slot_cols, self.np_)
+                A.append((Jl.transpose(0, 2, 1) @ Jl).ravel())
+                g_lines.append(np.einsum("kri,kr->ki", Jl, rw).ravel())
+                Bt += [(Ji.transpose(0, 2, 1) @ Jl).ravel() for Ji in Jw]
+            for Ji in Jw:
+                g_reduced.append(np.einsum("kri,kr->ki", Ji, rw).ravel())
+                C += [(Ji.transpose(0, 2, 1) @ Jj).ravel() for Jj in Jw]
+        # one sum per matrix, each contribution added in the layout's order
+        # (bincount gives integers when it has no contribution at all)
+        shapes = ((n_lines, 4, 4), (n_lines, 4), (n_lines, n_slots, 4), (self.n_reduced,),
+                  (self.n_reduced, self.n_reduced))
+        A, g_lines, Bt, g_reduced, C = (
+            np.bincount(index, np.concatenate(values), minlength=math.prod(shape))
+            .astype(np.float64, copy=False)
+            .reshape(shape)
+            for index, values, shape in zip(self.layout, (A, g_lines, Bt, g_reduced, C), shapes)
+        )
+        return _NormalEquations(
+            A, Bt, C, g_lines, g_reduced, cost, self.slot_cols, self.np_, self.schur
+        )
 
     def raw_residuals_and_jacobian(self, state: _State):
         """Unweighted stacked residual vector and dense Jacobian (for checks)."""

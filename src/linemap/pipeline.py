@@ -315,42 +315,44 @@ def _select_best(
     """
     if not props.gens:
         return [None] * len(props.counts)
-    first: list[int] = []
-    second: list[int] = []
-    column: list[int] = []  # rank of each proposal's generating image within its detection
-    offset = 0
-    for count in props.counts:
-        ranks: dict[int, int] = {}
-        cols = [ranks.setdefault(gen, len(ranks)) for gen in props.gens[offset : offset + count]]
-        for a, col_a in enumerate(cols):
-            for b in range(a + 1, len(cols)):
-                if cols[b] != col_a:
-                    first.append(offset + a)
-                    second.append(offset + b)
-        column += cols
-        offset += count
-    a, b, cols = (np.array(x, dtype=np.intp) for x in (first, second, column))
+    counts = np.array(props.counts, dtype=np.intp)
+    n = len(props.gens)
+    det = np.repeat(np.arange(len(counts)), counts)
+    # rank of each proposal's generating image within its detection, in order
+    # of first appearance: number the (detection, image) groups by first row
+    _, gen = np.unique(np.array(props.gens), return_inverse=True)
+    _, head, group = np.unique(det * (gen.max() + 1) + gen, return_index=True, return_inverse=True)
+    order = np.argsort(head)
+    group_det = det[head[order]]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order)) - np.searchsorted(group_det, group_det)
+    cols = rank[group]
+    # every pair a < b of one detection, a first, then b, from different images
+    after = np.cumsum(counts)[det] - np.arange(n) - 1
+    a = np.repeat(np.arange(n), after)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(after) - after, after)
+    cross = cols[a] != cols[b]
+    a, b = a[cross], b[cross]
     block = proposal_block(props.start, props.end, props.gens, views, ref_view)
     scores = selection_pair_score(block, a, b, config)
     # best[i, r]: proposal i's best score against the r-th generating image of
     # its detection; its own image's column stays 0.0, which adds nothing
-    best = np.zeros((len(props.gens), int(cols.max()) + 1))
+    best = np.zeros((n, int(cols.max()) + 1))
     np.maximum.at(best, (a, cols[b]), scores)
     np.maximum.at(best, (b, cols[a]), scores)
     support = best[:, 0]
     for r in range(1, best.shape[1]):
         support = support + best[:, r]  # one image at a time, as a sequential sum
-    support = support.tolist()
-    selected: list[int | None] = []
-    offset = 0
-    for count in props.counts:
-        if count:
-            idx = max(range(offset, offset + count), key=support.__getitem__)
-            selected.append(idx if support[idx] >= config.accept_threshold else None)
-        else:
-            selected.append(None)
-        offset += count
-    return selected
+    # each detection's first row of largest support, as max() keeps the first
+    # of equal keys (no support is NaN)
+    filled = np.flatnonzero(counts)
+    top = np.maximum.reduceat(support, (np.cumsum(counts) - counts)[filled])
+    hit = np.flatnonzero(support == np.repeat(top, counts[filled]))
+    winners, first = np.unique(det[hit], return_index=True)
+    chosen = np.full(len(counts), -1)
+    chosen[winners] = hit[first]
+    accept = (chosen >= 0) & (support[chosen] >= config.accept_threshold)
+    return [int(k) if ok else None for k, ok in zip(chosen.tolist(), accept.tolist())]
 
 
 def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig()) -> PipelineResult:

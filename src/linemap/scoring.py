@@ -36,13 +36,28 @@ bit for bit (``tests/support.py`` keeps that form as the reference).
 numpy's elementwise ``+ - * /``, ``sqrt`` and ``abs`` round as Python
 floats do, and each 3-vector dot product is written out as ``(a0*b0 +
 a1*b1) + a2*b2``, never handed to ``@`` or ``einsum``.  ``np.exp``,
-``np.arccos``, ``np.hypot`` and ``x * x`` for ``x ** 2`` can differ from
-``math.exp``, ``math.acos``, ``math.hypot`` and Python's ``**`` in the last
-bit, so those run through :mod:`math` element by element.  Python's
-``min(x, y)`` keeps ``x`` unless ``y < x``, NaN included, so it is written
-as ``np.where`` (:func:`~linemap.geometry.min_rows`), not ``np.minimum``;
-the two-view match blocks of :mod:`~linemap.triangulation` share these row
-helpers.  A block stacks its views' ``K R`` and ``K t``
+``np.arccos`` and ``np.hypot`` can differ from ``math.exp``, ``math.acos``
+and ``math.hypot`` in the last bit, and so can ``x * x`` from Python's
+``x ** 2`` (libm's ``pow``): on one x86-64 host 1,670 of 2M random doubles
+differed.  So a value that counts comes from :mod:`math`, and array
+arithmetic only filters: filter first, then decide exactly.  Each
+component's ``y = (r / tau) ** 2`` is estimated as ``x * x``, an angle's
+``acos`` by a series in ``+ - * / sqrt`` near 1 (:func:`_degree_rows`),
+within a relative :data:`FILTER_BAND` of the exact value.  A gate
+``exp(-y) >= SCORE_GATE`` is ``y <= GATE_Y``; only a row whose estimate lies
+within the band of :data:`GATE_Y` calls ``math.exp`` to decide it
+(:func:`_gate_rows`).  A row that passes every gate scores the smallest of
+its components' ``math.exp(-(x ** 2))``, and only a component whose
+estimate lies within the band of the row's largest ``y`` can be that
+smallest one, so one ``math.exp`` (and for an angle its ``math.acos``)
+runs per row, more only on near ties (:func:`_min_similarity`).  The
+filter leans on libm's error bound of one ulp, never on ``exp`` being
+monotone.  A distance so large that Python's ``**`` overflows scores 0
+where the scalar form raises.  Python's ``min(x, y)`` keeps ``x`` unless
+``y < x``, NaN included, so it is written as ``np.where``
+(:func:`~linemap.geometry.min_rows`), not ``np.minimum``; the two-view
+match blocks of :mod:`~linemap.triangulation` share these row helpers.  A
+block stacks its views' ``K R`` and ``K t``
 (:attr:`CameraView.projection <linemap.geometry.CameraView.projection>`),
 and a projection's 2D record is :func:`~linemap.geometry.planar_rows`, so no
 BLAS call touches a score.
@@ -51,7 +66,7 @@ BLAS call touches a score.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,21 +102,127 @@ def _dist_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dot_rows(d, d))
 
 
-def _acute_angles(dots: np.ndarray) -> np.ndarray:
-    """Acute angle from each row's dot product of unit directions, in degrees."""
+def _gate_limit() -> float:
+    """The largest ``y`` with ``math.exp(-y) >= SCORE_GATE``, searched from ``ln 2``."""
+    y = math.log(1.0 / SCORE_GATE)
+    while math.exp(-y) < SCORE_GATE:
+        y = math.nextafter(y, 0.0)
+    while math.exp(-math.nextafter(y, math.inf)) >= SCORE_GATE:
+        y = math.nextafter(y, math.inf)
+    return y
+
+
+GATE_Y = _gate_limit()
+# relative bound on a filter's error, far above the few ulps between x * x and
+# x ** 2 and between the acos series and math.acos (1.6e-14 at most)
+FILTER_BAND = 1e-9
+# absolute margin on y that keeps two computed exp(-y) in order when libm
+# rounds each within one ulp (1.1e-16 on [0.5, 1])
+_TIE = 4e-15
+# the acos series' range: angles up to 30 degrees, cosines from cos(30°)
+_SERIES_DEGREES = 30.0
+_SERIES_COS = math.cos(math.radians(_SERIES_DEGREES))
+# asin(s) = s * sum(c_n * s ** (2 n)) with c_n = (2n)! / (4**n (n!)**2 (2n + 1))
+_ASIN_SERIES = tuple(math.comb(2 * n, n) / (4**n * (2 * n + 1)) for n in range(10))
+
+
+def _clipped_cosines(dots: np.ndarray) -> np.ndarray:
+    """``min(1.0, abs(dot))`` of each row: NaN gives 1.0."""
     c = np.abs(dots)
-    c = np.where(c < 1.0, c, 1.0)  # min(1.0, c): NaN gives 1.0
-    return np.array([math.degrees(math.acos(x)) for x in c.tolist()])
+    return np.where(c < 1.0, c, 1.0)
 
 
-def _normalized_rows(r: np.ndarray, tau: float) -> np.ndarray:
-    """:func:`normalize_distance` of each row."""
-    return np.array([normalize_distance(x, tau) for x in r.tolist()])
+def _exact_degrees(c: list[float]) -> list[float]:
+    """The acute angle of each clipped cosine in degrees, through :mod:`math`."""
+    return [math.degrees(math.acos(x)) for x in c]
 
 
-def _binary_rows(ratio: np.ndarray, tau: float) -> np.ndarray:
-    """1 where an overlap ratio reaches ``tau``, else 0 (NaN included)."""
-    return np.where(ratio >= tau, 1.0, 0.0)
+def _degree_rows(c: np.ndarray, limit: float) -> np.ndarray:
+    """Each clipped cosine's acute angle in degrees, within a relative
+    1.6e-14 of :func:`_exact_degrees`.  Near 1 the angle is ``2 asin(s)``
+    with ``s = sqrt((1 - c) / 2)`` by its series; a row past the series'
+    range reads inf when its angle, over 30 degrees, exceeds ``limit``
+    anyway, and :func:`_exact_degrees` otherwise."""
+    half = 0.5 * (1.0 - c)  # exact: c >= 0.5 wherever it is read
+    poly = np.full(len(c), _ASIN_SERIES[-1])
+    for coef in _ASIN_SERIES[-2::-1]:
+        poly = poly * half + coef
+    degrees = (2.0 * np.sqrt(half) * poly) * (180.0 / math.pi)
+    far = np.flatnonzero(c < _SERIES_COS)
+    if limit < _SERIES_DEGREES:
+        degrees[far] = np.inf
+    elif len(far):
+        degrees[far] = _exact_degrees(c[far].tolist())
+    return degrees
+
+
+class _Gated(NamedTuple):
+    """One gated component of a block, ``exp(-(x ** 2))`` with ``x = r / tau``
+    on each row.
+
+    ``y`` estimates ``x ** 2`` within :data:`FILTER_BAND`; ``exact(rows)``
+    gives those rows' ``x`` as the scalar form computes it.
+    """
+
+    y: np.ndarray
+    exact: Callable[[np.ndarray], list[float]]
+
+    def take(self, rows: np.ndarray) -> _Gated:
+        return _Gated(self.y[rows], lambda sub: self.exact(rows[sub]))
+
+
+def _distance_term(r: np.ndarray, tau: float) -> _Gated:
+    """The component of the raw distances ``r`` (:func:`normalize_distance`)."""
+    x = r / tau
+    return _Gated(x * x, lambda rows: x[rows].tolist())
+
+
+def _angle_term(cosines: tuple[np.ndarray, ...], tau: float) -> _Gated:
+    """The component of an acute angle, or of the mean of two (the image
+    components average two views), from each row's clipped cosines
+    (:func:`_clipped_cosines`)."""
+    # a mean at or below the gate has each angle below twice the gate's angle
+    limit = len(cosines) * tau * math.sqrt(GATE_Y * (1.0 + FILTER_BAND))
+
+    def mean(a, b=None):
+        return a if b is None else 0.5 * (a + b)
+
+    def exact(rows):
+        return [mean(*d) / tau for d in zip(*(_exact_degrees(c[rows].tolist()) for c in cosines))]
+
+    x = mean(*(_degree_rows(c, limit) for c in cosines)) / tau
+    return _Gated(x * x, exact)
+
+
+def _gate_rows(terms: list[_Gated], ok: np.ndarray) -> np.ndarray:
+    """Which rows pass every term's gate ``exp(-y) >= SCORE_GATE``, of those
+    that ``ok`` (a boolean array, updated in place) lets through.
+
+    A row whose estimate lies within :data:`FILTER_BAND` of :data:`GATE_Y`
+    is decided by :func:`normalize_distance`'s own test; NaN fails.
+    """
+    low, high = GATE_Y * (1.0 - FILTER_BAND), GATE_Y * (1.0 + FILTER_BAND)
+    for term in terms:
+        unsure = np.flatnonzero(ok & (term.y > low) & (term.y <= high))
+        ok &= term.y <= GATE_Y
+        ok[unsure] = [math.exp(-(x**2)) >= SCORE_GATE for x in term.exact(unsure)]
+    return ok
+
+
+def _min_similarity(terms: list[_Gated]) -> np.ndarray:
+    """The smallest ``math.exp(-(x ** 2))`` over ``terms`` on each row, every
+    row past every gate.  Only the terms whose estimate lies within
+    :data:`FILTER_BAND` (plus :data:`_TIE`) of the row's largest can give
+    it, and only theirs are computed."""
+    y = np.stack([term.y for term in terms])
+    top = y.max(axis=0, initial=0.0)
+    near = y >= top - (FILTER_BAND * top + _TIE)
+    out = np.full(y.shape[1], np.inf)
+    for term, pick in zip(terms, near):
+        sel = np.flatnonzero(pick)
+        values = np.array([math.exp(-(x**2)) for x in term.exact(sel)])
+        out[sel] = min_rows(out[sel], values)
+    return out
 
 
 def _overlap_rows(t_start: np.ndarray, t_end: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -141,9 +262,9 @@ def _perpendicular_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
     return 0.5 * (to_b + to_a)
 
 
-def _angle_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
+def _cosine_rows(a: PlanarRows, b: PlanarRows) -> np.ndarray:
     # the directions' third terms are 0.0 * 0.0, which abs() cannot tell from no term
-    return _acute_angles(a.u * b.u + a.v * b.v)
+    return _clipped_cosines(a.u * b.u + a.v * b.v)
 
 
 def _along_planar(a: PlanarRows, b: PlanarRows) -> tuple[np.ndarray, np.ndarray]:
@@ -207,15 +328,14 @@ def _cross_rows(block, a: np.ndarray, b: np.ndarray):
     return kept, (pa, pb), (qa, qb)
 
 
-def _image_components(p, q, config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+def _image_components(p, q, config: PipelineConfig) -> list[_Gated]:
     """2D angle and perpendicular components, each averaged over both views."""
     (pa, pb), (qa, qb) = p, q
-    angle = 0.5 * (_angle_rows(pa, pb) + _angle_rows(qa, qb))
     perpendicular = 0.5 * (_perpendicular_rows(pa, pb) + _perpendicular_rows(qa, qb))
-    return (
-        _normalized_rows(angle, config.tau_angle_2d),
-        _normalized_rows(perpendicular, config.tau_perp_2d),
-    )
+    return [
+        _angle_term((_cosine_rows(pa, pb), _cosine_rows(qa, qb)), config.tau_angle_2d),
+        _distance_term(perpendicular, config.tau_perp_2d),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +413,22 @@ def selection_pair_score(
     other proposal's view.
     """
     a, b = np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp)
-    score = min_rows(
-        _normalized_rows(
-            _acute_angles(dot_rows(block.direction[a], block.direction[b])), config.tau_angle_3d
+    three_d = [
+        _angle_term(
+            (_clipped_cosines(dot_rows(block.direction[a], block.direction[b])),),
+            config.tau_angle_3d,
         ),
-        _normalized_rows(perspective_distance(block, a, b), config.tau_perspective),
-    )
-    past = np.flatnonzero(score > 0.0)
+        _distance_term(perspective_distance(block, a, b), config.tau_perspective),
+    ]
+    past = np.flatnonzero(_gate_rows(three_d, np.ones(len(a), dtype=bool)))
     kept, p, q = _cross_rows(block, a[past], b[past])
-    angle, perpendicular = _image_components(p, q, config)
-    rows = past[kept]
-    scores = np.zeros(len(score))
-    scores[rows] = min_rows(min_rows(score[rows], angle), perpendicular)
+    image = _image_components(p, q, config)
+    passed = np.flatnonzero(_gate_rows(image, np.ones(len(kept), dtype=bool)))
+    rows = past[kept[passed]]
+    scores = np.zeros(len(a))
+    scores[rows] = _min_similarity(
+        [term.take(rows) for term in three_d] + [term.take(passed) for term in image]
+    )
     return scores
 
 
@@ -396,21 +520,20 @@ def track_pair_score(
     turn = (dots < 0.0)[:, None]
     on_a = np.where(turn, on_a[1], on_a[0]), np.where(turn, on_a[0], on_a[1])
     inner = max_rows(_dist_rows(on_a[0], on_b[0]), _dist_rows(on_a[1], on_b[1]))
-    score = min_rows(
-        min_rows(
-            _normalized_rows(_acute_angles(dots), config.tau_angle_3d),
-            _binary_rows(overlap, config.tau_overlap),
+    three_d = [
+        _angle_term((_clipped_cosines(dots),), config.tau_angle_3d),
+        _distance_term(
+            np.where(low, 0.0, inner) / np.where(low, 1.0, scale), config.tau_innerseg
         ),
-        _normalized_rows(np.where(low, 0.0, inner) / np.where(low, 1.0, scale), config.tau_innerseg),
-    )
-    past = np.flatnonzero((score > 0.0) & ~low)
+    ]
+    past = np.flatnonzero(_gate_rows(three_d, (overlap >= config.tau_overlap) & ~low))
     kept, p, q = _cross_rows(block, a[past], b[past])
-    angle, perpendicular = _image_components(p, q, config)
+    image = _image_components(p, q, config)
     overlap = min_rows(_mutual_overlap_planar(*p), _mutual_overlap_planar(*q))
-    rows = past[kept]
-    scores = np.zeros(len(score))
-    scores[rows] = min_rows(
-        min_rows(min_rows(score[rows], angle), perpendicular),
-        _binary_rows(overlap, config.tau_overlap),
+    passed = np.flatnonzero(_gate_rows(image, overlap >= config.tau_overlap))
+    rows = past[kept[passed]]
+    scores = np.zeros(len(a))
+    scores[rows] = _min_similarity(
+        [term.take(rows) for term in three_d] + [term.take(passed) for term in image]
     )
     return scores

@@ -23,8 +23,10 @@ gives (``tests/support.py`` keeps that form as the oracle): only ``+ - * /``,
 ``sqrt`` and ``abs`` run as numpy arithmetic, each 3-vector product is
 summed term by term as :func:`~linemap.geometry.dot3` does, Python's
 ``min`` and ``max`` are :func:`~linemap.geometry.min_rows` and
-:func:`~linemap.geometry.max_rows`, and the plane angle's ``asin`` and
-``degrees`` run through :mod:`math` element by element.  No BLAS call
+:func:`~linemap.geometry.max_rows`, and the plane angle's sine decides the
+degeneracy test wherever it lies clearly off the threshold's sine; only the
+rows within a relative :data:`~linemap.scoring.FILTER_BAND` of it take
+``asin`` and ``degrees`` through :mod:`math`.  No BLAS call
 touches a row, and a degenerate configuration scores IoU 0 or gets a
 failure flag, never a division error.
 
@@ -61,6 +63,7 @@ from .geometry import (
     min_rows,
     principal_lines,
 )
+from .scoring import FILTER_BAND
 
 
 MIN_PLANE_ANGLE_DEG = 1.0  # a reference ray closer to the match plane is degenerate
@@ -236,8 +239,16 @@ def degenerate_rows(ray: np.ndarray, normal: np.ndarray, min_angle_deg: float) -
     zero = scale == 0.0
     s = np.abs(dot_rows(ray, normal)) / np.where(zero, 1.0, scale)
     s = np.where(s < 1.0, s, 1.0)  # min(1.0, s): NaN gives 1.0
-    angle = np.array([math.degrees(math.asin(x)) for x in s.tolist()])
-    return zero | (angle < min_angle_deg)
+    # asin is increasing with slope >= 1, so a sine off the threshold's sine
+    # by more than the band is decided without it
+    degenerate = np.zeros(len(s), dtype=bool)
+    unsure = np.arange(len(s))
+    if 0.0 < min_angle_deg < 90.0:
+        edge = math.sin(math.radians(min_angle_deg))
+        degenerate = s < edge * (1.0 - FILTER_BAND)
+        unsure = np.flatnonzero(~degenerate & (s <= edge * (1.0 + FILTER_BAND)))
+    degenerate[unsure] = [math.degrees(math.asin(x)) < min_angle_deg for x in s[unsure].tolist()]
+    return zero | degenerate
 
 
 class AlgebraicRows(NamedTuple):

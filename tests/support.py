@@ -27,7 +27,7 @@ from linemap.geometry import (
     trimmed_extent,
 )
 from linemap.metrics import min_distance_to_segments, sample_segments
-from linemap.optimize import ASSOC_LOSS_SCALE
+from linemap.optimize import ASSOC_LOSS_SCALE, _loss_value_and_weight
 from linemap.scoring import normalize_distance
 from linemap.triangulation import (
     CheiralityError,
@@ -365,6 +365,69 @@ def reference_normal_equations(problem, config, points, lines, vps):
             for off_j, Jj in parts:
                 H[off_i : off_i + di, off_j : off_j + Jj.shape[1]] += (sw * Ji).T @ (sw * Jj)
     return H, g, cost
+
+
+# The batched assembly and Schur step as one ``np.add.at`` scatter per term
+# and matrix.  ``linemap.optimize`` sums the same contributions in the same
+# order with one ``np.bincount`` per matrix, so its parts must equal these bit
+# for bit.
+
+
+def reference_scatter_normal_equations(lin, state):
+    """``(A, Bt, C, g_lines, g_reduced, cost)`` of ``lin`` (an
+    ``optimize._Linearizer``) at ``state``, one ``np.add.at`` per block."""
+    n_lines, n_slots = lin.slot_cols.shape
+    A = np.zeros((n_lines, 4, 4))
+    Bt = np.zeros((n_lines, n_slots, 4))
+    C = np.zeros((lin.n_reduced, lin.n_reduced))
+    g_lines = np.zeros((n_lines, 4))
+    g_reduced = np.zeros(lin.n_reduced)
+    cost = 0.0
+    for term, (r, J_line, J_reduced) in zip(lin.terms, lin.residuals(state)):
+        val, w = _loss_value_and_weight(term.loss, np.einsum("ki,ki->k", r, r), term.scale)
+        cost += float(np.sum(val))
+        sw = np.sqrt(w)[:, None]
+        rw = sw * r
+        Jw = [sw[:, :, None] * J for J in J_reduced]
+        if J_line is not None:
+            Jl = sw[:, :, None] * J_line
+            np.add.at(A, term.lines, Jl.transpose(0, 2, 1) @ Jl)
+            np.add.at(g_lines, term.lines, np.einsum("kri,kr->ki", Jl, rw))
+            for Ji in Jw:
+                np.add.at(Bt, (term.lines[:, None], term.slots), Ji.transpose(0, 2, 1) @ Jl)
+        for cols_i, Ji in zip(term.cols, Jw):
+            np.add.at(g_reduced, cols_i, np.einsum("kri,kr->ki", Ji, rw))
+            for cols_j, Jj in zip(term.cols, Jw):
+                H_ij = Ji.transpose(0, 2, 1) @ Jj
+                np.add.at(C, (cols_i[:, :, None], cols_j[:, None, :]), H_ij)
+    return A, Bt, C, g_lines, g_reduced, cost
+
+
+def reference_scatter_step(ne, damping):
+    """The damped step of ``ne`` (``optimize._NormalEquations``), the Schur
+    update scattered with ``np.add.at`` into an ``(n + 1)``-square matrix
+    whose last row and column take the unused slots."""
+    n = len(ne.C)
+    diag_A = np.einsum("lii->li", ne.A)
+    diag_C = np.diag(ne.C)
+    floor = 1e-12 * max(1.0, np.concatenate([diag_C, diag_A.ravel()]).max(initial=0.0))
+    A = ne.A.copy()
+    A[:, np.arange(4), np.arange(4)] += damping * np.maximum(diag_A, floor)
+    S = np.zeros((n + 1, n + 1))
+    S[:n, :n] = ne.C
+    S[np.arange(n), np.arange(n)] += damping * np.maximum(diag_C, floor)
+    B = ne.Bt.transpose(0, 2, 1)
+    Y = np.linalg.solve(A, np.concatenate([ne.g_lines[:, :, None], B], axis=2))
+    BtY = np.einsum("lsi,lij->lsj", ne.Bt, Y)
+    cols = ne.slot_cols
+    np.add.at(S, (cols[:, :, None], cols[:, None, :]), -BtY[:, :, 1:])
+    rhs = np.append(-ne.g_reduced, 0.0)
+    np.add.at(rhs, cols, BtY[:, :, 0])
+    x = np.append(np.linalg.solve(S[:n, :n], rhs[:n]), 0.0)
+    rhs_lines = -ne.g_lines - np.einsum("lsi,ls->li", ne.Bt, x[cols])
+    x_lines = np.linalg.solve(A, rhs_lines[:, :, None])[:, :, 0]
+    p = ne.n_point_cols
+    return np.concatenate([x[:p], x_lines.ravel(), x[p:n]])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,16 @@ from linemap.optimize import (
 )
 from linemap.synthetic import ObservationConfig, SceneConfig, build_scene, observe_scene
 
-from support import endpoint_rays, make_view, reference_normal_equations
+from linemap import pipeline
+from linemap.config import PipelineConfig
+from linemap.pipeline import PipelineInput, run_pipeline
+from support import (
+    endpoint_rays,
+    make_view,
+    reference_normal_equations,
+    reference_scatter_normal_equations,
+    reference_scatter_step,
+)
 
 
 def ring_views(n=4, radius=3.0, height=0.6):
@@ -303,6 +312,57 @@ def point_only_problem():
         for img in views:
             problem.point_obs.append((pi, img, views[img].project_point(pts[pi]) + 0.7))
     return problem
+
+
+class _Captured(Exception):
+    pass
+
+
+def acceptance_problem(monkeypatch):
+    """The joint problem that run_pipeline refines on the noisy acceptance
+    scene (16 views, 1 px noise, 20% outlier matches, seed 7)."""
+    scene = build_scene(SceneConfig(n_views=16))
+    obs = observe_scene(scene, ObservationConfig(noise_px=1.0, outlier_fraction=0.2, seed=7))
+    data = PipelineInput(scene.views, obs.detections, obs.matches, scene.junctions, obs.points2d)
+
+    def capture(problem, config):
+        raise _Captured(problem)
+
+    monkeypatch.setattr(pipeline, "optimize", capture)
+    with pytest.raises(_Captured) as captured:
+        run_pipeline(data, PipelineConfig())
+    return captured.value.args[0]
+
+
+class TestOrderedAssembly:
+    """One ordered bincount per matrix, and the seeded Schur update, against
+    the ``np.add.at`` scatter they replace: equal bit for bit."""
+
+    def check_against_scatter(self, problem, dampings):
+        lin = _Linearizer(problem, OptimizeConfig())
+        state = _State.initial(problem)
+        moved = state.retract(1e-3 * np.random.default_rng(5).standard_normal(lin.nv), lin.offsets)
+        for s in (state, moved):
+            ne = lin.normal_equations(s)
+            got = (ne.A, ne.Bt, ne.C, ne.g_lines, ne.g_reduced)
+            *want, cost = reference_scatter_normal_equations(lin, s)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and (g == w).all()
+            assert ne.cost == cost
+            for damping in dampings:
+                assert (ne.step(damping) == reference_scatter_step(ne, damping)).all()
+        return lin
+
+    def test_acceptance_problem_matches_the_scatter(self, monkeypatch):
+        problem = acceptance_problem(monkeypatch)
+        assert problem.points.size and problem.vps.size and problem.point_line and problem.line_vp
+        self.check_against_scatter(problem, (1e-4, 10.0))
+
+    def test_tiled_problem_matches_the_scatter(self):
+        rng = np.random.default_rng(19)
+        problem = tiled_problem([make_mixed_problem(rng) for _ in range(60)])
+        lin = self.check_against_scatter(problem, (1e-4, 1e2))
+        assert lin.n_reduced > 500
 
 
 class TestSchurStep:

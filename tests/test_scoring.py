@@ -540,3 +540,146 @@ def test_track_block_equals_the_reference_pair_by_pair():
     assert not block.own.ok[-4]  # a point in its own view
     assert kinds["nan"] >= 50 and kinds["zero"] >= 500
     assert kinds["positive"] >= 40 and kinds["turned"] >= 60
+
+
+# ---------------------------------------------------------------------------
+# the gated kernels: array filters, math only where a value counts
+# ---------------------------------------------------------------------------
+
+
+def gated_scores(terms):
+    """Each row's score from gated ``terms`` as the pair scores combine them:
+    0 unless every gate passes, else the smallest similarity."""
+    n = len(terms[0].y)
+    rows = np.flatnonzero(scoring._gate_rows(terms, np.ones(n, dtype=bool)))
+    scores = np.zeros(n)
+    scores[rows] = scoring._min_similarity([term.take(rows) for term in terms])
+    return scores
+
+
+def ulps(x, k):
+    """``x`` moved ``k`` representable doubles (toward +inf when k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def squares_that_differ(rng, low, high, count):
+    """Values in [low, high) whose ``x ** 2`` differs from ``x * x``."""
+    found = []
+    while len(found) < count:
+        for x in rng.uniform(low, high, 20_000).tolist():
+            if x**2 != x * x:
+                found.append(x)
+    return found[:count]
+
+
+def test_gate_limit_is_the_largest_y_whose_similarity_passes():
+    y = scoring.GATE_Y
+    assert math.exp(-y) >= scoring.SCORE_GATE > math.exp(-math.nextafter(y, math.inf))
+    assert abs(y - math.log(2.0)) < 1e-15
+
+
+def test_distance_kernel_equals_normalize_distance_row_by_row():
+    # y within a few ulps of the gate, x where x ** 2 != x * x, NaN, +-inf,
+    # +-0.0, negative and large distances, under two taus
+    rng = np.random.default_rng(61)
+    edge = math.sqrt(scoring.GATE_Y)
+    xs = [ulps(edge, k) for k in range(-6, 7)]
+    xs += squares_that_differ(rng, 0.0, 1.2, 200)
+    xs += [math.nan, math.inf, -math.inf, 0.0, -0.0, -0.5, -edge, 1e-300, 5e-162, 1e100]
+    xs += rng.uniform(0.0, 1.5, 300).tolist()
+    for tau in (1.0, 0.015, 7.0):
+        r = np.array(xs) * tau
+        (term,) = terms = [scoring._distance_term(r, tau)]
+        want = [normalize_distance(x, tau) for x in r.tolist()]
+        assert gated_scores(terms).tolist() == want
+        band = np.abs(term.y - scoring.GATE_Y) <= scoring.FILTER_BAND * scoring.GATE_Y
+        assert band.sum() >= 6  # rows decided by math.exp, not by the filter
+
+
+def test_several_components_equal_the_minimum_of_normalize_distance():
+    # the smallest similarity over components that tie exactly, lie one ulp
+    # apart (equal or unequal x * x), straddle the gate, or are all zero
+    rng = np.random.default_rng(62)
+    edge = math.sqrt(scoring.GATE_Y)
+    base = squares_that_differ(rng, 0.2, 0.9, 100) + [ulps(edge, k) for k in range(-4, 5)]
+    base += rng.uniform(0.0, 1.0, 200).tolist() + [0.0, -0.0, 1e-9, math.nan]
+    columns = [base]
+    columns.append(base[:])  # exact ties
+    columns.append([ulps(x, 1) if math.isfinite(x) else x for x in base])
+    columns.append([ulps(x, -1) if math.isfinite(x) and x > 0 else 0.0 for x in base])
+    columns.append(rng.permutation(base).tolist())
+    taus = (1.0, 3.0, 0.5, 2.0, 10.0)
+    terms = [scoring._distance_term(np.array(col) * tau, tau) for col, tau in zip(columns, taus)]
+    want = [
+        min(normalize_distance(x * tau, tau) for x, tau in zip(row, taus)) for row in zip(*columns)
+    ]
+    assert gated_scores(terms).tolist() == want
+
+
+def angle_oracle(dots, tau):
+    """``normalize_distance`` of each acute angle, as the reference scores compute it."""
+    return [
+        normalize_distance(math.degrees(math.acos(min(1.0, abs(d)))), tau) for d in dots
+    ]
+
+
+@pytest.mark.parametrize("tau", [10.0, 8.0, 60.0, 0.1])
+def test_angle_kernel_equals_the_scalar_angle_row_by_row(tau):
+    # |cos| = 1, -0.0, NaN, cosines just past 1, cosines a few ulps around the
+    # gate's angle, and angles well past the series' 30 degrees; a 60 degree
+    # tau gates at 50 degrees, so those rows fall back to math.acos
+    rng = np.random.default_rng(63)
+    gate = math.cos(math.radians(tau * math.sqrt(scoring.GATE_Y)))
+    dots = [ulps(gate, k) for k in range(-40, 41)] + [-ulps(gate, k) for k in range(-3, 4)]
+    dots += [1.0, -1.0, 0.0, -0.0, math.nan, ulps(1.0, 1), -ulps(1.0, 1), ulps(1.0, -1), 1.5]
+    dots += np.cos(np.radians(rng.uniform(0.0, 90.0, 400))).tolist()
+    dots += np.cos(np.radians(rng.uniform(0.0, 1e-3, 50))).tolist()
+    c = scoring._clipped_cosines(np.array(dots))
+    (term,) = terms = [scoring._angle_term((c,), tau)]
+    assert gated_scores(terms).tolist() == angle_oracle(dots, tau)
+    # the mean of two angles, as the image components average two views
+    other = rng.permutation(dots).tolist()
+    c2 = scoring._clipped_cosines(np.array(other))
+    degrees = [math.degrees(math.acos(min(1.0, abs(d)))) for d in dots]
+    other_degrees = [math.degrees(math.acos(min(1.0, abs(d)))) for d in other]
+    want = [normalize_distance(0.5 * (a + b), tau) for a, b in zip(degrees, other_degrees)]
+    assert gated_scores([scoring._angle_term((c, c2), tau)]).tolist() == want
+    # with a distance that ties the angle exactly on each row
+    tie = scoring._distance_term(np.array(degrees), tau)
+    assert gated_scores([term, tie]).tolist() == angle_oracle(dots, tau)
+    if tau == 60.0:
+        far = c < scoring._SERIES_COS
+        assert far.sum() > 50 and np.isfinite(term.y[far]).all()
+
+
+def test_pair_scores_near_the_angle_gate_equal_the_reference():
+    # b turned about a's midpoint by angles a few 1e-13 around the 3D angle
+    # gate, and at 50 degrees under a 60 degree tau (the acos fallback):
+    # every row equals the scalar reference, the selection and track scores
+    ref = make_view([0.0, 0.0, -4.0])
+    va, vb = make_view([3.0, 0.5, -0.5]), make_view([2.5, -1.0, 1.0])
+    a = seg3([-0.5, 0.1, 0.2], [0.6, -0.2, 0.1])
+    axis = normalized(np.cross(a.direction, [0.0, 0.0, 1.0]))
+    mid = 0.5 * (a.start + a.end)
+    for tau in (10.0, 60.0):
+        cfg = PipelineConfig(tau_angle_3d=tau, tau_perspective=1.0, tau_innerseg=1e3)
+        gate = tau * math.sqrt(scoring.GATE_Y)
+        angles = [gate * (1.0 + k * 1e-13) for k in range(-20, 21)] + [0.0, 50.0, 0.5 * gate]
+        segments = [a]
+        for deg in angles:
+            half = math.radians(deg) / 2.0
+            R = quat_to_rotmat(np.array([math.cos(half), *(math.sin(half) * axis)]))
+            segments.append(seg3(mid + R @ (a.start - mid), mid + R @ (a.end - mid)))
+        first = [0] * len(angles)
+        second = list(range(1, len(segments)))
+        owners = [0] + [1] * len(angles)
+        block = proposal_block(*endpoint_rows(segments), owners, {0: va, 1: vb}, ref)
+        scores = selection_pair_score(block, first, second, cfg).tolist()
+        want = [reference_selection_pair_score(a, b, ref, va, vb, cfg) for b in segments[1:]]
+        assert scores == want
+        assert 0 < sum(s > 0 for s in scores) < len(scores)
+        block = track_block(segments, owners, {0: va, 1: vb})
+        scores = track_pair_score(block, first, second, cfg).tolist()
+        assert scores == [reference_track_pair_score(a, va, b, vb, cfg) for b in segments[1:]]

@@ -6,7 +6,8 @@ a public function is set by some call, every imported name is used, no
 object's ``__dict__`` is written, the pair scores make no BLAS call, the
 selection, track and two-view match blocks and geometry's rows keep to the
 numpy calls that round as Python floats do, the rescue, trim and graph
-blocks make no BLAS call and only two LAPACK ones, no random draw runs once per
+blocks make no BLAS call and only two LAPACK ones, joint refinement neither
+scatters with ``np.add.at`` nor calls ``np.cross``, no random draw runs once per
 loop iteration, track building scores no pair once per loop iteration, and
 the pipeline forms, gates and triangulates no match once per loop
 iteration, and neither it nor refinement rescues, fits or trims once per
@@ -231,11 +232,18 @@ def test_scoring_has_no_matrix_product():
 # the pair-score blocks: elementwise numpy that rounds as the scalar formulas do
 ROW_CODE = (
     "_dist_rows",
-    "_acute_angles",
-    "_normalized_rows",
+    "_gate_limit",
+    "_clipped_cosines",
+    "_exact_degrees",
+    "_degree_rows",
+    "_Gated.take",
+    "_distance_term",
+    "_angle_term",
+    "_gate_rows",
+    "_min_similarity",
     "_project_rows",
     "_perpendicular_rows",
-    "_angle_rows",
+    "_cosine_rows",
     "_segment_rows",
     "_view_rows",
     "_cross_rows",
@@ -243,7 +251,6 @@ ROW_CODE = (
 )
 SELECTION_BLOCK_CODE = ROW_CODE + ("proposal_block", "perspective_distance", "selection_pair_score")
 TRACK_BLOCK_CODE = ROW_CODE + (
-    "_binary_rows",
     "_overlap_rows",
     "_along_planar",
     "_mutual_overlap_planar",
@@ -418,6 +425,25 @@ def test_rescue_trim_and_graph_blocks_make_only_exact_numpy_calls():
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
     ]
     assert imports == []
+
+
+def test_refinement_neither_scatters_with_add_at_nor_calls_np_cross():
+    # joint refinement sums each matrix of its normal equations, and the
+    # Schur update, with one np.bincount in a layout fixed per problem, and
+    # takes every cross product through geometry.cross_rows
+    def numpy_attribute(node, *names):
+        for name in reversed(names):
+            if not (isinstance(node, ast.Attribute) and node.attr == name):
+                return False
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == "np"
+
+    found = [
+        f"optimize.{where}:{node.lineno}"
+        for where, node in _scoped_nodes(TREES["optimize.py"])
+        if numpy_attribute(node, "add", "at") or numpy_attribute(node, "cross")
+    ]
+    assert found == []
 
 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

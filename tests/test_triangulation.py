@@ -165,6 +165,45 @@ def test_check_degeneracy_threshold():
     assert is_degenerate(tilted, n, 3.0)
 
 
+def unit_rays_with_sines(sines):
+    """Rays ``(c, 0, s)`` with ``c * c + s * s == 1.0``, so that against the
+    normal ``(0, 0, 1)`` the plane angle's sine is ``s`` exactly."""
+    rays = []
+    for s in sines:
+        c = math.sqrt(1.0 - s * s)
+        rays += [(x, 0.0, s) for x in (c, math.nextafter(c, 0.0), math.nextafter(c, 2.0))
+                 if x * x + s * s == 1.0][:1]
+    return rays
+
+
+# at 0.97 and 1.09 degrees the sine one ulp below, or at, sin(threshold)
+# already reads an angle of at least the threshold through math.asin
+@pytest.mark.parametrize(
+    "min_angle_deg", [1.0, 0.5, 0.97, 1.09, 30.0, 89.99, 90.0, 120.0, 0.0, -1.0]
+)
+def test_degenerate_rows_at_the_angle_boundary_equal_the_asin_oracle(min_angle_deg):
+    # rays whose plane angle lies a few ulps around the threshold (the rows
+    # math.asin decides), far from it, in the plane, along the normal, of
+    # zero length and NaN, each against the per-element math.asin oracle
+    rng = np.random.default_rng(71)
+    edge = math.tan(math.radians(min(max(min_angle_deg, 1e-3), 89.0)))
+    heights = [edge * (1.0 + k * 2e-16) for k in range(-40, 41)]
+    heights += [0.0, -0.0, -edge, 1e-300, 1e300, math.nan, math.inf]
+    heights += rng.uniform(-2.0, 2.0, 200).tolist()
+    rays = [(1.0, 0.0, z) for z in heights] + [(0.0, 0.0, 0.0), (0.0, 0.0, 2.5), (0.3, -0.4, 0.0)]
+    sine = math.sin(math.radians(min_angle_deg))
+    rays += unit_rays_with_sines(min(1.0, sine * (1.0 + k * 1.1e-16)) for k in range(-6, 7))
+    rays += [tuple(v) for v in rng.normal(size=(100, 3)).tolist()]
+    normals = [(0.0, 0.0, 1.0)] * (len(rays) - 100)
+    normals += [tuple(v) for v in rng.normal(size=(100, 3)).tolist()]
+    normals[-101] = (0.0, 0.0, 0.0)  # a zero normal
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf and 1e300 rows
+        got = degenerate_rows(np.array(rays), np.array(normals), min_angle_deg).tolist()
+    assert got == [float_check_degeneracy(r, n, min_angle_deg) for r, n in zip(rays, normals)]
+    if 0.0 < min_angle_deg < 89.0:
+        assert 0 < sum(got[:81]) < 81  # the boundary rows fall on both sides
+
+
 # ---------------------------------------------------------------------------
 # multi-point triangulation
 # ---------------------------------------------------------------------------
