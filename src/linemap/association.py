@@ -18,16 +18,19 @@ from .geometry import (
     EPS,
     CameraView,
     Segment2D,
+    cross_rows,
     distinct_index_pairs,
     leading_sign,
     normalized,
     point_segment_distances,
     stack_segments_2d,
 )
+from .scoring import FILTER_BAND
 from .tracks import UnionFind
 
 VP_MAX_MODELS = 8  # vanishing points one image can give
 VP_ITERATIONS = 500  # two-segment hypotheses per RANSAC round
+VP_BLOCK = 128  # distinct hypotheses scored per residual block
 VP_TRACK_MAX_ANGLE_DEG = 10.0  # world-direction disagreement two merged VP detections may have
 
 
@@ -90,6 +93,56 @@ def _vp_residuals(mids_h: np.ndarray, starts_h: np.ndarray, ends_h: np.ndarray, 
     return np.where(norms < EPS, np.inf, num / np.maximum(norms, EPS))
 
 
+def _vp_inliers(
+    mids: np.ndarray, starts: np.ndarray, ends: np.ndarray, vps: np.ndarray, inlier_px: float
+) -> np.ndarray:
+    """``_vp_residuals(mids, starts, ends, vps) <= inlier_px`` for a ``(k, 3)``
+    stack of VPs, as a ``(k, n)`` mask, for homogeneous rows whose last
+    coordinate is 1.0.
+
+    A product with that 1.0 is its other factor, so those products are left
+    out and the lines and numerators keep their bits.  Outside a relative
+    :data:`~linemap.scoring.FILTER_BAND` of equality, ``num**2`` against
+    ``inlier_px**2 * (l0**2 + l1**2)`` decides (each side is a few roundings
+    off its exact value); ``hypot`` and the division run only on the
+    elements inside the band, with a line norm below ``2 * EPS``, with a
+    square past ``_HUGE`` or not finite, or for a threshold outside
+    ``_PX_RANGE``.
+    """
+    v0, v1, v2 = vps[:, 0, None], vps[:, 1, None], vps[:, 2, None]
+    m0, m1 = mids[:, 0], mids[:, 1]
+    l0 = m1 * v2 - v1
+    l1 = v0 - m0 * v2
+    l2 = m0 * v1 - m1 * v0
+    num = np.maximum(
+        np.abs(l0 * starts[:, 0] + l2 + l1 * starts[:, 1]),
+        np.abs(l0 * ends[:, 0] + l2 + l1 * ends[:, 1]),
+    )
+    if _PX_RANGE[0] <= inlier_px <= _PX_RANGE[1]:
+        sq = l0 * l0 + l1 * l1
+        lhs, rhs = num * num, (inlier_px * inlier_px) * sq
+        inlier = lhs < rhs * (1.0 - FILTER_BAND)
+        unsure = ~(inlier | (lhs > rhs * (1.0 + FILTER_BAND)))
+        unsure |= ~((sq >= _MIN_SQUARE) & (lhs <= _HUGE) & (rhs <= _HUGE))
+    else:
+        inlier, unsure = np.zeros(num.shape, dtype=bool), np.ones(num.shape, dtype=bool)
+    i, j = np.nonzero(unsure)
+    if len(i):
+        norms = np.hypot(l0[i, j], l1[i, j])
+        r = np.where(norms < EPS, np.inf, num[i, j] / np.maximum(norms, EPS))
+        inlier[i, j] = r <= inlier_px
+    return inlier
+
+
+# where :func:`_vp_inliers` decides on squares: line norms of at least 2 * EPS
+# (so that no residual is the infinite one), squares below _HUGE, and
+# thresholds whose square is a normal double with room to spare; a numerator
+# whose square underflows then lies far below any such threshold
+_MIN_SQUARE = (2.0 * EPS) ** 2
+_HUGE = 1e290
+_PX_RANGE = (1e-100, 1e100)
+
+
 def estimate_vps(
     segments: list[Segment2D],
     inlier_px: float = 1.0,
@@ -102,13 +155,17 @@ def estimate_vps(
     segment ``i`` or -1; at most :data:`VP_MAX_MODELS` VPs are found.  Each
     round samples :data:`VP_ITERATIONS` two-segment models, keeps the
     one with the largest support among the not-yet-assigned segments (the
-    first one on ties), and refines it on its inliers (null vector of the
-    stacked line equations).  A round's hypotheses are scored together as
-    one residual matrix; a pair with identical supporting lines counts no
-    support.  A round draws its pairs in one generator call
+    first one drawn on ties), and refines it on its inliers (null vector of
+    the stacked line equations).  A pair with identical supporting lines
+    counts no support.  A round draws its pairs in one generator call
     (:func:`~linemap.geometry.distinct_index_pairs`).  A model needs two
     segments, so ``min_support`` below 2 counts as 2.  Deterministic for a
     fixed seed.
+
+    A pair and its reverse give negated models, whose residuals are the
+    same bits (``hypot`` and ``abs`` are symmetric), so each distinct pair
+    of a round is scored once, in blocks of :data:`VP_BLOCK` models
+    (:func:`_vp_inliers`), and its count is read back in draw order.
 
     Raises:
         ValueError: if a segment is shorter than EPS.
@@ -120,21 +177,26 @@ def estimate_vps(
     ends, planar = stack_segments_2d(segments)  # homogeneous endpoints (x, y, 1)
     starts_h, ends_h = ends[:, 0], ends[:, 1]
     lines = np.stack([planar.l0, planar.u, planar.l2], axis=1)
-    mids_h = 0.5 * (starts_h + ends_h)
+    mids_h = 0.5 * (starts_h + ends_h)  # 0.5 * (1 + 1) is 1: the rows end in 1.0
     remaining = np.arange(n)
     vps: list[np.ndarray] = []
 
     while len(remaining) >= min_support and len(vps) < VP_MAX_MODELS:
+        left = len(remaining)
         rm, rs, re = mids_h[remaining], starts_h[remaining], ends_h[remaining]
-        pairs = remaining[distinct_index_pairs(rng, len(remaining), VP_ITERATIONS)]
-        cand = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
-        inliers = _vp_residuals(rm, rs, re, cand) <= inlier_px
+        drawn = distinct_index_pairs(rng, left, VP_ITERATIONS)
+        keys, drawn_key = np.unique(drawn.min(axis=1) * left + drawn.max(axis=1), return_inverse=True)
+        cand = cross_rows(lines[remaining[keys // left]], lines[remaining[keys % left]])
+        inliers = np.empty((len(keys), left), dtype=bool)
+        for lo in range(0, len(keys), VP_BLOCK):
+            inliers[lo : lo + VP_BLOCK] = _vp_inliers(rm, rs, re, cand[lo : lo + VP_BLOCK], inlier_px)
         counts = inliers.sum(axis=1)
         counts[np.sqrt(np.einsum("ij,ij->i", cand, cand)) < EPS] = 0  # identical supporting lines
-        if counts.size == 0 or counts.max() < min_support:
+        counts = counts[drawn_key]
+        if counts.max() < min_support:
             break
-        vp = _refine_vp(lines[remaining[inliers[np.argmax(counts)]]])
-        inl = remaining[_vp_residuals(rm, rs, re, vp) <= inlier_px]
+        vp = _refine_vp(lines[remaining[inliers[drawn_key[np.argmax(counts)]]]])
+        inl = remaining[_vp_inliers(rm, rs, re, vp[None], inlier_px)[0]]
         if len(inl) < min_support:
             break
         vp_id = len(vps)

@@ -27,16 +27,17 @@ Adjustment - A Modern Synthesis", 2000).  Each part is one ``np.bincount``
 over every term's contributions, in a flat layout fixed once per problem,
 and the Schur update is one bincount seeded with the entries it touches;
 bincount adds in index order, so the sums have the bits of a scatter with
-``np.add.at`` in the same order.  Each state is evaluated once: a
-trial step builds its normal equations, and when the step is accepted they
-carry over to the next iteration.
+``np.add.at`` in the same order.  Each state is evaluated once, in two
+stages: a trial step's residuals and cost decide whether it is accepted,
+and only an accepted step's Jacobians and normal equations are built, from
+the same residual-stage values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -212,10 +213,10 @@ class _State:
 
 
 def _line_geometry(q: np.ndarray, w: np.ndarray):
-    """Plucker pairs of stacked minimal parameters plus local-coordinate partials.
+    """Plucker pairs of stacked minimal parameters, and their local-coordinate partials.
 
-    Returns ``d`` and ``m`` as ``(L, 3)`` and their partials ``dd`` and ``dm``
-    as ``(L, 3, 4)``.
+    Returns ``d`` and ``m`` as ``(L, 3)``, and a function giving their
+    partials ``dd`` and ``dm`` as ``(L, 3, 4)``.
     """
     w1, w2 = w[:, 0], w[:, 1]
     if np.any(np.abs(w1) < 1e-12):
@@ -224,17 +225,26 @@ def _line_geometry(q: np.ndarray, w: np.ndarray):
     rho = w2 / w1
     d = U[:, :, 0]
     u2 = U[:, :, 1]
-    dd = np.zeros((len(q), 3, 4))
-    dd[:, :, :3] = -U @ _SKEW_E1  # columns = rotation tangent directions
-    dm = np.zeros((len(q), 3, 4))
-    dm[:, :, :3] = rho[:, None, None] * (-U @ _SKEW_E2)
-    dm[:, :, 3] = u2 / (w1 * w1)[:, None]
-    return d, rho[:, None] * u2, dd, dm
+
+    def partials():
+        dd = np.zeros((len(q), 3, 4))
+        dd[:, :, :3] = -U @ _SKEW_E1  # columns = rotation tangent directions
+        dm = np.zeros((len(q), 3, 4))
+        dm[:, :, :3] = rho[:, None, None] * (-U @ _SKEW_E2)
+        dm[:, :, 3] = u2 / (w1 * w1)[:, None]
+        return dd, dm
+
+    return d, rho[:, None] * u2, partials
 
 
 # ---------------------------------------------------------------------------
 # residual blocks, each type stacked over its rows
 # ---------------------------------------------------------------------------
+#
+# Each gives its residuals and a function for their Jacobian blocks, ``(J_line,
+# [J_reduced, ...])``: the line block ``(K, k, 4)`` or None, then the point and
+# VP blocks ``(K, k, dim)``.  The Jacobians reuse the residual stage's values, so
+# an evaluation whose step is rejected never builds them.
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -242,7 +252,7 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _point_rows(K, R, t, pixel, p):
-    """Pixel residuals ``(N, 2)`` and their Jacobians ``(N, 2, 3)`` w.r.t. the points.
+    """Pixel residuals ``(N, 2)``; their Jacobians are ``(N, 2, 3)`` w.r.t. the points.
 
     A point at or behind its camera keeps a large finite residual and zero slope.
     """
@@ -251,75 +261,93 @@ def _point_rows(K, R, t, pixel, p):
     behind = X[:, 2] <= EPS
     z = np.where(behind, 1.0, hom[:, 2])[:, None]
     pix = hom[:, :2] / z
-    Jx = (K[:, :2, :] * z[:, :, None] - hom[:, :2, None] * K[:, None, 2, :]) / (z * z)[:, :, None]
-    r = np.where(behind[:, None], 1e6, pix - pixel)
-    return r, np.where(behind[:, None, None], 0.0, Jx @ R)
+
+    def jacobians():
+        Jx = (K[:, :2, :] * z[:, :, None] - hom[:, :2, None] * K[:, None, 2, :]) / (z * z)[:, :, None]
+        return None, [np.where(behind[:, None, None], 0.0, Jx @ R)]
+
+    return np.where(behind[:, None], 1e6, pix - pixel), jacobians
 
 
-def _line_rows(A_m, A_d, ends, direction, d, m, dd, dm, alpha):
-    """Endpoint residuals ``(M, 2)`` of line observations and Jacobians ``(M, 2, 4)``.
+def _line_rows(A_m, A_d, ends, direction, d, m, alpha):
+    """Endpoint residuals ``(M, 2)`` of line observations; their Jacobians are
+    ``(M, 2, 4)``, given the observed lines' partials ``dd, dm``.
 
     ``A_m, A_d`` are each observation's view line map, ``ends`` its homogeneous
-    endpoints ``(M, 2, 3)`` and ``direction`` its unit 2D direction; ``d, m, dd,
-    dm`` are the observed line's geometry.  A line through the camera centre
-    images to no line: a large finite residual and zero slope.
+    endpoints ``(M, 2, 3)`` and ``direction`` its unit 2D direction; ``d, m``
+    are the observed line's geometry.  A line through the camera centre images
+    to no line: a large finite residual and zero slope.
     """
     l = _matvec(A_m, m) + _matvec(A_d, d)
-    Jl = A_m @ dm + A_d @ dd  # (M, 3, 4)
     n = np.hypot(l[:, 0], l[:, 1])
     through = n < EPS
     n = np.where(through, 1.0, n)[:, None]
-    zero = np.zeros(len(l))
-    dn = np.column_stack([l[:, 0], l[:, 1], zero]) / n
-
     o = direction
     c_raw = (l[:, 0] * o[:, 1] - l[:, 1] * o[:, 0])[:, None] / n
     cosphi = np.abs(c_raw)
     wa = np.exp(alpha * (1.0 - cosphi))
-    dg = np.column_stack([o[:, 1], -o[:, 0], zero])
-    dcraw = dg / n - c_raw * dn / n
-    dcos = np.where(cosphi > EPS, np.copysign(1.0, c_raw) * dcraw, 0.0)
-    dwa = -alpha * wa * dcos
-
     e = np.einsum("mi,mki->mk", l, ends) / n
-    de = ends / n[:, :, None] - e[:, :, None] * dn[:, None, :] / n[:, :, None]
     r = wa * e
-    J = (wa[:, :, None] * de + e[:, :, None] * dwa[:, None, :]) @ Jl
-    return np.where(through[:, None], 1e6, r), np.where(through[:, None, None], 0.0, J)
+
+    def jacobians(dd, dm):
+        Jl = A_m @ dm + A_d @ dd  # (M, 3, 4)
+        zero = np.zeros(len(l))
+        dn = np.column_stack([l[:, 0], l[:, 1], zero]) / n
+        dg = np.column_stack([o[:, 1], -o[:, 0], zero])
+        dcraw = dg / n - c_raw * dn / n
+        dcos = np.where(cosphi > EPS, np.copysign(1.0, c_raw) * dcraw, 0.0)
+        dwa = -alpha * wa * dcos
+        de = ends / n[:, :, None] - e[:, :, None] * dn[:, None, :] / n[:, :, None]
+        J = (wa[:, :, None] * de + e[:, :, None] * dwa[:, None, :]) @ Jl
+        return np.where(through[:, None, None], 0.0, J), []
+
+    return np.where(through[:, None], 1e6, r), jacobians
 
 
-def _point_line_rows(p, d, m, dd, dm, weight):
-    """Weighted point-to-line distances ``(Q, 1)`` and their point and line Jacobians."""
+def _point_line_rows(p, d, m, weight):
+    """Weighted point-to-line distances ``(Q, 1)``; their line and point
+    Jacobians, given the lines' partials ``dd, dm``."""
     dp = cross_rows(d, p)
     e = -cross_rows(d, m) - cross_rows(d, dp)
     dist = np.sqrt(dot_rows(e, e))
     on = dist < 1e-12
     ehat = e / np.where(on, 1.0, dist)[:, None]
     weight = np.where(on, 0.0, weight)[:, None]
-    # ehat @ skew(a) == ehat x a
-    Jp = ehat - np.sum(ehat * d, axis=1, keepdims=True) * d  # ehat @ (I - d d^T)
-    e_dd = cross_rows(ehat, m) + cross_rows(ehat, dp) + cross_rows(cross_rows(ehat, d), p)
-    Jl = _matvec(dd.transpose(0, 2, 1), e_dd) + _matvec(dm.transpose(0, 2, 1), cross_rows(d, ehat))
-    return weight * dist[:, None], (weight * Jp)[:, None, :], (weight * Jl)[:, None, :]
+
+    def jacobians(dd, dm):
+        # ehat @ skew(a) == ehat x a
+        Jp = ehat - np.sum(ehat * d, axis=1, keepdims=True) * d  # ehat @ (I - d d^T)
+        e_dd = cross_rows(ehat, m) + cross_rows(ehat, dp) + cross_rows(cross_rows(ehat, d), p)
+        Jl = _matvec(dd.transpose(0, 2, 1), e_dd) + _matvec(dm.transpose(0, 2, 1), cross_rows(d, ehat))
+        return (weight * Jl)[:, None, :], [(weight * Jp)[:, None, :]]
+
+    return weight * dist[:, None], jacobians
 
 
-def _line_vp_rows(d, dd, v, basis, weight):
-    """Weighted line-VP direction residuals ``(R, 1)`` and their line and VP Jacobians."""
+def _line_vp_rows(d, v, basis, weight):
+    """Weighted line-VP direction residuals ``(R, 1)``; their line and VP
+    Jacobians, given the lines' partials ``dd``."""
     e = cross_rows(d, v)
     nrm = np.sqrt(dot_rows(e, e))
     parallel = nrm < 1e-12
     ehat = e / np.where(parallel, 1.0, nrm)[:, None]
     weight = np.where(parallel, 0.0, weight)[:, None]
-    Jl = _matvec(dd.transpose(0, 2, 1), cross_rows(v, ehat))
-    Jv = _matvec(basis.transpose(0, 2, 1), cross_rows(ehat, d))
-    return weight * nrm[:, None], (weight * Jl)[:, None, :], (weight * Jv)[:, None, :]
+
+    def jacobians(dd):
+        Jl = _matvec(dd.transpose(0, 2, 1), cross_rows(v, ehat))
+        Jv = _matvec(basis.transpose(0, 2, 1), cross_rows(ehat, d))
+        return (weight * Jl)[:, None, :], [(weight * Jv)[:, None, :]]
+
+    return weight * nrm[:, None], jacobians
 
 
 def _vp_ortho_rows(va, vb, basis_a, basis_b):
-    r = np.sum(va * vb, axis=1)[:, None]
-    Ja = _matvec(basis_a.transpose(0, 2, 1), vb)
-    Jb = _matvec(basis_b.transpose(0, 2, 1), va)
-    return r, Ja[:, None, :], Jb[:, None, :]
+    def jacobians():
+        Ja = _matvec(basis_a.transpose(0, 2, 1), vb)
+        Jb = _matvec(basis_b.transpose(0, 2, 1), va)
+        return None, [Ja[:, None, :], Jb[:, None, :]]
+
+    return np.sum(va * vb, axis=1)[:, None], jacobians
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +526,17 @@ class _NormalEquations:
         return np.concatenate([x[:p], x_lines.ravel(), x[p:n]])
 
 
+class _Evaluation(NamedTuple):
+    """One state's residual stage: each term's residuals ``(K, k)`` and robust
+    weights ``(K,)`` in ``terms`` order, the cost, and ``jacobians()``, each
+    term's ``(J_line, [J_reduced, ...])`` from the same values."""
+
+    residuals: list[np.ndarray]
+    weights: list[np.ndarray]
+    cost: float
+    jacobians: Callable[[], list]
+
+
 class _Linearizer:
     def __init__(self, problem: JointProblem, config: OptimizeConfig):
         self.config = config
@@ -556,43 +595,42 @@ class _Linearizer:
         self.layout = _layout(self.terms, self.slot_cols.shape[1], self.n_reduced)
         self.schur = _SchurLayout.of(self.slot_cols, self.n_reduced)
 
-    def residuals(self, state: _State):
-        """Every term's residuals and Jacobian blocks on ``state``, in ``terms`` order.
-
-        Each is ``(r, J_line, J_reduced)``: ``r`` is ``(K, k)``, ``J_line`` the
-        ``(K, k, 4)`` line block or None, ``J_reduced`` the list of point and
-        VP blocks ``(K, k, dim)``, in the order of the term's ``cols``.
-        """
+    def residuals(self, state: _State) -> _Evaluation:
+        """The residual stage on ``state``: every term's residuals, robust
+        weights and cost, and the Jacobian stage that reuses them."""
         cfg = self.config
-        d, m, dd, dm = _line_geometry(state.q, state.w)
+        d, m, partials = _line_geometry(state.q, state.w)
         p, vps, bases = state.points, state.vps, state.vp_bases
-
-        r, J = _point_rows(self.po_K, self.po_R, self.po_t, self.po_pixel, p[self.po_point])
-        out = [(r, None, [J])]
-        li = self.lo_line
-        r, J = _line_rows(
-            self.lo_Am, self.lo_Ad, self.lo_ends, self.lo_direction,
-            d[li], m[li], dd[li], dm[li], cfg.angle_weight_alpha,
-        )
-        out.append((r, J, []))
-        li = self.pl_line
-        r, Jp, Jl = _point_line_rows(p[self.pl_point], d[li], m[li], dd[li], dm[li], self.pl_weight)
-        out.append((r, Jl, [Jp]))
-        li, vi = self.lv_line, self.lv_vp
-        r, Jl, Jv = _line_vp_rows(d[li], dd[li], vps[vi], bases[vi], self.lv_weight)
-        out.append((r, Jl, [Jv]))
-        a, b = self.vo_a, self.vo_b
-        r, Ja, Jb = _vp_ortho_rows(vps[a], vps[b], bases[a], bases[b])
-        out.append((r, None, [Ja, Jb]))
-        return out
-
-    def normal_equations(self, state: _State) -> _NormalEquations:
-        n_lines, n_slots = self.slot_cols.shape
-        A, g_lines, Bt, g_reduced, C = ([np.zeros(0)] for _ in _Layout._fields)
+        lo, pl, lv, a, b = self.lo_line, self.pl_line, self.lv_line, self.vo_a, self.vo_b
+        rows = [
+            _point_rows(self.po_K, self.po_R, self.po_t, self.po_pixel, p[self.po_point]),
+            _line_rows(
+                self.lo_Am, self.lo_Ad, self.lo_ends, self.lo_direction, d[lo], m[lo], cfg.angle_weight_alpha
+            ),
+            _point_line_rows(p[self.pl_point], d[pl], m[pl], self.pl_weight),
+            _line_vp_rows(d[lv], vps[self.lv_vp], bases[self.lv_vp], self.lv_weight),
+            _vp_ortho_rows(vps[a], vps[b], bases[a], bases[b]),
+        ]
+        residuals = [r for r, _ in rows]
+        weights = []
         cost = 0.0
-        for term, (r, J_line, J_reduced) in zip(self.terms, self.residuals(state)):
+        for term, r in zip(self.terms, residuals):
             val, w = _loss_value_and_weight(term.loss, np.einsum("ki,ki->k", r, r), term.scale)
             cost += float(np.sum(val))
+            weights.append(w)
+        (_, point_jac), (_, line_jac), (_, pl_jac), (_, lv_jac), (_, vo_jac) = rows
+
+        def jacobians():
+            dd, dm = partials()
+            return [point_jac(), line_jac(dd[lo], dm[lo]), pl_jac(dd[pl], dm[pl]), lv_jac(dd[lv]), vo_jac()]
+
+        return _Evaluation(residuals, weights, cost, jacobians)
+
+    def normal_equations(self, ev: _Evaluation) -> _NormalEquations:
+        """The Jacobian stage: the normal equations of an evaluation."""
+        n_lines, n_slots = self.slot_cols.shape
+        A, g_lines, Bt, g_reduced, C = ([np.zeros(0)] for _ in _Layout._fields)
+        for r, w, (J_line, J_reduced) in zip(ev.residuals, ev.weights, ev.jacobians()):
             sw = np.sqrt(w)[:, None]
             rw = sw * r
             Jw = [sw[:, :, None] * J for J in J_reduced]
@@ -615,14 +653,15 @@ class _Linearizer:
             for index, values, shape in zip(self.layout, (A, g_lines, Bt, g_reduced, C), shapes)
         )
         return _NormalEquations(
-            A, Bt, C, g_lines, g_reduced, cost, self.slot_cols, self.np_, self.schur
+            A, Bt, C, g_lines, g_reduced, ev.cost, self.slot_cols, self.np_, self.schur
         )
 
     def raw_residuals_and_jacobian(self, state: _State):
         """Unweighted stacked residual vector and dense Jacobian (for checks)."""
         rows = []
         jrows = []
-        for term, (r, J_line, J_reduced) in zip(self.terms, self.residuals(state)):
+        ev = self.residuals(state)
+        for term, r, (J_line, J_reduced) in zip(self.terms, ev.residuals, ev.jacobians()):
             K, k = r.shape
             # reduced columns past the points move behind the line unknowns
             blocks = [
@@ -643,7 +682,7 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
     """Run Levenberg-Marquardt on a joint problem.  Cameras are fixed."""
     lin = _Linearizer(problem, config)
     state = _State.initial(problem)
-    ne = lin.normal_equations(state)
+    ne = lin.normal_equations(lin.residuals(state))
     cost = ne.cost
     if lin.nv == 0:
         return OptimizeResult(state.points, state.lines, state.vps, cost, cost, 0, True, "empty")
@@ -666,7 +705,7 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
                 continue
             candidate = state.retract(delta, lin.offsets)
             try:
-                trial = lin.normal_equations(candidate)
+                trial = lin.residuals(candidate)
             except FloatingPointError:
                 trial = None
             if trial is not None and trial.cost < cost:
@@ -676,7 +715,7 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
             termination = "damping_exhausted"
             break
         rel_drop = (cost - trial.cost) / max(cost, 1e-30)
-        state, ne, cost = candidate, trial, trial.cost
+        state, ne, cost = candidate, lin.normal_equations(trial), trial.cost
         damping = max(1e-12, damping * _DAMPING_DOWN)
         if rel_drop < _FTOL:
             termination, converged = "cost", True

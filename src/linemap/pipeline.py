@@ -2,9 +2,9 @@
 
 Stages: neighbor selection, per-image vanishing point estimation and
 point-segment association, proposal triangulation (one array pass over
-each reference image's matches) with degeneracy rescue, consistency-scored
-selection, track clustering,
-cross-image VP tracks, joint refinement, and 3D association graph
+each reference image's matches) with degeneracy rescue (one block per run
+and cue), consistency-scored selection, track clustering, cross-image VP
+tracks, joint refinement, and 3D association graph
 extraction.  Everything runs in one thread, in image order, so the output
 is identical across runs.
 """
@@ -12,6 +12,7 @@ is identical across runs.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,6 +51,10 @@ from .optimize import (
 from .scoring import proposal_block, selection_pair_score
 from .tracks import LineTrack, TrackCandidate, build_tracks
 from .triangulation import (
+    AlgebraicRows,
+    MatchRows,
+    Poses,
+    join_rows,
     match_rows,
     triangulate_algebraic,
     triangulate_line_point,
@@ -174,6 +179,21 @@ class RayTable(NamedTuple):
         return self.rays[rows]
 
 
+class ImageCues(NamedTuple):
+    """What one reference image's proposals are made from, besides the rays.
+
+    ``rows[d]`` is detection ``d``'s match list, ``points[d]`` its associated
+    3D points in association order and ``vp_dirs[d]`` its camera-frame VP
+    direction or None.
+    """
+
+    img: int
+    neighbors: list[int]
+    rows: list[list[Node]]
+    points: list[list[np.ndarray]]
+    vp_dirs: list[np.ndarray | None]
+
+
 class ImageProposals(NamedTuple):
     """The proposals of one reference image's detections, one row each.
 
@@ -194,33 +214,31 @@ class ImageProposals(NamedTuple):
     outcomes: Counter
 
 
-def _image_proposals(
-    img: int,
-    views: dict[int, CameraView],
-    neighbors: list[int],
-    rows: list[list[Node]],
-    rays: RayTable,
-    assoc_pts: list[list[np.ndarray]],
-    vp_dirs: list[np.ndarray | None],
-) -> ImageProposals:
-    """Triangulated hypotheses for every detection of image ``img``.
+class _Triangulated(NamedTuple):
+    """One reference image's kept matches, one row each in detection and
+    match order: each row's detection, matched image and matched detection,
+    the rows' algebraic triangulation, the degenerate rows (``left``) and
+    their forms (``block``)."""
 
-    ``rows[d]`` is detection ``d``'s match list, ``assoc_pts[d]`` its
-    associated 3D points and ``vp_dirs[d]`` its camera-frame VP direction
-    or None.  Every match into a neighbour is one row of one block, which
-    gets its form and its IoU gate.  The first :data:`TOP_K_MATCHES` rows
-    of each detection that pass the gate are kept and triangulated as one
-    block.  The degenerate rows go to the point rescue as one block with
-    their detection's first associated point, those that fail it and have
-    a second point to it again, and those still left to the VP rescue; the
-    detections with two or more points get their multi-point proposals as
-    one more block.
-    """
+    det: np.ndarray
+    js: np.ndarray
+    djs: np.ndarray
+    tri: AlgebraicRows
+    left: np.ndarray
+    block: MatchRows
+
+
+def _triangulate_image(views: dict[int, CameraView], rays: RayTable, cue: ImageCues) -> _Triangulated:
+    """Every match of ``cue.img`` into a neighbour is one row of one block,
+    which gets its form and its IoU gate.  The first :data:`TOP_K_MATCHES`
+    rows of each detection that pass the gate are kept and triangulated as
+    one block."""
+    img, rows = cue.img, cue.rows
     view, x = views[img], rays.of(img)
     matches = [m for row in rows for m in row]
     js, djs = np.array(matches, dtype=np.intp).reshape(len(matches), 2).T
     det = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    eligible = np.flatnonzero((js != img) & np.isin(js, neighbors))
+    eligible = np.flatnonzero((js != img) & np.isin(js, cue.neighbors))
     det, js, djs = det[eligible], js[eligible], djs[eligible]
     y = rays.at(js, djs)
     # the pose table: one relative pose per neighbour that a match reaches
@@ -234,56 +252,119 @@ def _image_proposals(
     hit = np.flatnonzero(weak_epipolar_iou(block) >= IOU_MIN)
     rank = np.arange(len(hit)) - np.searchsorted(det[hit], det[hit])
     kept = hit[rank < TOP_K_MATCHES]
-    block, det, js, djs = block.take(kept), det[kept], js[kept], djs[kept]
+    block = block.take(kept)
     tri = triangulate_algebraic(block)
-    start, end, found = tri.start, tri.end, tri.ok
-    sources = ["algebraic"] * len(kept)
-    # degenerate ray/plane geometry: rescue through the detection's first
-    # point, then its second, then its VP direction
-    outcomes = Counter(dict.fromkeys(TRIANGULATION_STATS, 0))
     left = np.flatnonzero(tri.bad1 | tri.bad2)
-    outcomes["degenerate_matches"] = len(left)
+    return _Triangulated(det[kept], js[kept], djs[kept], tri, left, block.take(left))
 
-    def rescue(solve, source: str, cues: list) -> None:
-        """``solve`` the rows still ``left`` whose detection has a cue, as one block."""
+
+def _rescue(block: MatchRows, points: list[list[np.ndarray]], vp_dirs: list[np.ndarray | None]):
+    """Rescue each degenerate row of ``block`` through its detection's first
+    point, then its second, then its VP direction (``points[i]`` and
+    ``vp_dirs[i]`` are row ``i``'s): one block per cue, whatever the rows'
+    reference images.  Returns each row's source (``"point"``, ``"vp"`` or
+    ``""`` for none) and its ``(m, 3)`` endpoints, placeholders where it has
+    no source."""
+    source = np.full(len(block.c), "", dtype="U5")
+    start, end = np.zeros((len(source), 3)), np.zeros((len(source), 3))
+    left = np.arange(len(source))
+
+    def rescue(solve, name: str, cues: list) -> None:
+        """``solve`` the rows still ``left`` that have a cue, as one block."""
         nonlocal left
-        tried = left[[cues[d] is not None for d in det[left].tolist()]]
+        tried = left[[cues[i] is not None for i in left.tolist()]]
         if not len(tried):
             return
-        out = solve(block.take(tried), np.array([cues[d] for d in det[tried].tolist()]))
+        out = solve(block.take(tried), np.array([cues[i] for i in tried.tolist()]))
         ok = out.failure == 0
         done = tried[ok]
-        start[done], end[done], found[done] = out.start[ok], out.end[ok], True
-        for i in done.tolist():
-            sources[i] = source
+        start[done], end[done], source[done] = out.start[ok], out.end[ok], name
         left = np.setdiff1d(left, done)
-        outcomes[source + "_rescues"] += len(done)
 
-    rescue(triangulate_line_point, "point", [p[0] if len(p) > 0 else None for p in assoc_pts])
-    rescue(triangulate_line_point, "point", [p[1] if len(p) > 1 else None for p in assoc_pts])
+    rescue(triangulate_line_point, "point", [p[0] if len(p) > 0 else None for p in points])
+    rescue(triangulate_line_point, "point", [p[1] if len(p) > 1 else None for p in points])
     rescue(triangulate_line_vp, "vp", vp_dirs)
-    outcomes["unrescued_matches"] = len(left)
+    return source, start, end
+
+
+def _proposals(
+    views: dict[int, CameraView], rays: RayTable, cues: list[ImageCues]
+) -> Iterator[ImageProposals]:
+    """Triangulated hypotheses for every detection of each image of ``cues``,
+    one :class:`ImageProposals` per image in that order.
+
+    Each image's matches are formed, gated and triangulated as one block
+    (:func:`_triangulate_image`).  Then the degenerate rows of every image
+    go to the rescue together (:func:`_rescue`), and the detections of
+    every image with two or more points get their multi-point proposals as
+    one block.  A row's outcome does not depend on the other rows of its
+    block, so each proposal is the one that a block per image gives.  Each
+    image's proposals are assembled as they are asked for, and its rows
+    are let go once they are.
+    """
+    fronts = [_triangulate_image(views, rays, cue) for cue in cues]
+    degenerate = np.cumsum([len(f.left) for f in fronts])
+    rescued = [(np.full(0, "", dtype="U5"), np.zeros((0, 3)), np.zeros((0, 3)))] * len(cues)
+    if len(cues) and degenerate[-1]:
+        dets = [f.det[f.left].tolist() for f in fronts]
+        points = [cue.points[d] for cue, ds in zip(cues, dets) for d in ds]
+        vp_dirs = [cue.vp_dirs[d] for cue, ds in zip(cues, dets) for d in ds]
+        outcome = _rescue(join_rows([f.block for f in fronts]), points, vp_dirs)
+        rescued = list(zip(*(np.split(values, degenerate[:-1]) for values in outcome)))
+    multi = [[d for d, pts in enumerate(cue.points) if len(pts) >= 2] for cue in cues]
+    fits = [None] * len(cues)
+    if any(multi):
+        groups = [cue.points[d] for cue, ds in zip(cues, multi) for d in ds]
+        poses = [Poses.of(views[cue.img], len(ds)) for cue, ds in zip(cues, multi)]
+        fit = triangulate_multipoint(
+            np.concatenate([rays.of(cue.img)[ds] for cue, ds in zip(cues, multi)]),
+            Poses(*(np.concatenate(field) for field in zip(*poses))),
+            np.array([p for pts in groups for p in pts], dtype=np.float64),
+            np.repeat(np.arange(len(groups)), [len(pts) for pts in groups]),
+        )
+        cuts = np.cumsum([len(ds) for ds in multi])[:-1]
+        fits = list(zip(*(np.split(values, cuts) for values in fit)))
+    for k, cue in enumerate(cues):
+        yield _image_proposals(cue, fronts[k], rescued[k], multi[k], fits[k])
+        fronts[k] = rescued[k] = fits[k] = None
+
+
+def _image_proposals(cue: ImageCues, front: _Triangulated, rescued, multi: list[int], fit) -> ImageProposals:
+    """One image's proposals from its triangulated rows, its degenerate rows'
+    rescue (``(source, start, end)`` of :func:`_rescue`) and the multi-point
+    ``fit`` (``(failure, start, end)``) of its detections ``multi``."""
+    det, js, djs, tri, left, _ = front
+    source, r_start, r_end = rescued
+    start, end, found = tri.start, tri.end, tri.ok
+    sources = ["algebraic"] * len(det)
+    done = np.flatnonzero(source != "")
+    rows = left[done]
+    start[rows], end[rows], found[rows] = r_start[done], r_end[done], True
+    for i, name in zip(rows.tolist(), source[done].tolist()):
+        sources[i] = name
+    outcomes = Counter(dict.fromkeys(TRIANGULATION_STATS, 0))
+    outcomes["degenerate_matches"] = len(left)
+    for name in source[done].tolist():
+        outcomes[name + "_rescues"] += 1
+    outcomes["unrescued_matches"] = len(left) - len(done)
     found = np.flatnonzero(found)
     owner, gens = det[found].tolist(), js[found].tolist()
     sources = [sources[i] for i in found.tolist()]
     start, end = [start[found]], [end[found]]
     # then each detection's multi-point proposal, after its match proposals
-    multi = [d for d, pts in enumerate(assoc_pts) if len(pts) >= 2]
     if multi:
-        pts = np.array([p for d in multi for p in assoc_pts[d]], dtype=np.float64)
-        point_owner = np.repeat(np.arange(len(multi)), [len(assoc_pts[d]) for d in multi])
-        fit = triangulate_multipoint(x[multi], view, pts, point_owner)
-        ok = np.flatnonzero(fit.failure == 0)
+        failure, fit_start, fit_end = fit
+        ok = np.flatnonzero(failure == 0)
         owner += [multi[i] for i in ok.tolist()]
-        gens += [img] * len(ok)
+        gens += [cue.img] * len(ok)
         sources += ["point"] * len(ok)
-        start.append(fit.start[ok])
-        end.append(fit.end[ok])
+        start.append(fit_start[ok])
+        end.append(fit_end[ok])
         outcomes["multipoint_proposals"] = len(ok)
     order = np.argsort(
         2 * np.array(owner, dtype=np.intp) + (np.arange(len(owner)) >= len(found)), kind="stable"
     )
-    kept_nodes: list[list[Node]] = [[] for _ in rows]
+    kept_nodes: list[list[Node]] = [[] for _ in cue.rows]
     for d, j, dj in zip(det.tolist(), js.tolist(), djs.tolist()):
         kept_nodes[d].append((j, dj))
     return ImageProposals(
@@ -291,7 +372,7 @@ def _image_proposals(
         np.concatenate(end)[order],
         [sources[i] for i in order.tolist()],
         [gens[i] for i in order.tolist()],
-        np.bincount(np.array(owner, dtype=np.intp), minlength=len(rows)).tolist(),
+        np.bincount(np.array(owner, dtype=np.intp), minlength=len(cue.rows)).tolist(),
         kept_nodes,
         outcomes,
     )
@@ -383,32 +464,34 @@ def run_pipeline(data: PipelineInput, config: PipelineConfig = PipelineConfig())
             for li, si in associate_points_to_segments(xy, dets):
                 det_points.setdefault((img, si), []).append(entries[li][0])
 
+    cues = []
+    for img in images:
+        n_dets = len(data.detections[img])
+        rows = data.matches.get(img, []) if data.matches else []
+        nodes = [(img, di) for di in range(n_dets)]
+        cues.append(
+            ImageCues(
+                img,
+                list(neighbors.get(img, ())),
+                [rows[di] if di < len(rows) else [] for di in range(n_dets)],
+                [[data.points3d[pi] for pi in det_points.get(node, ())] for node in nodes],
+                [vp_cam.get(det_vp.get(node)) for node in nodes],
+            )
+        )
+
     candidates: dict[Node, TrackCandidate] = {}
     all_edges: list[tuple[Node, Node]] = []
     n_proposals = 0
     outcomes = Counter(dict.fromkeys(TRIANGULATION_STATS, 0))
-    for img in images:
-        view = views[img]
-        n_dets = len(data.detections[img])
-        rows = data.matches.get(img, []) if data.matches else []
-        rows = [rows[di] if di < len(rows) else [] for di in range(n_dets)]
-        nodes = [(img, di) for di in range(n_dets)]
-        # triangulate every detection's proposals, then select within the image
-        # at once: selection never feeds back into proposal generation
-        props = _image_proposals(
-            img,
-            views,
-            list(neighbors.get(img, ())),
-            rows,
-            rays,
-            [[data.points3d[pi] for pi in det_points.get(node, ())] for node in nodes],
-            [vp_cam.get(det_vp.get(node)) for node in nodes],
-        )
+    # every image's proposals, then selection within each image: selection
+    # never feeds back into proposal generation
+    for cue, props in zip(cues, _proposals(views, rays, cues)):
         n_proposals += len(props.gens)
         outcomes.update(props.outcomes)
-        selected = _select_best(props, view, views, config)
-        for node, best, matched in zip(nodes, selected, props.kept):
+        selected = _select_best(props, views[cue.img], views, config)
+        for di, (best, matched) in enumerate(zip(selected, props.kept)):
             if best is not None:
+                node = (cue.img, di)
                 seg = Segment3D(props.start[best].copy(), props.end[best].copy())
                 candidates[node] = TrackCandidate(seg, props.sources[best])
                 all_edges.extend((node, mn) for mn in matched)

@@ -30,9 +30,12 @@ rows within a relative :data:`~linemap.scoring.FILTER_BAND` of it take
 touches a row, and a degenerate configuration scores IoU 0 or gets a
 failure flag, never a division error.
 
-The rescue solvers take blocks too: the point and VP rescue the degenerate
-rows of one image's block, each row with its own point or direction, and
-the multi-point fit one image's detections that share two or more points.
+Every row carries its reference camera's pose (:class:`Poses`), so the
+rescue solvers take the degenerate rows of every reference image at once:
+the point and VP rescue take :class:`MatchRows` blocks joined across images
+(:func:`join_rows`), each row with its own point or direction, and the
+multi-point fit the detections of every image that share two or more
+points.  A row's outcome does not depend on the other rows of its block.
 They follow the same rules, and each gives :class:`RescueRows`, a failure
 code per row where one match or one detection would raise.  Two LAPACK
 calls remain, one stacked call per block: ``eigvals`` for the multiplier
@@ -89,11 +92,39 @@ class CheiralityError(TriangulationError):
     """No solution places the segment in front of both cameras."""
 
 
+class Poses(NamedTuple):
+    """Reference-camera poses, one row per match or detection: ``R``
+    ``(m, 3, 3)`` and ``t`` ``(m, 3)`` map world coordinates into the camera
+    frame, and ``center`` ``(m, 3)`` is the camera centre
+    (:attr:`~linemap.geometry.CameraView.camera_center`)."""
+
+    R: np.ndarray
+    t: np.ndarray
+    center: np.ndarray
+
+    @classmethod
+    def of(cls, view: CameraView, m: int) -> Poses:
+        """``view``'s pose on each of ``m`` rows (broadcast, not copied)."""
+        return cls(
+            np.broadcast_to(view.R, (m, 3, 3)),
+            np.broadcast_to(view.t, (m, 3)),
+            np.broadcast_to(view.camera_center, (m, 3)),
+        )
+
+    def take(self, idx) -> Poses:
+        return Poses(*(field[idx] for field in self))
+
+    def view(self, i: int) -> CameraView:
+        """Row ``i`` as a view with these ``R`` and ``t`` (and unit intrinsics)."""
+        return CameraView(np.eye(3), self.R[i], self.t[i])
+
+
 @dataclass(frozen=True)
 class RayPlaneForm:
     """Two-view setup of one match: the reference rays against the match plane.
 
-    Every field but ``ref_view`` is Python floats.  ``R`` (by rows) and
+    Every field but ``ref_view`` is Python floats; of ``ref_view`` only the
+    pose is read.  ``R`` (by rows) and
     ``t`` map reference-camera coordinates into the matched camera's.
     ``x1, x2`` are the reference endpoint rays in normalized coordinates
     (z = 1, so a depth ``lam`` puts the endpoint at ``lam * x``) and ``Rx1,
@@ -123,16 +154,16 @@ class RayPlaneForm:
 
 
 class MatchRows(NamedTuple):
-    """The ray-plane forms of a block of matches into one reference view, one row each.
+    """The ray-plane forms of a block of matches, one row each.
 
-    The fields after ``plane`` are :class:`RayPlaneForm`'s, stacked: ``R``
-    is ``(m, 3, 3)``, ``a`` is ``(m, 2)``, ``c`` is ``(m,)`` and the others
-    are ``(m, 3)``.  ``plane`` is False where the matched rays coincide, so
-    that the match has no plane; such a row's ``n``, ``a`` and ``c`` are
-    placeholders.
+    ``ref`` holds each row's reference pose.  The fields after ``plane`` are
+    :class:`RayPlaneForm`'s, stacked: ``R`` is ``(m, 3, 3)``, ``a`` is
+    ``(m, 2)``, ``c`` is ``(m,)`` and the others are ``(m, 3)``.  ``plane``
+    is False where the matched rays coincide, so that the match has no
+    plane; such a row's ``n``, ``a`` and ``c`` are placeholders.
     """
 
-    ref_view: CameraView
+    ref: Poses
     plane: np.ndarray
     R: np.ndarray
     t: np.ndarray
@@ -147,12 +178,21 @@ class MatchRows(NamedTuple):
     c: np.ndarray
 
     def take(self, idx) -> MatchRows:
-        return MatchRows(self.ref_view, *(field[idx] for field in self[1:]))
+        return MatchRows(self.ref.take(idx), *(field[idx] for field in self[1:]))
 
     def form(self, i: int) -> RayPlaneForm:
         """Row ``i`` as a :class:`RayPlaneForm` (``.tolist()`` keeps every bit)."""
         R, *vectors, a, c = (field[i].tolist() for field in self[2:])
-        return RayPlaneForm(self.ref_view, tuple(map(tuple, R)), *map(tuple, vectors), tuple(a), c)
+        return RayPlaneForm(self.ref.view(i), tuple(map(tuple, R)), *map(tuple, vectors), tuple(a), c)
+
+
+def join_rows(blocks: list[MatchRows]) -> MatchRows:
+    """The rows of ``blocks``, one after another, as one block."""
+    refs = [block.ref for block in blocks]
+    return MatchRows(
+        Poses(*(np.concatenate(field) for field in zip(*refs))),
+        *(np.concatenate(field) for field in zip(*(block[1:] for block in blocks))),
+    )
 
 
 def match_rows(
@@ -164,10 +204,10 @@ def match_rows(
     y1: np.ndarray,
     y2: np.ndarray,
 ) -> MatchRows:
-    """The forms of the matches ``i``: reference rays ``x1[i]``, ``x2[i]``
-    against matched rays ``y1[i]``, ``y2[i]`` under the relative pose
-    ``R[i]``, ``t[i]`` (:func:`~linemap.geometry.relative_pose` of the
-    reference and matched views).
+    """The forms of the matches ``i`` into ``ref_view``: reference rays
+    ``x1[i]``, ``x2[i]`` against matched rays ``y1[i]``, ``y2[i]`` under the
+    relative pose ``R[i]``, ``t[i]`` (:func:`~linemap.geometry.relative_pose`
+    of the reference and matched views).
 
     The match plane's normal is ``y1 x y2`` divided by its norm; rows whose
     norm is below EPS have no plane.
@@ -178,13 +218,14 @@ def match_rows(
     n = n / np.where(plane, nn, 1.0)[:, None]
     Rx1, Rx2 = matvec_rows(R, x1), matvec_rows(R, x2)
     a = np.stack([dot_rows(n, Rx1), dot_rows(n, Rx2)], axis=1)
-    return MatchRows(ref_view, plane, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot_rows(n, t))
+    ref = Poses.of(ref_view, len(plane))
+    return MatchRows(ref, plane, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot_rows(n, t))
 
 
 def _one_row(form: RayPlaneForm) -> MatchRows:
     """The block of one match: each of the form's fields as a row."""
     rows = (np.array([getattr(form, name)], dtype=np.float64) for name in MatchRows._fields[2:])
-    return MatchRows(form.ref_view, np.array([True]), *rows)
+    return MatchRows(Poses.of(form.ref_view, 1), np.array([True]), *rows)
 
 
 def weak_epipolar_iou(form: MatchRows | RayPlaneForm) -> np.ndarray | float:
@@ -274,7 +315,7 @@ def _finish_rows(rows: MatchRows, lam1: np.ndarray, lam2: np.ndarray):
     the reference rays.  Depths of shape ``(m, k)``, ``k`` candidates per
     row, take rows whose fields carry an axis of length 1 after the first."""
     ok = ~((lam1 <= 0) | (lam2 <= 0))
-    Rt, t_ref = rows.ref_view.R.T, rows.ref_view.t
+    Rt, t_ref = rows.ref.R.swapaxes(-1, -2), rows.ref.t
     ends = []
     for lam, x in ((lam1, rows.x1), (lam2, rows.x2)):
         p = lam[..., None] * x
@@ -401,7 +442,7 @@ def _unit_rows(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
 
 def triangulate_multipoint(
     ref_rays: np.ndarray,
-    ref_view: CameraView,
+    ref: CameraView | Poses,
     points3d: np.ndarray,
     owner: np.ndarray | None = None,
 ) -> RescueRows | Segment3D:
@@ -411,8 +452,9 @@ def triangulate_multipoint(
     :func:`~linemap.geometry.principal_lines`) defines the line; the
     segment endpoints are the points on the two reference endpoint rays
     closest to that line.  ``ref_rays`` is ``(m, 2, 3)``, each detection's
-    endpoint rays in normalized coordinates, and point ``points3d[k]``
-    (``(n, 3)``) belongs to detection ``owner[k]``; the outcome is one
+    endpoint rays in normalized coordinates, ``ref`` the view of every
+    detection or each detection's pose, and point ``points3d[k]`` (``(n,
+    3)``) belongs to detection ``owner[k]``; the outcome is one
     :class:`RescueRows` row per detection.  Without ``owner``, ``ref_rays``
     is one detection's two rays and every point is its own: that
     detection's segment, or its failure raised.
@@ -425,21 +467,24 @@ def triangulate_multipoint(
             raise error(message)
         owner = np.zeros(len(pts), dtype=np.intp)
     rays = np.asarray(ref_rays, dtype=np.float64).reshape(-1, 2, 3)
+    if isinstance(ref, CameraView):
+        ref = Poses.of(ref, len(rays))
+    R, t, center = (field[:, None] for field in ref)  # one pose for both endpoint rays
     count = np.bincount(owner, minlength=len(rays))
     mean, direction, spread = principal_lines(pts, owner, len(rays))
     direction = _unit_rows(direction, _norm_rows(direction))[:, None]
     # the point of each endpoint's world ray closest to the fitted line
     xn = _norm_rows(rays)
-    ray = matvec_rows(ref_view.R.T, _unit_rows(rays, xn))
+    ray = matvec_rows(R.swapaxes(-1, -2), _unit_rows(rays, xn))
     ray = _unit_rows(ray, _norm_rows(ray))
     c = cross_rows(ray, direction)
     denom = dot_rows(c, c)
     parallel = (xn < EPS) | (denom < EPS)
     near = dot_rows(cross_rows(mean[:, None], direction), c)[..., None] * ray - cross_rows(
-        cross_rows(ref_view.camera_center, ray), cross_rows(direction, c)
+        cross_rows(center, ray), cross_rows(direction, c)
     )
     ends = near / np.where(parallel, 1.0, denom)[..., None]
-    behind = dot_rows(ref_view.R[2], ends) + ref_view.t[2] <= 0
+    behind = dot_rows(R[..., 2, :], ends) + t[..., 2] <= 0
     failure = np.where(count < 2, FEW_POINTS, 0)
     failure = _fail(failure, ~(spread >= EPS), COINCIDENT_POINTS)
     failure = _fail(failure, parallel.any(axis=1), PARALLEL_RAY)
@@ -672,7 +717,13 @@ def _constrained_rows(rows: MatchRows, failure: np.ndarray, Q: np.ndarray, q: np
     A[:, 0, 0], A[:, 1, 1] = a[:, 0] * a[:, 0], a[:, 1] * a[:, 1]
     sols = solve_constrained_quadratic(A, 2.0 * rows.c[:, None] * a, Q, q)
     # every candidate's endpoints and cheirality, one slot per column
-    wide = rows._replace(R=rows.R[:, None], t=rows.t[:, None], x1=rows.x1[:, None], x2=rows.x2[:, None])
+    wide = rows._replace(
+        ref=Poses(*(field[:, None] for field in rows.ref)),
+        R=rows.R[:, None],
+        t=rows.t[:, None],
+        x1=rows.x1[:, None],
+        x2=rows.x2[:, None],
+    )
     ok, s, e = _finish_rows(wide, sols.lam[..., 0], sols.lam[..., 1])
     ok &= sols.valid & np.isfinite(s).all(axis=-1) & np.isfinite(e).all(axis=-1)
     first, picked = np.argmax(ok, axis=1), ok.any(axis=1)
@@ -704,8 +755,7 @@ def triangulate_line_point(
     npn, xn = _norm_rows(n_p), _norm_rows(x1)
     failure = np.where((npn < EPS) | (xn < EPS), COINCIDENT_ENDS, 0)
     n_p = _unit_rows(n_p, npn)
-    view = rows.ref_view
-    p_ref = matvec_rows(view.R, np.asarray(point3d, dtype=np.float64).reshape(-1, 3)) + view.t
+    p_ref = matvec_rows(rows.ref.R, np.asarray(point3d, dtype=np.float64).reshape(-1, 3)) + rows.ref.t
     p_in_plane = p_ref - dot_rows(n_p, p_ref)[:, None] * n_p
     failure = _fail(failure, _norm_rows(p_in_plane) < EPS, POINT_AT_CENTER)
     # in-plane frame: rays and the projected point with a zero third coordinate

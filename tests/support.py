@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from linemap import association
 from linemap.config import PipelineConfig
 from linemap.geometry import (
     EPS,
@@ -16,6 +17,7 @@ from linemap.geometry import (
     closest_point_line_to_line,
     cross3,
     cross3_floats,
+    distinct_index_pairs,
     dot3,
     matvec3,
     norm3,
@@ -24,6 +26,7 @@ from linemap.geometry import (
     quat_to_rotmat,
     relative_pose,
     skew,
+    stack_segments_2d,
     trimmed_extent,
 )
 from linemap.metrics import min_distance_to_segments, sample_segments
@@ -383,7 +386,8 @@ def reference_scatter_normal_equations(lin, state):
     g_lines = np.zeros((n_lines, 4))
     g_reduced = np.zeros(lin.n_reduced)
     cost = 0.0
-    for term, (r, J_line, J_reduced) in zip(lin.terms, lin.residuals(state)):
+    ev = lin.residuals(state)
+    for term, r, (J_line, J_reduced) in zip(lin.terms, ev.residuals, ev.jacobians()):
         val, w = _loss_value_and_weight(term.loss, np.einsum("ki,ki->k", r, r), term.scale)
         cost += float(np.sum(val))
         sw = np.sqrt(w)[:, None]
@@ -1044,3 +1048,45 @@ def reference_segment_on_line_from_supports(line, supports):
         return None
     lo, hi = extent
     return Segment3D(origin + lo * line.d, origin + hi * line.d)
+
+
+# ---------------------------------------------------------------------------
+# Reference vanishing point RANSAC
+# ---------------------------------------------------------------------------
+#
+# ``association.estimate_vps`` as it scored a round before each distinct
+# hypothesis was scored once: every drawn pair, in draw order, as one
+# residual matrix through ``_vp_residuals``, with ``<= inlier_px`` as the
+# inlier test.  ``estimate_vps`` must give the same VPs, bit for bit, and the
+# same assignment.
+
+
+def reference_estimate_vps(segments, inlier_px=1.0, min_support=5, seed=0):
+    """``(vps, assignment)`` as ``association.estimate_vps`` gives them."""
+    min_support = max(min_support, 2)
+    rng = np.random.default_rng(seed)
+    n = len(segments)
+    assignment = np.full(n, -1, dtype=np.int64)
+    ends, planar = stack_segments_2d(segments)
+    starts_h, ends_h = ends[:, 0], ends[:, 1]
+    lines = np.stack([planar.l0, planar.u, planar.l2], axis=1)
+    mids_h = 0.5 * (starts_h + ends_h)
+    remaining = np.arange(n)
+    vps = []
+    while len(remaining) >= min_support and len(vps) < association.VP_MAX_MODELS:
+        rm, rs, re = mids_h[remaining], starts_h[remaining], ends_h[remaining]
+        pairs = remaining[distinct_index_pairs(rng, len(remaining), association.VP_ITERATIONS)]
+        cand = np.cross(lines[pairs[:, 0]], lines[pairs[:, 1]])
+        inliers = association._vp_residuals(rm, rs, re, cand) <= inlier_px
+        counts = inliers.sum(axis=1)
+        counts[np.sqrt(np.einsum("ij,ij->i", cand, cand)) < EPS] = 0  # identical supporting lines
+        if counts.size == 0 or counts.max() < min_support:
+            break
+        vp = association._refine_vp(lines[remaining[inliers[np.argmax(counts)]]])
+        inl = remaining[association._vp_residuals(rm, rs, re, vp) <= inlier_px]
+        if len(inl) < min_support:
+            break
+        vps.append(vp)
+        assignment[inl] = len(vps) - 1
+        remaining = remaining[assignment[remaining] == -1]
+    return vps, assignment

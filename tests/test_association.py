@@ -12,10 +12,10 @@ from linemap.association import (
     vp_from_direction,
     vp_line_residual,
 )
-from linemap.geometry import EPS, Segment2D
+from linemap.geometry import EPS, Segment2D, stack_segments_2d
 from linemap.synthetic import ObservationConfig, SceneConfig, build_scene, observe_scene
 
-from support import make_view
+from support import make_view, reference_estimate_vps
 
 
 def seg(a, b):
@@ -274,6 +274,110 @@ def test_single_residual_equals_the_batched_row():
         single = np.array([vp_line_residual(s, vp) for s in segs])
         assert single.tobytes() == batched[k].tobytes()
         assert _vp_residuals(*rows, vp).tobytes() == batched[k].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the inlier kernel and the deduplicated rounds against the reference
+# ---------------------------------------------------------------------------
+
+
+def homogeneous_rows(segs):
+    """``(mids, starts, ends)`` as ``estimate_vps`` stacks them."""
+    ends, _ = stack_segments_2d(segs)
+    return 0.5 * (ends[:, 0] + ends[:, 1]), ends[:, 0], ends[:, 1]
+
+
+def ulps_away(x, k):
+    """``x`` moved ``k`` representable doubles up (or down, for ``k < 0``)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+def test_inlier_kernel_equals_the_residual_test_near_the_threshold():
+    # thresholds a few ulps around actual residuals, where comparing squares
+    # alone misjudges some elements; and VPs at infinity, on a midpoint, at the
+    # origin of homogeneous space (no line), with signed zeros, NaN and inf
+    rng = np.random.default_rng(71)
+    segs = [seg(rng.uniform(0, 640, 2), rng.uniform(0, 480, 2)) for _ in range(40)]
+    segs += [seg([-0.0, 0.0], [0.0, -5.0]), seg([0.0, -0.0], [-7.0, 0.0])]
+    mids, starts, ends = homogeneous_rows(segs)
+    vps = rng.normal(size=(60, 3)) * 10.0 ** rng.uniform(-3, 3, size=(60, 1))
+    vps[0, 2], vps[1, 2] = 0.0, -0.0
+    vps[2] = mids[3]
+    vps[3] = 0.0
+    vps[4], vps[5], vps[6] = [np.nan, 1.0, 1.0], [np.inf, 1.0, 0.0], [-0.0, 0.0, 1.0]
+    with np.errstate(invalid="ignore"):  # the NaN and inf rows
+        r = _vp_residuals(mids, starts, ends, vps)
+    assert np.isinf(r[2, 3]) and np.isinf(r[3]).all() and np.isnan(r[4]).all()
+    near = np.flatnonzero(np.isfinite(r) & (r > 0))
+    for flat in rng.choice(near, 300, replace=False).tolist():
+        i = flat // r.shape[1]
+        for k in range(-4, 5):
+            px = ulps_away(r.flat[flat], k)
+            got = association._vp_inliers(mids, starts, ends, vps[i, None], px)[0]
+            assert got.tolist() == (r[i] <= px).tolist(), (i, k)
+    for px in (1.0, 3.7, 0.0, -1.0, 1e-120, 1e150, np.inf, np.nan):
+        with np.errstate(invalid="ignore"):
+            got = association._vp_inliers(mids, starts, ends, vps, px)
+        assert (got == (r <= px)).all(), px
+
+
+def test_rounds_at_a_threshold_on_a_residual_equal_the_reference():
+    # inlier_px a few ulps around the residual of a segment against the model
+    # of two others: every pair of 8 segments is drawn in 500 draws
+    rng = np.random.default_rng(72)
+    for trial in range(6):
+        segs = concurrent_segments(rng, rng.uniform(-2000, 2000, 2), 5)
+        segs += [seg(rng.uniform(0, 600, 2), rng.uniform(0, 600, 2)) for _ in range(3)]
+        mids, starts, ends = homogeneous_rows(segs)
+        lines = np.stack([s.infinite_line for s in segs])
+        i, j, k = rng.choice(8, 3, replace=False).tolist()
+        edge = _vp_residuals(mids, starts, ends, np.cross(lines[i], lines[j]))[k]
+        for step in range(-3, 4):
+            px = ulps_away(edge, step)
+            for min_support in (2, 3):
+                got = estimate_vps(segs, inlier_px=px, min_support=min_support, seed=trial)
+                assert_same_vps(got, reference_estimate_vps(segs, px, min_support, trial))
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+def test_rounds_on_few_segments_equal_the_reference(n):
+    rng = np.random.default_rng(n)
+    for trial in range(10):
+        segs = concurrent_segments(rng, rng.uniform(-2000, 2000, 2), n)
+        if trial % 2:
+            segs[-1] = seg(rng.uniform(0, 600, 2), rng.uniform(0, 600, 2))
+        for min_support in (2, 5):
+            got = estimate_vps(segs, min_support=min_support, seed=trial)
+            assert_same_vps(got, reference_estimate_vps(segs, min_support=min_support, seed=trial))
+
+
+def test_rounds_with_heavy_pair_repetition_equal_the_reference(monkeypatch):
+    # 6 to 25 segments give at most 300 distinct pairs for 500 draws, so most
+    # models are drawn again, about half the time as the reversed pair; the
+    # sets mix concurrent groups, clutter, repeated and collinear segments
+    # (identical supporting lines), signed zeros and a NaN segment, and the
+    # models are scored in blocks of 1 to 1,000
+    rng = np.random.default_rng(60)
+    for trial in range(60):
+        monkeypatch.setattr(association, "VP_BLOCK", [1, 3, 7, 128, 1000][trial % 5])
+        n = int(rng.integers(6, 26))
+        segs = concurrent_segments(rng, rng.uniform(-2000, 2000, 2), n // 2)
+        segs += concurrent_segments(rng, rng.uniform(-2000, 2000, 2), n // 4)
+        while len(segs) < n:
+            if trial % 3 == 0 and segs:
+                s = segs[int(rng.integers(len(segs)))]
+                segs.append(seg(s.start, s.start + 2.0 * (s.end - s.start)))  # collinear
+            else:
+                segs.append(seg(rng.uniform(0, 600, 2), rng.uniform(0, 600, 2)))
+        if trial % 10 == 1:
+            segs[0] = seg([-0.0, 0.0], [0.0, -40.0])
+        if trial % 10 == 2:
+            segs[-1] = seg([np.nan, 1.0], [5.0, 1.0])
+        px = [0.5, 1.0, 2.0][trial % 3]
+        got = estimate_vps(segs, inlier_px=px, min_support=2 + trial % 4, seed=trial)
+        assert_same_vps(got, reference_estimate_vps(segs, px, 2 + trial % 4, trial))
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ class TestBatchedAssembly:
     def check_against_reference(self, problem, state=None):
         lin = _Linearizer(problem, OptimizeConfig())
         state = state or _State.initial(problem)
-        ne = lin.normal_equations(state)
+        ne = lin.normal_equations(lin.residuals(state))
         H, g = dense_system(ne)
         H_ref, g_ref, cost_ref = reference_normal_equations(
             problem, lin.config, state.points, state.lines, state.vps
@@ -252,7 +252,7 @@ class TestBatchedAssembly:
     def test_degenerate_problem_matches_the_block_loop(self):
         problem = degenerate_problem()
         lin = _Linearizer(problem, OptimizeConfig())
-        rows = [r for r, _, _ in lin.residuals(_State.initial(problem))]
+        rows = lin.residuals(_State.initial(problem)).residuals
         r_points, r_lines, r_point_line, r_line_vp, _ = rows
         assert np.all(r_points[[-4, -2]] == 1e6)  # behind view 0 and on its camera plane
         assert np.all(r_lines[-2] == 1e6)  # the x axis seen by view 0
@@ -270,7 +270,7 @@ class TestBatchedAssembly:
         with np.errstate(all="raise"):
             lin = _Linearizer(problem, OptimizeConfig())
             state = _State.initial(problem)
-            ne = lin.normal_equations(state)
+            ne = lin.normal_equations(lin.residuals(state))
             lin.raw_residuals_and_jacobian(state)
             ne.step(1e-4)
             result = optimize(problem, OptimizeConfig(max_iterations=3))
@@ -343,7 +343,7 @@ class TestOrderedAssembly:
         state = _State.initial(problem)
         moved = state.retract(1e-3 * np.random.default_rng(5).standard_normal(lin.nv), lin.offsets)
         for s in (state, moved):
-            ne = lin.normal_equations(s)
+            ne = lin.normal_equations(lin.residuals(s))
             got = (ne.A, ne.Bt, ne.C, ne.g_lines, ne.g_reduced)
             *want, cost = reference_scatter_normal_equations(lin, s)
             for g, w in zip(got, want):
@@ -380,7 +380,7 @@ class TestSchurStep:
     def test_step_matches_the_dense_solve(self, make):
         problem = make()
         lin = _Linearizer(problem, OptimizeConfig())
-        ne = lin.normal_equations(_State.initial(problem))
+        ne = lin.normal_equations(lin.residuals(_State.initial(problem)))
         H, g = dense_system(ne)
         D = np.diag(H)
         floor = 1e-12 * max(1.0, D.max(initial=0.0))
@@ -543,6 +543,26 @@ class TestSolverLoop:
         assert result.iterations >= 2
         assert counts["retract"] >= result.iterations
         assert counts["residuals"] == 1 + counts["retract"]
+
+
+    def test_only_the_start_and_accepted_steps_build_normal_equations(self, monkeypatch):
+        # a trial is priced by its residual stage; its Jacobians and normal
+        # equations are built only when the step is accepted
+        problem = noisy_line_problem()
+        states = fail_line_geometry_on(monkeypatch, lambda k: k in (2, 4))  # two failed trials
+        built = []
+        real = _Linearizer.normal_equations
+
+        def counted(self, ev):
+            built.append(ev.cost)
+            return real(self, ev)
+
+        monkeypatch.setattr(_Linearizer, "normal_equations", counted)
+        result = optimize(problem, OptimizeConfig(max_iterations=6))
+        accepted = result.iterations - (result.termination in ("gradient", "damping_exhausted"))
+        assert len(states) - 1 >= accepted + 2  # every trial reached the residual stage
+        assert len(built) == 1 + accepted
+        assert built[0] == result.initial_cost and built[-1] == result.final_cost
 
 
 class TestHelpers:

@@ -22,8 +22,9 @@ from linemap.synthetic import (
     observe_scene,
     scene_diameter,
 )
+from linemap.io import canonical_dumps, tracks_payload
 from linemap.tracks import TrackCandidate
-from linemap.triangulation import RescueRows
+from linemap.triangulation import Poses, RescueRows
 
 from support import identity_view, intrinsics, reference_selection_pair_score
 
@@ -295,17 +296,82 @@ def test_rescue_receives_a_detections_points_in_association_order(monkeypatch):
     )
     received = []
 
-    def multipoint(rays, view, pts, owner):
-        # one block per image: detection 0 is its one row, and both points are its own
-        received.append((np.array(rays), np.array(pts), np.array(owner)))
+    def multipoint(rays, ref, pts, owner):
+        # one block per run: detection 0 is its one row, with image 0's pose,
+        # and both points are its own
+        received.append((np.array(rays), ref, np.array(pts), np.array(owner)))
         return RescueRows(np.ones(len(rays), dtype=np.intp), np.zeros((1, 3)), np.zeros((1, 3)))
 
     monkeypatch.setattr(pipeline, "triangulate_multipoint", multipoint)
     run_pipeline(inp, PipelineConfig(use_vps=False, optimize=False))
     assert len(received) == 1
-    rays, pts, owner = received[0]
+    rays, ref, pts, owner = received[0]
     assert rays.shape == (1, 2, 3) and owner.tolist() == [0, 0]
+    view = inp.views[0]
+    for field, want in zip(ref, (view.R, view.t, view.camera_center)):
+        assert field.shape == (1, *want.shape) and field[0].tobytes() == want.tobytes()
     np.testing.assert_array_equal(pts, points3d[[5, 2]])
+
+
+def pose_groups(ref: Poses) -> list[np.ndarray]:
+    """The rows of each distinct reference pose, in order of first appearance."""
+    groups: dict[bytes, list[int]] = {}
+    for i, (R, t) in enumerate(zip(ref.R, ref.t)):
+        groups.setdefault(R.tobytes() + t.tobytes(), []).append(i)
+    return [np.array(rows) for rows in groups.values()]
+
+
+def one_block_per_image(solve, blocks):
+    """``solve`` (a match rescue) called once per reference image among a
+    run-level block's rows; ``blocks`` records each call's row count."""
+
+    def split(rows, cues):
+        m = len(rows.c)
+        out = RescueRows(np.zeros(m, dtype=np.intp), np.zeros((m, 3)), np.zeros((m, 3)))
+        for group in pose_groups(rows.ref):
+            part = solve(rows.take(group), cues[group])
+            blocks.append(len(group))
+            for field, values in zip(out, part):
+                field[group] = values
+        return out
+
+    return split
+
+
+def multipoint_per_image(solve, blocks):
+    """The multi-point fit called once per reference image among a
+    run-level block's detections."""
+
+    def split(rays, ref, points, owner):
+        m = len(rays)
+        out = RescueRows(np.zeros(m, dtype=np.intp), np.zeros((m, 3)), np.zeros((m, 3)))
+        for group in pose_groups(ref):
+            mine = np.isin(owner, group)
+            part = solve(rays[group], ref.take(group), points[mine], np.searchsorted(group, owner[mine]))
+            blocks.append(len(group))
+            for field, values in zip(out, part):
+                field[group] = values
+        return out
+
+    return split
+
+
+@pytest.mark.parametrize("scene", ["noisy", "clean"])
+def test_run_level_rescue_equals_one_block_per_image(scene, request, monkeypatch):
+    # each rescue row's outcome does not depend on the other rows of its
+    # block: splitting every run-level call into one call per reference image,
+    # as the rescue ran before, gives the same tracks.json bytes
+    fixture = request.getfixturevalue(f"{scene}_scene")
+    inp = fixture[-1]
+    want = canonical_dumps(tracks_payload(run_pipeline(inp, PipelineConfig())))
+    blocks = {name: [] for name in ("triangulate_line_point", "triangulate_line_vp", "triangulate_multipoint")}
+    for name, calls in blocks.items():
+        split = multipoint_per_image if name == "triangulate_multipoint" else one_block_per_image
+        monkeypatch.setattr(pipeline, name, split(getattr(pipeline, name), calls))
+    got = canonical_dumps(tracks_payload(run_pipeline(inp, PipelineConfig())))
+    assert got == want
+    # each run-level call held rows of several images
+    assert all(len(calls) >= 8 for calls in blocks.values())
 
 
 @pytest.fixture(scope="module")
@@ -356,9 +422,10 @@ def test_triangulation_counters_add_up_to_the_proposals(noisy_scene, monkeypatch
         stats["degenerate_matches"] - stats["point_rescues"] - stats["vp_rescues"]
     )
     assert stats["proposals"] == sum(sources.values())
-    # one block per image and rescue, the point rescue at most twice
-    assert rescue_calls["triangulate_multipoint"] <= 16 and rescue_calls["triangulate_line_vp"] <= 16
-    assert 16 <= rescue_calls["triangulate_line_point"] <= 32
+    # one block per run and cue, whatever the number of images: the point
+    # rescue at most twice (first point, then second), the others once
+    assert rescue_calls["triangulate_multipoint"] == 1 and rescue_calls["triangulate_line_vp"] == 1
+    assert 1 <= rescue_calls["triangulate_line_point"] <= 2
 
 
 def test_each_endpoint_ray_is_solved_once_per_run(noisy_scene, monkeypatch):

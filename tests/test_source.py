@@ -331,10 +331,20 @@ FRONT_END_CODE = {
         "min_rows",
         "max_rows",
     ),
-    "pipeline.py": ("compute_neighbors", "_image_proposals"),
+    "pipeline.py": (
+        "compute_neighbors",
+        "_triangulate_image",
+        "_rescue",
+        "_proposals",
+        "_image_proposals",
+    ),
     "triangulation.py": (
+        "Poses.of",
+        "Poses.take",
+        "Poses.view",
         "MatchRows.take",
         "MatchRows.form",
+        "join_rows",
         "match_rows",
         "_one_row",
         "weak_epipolar_iou",

@@ -727,7 +727,8 @@ def test_each_detection_keeps_its_first_ten_passing_matches_in_match_order():
     row.insert(9, (0, 0))
     neighbors = [j for j in range(16) if j not in (4, 9)]
     rays = pipeline.RayTable.solve(views, detections)
-    props = pipeline._image_proposals(0, views, neighbors, [row], rays, [[]], [None])
+    cue = pipeline.ImageCues(0, neighbors, [row], [[]], [None])
+    (props,) = pipeline._proposals(views, rays, [cue])
     passing = []
     for j, k in row:
         if j != 0 and j in neighbors:
