@@ -202,11 +202,8 @@ def _pair_table(rows: list) -> list[list[tuple[int, int]]] | None:
     except TypeError:
         return None
     pairs = itertools.chain.from_iterable(table)
-    if set(map(len, pairs)) <= {2} and set(
-        map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(table)))
-    ) <= {int}:
-        return table
-    return None
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(table))
+    return table if set(map(len, pairs)) <= {2} and set(map(type, entries)) <= {int} else None
 
 
 def _walk_match_rows(path: Path, img: int, rows: list) -> list[list[tuple[int, int]]]:

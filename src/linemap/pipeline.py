@@ -315,10 +315,9 @@ def _proposals(
     fits = [None] * len(cues)
     if any(multi):
         groups = [cue.points[d] for cue, ds in zip(cues, multi) for d in ds]
-        poses = [Poses.of(views[cue.img], len(ds)) for cue, ds in zip(cues, multi)]
         fit = triangulate_multipoint(
             np.concatenate([rays.of(cue.img)[ds] for cue, ds in zip(cues, multi)]),
-            Poses(*(np.concatenate(field) for field in zip(*poses))),
+            Poses.join([Poses.of(views[cue.img], len(ds)) for cue, ds in zip(cues, multi)]),
             np.array([p for pts in groups for p in pts], dtype=np.float64),
             np.repeat(np.arange(len(groups)), [len(pts) for pts in groups]),
         )

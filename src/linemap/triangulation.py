@@ -111,6 +111,11 @@ class Poses(NamedTuple):
             np.broadcast_to(view.camera_center, (m, 3)),
         )
 
+    @classmethod
+    def join(cls, poses: list[Poses]) -> Poses:
+        """The rows of ``poses``, one after another."""
+        return cls(*(np.concatenate(field) for field in zip(*poses)))
+
     def take(self, idx) -> Poses:
         return Poses(*(field[idx] for field in self))
 
@@ -188,9 +193,8 @@ class MatchRows(NamedTuple):
 
 def join_rows(blocks: list[MatchRows]) -> MatchRows:
     """The rows of ``blocks``, one after another, as one block."""
-    refs = [block.ref for block in blocks]
     return MatchRows(
-        Poses(*(np.concatenate(field) for field in zip(*refs))),
+        Poses.join([block.ref for block in blocks]),
         *(np.concatenate(field) for field in zip(*(block[1:] for block in blocks))),
     )
 

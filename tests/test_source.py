@@ -340,6 +340,7 @@ FRONT_END_CODE = {
     ),
     "triangulation.py": (
         "Poses.of",
+        "Poses.join",
         "Poses.take",
         "Poses.view",
         "MatchRows.take",
