@@ -190,48 +190,21 @@ def load_segments(path: str | Path) -> dict[int, list[Segment2D]]:
     return out
 
 
-def _pair_table(rows: list) -> list[list[tuple[int, int]]] | None:
-    """``rows`` with each pair as a tuple, or None unless every row is a list
-    of ``[int, int]`` lists (no bools).  Checked in bulk, on the tuples: a
-    JSON value other than a list gives no tuple (a number), or one whose
-    length or entries fail the check (a string, an object's keys)."""
-    if not all(type(row) is list for row in rows):
-        return None
-    try:
-        table = [list(map(tuple, row)) for row in rows]
-    except TypeError:
-        return None
-    pairs = itertools.chain.from_iterable(table)
-    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(table))
-    return table if set(map(len, pairs)) <= {2} and set(map(type, entries)) <= {int} else None
-
-
-def _walk_match_rows(path: Path, img: int, rows: list) -> list[list[tuple[int, int]]]:
-    """``rows`` with each pair as a tuple, built item by item: the first
-    malformed row or pair raises its InputError."""
-    table = []
-    for i, row in enumerate(rows):
-        where = f"image {img} detection {i}"
-        if not isinstance(row, list):
-            raise InputError(path, f"{where}: expected a list of pairs")
-        pairs = []
-        for pair in row:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InputError(path, f"{where}: match must be [image, detection]")
-            pairs.append((_index(path, pair[0], where), _index(path, pair[1], where)))
-        table.append(pairs)
-    return table
-
-
 def load_matches(path: str | Path) -> dict[int, list[list[tuple[int, int]]]]:
-    """Each image's match rows.  A table is checked in bulk; the walk item
-    by item runs only on a table that fails, to name its first malformed
-    item."""
     path = Path(path)
     out = {}
     for img, rows in _per_image(path, _load_json(path), "match rows"):
-        table = _pair_table(rows)
-        out[img] = _walk_match_rows(path, img, rows) if table is None else table
+        table = out[img] = []
+        for i, row in enumerate(rows):
+            where = f"image {img} detection {i}"
+            if not isinstance(row, list):
+                raise InputError(path, f"{where}: expected a list of pairs")
+            pairs = []
+            for pair in row:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise InputError(path, f"{where}: match must be [image, detection]")
+                pairs.append((_index(path, pair[0], where), _index(path, pair[1], where)))
+            table.append(pairs)
     return out
 
 
@@ -296,47 +269,17 @@ def load_dataset(root: str | Path) -> PipelineInput:
         for img in table or ():
             if img not in views:
                 raise InputError(root / name, f"image {img} has no camera")
-    for img in views:
-        detections.setdefault(img, [])
-    if not _references_hold(views, detections, matches or {}, neighbors or {}):
-        _check_references(root, views, detections, matches or {}, neighbors or {})
-    return PipelineInput(views, detections, matches, points3d, point_obs, neighbors)
-
-
-def _references_hold(views, detections, matches, neighbors) -> bool:
-    """Whether every match row count, matched image, matched detection and
-    neighbour names something that exists, checked in bulk: one array pass
-    per image's match table."""
-    if not set(itertools.chain.from_iterable(neighbors.values())) <= views.keys():
-        return False
-    images = np.array(sorted(views), dtype=np.int64)
-    counts = np.array([len(detections[img]) for img in images.tolist()])
-    for img, rows in matches.items():
-        if len(rows) != len(detections[img]):
-            return False
-        values = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
-        try:
-            js, djs = np.fromiter(values, dtype=np.int64).reshape(-1, 2).T
-        except OverflowError:  # an integer past int64 names nothing
-            return False
-        k = np.minimum(np.searchsorted(images, js), len(images) - 1)
-        if not ((images[k] == js) & (djs >= 0) & (djs < counts[k])).all():
-            return False
-    return True
-
-
-def _check_references(root: Path, views, detections, matches, neighbors) -> None:
-    """Raise the InputError of the first match or neighbour entry that names
-    no image or no detection, or of the first match table whose row count is
-    not its image's detection count."""
+    match_rows, neighbor_rows = (matches or {}).items(), (neighbors or {}).items()
     referenced = itertools.chain(
-        ((MATCHES, img, j) for img, rows in matches.items() for row in rows for j, _ in row),
-        ((NEIGHBORS, img, j) for img, row in neighbors.items() for j in row),
+        ((MATCHES, img, j) for img, rows in match_rows for row in rows for j, _ in row),
+        ((NEIGHBORS, img, j) for img, row in neighbor_rows for j in row),
     )
     for name, img, other in referenced:
         if other not in views:
             raise InputError(root / name, f"image {img}: unknown image {other}")
-    for img, rows in matches.items():
+    for img in views:
+        detections.setdefault(img, [])
+    for img, rows in match_rows:
         if len(rows) != len(detections[img]):
             raise InputError(
                 root / MATCHES, f"image {img}: {len(rows)} rows for {len(detections[img])} detections"
@@ -348,6 +291,7 @@ def _check_references(root: Path, views, detections, matches, neighbors) -> None
                         root / MATCHES,
                         f"image {img} detection {i}: detection {dj} out of range for image {other}",
                     )
+    return PipelineInput(views, detections, matches, points3d, point_obs, neighbors)
 
 
 def depth_path(root: str | Path, image_id: int) -> Path:

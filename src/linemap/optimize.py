@@ -682,8 +682,8 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
     """Run Levenberg-Marquardt on a joint problem.  Cameras are fixed."""
     lin = _Linearizer(problem, config)
     state = _State.initial(problem)
-    ne = lin.normal_equations(lin.residuals(state))
-    cost = ne.cost
+    evaluation = lin.residuals(state)
+    cost = evaluation.cost
     if lin.nv == 0:
         return OptimizeResult(state.points, state.lines, state.vps, cost, cost, 0, True, "empty")
 
@@ -694,6 +694,9 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
     iters = 0
 
     for iters in range(1, config.max_iterations + 1):
+        # Jacobians only for a state that starts an iteration; a trial is
+        # priced by its residual stage alone
+        ne = lin.normal_equations(evaluation)
         if np.max(np.abs(ne.gradient())) < _GTOL:
             termination, converged = "gradient", True
             break
@@ -715,7 +718,7 @@ def optimize(problem: JointProblem, config: OptimizeConfig = OptimizeConfig()) -
             termination = "damping_exhausted"
             break
         rel_drop = (cost - trial.cost) / max(cost, 1e-30)
-        state, ne, cost = candidate, lin.normal_equations(trial), trial.cost
+        state, evaluation, cost = candidate, trial, trial.cost
         damping = max(1e-12, damping * _DAMPING_DOWN)
         if rel_drop < _FTOL:
             termination, converged = "cost", True

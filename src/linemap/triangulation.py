@@ -119,17 +119,13 @@ class Poses(NamedTuple):
     def take(self, idx) -> Poses:
         return Poses(*(field[idx] for field in self))
 
-    def view(self, i: int) -> CameraView:
-        """Row ``i`` as a view with these ``R`` and ``t`` (and unit intrinsics)."""
-        return CameraView(np.eye(3), self.R[i], self.t[i])
-
 
 @dataclass(frozen=True)
 class RayPlaneForm:
     """Two-view setup of one match: the reference rays against the match plane.
 
-    Every field but ``ref_view`` is Python floats; of ``ref_view`` only the
-    pose is read.  ``R`` (by rows) and
+    ``ref`` is the reference camera's pose, as :class:`Poses` of one row;
+    every other field is Python floats.  ``R`` (by rows) and
     ``t`` map reference-camera coordinates into the matched camera's.
     ``x1, x2`` are the reference endpoint rays in normalized coordinates
     (z = 1, so a depth ``lam`` puts the endpoint at ``lam * x``) and ``Rx1,
@@ -139,7 +135,7 @@ class RayPlaneForm:
     ``a[i] * lam[i] + c`` off it.
     """
 
-    ref_view: CameraView
+    ref: Poses
     R: Mat3
     t: Vec3
     x1: Vec3
@@ -188,7 +184,8 @@ class MatchRows(NamedTuple):
     def form(self, i: int) -> RayPlaneForm:
         """Row ``i`` as a :class:`RayPlaneForm` (``.tolist()`` keeps every bit)."""
         R, *vectors, a, c = (field[i].tolist() for field in self[2:])
-        return RayPlaneForm(self.ref.view(i), tuple(map(tuple, R)), *map(tuple, vectors), tuple(a), c)
+        ref = self.ref.take(slice(i, i + 1))
+        return RayPlaneForm(ref, tuple(map(tuple, R)), *map(tuple, vectors), tuple(a), c)
 
 
 def join_rows(blocks: list[MatchRows]) -> MatchRows:
@@ -229,7 +226,7 @@ def match_rows(
 def _one_row(form: RayPlaneForm) -> MatchRows:
     """The block of one match: each of the form's fields as a row."""
     rows = (np.array([getattr(form, name)], dtype=np.float64) for name in MatchRows._fields[2:])
-    return MatchRows(Poses.of(form.ref_view, 1), np.array([True]), *rows)
+    return MatchRows(form.ref, np.array([True]), *rows)
 
 
 def weak_epipolar_iou(form: MatchRows | RayPlaneForm) -> np.ndarray | float:

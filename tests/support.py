@@ -36,6 +36,7 @@ from linemap.triangulation import (
     CheiralityError,
     DegenerateTriangulationError,
     FullyDegenerateError,
+    Poses,
     RayPlaneForm,
     TriangulationError,
     WeaklyDegenerateError,
@@ -725,7 +726,7 @@ def float_ray_plane_form(ref_view, ref_rays, pose, match_rays):
     n = (n[0] / nn, n[1] / nn, n[2] / nn)
     Rx1, Rx2 = matvec3(R, x1), matvec3(R, x2)
     a = (dot3(n, Rx1), dot3(n, Rx2))
-    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot3(n, t))
+    return RayPlaneForm(Poses.of(ref_view, 1), R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot3(n, t))
 
 
 def float_check_degeneracy(ray_dir, plane_normal, min_angle_deg):
@@ -741,14 +742,14 @@ def float_finish_segment(form, lam1, lam2):
     if lam1 <= 0 or lam2 <= 0:
         raise CheiralityError("endpoint depth is not positive in the reference view")
     depth_row, tz = form.R[2], form.t[2]
-    v = form.ref_view.floats
-    t0, t1, t2 = v.t
+    Rt = form.ref.R[0].T.tolist()
+    t0, t1, t2 = form.ref.t[0].tolist()
     ends = []
     for li, (x0, x1, x2) in ((lam1, form.x1), (lam2, form.x2)):
         p0, p1, p2 = li * x0, li * x1, li * x2
         if dot3(depth_row, (p0, p1, p2)) + tz <= 0:
             raise CheiralityError("endpoint lies behind the matched view")
-        ends.append(matvec3(v.Rt, (p0 - t0, p1 - t1, p2 - t2)))
+        ends.append(matvec3(Rt, (p0 - t0, p1 - t1, p2 - t2)))
     return tuple(ends)
 
 
@@ -802,7 +803,7 @@ def reference_ray_plane_form(ref_view, ref_rays, match_view, match_rays):
     n = n / nn
     Rx1, Rx2 = R @ x1, R @ x2
     a = np.array([n @ Rx1, n @ Rx2])
-    return RayPlaneForm(ref_view, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, float(n @ t))
+    return RayPlaneForm(Poses.of(ref_view, 1), R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, float(n @ t))
 
 
 def reference_plane_angle_deg(ray_dir, plane_normal):
@@ -828,8 +829,8 @@ def reference_triangulate_algebraic(form, min_angle_deg=1.0):
     for li, xi in ((lam[0], form.x1), (lam[1], form.x2)):
         if (R[2] @ (li * xi) + t[2]) <= 0:
             raise CheiralityError("endpoint lies behind the matched view")
-    view = form.ref_view
-    return view.R.T @ (lam[0] * form.x1 - view.t), view.R.T @ (lam[1] * form.x2 - view.t)
+    R_ref, t_ref = form.ref.R[0], form.ref.t[0]
+    return R_ref.T @ (lam[0] * form.x1 - t_ref), R_ref.T @ (lam[1] * form.x2 - t_ref)
 
 
 def reference_weak_epipolar_iou(form):
@@ -996,7 +997,7 @@ def reference_point_constraint(form, point3d):
     if npn < EPS:
         raise TriangulationError("reference segment endpoints coincide")
     n_p = n_p / npn
-    p_ref = form.ref_view.R @ np.asarray(point3d, dtype=np.float64) + form.ref_view.t
+    p_ref = form.ref.R[0] @ np.asarray(point3d, dtype=np.float64) + form.ref.t[0]
     p_in_plane = p_ref - (n_p @ p_ref) * n_p
     if np.linalg.norm(p_in_plane) < EPS:
         raise DegenerateTriangulationError("3D point projects to the camera center")

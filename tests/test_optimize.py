@@ -545,9 +545,12 @@ class TestSolverLoop:
         assert counts["residuals"] == 1 + counts["retract"]
 
 
-    def test_only_the_start_and_accepted_steps_build_normal_equations(self, monkeypatch):
-        # a trial is priced by its residual stage; its Jacobians and normal
-        # equations are built only when the step is accepted
+    @pytest.mark.parametrize("max_iterations", [6, 100])
+    def test_only_states_that_start_an_iteration_build_normal_equations(
+        self, monkeypatch, max_iterations
+    ):
+        # a trial is priced by its residual stage; Jacobians and normal
+        # equations are built only for a state the next iteration steps from
         problem = noisy_line_problem()
         states = fail_line_geometry_on(monkeypatch, lambda k: k in (2, 4))  # two failed trials
         built = []
@@ -558,11 +561,13 @@ class TestSolverLoop:
             return real(self, ev)
 
         monkeypatch.setattr(_Linearizer, "normal_equations", counted)
-        result = optimize(problem, OptimizeConfig(max_iterations=6))
-        accepted = result.iterations - (result.termination in ("gradient", "damping_exhausted"))
-        assert len(states) - 1 >= accepted + 2  # every trial reached the residual stage
-        assert len(built) == 1 + accepted
-        assert built[0] == result.initial_cost and built[-1] == result.final_cost
+        result = optimize(problem, OptimizeConfig(max_iterations=max_iterations))
+        assert len(states) - 1 >= result.iterations + 2  # every trial reached the residual stage
+        assert len(built) == result.iterations
+        assert built[0] == result.initial_cost
+        # a run that ends on an accepted step never builds for it
+        ends_on_a_step = result.termination in ("cost", "max_iterations")
+        assert (built[-1] == result.final_cost) != ends_on_a_step
 
 
 class TestHelpers:

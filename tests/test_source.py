@@ -342,7 +342,6 @@ FRONT_END_CODE = {
         "Poses.of",
         "Poses.join",
         "Poses.take",
-        "Poses.view",
         "MatchRows.take",
         "MatchRows.form",
         "join_rows",

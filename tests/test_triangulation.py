@@ -504,7 +504,7 @@ def float_form(ref_view, ref_rays, match_view, match_rays):
 
 def assert_every_solver_fails_cleanly(form):
     # the rescue solvers see the same form when the algebraic one is degenerate
-    point = form.ref_view.camera_center + np.array([0.1, 0.2, 3.0])
+    point = form.ref.center[0] + np.array([0.1, 0.2, 3.0])
     solvers = (
         triangulate_algebraic,
         lambda f: triangulate_line_point(f, point),
