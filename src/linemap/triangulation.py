@@ -15,8 +15,7 @@ segment.  The pipeline forms every match of one reference image at once, as
 the rows of one :class:`MatchRows` block (:func:`match_rows`), and runs the
 IoU gate (:func:`weak_epipolar_iou`) and the algebraic triangulation with
 its degeneracy test and cheirality checks (:func:`triangulate_algebraic`)
-as one array pass over those rows.  Both also take one
-:class:`RayPlaneForm`, as a block of one row.
+as one array pass over those rows.
 
 A block gives every row the bits that one match at a time on Python floats
 gives (``tests/support.py`` keeps that form as the oracle): only ``+ - * /``,
@@ -37,17 +36,15 @@ the point and VP rescue take :class:`MatchRows` blocks joined across images
 multi-point fit the detections of every image that share two or more
 points.  A row's outcome does not depend on the other rows of its block.
 They follow the same rules, and each gives :class:`RescueRows`, a failure
-code per row where one match or one detection would raise.  Two LAPACK
-calls remain, one stacked call per block: ``eigvals`` for the multiplier
+code per row, whose reason :data:`FAILURES` names.  Two LAPACK calls
+remain, one stacked call per block: ``eigvals`` for the multiplier
 polynomial's roots (:func:`solve_constrained_quadratic`) and ``eigh`` for
-the multi-point fit (:func:`~linemap.geometry.principal_lines`).  Every
-solver also takes one match or one detection, as a block of one row.
+the multi-point fit (:func:`~linemap.geometry.principal_lines`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,9 +52,6 @@ import numpy as np
 from .geometry import (
     EPS,
     CameraView,
-    Mat3,
-    Segment3D,
-    Vec3,
     columns,
     cross_rows,
     dot_rows,
@@ -70,26 +64,6 @@ from .scoring import FILTER_BAND
 
 
 MIN_PLANE_ANGLE_DEG = 1.0  # a reference ray closer to the match plane is degenerate
-
-
-class TriangulationError(Exception):
-    """Base class for unrecoverable triangulation failures."""
-
-
-class DegenerateTriangulationError(TriangulationError):
-    """A viewing ray is too close to the back-projected plane of the match."""
-
-
-class WeaklyDegenerateError(DegenerateTriangulationError):
-    """Exactly one endpoint ray is degenerate."""
-
-
-class FullyDegenerateError(DegenerateTriangulationError):
-    """Both endpoint rays are degenerate."""
-
-
-class CheiralityError(TriangulationError):
-    """No solution places the segment in front of both cameras."""
 
 
 class Poses(NamedTuple):
@@ -120,35 +94,6 @@ class Poses(NamedTuple):
         return Poses(*(field[idx] for field in self))
 
 
-@dataclass(frozen=True)
-class RayPlaneForm:
-    """Two-view setup of one match: the reference rays against the match plane.
-
-    ``ref`` is the reference camera's pose, as :class:`Poses` of one row;
-    every other field is Python floats.  ``R`` (by rows) and
-    ``t`` map reference-camera coordinates into the matched camera's.
-    ``x1, x2`` are the reference endpoint rays in normalized coordinates
-    (z = 1, so a depth ``lam`` puts the endpoint at ``lam * x``) and ``Rx1,
-    Rx2`` the same rays turned into the matched frame; ``y1, y2`` are the
-    matched endpoint rays.  The match plane has unit normal ``n`` in the
-    matched frame, and the reference endpoint at depth ``lam[i]`` lies
-    ``a[i] * lam[i] + c`` off it.
-    """
-
-    ref: Poses
-    R: Mat3
-    t: Vec3
-    x1: Vec3
-    x2: Vec3
-    Rx1: Vec3
-    Rx2: Vec3
-    y1: Vec3
-    y2: Vec3
-    n: Vec3
-    a: tuple[float, float]
-    c: float
-
-
 # ---------------------------------------------------------------------------
 # blocks of matches into one reference view
 # ---------------------------------------------------------------------------
@@ -157,11 +102,17 @@ class RayPlaneForm:
 class MatchRows(NamedTuple):
     """The ray-plane forms of a block of matches, one row each.
 
-    ``ref`` holds each row's reference pose.  The fields after ``plane`` are
-    :class:`RayPlaneForm`'s, stacked: ``R`` is ``(m, 3, 3)``, ``a`` is
-    ``(m, 2)``, ``c`` is ``(m,)`` and the others are ``(m, 3)``.  ``plane``
-    is False where the matched rays coincide, so that the match has no
-    plane; such a row's ``n``, ``a`` and ``c`` are placeholders.
+    ``ref`` holds each row's reference pose.  ``R`` (``(m, 3, 3)``, by rows)
+    and ``t`` map reference-camera coordinates into the matched camera's.
+    ``x1, x2`` are the reference endpoint rays in normalized coordinates
+    (z = 1, so a depth ``lam`` puts the endpoint at ``lam * x``) and ``Rx1,
+    Rx2`` the same rays turned into the matched frame; ``y1, y2`` are the
+    matched endpoint rays.  The match plane has unit normal ``n`` in the
+    matched frame, and reference endpoint ``k`` (0 or 1) at depth ``lam``
+    lies ``a[:, k] * lam + c`` off it: ``a`` is ``(m, 2)``, ``c`` is ``(m,)``
+    and the other fields are ``(m, 3)``.  ``plane`` is False where the
+    matched rays coincide, so that the match has no plane; such a row's
+    ``n``, ``a`` and ``c`` are placeholders.
     """
 
     ref: Poses
@@ -180,12 +131,6 @@ class MatchRows(NamedTuple):
 
     def take(self, idx) -> MatchRows:
         return MatchRows(self.ref.take(idx), *(field[idx] for field in self[1:]))
-
-    def form(self, i: int) -> RayPlaneForm:
-        """Row ``i`` as a :class:`RayPlaneForm` (``.tolist()`` keeps every bit)."""
-        R, *vectors, a, c = (field[i].tolist() for field in self[2:])
-        ref = self.ref.take(slice(i, i + 1))
-        return RayPlaneForm(ref, tuple(map(tuple, R)), *map(tuple, vectors), tuple(a), c)
 
 
 def join_rows(blocks: list[MatchRows]) -> MatchRows:
@@ -223,16 +168,9 @@ def match_rows(
     return MatchRows(ref, plane, R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot_rows(n, t))
 
 
-def _one_row(form: RayPlaneForm) -> MatchRows:
-    """The block of one match: each of the form's fields as a row."""
-    rows = (np.array([getattr(form, name)], dtype=np.float64) for name in MatchRows._fields[2:])
-    return MatchRows(form.ref, np.array([True]), *rows)
-
-
-def weak_epipolar_iou(form: MatchRows | RayPlaneForm) -> np.ndarray | float:
-    """Interval overlap between each matched segment and its epipolar band:
-    one value per row of a :class:`MatchRows` block, or one float for one
-    :class:`RayPlaneForm`.
+def weak_epipolar_iou(rows: MatchRows) -> np.ndarray:
+    """Interval overlap between each matched segment and its epipolar band,
+    one value per row of a :class:`MatchRows` block.
 
     The epipolar lines of the two reference endpoints cut an interval on the
     infinite line supporting the matched segment; a row's value is the 1D
@@ -243,9 +181,8 @@ def weak_epipolar_iou(form: MatchRows | RayPlaneForm) -> np.ndarray | float:
     The epipolar line of ``x`` meets the matched line at the image of the
     point where ``x``'s ray meets the match plane: with ``E = [t]x R``,
     ``(E x) x (y1 x y2)`` is ``c R x - (n . R x) t`` up to a positive scale,
-    so each cut is read off the form as ``c * Rx_i - a_i * t``.
+    so each cut is read off the row as ``c * Rx_i - a_i * t``.
     """
-    rows = _one_row(form) if isinstance(form, RayPlaneForm) else form
     t, c = rows.t, rows.c[:, None]
     ox, oy = rows.y1[:, 0], rows.y1[:, 1]
     dx, dy = rows.y2[:, 0] - ox, rows.y2[:, 1] - oy
@@ -265,8 +202,7 @@ def weak_epipolar_iou(form: MatchRows | RayPlaneForm) -> np.ndarray | float:
     inter = max_rows(0.0, min_rows(hi, seg_len) - max_rows(lo, 0.0))
     union = max_rows(hi, seg_len) - min_rows(lo, 0.0)
     zero |= union < EPS
-    iou = np.where(zero, 0.0, inter / np.where(zero, 1.0, union))
-    return iou if rows is form else float(iou[0])
+    return np.where(zero, 0.0, inter / np.where(zero, 1.0, union))
 
 
 def degenerate_rows(ray: np.ndarray, normal: np.ndarray, min_angle_deg: float) -> np.ndarray:
@@ -325,25 +261,18 @@ def _finish_rows(rows: MatchRows, lam1: np.ndarray, lam2: np.ndarray):
     return ok, ends[0], ends[1]
 
 
-def triangulate_algebraic(
-    form: MatchRows | RayPlaneForm, min_angle_deg: float = MIN_PLANE_ANGLE_DEG
-) -> AlgebraicRows | Segment3D:
+def triangulate_algebraic(rows: MatchRows, min_angle_deg: float = MIN_PLANE_ANGLE_DEG) -> AlgebraicRows:
     """Two-view triangulation, intersecting the reference rays with the
-    match plane: the outcome of every row of a :class:`MatchRows` block as
-    :class:`AlgebraicRows`, or the segment of one :class:`RayPlaneForm`.
+    match plane: the outcome of every row of a :class:`MatchRows` block.
 
     The matched segment back-projects to a plane through the matched camera
     center; each reference endpoint ray is intersected with that plane.  A
-    ray exactly parallel to the plane (``a[i] == 0``) is degenerate at any
-    threshold.  A block flags its failures; one form raises them.
-
-    Raises:
-        WeaklyDegenerateError: one endpoint ray within ``min_angle_deg`` of
-            the plane.
-        FullyDegenerateError: both endpoint rays degenerate.
-        CheiralityError: intersection behind either camera.
+    row is weakly degenerate where one endpoint ray lies within
+    ``min_angle_deg`` of the plane and fully degenerate where both do; a ray
+    exactly parallel to the plane (``a[i] == 0``) is degenerate at any
+    threshold.  The other rows fail cheirality where an endpoint lies behind
+    either camera.
     """
-    rows = _one_row(form) if isinstance(form, RayPlaneForm) else form
     a1, a2 = rows.a[:, 0], rows.a[:, 1]
     bad1 = (a1 == 0.0) | degenerate_rows(rows.Rx1, rows.n, min_angle_deg)
     bad2 = (a2 == 0.0) | degenerate_rows(rows.Rx2, rows.n, min_angle_deg)
@@ -351,38 +280,29 @@ def triangulate_algebraic(
     ok, start, end = _finish_rows(
         rows, -rows.c / np.where(bad, 1.0, a1), -rows.c / np.where(bad, 1.0, a2)
     )
-    if rows is form:
-        return AlgebraicRows(bad1, bad2, ok & ~bad, start, end)
-    if bad1[0] and bad2[0]:
-        raise FullyDegenerateError("both endpoint rays parallel to the match plane")
-    if bad[0]:
-        raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
-    if not ok[0]:
-        raise CheiralityError("an endpoint lies behind the reference or the matched view")
-    return Segment3D(start[0], end[0])
+    return AlgebraicRows(bad1, bad2, ok & ~bad, start, end)
 
 
 # ---------------------------------------------------------------------------
 # rescue: blocks of degenerate matches, and of detections with shared points
 # ---------------------------------------------------------------------------
 
-# why a rescue row has no segment: row ``i`` of a block failed for reason
-# ``FAILURES[failure[i]]``, the exception and message one form or one
-# detection raises; code 0 is a segment
+# why a rescue row has no segment: row ``i`` of a block failed for the
+# reason ``FAILURES[failure[i]]``; code 0 is a segment
 FAILURES = (
     None,
-    (TriangulationError, "need at least two 3D points to fit a line"),
-    (DegenerateTriangulationError, "3D points are coincident; no line direction"),
-    (DegenerateTriangulationError, "fitted line is parallel to an endpoint ray"),
-    (CheiralityError, "fitted segment lies behind the reference view"),
-    (TriangulationError, "reference segment endpoints coincide"),
-    (DegenerateTriangulationError, "3D point projects to the camera center"),
-    (DegenerateTriangulationError, "collinearity constraint is vacuous"),
-    (DegenerateTriangulationError, "vanishing direction is perpendicular to the ray plane"),
-    (DegenerateTriangulationError, "vanishing direction constrains neither ray"),
-    (TriangulationError, "constrained solve produced no real candidate"),
-    (CheiralityError, "no candidate places the segment in front of both cameras"),
-    (TriangulationError, "an endpoint is not finite"),
+    "need at least two 3D points to fit a line",
+    "3D points are coincident; no line direction",
+    "fitted line is parallel to an endpoint ray",
+    "fitted segment lies behind the reference view",
+    "reference segment endpoints coincide",
+    "3D point projects to the camera center",
+    "collinearity constraint is vacuous",
+    "vanishing direction is perpendicular to the ray plane",
+    "vanishing direction constrains neither ray",
+    "constrained solve produced no real candidate",
+    "no candidate places the segment in front of both cameras",
+    "an endpoint is not finite",
 )
 (
     _,
@@ -413,19 +333,6 @@ class RescueRows(NamedTuple):
     start: np.ndarray
     end: np.ndarray
 
-    def segment(self, i: int) -> Segment3D:
-        """Row ``i`` as a segment.
-
-        Raises:
-            TriangulationError: the row's failure, as one form or one
-                detection raises it.
-        """
-        code = int(self.failure[i])
-        if code:
-            error, message = FAILURES[code]
-            raise error(message)
-        return Segment3D(self.start[i], self.end[i])
-
 
 def _fail(failure: np.ndarray, mask: np.ndarray, code: int) -> np.ndarray:
     """``failure`` with ``code`` on the rows of ``mask`` that have not failed yet."""
@@ -442,37 +349,21 @@ def _unit_rows(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
 
 
 def triangulate_multipoint(
-    ref_rays: np.ndarray,
-    ref: CameraView | Poses,
-    points3d: np.ndarray,
-    owner: np.ndarray | None = None,
-) -> RescueRows | Segment3D:
+    rays: np.ndarray, ref: Poses, points3d: np.ndarray, owner: np.ndarray
+) -> RescueRows:
     """Triangulate each detection by fitting a 3D line through its shared 3D points.
 
     The principal direction of a detection's points (about their mean,
     :func:`~linemap.geometry.principal_lines`) defines the line; the
     segment endpoints are the points on the two reference endpoint rays
-    closest to that line.  ``ref_rays`` is ``(m, 2, 3)``, each detection's
-    endpoint rays in normalized coordinates, ``ref`` the view of every
-    detection or each detection's pose, and point ``points3d[k]`` (``(n,
-    3)``) belongs to detection ``owner[k]``; the outcome is one
-    :class:`RescueRows` row per detection.  Without ``owner``, ``ref_rays``
-    is one detection's two rays and every point is its own: that
-    detection's segment, or its failure raised.
+    closest to that line.  ``rays`` is ``(m, 2, 3)``, each detection's
+    endpoint rays in normalized coordinates, ``ref`` each detection's pose,
+    and point ``points3d[k]`` (``(n, 3)``) belongs to detection
+    ``owner[k]``; the outcome is one :class:`RescueRows` row per detection.
     """
-    one = owner is None
-    pts = np.asarray(points3d, dtype=np.float64)
-    if one:
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            error, message = FAILURES[FEW_POINTS]
-            raise error(message)
-        owner = np.zeros(len(pts), dtype=np.intp)
-    rays = np.asarray(ref_rays, dtype=np.float64).reshape(-1, 2, 3)
-    if isinstance(ref, CameraView):
-        ref = Poses.of(ref, len(rays))
     R, t, center = (field[:, None] for field in ref)  # one pose for both endpoint rays
     count = np.bincount(owner, minlength=len(rays))
-    mean, direction, spread = principal_lines(pts, owner, len(rays))
+    mean, direction, spread = principal_lines(points3d, owner, len(rays))
     direction = _unit_rows(direction, _norm_rows(direction))[:, None]
     # the point of each endpoint's world ray closest to the fitted line
     xn = _norm_rows(rays)
@@ -491,19 +382,12 @@ def triangulate_multipoint(
     failure = _fail(failure, parallel.any(axis=1), PARALLEL_RAY)
     failure = _fail(failure, behind.any(axis=1), BEHIND_VIEW)
     failure = _fail(failure, ~np.isfinite(ends).all(axis=(1, 2)), NOT_FINITE)
-    rows = RescueRows(failure, ends[:, 0], ends[:, 1])
-    return rows.segment(0) if one else rows
+    return RescueRows(failure, ends[:, 0], ends[:, 1])
 
 
 # ---------------------------------------------------------------------------
 # constrained quadratic minimization shared by the point/VP variants
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstrainedSolution:
-    lam: np.ndarray
-    cost: float
 
 
 class ConstrainedRows(NamedTuple):
@@ -520,10 +404,12 @@ class ConstrainedRows(NamedTuple):
 TIE_COST = 1e-10  # candidates this close in cost tie; the larger smallest depth wins
 
 
-def solve_constrained_quadratic(A, b, Q, q) -> ConstrainedRows | list[ConstrainedSolution]:
+def solve_constrained_quadratic(
+    A: np.ndarray, b: np.ndarray, Q: np.ndarray, q: np.ndarray
+) -> ConstrainedRows:
     """Stationary points of ``x^T A x + b^T x`` subject to ``x^T Q x + q^T x = 0``,
     for each row of ``(m, 2, 2)``, ``(m, 2)``, ``(m, 2, 2)``, ``(m, 2)``
-    arrays, or for one problem.
+    arrays.
 
     ``A`` and ``Q`` are symmetric 2x2.  The first-order conditions give
     ``x(mu) = -1/2 (A + mu Q)^-1 (b + mu q)`` (Cramer's rule); substitution
@@ -537,14 +423,8 @@ def solve_constrained_quadratic(A, b, Q, q) -> ConstrainedRows | list[Constraine
 
     Candidates are sorted by cost (ascending); among costs within
     :data:`TIE_COST` of the first of a run, the larger smallest depth comes
-    first.  A block gives :class:`ConstrainedRows`, one problem the list of
-    its candidates, which may be empty.
+    first.
     """
-    one = np.ndim(A) == 2
-    A, b, Q, q = (
-        np.asarray(x, dtype=np.float64).reshape(-1, *shape)
-        for x, shape in ((A, (2, 2)), (b, (2,)), (Q, (2, 2)), (q, (2,)))
-    )
     linear = ~(Q != 0.0).any(axis=(1, 2))
     if linear.all():
         lam, valid = _kkt_rows(A, b, q)
@@ -564,8 +444,6 @@ def solve_constrained_quadratic(A, b, Q, q) -> ConstrainedRows | list[Constraine
     cost = np.where(valid, cost, 0.0)
     if lam.shape[1] > 1:
         lam, cost, valid = _preference_order(lam, cost, valid)
-    if one:
-        return [ConstrainedSolution(lam[0, k], float(cost[0, k])) for k in np.flatnonzero(valid[0])]
     return ConstrainedRows(lam, cost, valid)
 
 
@@ -735,28 +613,24 @@ def _constrained_rows(rows: MatchRows, failure: np.ndarray, Q: np.ndarray, q: np
     return RescueRows(failure, start, end)
 
 
-def triangulate_line_point(
-    form: MatchRows | RayPlaneForm, point3d: np.ndarray
-) -> RescueRows | Segment3D:
+def triangulate_line_point(rows: MatchRows, point3d: np.ndarray) -> RescueRows:
     """Triangulation constrained by one 3D point known to lie on the line:
     row ``i`` of a :class:`MatchRows` block with world point ``point3d[i]``
-    (``(m, 3)``), or one :class:`RayPlaneForm` with one point.
+    (``(m, 3)``).
 
     The point is orthogonally projected onto the plane spanned by the two
     reference endpoint rays; requiring the two endpoints to be collinear
     with that projection is a quadratic constraint in the endpoint depths,
     under which the match-plane residuals of both endpoints are minimized.
     Among the resulting candidates the cheapest one passing the cheirality
-    test in both views is kept.  A block gives :class:`RescueRows`; one
-    form gives its segment or raises its failure.
+    test in both views is kept.
     """
-    rows = _one_row(form) if isinstance(form, RayPlaneForm) else form
     x1, x2 = rows.x1, rows.x2
     n_p = cross_rows(x1, x2)
     npn, xn = _norm_rows(n_p), _norm_rows(x1)
     failure = np.where((npn < EPS) | (xn < EPS), COINCIDENT_ENDS, 0)
     n_p = _unit_rows(n_p, npn)
-    p_ref = matvec_rows(rows.ref.R, np.asarray(point3d, dtype=np.float64).reshape(-1, 3)) + rows.ref.t
+    p_ref = matvec_rows(rows.ref.R, point3d) + rows.ref.t
     p_in_plane = p_ref - dot_rows(n_p, p_ref)[:, None] * n_p
     failure = _fail(failure, _norm_rows(p_in_plane) < EPS, POINT_AT_CENTER)
     # in-plane frame: rays and the projected point with a zero third coordinate
@@ -767,26 +641,21 @@ def triangulate_line_point(
     Q[:, 0, 1] = Q[:, 1, 0] = 0.5 * (a1 * b2 - b1 * a2)
     q = columns(-(a1 * b0 - b1 * a0), -(a0 * b2 - b0 * a2))
     vacuous = (Q[:, 0, 1] == 0.0) & (q[:, 0] == 0.0) & (q[:, 1] == 0.0)
-    out = _constrained_rows(rows, _fail(failure, vacuous, VACUOUS), Q, q)
-    return out if rows is form else out.segment(0)
+    return _constrained_rows(rows, _fail(failure, vacuous, VACUOUS), Q, q)
 
 
-def triangulate_line_vp(form: MatchRows | RayPlaneForm, vp_dir: np.ndarray) -> RescueRows | Segment3D:
+def triangulate_line_vp(rows: MatchRows, vp_dir: np.ndarray) -> RescueRows:
     """Triangulation constrained by a vanishing-point direction: row ``i``
-    of a :class:`MatchRows` block with direction ``vp_dir[i]`` (``(m, 3)``),
-    or one :class:`RayPlaneForm` with one direction.
+    of a :class:`MatchRows` block with direction ``vp_dir[i]`` (``(m, 3)``).
 
     A direction is a 3D direction in the reference-camera frame.  The
     output direction is its projection onto the plane of the reference
     rays, expressed as a linear constraint on the two endpoint depths; the
-    match-plane residuals are minimized subject to it.  A block gives
-    :class:`RescueRows`; one form gives its segment or raises its failure.
+    match-plane residuals are minimized subject to it.
     """
-    rows = _one_row(form) if isinstance(form, RayPlaneForm) else form
     x1, x2 = rows.x1, rows.x2
-    w = cross_rows(np.asarray(vp_dir, dtype=np.float64).reshape(-1, 3), cross_rows(x1, x2))
+    w = cross_rows(vp_dir, cross_rows(x1, x2))
     failure = np.where(_norm_rows(w) < EPS, VP_OFF_PLANE, 0)
     q = columns(-dot_rows(w, x1), dot_rows(w, x2))
     failure = _fail(failure, max_rows(np.abs(q[:, 0]), np.abs(q[:, 1])) < EPS, VP_VACUOUS)
-    out = _constrained_rows(rows, failure, np.zeros((len(x1), 2, 2)), q)
-    return out if rows is form else out.segment(0)
+    return _constrained_rows(rows, failure, np.zeros((len(x1), 2, 2)), q)

@@ -32,16 +32,7 @@ from linemap.geometry import (
 from linemap.metrics import min_distance_to_segments, sample_segments
 from linemap.optimize import ASSOC_LOSS_SCALE, _loss_value_and_weight
 from linemap.scoring import normalize_distance
-from linemap.triangulation import (
-    CheiralityError,
-    DegenerateTriangulationError,
-    FullyDegenerateError,
-    Poses,
-    RayPlaneForm,
-    TriangulationError,
-    WeaklyDegenerateError,
-    match_rows,
-)
+from linemap.triangulation import Poses, match_rows
 
 
 def intrinsics(f=600.0, cx=320.0, cy=240.0):
@@ -80,21 +71,20 @@ def float_rays(seg, view):
     return tuple(tuple(x.tolist()) for x in endpoint_rays(seg, view))
 
 
-def match_form(ref_view, ref_rays, pose, match_rays):
-    """The ray-plane form of one match, the one row of a block; None if the
-    matched rays coincide, so that the match has no plane.
+def match_block(ref_view, ref_rays, pose, match_rays):
+    """One match as a :class:`~linemap.triangulation.MatchRows` block of one
+    row; its ``plane[0]`` is False if the matched rays coincide.
 
     ``pose`` is :func:`relative_pose` of the reference and matched views;
     the rays are 3-sequences.
     """
     fields = (*pose, *ref_rays, *match_rays)  # R, t, x1, x2, y1, y2
-    rows = match_rows(ref_view, *(np.array([v], dtype=np.float64) for v in fields))
-    return rows.form(0) if rows.plane[0] else None
+    return match_rows(ref_view, *(np.array([v], dtype=np.float64) for v in fields))
 
 
 def two_view(ref_seg, ref_view, match_seg, match_view):
-    """The ray-plane form of one match, built as the pipeline builds it."""
-    return match_form(
+    """One match as a block of one row, formed as the pipeline forms it."""
+    return match_block(
         ref_view,
         float_rays(ref_seg, ref_view),
         relative_pose(ref_view, match_view),
@@ -711,7 +701,67 @@ def reference_track_pair_score(a, view_a, b, view_b, config=PipelineConfig()):
 # runs one match at a time on Python floats, every 3-vector product summed
 # term by term through ``geometry.dot3``: a block row must equal it bit for
 # bit, outcome for outcome.  The numpy oracle below it hands each product to
-# numpy's ``@``, so it agrees to rounding.
+# numpy's ``@``, so it agrees to rounding.  Both read one match as a
+# :class:`Form` and give up with an :class:`OracleFailure`.
+
+
+class Form(NamedTuple):
+    """The ray-plane form of one match, as the scalar oracles read it: the
+    fields of one :class:`~linemap.triangulation.MatchRows` row, ``ref`` as
+    :class:`Poses` of one row and the others as 3-sequences (``R`` by rows),
+    the pair ``a`` and the float ``c``."""
+
+    ref: Poses
+    R: tuple
+    t: tuple
+    x1: tuple
+    x2: tuple
+    Rx1: tuple
+    Rx2: tuple
+    y1: tuple
+    y2: tuple
+    n: tuple
+    a: tuple
+    c: float
+
+
+class OracleFailure(Exception):
+    """A scalar oracle found no segment; the message gives the reason, as
+    ``triangulation.FAILURES`` gives a rescue row's."""
+
+
+# the algebraic oracles' reasons, which a block row states as flags
+# (:func:`algebraic_failure`)
+FULLY_DEGENERATE = "both endpoint rays parallel to the match plane"
+WEAKLY_DEGENERATE = "one endpoint ray parallel to the match plane"
+BEHIND = "an endpoint lies behind the reference or the matched view"
+
+
+def algebraic_failure(tri, i):
+    """Row ``i`` of ``AlgebraicRows`` as the reason an oracle gives, or None
+    where the row has a segment."""
+    if tri.bad1[i] and tri.bad2[i]:
+        return FULLY_DEGENERATE
+    if tri.bad1[i] or tri.bad2[i]:
+        return WEAKLY_DEGENERATE
+    return None if tri.ok[i] else BEHIND
+
+
+def algebraic_segment(tri, i=0):
+    """Row ``i`` of ``AlgebraicRows`` as a segment; None where the row failed."""
+    return None if algebraic_failure(tri, i) else Segment3D(tri.start[i], tri.end[i])
+
+
+def rescued_segment(rows, i=0):
+    """Row ``i`` of ``RescueRows`` as a segment; None where the row failed."""
+    return None if rows.failure[i] else Segment3D(rows.start[i], rows.end[i])
+
+
+def row_form(rows, i):
+    """Row ``i`` of a ``MatchRows`` block as a :class:`Form` (``.tolist()``
+    keeps every bit)."""
+    R, *vectors, a, c = (field[i].tolist() for field in rows[2:])
+    return Form(rows.ref.take(slice(i, i + 1)), tuple(map(tuple, R)), *map(tuple, vectors), tuple(a), c)
 
 
 def float_ray_plane_form(ref_view, ref_rays, pose, match_rays):
@@ -726,7 +776,7 @@ def float_ray_plane_form(ref_view, ref_rays, pose, match_rays):
     n = (n[0] / nn, n[1] / nn, n[2] / nn)
     Rx1, Rx2 = matvec3(R, x1), matvec3(R, x2)
     a = (dot3(n, Rx1), dot3(n, Rx2))
-    return RayPlaneForm(Poses.of(ref_view, 1), R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot3(n, t))
+    return Form(Poses.of(ref_view, 1), R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, dot3(n, t))
 
 
 def float_check_degeneracy(ray_dir, plane_normal, min_angle_deg):
@@ -740,7 +790,7 @@ def float_check_degeneracy(ray_dir, plane_normal, min_angle_deg):
 def float_finish_segment(form, lam1, lam2):
     """Cheirality check in both views, then the endpoints ``(start, end)`` in world coordinates."""
     if lam1 <= 0 or lam2 <= 0:
-        raise CheiralityError("endpoint depth is not positive in the reference view")
+        raise OracleFailure(BEHIND)
     depth_row, tz = form.R[2], form.t[2]
     Rt = form.ref.R[0].T.tolist()
     t0, t1, t2 = form.ref.t[0].tolist()
@@ -748,20 +798,21 @@ def float_finish_segment(form, lam1, lam2):
     for li, (x0, x1, x2) in ((lam1, form.x1), (lam2, form.x2)):
         p0, p1, p2 = li * x0, li * x1, li * x2
         if dot3(depth_row, (p0, p1, p2)) + tz <= 0:
-            raise CheiralityError("endpoint lies behind the matched view")
+            raise OracleFailure(BEHIND)
         ends.append(matvec3(Rt, (p0 - t0, p1 - t1, p2 - t2)))
     return tuple(ends)
 
 
 def float_triangulate_algebraic(form, min_angle_deg=1.0):
-    """Endpoints ``(start, end)`` as Python floats, raising as ``triangulate_algebraic`` does."""
+    """Endpoints ``(start, end)`` as Python floats, or the reason that
+    ``triangulate_algebraic`` flags, raised."""
     a1, a2 = form.a
     bad1 = a1 == 0.0 or float_check_degeneracy(form.Rx1, form.n, min_angle_deg)
     bad2 = a2 == 0.0 or float_check_degeneracy(form.Rx2, form.n, min_angle_deg)
     if bad1 and bad2:
-        raise FullyDegenerateError("both endpoint rays parallel to the match plane")
+        raise OracleFailure(FULLY_DEGENERATE)
     if bad1 or bad2:
-        raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
+        raise OracleFailure(WEAKLY_DEGENERATE)
     return float_finish_segment(form, -form.c / a1, -form.c / a2)
 
 
@@ -803,7 +854,7 @@ def reference_ray_plane_form(ref_view, ref_rays, match_view, match_rays):
     n = n / nn
     Rx1, Rx2 = R @ x1, R @ x2
     a = np.array([n @ Rx1, n @ Rx2])
-    return RayPlaneForm(Poses.of(ref_view, 1), R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, float(n @ t))
+    return Form(Poses.of(ref_view, 1), R, t, x1, x2, Rx1, Rx2, y1, y2, n, a, float(n @ t))
 
 
 def reference_plane_angle_deg(ray_dir, plane_normal):
@@ -814,21 +865,21 @@ def reference_plane_angle_deg(ray_dir, plane_normal):
 
 
 def reference_triangulate_algebraic(form, min_angle_deg=1.0):
-    """Endpoints ``(start, end)`` in world coordinates, raising as
-    ``triangulate_algebraic`` does."""
+    """Endpoints ``(start, end)`` in world coordinates, or the reason that
+    ``triangulate_algebraic`` flags, raised."""
     bad1 = reference_plane_angle_deg(form.Rx1, form.n) < min_angle_deg
     bad2 = reference_plane_angle_deg(form.Rx2, form.n) < min_angle_deg
     if bad1 and bad2:
-        raise FullyDegenerateError("both endpoint rays parallel to the match plane")
+        raise OracleFailure(FULLY_DEGENERATE)
     if bad1 or bad2:
-        raise WeaklyDegenerateError("one endpoint ray parallel to the match plane")
+        raise OracleFailure(WEAKLY_DEGENERATE)
     lam = -form.c / form.a
     if lam[0] <= 0 or lam[1] <= 0:
-        raise CheiralityError("endpoint depth is not positive in the reference view")
+        raise OracleFailure(BEHIND)
     R, t = form.R, form.t
     for li, xi in ((lam[0], form.x1), (lam[1], form.x2)):
         if (R[2] @ (li * xi) + t[2]) <= 0:
-            raise CheiralityError("endpoint lies behind the matched view")
+            raise OracleFailure(BEHIND)
     R_ref, t_ref = form.ref.R[0], form.ref.t[0]
     return R_ref.T @ (lam[0] * form.x1 - t_ref), R_ref.T @ (lam[1] * form.x2 - t_ref)
 
@@ -868,8 +919,9 @@ def reference_weak_epipolar_iou(form):
 # (``segment_on_line_from_supports``) replaced: one match, one detection or
 # one line at a time, on numpy 3-vectors with numpy's polynomial helpers,
 # ``np.roots``, ``det``, ``solve`` and ``eigh``.  A block row must end as the
-# oracle does, with the same exception and message where it fails, and with
-# endpoints within rounding where it does not.
+# oracle does, with the reason that ``triangulation.FAILURES`` names where it
+# fails (the oracle raises it as an OracleFailure), and with endpoints within
+# rounding where it does not.
 
 
 def _reference_principal_line(points):
@@ -886,23 +938,23 @@ def _reference_world_ray(view, x):
 
 
 def reference_triangulate_multipoint(ref_rays, ref_view, points3d):
-    """Segment3D, or the TriangulationError that ``triangulate_multipoint`` gives."""
+    """Segment3D, or the reason that ``triangulate_multipoint`` gives, raised."""
     pts = np.asarray(points3d, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-        raise TriangulationError("need at least two 3D points to fit a line")
+        raise OracleFailure("need at least two 3D points to fit a line")
     mean, direction, spread = _reference_principal_line(pts)
     if spread < EPS:
-        raise DegenerateTriangulationError("3D points are coincident; no line direction")
+        raise OracleFailure("3D points are coincident; no line direction")
     fitted = PluckerLine.from_point_direction(mean, direction)
     endpoints = []
     for x in ref_rays:
         try:
             endpoints.append(closest_point_line_to_line(_reference_world_ray(ref_view, x), fitted))
         except ValueError as exc:
-            raise DegenerateTriangulationError("fitted line is parallel to an endpoint ray") from exc
+            raise OracleFailure("fitted line is parallel to an endpoint ray") from exc
     for p in endpoints:
         if ref_view.depth(p) <= 0:
-            raise CheiralityError("fitted segment lies behind the reference view")
+            raise OracleFailure("fitted segment lies behind the reference view")
     return Segment3D(endpoints[0], endpoints[1])
 
 
@@ -978,29 +1030,29 @@ def reference_plane_cost(form):
 def _reference_constrained_segment(form, Q, q):
     sols = reference_solve_constrained_quadratic(*reference_plane_cost(form), Q, q)
     if not sols:
-        raise TriangulationError("constrained solve produced no real candidate")
+        raise OracleFailure("constrained solve produced no real candidate")
     for lam, *_ in sols:
         try:
             return float_finish_segment(form, float(lam[0]), float(lam[1]))
-        except CheiralityError:
+        except OracleFailure:  # behind a camera
             continue
-    raise CheiralityError("no candidate places the segment in front of both cameras")
+    raise OracleFailure("no candidate places the segment in front of both cameras")
 
 
 def reference_point_constraint(form, point3d):
     """``(Q, q)``: the collinearity constraint that ``point3d`` puts on the
-    endpoint depths of one :class:`RayPlaneForm`, or the TriangulationError
-    that ``triangulate_line_point`` gives before it solves."""
+    endpoint depths of one :class:`Form`, or the reason that
+    ``triangulate_line_point`` gives before it solves, raised."""
     x1, x2 = np.array(form.x1), np.array(form.x2)
     n_p = cross3(x1, x2)
     npn = np.linalg.norm(n_p)
     if npn < EPS:
-        raise TriangulationError("reference segment endpoints coincide")
+        raise OracleFailure("reference segment endpoints coincide")
     n_p = n_p / npn
     p_ref = form.ref.R[0] @ np.asarray(point3d, dtype=np.float64) + form.ref.t[0]
     p_in_plane = p_ref - (n_p @ p_ref) * n_p
     if np.linalg.norm(p_in_plane) < EPS:
-        raise DegenerateTriangulationError("3D point projects to the camera center")
+        raise OracleFailure("3D point projects to the camera center")
     # in-plane frame: rays and the projected point with a zero third coordinate
     u = normalized(x1)
     v = cross3(n_p, u)
@@ -1010,26 +1062,26 @@ def reference_point_constraint(form, point3d):
     Q = np.array([[0.0, 0.5 * c12], [0.5 * c12, 0.0]])
     q = np.array([-cross2(p1, p0), -cross2(p0, p2)])
     if not np.any(Q) and not np.any(q):
-        raise DegenerateTriangulationError("collinearity constraint is vacuous")
+        raise OracleFailure("collinearity constraint is vacuous")
     return Q, q
 
 
 def reference_triangulate_line_point(form, point3d):
-    """Endpoints ``(start, end)``, or the TriangulationError that
-    ``triangulate_line_point`` gives, for one :class:`RayPlaneForm`."""
+    """Endpoints ``(start, end)``, or the reason that
+    ``triangulate_line_point`` gives, raised, for one :class:`Form`."""
     return _reference_constrained_segment(form, *reference_point_constraint(form, point3d))
 
 
 def reference_triangulate_line_vp(form, vp_dir):
-    """Endpoints ``(start, end)``, or the TriangulationError that
-    ``triangulate_line_vp`` gives, for one :class:`RayPlaneForm`."""
+    """Endpoints ``(start, end)``, or the reason that
+    ``triangulate_line_vp`` gives, raised, for one :class:`Form`."""
     x1, x2 = np.array(form.x1), np.array(form.x2)
     w = cross3(vp_dir, cross3(x1, x2))
     if np.linalg.norm(w) < EPS:
-        raise DegenerateTriangulationError("vanishing direction is perpendicular to the ray plane")
+        raise OracleFailure("vanishing direction is perpendicular to the ray plane")
     q = np.array([-(w @ x1), w @ x2])
     if np.max(np.abs(q)) < EPS:
-        raise DegenerateTriangulationError("vanishing direction constrains neither ray")
+        raise OracleFailure("vanishing direction constrains neither ray")
     return _reference_constrained_segment(form, np.zeros((2, 2)), q)
 
 

@@ -43,7 +43,6 @@ from linemap.synthetic import (
     scene_diameter,
 )
 from linemap.triangulation import (
-    TriangulationError,
     solve_constrained_quadratic,
     triangulate_algebraic,
     triangulate_line_point,
@@ -55,7 +54,14 @@ from linemap.uncertainty import (
     run_degeneracy_experiment,
 )
 
-from support import make_view, random_two_view_segment, two_view, weak_degenerate_pair
+from support import (
+    algebraic_segment,
+    make_view,
+    random_two_view_segment,
+    rescued_segment,
+    two_view,
+    weak_degenerate_pair,
+)
 
 
 VERDICTS = []
@@ -204,7 +210,7 @@ def test_02_triangulation_exact_fit():
     worst_rel = worst_reproj = 0.0
     for _ in range(1000):
         ref, match, gt, ref2d, match2d = random_two_view_segment(rng)
-        rec = triangulate_algebraic(two_view(ref2d, ref, match2d, match))
+        rec = algebraic_segment(triangulate_algebraic(two_view(ref2d, ref, match2d, match)))
         for hat, true in ((rec.start, gt.start), (rec.end, gt.end)):
             worst_rel = max(
                 worst_rel,
@@ -254,8 +260,7 @@ def grid_min_on_conic(A, b, Q, q):
 
 def test_03_constrained_quadratic_oracle():
     rng = np.random.default_rng(303)
-    worst_gap = worst_con = -np.inf
-    empty = 0
+    problems = []
     for _ in range(500):
         M = rng.normal(size=(2, 2))
         A = M.T @ M + 0.1 * np.eye(2)
@@ -263,13 +268,17 @@ def test_03_constrained_quadratic_oracle():
         Q = rng.normal(size=(2, 2))
         Q = 0.5 * (Q + Q.T)
         q = rng.normal(size=2)
-        sols = solve_constrained_quadratic(A, b, Q, q)
-        if not sols:
+        problems.append((A, b, Q, q))
+    sols = solve_constrained_quadratic(*(np.array(x) for x in zip(*problems)))
+    worst_gap = worst_con = -np.inf
+    empty = 0
+    for (A, b, Q, q), lams, costs, valid in zip(problems, sols.lam, sols.cost, sols.valid):
+        if not valid[0]:  # the candidates come first
             empty += 1
             continue
-        for s in sols:
-            worst_con = max(worst_con, abs(s.lam @ Q @ s.lam + q @ s.lam))
-        worst_gap = max(worst_gap, sols[0].cost - grid_min_on_conic(A, b, Q, q))
+        for lam in lams[valid]:
+            worst_con = max(worst_con, abs(lam @ Q @ lam + q @ lam))
+        worst_gap = max(worst_gap, costs[0] - grid_min_on_conic(A, b, Q, q))
     ok = empty == 0 and worst_gap <= 1e-4 and worst_con <= 1e-6
     report(
         3,
@@ -291,31 +300,16 @@ def test_04_degeneracy_rescue():
     n = 200
     for _ in range(n):
         ref, match, gt, ref2d, match2d = weak_degenerate_pair(rng)
-        try:
-            rec = triangulate_algebraic(two_view(ref2d, ref, match2d, match))
-            alg_err = max(
-                np.linalg.norm(rec.start - gt.start), np.linalg.norm(rec.end - gt.end)
-            )
-            raised = False
-        except TriangulationError:
-            alg_err, raised = np.inf, True
-        try:
-            m2 = triangulate_line_point(
-                two_view(ref2d, ref, match2d, match), 0.5 * (gt.start + gt.end)
-            )
-            e2 = max(
-                np.linalg.norm(m2.start - gt.start), np.linalg.norm(m2.end - gt.end)
-            )
-        except TriangulationError:
-            e2 = np.inf
-        try:
-            m3 = triangulate_line_vp(two_view(ref2d, ref, match2d, match), gt.end - gt.start)
-            e3 = max(
-                np.linalg.norm(m3.start - gt.start), np.linalg.norm(m3.end - gt.end)
-            )
-        except TriangulationError:
-            e3 = np.inf
-        alg_bad = raised or alg_err > 10.0 * max(e2, e3, 1e-12)
+        rows = two_view(ref2d, ref, match2d, match)
+        rec = algebraic_segment(triangulate_algebraic(rows))
+        m2 = rescued_segment(triangulate_line_point(rows, (0.5 * (gt.start + gt.end))[None]))
+        m3 = rescued_segment(triangulate_line_vp(rows, (gt.end - gt.start)[None]))
+        # a failed row is infinitely far off
+        alg_err, e2, e3 = (
+            np.inf if seg is None else max(np.linalg.norm(seg.start - gt.start), np.linalg.norm(seg.end - gt.end))
+            for seg in (rec, m2, m3)
+        )
+        alg_bad = rec is None or alg_err > 10.0 * max(e2, e3, 1e-12)
         if alg_bad and e2 <= 1e-3 and e3 <= 1e-3:
             good += 1
     ok = good >= 0.95 * n

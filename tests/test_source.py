@@ -11,7 +11,9 @@ scatters with ``np.add.at`` nor calls ``np.cross``, no random draw runs once per
 loop iteration, track building scores no pair once per loop iteration, and
 the pipeline forms, gates and triangulates no match once per loop
 iteration, and neither it nor refinement rescues, fits or trims once per
-loop iteration.
+loop iteration.  Each triangulation solver has one form: a block in and a
+row record out, with no ``isinstance`` dispatch, exception class or union
+return type.
 """
 
 import ast
@@ -314,8 +316,7 @@ def test_track_block_makes_only_exact_numpy_calls():
 
 
 # the two-view front end: the neighbour ranking, the per-image pass, the
-# match blocks (which also take one match as a block of one row), and the
-# geometry they read
+# match blocks, and the geometry they read
 FRONT_END_CODE = {
     "geometry.py": (
         "dot3",
@@ -343,10 +344,8 @@ FRONT_END_CODE = {
         "Poses.join",
         "Poses.take",
         "MatchRows.take",
-        "MatchRows.form",
         "join_rows",
         "match_rows",
-        "_one_row",
         "weak_epipolar_iou",
         "degenerate_rows",
         "_finish_rows",
@@ -359,7 +358,6 @@ FRONT_END_CODE = {
 RESCUE_CODE = {
     "geometry.py": ("CameraView.camera_center", "principal_lines", "principal_line"),
     "triangulation.py": (
-        "RescueRows.segment",
         "_fail",
         "_norm_rows",
         "_unit_rows",
@@ -403,6 +401,32 @@ def test_front_end_blocks_make_only_exact_numpy_calls():
     # every definition of triangulation.py is front-end block code or rescue
     defined = {name for name, _ in _definitions(TREES["triangulation.py"])}
     assert defined - set(FRONT_END_CODE["triangulation.py"]) == set(RESCUE_CODE["triangulation.py"])
+
+
+def test_each_triangulation_solver_has_one_form():
+    # a block in, a row record out: no call tells a block from one match,
+    # no failure is raised as an exception class, and no public function
+    # returns one of two types
+    tree = TREES["triangulation.py"]
+    found = [
+        f"triangulation.py:{node.lineno} isinstance"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+    ]
+    found += [
+        f"triangulation.py:{node.lineno} class {node.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", "").endswith(("Error", "Exception")) for base in node.bases)
+    ]
+    found += [
+        f"triangulation.py:{node.lineno} {name} returns a union"
+        for name, node in _definitions(tree)
+        if not name.split(".")[-1].startswith("_")
+        and node.returns is not None
+        and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitOr) for n in ast.walk(node.returns))
+    ]
+    assert found == []
 
 
 def _linalg_calls(tree):
