@@ -388,8 +388,9 @@ def stack_segments_2d(segments: list[Segment2D]) -> tuple[FloatArray, PlanarRows
     Raises:
         ValueError: if a segment is shorter than EPS.
     """
-    ends = np.array([[[*s.start, 1.0], [*s.end, 1.0]] for s in segments], dtype=np.float64)
-    ends = ends.reshape(-1, 2, 3)
+    ends = np.ones((len(segments), 2, 3))
+    ends[:, 0, :2] = np.array([s.start for s in segments]).reshape(-1, 2)
+    ends[:, 1, :2] = np.array([s.end for s in segments]).reshape(-1, 2)
     (x1, y1, _), (x2, y2, _) = ends.transpose(1, 2, 0)
     planar = planar_rows(x1, y1, x2, y2)
     if not planar.ok.all():

@@ -19,18 +19,24 @@ The solver is Levenberg-Marquardt with multiplicative diagonal damping and
 iterative reweighting for the robust losses.  Each residual type is evaluated
 as stacked arrays over all of its rows, and the normal equations are kept in
 three parts: the block-diagonal line part (one 4x4 block per line), the
-line-(point, VP) coupling and the dense (point, VP) part.  Lines couple only
-with points and VPs, so a step eliminates the line blocks with one batched
-4x4 solve, solves the reduced (Schur complement) system on the 3P + 2V point
-and VP unknowns, and back-substitutes the line steps (Triggs et al., "Bundle
-Adjustment - A Modern Synthesis", 2000).  Each part is one ``np.bincount``
-over every term's contributions, in a flat layout fixed once per problem,
-and the Schur update is one bincount seeded with the entries it touches;
-bincount adds in index order, so the sums have the bits of a scatter with
-``np.add.at`` in the same order.  Each state is evaluated once, in two
-stages: a trial step's residuals and cost decide whether it is accepted,
-and only an accepted step's Jacobians and normal equations are built, from
-the same residual-stage values.
+line-(point, VP) coupling and the (point, VP) part.  Lines couple only with
+points and VPs, so a step eliminates the line blocks with one batched 4x4
+solve, which leaves the reduced (Schur complement) system on the 3P + 2V
+point and VP unknowns, and back-substitutes the line steps (Triggs et al.,
+"Bundle Adjustment - A Modern Synthesis", 2000, section 6).  Two points
+meet in the reduced system only through a line with point-line terms on
+both, so its point columns fall into components fixed once per problem,
+each coupled with the others only through the VP columns (an arrowhead).
+The reduced system is solved one batched solve per component size, then
+the small VP border, then the points are back-substituted; no LAPACK call
+grows with the scene beyond the largest component.  Each part is one
+``np.bincount`` over every term's contributions, in a flat layout fixed
+once per problem, and the Schur update is one bincount seeded with the
+entries it touches; bincount adds in index order, so the sums have the bits
+of a scatter with ``np.add.at`` in the same order.  Each state is evaluated
+once, in two stages: a trial step's residuals and cost decide whether it is
+accepted, and only an accepted step's Jacobians and normal equations are
+built, from the same residual-stage values.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .geometry import (
     stack_segments_2d,
     trimmed_extent,
 )
+from .tracks import UnionFind
 
 _E1 = np.array([1.0, 0.0, 0.0])
 _E2 = np.array([0.0, 1.0, 0.0])
@@ -468,6 +475,30 @@ def _seeded_sum(target: np.ndarray, entries, index, values) -> None:
     flat[entries] = np.bincount(index, np.concatenate([seeds, values]), minlength=len(seeds))
 
 
+def _point_components(n_points: int, pl_point: np.ndarray, pl_line: np.ndarray) -> list[np.ndarray]:
+    """The point columns of the reduced system, grouped by component.
+
+    Eliminating a line couples every point it has a point-line term with, so
+    two points share a component when one line has terms with both.  The
+    components, ordered by their first column, are grouped by size: one
+    ``(k, m)`` array of columns per size, smallest first.
+    """
+    uf = UnionFind(range(n_points))
+    first: dict[int, int] = {}
+    for pt, li in zip(pl_point.tolist(), pl_line.tolist()):
+        uf.union(first.setdefault(li, pt), pt)
+    members: dict[int, list[int]] = {}
+    for pt in range(n_points):
+        members.setdefault(uf.find(pt), []).append(pt)
+    by_size: dict[int, list[list[int]]] = {}
+    for pts in members.values():
+        by_size.setdefault(len(pts), []).append(pts)
+    return [
+        (3 * np.array(by_size[size], dtype=np.intp)[:, :, None] + np.arange(3)).reshape(-1, 3 * size)
+        for size in sorted(by_size)
+    ]
+
+
 @dataclass
 class _NormalEquations:
     """``[[A, B], [B^T, C]] x = -[g_lines, g_reduced]`` with the line blocks first.
@@ -475,7 +506,9 @@ class _NormalEquations:
     ``A`` is ``(L, 4, 4)``; ``B`` is stored per line as ``Bt`` ``(L, S, 4)``, the
     transposed 4-column block of the line's ``S`` slots (reduced columns
     ``slot_cols``); ``C`` is dense on the ``3P + 2V`` point and VP unknowns, the
-    points first.
+    points first.  ``components`` groups the point columns as
+    :func:`_point_components` does; the step solves the reduced system one
+    group at a time, with the VP columns as the border.
     """
 
     A: np.ndarray
@@ -487,18 +520,16 @@ class _NormalEquations:
     slot_cols: np.ndarray
     n_point_cols: int
     schur: _SchurLayout
+    components: list[np.ndarray]
 
     def gradient(self) -> np.ndarray:
         """The gradient in unknown order: points, lines, VPs."""
         p = self.n_point_cols
         return np.concatenate([self.g_reduced[:p], self.g_lines.ravel(), self.g_reduced[p:]])
 
-    def step(self, damping: float) -> np.ndarray:
-        """The damped LM step in unknown order (points, lines, VPs).
-
-        Raises LinAlgError when a damped line block or the reduced system is
-        singular.
-        """
+    def reduced_system(self, damping: float):
+        """The damped line blocks ``A`` and the reduced system ``S x = rhs``
+        left on the point and VP unknowns once the lines are eliminated."""
         n = len(self.C)
         diag_A = np.einsum("lii->li", self.A)
         diag_C = np.diag(self.C)
@@ -516,14 +547,52 @@ class _NormalEquations:
         _seeded_sum(S, lay.entries, lay.S_index, -BtY[:, :, 1:].ravel()[lay.pairs])
         rhs = -self.g_reduced
         _seeded_sum(rhs, lay.rhs_entries, lay.rhs_index, BtY[:, :, 0].ravel()[lay.slots])
+        return A, S, rhs
+
+    def step(self, damping: float) -> np.ndarray:
+        """The damped LM step in unknown order (points, lines, VPs).
+
+        The reduced system is solved one point component at a time, with
+        the VP columns as the border (:func:`_solve_bordered`).  Raises
+        LinAlgError when a damped line block, a point component or the VP
+        border is singular.
+        """
+        A, S, rhs = self.reduced_system(damping)
+        p = self.n_point_cols
         # unused slots (column n) read a zero step
-        x = np.append(np.linalg.solve(S, rhs), 0.0)
+        x = np.append(_solve_bordered(S, rhs, self.components, p), 0.0)
         cols = self.slot_cols
         # back-substitute: A x_lines = -g_lines - B x
         rhs_lines = -self.g_lines - np.einsum("lsi,ls->li", self.Bt, x[cols])
         x_lines = np.linalg.solve(A, rhs_lines[:, :, None])[:, :, 0]
-        p = self.n_point_cols
-        return np.concatenate([x[:p], x_lines.ravel(), x[p:n]])
+        return np.concatenate([x[:p], x_lines.ravel(), x[p:-1]])
+
+
+def _solve_bordered(S: np.ndarray, rhs: np.ndarray, components: list[np.ndarray], p: int) -> np.ndarray:
+    """Solve ``S x = rhs`` where the point columns ``:p`` couple only within
+    their components, and every column with the border ``p:`` (the VPs).
+
+    ``components`` holds one ``(k, m)`` array of columns per component size.
+    Each size is one batched solve ``S_cc Z_c = [rhs_c | S_cb]``; the border
+    then solves ``S_bb - sum_c S_bc Z_c``, summed over the components in
+    their order, and the points are back-substituted.
+    """
+    x = np.empty(len(S))
+    border, r_border = S[p:, p:].copy(), rhs[p:].copy()
+    solved = []
+    for cols in components:
+        Z = np.linalg.solve(
+            S[cols[:, :, None], cols[:, None, :]],
+            np.concatenate([rhs[cols][:, :, None], S[cols, p:]], axis=2),
+        )
+        BZ = S[p:, cols].transpose(1, 0, 2) @ Z  # (k, b, 1 + b)
+        r_border -= BZ[:, :, 0].sum(axis=0)
+        border -= BZ[:, :, 1:].sum(axis=0)
+        solved.append((cols, Z))
+    x[p:] = np.linalg.solve(border, r_border)
+    for cols, Z in solved:
+        x[cols] = Z[:, :, 0] - Z[:, :, 1:] @ x[p:]
+    return x
 
 
 class _Evaluation(NamedTuple):
@@ -594,6 +663,7 @@ class _Linearizer:
             t.slots = t_slots
         self.layout = _layout(self.terms, self.slot_cols.shape[1], self.n_reduced)
         self.schur = _SchurLayout.of(self.slot_cols, self.n_reduced)
+        self.components = _point_components(len(problem.points), self.pl_point, self.pl_line)
 
     def residuals(self, state: _State) -> _Evaluation:
         """The residual stage on ``state``: every term's residuals, robust
@@ -653,7 +723,8 @@ class _Linearizer:
             for index, values, shape in zip(self.layout, (A, g_lines, Bt, g_reduced, C), shapes)
         )
         return _NormalEquations(
-            A, Bt, C, g_lines, g_reduced, ev.cost, self.slot_cols, self.np_, self.schur
+            A, Bt, C, g_lines, g_reduced, ev.cost, self.slot_cols, self.np_, self.schur,
+            self.components,
         )
 
     def raw_residuals_and_jacobian(self, state: _State):

@@ -398,10 +398,10 @@ def reference_scatter_normal_equations(lin, state):
     return A, Bt, C, g_lines, g_reduced, cost
 
 
-def reference_scatter_step(ne, damping):
-    """The damped step of ``ne`` (``optimize._NormalEquations``), the Schur
-    update scattered with ``np.add.at`` into an ``(n + 1)``-square matrix
-    whose last row and column take the unused slots."""
+def reference_scatter_system(ne, damping):
+    """The damped reduced system ``S, rhs`` of ``ne`` (``optimize._NormalEquations``),
+    the Schur update scattered with ``np.add.at`` into an ``(n + 1)``-square
+    matrix whose last row and column take the unused slots."""
     n = len(ne.C)
     diag_A = np.einsum("lii->li", ne.A)
     diag_C = np.diag(ne.C)
@@ -418,11 +418,7 @@ def reference_scatter_step(ne, damping):
     np.add.at(S, (cols[:, :, None], cols[:, None, :]), -BtY[:, :, 1:])
     rhs = np.append(-ne.g_reduced, 0.0)
     np.add.at(rhs, cols, BtY[:, :, 0])
-    x = np.append(np.linalg.solve(S[:n, :n], rhs[:n]), 0.0)
-    rhs_lines = -ne.g_lines - np.einsum("lsi,ls->li", ne.Bt, x[cols])
-    x_lines = np.linalg.solve(A, rhs_lines[:, :, None])[:, :, 0]
-    p = ne.n_point_cols
-    return np.concatenate([x[:p], x_lines.ravel(), x[p:n]])
+    return S[:n, :n], rhs[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from linemap.geometry import (
     quat_to_rotmat,
     relative_pose,
     rotmat_to_quat,
+    stack_segments_2d,
 )
 
 from support import reference_planar_record
@@ -367,6 +368,20 @@ def test_planar_rows_equal_the_scalar_record_bit_for_bit():
             assert g == w and math.copysign(1.0, g) == math.copysign(1.0, w), (name, case)
         assert float(rows.u[i]) == want.line[1]
     assert short > 100 and (rows.ok & (rows.length < 4 * EPS)).sum() > 100
+
+
+def test_stacked_endpoints_equal_the_listed_floats_bit_for_bit():
+    # random, large and signed-zero coordinates, against the endpoints built
+    # one Python float at a time
+    rng = np.random.default_rng(41)
+    coords = [rng.uniform(-700.0, 700.0, (200, 4)), rng.uniform(-1.0, 1.0, (50, 4)) * 1e150]
+    coords.append([[0.0, -0.0, 5.0, -0.0], [-0.0, 5.0, 0.0, -0.0], [-0.0, -0.0, 1e-300, 3.0]])
+    segments = [Segment2D(row[:2], row[2:]) for row in np.vstack(coords)]
+    ends, _ = stack_segments_2d(segments)
+    want = np.array([[[*s.start, 1.0], [*s.end, 1.0]] for s in segments], dtype=np.float64)
+    assert ends.shape == want.shape and (ends == want).all()
+    assert (np.signbit(ends) == np.signbit(want)).all() and np.signbit(ends).any()
+    assert stack_segments_2d([])[0].shape == (0, 2, 3)
 
 
 def test_relative_pose_roundtrip():

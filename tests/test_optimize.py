@@ -1,6 +1,10 @@
 """Tests for joint refinement: Jacobians, convergence, helper graphs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +49,7 @@ from support import (
     make_view,
     reference_normal_equations,
     reference_scatter_normal_equations,
-    reference_scatter_step,
+    reference_scatter_system,
 )
 
 
@@ -155,13 +159,18 @@ class TestJacobians:
             self.check_problem(problem)
 
 
-def tiled_problem(problems):
-    """One problem holding independent copies side by side, sharing the first one's views."""
+def tiled_problem(problems, share_vps=False):
+    """One problem holding copies side by side, sharing the first one's views.
+
+    The copies are independent, or with ``share_vps`` they all use the
+    first copy's VPs (and its orthogonality terms), as the tiles of the
+    benchmark's refine_ba problem do.
+    """
     out = JointProblem(
         views=problems[0].views,
         points=np.vstack([pr.points for pr in problems]),
         lines=[par for pr in problems for par in pr.lines],
-        vps=np.vstack([pr.vps for pr in problems]),
+        vps=problems[0].vps if share_vps else np.vstack([pr.vps for pr in problems]),
     )
     n_pts = n_lines = n_vps = 0
     for pr in problems:
@@ -169,11 +178,38 @@ def tiled_problem(problems):
         out.line_obs += [(li + n_lines, img, seg) for li, img, seg in pr.line_obs]
         out.point_line += [(pi + n_pts, li + n_lines, w) for pi, li, w in pr.point_line]
         out.line_vp += [(li + n_lines, vi + n_vps, w) for li, vi, w in pr.line_vp]
-        out.vp_ortho += [(a + n_vps, b + n_vps) for a, b in pr.vp_ortho]
-        n_pts, n_lines, n_vps = (
-            n_pts + len(pr.points), n_lines + len(pr.lines), n_vps + len(pr.vps)
-        )
+        if not share_vps or pr is problems[0]:
+            out.vp_ortho += [(a + n_vps, b + n_vps) for a, b in pr.vp_ortho]
+        n_pts, n_lines = n_pts + len(pr.points), n_lines + len(pr.lines)
+        if not share_vps:
+            n_vps += len(pr.vps)
     return out
+
+
+def joined_mixed_problem(rng):
+    """The mixed problem with point 0 also on line 1, so that one line has
+    point-line terms with both points: one 6-column component."""
+    problem = make_mixed_problem(rng)
+    problem.point_line = sorted(problem.point_line + [(0, 1, 2.0)])
+    return problem
+
+
+def shared_vp_problem(copies=12, seed=23):
+    """Mixed problems tiled with shared VPs, every other one joined: 3- and
+    6-column point components with the 4 VP columns as their border."""
+    rng = np.random.default_rng(seed)
+    makes = (make_mixed_problem, joined_mixed_problem)
+    return tiled_problem([makes[k % 2](rng) for k in range(copies)], share_vps=True)
+
+
+def lone_point_problem():
+    """The joined mixed problem plus one observed point with no point-line term."""
+    problem = joined_mixed_problem(np.random.default_rng(29))
+    views = problem.views
+    lone = np.array([0.1, -0.3, 0.2])
+    problem.points = np.vstack([problem.points, lone + 0.04])
+    problem.point_obs += [(2, img, views[img].project_point(lone) + 0.5) for img in (0, 2)]
+    return problem
 
 
 def degenerate_problem():
@@ -336,7 +372,8 @@ def acceptance_problem(monkeypatch):
 
 class TestOrderedAssembly:
     """One ordered bincount per matrix, and the seeded Schur update, against
-    the ``np.add.at`` scatter they replace: equal bit for bit."""
+    the ``np.add.at`` scatter they replace: equal bit for bit up to the
+    reduced system (the step's solve is checked in :class:`TestSchurStep`)."""
 
     def check_against_scatter(self, problem, dampings):
         lin = _Linearizer(problem, OptimizeConfig())
@@ -350,7 +387,9 @@ class TestOrderedAssembly:
                 assert g.shape == w.shape and (g == w).all()
             assert ne.cost == cost
             for damping in dampings:
-                assert (ne.step(damping) == reference_scatter_step(ne, damping)).all()
+                _, S, rhs = ne.reduced_system(damping)
+                S_want, rhs_want = reference_scatter_system(ne, damping)
+                assert (S == S_want).all() and (rhs == rhs_want).all()
         return lin
 
     def test_acceptance_problem_matches_the_scatter(self, monkeypatch):
@@ -374,8 +413,11 @@ class TestSchurStep:
             vp_only_problem,
             lambda: make_mixed_problem(np.random.default_rng(7)),
             lambda: JointProblem(views={}),
+            shared_vp_problem,
+            lambda: tiled_problem([make_mixed_problem(np.random.default_rng(k)) for k in range(8)]),
+            lone_point_problem,
         ],
-        ids=["points", "lines", "vps", "mixed", "empty"],
+        ids=["points", "lines", "vps", "mixed", "empty", "shared_vps", "tiled", "lone_point"],
     )
     def test_step_matches_the_dense_solve(self, make):
         problem = make()
@@ -389,6 +431,43 @@ class TestSchurStep:
             step = ne.step(damping)
             assert step.shape == (problem.dof(),)
             assert relative_error(step, dense) <= 1e-8
+
+    def test_points_split_into_components_bordered_by_the_vps(self):
+        # shared VPs: every point component borders the same 4 VP columns
+        lin = _Linearizer(shared_vp_problem(), OptimizeConfig())
+        assert [c.shape for c in lin.components] == [(12, 3), (6, 6)]
+        assert lin.n_reduced - lin.np_ == 4
+        # the lone point, with no point-line term, is a component of its own
+        lin = _Linearizer(lone_point_problem(), OptimizeConfig())
+        assert [c.tolist() for c in lin.components] == [[[6, 7, 8]], [[0, 1, 2, 3, 4, 5]]]
+
+
+# Refines shared_vp_problem in a fresh process and prints a digest of the result.
+_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from linemap.optimize import OptimizeConfig, optimize
+from test_optimize import shared_vp_problem
+r = optimize(shared_vp_problem(copies=30), OptimizeConfig(max_iterations=20))
+parts = [r.points, r.vps, np.array([r.final_cost])] + [np.concatenate([p.q, p.w]) for p in r.lines]
+sys.stdout.write(hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest())
+"""
+
+
+def test_refinement_does_not_depend_on_the_blas_thread_count():
+    # 184 reduced unknowns in 3- and 6-column point components and a 4-column
+    # VP border; one dense solve of the whole system rounds differently at 1
+    # and 2 OpenBLAS threads on this problem
+    assert _Linearizer(shared_vp_problem(copies=30), OptimizeConfig()).n_reduced > 100
+    path = os.pathsep.join([str(Path(opt_module.__file__).parents[1]), str(Path(__file__).parent)])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(run.stdout)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestConvergence:

@@ -13,10 +13,11 @@ cleanly under the same three configs, and ``linemap synth --views 16 --noise
 ``cli_eval``, digests what ``linemap eval`` prints for that map against the
 scene's ``gt_lines.json``, with the default taus and then with ``--aggregate
 max``.  A change meant to keep outputs the same must print the same eight
-lines as its parent on the same host.  BLAS runs on one thread, because joint
-refinement's reduced solve (the dense system left on the points and VPs once
-the line blocks are eliminated) can round differently with the thread count;
-across CPUs and numpy builds the last bit may still differ.
+lines as its parent on the same host.  BLAS runs on one thread, because a
+large LAPACK solve in joint refinement (a point component of the system left
+on the points and VPs once the line blocks are eliminated) can round
+differently with the thread count; across CPUs and numpy builds the last bit
+may still differ.
 """
 
 import os
